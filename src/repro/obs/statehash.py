@@ -154,7 +154,7 @@ def _lane_record(d, lane) -> list[int]:
 def _routing_ints(engine) -> list[int]:
     """Routing state: rr pointers, pending headers (order is semantic),
     the route queue (order is semantic) and crossbar bindings (sorted —
-    the engine's swap-removal order is an implementation detail no
+    the order of the engine's list is an implementation detail no
     alternative backend should have to reproduce)."""
     vals = list(engine.route_rr)
     vals.append(_NONE)

@@ -125,7 +125,15 @@ class OutputLane:
         "direction",
     )
 
-    def __init__(self, switch: int, port: int, vc: int, cap: int):
+    def __init__(
+        self,
+        switch: int,
+        port: int,
+        vc: int,
+        cap: int,
+        sink: InputLane | EjectionLane | None = None,
+        credits: int = 0,
+    ):
         self.switch = switch
         self.port = port
         self.vc = vc
@@ -137,9 +145,9 @@ class OutputLane:
         #: flits of the current packet already sent on the link
         self.sent = 0
         #: free buffer slots at the downstream input lane (§4 ack counter)
-        self.credits = 0
+        self.credits = credits
         #: downstream input lane (or EjectionLane) across the link
-        self.sink: InputLane | EjectionLane | None = None
+        self.sink = sink
         #: link direction this lane is multiplexed onto
         self.direction: LinkDirection | None = None
 
@@ -202,12 +210,13 @@ class LinkDirection:
     maintains it on every buffered-count 0↔1 transition.
     """
 
-    __slots__ = ("lanes", "rr", "nbusy", "to_node", "flits", "flits_at_warmup")
+    __slots__ = ("lanes", "rot", "rr", "nbusy", "to_node", "flits", "flits_at_warmup")
 
     def __init__(self, lanes: list[OutputLane], to_node: bool = False):
         self.lanes = lanes
         for lane in lanes:
             lane.direction = self
+        self.build_rot()
         #: round-robin pointer for the fair arbiter
         self.rr = 0
         #: number of lanes with buffered > 0
@@ -220,6 +229,24 @@ class LinkDirection:
         #: boundary, so utilization analyses can report measurement-window
         #: rates (``measured_flits``) instead of whole-run counts
         self.flits_at_warmup = 0
+
+    def build_rot(self) -> None:
+        """``rot[rr]`` is the lanes in round-robin order starting at ``rr``:
+        the arbiter walks it instead of doing index arithmetic per lane.
+        Plain slices of the doubled list — this runs once per direction of
+        every engine built or restored."""
+        lanes = self.lanes
+        self.rot = rot = [lanes]
+        n = len(lanes)
+        if n > 1:
+            doubled = lanes + lanes
+            for i in range(1, n):
+                rot.append(doubled[i : i + n])
+
+    def __getstate__(self):
+        # ``rot`` is derived from ``lanes``: V more lists per direction are
+        # left out of pickles; ``Engine.__setstate__`` rebuilds them
+        return None, {name: getattr(self, name) for name in self.__slots__ if name != "rot"}
 
     @property
     def measured_flits(self) -> int:

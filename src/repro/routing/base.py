@@ -4,9 +4,10 @@ A routing algorithm is consulted by the engine's routing phase: given the
 input lane whose head flit is an unrouted header, :meth:`select` must
 return a *free* output lane on a minimal path to the packet's destination
 (or the ejection channel when the packet has arrived), or ``None`` to
-stall the header for this cycle.  The engine retries stalled headers every
-cycle, so algorithms are stateless per attempt; adaptivity comes from
-inspecting current lane occupancy.
+stall the header.  Algorithms are stateless per attempt — adaptivity comes
+from inspecting current lane occupancy — and a stalling ``select`` has no
+side effect at all, so the engine retries a stalled header only once an
+output lane of its switch has become allocatable (see :meth:`select`).
 
 Algorithms are bound to a live engine with :meth:`attach`, which hands
 them direct references to the engine's lane arrays — ``select`` runs in
@@ -22,6 +23,17 @@ from abc import ABC, abstractmethod
 from ..errors import ConfigurationError
 from ..router.lane import InputLane, OutputLane
 from ..sim.packet import Packet
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for ``n >= 1`` without its argument checks: the
+    rejection loop ``randrange`` itself runs, over the same ``getrandbits``
+    draws, so the stream position and the result are identical."""
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
 
 
 class RoutingAlgorithm(ABC):
@@ -51,7 +63,19 @@ class RoutingAlgorithm(ABC):
 
     @abstractmethod
     def select(self, switch: int, inlane: InputLane, packet: Packet) -> OutputLane | None:
-        """Return a free output lane for this header, or None to stall."""
+        """Return a free output lane for this header, or None to stall.
+
+        Contract the engine relies on to let stalled headers sleep:
+
+        * the result is one of :meth:`candidates` (when that is known) and
+          is free (:meth:`OutputLane.is_free`);
+        * ``None`` is returned exactly when no candidate lane is free, and
+          such a call **draws no random number and changes no state** — of
+          the algorithm, the lanes or the packet.  A stalled header is
+          therefore not asked again until a lane that could serve it has
+          become allocatable, and the run is the same as if it had been
+          asked every cycle.
+        """
 
     def candidates(
         self, switch: int, inlane: InputLane, packet: Packet
@@ -72,13 +96,20 @@ class RoutingAlgorithm(ABC):
     # -- shared helpers --------------------------------------------------------
 
     def pick_free_lane(self, lanes: list[OutputLane]) -> OutputLane | None:
-        """Fair choice among the free lanes of one port (uniform random)."""
-        free = [lane for lane in lanes if lane.is_free()]
-        if not free:
-            return None
-        if len(free) == 1:
-            return free[0]
-        return free[self.rng.randrange(len(free))]
+        """Fair choice among the free lanes of one port (uniform random).
+
+        "Free" is :meth:`OutputLane.is_free`, spelled out here because this
+        runs once per routed header.  With no free lane no random number is
+        drawn (the :meth:`select` contract).
+        """
+        free = [
+            lane
+            for lane in lanes
+            if lane.packet is None and ((sink := lane.sink) is None or sink.packet is None)
+        ]
+        if len(free) < 2:
+            return free[0] if free else None
+        return free[randbelow(self.rng, len(free))]
 
 
 #: name -> class registry, populated by the concrete modules' imports

@@ -30,7 +30,7 @@ from __future__ import annotations
 from ..errors import ConfigurationError
 from ..router.lane import InputLane, OutputLane
 from ..sim.packet import Packet
-from .base import register
+from .base import randbelow, register
 from .dor import _CubeRoutingBase
 
 
@@ -69,56 +69,48 @@ class DuatoAdaptiveRouting(_CubeRoutingBase):
         if switch == dst:
             return self.eject(switch)
         out_ports = self.out[switch]
-        k = self.k
+        hops = self._hops
         n_adaptive = self.n_adaptive
         # Least-loaded minimal link by free adaptive-lane count.
         best_count = 0
         best_lanes: list[OutputLane] | None = None
         n_best = 0
-        for dim in range(self.n):
-            w = self._weight[dim]
-            a = (switch // w) % k
-            b = (dst // w) % k
-            if a == b:
-                continue
-            delta = (b - a) % k
-            if delta * 2 < k:
-                directions = (1,)
-            elif delta * 2 == k:
-                directions = (1, -1)
-            else:
-                directions = (-1,)
-            for direction in directions:
-                lanes = out_ports[self.topo.port_for(dim, direction)]
-                count = 0
-                for i in range(n_adaptive):
-                    lane = lanes[i]
-                    if lane.packet is None:
-                        sink = lane.sink
-                        if sink is None or sink.packet is None:
-                            count += 1
-                if count > best_count:
-                    best_count = count
-                    best_lanes = lanes
-                    n_best = 1
-                elif count and count == best_count:
-                    # Reservoir-style fair choice among tied links.
-                    n_best += 1
-                    if self.rng.randrange(n_best) == 0:
+        escape = None
+        dim = 0
+        for a, b in zip(self._coords[switch], self._coords[dst]):
+            if a != b:
+                _, ports, dor_port, _, vn = hops[dim][a][b]
+                if escape is None:
+                    # the deterministic hop: lowest dimension still to correct
+                    escape = out_ports[dor_port][self.escape_base + vn]
+                for port in ports:
+                    lanes = out_ports[port]
+                    count = 0
+                    for i in range(n_adaptive):
+                        lane = lanes[i]
+                        if lane.packet is None:
+                            sink = lane.sink
+                            if sink is None or sink.packet is None:
+                                count += 1
+                    if count > best_count:
+                        best_count = count
                         best_lanes = lanes
+                        n_best = 1
+                    elif count and count == best_count:
+                        # Reservoir-style fair choice among tied links.
+                        n_best += 1
+                        if randbelow(self.rng, n_best) == 0:
+                            best_lanes = lanes
+            dim += 1
         if best_lanes is not None:
-            chosen = self.pick_free_lane(best_lanes[:n_adaptive])
-            if chosen is not None:
-                self.adaptive_grants += 1
-                return chosen
+            self.adaptive_grants += 1
+            return self.pick_free_lane(best_lanes[:n_adaptive])
         # Contention on all adaptive candidates: deterministic escape hop.
-        dim, direction, vn = self.dor_hop(switch, dst)
-        lane = out_ports[self.topo.port_for(dim, direction)][self.escape_base + vn]
-        if lane.packet is None:
-            sink = lane.sink
+        if escape.packet is None:
+            sink = escape.sink
             if sink is None or sink.packet is None:
                 self.escape_grants += 1
-                return lane
+                return escape
         return None
 
     def candidates(self, switch: int, inlane: InputLane, packet: Packet) -> list[OutputLane]:
@@ -126,29 +118,13 @@ class DuatoAdaptiveRouting(_CubeRoutingBase):
         if switch == dst:
             return list(self.out[switch][self.eject_port])
         out_ports = self.out[switch]
-        k = self.k
+        # adaptive channels of every minimal direction, plus the escape
+        # channel of the DOR hop's virtual network
         lanes: list[OutputLane] = []
-        # adaptive channels of every minimal direction
-        for dim in range(self.n):
-            w = self._weight[dim]
-            a = (switch // w) % k
-            b = (dst // w) % k
-            if a == b:
-                continue
-            delta = (b - a) % k
-            if delta * 2 < k:
-                directions = (1,)
-            elif delta * 2 == k:
-                directions = (1, -1)
-            else:
-                directions = (-1,)
-            for direction in directions:
-                lanes.extend(
-                    out_ports[self.topo.port_for(dim, direction)][: self.n_adaptive]
-                )
-        # plus the escape channel of the DOR hop's virtual network
-        dim, direction, vn = self.dor_hop(switch, dst)
-        lanes.append(
-            out_ports[self.topo.port_for(dim, direction)][self.escape_base + vn]
-        )
+        for dim, (a, b) in enumerate(zip(self._coords[switch], self._coords[dst])):
+            if a != b:
+                for port in self._hops[dim][a][b][1]:
+                    lanes.extend(out_ports[port][: self.n_adaptive])
+        _, _, dor_port, _, vn = self._first_hop(switch, dst)
+        lanes.append(out_ports[dor_port][self.escape_base + vn])
         return lanes

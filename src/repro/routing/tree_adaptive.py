@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..router.lane import InputLane, OutputLane
 from ..sim.packet import Packet
 from ..topology.tree import KAryNTree
-from .base import RoutingAlgorithm, register
+from .base import RoutingAlgorithm, randbelow, register
 
 
 @register
@@ -76,7 +76,7 @@ class TreeAdaptiveRouting(RoutingAlgorithm):
         if len(best_ports) == 1:
             port = best_ports[0]
         else:
-            port = best_ports[self.rng.randrange(len(best_ports))]
+            port = best_ports[randbelow(self.rng, len(best_ports))]
         return self.pick_free_lane(out_ports[port])
 
     def candidates(self, switch: int, inlane: InputLane, packet: Packet) -> list[OutputLane]:

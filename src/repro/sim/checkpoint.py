@@ -45,6 +45,7 @@ import os
 import pathlib
 import pickle
 import signal
+import sys
 import threading
 import weakref
 
@@ -57,14 +58,27 @@ from ..errors import CheckpointError, ConfigurationError
 from ..obs.probe import MultiProbe, Probe
 from ..obs.telemetry import config_digest
 
-#: bump on breaking changes to the header schema or pickle envelope
-CHECKPOINT_FORMAT_VERSION = 1
+#: bump on breaking changes to the header schema or pickle envelope, and
+#: whenever the attributes ``Engine.step`` reads off a restored engine
+#: change: an older payload would unpickle fine and fail mid-run
+CHECKPOINT_FORMAT_VERSION = 2
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
 
 _LOCK_NAME = ".lock"
 _MAX_HEADER_BYTES = 65536
+
+#: pickle walks the engine graph depth-first, and the lanes of a congested
+#: network chain into each other (output lane -> sink -> bound output lane
+#: -> ...): measured, each chained object costs 4 interpreter frames and a
+#: saturated 16-ary 2-cube under Duato routing needs ~6700 of them, far
+#: past CPython's default limit of 1000.  The dump therefore runs under a
+#: limit sized for a chain through every lane, capped where the C stack
+#: (8 MiB) is known to hold; a graph deeper than the cap still fails as a
+#: CheckpointError, not a crash.
+_FRAMES_PER_LANE = 4
+_MAX_DUMP_RECURSION = 40_000
 
 
 # -- cross-process file locking ------------------------------------------------
@@ -121,6 +135,11 @@ def save_checkpoint(engine, path) -> dict:
     recorder streaming events to an open file).
     """
     buf = io.BytesIO()
+    lanes = 2 * sum(len(d.lanes) for d in engine.dirs)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(
+        max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
+    )
     try:
         pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
     except CheckpointError:
@@ -129,6 +148,8 @@ def save_checkpoint(engine, path) -> dict:
         raise CheckpointError(
             f"engine state is not serializable: {exc}"
         ) from exc
+    finally:
+        sys.setrecursionlimit(limit)
     payload = buf.getvalue()
     fingerprint = engine.state_fingerprint()
     header = {

@@ -19,14 +19,24 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    lane and the crossbar path.
 3. **Routing phase** — each switch routes at most one new header per
    cycle; pending headers are served round-robin and a header that cannot
-   be routed (all candidate lanes busy) simply retries next cycle.
+   be routed (all candidate lanes busy) stays pending.  A stalled header is
+   asked again only once something could have changed the answer — a
+   switch whose pass tried every pending header in vain *sleeps* until a
+   header arrives there, one of its output lanes becomes allocatable, or a
+   cycle hook / ``kill_packet`` ran — which is indistinguishable from
+   asking every cycle because a ``select`` that returns ``None`` has no
+   side effect (the :class:`~repro.routing.base.RoutingAlgorithm` contract).
 
-The hot loops are deliberately written with inlined state updates (no
-method calls per flit): Python-level call overhead would dominate a
-256-node, 20000-cycle run otherwise.  The checked equivalents on the lane
-classes are exercised by the unit tests, and :meth:`Engine.audit` verifies
-the global invariants (buffer bounds, credit consistency, flit
-conservation) after any run.
+There is one ``step``, written so that a cycle touches only what can move:
+idle link directions cost one comparison, idle sources one comparison and
+one queue test, sleeping switches one flag test.  The hot loops are
+deliberately written with inlined state updates (no method calls per flit,
+each counter loaded and stored once): Python-level call overhead would
+dominate a 256-node, 20000-cycle run otherwise.  The checked equivalents on
+the lane classes are exercised by the unit tests, :meth:`Engine.audit`
+verifies the global invariants (buffer bounds, credit consistency, flit
+conservation) after any run, and ``tests/test_engine_digest.py`` pins
+:meth:`Engine.state_fingerprint` so the loops cannot drift from the model.
 """
 
 from __future__ import annotations
@@ -53,11 +63,15 @@ _EJECT_CREDITS = 1 << 60
 class _Node:
     """Per-node injection state: the single injection channel of §3."""
 
-    __slots__ = ("nid", "source", "lanes", "rr", "packet", "sent", "lane")
+    __slots__ = ("nid", "source", "wake", "lanes", "rr", "packet", "sent", "lane")
 
     def __init__(self, nid: int, source, lanes: list[InputLane]):
         self.nid = nid
         self.source = source
+        #: first cycle ``source.advance`` must be called in again (its
+        #: ``next_cycle()`` at the last poll; 0 = poll at the next step, so
+        #: whoever swaps ``source`` before the run needs no bookkeeping)
+        self.wake = 0
         #: injection lanes at the attached switch port
         self.lanes = lanes
         self.rr = 0
@@ -100,21 +114,22 @@ class Engine:
         is_direct = isinstance(topology, KAryNCube)
         total_ports = base_ports + (1 if is_direct else 0)
 
-        #: in_lanes[switch][port] -> list of InputLane (may be empty for
-        #: unused directions, e.g. root up-ports)
+        #: in_lanes[switch][port] -> list of InputLane; a port nothing is
+        #: wired to (e.g. the root switches' up-ports) keeps an empty list
         self.in_lanes: list[list[list[InputLane]]] = [
-            [[InputLane(s, p, v, cap) for v in range(vcs)] for p in range(total_ports)]
-            for s in range(num_switches)
+            [[] for _ in range(total_ports)] for _ in range(num_switches)
         ]
         self.out_lanes: list[list[list[OutputLane]]] = [
-            [[OutputLane(s, p, v, cap) for v in range(vcs)] for p in range(total_ports)]
-            for s in range(num_switches)
+            [[] for _ in range(total_ports)] for _ in range(num_switches)
         ]
 
+        #: every link direction, switch->switch ones first: the link
+        #: phase walks the two kinds in two loops, in this order
         self.dirs: list[LinkDirection] = []
-        self._wire_switch_links(cap)
-        self._wire_node_links(cap, is_direct, vcs)
-        self._prune_unwired()
+        self._wire_switch_links(cap, vcs)
+        self._fabric_dirs = list(self.dirs)
+        self._wire_node_links(cap, vcs, 1 if is_direct else vcs)
+        self._eject_dirs = self.dirs[len(self._fabric_dirs) :]
 
         # cycle hooks (fault schedules, instrumentation): cycle -> callbacks.
         # _next_hook_cycle caches the earliest key so the hot loop pays a
@@ -131,6 +146,10 @@ class Engine:
         self.route_rr = [0] * num_switches
         self._in_route_queue = [False] * num_switches
         self.route_queue: list[int] = []
+        #: False while a switch sleeps: its last routing pass tried every
+        #: pending header in vain and nothing that could change the outcome
+        #: has happened since (see the routing phase in :meth:`step`)
+        self._route_awake = [True] * num_switches
         self.bindings: list[InputLane] = []
 
         # statistics
@@ -164,6 +183,9 @@ class Engine:
         #: oldest-first arbitration (config.arbiter == "age"); checked once
         #: per direction/switch in the hot loops
         self._age_arbiter = config.arbiter == "age"
+        #: round-robin pointer after serving lane ``vc``: the next lane
+        #: (every direction has ``vcs`` lanes, lane ``i`` being VC ``i``)
+        self._rr_after = tuple(range(1, vcs)) + (0,)
 
         routing.attach(self)
         self.routing = routing
@@ -171,54 +193,56 @@ class Engine:
 
     # -- construction ----------------------------------------------------------
 
-    def _wire_switch_links(self, cap: int) -> None:
+    def _wire_switch_links(self, cap: int, vcs: int) -> None:
+        """Create the lanes of every switch->switch channel, both ways."""
+        in_lanes, out_lanes, dirs = self.in_lanes, self.out_lanes, self.dirs
+        channels = range(vcs)
         for link in self.topology.switch_links():
             for sa, pa, sb, pb in (
                 (link.switch_a, link.port_a, link.switch_b, link.port_b),
                 (link.switch_b, link.port_b, link.switch_a, link.port_a),
             ):
-                outs = self.out_lanes[sa][pa]
-                ins = self.in_lanes[sb][pb]
-                for out, inp in zip(outs, ins):
-                    if out.sink is not None or inp.src_out is not None:
-                        raise SimulationError(
-                            f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
-                        )
-                    out.sink = inp
-                    out.credits = cap
-                    inp.src_out = out
-                self.dirs.append(LinkDirection(outs))
+                if out_lanes[sa][pa] or in_lanes[sb][pb]:
+                    raise SimulationError(
+                        f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
+                    )
+                ins = [InputLane(sb, pb, v, cap) for v in channels]
+                outs = [OutputLane(sa, pa, v, cap, ins[v], cap) for v in channels]
+                for v in channels:
+                    ins[v].src_out = outs[v]
+                in_lanes[sb][pb] = ins
+                out_lanes[sa][pa] = outs
+                dirs.append(LinkDirection(outs))
 
-    def _wire_node_links(self, cap: int, is_direct: bool, vcs: int) -> None:
+    def _wire_node_links(self, cap: int, vcs: int, injection_lanes: int) -> None:
+        """Create each node's ejection channel and injection lanes.
+
+        A cube router has a single injection channel (P = 17 in §5); a
+        tree leaf port carries the full V lanes (P = 2kV).
+        """
         self.eject_lanes: list[list[EjectionLane]] = [[] for _ in range(self.topology.num_nodes)]
         self._injection_lanes: list[list[InputLane]] = [[] for _ in range(self.topology.num_nodes)]
+        channels = range(vcs)
         for nl in self.topology.node_links():
             s, p, node = nl.switch, nl.port, nl.node
             # ejection: switch output lanes -> per-VC ejection sinks
-            outs = self.out_lanes[s][p]
-            for out in outs:
-                ej = EjectionLane(node)
-                out.sink = ej
-                out.credits = _EJECT_CREDITS
-                self.eject_lanes[node].append(ej)
+            sinks = [EjectionLane(node) for _ in channels]
+            outs = [OutputLane(s, p, v, cap, sinks[v], _EJECT_CREDITS) for v in channels]
+            self.eject_lanes[node] = sinks
+            self.out_lanes[s][p] = outs
             self.dirs.append(LinkDirection(outs, to_node=True))
-            # injection: the node feeds the switch input lanes directly.
-            # A cube router has a single injection channel (P = 17 in §5);
-            # a tree leaf port carries the full V lanes (P = 2kV).
-            ins = self.in_lanes[s][p]
-            if is_direct:
-                ins = ins[:1]
-                self.in_lanes[s][p] = ins
+            # injection: the node feeds the switch input lanes directly
+            ins = [InputLane(s, p, v, cap) for v in range(injection_lanes)]
+            self.in_lanes[s][p] = ins
             self._injection_lanes[node] = ins
 
-    def _prune_unwired(self) -> None:
-        """Drop lanes on unconnected ports (e.g. root external links)."""
-        for s in range(self.topology.num_switches):
-            for p in range(len(self.out_lanes[s])):
-                outs = self.out_lanes[s][p]
-                if outs and outs[0].sink is None:
-                    self.out_lanes[s][p] = []
-                    self.in_lanes[s][p] = []
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # here and not in LinkDirection.__setstate__: lanes point back at
+        # their direction, so while a pickle loads a direction can be
+        # restored before its ``lanes`` list has been filled
+        for d in self.dirs:
+            d.build_rot()
 
     def _build_nodes(self) -> None:
         self.nodes = [
@@ -269,6 +293,7 @@ class Engine:
     def _start_run(self) -> tuple[int, float]:
         """Snapshot cycle, wall clock and phase timers at run entry."""
         self._phase_at_start = tuple(self._phase_seconds)
+        self._wake_routing()  # the caller may have changed lanes since the last step
         if self.probe is not None:
             self.probe.on_run_start(self)
         return self.cycle, time.perf_counter()
@@ -327,6 +352,8 @@ class Engine:
                     min(self._cycle_hooks) if self._cycle_hooks else -1
                 )
             fn(self)
+        # faults strike and repair through hooks
+        self._wake_routing()
 
     # -- one simulation cycle ----------------------------------------------------
 
@@ -335,7 +362,8 @@ class Engine:
         t = self.cycle
         if t == self._next_hook_cycle:
             self._run_cycle_hooks(t)
-        warm = t >= self.config.warmup_cycles
+        config = self.config
+        warm = t >= config.warmup_cycles
         if warm and not self._warmup_snapshot_taken:
             # freeze the cumulative per-direction flit counters so the
             # utilization analyses can report measurement-window rates
@@ -344,102 +372,149 @@ class Engine:
                 d.flits_at_warmup = d.flits
         probe = self.probe
         res = self.result
+        awake = self._route_awake
         progress = False
         clock = time.perf_counter
         phase_start = clock()
 
         # ---- phase 1a: link traversal -------------------------------------
+        # One flit per busy direction: the arbiter picks a lane holding a
+        # flit and a credit — oldest packet first (lowest lane on ties)
+        # under config.arbiter == "age", else the first such lane in
+        # round-robin order (``rot[rr]`` is the lanes rotated to start at
+        # ``rr``).  Switch->switch directions first, then ejection ones:
+        # the order of ``self.dirs``.
         age_arb = self._age_arbiter
-        for d in self.dirs:
+        rr_after = self._rr_after
+        for d in self._fabric_dirs:
             if d.nbusy == 0:
                 continue
-            lanes = d.lanes
-            n = len(lanes)
-            lane = None
-            idx = 0
             if age_arb:
-                # oldest packet first (creation cycle; index breaks ties)
-                best_age = 0
-                for j in range(n):
-                    cand = lanes[j]
+                lane = None
+                for cand in d.lanes:
                     if cand.buffered > 0 and cand.credits > 0:
                         age = cand.packet.created
                         if lane is None or age < best_age:
                             lane = cand
-                            idx = j
                             best_age = age
+                if lane is None:
+                    if probe is not None:
+                        probe.on_direction_blocked(t, d)
+                    continue
             else:
-                rr = d.rr
-                for off in range(n):
-                    j = rr + off
-                    if j >= n:
-                        j -= n
-                    cand = lanes[j]
-                    if cand.buffered > 0 and cand.credits > 0:
-                        lane = cand
-                        idx = j
+                for lane in d.rot[d.rr]:
+                    if lane.buffered > 0 and lane.credits > 0:
                         break
-            if lane is None:
-                # busy direction, no lane had both a flit and a credit
-                if probe is not None:
-                    probe.on_direction_blocked(t, d)
-                continue
+                else:
+                    # busy direction, no lane had both a flit and a credit
+                    if probe is not None:
+                        probe.on_direction_blocked(t, d)
+                    continue
             pkt = lane.packet
-            lane.buffered -= 1
-            lane.credits -= 1
-            lane.sent += 1
-            d.flits += 1
-            if lane.buffered == 0:
+            left = lane.buffered - 1
+            lane.buffered = left
+            if left == 0:
                 d.nbusy -= 1
+            lane.credits -= 1
+            d.flits += 1
             sink = lane.sink
-            if d.to_node:
-                # ejection: consume immediately
-                if sink.packet is None:
-                    sink.packet = pkt
-                    sink.received = 1
-                    pkt.head_delivered = t
-                    if probe is not None:
-                        probe.on_head_delivered(t, pkt)
-                else:
-                    sink.received += 1
-                if warm:
-                    res.delivered_flits += 1
-                    self.delivered_flits_per_node[sink.node] += 1
-                    self._interval_delivered += 1
-                self.delivered_flits_total += 1
-                if sink.received == pkt.size:
-                    pkt.delivered = t
-                    sink.packet = None
-                    sink.received = 0
-                    self.delivered_packets_total += 1
-                    if probe is not None:
-                        probe.on_tail_delivered(t, pkt)
-                    if pkt.injected >= self.config.warmup_cycles:
-                        res.delivered_packets += 1
-                        lat = t - pkt.injected
-                        res.latency_sum += lat
-                        res.head_latency_sum += pkt.head_delivered - pkt.injected
-                        if lat > res.latency_max:
-                            res.latency_max = lat
-                        if self.config.collect_latencies:
-                            res.latencies.append(lat)
+            sink.last_arrival = t
+            if sink.packet is None:
+                sink.packet = pkt
+                sink.received = 1
+                self._enqueue_header(sink)
+                if probe is not None:
+                    probe.on_head_arrived(t, sink, pkt)
             else:
-                if sink.packet is None:
-                    sink.packet = pkt
-                    sink.received = 1
-                    sink.last_arrival = t
-                    self._enqueue_header(sink)
-                    if probe is not None:
-                        probe.on_head_arrived(t, sink, pkt)
-                else:
-                    sink.received += 1
-                    sink.last_arrival = t
-            if lane.sent == pkt.size:
+                sink.received += 1
+            sent = lane.sent + 1
+            if sent == pkt.size:
                 # tail left this switch: free the output lane
                 lane.packet = None
                 lane.sent = 0
-            d.rr = idx + 1 if idx + 1 < n else 0
+            else:
+                lane.sent = sent
+            d.rr = rr_after[lane.vc]
             progress = True
+
+        delivered = 0
+        per_node = self.delivered_flits_per_node
+        for d in self._eject_dirs:
+            if d.nbusy == 0:
+                continue
+            if age_arb:
+                lane = None
+                for cand in d.lanes:
+                    if cand.buffered > 0 and cand.credits > 0:
+                        age = cand.packet.created
+                        if lane is None or age < best_age:
+                            lane = cand
+                            best_age = age
+                if lane is None:
+                    if probe is not None:
+                        probe.on_direction_blocked(t, d)
+                    continue
+            else:
+                for lane in d.rot[d.rr]:
+                    if lane.buffered > 0 and lane.credits > 0:
+                        break
+                else:
+                    if probe is not None:
+                        probe.on_direction_blocked(t, d)
+                    continue
+            pkt = lane.packet
+            left = lane.buffered - 1
+            lane.buffered = left
+            if left == 0:
+                d.nbusy -= 1
+            lane.credits -= 1
+            d.flits += 1
+            # the node consumes the flit immediately
+            sink = lane.sink
+            if sink.packet is None:
+                sink.packet = pkt
+                received = 1
+                pkt.head_delivered = t
+                if probe is not None:
+                    probe.on_head_delivered(t, pkt)
+            else:
+                received = sink.received + 1
+            delivered += 1
+            if warm:
+                per_node[sink.node] += 1
+            if received == pkt.size:
+                pkt.delivered = t
+                sink.packet = None
+                sink.received = 0
+                # an output lane of this switch is allocatable again
+                awake[lane.switch] = True
+                self.delivered_packets_total += 1
+                if probe is not None:
+                    probe.on_tail_delivered(t, pkt)
+                if pkt.injected >= config.warmup_cycles:
+                    res.delivered_packets += 1
+                    lat = t - pkt.injected
+                    res.latency_sum += lat
+                    res.head_latency_sum += pkt.head_delivered - pkt.injected
+                    if lat > res.latency_max:
+                        res.latency_max = lat
+                    if config.collect_latencies:
+                        res.latencies.append(lat)
+            else:
+                sink.received = received
+            sent = lane.sent + 1
+            if sent == pkt.size:
+                lane.packet = None
+                lane.sent = 0
+            else:
+                lane.sent = sent
+            d.rr = rr_after[lane.vc]
+        if delivered:
+            progress = True
+            self.delivered_flits_total += delivered
+            if warm:
+                res.delivered_flits += delivered
+                self._interval_delivered += delivered
 
         phases = self._phase_seconds
         now = clock()
@@ -447,33 +522,40 @@ class Engine:
         phase_start = now
 
         # ---- phase 1b: injection ------------------------------------------
-        cap = self.config.buffer_flits
-        default_size = self.config.packet_flits
+        # A source is polled only from the cycle it next creates in
+        # (``node.wake``); a node with nothing queued and nothing streaming
+        # costs one comparison and one queue test.
+        cap = config.buffer_flits
+        default_size = config.packet_flits
+        streamed = 0
         for node in self.active_nodes:
-            src = node.source
-            created = src.advance(t)
-            if created:
-                if warm:
-                    res.generated_packets += created
-                if probe is not None:
-                    probe.on_packets_generated(t, node.nid, created)
+            if t >= node.wake:
+                src = node.source
+                created = src.advance(t)
+                node.wake = src.next_cycle()
+                if created:
+                    if warm:
+                        res.generated_packets += created
+                    if probe is not None:
+                        probe.on_packets_generated(t, node.nid, created)
             pkt = node.packet
             if pkt is None:
-                if not src.queue:
+                queue = node.source.queue
+                if not queue:
                     continue
                 # allocate a free injection lane (rotating fair choice)
                 lanes = node.lanes
                 n = len(lanes)
-                lane = None
+                rr = node.rr
                 for off in range(n):
-                    idx = (node.rr + off) % n
-                    if lanes[idx].packet is None:
-                        lane = lanes[idx]
-                        node.rr = (idx + 1) % n
+                    idx = (rr + off) % n
+                    lane = lanes[idx]
+                    if lane.packet is None:
                         break
-                if lane is None:
+                else:
                     continue
-                entry = src.queue.popleft()
+                node.rr = (idx + 1) % n
+                entry = queue.popleft()
                 # trace-driven sources carry an explicit per-message size
                 size = entry[2] if len(entry) > 2 else default_size
                 pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
@@ -487,7 +569,7 @@ class Engine:
                 node.sent = 1
                 node.lane = lane
                 self.injected_packets_total += 1
-                self.injected_flits_total += 1
+                streamed += 1
                 in_flight = (
                     self.injected_packets_total
                     - self.delivered_packets_total
@@ -499,79 +581,104 @@ class Engine:
                     res.injected_packets += 1
                 if probe is not None:
                     probe.on_packet_injected(t, pkt)
-                progress = True
-                if node.sent == size:  # degenerate tiny packets
+                if size == 1:  # degenerate tiny packets
                     node.packet = None
                     node.lane = None
             else:
                 lane = node.lane
-                if lane.received - lane.forwarded < cap:
-                    lane.received += 1
+                received = lane.received
+                if received - lane.forwarded < cap:
+                    lane.received = received + 1
                     lane.last_arrival = t
-                    node.sent += 1
-                    self.injected_flits_total += 1
-                    progress = True
-                    if node.sent == pkt.size:
+                    sent = node.sent + 1
+                    node.sent = sent
+                    streamed += 1
+                    if sent == pkt.size:
                         node.packet = None
                         node.lane = None
+        if streamed:
+            progress = True
+            self.injected_flits_total += streamed
 
         now = clock()
         phases[1] += now - phase_start
         phase_start = now
 
         # ---- phase 2: crossbar --------------------------------------------
-        bindings = self.bindings
-        i = 0
-        while i < len(bindings):
-            lane = bindings[i]
-            buffered = lane.received - lane.forwarded
-            if lane.last_arrival == t:
-                buffered -= 1
-            if buffered > 0:
+        # Every binding forwards one flit if it holds one that did not
+        # arrive this cycle and the output lane has space.  The list is
+        # rebuilt without the bindings whose tail went through; each
+        # binding touches only its own two lanes, so order is immaterial.
+        bindings = []
+        keep = bindings.append
+        for lane in self.bindings:
+            forwarded = lane.forwarded
+            buffered = lane.received - forwarded
+            # a flit that arrived in this cycle's link phase waits a cycle
+            if buffered > 1 or (buffered == 1 and lane.last_arrival != t):
                 out = lane.bound
-                if out.buffered < out.cap:
-                    lane.forwarded += 1
-                    if out.buffered == 0:
+                filled = out.buffered
+                if filled < cap:
+                    if filled == 0:
                         out.direction.nbusy += 1
-                    out.buffered += 1
+                    out.buffered = filled + 1
                     src_out = lane.src_out
                     if src_out is not None:
                         src_out.credits += 1
                     progress = True
-                    if lane.forwarded == lane.packet.size:
-                        # tail through the crossbar: release input lane
+                    forwarded += 1
+                    if forwarded == lane.packet.size:
+                        # tail through the crossbar: release the input
+                        # lane, which makes the upstream output lane
+                        # allocatable again
                         lane.packet = None
                         lane.received = 0
                         lane.forwarded = 0
                         lane.bound = None
-                        last = bindings.pop()
-                        if last is not lane:
-                            bindings[i] = last
-                        continue  # serve the swapped-in binding at this slot
-            i += 1
+                        if src_out is not None:
+                            awake[src_out.switch] = True
+                        continue
+                    lane.forwarded = forwarded
+            keep(lane)
+        self.bindings = bindings
 
         now = clock()
         phases[2] += now - phase_start
         phase_start = now
 
         # ---- phase 3: routing (one header per switch per cycle) ------------
-        if self.route_queue:
+        # A switch whose pass tried every pending header in vain goes to
+        # sleep: ``select`` returning None draws no random number and
+        # changes no state (the RoutingAlgorithm contract), so re-running it
+        # is pointless until a header arrives there, one of the switch's
+        # output lanes becomes allocatable, or a cycle hook / kill_packet
+        # changes lanes behind the engine's back — each of which sets
+        # ``awake``.  The queue keeps its members and their order.
+        queue = self.route_queue
+        if queue:
             select = self.routing.select
-            still = []
-            for s in self.route_queue:
-                pend = self.pending[s]
+            pending = self.pending
+            route_rr = self.route_rr
+            in_queue = self._in_route_queue
+            drained = False
+            for s in queue:
+                if not awake[s]:
+                    continue
+                pend = pending[s]
                 if not pend:
-                    self._in_route_queue[s] = False
+                    in_queue[s] = False
+                    drained = True
                     continue
                 n = len(pend)
                 if age_arb:
                     # oldest header first; sort stability breaks ties on
                     # arrival order within the pending list
-                    order = sorted(range(n), key=lambda i2: pend[i2].packet.created)
+                    order = sorted(range(n), key=lambda i: pend[i].packet.created)
                 else:
                     order = None
-                    rr = self.route_rr[s] % n
+                    rr = route_rr[s] % n
                 routed = -1
+                fresh = False
                 for off in range(n):
                     if order is not None:
                         idx = order[off]
@@ -585,28 +692,33 @@ class Engine:
                         # phase; routing it costs one full T_routing.
                         # (received > 1 means the header arrived earlier —
                         # last_arrival tracks the newest flit, not the head.)
+                        fresh = True
                         continue
                     out = select(s, lane, lane.packet)
                     if out is not None:
                         lane.bound = out
                         out.packet = lane.packet
-                        bindings.append(lane)
+                        keep(lane)
                         routed = idx
                         if probe is not None:
                             probe.on_header_routed(t, s, lane, out)
                         break
                 if routed >= 0:
                     pend.pop(routed)
-                    self.route_rr[s] = routed % len(pend) if pend else 0
                     progress = True
-                if pend:
-                    still.append(s)
-                else:
-                    self._in_route_queue[s] = False
-            self.route_queue = still
+                    if pend:
+                        route_rr[s] = routed % len(pend)
+                    else:
+                        route_rr[s] = 0
+                        in_queue[s] = False
+                        drained = True
+                elif not fresh:
+                    awake[s] = False
+            if drained:
+                self.route_queue = [s for s in queue if in_queue[s]]
 
-        interval = self.config.interval_cycles
-        if interval and warm and (t - self.config.warmup_cycles + 1) % interval == 0:
+        interval = config.interval_cycles
+        if interval and warm and (t - config.warmup_cycles + 1) % interval == 0:
             res.throughput_timeline.append(self._interval_delivered)
             self._interval_delivered = 0
 
@@ -619,9 +731,15 @@ class Engine:
     def _enqueue_header(self, lane: InputLane) -> None:
         s = lane.switch
         self.pending[s].append(lane)
+        self._route_awake[s] = True
         if not self._in_route_queue[s]:
             self._in_route_queue[s] = True
             self.route_queue.append(s)
+
+    def _wake_routing(self) -> None:
+        """Re-try every stalled header at the next routing phase: lanes
+        may have changed hands outside the three phases."""
+        self._route_awake[:] = [True] * len(self._route_awake)
 
     # -- full run ----------------------------------------------------------------
 
@@ -821,6 +939,7 @@ class Engine:
                 ej.packet = None
                 ej.received = 0
 
+        self._wake_routing()
         pkt.dropped = t
         self.dropped_packets_total += 1
         self.dropped_flits_total += flushed

@@ -105,19 +105,18 @@ class KAryNCube(Topology):
         """
         links = []
         seen = set()
+        ports = [(self.port_for(dim, +1), self.port_for(dim, -1)) for dim in range(self.n)]
         for r in range(self.num_nodes):
-            for dim in range(self.n):
+            for dim, (plus, minus) in enumerate(ports):
                 peer = self.neighbor(r, dim, +1)
                 if self.k == 2:
                     key = (min(r, peer), max(r, peer), dim)
                     if key in seen:
                         continue
                     seen.add(key)
-                    links.append(SwitchLink(r, self.port_for(dim, +1), peer, self.port_for(dim, +1)))
+                    links.append(SwitchLink(r, plus, peer, plus))
                 else:
-                    links.append(
-                        SwitchLink(r, self.port_for(dim, +1), peer, self.port_for(dim, -1))
-                    )
+                    links.append(SwitchLink(r, plus, peer, minus))
         return links
 
     def node_links(self) -> list[NodeLink]:

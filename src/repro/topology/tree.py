@@ -152,16 +152,22 @@ class KAryNTree(Topology):
 
     def switch_links(self) -> list[SwitchLink]:
         """Inter-level channels: down port d of every switch above level 0."""
+        # The wiring rule of the module docstring in arithmetic on
+        # w = a·k**level + b (every engine built calls this once):
+        # child (l-1, a+(d,), b[1:]) is w' = (a·k + d)·k**(l-1) + b[1:],
+        # reached through its up port b[0].
         links = []
         k = self.k
-        for s in range(self.num_switches):
-            level, a, b = self.switch_identity(s)
-            if level == 0:
-                continue
+        per_level = self.switches_per_level
+        for s in range(per_level, self.num_switches):
+            level, w = divmod(s, per_level)
+            below = k ** (level - 1)
+            a, b = divmod(w, below * k)
+            b0, rest = divmod(b, below)
+            child_up_port = k + b0
+            first_child = (level - 1) * per_level + a * k * below + rest
             for d in range(k):
-                child = self.switch_id(level - 1, a + (d,), b[1:])
-                child_up_port = k + b[0]
-                links.append(SwitchLink(s, d, child, child_up_port))
+                links.append(SwitchLink(s, d, first_child + d * below, child_up_port))
         return links
 
     def node_links(self) -> list[NodeLink]:

@@ -21,6 +21,10 @@ from collections import deque
 from ..errors import ConfigurationError
 from .patterns import TrafficPattern
 
+#: "no further creation": what a source's ``next_cycle`` returns when it
+#: will never create again (beyond any cycle count a run can reach)
+NEVER = 1 << 62
+
 
 class PacketSource:
     """Bernoulli packet source for a single node.
@@ -92,6 +96,15 @@ class PacketSource:
                 created += 1
             self._next = self._draw_gap(self._next)
         return created
+
+    def next_cycle(self) -> int:
+        """The next cycle :meth:`advance` creates a packet in.
+
+        The engine polls a source only from that cycle on (calling
+        ``advance`` earlier is harmless, calling it later is not: created
+        packets are counted in the cycle of the call).
+        """
+        return self._next if self.active else NEVER
 
     def pending(self) -> int:
         """Number of packets waiting in the source queue."""

@@ -180,6 +180,11 @@ class ReliableSource:
                 transport.pump(self.node, self.queue)
         return created
 
+    def next_cycle(self) -> int:
+        # retransmissions reach the engine through ``queue``, which it
+        # checks every cycle; only the inner source creates on a schedule
+        return self.inner.next_cycle()
+
     def done(self) -> bool:
         # held messages count as unresolved, so the drain contract
         # covers the congestion hold queue too

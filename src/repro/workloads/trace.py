@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..traffic.generator import NEVER
 
 
 @dataclass(frozen=True, order=True)
@@ -156,6 +157,12 @@ class TraceSource:
             self._next_idx += 1
             released += 1
         return released
+
+    def next_cycle(self) -> int:
+        """Release time of the schedule head (see ``PacketSource.next_cycle``)."""
+        if self._next_idx < len(self.schedule):
+            return self.schedule[self._next_idx].time
+        return NEVER
 
     def done(self) -> bool:
         """Exhausted: nothing queued and nothing scheduled later."""

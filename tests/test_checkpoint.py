@@ -13,6 +13,7 @@ import os
 import pathlib
 import pickle
 import signal
+import sys
 import threading
 import time
 from functools import partial
@@ -46,7 +47,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import build_engine, simulate
+from repro.sim.run import build_engine, cube_config, simulate
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
@@ -130,6 +131,48 @@ class TestCheckpointFile:
         discarded = read_manifest(tmp_path)["discarded"]
         assert [d["kind"] for d in discarded] == ["corrupt"]
         assert discarded[0]["file"] == bad.name
+
+    def test_previous_format_version_discarded_before_unpickling(self, tmp_path):
+        # a version-1 payload holds an engine without the attributes the
+        # current step reads; it must be turned away at the header, as a
+        # structured finding, not fail with AttributeError mid-resume
+        config = small_tree_config()
+        path = tmp_path / "ckpt-000000000000.rckpt"
+        save_checkpoint(build_engine(config), path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert header["format"] == 2
+        header["format"] = 1
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert exc.value.kind == "stale"
+        assert not has_resumable(tmp_path, config)
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+
+    def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path):
+        # pickle walks the lane graph depth-first and the worms of a
+        # congested adaptive cube chain its lanes thousands of objects
+        # deep: this state needs ~5400 frames, CPython allows 1000
+        config = cube_config(
+            k=16, n=2, algorithm="duato", vcs=4, load=0.9, seed=3,
+            warmup_cycles=100, total_cycles=900,
+        )
+        engine = build_engine(config)
+        while engine.cycle < 400:
+            engine.step()
+        path = tmp_path / "ckpt-000000000400.rckpt"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            save_checkpoint(engine, path)
+            assert sys.getrecursionlimit() == 1000  # raised for the dump only
+            restored, _ = load_checkpoint(path, config=config)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert restored.state_fingerprint() == engine.state_fingerprint()
 
 
 # -- resume identity -----------------------------------------------------------

@@ -1,10 +1,22 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # numpy serves one function (metrics.series.latency_percentiles); its
+    # import is a third of start-up time and ~11 MiB in every worker
+    code = "import sys, repro.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:
