@@ -486,7 +486,11 @@ def _run_parallel(
     checkpoints=None,
     point_dirs=None,
 ):
-    """Fan points out over a pool, consuming outcomes in submission order.
+    """Fan points out over a pool, consuming outcomes in ``pending`` order.
+
+    Points are *started* heaviest first — descending offered load, the
+    run time of a point growing with it — so the pass does not end with
+    one worker idle while another finishes a saturated point.
 
     On ``KeyboardInterrupt`` the pool's workers and all live watchdog
     subprocesses are terminated, but every point that had *already
@@ -507,10 +511,11 @@ def _run_parallel(
     # subprocess, so the fan-out layer only needs threads to block on pipes
     pool_cls = ProcessPoolExecutor if timeout is None else ThreadPoolExecutor
     pool = pool_cls(max_workers=workers)
-    futures = [
-        pool.submit(task, config, point_dir=point_dirs[i] if point_dirs else None)
-        for i, config in enumerate(pending)
-    ]
+    futures = [None] * len(pending)
+    for i in sorted(range(len(pending)), key=lambda i: -pending[i].load):
+        futures[i] = pool.submit(
+            task, pending[i], point_dir=point_dirs[i] if point_dirs else None
+        )
     consumed = 0
     try:
         for config, fut in zip(pending, futures):

@@ -6,9 +6,10 @@ bisection.  This package makes those places visible without taxing
 uninstrumented runs:
 
 * :mod:`repro.obs.probe` — the probe interface the engine calls at flit
-  granularity (``Engine.attach_probe``); a no-op :class:`Probe` base, a
-  ``NullProbe`` alias for overhead benchmarking and a :class:`MultiProbe`
-  combinator.
+  granularity (``Engine.attach_probe``); a no-op :class:`Probe` base (a
+  probe pays only for the events it overrides, so its ``NullProbe`` alias
+  costs nothing), a :class:`MultiProbe` combinator and
+  :func:`compose_probe` to add a probe to a built engine.
 * :mod:`repro.obs.trace` — :class:`TraceProbe`: a packet-lifecycle event
   trace exportable as JSONL and Chrome ``trace_event`` format
   (``chrome://tracing`` / Perfetto).
@@ -68,7 +69,7 @@ probe-overhead smoke benchmark CI runs on every push.
 """
 
 from .counters import CounterWindow, DirectionWindow, WindowedCounterProbe
-from .probe import MultiProbe, NullProbe, Probe
+from .probe import MultiProbe, NullProbe, Probe, compose_probe
 from .telemetry import PHASE_NAMES, RunTelemetry, config_digest
 from .trace import EVENT_KINDS, TraceEvent, TraceProbe
 
@@ -168,6 +169,7 @@ __all__ = [
     "Ledger",
     "ledger_record",
     "MultiProbe",
+    "compose_probe",
     "NullProbe",
     "Probe",
     "CongestionCurve",

@@ -1,16 +1,25 @@
 """The probe interface: flit-level engine instrumentation points.
 
 The engine owns exactly one probe slot (``Engine.probe``), ``None`` by
-default.  When a probe is attached the engine calls the methods below at
-well-defined points of its three-phase cycle; when no probe is attached
-the hot loop pays only a handful of ``is not None`` checks per cycle, so
-an uninstrumented run keeps its full throughput (the CI smoke benchmark
-in ``benchmarks/obs_overhead.py`` enforces this).
-
+default.  The methods below are the events of its three-phase cycle.
 :class:`Probe` is both the interface and the null implementation: every
 callback is a no-op, so concrete probes override only the events they
-care about.  Attaching a bare ``Probe()`` measures the dispatch overhead
-of the instrumentation itself — the "null probe" of the benchmark.
+care about — and **a probe pays only for the events it overrides**.
+Whenever the slot changes the engine binds each event of :data:`EVENTS`
+to the probes that override it (:func:`bind_events`): nobody does and
+the engine skips the event behind an ``is not None`` test, one probe
+does and the engine calls its bound method directly, several do and one
+fan-out calls them in order.  A bare ``Probe()`` therefore costs
+nothing: it runs the very loop a probe-less engine runs.
+
+Probes compose as a tree of :class:`MultiProbe` nodes (``probes`` lists
+the children).  Binding walks it depth first, so events reach the leaves
+in the order nested ``MultiProbe`` fan-outs would deliver them; a
+``MultiProbe`` subclass that leaves an event alone is flattened away,
+one that overrides it is called as a leaf and delivers to its children
+itself.  :func:`compose_probe` adds a probe beside whatever an engine
+already carries.  ``bind``, ``on_run_start`` and ``on_run_end`` are not
+per-cycle events and stay ordinary calls through the tree.
 
 Event vocabulary (``cycle`` is always the engine cycle of the event):
 
@@ -39,6 +48,20 @@ callback               fires when
 """
 
 from __future__ import annotations
+
+#: the per-cycle events (the lifecycle calls ``bind``, ``on_run_start`` and
+#: ``on_run_end`` are not among them)
+EVENTS = (
+    "on_packets_generated",
+    "on_packet_injected",
+    "on_header_routed",
+    "on_head_arrived",
+    "on_head_delivered",
+    "on_tail_delivered",
+    "on_packet_dropped",
+    "on_direction_blocked",
+    "on_cycle",
+)
 
 
 class Probe:
@@ -102,15 +125,16 @@ class Probe:
 
 
 #: alias making intent explicit at call sites that attach a do-nothing
-#: probe to measure instrumentation dispatch overhead
+#: probe (it consumes no event, so the engine runs its probe-less path)
 NullProbe = Probe
 
 
 class MultiProbe(Probe):
-    """Fan one engine's events out to several probes, in order.
+    """Several probes in one slot, events delivered in list order.
 
-    Used by the CLI ``trace`` subcommand to run the event trace and the
-    windowed counters in a single simulation.
+    The engine binds events to the leaves directly (see the module
+    docstring); the ``on_*`` fan-outs below serve the lifecycle calls
+    and subclasses that wrap an event around ``super()``.
     """
 
     def __init__(self, probes):
@@ -163,3 +187,64 @@ class MultiProbe(Probe):
     def on_cycle(self, cycle: int) -> None:
         for p in self.probes:
             p.on_cycle(cycle)
+
+
+def event_consumers(probe, event: str) -> list:
+    """Bound ``event`` methods of the probes in ``probe``'s tree that
+    override it, in delivery order (depth first)."""
+    method = getattr(probe, event)
+    impl = getattr(method, "__func__", None)
+    if impl is getattr(Probe, event):
+        return []
+    if isinstance(probe, MultiProbe) and impl is getattr(MultiProbe, event):
+        return [m for child in probe.probes for m in event_consumers(child, event)]
+    return [method]
+
+
+def bind_event(probe, event: str):
+    """The engine's handler for ``event`` under ``probe`` (``None`` = no
+    probe): ``None`` when no probe consumes the event, the bound method
+    of the only one that does, else a fan-out over all of them."""
+    consumers = () if probe is None else tuple(event_consumers(probe, event))
+    if len(consumers) < 2:
+        return consumers[0] if consumers else None
+
+    def deliver(*args) -> None:
+        for consume in consumers:
+            consume(*args)
+
+    return deliver
+
+
+class EventHandlers:
+    """What the engine calls, one attribute per event of :data:`EVENTS`:
+    each is what :func:`bind_event` returned for it."""
+
+    __slots__ = EVENTS
+
+
+def bind_events(probe) -> EventHandlers | None:
+    """The engine's handlers under ``probe``; ``None`` when no probe in
+    the tree consumes any event (no probe at all, or a bare ``Probe()``),
+    which leaves the engine one test per event site."""
+    handlers = EventHandlers()
+    consumed = False
+    for event in EVENTS:
+        handler = bind_event(probe, event)
+        setattr(handlers, event, handler)
+        consumed = consumed or handler is not None
+    return handlers if consumed else None
+
+
+def compose_probe(engine, probe) -> None:
+    """Add ``probe`` to ``engine`` beside whatever it already carries.
+
+    An empty slot takes it through :meth:`Engine.attach_probe`; otherwise
+    the two share the slot as a :class:`MultiProbe` and only the
+    newcomer is bound — the existing tree already is.
+    """
+    if engine.probe is None:
+        engine.attach_probe(probe)
+    else:
+        engine.probe = MultiProbe([engine.probe, probe])
+        probe.bind(engine)

@@ -68,6 +68,23 @@ class InputLane:
         #: flit from crossing link and crossbar in the same cycle
         self.last_arrival = -1
 
+    def __getstate__(self) -> list:
+        # slot values in ``__slots__`` order: a checkpoint holds thousands
+        # of lanes, and the default (None, {slot name: value}) state costs
+        # a dict and ten name strings to pickle for each
+        return [
+            self.switch, self.port, self.vc, self.cap, self.packet,
+            self.received, self.forwarded, self.bound, self.src_out,
+            self.last_arrival,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        (
+            self.switch, self.port, self.vc, self.cap, self.packet,
+            self.received, self.forwarded, self.bound, self.src_out,
+            self.last_arrival,
+        ) = state
+
     @property
     def buffered(self) -> int:
         return self.received - self.forwarded
@@ -151,6 +168,18 @@ class OutputLane:
         #: link direction this lane is multiplexed onto
         self.direction: LinkDirection | None = None
 
+    def __getstate__(self) -> list:
+        return [
+            self.switch, self.port, self.vc, self.cap, self.packet,
+            self.buffered, self.sent, self.credits, self.sink, self.direction,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        (
+            self.switch, self.port, self.vc, self.cap, self.packet,
+            self.buffered, self.sent, self.credits, self.sink, self.direction,
+        ) = state
+
     def is_free(self) -> bool:
         """Allocatable to a new packet (see module docstring)."""
         if self.packet is not None:
@@ -181,6 +210,12 @@ class EjectionLane:
         self.node = node
         self.packet: Packet | None = None
         self.received = 0
+
+    def __getstate__(self) -> list:
+        return [self.node, self.packet, self.received]
+
+    def __setstate__(self, state: list) -> None:
+        self.node, self.packet, self.received = state
 
     def accept_flit(self, packet: Packet, cycle: int) -> bool:
         """Consume one flit; True when the tail arrives (packet complete)."""
@@ -243,10 +278,19 @@ class LinkDirection:
             for i in range(1, n):
                 rot.append(doubled[i : i + n])
 
-    def __getstate__(self):
+    def __getstate__(self) -> list:
         # ``rot`` is derived from ``lanes``: V more lists per direction are
         # left out of pickles; ``Engine.__setstate__`` rebuilds them
-        return None, {name: getattr(self, name) for name in self.__slots__ if name != "rot"}
+        return [
+            self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
+            self.flits_at_warmup,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        (
+            self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
+            self.flits_at_warmup,
+        ) = state
 
     @property
     def measured_flits(self) -> int:

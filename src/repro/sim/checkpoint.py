@@ -11,13 +11,20 @@ whole engine object graph is pickled; the recorded
 because the fingerprint enumerates the state independently of pickle.
 
 File format: one ASCII JSON header line (format version, config digest,
-seed, cycle, fingerprint root, payload digest and byte count) followed
-by the pickle payload.  Files are written atomically (temp file, fsync,
-``os.replace``) so a crash mid-write leaves either the old checkpoint
-or none.  On load, three gates run in order — payload digest, config
-digest (staleness), restored fingerprint root — and a failed gate
-raises :class:`~repro.errors.CheckpointError` with a ``kind`` tag that
-becomes a structured *discard finding* in the directory's manifest.
+seed, cycle, fingerprint root, payload digest and byte count), padded
+with spaces, followed by the pickle payload.  The pickler streams into
+the temp file through a writer that hashes and counts what passes, so
+no second copy of the payload is ever held; the header line is written
+first at its final width and rewritten in place once digest and count
+are known.  Lanes and packets pickle as plain lists of their slot
+values (``__getstate__`` in :mod:`repro.router.lane` and
+:mod:`repro.sim.packet`).  Files are written atomically (temp file,
+fsync, ``os.replace``) so a crash mid-write leaves either the old
+checkpoint or none.  On load, three gates run in order — payload
+digest, config digest (staleness), restored fingerprint root — and a
+failed gate raises :class:`~repro.errors.CheckpointError` with a
+``kind`` tag that becomes a structured *discard finding* in the
+directory's manifest.
 
 Verification caveat: the fingerprint's RNG leaf folds Mersenne state
 with CPython's unsalted tuple hash, so a checkpoint verifies on the
@@ -39,7 +46,6 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib
-import io
 import json
 import os
 import pathlib
@@ -55,13 +61,13 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from ..errors import CheckpointError, ConfigurationError
-from ..obs.probe import MultiProbe, Probe
+from ..obs.probe import Probe, compose_probe
 from ..obs.telemetry import config_digest
 
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes ``Engine.step`` reads off a restored engine
 #: change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -69,14 +75,17 @@ MANIFEST_NAME = "manifest.json"
 _LOCK_NAME = ".lock"
 _MAX_HEADER_BYTES = 65536
 
+#: room left in the header line for the payload byte count's digits
+_COUNT_DIGITS = 20
+
 #: pickle walks the engine graph depth-first, and the lanes of a congested
 #: network chain into each other (output lane -> sink -> bound output lane
-#: -> ...): measured, each chained object costs 4 interpreter frames and a
-#: saturated 16-ary 2-cube under Duato routing needs ~6700 of them, far
-#: past CPython's default limit of 1000.  The dump therefore runs under a
-#: limit sized for a chain through every lane, capped where the C stack
-#: (8 MiB) is known to hold; a graph deeper than the cap still fails as a
-#: CheckpointError, not a crash.
+#: -> ...): measured, each chained object costs 3 interpreter frames and a
+#: saturated 16-ary 2-cube under Duato routing needs ~4200 of them, far
+#: past CPython's default limit of 1000.
+#: The dump therefore runs under a limit sized, with a margin, for a chain
+#: through every lane, capped where the C stack (8 MiB) is known to hold; a
+#: graph deeper than the cap still fails as a CheckpointError, not a crash.
 _FRAMES_PER_LANE = 4
 _MAX_DUMP_RECURSION = 40_000
 
@@ -127,6 +136,25 @@ def _fail(kind: str, message: str):
 # -- one checkpoint file -------------------------------------------------------
 
 
+class _HashingWriter:
+    """The pickler's file: passes bytes through, keeping their blake2b
+    digest and count."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.digest = hashlib.blake2b(digest_size=16)
+        self.bytes = 0
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        self.bytes += len(data)
+        return self._fh.write(data)
+
+
+def _header_line(header: dict, width: int = 0) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("ascii").ljust(width) + b"\n"
+
+
 def save_checkpoint(engine, path) -> dict:
     """Write ``engine``'s complete state to ``path`` atomically.
 
@@ -134,24 +162,6 @@ def save_checkpoint(engine, path) -> dict:
     engine graph holds an unpicklable live resource (e.g. a flight
     recorder streaming events to an open file).
     """
-    buf = io.BytesIO()
-    lanes = 2 * sum(len(d.lanes) for d in engine.dirs)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(
-        max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
-    )
-    try:
-        pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(
-            f"engine state is not serializable: {exc}"
-        ) from exc
-    finally:
-        sys.setrecursionlimit(limit)
-    payload = buf.getvalue()
-    fingerprint = engine.state_fingerprint()
     header = {
         "magic": CHECKPOINT_MAGIC,
         "format": CHECKPOINT_FORMAT_VERSION,
@@ -159,19 +169,43 @@ def save_checkpoint(engine, path) -> dict:
         "seed": engine.config.seed,
         "cycle": engine.cycle,
         "total_cycles": engine.config.total_cycles,
-        "root": fingerprint["root"],
-        "payload_digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
-        "payload_bytes": len(payload),
+        "root": engine.state_fingerprint()["root"],
+        "payload_digest": "0" * 32,
+        "payload_bytes": 0,
     }
+    width = len(_header_line(header)) + _COUNT_DIGITS
+    lanes = 2 * sum(len(d.lanes) for d in engine.dirs)
+    limit = sys.getrecursionlimit()
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_header_line(header, width))
+            payload = _HashingWriter(fh)
+            sys.setrecursionlimit(
+                max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
+            )
+            try:
+                pickle.Pickler(payload, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
+            except CheckpointError:
+                raise
+            except Exception as exc:
+                raise CheckpointError(
+                    f"engine state is not serializable: {exc}"
+                ) from exc
+            finally:
+                sys.setrecursionlimit(limit)
+            header["payload_digest"] = payload.digest.hexdigest()
+            header["payload_bytes"] = payload.bytes
+            fh.seek(0)
+            fh.write(_header_line(header, width))
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
     os.replace(tmp, path)
     return header
 
@@ -581,12 +615,7 @@ def attach_checkpoints(engine, policy, finisher=None, finisher_args=None):
         finisher=finisher,
         finisher_args=finisher_args,
     )
-    if engine.probe is None:
-        engine.attach_probe(probe)
-    else:
-        # the existing probe tree is already bound; bind only ourselves
-        engine.probe = MultiProbe([engine.probe, probe])
-        probe.bind(engine)
+    compose_probe(engine, probe)
     return probe
 
 

@@ -47,6 +47,19 @@ class Packet:
         #: cycle a fail-stop fault destroyed the worm in flight
         self.dropped = -1
 
+    def __getstate__(self) -> list:
+        # slot values in ``__slots__`` order (see InputLane.__getstate__)
+        return [
+            self.pid, self.src, self.dst, self.size, self.created,
+            self.injected, self.head_delivered, self.delivered, self.dropped,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        (
+            self.pid, self.src, self.dst, self.size, self.created,
+            self.injected, self.head_delivered, self.delivered, self.dropped,
+        ) = state
+
     @property
     def network_latency(self) -> int:
         """Header injection to tail delivery, in cycles (§6).

@@ -38,7 +38,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..obs.probe import MultiProbe, Probe
+from ..obs.probe import Probe, compose_probe
 from .transport import ReliableTransport, TransportConfig, attach_reliability
 
 
@@ -387,11 +387,7 @@ def install_congestion(
     """
     config = congestion_config or CongestionConfig()
     marker = CongestionMarker(config)
-    if engine.probe is None:
-        engine.attach_probe(marker)
-    else:
-        engine.probe = MultiProbe([engine.probe, marker])
-        marker.bind(engine)
+    compose_probe(engine, marker)
     control = CongestionControl(config, marker)
     return ReliableTransport(transport_config, congestion=control).install(engine)
 

@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..obs.probe import MultiProbe, Probe
+from ..obs.probe import Probe, compose_probe
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,8 @@ class ReliableTransport(Probe):
     def install(self, engine) -> "ReliableTransport":
         """Wrap every node source of ``engine`` and attach as a probe.
 
-        Composes with an already-attached probe through
-        :class:`~repro.obs.probe.MultiProbe` without re-binding it.
+        Composes with an already-attached probe
+        (:func:`~repro.obs.probe.compose_probe`).
         Returns ``self`` so construction chains.
         """
         import random
@@ -269,12 +269,7 @@ class ReliableTransport(Probe):
                     f"node {node.nid} already has a reliable source"
                 )
             node.source = ReliableSource(node.source, self)
-        if engine.probe is None:
-            engine.attach_probe(self)
-        else:
-            # the existing probe is already bound; bind only ourselves
-            engine.probe = MultiProbe([engine.probe, self])
-            self.bind(engine)
+        compose_probe(engine, self)
         return self
 
     def bind(self, engine) -> None:

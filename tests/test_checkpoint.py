@@ -8,6 +8,7 @@ structured discard findings instead of being trusted, and campaign
 supervision resumes interrupted points from their newest valid
 checkpoint with the *original* seed."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -42,12 +43,13 @@ from repro.sim.checkpoint import (
     install_escalation_handler,
     load_checkpoint,
     newest_valid_checkpoint,
+    read_checkpoint_header,
     read_manifest,
     resume_point,
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import build_engine, cube_config, simulate
+from repro.sim.run import build_engine, cube_config, simulate, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
@@ -90,6 +92,42 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert exc.value.kind == "corrupt"
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob[: -len(blob) // 3]))  # cut inside the payload
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert exc.value.kind == "corrupt"
+
+    def test_header_records_what_follows_it(self, tmp_path):
+        # the payload streams to disk before its digest and size are known:
+        # the header line is padded to a fixed width and rewritten in place
+        engine = build_engine(small_tree_config(load=0.5))
+        for _ in range(200):
+            engine.step()
+        path = tmp_path / "ckpt-000000000200.rckpt"
+        header = save_checkpoint(engine, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert header_line.endswith(b" ") and json.loads(header_line) == header
+        assert read_checkpoint_header(path) == header
+        assert header["payload_bytes"] == len(payload)
+        assert header["payload_digest"] == hashlib.blake2b(payload, digest_size=16).hexdigest()
+        assert pickle.loads(payload).cycle == 200
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_mid_run_checkpoint_is_smaller_than_format_2(self, tmp_path):
+        # lanes and packets pickle as value lists: no per-object dict, no
+        # slot-name strings.  Format 2 wrote 534 030 bytes for this state.
+        config = tree_config(
+            k=4, n=3, vcs=4, load=0.6, seed=5, warmup_cycles=50, total_cycles=400
+        )
+        engine = build_engine(config)
+        while engine.cycle < 200:
+            engine.step()
+        path = tmp_path / "ckpt-000000000200.rckpt"
+        save_checkpoint(engine, path)
+        assert path.stat().st_size < 0.8 * 534_030
+        restored, _ = load_checkpoint(path, config=config)
+        assert restored.state_fingerprint() == engine.state_fingerprint()
 
     def test_stale_config_rejected(self, tmp_path):
         engine = build_engine(small_tree_config(seed=7))
@@ -115,6 +153,7 @@ class TestCheckpointFile:
         engine = build_engine(small_tree_config(), probe=recorder)
         with pytest.raises(CheckpointError):
             save_checkpoint(engine, tmp_path / "ckpt-000000000000.rckpt")
+        assert not list(tmp_path.iterdir())  # the half-written temp file is gone
 
     def test_discards_recorded_in_manifest(self, tmp_path):
         config = small_tree_config()
@@ -133,16 +172,17 @@ class TestCheckpointFile:
         assert discarded[0]["file"] == bad.name
 
     def test_previous_format_version_discarded_before_unpickling(self, tmp_path):
-        # a version-1 payload holds an engine without the attributes the
-        # current step reads; it must be turned away at the header, as a
-        # structured finding, not fail with AttributeError mid-resume
+        # a version-2 payload holds lanes pickled as slot dicts and an
+        # engine without the attributes the current step reads; it must be
+        # turned away at the header, as a structured finding, not fail with
+        # AttributeError mid-resume
         config = small_tree_config()
         path = tmp_path / "ckpt-000000000000.rckpt"
         save_checkpoint(build_engine(config), path)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["format"] == 2
-        header["format"] = 1
+        assert header["format"] == 3
+        header["format"] = 2
         path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
@@ -155,7 +195,7 @@ class TestCheckpointFile:
     def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path):
         # pickle walks the lane graph depth-first and the worms of a
         # congested adaptive cube chain its lanes thousands of objects
-        # deep: this state needs ~5400 frames, CPython allows 1000
+        # deep: this state needs ~4200 frames, CPython allows 1000
         config = cube_config(
             k=16, n=2, algorithm="duato", vcs=4, load=0.9, seed=3,
             warmup_cycles=100, total_cycles=900,

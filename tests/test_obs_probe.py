@@ -13,9 +13,25 @@ from repro.obs import (
     TraceProbe,
     WindowedCounterProbe,
 )
+from repro.obs.flight import FlightConfig, FlightRecorder
+from repro.obs.probe import (
+    EVENTS,
+    bind_event,
+    bind_events,
+    compose_probe,
+    event_consumers,
+)
+from repro.sim.checkpoint import (
+    CheckpointPolicy,
+    CheckpointProbe,
+    checkpoint_files,
+    load_checkpoint,
+)
 from repro.sim.run import build_engine, simulate
+from repro.traffic.transport import TransportConfig, simulate_reliable
 
 from .conftest import small_cube_config, small_tree_config
+from .test_determinism import _canonical
 
 
 def traced_run(config=None, **probe_kwargs):
@@ -219,3 +235,167 @@ class TestWarmupSnapshot:
         for d in engine.dirs:
             assert d.flits_at_warmup == 0
             assert d.measured_flits == d.flits
+
+
+# -- event binding -------------------------------------------------------------
+
+
+def _recorder(events, log):
+    """A probe class overriding exactly ``events``; each delivery appends
+    ``(tag, event, args)`` to ``log``."""
+
+    def make(event):
+        def handler(self, *args):
+            log.append((self.tag, event, args))
+
+        return handler
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    return type("Recorder", (Probe,), {"__init__": __init__, **{e: make(e) for e in events}})
+
+
+def _busy_engine(probe=None):
+    """A saturated small tree: blocked directions within a few cycles."""
+    return build_engine(small_tree_config(load=0.9, total_cycles=300), probe=probe)
+
+
+def _run_with_a_kill(engine):
+    """Run to the end, killing one in-flight worm on the way, so that all
+    nine events fire."""
+    engine.add_cycle_hook(
+        150,
+        lambda eng: eng.kill_packet(
+            next(lane.packet for lane in eng.bindings if lane.packet.pid >= 0)
+        ),
+    )
+    return engine.run()
+
+
+class TestEventBinding:
+    def test_nested_tree_delivers_once_in_order_to_overriders_only(self):
+        log = []
+        Full = _recorder(EVENTS, log)
+        Some = _recorder(("on_cycle", "on_packet_injected"), log)
+        a, b, c = Full("a"), Some("b"), Full("c")
+        engine = _busy_engine(MultiProbe([MultiProbe([a, b]), c]))
+        _run_with_a_kill(engine)
+        assert {event for _, event, _ in log} == set(EVENTS)
+        # per event occurrence: a, then b if it listens, then c — same args
+        i = 0
+        while i < len(log):
+            _, event, args = log[i]
+            tags = ["a", "b", "c"] if event in ("on_cycle", "on_packet_injected") else ["a", "c"]
+            assert log[i : i + len(tags)] == [(tag, event, args) for tag in tags]
+            i += len(tags)
+
+    def test_flat_delivery_equals_nested_fan_out(self):
+        # a MultiProbe subclass that wraps every event around super() is a
+        # leaf to the engine: its children are reached through the nested
+        # fan-outs, the way every tree was before binding
+        def wrapping(event):
+            def handler(self, *args):
+                getattr(super(Wrapping, self), event)(*args)
+
+            return handler
+
+        Wrapping = type("Wrapping", (MultiProbe,), {})
+        for event in EVENTS:
+            setattr(Wrapping, event, wrapping(event))
+
+        def run(node):
+            log = []
+            Full = _recorder(EVENTS, log)
+            Some = _recorder(("on_direction_blocked", "on_tail_delivered"), log)
+            _run_with_a_kill(_busy_engine(node([node([Full("a"), Some("b")]), Full("c")])))
+            # packets by pid, lanes and directions by type: comparable across runs
+            return [
+                (tag, event, [a if isinstance(a, (int, str)) else getattr(a, "pid", type(a)) for a in args])
+                for tag, event, args in log
+            ]
+
+        flat, nested = run(MultiProbe), run(Wrapping)
+        assert flat and flat == nested
+
+    def test_bare_probe_has_no_consumer_and_changes_nothing(self):
+        bare, probed = _busy_engine(), _busy_engine(Probe())
+        # nobody consumes anything: the engine keeps no handlers at all
+        assert probed._handlers is None and bare._handlers is None
+        assert bind_events(MultiProbe([Probe(), MultiProbe([])])) is None
+        assert _canonical(probed.run()) == _canonical(bare.run())
+        assert probed.state_fingerprint() == bare.state_fingerprint()
+
+    def test_probe_assigned_after_build_is_called_from_the_next_step(self):
+        # how benchmarks/perf composes its counter onto a built engine
+        log = []
+        Cycles = _recorder(("on_cycle",), log)
+        engine = build_engine(small_tree_config(), probe=Cycles("first"))
+        engine.step()
+        late = Cycles("late")
+        engine.probe = MultiProbe([engine.probe, late])
+        late.bind(engine)
+        engine.step()
+        assert log == [("first", "on_cycle", (0,)), ("first", "on_cycle", (1,)), ("late", "on_cycle", (1,))]
+        engine.probe = None
+        engine.step()
+        assert len(log) == 3
+
+    def test_multiprobe_subclass_is_a_leaf_only_for_events_it_overrides(self):
+        class Gate(MultiProbe):
+            def on_cycle(self, cycle):
+                super().on_cycle(cycle)
+
+        inner = _recorder(("on_cycle", "on_packet_injected"), [])("inner")
+        gate = Gate([inner])
+        tree = MultiProbe([gate])
+        assert event_consumers(tree, "on_cycle") == [gate.on_cycle]
+        assert event_consumers(tree, "on_packet_injected") == [inner.on_packet_injected]
+        assert event_consumers(tree, "on_head_arrived") == []
+        # one consumer: the engine calls its bound method, no fan-out between
+        assert bind_event(tree, "on_cycle") == gate.on_cycle
+        assert bind_event(tree, "on_head_arrived") is None
+        assert bind_event(None, "on_cycle") is None
+
+    def test_compose_probe_binds_only_the_newcomer(self):
+        binds = []
+
+        class Binder(Probe):
+            def bind(self, engine):
+                binds.append(self)
+
+        first, second = Binder(), Binder()
+        engine = build_engine(small_tree_config())
+        compose_probe(engine, first)
+        assert engine.probe is first
+        compose_probe(engine, second)
+        assert engine.probe.probes == [first, second]
+        assert binds == [first, second]
+
+    def test_restored_engine_delivers_to_the_restored_probes(self, tmp_path):
+        # transport + flight + checkpoint: on_cycle has three consumers, so
+        # its handler is a closure — which must stay out of the pickle, and
+        # be rebuilt over the *restored* probes
+        config = small_tree_config(load=0.6)
+        transport = TransportConfig(base_timeout=16, jitter=8, seed=3)
+
+        def run(checkpoint=None):
+            return simulate_reliable(
+                config, transport, probe=FlightRecorder(FlightConfig(interval_cycles=64)),
+                checkpoint=checkpoint,
+            )
+
+        reference = _canonical(run())
+        policy = CheckpointPolicy(str(tmp_path), interval_cycles=200)
+        assert _canonical(run(policy)) == reference
+        newest = checkpoint_files(tmp_path)[0]
+        assert b"_handlers" not in newest.read_bytes()
+        engine, _ = load_checkpoint(newest, config=config)
+        flight, reliable, ckpt = engine.probe.probes[0].probes + engine.probe.probes[1:]
+        assert isinstance(flight, FlightRecorder) and isinstance(ckpt, CheckpointProbe)
+        handlers = engine._handlers
+        assert handlers.on_direction_blocked == flight.on_direction_blocked
+        assert handlers.on_packet_dropped == reliable.on_packet_dropped
+        assert handlers.on_head_arrived is None
+        # the second call restores that snapshot and replays the tail
+        assert _canonical(run(policy)) == reference

@@ -1,5 +1,7 @@
 """Unit tests for sweep orchestration (repro.experiments.sweep)."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -11,7 +13,18 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 
+from repro.obs.ledger import Ledger
+from repro.sim.run import simulate
+
 from .conftest import small_cube_config
+
+
+def _simulate_logging_start(config, log):
+    """Module-level so the pool can pickle it: notes the point in ``log``
+    when it starts."""
+    with open(log, "a") as fh:
+        fh.write(f"{config.load}\n")
+    return simulate(config)
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +95,30 @@ class TestRunSweep:
         run_point(small_cube_config(load=0.1))
         run_sweep(lambda load: small_cube_config(load=load), [0.1, 0.2], label="x")
         assert len(_CACHE) == 2
+
+    def test_pool_starts_heaviest_point_first(self, tmp_path):
+        # a saturated point runs longest: started last, it leaves the other
+        # workers idle at the end of the pass.  One worker, so the order
+        # points start in is the order they were submitted in.
+        loads = [0.2, 0.9, 0.1, 0.5]
+        log = tmp_path / "started.txt"
+        ledger = Ledger(tmp_path / "runs.jsonl")
+        consumed = []
+        series = run_sweep(
+            lambda load: small_cube_config(load=load),
+            loads,
+            label="p",
+            parallel=True,
+            max_workers=1,
+            simulate_fn=partial(_simulate_logging_start, log=str(log)),
+            ledger=ledger,
+            on_result=lambda result: consumed.append(result.config.load),
+        )
+        assert [float(line) for line in log.read_text().split()] == [0.9, 0.5, 0.2, 0.1]
+        # everything downstream still sees the recipe's order
+        assert consumed == loads
+        assert [rec["run"]["config"]["load"] for rec in ledger.records()] == loads
+        assert series.offered() == sorted(loads)
 
     def test_parallel_matches_serial(self):
         loads = [0.1, 0.3]
