@@ -113,99 +113,11 @@ from .experiments.search import find_saturation
 from .experiments.sweep import default_loads, run_sweep
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
-from .sim.run import cube_config, simulate, tree_config
+from .sim.run import cube_config, simulate_post_mortem, tree_config
 from .timing.normalization import cube_scaling, equal_cost_pairs, tree_scaling
 from .topology.cube import KAryNCube
 from .topology.tree import KAryNTree
 from .traffic.patterns import PATTERNS
-
-
-def _add_common(p: argparse.ArgumentParser, with_algo: bool = True) -> None:
-    p.add_argument("--network", choices=("tree", "cube"), default="tree")
-    p.add_argument("--k", type=int, default=None, help="radix (default: paper network)")
-    p.add_argument("--n", type=int, default=None, help="dimension/levels")
-    if with_algo:
-        p.add_argument(
-            "--algorithm",
-            default=None,
-            help="tree_adaptive (tree) or dor/duato (cube); default per network",
-        )
-    p.add_argument("--vcs", type=int, default=4)
-    p.add_argument("--pattern", choices=sorted(PATTERNS), default="uniform")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--profile", default=None, help="fast, default or full")
-    p.add_argument(
-        "--arbiter",
-        choices=("round_robin", "age"),
-        default="round_robin",
-        help="lane arbitration policy (age = oldest packet first)",
-    )
-
-
-def _add_observability(p: argparse.ArgumentParser) -> None:
-    """Machine output, ledger and CPU-profiling flags shared by
-    run/sweep/trace."""
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a versioned machine-readable JSON document (with telemetry)",
-    )
-    p.add_argument(
-        "--ledger",
-        default=None,
-        metavar="JSONL",
-        help=(
-            "append every completed run's versioned document to this JSONL "
-            "metrics ledger (deduplicated by config digest + seed)"
-        ),
-    )
-    p.add_argument(
-        "--cprofile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="STATS",
-        help=(
-            "run under cProfile; with no value print the top functions to "
-            "stderr, with a path dump pstats there (--profile remains the "
-            "simulation effort profile)"
-        ),
-    )
-
-
-def _add_flight(p: argparse.ArgumentParser) -> None:
-    """Flight-recorder flags shared by run/sweep/chaos/congestion."""
-    p.add_argument(
-        "--flight",
-        nargs="?",
-        const=0,
-        default=None,
-        type=int,
-        metavar="CYCLES",
-        help=(
-            "attach the flight recorder (bounded multi-layer time series on "
-            "telemetry.flight); optional value overrides the sampling "
-            "interval in cycles (default 128)"
-        ),
-    )
-    p.add_argument(
-        "--watch",
-        action="store_true",
-        help=(
-            "live in-place status line on stderr while the run/campaign "
-            "progresses (implies --flight)"
-        ),
-    )
-    p.add_argument(
-        "--events",
-        default=None,
-        metavar="JSONL",
-        help=(
-            "stream flight samples/annotations to this JSONL file as they "
-            "happen (implies --flight); campaigns stream one point record "
-            "per completed point"
-        ),
-    )
 
 
 def _flight_config(args):
@@ -222,56 +134,46 @@ def _flight_config(args):
     return FlightConfig()
 
 
-def _add_statehash(p: argparse.ArgumentParser) -> None:
-    """State-digest audit-trail flags shared by run/trace."""
-    p.add_argument(
-        "--statehash",
-        nargs="?",
-        const=0,
-        default=None,
-        type=int,
-        metavar="CYCLES",
-        help=(
-            "attach the state-digest audit trail (bounded Merkle-style "
-            "digest chain on telemetry.statehash, the input of `diff`); "
-            "optional value overrides the digest interval in cycles "
-            "(default 128)"
-        ),
-    )
-    p.add_argument(
-        "--audit",
-        action="store_true",
-        help=(
-            "run the engine invariant audit at every digest boundary "
-            "(implies --statehash); violations then surface within one "
-            "interval of their origin instead of at drain time"
-        ),
-    )
+def _instruments(args, streams: bool = True) -> list:
+    """The instrument specs the command line asked for, in install order.
 
+    One row per tier flag — a subcommand that does not take a flag simply
+    never sets it, so every simulating command builds its list here and
+    any tier combines with any other.  ``streams`` off (campaigns) keeps
+    the per-run ``--watch`` callback and ``--events`` file out of the
+    flight spec: there they are per-point progress records, and a live
+    stream neither pickles to pool workers nor rides inside a checkpoint.
+    """
+    tiers = []
+    if getattr(args, "forensics", False):
+        from .obs.forensics import Forensics
 
-def _statehash_config(args):
-    """The StateDigestConfig requested by --statehash/--audit, or None."""
+        tiers.append(Forensics(getattr(args, "sample_every", 200)))
+    flight = _flight_config(args)
+    if flight is not None:
+        from .obs.flight import Flight
+
+        watch = streams and args.watch
+        tiers.append(
+            Flight(
+                flight,
+                on_sample=_watch_sampler() if watch else None,
+                events=args.events if streams else None,
+            )
+        )
     interval = getattr(args, "statehash", None)
     audit = getattr(args, "audit", False)
-    if interval is None and not audit:
-        return None
-    from .obs.statehash import StateDigestConfig
+    if interval is not None or audit:
+        from .obs.statehash import StateDigestConfig, StateHash
 
-    if interval:
-        return StateDigestConfig(interval_cycles=interval, audit=audit)
-    return StateDigestConfig(audit=audit)
-
-
-def _compose_probes(probes):
-    """One probe from many (None entries dropped), or None."""
-    live = [p for p in probes if p is not None]
-    if not live:
-        return None
-    if len(live) == 1:
-        return live[0]
-    from .obs import MultiProbe
-
-    return MultiProbe(live)
+        tiers.append(
+            StateHash(
+                StateDigestConfig(interval_cycles=interval, audit=audit)
+                if interval
+                else StateDigestConfig(audit=audit)
+            )
+        )
+    return tiers
 
 
 def _watch_sampler(stream=None):
@@ -337,39 +239,6 @@ def _campaign_progress(args):
         events(p)
 
     return progress, events.close
-
-
-def _add_checkpoint(p: argparse.ArgumentParser) -> None:
-    """Checkpoint/resume flags shared by run/sweep/chaos/congestion."""
-    p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write digest-verified engine checkpoints into this directory "
-            "(periodic snapshots + manifest); an interrupted run/campaign "
-            "can later be finished with --resume DIR"
-        ),
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1000,
-        metavar="CYCLES",
-        help="cycles between periodic checkpoints (default 1000)",
-    )
-    p.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help=(
-            "resume from an existing checkpoint directory: completed "
-            "campaign points reload from their per-point caches, "
-            "interrupted ones restart from their newest valid checkpoint "
-            "(corrupt or stale checkpoints are discarded with a recorded "
-            "finding); keeps checkpointing into the same directory"
-        ),
-    )
 
 
 def _checkpoint_dir(args) -> str | None:
@@ -446,6 +315,45 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
+def _guarded(campaign, flushed_to: str):
+    """Run ``campaign()`` with SIGTERM promoted to the Ctrl-C teardown.
+
+    Returns ``(0, value)``, or ``(130, None)`` on Ctrl-C and ``(143,
+    None)`` on SIGTERM — completed points were flushed either way.
+    """
+    try:
+        with _sigterm_as_interrupt():
+            return 0, campaign()
+    except KeyboardInterrupt as exc:
+        term = isinstance(exc, _SigtermInterrupt)
+        print(
+            f"{'terminated' if term else 'interrupted'}: completed points "
+            f"were flushed to the {flushed_to}",
+            file=sys.stderr,
+        )
+        return (143 if term else 130), None
+
+
+def _transport_override(args, profile):
+    """The profile-scaled TransportConfig with the command line's timer
+    and retry overrides applied, or None when it asked for none."""
+    asked = {
+        name: getattr(args, name, None)
+        for name in ("base_timeout", "backoff", "max_retries")
+    }
+    if all(value is None for value in asked.values()):
+        return None
+    import dataclasses
+
+    from .experiments.chaos import default_transport
+
+    asked["base_timeout"] = asked["base_timeout"] or None  # 0 = the default
+    return dataclasses.replace(
+        default_transport(profile),
+        **{name: value for name, value in asked.items() if value is not None},
+    )
+
+
 def _open_ledger(args):
     """The Ledger named by ``--ledger``, or None."""
     path = getattr(args, "ledger", None)
@@ -501,6 +409,32 @@ def _with_cprofile(args, body):
             print(f"cProfile stats written to {target}", file=sys.stderr)
 
 
+def _print_result(result) -> None:
+    print(result.summary())
+    if result.telemetry is not None:
+        print(result.telemetry.summary())
+        print(result.telemetry.phase_summary())
+
+
+def _print_tiers(result) -> None:
+    """The text digest of every tier document riding on the result."""
+    telemetry = result.telemetry
+    if telemetry is None:
+        return
+    if telemetry.forensics is not None:
+        from .obs.forensics import describe_forensics
+
+        print(describe_forensics(telemetry.forensics))
+    if telemetry.flight is not None:
+        from .obs.flight import describe_flight
+
+        print(describe_flight(telemetry.flight))
+    if telemetry.statehash is not None:
+        from .obs.statehash import describe_statehash
+
+        print(describe_statehash(telemetry.statehash))
+
+
 def cmd_run(args) -> int:
     def body() -> int:
         import dataclasses
@@ -508,46 +442,13 @@ def cmd_run(args) -> int:
         config = _make_config(args, args.load)
         if args.latencies or args.forensics:
             config = dataclasses.replace(config, collect_latencies=True)
-        flight = _flight_config(args)
-        recorder = None
-        if flight is not None:
-            from .obs.flight import FlightRecorder
-
-            recorder = FlightRecorder(
-                flight,
-                on_sample=_watch_sampler() if args.watch else None,
-                events=args.events,
-            )
-        digests = None
-        statehash = _statehash_config(args)
-        if statehash is not None:
-            from .obs.statehash import StateDigestProbe
-
-            digests = StateDigestProbe(statehash)
-        extra = _compose_probes([recorder, digests])
-        checkpoint = _checkpoint_policy(args)
-        deadlock = probe = None
-        if args.forensics and checkpoint is not None:
-            if extra is not None:
-                raise ConfigurationError(
-                    "--checkpoint/--resume with --forensics cannot also take "
-                    "--flight/--statehash on run (drop one tier)"
-                )
-            from .obs.forensics import simulate_with_forensics
-
-            result = simulate_with_forensics(
-                config, sample_every=args.sample_every, checkpoint=checkpoint
-            )
-        elif args.forensics:
-            from .obs.forensics import run_with_forensics
-
-            result, probe, deadlock = run_with_forensics(
-                config, sample_every=args.sample_every, probe=extra
-            )
-        else:
-            result = simulate(config, probe=extra, checkpoint=checkpoint)
+        result, _engine, deadlock = simulate_post_mortem(
+            config, _instruments(args), checkpoint=_checkpoint_policy(args)
+        )
         if args.watch:
             print(file=sys.stderr)  # finish the in-place status line
+        if deadlock is not None and not args.forensics:
+            raise deadlock  # only the forensics tier promises a post-mortem
         ledger = _open_ledger(args)
         if ledger is not None:
             ledger.append_run(result, kind="forensics" if args.forensics else "run")
@@ -559,27 +460,13 @@ def cmd_run(args) -> int:
                 doc["deadlock"] = str(deadlock) if deadlock is not None else None
             print(json.dumps(doc, indent=1))
             return 1 if deadlock is not None else 0
-        print(result.summary())
-        if result.telemetry is not None:
-            print(result.telemetry.summary())
-            print(result.telemetry.phase_summary())
+        _print_result(result)
         pct = result.latency_percentiles()
         if pct is not None:
             from .obs.percentiles import format_percentiles
 
             print(format_percentiles(pct))
-        if probe is not None:
-            from .obs.forensics import describe_forensics
-
-            print(describe_forensics(probe.summary()))
-        if result.telemetry is not None and result.telemetry.flight is not None:
-            from .obs.flight import describe_flight
-
-            print(describe_flight(result.telemetry.flight))
-        if result.telemetry is not None and result.telemetry.statehash is not None:
-            from .obs.statehash import describe_statehash
-
-            print(describe_statehash(result.telemetry.statehash))
+        _print_tiers(result)
         if deadlock is not None:
             print(f"error: {deadlock}", file=sys.stderr)
             return 1
@@ -619,19 +506,6 @@ def cmd_sweep(args) -> int:
         loads = default_loads(profile.sweep_points)
         telemetry: list = []
 
-        flight = _flight_config(args)
-        simulate_fn = None
-        if flight is not None:
-            if args.forensics:
-                raise ConfigurationError(
-                    "--forensics and --flight cannot be combined on sweep "
-                    "(run supports both at once)"
-                )
-            from functools import partial
-
-            from .obs.flight import simulate_with_flight
-
-            simulate_fn = partial(simulate_with_flight, flight=flight)
         campaign_progress, close_events = _campaign_progress(args)
 
         def progress(p) -> None:
@@ -640,31 +514,23 @@ def cmd_sweep(args) -> int:
                 telemetry.append(p.cycles_per_sec)
 
         try:
-            with _sigterm_as_interrupt():
-                series = run_sweep(
+            rc, series = _guarded(
+                lambda: run_sweep(
                     lambda load: _make_config(args, load),
                     loads,
                     label=args.pattern,
                     progress=progress,
                     ledger=_open_ledger(args),
-                    forensics=args.forensics,
-                    simulate_fn=simulate_fn,
+                    instruments=_instruments(args, streams=False),
+                    ledger_kind="forensics" if args.forensics else None,
                     checkpoints=_campaign_checkpoints(args),
-                )
-        except _SigtermInterrupt:
-            print(
-                "terminated: completed points were flushed to the cache/ledger",
-                file=sys.stderr,
+                ),
+                "cache/ledger",
             )
-            return 143
-        except KeyboardInterrupt:
-            print(
-                "interrupted: completed points were flushed to the cache/ledger",
-                file=sys.stderr,
-            )
-            return 130
         finally:
             close_events()
+        if rc:
+            return rc
         from .metrics.saturation import saturation_point
 
         if args.json:
@@ -694,39 +560,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     def body() -> int:
-        from .errors import DeadlockError
         from .obs import MultiProbe, TraceProbe, WindowedCounterProbe
-        from .sim.run import build_engine
 
         config = _make_config(args, args.load)
         tracer = TraceProbe(max_events=args.max_events)
         counters = WindowedCounterProbe(window_cycles=args.window)
-        probes = [tracer, counters]
-        recorder = None
-        flight = _flight_config(args)
-        if flight is not None:
-            from .obs.flight import FlightRecorder
-
-            recorder = FlightRecorder(
-                flight,
-                on_sample=_watch_sampler() if args.watch else None,
-                events=args.events,
-            )
-            probes.append(recorder)
-        statehash = _statehash_config(args)
-        if statehash is not None:
-            from .obs.statehash import StateDigestProbe
-
-            probes.append(StateDigestProbe(statehash))
-        engine = build_engine(config, probe=MultiProbe(probes))
-        deadlocked = None
-        try:
-            result = engine.run()
-        except DeadlockError as exc:
-            # the trace up to the wedge is exactly what one wants to see
-            deadlocked = exc
-            result = engine.result
-        if recorder is not None and args.watch:
+        # survives a deadlock: the trace up to the wedge is exactly what
+        # one wants to see
+        result, _engine, deadlocked = simulate_post_mortem(
+            config, _instruments(args), probe=MultiProbe([tracer, counters])
+        )
+        if args.watch:
             print(file=sys.stderr)
 
         ledger = _open_ledger(args)
@@ -762,23 +606,13 @@ def cmd_trace(args) -> int:
             print(json.dumps(doc, indent=1))
             return 1 if deadlocked is not None else 0
 
-        print(result.summary())
-        if result.telemetry is not None:
-            print(result.telemetry.summary())
-            print(result.telemetry.phase_summary())
+        _print_result(result)
         print(
             f"trace: {len(tracer.events)} events"
             + (" (truncated)" if tracer.truncated else "")
             + f", {len(counters.windows)} counter windows -> {', '.join(written)}"
         )
-        if result.telemetry is not None and result.telemetry.flight is not None:
-            from .obs.flight import describe_flight
-
-            print(describe_flight(result.telemetry.flight))
-        if result.telemetry is not None and result.telemetry.statehash is not None:
-            from .obs.statehash import describe_statehash
-
-            print(describe_statehash(result.telemetry.statehash))
+        _print_tiers(result)
         blocked = counters.most_blocked(3)
         if blocked and blocked[0][1]["blocked_cycles"]:
             print("most blocked channel directions (switch, port):")
@@ -966,7 +800,6 @@ def cmd_faults(args) -> int:
 def cmd_chaos(args) -> int:
     from .experiments.chaos import chaos_campaign, degradation_rows
     from .experiments.report import render_table
-    from .traffic.transport import TransportConfig
 
     profile = get_profile(args.profile)
     try:
@@ -976,21 +809,7 @@ def cmd_chaos(args) -> int:
         raise ConfigurationError(
             f"bad --rates {args.rates!r} or --repairs {args.repairs!r}"
         ) from None
-    transport = None
-    if args.base_timeout is not None or args.max_retries is not None:
-        from .experiments.chaos import default_transport
-
-        base = default_transport(profile)
-        transport = TransportConfig(
-            ack_delay=base.ack_delay,
-            base_timeout=args.base_timeout or base.base_timeout,
-            backoff=base.backoff,
-            jitter=base.jitter,
-            max_retries=(
-                args.max_retries if args.max_retries is not None else base.max_retries
-            ),
-            seed=base.seed,
-        )
+    transport = _transport_override(args, profile)
     ledger = _open_ledger(args)
     networks = ("tree", "cube") if args.network == "both" else (args.network,)
     all_rows = []
@@ -998,41 +817,32 @@ def cmd_chaos(args) -> int:
     try:
         for network in networks:
             print(f"chaos campaign: {network}", file=sys.stderr)
-            try:
-                with _sigterm_as_interrupt():
-                    campaign = chaos_campaign(
-                        network=network,
-                        fault_rates=rates,
-                        repair_grid=repairs,
-                        profile=profile,
-                        vcs=args.vcs,
-                        seed=args.seed,
-                        storm_seed=args.storm_seed,
-                        k=args.k,
-                        n=args.n,
-                        algorithm=args.algorithm if args.network != "both" else None,
-                        transport=transport,
-                        flight=_flight_config(args),
-                        parallel=args.parallel,
-                        max_workers=args.workers,
-                        retries=args.retries,
-                        timeout=args.timeout,
-                        progress=progress,
-                        ledger=ledger,
-                        checkpoints=_campaign_checkpoints(args),
-                    )
-            except _SigtermInterrupt:
-                print(
-                    "terminated: completed points were flushed to the ledger",
-                    file=sys.stderr,
-                )
-                return 143
-            except KeyboardInterrupt:
-                print(
-                    "interrupted: completed points were flushed to the ledger",
-                    file=sys.stderr,
-                )
-                return 130
+            rc, campaign = _guarded(
+                lambda: chaos_campaign(
+                    network=network,
+                    fault_rates=rates,
+                    repair_grid=repairs,
+                    profile=profile,
+                    vcs=args.vcs,
+                    seed=args.seed,
+                    storm_seed=args.storm_seed,
+                    k=args.k,
+                    n=args.n,
+                    algorithm=args.algorithm if args.network != "both" else None,
+                    transport=transport,
+                    flight=_flight_config(args),
+                    parallel=args.parallel,
+                    max_workers=args.workers,
+                    retries=args.retries,
+                    timeout=args.timeout,
+                    progress=progress,
+                    ledger=ledger,
+                    checkpoints=_campaign_checkpoints(args),
+                ),
+                "ledger",
+            )
+            if rc:
+                return rc
             for row in degradation_rows(campaign):
                 all_rows.append({"network": network, **row})
     finally:
@@ -1073,35 +883,15 @@ def cmd_chaos(args) -> int:
 def cmd_congestion(args) -> int:
     from .experiments.congestion import collapse_rows, congestion_campaign
     from .experiments.report import render_table
-    from .traffic.transport import TransportConfig
 
     profile = get_profile(args.profile)
     modes = {"both": (False, True), "open": (False,), "closed": (True,)}[args.mode]
-    transport = None
-    if (
-        args.base_timeout is not None
-        or args.backoff is not None
-        or args.max_retries is not None
-    ):
-        from .experiments.chaos import default_transport
-
-        base = default_transport(profile)
-        transport = TransportConfig(
-            ack_delay=base.ack_delay,
-            base_timeout=args.base_timeout or base.base_timeout,
-            backoff=args.backoff if args.backoff is not None else base.backoff,
-            jitter=base.jitter,
-            max_retries=(
-                args.max_retries if args.max_retries is not None else base.max_retries
-            ),
-            seed=base.seed,
-        )
     ledger = _open_ledger(args)
     print(f"congestion campaign: {args.network}", file=sys.stderr)
     progress, close_events = _campaign_progress(args)
     try:
-        with _sigterm_as_interrupt():
-            campaign = congestion_campaign(
+        rc, campaign = _guarded(
+            lambda: congestion_campaign(
                 network=args.network,
                 modes=modes,
                 max_factor=args.max_factor,
@@ -1112,7 +902,7 @@ def cmd_congestion(args) -> int:
                 k=args.k,
                 n=args.n,
                 algorithm=args.algorithm,
-                transport=transport,
+                transport=_transport_override(args, profile),
                 flight=_flight_config(args),
                 arbiter_closed=args.arbiter_closed,
                 parallel=args.parallel,
@@ -1122,21 +912,13 @@ def cmd_congestion(args) -> int:
                 progress=progress,
                 ledger=ledger,
                 checkpoints=_campaign_checkpoints(args),
-            )
-    except _SigtermInterrupt:
-        print(
-            "terminated: completed points were flushed to the ledger",
-            file=sys.stderr,
+            ),
+            "ledger",
         )
-        return 143
-    except KeyboardInterrupt:
-        print(
-            "interrupted: completed points were flushed to the ledger",
-            file=sys.stderr,
-        )
-        return 130
     finally:
         close_events()
+    if rc:
+        return rc
     rows = collapse_rows(campaign)
     if args.json:
         print(json.dumps({"rows": rows}, indent=1))
@@ -1376,6 +1158,356 @@ def cmd_info(args) -> int:
     return 0
 
 
+# -- the command table ---------------------------------------------------------
+#
+# Every option is declared once, in OPTIONS; a subcommand is a row of
+# _commands() naming the options it takes, in --help order.  A row entry is
+# an option name or ``(name, overrides)``, the overrides replacing keyword
+# arguments of the declaration (a campaign's own ``--seed`` default, a
+# command-specific help text).
+
+
+def _opt(flag, type=None, default=None, help=None, **extra):
+    """One declared option: its flag and ``add_argument`` keywords."""
+    if type is not None:
+        extra["type"] = type
+    return flag, dict(default=default, help=help, **extra)
+
+
+def _switch(flag, help=None):
+    return flag, dict(action="store_true", help=help)
+
+
+_ARBITERS = ("round_robin", "age")
+
+OPTIONS = {
+    # the simulated recipe
+    "network": _opt("--network", default="tree", choices=("tree", "cube")),
+    "k": _opt("--k", int, help="radix (default: paper network)"),
+    "n": _opt("--n", int, help="dimension/levels"),
+    "algorithm": _opt(
+        "--algorithm", help="tree_adaptive (tree) or dor/duato (cube); default per network"
+    ),
+    "vcs": _opt("--vcs", int, 4),
+    "pattern": _opt("--pattern", default="uniform", choices=sorted(PATTERNS)),
+    "seed": _opt("--seed", int, 1),
+    "profile": _opt("--profile", help="fast, default or full"),
+    "arbiter": _opt(
+        "--arbiter", default="round_robin", choices=_ARBITERS,
+        help="lane arbitration policy (age = oldest packet first)",
+    ),
+    "load": _opt("--load", float, 0.5, "fraction of capacity"),
+    # instrument tiers
+    "latencies": _switch(
+        "--latencies", "collect per-packet latency samples and print exact percentiles"
+    ),
+    "forensics": _switch("--forensics"),
+    "sample_every": _opt(
+        "--sample-every", int, 200, "wait-for graph sampling period in cycles (with --forensics)"
+    ),
+    "flight": _opt(
+        "--flight", int, nargs="?", const=0, metavar="CYCLES",
+        help="attach the flight recorder (bounded multi-layer time series on "
+        "telemetry.flight); optional value overrides the sampling "
+        "interval in cycles (default 128)",
+    ),
+    "watch": _switch(
+        "--watch",
+        "live in-place status line on stderr while the run/campaign "
+        "progresses (implies --flight)",
+    ),
+    "events": _opt(
+        "--events", metavar="JSONL",
+        help="stream flight samples/annotations to this JSONL file as they "
+        "happen (implies --flight); campaigns stream one point record "
+        "per completed point",
+    ),
+    "statehash": _opt(
+        "--statehash", int, nargs="?", const=0, metavar="CYCLES",
+        help="attach the state-digest audit trail (bounded Merkle-style "
+        "digest chain on telemetry.statehash, the input of `diff`); "
+        "optional value overrides the digest interval in cycles "
+        "(default 128)",
+    ),
+    "audit": _switch(
+        "--audit",
+        "run the engine invariant audit at every digest boundary "
+        "(implies --statehash); violations then surface within one "
+        "interval of their origin instead of at drain time",
+    ),
+    # machine output, ledger, CPU profiling
+    "json": _switch(
+        "--json", "emit a versioned machine-readable JSON document (with telemetry)"
+    ),
+    "ledger": _opt(
+        "--ledger", metavar="JSONL",
+        help="append every completed run's versioned document to this JSONL "
+        "metrics ledger (deduplicated by config digest + seed)",
+    ),
+    "cprofile": _opt(
+        "--cprofile", nargs="?", const="-", metavar="STATS",
+        help="run under cProfile; with no value print the top functions to "
+        "stderr, with a path dump pstats there (--profile remains the "
+        "simulation effort profile)",
+    ),
+    "out": _opt("--out"),
+    # checkpoint / resume
+    "checkpoint": _opt(
+        "--checkpoint", metavar="DIR",
+        help="write digest-verified engine checkpoints into this directory "
+        "(periodic snapshots + manifest); an interrupted run/campaign "
+        "can later be finished with --resume DIR",
+    ),
+    "checkpoint_every": _opt(
+        "--checkpoint-every", int, 1000, "cycles between periodic checkpoints (default 1000)",
+        metavar="CYCLES",
+    ),
+    "resume": _opt(
+        "--resume", metavar="DIR",
+        help="resume from an existing checkpoint directory: completed "
+        "campaign points reload from their per-point caches, "
+        "interrupted ones restart from their newest valid checkpoint "
+        "(corrupt or stale checkpoints are discarded with a recorded "
+        "finding); keeps checkpointing into the same directory",
+    ),
+    # trace
+    "format": _opt(
+        "--format", default="chrome", choices=("chrome", "jsonl", "both"),
+        help="chrome://tracing document, JSONL event stream, or both",
+    ),
+    "window": _opt("--window", int, 200, "counter window length in cycles"),
+    "counters": _opt("--counters", help="also write the windowed counters to this JSON path"),
+    "max_events": _opt(
+        "--max-events", int, 1_000_000, "trace event cap (the trace is marked truncated past it)"
+    ),
+    "plot": _switch("--plot", "add terminal scatter plots"),
+    # faults
+    "fractions": _opt(
+        "--fractions", default="0,0.05,0.1,0.2",
+        help="comma-separated fault fractions of the channel population",
+    ),
+    "fault_seed": _opt("--fault-seed", int, 5, "fault placement seed"),
+    "transient": _switch(
+        "--transient", "single run with a mid-run fault window (fail at T, repair at T')"
+    ),
+    "fraction": _opt("--fraction", float, 0.1, "fault fraction for --transient"),
+    "fail_at": _opt("--fail-at", int, help="fault strike cycle"),
+    "repair_at": _opt("--repair-at", int, help="fault repair cycle"),
+    # campaigns (chaos, congestion)
+    "storm_seed": _opt("--storm-seed", int, 5, "fault draw + strike seed"),
+    "rates": _opt(
+        "--rates", default="0,0.05,0.1,0.2",
+        help="comma-separated fault rates (fraction of the channel population)",
+    ),
+    "repairs": _opt(
+        "--repairs", default="0",
+        help="comma-separated per-fault down times in cycles (0 = permanent)",
+    ),
+    "mode": _opt(
+        "--mode", default="both", choices=("both", "open", "closed"),
+        help="which control modes to sweep (default: both, for the contrast)",
+    ),
+    "max_factor": _opt(
+        "--max-factor", float, 2.0, "top of the offered-load axis in saturation multiples"
+    ),
+    "arbiter_closed": _opt(
+        "--arbiter-closed", default="round_robin", choices=_ARBITERS,
+        help="lane arbitration policy for closed-loop runs (age improves the "
+        "median past saturation but inflates the tail; default: round_robin)",
+    ),
+    "base_timeout": _opt(
+        "--base-timeout", int,
+        help="transport retransmission timer in cycles (default: profile-scaled)",
+    ),
+    "backoff": _opt(
+        "--backoff", float,
+        help="timeout backoff multiplier per retry (1.0 reproduces a naive "
+        "fixed-timer transport, the classic collapse regime; default 2.0)",
+    ),
+    "max_retries": _opt(
+        "--max-retries", int, help="retransmissions per message before giving up (default 4)"
+    ),
+    "parallel": _switch("--parallel", "fan points over a pool"),
+    "workers": _opt("--workers", int, help="pool size"),
+    "retries": _opt("--retries", int, 0, "attempts per failed point"),
+    "timeout": _opt(
+        "--timeout", float, help="per-point wall-clock budget in seconds (watchdog subprocess)"
+    ),
+    # analyze
+    "index": _opt(
+        "--index", int, -1, "which matching record to analyze (default -1: the most recent)"
+    ),
+    "heatmap": _opt(
+        "--heatmap", metavar="SVG", help="write the link-hotspot heatmap as a standalone SVG file"
+    ),
+    "breakdown": _opt(
+        "--breakdown", metavar="SVG",
+        help="write the latency-breakdown panel as a standalone SVG file",
+    ),
+    "metric": _opt(
+        "--metric", default="blocked_cycles", choices=("blocked_cycles", "flits"),
+        help="heatmap cell metric (congestion vs utilization)",
+    ),
+    # diff
+    "a": _opt("a", help="first side: run document / ledger JSONL / config JSON"),
+    "b": _opt("b", help="second side: run document / ledger JSONL / config JSON"),
+    "interval": _opt(
+        "--interval", int, metavar="CYCLES",
+        help="digest interval for re-runs (default 128); sides that already "
+        "carry a chain at a different stride are re-run to align",
+    ),
+    "max_findings": _opt(
+        "--max-findings", int, 64, "cap on per-field findings in the structured state diff"
+    ),
+    # report
+    "title": _opt("--title", default="Reproduction scorecard"),
+    "tol": _opt("--tol", float, 0.05, "saturation-detection tolerance (fraction)"),
+    "include_faults": _switch(
+        "--include-faults", "also plot runs recorded by fault experiments (degraded points)"
+    ),
+    # bench
+    "compare": _opt(
+        "--compare", metavar="BASELINE",
+        help="re-measure the recipes in this baseline and exit 3 when any "
+        "entry regressed past the threshold",
+    ),
+    "threshold": _opt(
+        "--threshold", float, 0.15, "tolerated slowdown fraction before failing (default 0.15)"
+    ),
+    "repeats": _opt(
+        "--repeats", int, help="runs per entry; best-of is kept (default 3 / baseline's)"
+    ),
+    "cycles": _opt(
+        "--cycles", int, 2000, "cycles per suite run when recording a new baseline"
+    ),
+    "resolution": _opt("--resolution", float, 0.02),
+}
+
+_SHAPE = ("network", "k", "n")
+_COMMON = (*_SHAPE, "algorithm", "vcs", "pattern", "seed", "profile", "arbiter")
+_FLIGHT = ("flight", "watch", "events")
+_STATEHASH = ("statehash", "audit")
+_OBSERVABILITY = ("json", "ledger", "cprofile")
+_CHECKPOINT = ("checkpoint", "checkpoint_every", "resume")
+_POOL = ("parallel", "workers", "retries", "timeout")
+_FIGURE = (
+    ("pattern", dict(choices=("uniform", "complement", "transpose", "bitrev"))),
+    ("profile", dict(help=None)),
+)
+_ROWS_JSON = ("json", dict(help="emit the rows as JSON"))
+
+
+def _commands() -> tuple:
+    """``(name, help, handler, options)`` per subcommand, in listing order."""
+    return (
+        ("run", "simulate one offered-load point", cmd_run, (
+            *_COMMON, "load", "latencies",
+            ("forensics", dict(
+                help="attach the congestion-forensics tier (latency attribution, "
+                "wait-for graph sampling, link hotspots); implies --latencies "
+                "and survives a deadlock with a post-mortem")),
+            "sample_every", *_FLIGHT, *_STATEHASH, *_OBSERVABILITY, *_CHECKPOINT,
+        )),
+        ("sweep", "run a load sweep for one configuration", cmd_sweep, (
+            *_COMMON,
+            ("forensics", dict(
+                help="instrument every point with the congestion-forensics tier; "
+                "ledger records are filed as kind=forensics for analyze")),
+            *_FLIGHT, *_OBSERVABILITY, *_CHECKPOINT,
+        )),
+        ("trace", "one instrumented run: event trace + windowed lane counters", cmd_trace, (
+            *_COMMON, "load",
+            ("out", dict(
+                default="trace.json",
+                help="trace output path (Chrome trace_event JSON; .jsonl for jsonl)")),
+            "format", "window", "counters", "max_events",
+            *_FLIGHT, *_STATEHASH, *_OBSERVABILITY,
+        )),
+        ("fig5", "fat-tree CNF curves (Figure 5)", cmd_fig5,
+         (*_FIGURE, ("seed", dict(default=11)), "plot")),
+        ("fig6", "cube CNF curves (Figure 6)", cmd_fig6,
+         (*_FIGURE, ("seed", dict(default=13)), "plot")),
+        ("fig7", "absolute comparison (Figure 7)", cmd_fig7,
+         (*_FIGURE, ("seed", dict(default=13)))),
+        ("drain", "batch-drain one full permutation", cmd_drain, _COMMON),
+        ("faults", "fault-degradation experiments (both networks)", cmd_faults, (
+            *_COMMON, ("load", dict(default=1.0)), "fractions", "fault_seed", "transient",
+            "fraction", "fail_at", "repair_at",
+            ("ledger", dict(
+                help="append every fault run's document to this JSONL metrics ledger")),
+        )),
+        ("chaos", "fail-stop fault storms under reliable transport (goodput curves)", cmd_chaos, (
+            ("network", dict(
+                choices=("tree", "cube", "both"), default="both",
+                help="paper network(s) to storm (default: both, for the scorecard panel)")),
+            "k", "n",
+            ("algorithm", dict(
+                help="adaptive algorithm override (lane-level storms need one); "
+                "ignored with --network both")),
+            "vcs", ("seed", dict(default=47, help="traffic seed")), "storm_seed", "profile",
+            "rates", "repairs", "base_timeout", "max_retries", *_POOL, _ROWS_JSON, *_FLIGHT,
+            ("ledger", dict(
+                help="append every chaos run as a kind=chaos record (report renders "
+                "the goodput-degradation panel from them)")),
+            *_CHECKPOINT,
+        )),
+        ("congestion",
+         "overload campaign past saturation: open vs closed loop (collapse curves)",
+         cmd_congestion, (
+            *_SHAPE,
+            ("algorithm", dict(help="routing algorithm override; default per network")),
+            "vcs", "pattern", ("seed", dict(default=29, help="traffic seed")), "profile",
+            "mode", "max_factor", "arbiter_closed", "base_timeout", "backoff", "max_retries",
+            *_POOL, _ROWS_JSON, *_FLIGHT,
+            ("ledger", dict(
+                help="append every overload run as a kind=congestion record (report "
+                "renders the collapse panel from them)")),
+            *_CHECKPOINT,
+        )),
+        ("analyze", "congestion forensics (attribution/wait-for/hotspots) from a ledger",
+         cmd_analyze, (
+            ("ledger", dict(required=True, help="ledger to analyze")),
+            ("network", dict(default=None, help="filter records")),
+            ("pattern", dict(default=None, help="filter records")),
+            ("algorithm", dict(help="filter records")),
+            "index", "heatmap", "breakdown",
+            ("out", dict(metavar="HTML", help="write an HTML page with both panels")),
+            "metric",
+            ("json", dict(help="print the raw forensics document instead of the text digest")),
+        )),
+        ("diff", "bisect the first divergent cycle between two digested runs", cmd_diff, (
+            "a", "b", "interval", "max_findings",
+            ("out", dict(
+                metavar="HTML", help="also write the divergence report as an HTML page")),
+            ("json", dict(help="print the raw diff document instead of the text digest")),
+        )),
+        ("report", "render the HTML reproduction scorecard from a metrics ledger", cmd_report, (
+            ("ledger", dict(required=True, help="ledger to score")),
+            ("out", dict(default="scorecard.html", help="output HTML path")),
+            "title", "tol", "include_faults",
+        )),
+        ("bench", "record or compare an engine performance baseline", cmd_bench, (
+            ("out", dict(
+                metavar="JSON",
+                help="baseline output path (default BENCH_<host>.json when recording)")),
+            "compare", "threshold", "repeats", "cycles",
+            ("json", dict(
+                help="emit the baseline document (recording) or the comparison "
+                "document with per-entry deltas and pass/fail (--compare) as "
+                "JSON; the regression exit code is unchanged")),
+        )),
+        ("find-sat", "bisect the saturation point", cmd_find_sat, (*_COMMON, "resolution")),
+        ("dimensions", "cube dimensionality study (§11)", cmd_dimensions, (
+            ("pattern", dict(choices=("uniform", "complement"))),
+            ("algorithm", dict(choices=("dor", "duato"), default="duato", help=None)),
+            ("profile", dict(help=None)),
+        )),
+        ("tables", "print Tables 1 and 2 (Chien cost model)", cmd_tables, ()),
+        ("info", "topology and normalization facts", cmd_info,
+         ("network", ("k", dict(help=None)), ("n", dict(help=None)))),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-net",
@@ -1385,448 +1517,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="simulate one offered-load point")
-    _add_common(p)
-    p.add_argument("--load", type=float, default=0.5, help="fraction of capacity")
-    p.add_argument(
-        "--latencies",
-        action="store_true",
-        help="collect per-packet latency samples and print exact percentiles",
-    )
-    p.add_argument(
-        "--forensics",
-        action="store_true",
-        help=(
-            "attach the congestion-forensics tier (latency attribution, "
-            "wait-for graph sampling, link hotspots); implies --latencies "
-            "and survives a deadlock with a post-mortem"
-        ),
-    )
-    p.add_argument(
-        "--sample-every",
-        type=int,
-        default=200,
-        help="wait-for graph sampling period in cycles (with --forensics)",
-    )
-    _add_flight(p)
-    _add_statehash(p)
-    _add_observability(p)
-    _add_checkpoint(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="run a load sweep for one configuration")
-    _add_common(p)
-    p.add_argument(
-        "--forensics",
-        action="store_true",
-        help=(
-            "instrument every point with the congestion-forensics tier; "
-            "ledger records are filed as kind=forensics for analyze"
-        ),
-    )
-    _add_flight(p)
-    _add_observability(p)
-    _add_checkpoint(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "trace",
-        help="one instrumented run: event trace + windowed lane counters",
-    )
-    _add_common(p)
-    p.add_argument("--load", type=float, default=0.5, help="fraction of capacity")
-    p.add_argument(
-        "--out",
-        default="trace.json",
-        help="trace output path (Chrome trace_event JSON; .jsonl for jsonl)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("chrome", "jsonl", "both"),
-        default="chrome",
-        help="chrome://tracing document, JSONL event stream, or both",
-    )
-    p.add_argument(
-        "--window",
-        type=int,
-        default=200,
-        help="counter window length in cycles",
-    )
-    p.add_argument(
-        "--counters",
-        default=None,
-        help="also write the windowed counters to this JSON path",
-    )
-    p.add_argument(
-        "--max-events",
-        type=int,
-        default=1_000_000,
-        help="trace event cap (the trace is marked truncated past it)",
-    )
-    _add_flight(p)
-    _add_statehash(p)
-    _add_observability(p)
-    p.set_defaults(func=cmd_trace)
-
-    for name, func, help_ in (
-        ("fig5", cmd_fig5, "fat-tree CNF curves (Figure 5)"),
-        ("fig6", cmd_fig6, "cube CNF curves (Figure 6)"),
-        ("fig7", cmd_fig7, "absolute comparison (Figure 7)"),
-    ):
+    for name, help_, handler, options in _commands():
         p = sub.add_parser(name, help=help_)
-        p.add_argument(
-            "--pattern",
-            choices=("uniform", "complement", "transpose", "bitrev"),
-            default="uniform",
-        )
-        p.add_argument("--profile", default=None)
-        p.add_argument("--seed", type=int, default=11 if name == "fig5" else 13)
-        if name != "fig7":
-            p.add_argument("--plot", action="store_true", help="add terminal scatter plots")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("drain", help="batch-drain one full permutation")
-    _add_common(p)
-    p.set_defaults(func=cmd_drain)
-
-    p = sub.add_parser("faults", help="fault-degradation experiments (both networks)")
-    _add_common(p)
-    p.add_argument("--load", type=float, default=1.0, help="fraction of capacity")
-    p.add_argument(
-        "--fractions",
-        default="0,0.05,0.1,0.2",
-        help="comma-separated fault fractions of the channel population",
-    )
-    p.add_argument("--fault-seed", type=int, default=5, help="fault placement seed")
-    p.add_argument(
-        "--transient",
-        action="store_true",
-        help="single run with a mid-run fault window (fail at T, repair at T')",
-    )
-    p.add_argument("--fraction", type=float, default=0.1, help="fault fraction for --transient")
-    p.add_argument("--fail-at", type=int, default=None, help="fault strike cycle")
-    p.add_argument("--repair-at", type=int, default=None, help="fault repair cycle")
-    p.add_argument(
-        "--ledger",
-        default=None,
-        metavar="JSONL",
-        help="append every fault run's document to this JSONL metrics ledger",
-    )
-    p.set_defaults(func=cmd_faults)
-
-    p = sub.add_parser(
-        "chaos",
-        help="fail-stop fault storms under reliable transport (goodput curves)",
-    )
-    p.add_argument(
-        "--network",
-        choices=("tree", "cube", "both"),
-        default="both",
-        help="paper network(s) to storm (default: both, for the scorecard panel)",
-    )
-    p.add_argument("--k", type=int, default=None, help="radix (default: paper network)")
-    p.add_argument("--n", type=int, default=None, help="dimension/levels")
-    p.add_argument(
-        "--algorithm",
-        default=None,
-        help="adaptive algorithm override (lane-level storms need one); "
-        "ignored with --network both",
-    )
-    p.add_argument("--vcs", type=int, default=4)
-    p.add_argument("--seed", type=int, default=47, help="traffic seed")
-    p.add_argument("--storm-seed", type=int, default=5, help="fault draw + strike seed")
-    p.add_argument("--profile", default=None, help="fast, default or full")
-    p.add_argument(
-        "--rates",
-        default="0,0.05,0.1,0.2",
-        help="comma-separated fault rates (fraction of the channel population)",
-    )
-    p.add_argument(
-        "--repairs",
-        default="0",
-        help="comma-separated per-fault down times in cycles (0 = permanent)",
-    )
-    p.add_argument(
-        "--base-timeout",
-        type=int,
-        default=None,
-        help="transport retransmission timer in cycles (default: profile-scaled)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="retransmissions per message before giving up (default 4)",
-    )
-    p.add_argument("--parallel", action="store_true", help="fan points over a pool")
-    p.add_argument("--workers", type=int, default=None, help="pool size")
-    p.add_argument("--retries", type=int, default=0, help="attempts per failed point")
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-point wall-clock budget in seconds (watchdog subprocess)",
-    )
-    p.add_argument("--json", action="store_true", help="emit the rows as JSON")
-    _add_flight(p)
-    p.add_argument(
-        "--ledger",
-        default=None,
-        metavar="JSONL",
-        help="append every chaos run as a kind=chaos record (report renders "
-        "the goodput-degradation panel from them)",
-    )
-    _add_checkpoint(p)
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "congestion",
-        help="overload campaign past saturation: open vs closed loop (collapse curves)",
-    )
-    p.add_argument("--network", choices=("tree", "cube"), default="tree")
-    p.add_argument("--k", type=int, default=None, help="radix (default: paper network)")
-    p.add_argument("--n", type=int, default=None, help="dimension/levels")
-    p.add_argument(
-        "--algorithm",
-        default=None,
-        help="routing algorithm override; default per network",
-    )
-    p.add_argument("--vcs", type=int, default=4)
-    p.add_argument("--pattern", choices=sorted(PATTERNS), default="uniform")
-    p.add_argument("--seed", type=int, default=29, help="traffic seed")
-    p.add_argument("--profile", default=None, help="fast, default or full")
-    p.add_argument(
-        "--mode",
-        choices=("both", "open", "closed"),
-        default="both",
-        help="which control modes to sweep (default: both, for the contrast)",
-    )
-    p.add_argument(
-        "--max-factor",
-        type=float,
-        default=2.0,
-        help="top of the offered-load axis in saturation multiples",
-    )
-    p.add_argument(
-        "--arbiter-closed",
-        choices=("round_robin", "age"),
-        default="round_robin",
-        help="lane arbitration policy for closed-loop runs (age improves the "
-        "median past saturation but inflates the tail; default: round_robin)",
-    )
-    p.add_argument(
-        "--base-timeout",
-        type=int,
-        default=None,
-        help="transport retransmission timer in cycles (default: profile-scaled)",
-    )
-    p.add_argument(
-        "--backoff",
-        type=float,
-        default=None,
-        help="timeout backoff multiplier per retry (1.0 reproduces a naive "
-        "fixed-timer transport, the classic collapse regime; default 2.0)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="retransmissions per message before giving up (default 4)",
-    )
-    p.add_argument("--parallel", action="store_true", help="fan points over a pool")
-    p.add_argument("--workers", type=int, default=None, help="pool size")
-    p.add_argument("--retries", type=int, default=0, help="attempts per failed point")
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-point wall-clock budget in seconds (watchdog subprocess)",
-    )
-    p.add_argument("--json", action="store_true", help="emit the rows as JSON")
-    _add_flight(p)
-    p.add_argument(
-        "--ledger",
-        default=None,
-        metavar="JSONL",
-        help="append every overload run as a kind=congestion record (report "
-        "renders the collapse panel from them)",
-    )
-    _add_checkpoint(p)
-    p.set_defaults(func=cmd_congestion)
-
-    p = sub.add_parser(
-        "analyze",
-        help="congestion forensics (attribution/wait-for/hotspots) from a ledger",
-    )
-    p.add_argument(
-        "--ledger", required=True, metavar="JSONL", help="ledger to analyze"
-    )
-    p.add_argument(
-        "--network", choices=("tree", "cube"), default=None, help="filter records"
-    )
-    p.add_argument(
-        "--pattern", choices=sorted(PATTERNS), default=None, help="filter records"
-    )
-    p.add_argument("--algorithm", default=None, help="filter records")
-    p.add_argument(
-        "--index",
-        type=int,
-        default=-1,
-        help="which matching record to analyze (default -1: the most recent)",
-    )
-    p.add_argument(
-        "--heatmap",
-        default=None,
-        metavar="SVG",
-        help="write the link-hotspot heatmap as a standalone SVG file",
-    )
-    p.add_argument(
-        "--breakdown",
-        default=None,
-        metavar="SVG",
-        help="write the latency-breakdown panel as a standalone SVG file",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="HTML",
-        help="write an HTML page with both panels",
-    )
-    p.add_argument(
-        "--metric",
-        choices=("blocked_cycles", "flits"),
-        default="blocked_cycles",
-        help="heatmap cell metric (congestion vs utilization)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw forensics document instead of the text digest",
-    )
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser(
-        "diff",
-        help="bisect the first divergent cycle between two digested runs",
-    )
-    p.add_argument(
-        "a",
-        help="first side: run document / ledger JSONL / config JSON",
-    )
-    p.add_argument(
-        "b",
-        help="second side: run document / ledger JSONL / config JSON",
-    )
-    p.add_argument(
-        "--interval",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help=(
-            "digest interval for re-runs (default 128); sides that already "
-            "carry a chain at a different stride are re-run to align"
-        ),
-    )
-    p.add_argument(
-        "--max-findings",
-        type=int,
-        default=64,
-        help="cap on per-field findings in the structured state diff",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="HTML",
-        help="also write the divergence report as an HTML page",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw diff document instead of the text digest",
-    )
-    p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser(
-        "report",
-        help="render the HTML reproduction scorecard from a metrics ledger",
-    )
-    p.add_argument("--ledger", required=True, metavar="JSONL", help="ledger to score")
-    p.add_argument("--out", default="scorecard.html", help="output HTML path")
-    p.add_argument("--title", default="Reproduction scorecard")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=0.05,
-        help="saturation-detection tolerance (fraction)",
-    )
-    p.add_argument(
-        "--include-faults",
-        action="store_true",
-        help="also plot runs recorded by fault experiments (degraded points)",
-    )
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "bench",
-        help="record or compare an engine performance baseline",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        metavar="JSON",
-        help="baseline output path (default BENCH_<host>.json when recording)",
-    )
-    p.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help=(
-            "re-measure the recipes in this baseline and exit 3 when any "
-            "entry regressed past the threshold"
-        ),
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="tolerated slowdown fraction before failing (default 0.15)",
-    )
-    p.add_argument("--repeats", type=int, default=None,
-                   help="runs per entry; best-of is kept (default 3 / baseline's)")
-    p.add_argument("--cycles", type=int, default=2000,
-                   help="cycles per suite run when recording a new baseline")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "emit the baseline document (recording) or the comparison "
-            "document with per-entry deltas and pass/fail (--compare) as "
-            "JSON; the regression exit code is unchanged"
-        ),
-    )
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("find-sat", help="bisect the saturation point")
-    _add_common(p)
-    p.add_argument("--resolution", type=float, default=0.02)
-    p.set_defaults(func=cmd_find_sat)
-
-    p = sub.add_parser("dimensions", help="cube dimensionality study (§11)")
-    p.add_argument("--pattern", choices=("uniform", "complement"), default="uniform")
-    p.add_argument("--algorithm", choices=("dor", "duato"), default="duato")
-    p.add_argument("--profile", default=None)
-    p.set_defaults(func=cmd_dimensions)
-
-    p = sub.add_parser("tables", help="print Tables 1 and 2 (Chien cost model)")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("info", help="topology and normalization facts")
-    p.add_argument("--network", choices=("tree", "cube"), default="tree")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=cmd_info)
-
+        for entry in options:
+            option, overrides = entry if isinstance(entry, tuple) else (entry, {})
+            flag, declared = OPTIONS[option]
+            p.add_argument(flag, **{**declared, **overrides})
+        p.set_defaults(func=handler)
     return parser
 
 

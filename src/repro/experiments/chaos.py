@@ -50,7 +50,8 @@ from ..metrics.series import LoadSweepSeries
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import build_engine
+from ..obs.probe import Instrument
+from ..sim.run import Audit, build_engine, simulate
 from ..topology.tree import KAryNTree
 from ..traffic.transport import (
     ReliableTransport,
@@ -168,14 +169,50 @@ def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
     return schedule
 
 
-def _resume_finish(engine, result, storm):
-    """Checkpoint finisher: the post-run work of :func:`run_chaos_point`."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Storm(Instrument):
+    """One fail-stop storm under the reliable transport as an instrument
+    of :func:`~repro.sim.run.simulate`.
 
-    engine.audit()
-    return attach_reliability(
-        result, _find_transport(engine.probe), extra={"storm": storm}
-    )
+    Installs the transport, then the storm's fail-stop schedule (its
+    pending strikes ride the engine's cycle hooks, hence the snapshot);
+    a flight recorder installed before it gets every scheduled
+    strike/repair stamped on its timeline as a ``fault_strike`` /
+    ``fault_repair`` annotation (the schedule is known up front, so the
+    stamps carry the exact cycles).  The reliability document carries
+    the storm recipe under ``"storm"``.
+    """
+
+    spec: StormSpec
+
+    def install(self, engine):
+        storm = self.spec
+        transport = ReliableTransport(storm.transport).install(engine)
+        schedule = _draw_storm_schedule(engine, storm)
+        if schedule is not None:
+            from ..obs.flight import FlightRecorder
+
+            schedule.install(engine)
+            recorder = engine.find_probe(FlightRecorder)
+            if recorder is not None:
+                for entry in schedule.entries:
+                    recorder.annotate(entry.fail_at, "fault_strike", str(entry.spec))
+                    if entry.repair_at is not None:
+                        recorder.annotate(
+                            entry.repair_at, "fault_repair", str(entry.spec)
+                        )
+        doc = {
+            "fault_rate": storm.fault_rate,
+            "repair_cycles": storm.repair_cycles,
+            "storm_seed": storm.storm_seed,
+            "faults": len(schedule) if schedule is not None else 0,
+            "population": fault_population(engine.topology),
+        }
+        return transport, doc
+
+    def finish(self, engine, live, result):
+        transport, doc = live
+        return attach_reliability(result, transport, extra={"storm": doc})
 
 
 def run_chaos_point(
@@ -189,59 +226,17 @@ def run_chaos_point(
     network invariant fails loudly instead of skewing a curve.
 
     ``flight`` (a :class:`~repro.obs.flight.FlightConfig`) attaches a
-    flight recorder; every scheduled strike/repair is stamped on the
-    timeline as a ``fault_strike``/``fault_repair`` annotation (the
-    schedule is known up front, so the stamps carry the exact cycles).
-
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the point resumable: the storm schedule's pending strikes ride
-    the engine's cycle hooks inside the snapshot, and the audit +
-    reliability document are reapplied through the checkpoint finisher.
+    flight recorder, annotated by the :class:`Storm`.  ``checkpoint`` (a
+    :class:`~repro.sim.checkpoint.CheckpointPolicy`) makes the point
+    resumable.  The engine is built through this module's
+    ``build_engine`` name, looked up per call.
     """
-    if checkpoint is not None:
-        from ..sim.checkpoint import resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-    recorder = None
+    tiers = [Audit(), Storm(storm)]
     if flight is not None:
-        from ..obs.flight import FlightRecorder
+        from ..obs.flight import Flight  # not needed to import the CLI
 
-        recorder = FlightRecorder(flight)
-    engine = build_engine(config, probe=recorder)
-    transport = ReliableTransport(storm.transport).install(engine)
-    schedule = _draw_storm_schedule(engine, storm)
-    if schedule is not None:
-        schedule.install(engine)
-        if recorder is not None:
-            for entry in schedule.entries:
-                recorder.annotate(
-                    entry.fail_at, "fault_strike", str(entry.spec)
-                )
-                if entry.repair_at is not None:
-                    recorder.annotate(
-                        entry.repair_at, "fault_repair", str(entry.spec)
-                    )
-    doc = {
-        "fault_rate": storm.fault_rate,
-        "repair_cycles": storm.repair_cycles,
-        "storm_seed": storm.storm_seed,
-        "faults": len(schedule) if schedule is not None else 0,
-        "population": fault_population(engine.topology),
-    }
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints
-
-        attach_checkpoints(
-            engine,
-            checkpoint,
-            finisher="repro.experiments.chaos:_resume_finish",
-            finisher_args={"storm": doc},
-        )
-    result = engine.run()
-    engine.audit()
-    return attach_reliability(result, transport, extra={"storm": doc})
+        tiers.insert(0, Flight(flight))
+    return simulate(config, tiers, checkpoint=checkpoint, build=build_engine)
 
 
 def default_transport(profile: Profile) -> TransportConfig:

@@ -35,18 +35,15 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..metrics.series import LoadSweepSeries
-from ..obs.flight import FlightConfig, FlightRecorder
+from ..obs.flight import Flight, FlightConfig
+from ..obs.probe import Instrument
 from ..obs.report import paper_reference
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import build_engine
-from ..traffic.congestion import CongestionConfig, install_congestion
-from ..traffic.transport import (
-    ReliableTransport,
-    TransportConfig,
-    attach_reliability,
-)
+from ..sim.run import Audit, simulate
+from ..traffic.congestion import Congested, CongestionConfig
+from ..traffic.transport import Reliable, TransportConfig, attach_reliability
 from .chaos import default_transport
 from .degradation import _make_config
 from .sweep import run_sweep
@@ -126,14 +123,30 @@ class OverloadSpec:
         return "closed" if self.closed_loop else "open"
 
 
-def _resume_finish(engine, result, overload):
-    """Checkpoint finisher: the post-run work of :func:`run_overload_point`."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Overload(Instrument):
+    """One overload mode as an instrument of
+    :func:`~repro.sim.run.simulate`: the closed congestion loop or the
+    plain reliable transport, per ``spec.closed_loop``.  The reliability
+    document carries the mode under ``"overload"``."""
 
-    engine.audit()
-    return attach_reliability(
-        result, _find_transport(engine.probe), extra={"overload": overload}
-    )
+    spec: OverloadSpec
+
+    def install(self, engine):
+        spec = self.spec
+        if spec.closed_loop:
+            return Congested(spec.transport, spec.control).install(engine)
+        return Reliable(spec.transport).install(engine)
+
+    def finish(self, engine, live, result):
+        spec = self.spec
+        doc = {
+            "mode": spec.mode,
+            "arbiter": spec.arbiter,
+            "saturation": spec.saturation,
+            "factor": round(engine.config.load / spec.saturation, 6),
+        }
+        return attach_reliability(result, live, extra={"overload": doc})
 
 
 def run_overload_point(
@@ -145,44 +158,18 @@ def run_overload_point(
     sweep can fan it out over process pools.  Latency collection is
     forced on (the collapse panel needs p99) and the arbiter comes from
     the spec, so both knobs are part of the recorded config document.
+    The engine is audited after the run.
 
     ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the point resumable; transport/AIMD state rides the snapshot
-    and the audit + overload document are reapplied via the finisher.
+    makes the point resumable; transport/AIMD state rides the snapshot.
     """
     config = dataclasses.replace(
         config, arbiter=spec.arbiter, collect_latencies=True
     )
-    doc = {
-        "mode": spec.mode,
-        "arbiter": spec.arbiter,
-        "saturation": spec.saturation,
-        "factor": round(config.load / spec.saturation, 6),
-    }
-    if checkpoint is not None:
-        from ..sim.checkpoint import resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-    recorder = FlightRecorder(spec.flight) if spec.flight is not None else None
-    engine = build_engine(config, probe=recorder)
-    if spec.closed_loop:
-        transport = install_congestion(engine, spec.transport, spec.control)
-    else:
-        transport = ReliableTransport(spec.transport).install(engine)
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints
-
-        attach_checkpoints(
-            engine,
-            checkpoint,
-            finisher="repro.experiments.congestion:_resume_finish",
-            finisher_args={"overload": doc},
-        )
-    result = engine.run()
-    engine.audit()
-    return attach_reliability(result, transport, extra={"overload": doc})
+    tiers = [Audit(), Overload(spec)]
+    if spec.flight is not None:
+        tiers.insert(0, Flight(spec.flight))
+    return simulate(config, tiers, checkpoint=checkpoint)
 
 
 @dataclass(frozen=True)

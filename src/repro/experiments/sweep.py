@@ -67,7 +67,12 @@ from ..errors import (
     WorkerDiedError,
 )
 from ..metrics.series import FailedPoint, LoadSweepSeries
-from ..sim.checkpoint import CheckpointPolicy, clear_checkpoints, has_resumable
+from ..sim.checkpoint import (
+    CheckpointPolicy,
+    clear_checkpoints,
+    has_resumable,
+    install_escalation_handler,
+)
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
 from ..sim.run import simulate
@@ -239,38 +244,11 @@ def _reseeded(config: SimulationConfig, attempt: int) -> SimulationConfig:
     return dataclasses.replace(config, seed=config.seed + _RESEED_STRIDE * attempt)
 
 
-def _simulate_fn(forensics: bool, simulate_fn=None):
-    """The point-simulation callable.
-
-    ``simulate_fn`` (a picklable callable taking a config — a module
-    function or a :func:`functools.partial` of one) overrides
-    everything; otherwise plain :func:`~repro.sim.run.simulate` or its
-    forensics-instrumented twin, resolved by name at call time
-    (module-level functions, so process pools can pickle the task)."""
-    if simulate_fn is not None:
-        return simulate_fn
-    if not forensics:
-        return simulate
-    from ..obs.forensics import simulate_with_forensics
-
-    return simulate_with_forensics
-
-
-def _call_sim(fn, config: SimulationConfig, ckpt) -> RunResult:
-    """Invoke a point-simulation callable, threading the checkpoint
-    policy through only when supervision asked for one (an arbitrary
-    ``simulate_fn`` need not accept the kwarg otherwise)."""
-    if ckpt is None:
-        return fn(config)
-    return fn(config, checkpoint=ckpt)
-
-
 def _watchdog_child(
     config: SimulationConfig,
     conn,
-    forensics: bool = False,
-    simulate_fn=None,
-    ckpt=None,
+    simulate_fn,
+    supervised: bool = False,
     heartbeat: float | None = None,
 ) -> None:
     """Subprocess body: simulate and ship the result (or error) back.
@@ -278,10 +256,10 @@ def _watchdog_child(
     With ``heartbeat`` set, a daemon thread pulses ``("hb", None)``
     through the pipe so the supervisor can tell a busy worker from a
     dead one; the lock keeps beats and the final payload from
-    interleaving (``Connection.send`` is not thread-safe).  With
-    ``ckpt`` set, SIGUSR1 is routed to the checkpoint probe so the
-    supervisor's soft-timeout escalation lands as a checkpoint plus a
-    diagnostic snapshot.
+    interleaving (``Connection.send`` is not thread-safe).  When
+    ``supervised`` (the point checkpoints itself), SIGUSR1 is routed to
+    the checkpoint probe so the supervisor's soft-timeout escalation
+    lands as a checkpoint plus a diagnostic snapshot.
     """
     lock = threading.Lock()
     stop = threading.Event()
@@ -295,12 +273,10 @@ def _watchdog_child(
                     return
 
         threading.Thread(target=_beat, daemon=True, name="sweep-heartbeat").start()
-    if ckpt is not None:
-        from ..sim.checkpoint import install_escalation_handler
-
+    if supervised:
         install_escalation_handler()
     try:
-        payload = ("ok", _call_sim(_simulate_fn(forensics, simulate_fn), config, ckpt))
+        payload = ("ok", simulate_fn(config))
     except Exception as exc:  # noqa: BLE001 - shipped to the parent verbatim
         payload = ("err", exc)
     stop.set()
@@ -318,9 +294,8 @@ def _watchdog_child(
 def _simulate_with_timeout(
     config: SimulationConfig,
     timeout: float,
-    forensics: bool = False,
-    simulate_fn=None,
-    ckpt=None,
+    simulate_fn=simulate,
+    supervised: bool = False,
 ) -> RunResult:
     """Run one point under a wall-clock watchdog in a subprocess.
 
@@ -339,14 +314,14 @@ def _simulate_with_timeout(
     recv, send = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
         target=_watchdog_child,
-        args=(config, send, forensics, simulate_fn, ckpt, _HEARTBEAT_SECONDS),
+        args=(config, send, simulate_fn, supervised, _HEARTBEAT_SECONDS),
     )
     proc.start()
     _ACTIVE_WATCHDOGS.add(proc)
     send.close()
     deadline = time.monotonic() + timeout
     soft_at = None
-    if ckpt is not None and hasattr(signal, "SIGUSR1"):
+    if supervised and hasattr(signal, "SIGUSR1"):
         soft_at = time.monotonic() + timeout * _SOFT_TIMEOUT_FRACTION
     last_beat = time.monotonic()
     try:
@@ -397,8 +372,7 @@ def _point_task(
     config: SimulationConfig,
     retries: int = 0,
     timeout: float | None = None,
-    forensics: bool = False,
-    simulate_fn=None,
+    simulate_fn=simulate,
     checkpoints: CampaignCheckpoints | None = None,
     point_dir: str | None = None,
 ):
@@ -437,16 +411,16 @@ def _point_task(
         )
         cfg = config if resume else _reseeded(config, attempt)
         seeds.append(cfg.seed)
-        ckpt = None
-        if checkpoints is not None and point_dir is not None:
-            ckpt = checkpoints.policy(point_dir)
+        # the checkpoint policy is threaded through only when supervision
+        # asked for one (an arbitrary ``simulate_fn`` need not accept it)
+        supervised = checkpoints is not None and point_dir is not None
+        fn = simulate_fn
+        if supervised:
+            fn = partial(fn, checkpoint=checkpoints.policy(point_dir))
         try:
             if timeout is None:
-                return ("ok", _call_sim(_simulate_fn(forensics, simulate_fn), cfg, ckpt))
-            return (
-                "ok",
-                _simulate_with_timeout(cfg, timeout, forensics, simulate_fn, ckpt=ckpt),
-            )
+                return ("ok", fn(cfg))
+            return ("ok", _simulate_with_timeout(cfg, timeout, fn, supervised))
         except _RETRYABLE as exc:
             last = exc
     failure = FailedPoint(
@@ -480,8 +454,7 @@ def _run_parallel(
     retries,
     timeout,
     max_workers,
-    forensics=False,
-    simulate_fn=None,
+    simulate_fn=simulate,
     consume=None,
     checkpoints=None,
     point_dirs=None,
@@ -503,7 +476,6 @@ def _run_parallel(
         _point_task,
         retries=retries,
         timeout=timeout,
-        forensics=forensics,
         simulate_fn=simulate_fn,
         checkpoints=checkpoints,
     )
@@ -556,6 +528,7 @@ def run_sweep(
     ledger=None,
     forensics: bool = False,
     simulate_fn=None,
+    instruments=(),
     ledger_kind: str | None = None,
     ledger_dedup: bool = True,
     on_result: Callable[[RunResult], None] | None = None,
@@ -598,6 +571,12 @@ def run_sweep(
             with extra machinery (reliable transport, fault storms)
             plug in here; caches are bypassed for the same reason as
             with ``forensics``.
+        instruments: :class:`~repro.obs.probe.Instrument` specs every
+            point runs under (after the forensics tier when
+            ``forensics`` is set) — the point function is then
+            :func:`~repro.sim.run.simulate` with them bound, and caches
+            are bypassed as with ``forensics``.  Not with
+            ``simulate_fn``, which brings its own.
         ledger_kind: override the kind ledger records are filed under
             (default ``"sweep"``, or ``"forensics"`` when instrumented).
         ledger_dedup: pass ``dedup=False`` for campaigns whose points
@@ -621,11 +600,21 @@ def run_sweep(
             set it must accept a ``checkpoint=`` keyword (all the
             repo's point functions do).
     """
-    if forensics or simulate_fn is not None:
+    if forensics:
+        from ..obs.forensics import Forensics
+
+        instruments = (Forensics(), *instruments)
+    if instruments and simulate_fn is not None:
+        raise ConfigurationError("pass instruments or simulate_fn, not both")
+    if instruments or simulate_fn is not None:
         # the memo/disk cache is keyed by recipe alone; instrumented,
         # decorated and plain runs would collide there (see the docstring)
         use_cache = False
         cache = None
+    if instruments:
+        simulate_fn = partial(simulate, instruments=tuple(instruments))
+    elif simulate_fn is None:
+        simulate_fn = simulate
     _INTERRUPTED.clear()
     kind = ledger_kind or ("forensics" if forensics else "sweep")
     if not loads:
@@ -737,7 +726,6 @@ def run_sweep(
             retries,
             timeout,
             max_workers,
-            forensics=forensics,
             simulate_fn=simulate_fn,
             consume=consume,
             checkpoints=checkpoints,
@@ -760,7 +748,6 @@ def run_sweep(
                     config,
                     retries=retries,
                     timeout=timeout,
-                    forensics=forensics,
                     simulate_fn=simulate_fn,
                     checkpoints=checkpoints,
                     point_dir=point_dirs[i] if point_dirs else None,

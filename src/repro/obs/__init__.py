@@ -8,8 +8,13 @@ uninstrumented runs:
 * :mod:`repro.obs.probe` — the probe interface the engine calls at flit
   granularity (``Engine.attach_probe``); a no-op :class:`Probe` base (a
   probe pays only for the events it overrides, so its ``NullProbe`` alias
-  costs nothing), a :class:`MultiProbe` combinator and
-  :func:`compose_probe` to add a probe to a built engine.
+  costs nothing), a :class:`MultiProbe` combinator,
+  :func:`compose_probe` to add a probe to a built engine, and
+  :class:`Instrument`, the picklable recipe for one tier that
+  ``simulate(config, instruments=[...])`` installs and lets finish the
+  result (``Forensics``, ``Flight``, ``StateHash`` below; ``Reliable``,
+  ``Congested``, ``Storm``, ``Overload`` in the traffic and experiment
+  packages).
 * :mod:`repro.obs.trace` — :class:`TraceProbe`: a packet-lifecycle event
   trace exportable as JSONL and Chrome ``trace_event`` format
   (``chrome://tracing`` / Perfetto).
@@ -64,12 +69,12 @@ CLI entry points: ``repro-net trace`` for instrumented single runs,
 ``repro-net run/sweep/trace --json`` for machine-readable results
 including telemetry, ``--ledger`` on run/sweep/trace/faults for durable
 result capture, ``repro-net report`` for the scorecard, ``repro-net
-bench`` for the perf gate, and ``benchmarks/obs_overhead.py`` for the
-probe-overhead smoke benchmark CI runs on every push.
+bench`` for the perf gate, and ``benchmarks/perf`` for the 256-node
+benchmark matrix (probe tiers included) behind every performance claim.
 """
 
 from .counters import CounterWindow, DirectionWindow, WindowedCounterProbe
-from .probe import MultiProbe, NullProbe, Probe, compose_probe
+from .probe import Instrument, MultiProbe, NullProbe, Probe, compose_probe
 from .telemetry import PHASE_NAMES, RunTelemetry, config_digest
 from .trace import EVENT_KINDS, TraceEvent, TraceProbe
 
@@ -102,6 +107,7 @@ _LAZY = {
     "render_scorecard": "report",
     "write_scorecard": "report",
     "FORENSICS_FORMAT_VERSION": "forensics",
+    "Forensics": "forensics",
     "ForensicsProbe": "forensics",
     "HotspotProbe": "forensics",
     "LatencyAttributionProbe": "forensics",
@@ -119,6 +125,7 @@ _LAZY = {
     "flight_timeline_svg": "heatmap",
     "FLIGHT_FORMAT_VERSION": "flight",
     "FlightConfig": "flight",
+    "Flight": "flight",
     "FlightRecorder": "flight",
     "describe_flight": "flight",
     "simulate_with_flight": "flight",
@@ -128,6 +135,7 @@ _LAZY = {
     "DIGEST_ALGO": "statehash",
     "StateDigestConfig": "statehash",
     "StateDigestProbe": "statehash",
+    "StateHash": "statehash",
     "describe_statehash": "statehash",
     "engine_fingerprint": "statehash",
     "simulate_with_statehash": "statehash",
@@ -170,6 +178,7 @@ __all__ = [
     "ledger_record",
     "MultiProbe",
     "compose_probe",
+    "Instrument",
     "NullProbe",
     "Probe",
     "CongestionCurve",
@@ -186,6 +195,7 @@ __all__ = [
     "render_scorecard",
     "write_scorecard",
     "FORENSICS_FORMAT_VERSION",
+    "Forensics",
     "ForensicsProbe",
     "HotspotProbe",
     "LatencyAttributionProbe",
@@ -203,6 +213,7 @@ __all__ = [
     "flight_timeline_svg",
     "FLIGHT_FORMAT_VERSION",
     "FlightConfig",
+    "Flight",
     "FlightRecorder",
     "describe_flight",
     "simulate_with_flight",
@@ -212,6 +223,7 @@ __all__ = [
     "DIGEST_ALGO",
     "StateDigestConfig",
     "StateDigestProbe",
+    "StateHash",
     "describe_statehash",
     "engine_fingerprint",
     "simulate_with_statehash",

@@ -5,9 +5,8 @@ per step phase, with probes off and on — over a small fixed suite and
 writes a versioned ``BENCH_<host>.json`` baseline.  ``repro-net bench
 --compare BASELINE`` re-measures *the recipes recorded in the baseline*
 (each entry carries its full config, so baselines written by other
-scripts, e.g. ``benchmarks/obs_overhead.py``, compare too) and exits
-with :data:`REGRESSION_EXIT_CODE` when any entry slowed down by more
-than the threshold (default 15%).
+scripts compare too) and exits with :data:`REGRESSION_EXIT_CODE` when
+any entry slowed down by more than the threshold (default 15%).
 
 What is compared, per entry:
 
@@ -106,8 +105,8 @@ PROBE_FACTORIES = {
 }
 
 
-def _simulate_spec(probe: str):
-    """The simulation callable for a probe spec name.
+def _run_spec(config: SimulationConfig, probe: str) -> RunResult:
+    """One run of ``config`` under a probe spec name.
 
     ``"reliable"`` is not a probe: it installs the whole source-side
     reliable transport (:mod:`repro.traffic.transport`), so its entry
@@ -118,14 +117,12 @@ def _simulate_spec(probe: str):
     per-destination AIMD windows + hold queues), gating the full
     closed-loop cost.
     """
-    if probe == "reliable":
-        from ..traffic.transport import simulate_reliable
+    if probe in ("reliable", "congestion"):
+        # imported on use: the transport tiers sit above this module
+        from ..traffic.congestion import Congested, Reliable
 
-        return simulate_reliable
-    if probe == "congestion":
-        from ..traffic.congestion import simulate_congested
-
-        return simulate_congested
+        tier = Reliable() if probe == "reliable" else Congested()
+        return simulate(config, [tier])
     try:
         factory = PROBE_FACTORIES[probe]
     except KeyError:
@@ -133,7 +130,7 @@ def _simulate_spec(probe: str):
             f"unknown probe spec {probe!r} (expected 'reliable', "
             f"'congestion' or one of {sorted(PROBE_FACTORIES)})"
         ) from None
-    return lambda config: simulate(config, probe=factory())
+    return simulate(config, probe=factory())
 
 
 def default_suite(cycles: int = 2000) -> list[tuple[str, SimulationConfig, str]]:
@@ -164,12 +161,11 @@ def measure_entry(
     Best-of-``repeats`` on cycles/sec; phase seconds are taken from the
     best run so the two numbers describe the same execution.
     """
-    sim = _simulate_spec(probe)
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     best: RunResult | None = None
     for _ in range(repeats):
-        result = sim(config)
+        result = _run_spec(config, probe)
         if best is None or result.telemetry.cycles_per_sec > best.telemetry.cycles_per_sec:
             best = result
     t = best.telemetry

@@ -48,8 +48,9 @@ import json
 import pathlib
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
-from .probe import Probe
+from ..errors import CheckpointError, ConfigurationError
+from ..traffic.transport import ReliableTransport
+from .probe import Instrument, Probe, compose_probe
 
 #: version stamp of the flight document schema
 FLIGHT_FORMAT_VERSION = 1
@@ -72,6 +73,11 @@ _CONTROL_KEYS = ("held", "marks", "cwnd_mean", "cwnd_p50", "cwnd_min")
 
 #: annotation cap: timelines are for humans, not event logs
 _MAX_ANNOTATIONS = 64
+
+_LIVE_STREAM = (
+    "a flight recorder with a live event stream or --watch callback cannot "
+    "be checkpointed; drop --events/--watch for checkpointed runs"
+)
 
 
 @dataclass(frozen=True)
@@ -119,20 +125,6 @@ class FlightConfig:
             raise ConfigurationError(
                 f"collapse_intervals must be >= 1, got {self.collapse_intervals}"
             )
-
-
-def _find_transport(probe):
-    """The ReliableTransport inside a probe tree, or None (duck walk
-    through MultiProbe composition, import-cycle free)."""
-    from ..traffic.transport import ReliableTransport
-
-    if isinstance(probe, ReliableTransport):
-        return probe
-    for child in getattr(probe, "probes", ()):
-        found = _find_transport(child)
-        if found is not None:
-            return found
-    return None
 
 
 class FlightRecorder(Probe):
@@ -192,13 +184,7 @@ class FlightRecorder(Probe):
         # checkpoint; fail loudly rather than restore a recorder that
         # silently stopped streaming
         if self._events_fh is not None or self.on_sample is not None:
-            from ..errors import CheckpointError
-
-            raise CheckpointError(
-                "a flight recorder with a live event stream or --watch "
-                "callback cannot be checkpointed; drop --events/--watch "
-                "for checkpointed runs"
-            )
+            raise CheckpointError(_LIVE_STREAM)
         return dict(self.__dict__)
 
     def bind(self, engine) -> None:
@@ -212,7 +198,7 @@ class FlightRecorder(Probe):
         self._dir_labels = labels
 
     def on_run_start(self, engine) -> None:
-        self.transport = _find_transport(engine.probe)
+        self.transport = engine.find_probe(ReliableTransport)
         self._control = self.transport.congestion if self.transport else None
         self._rows = []
         self._hot = []
@@ -553,6 +539,29 @@ class FlightRecorder(Probe):
         }
 
 
+@dataclass(frozen=True)
+class Flight(Instrument):
+    """The flight recorder as an instrument of
+    :func:`~repro.sim.run.simulate`; the recorder files its document on
+    ``telemetry.flight`` at run end.  ``on_sample`` and ``events`` are
+    for in-process use — a live stream cannot ride inside a snapshot, so
+    a checkpointed run refuses them before its first cycle."""
+
+    config: FlightConfig | None = None
+    on_sample: object = None
+    events: object = None
+
+    def install(self, engine) -> FlightRecorder:
+        live_stream = self.on_sample is not None or self.events is not None
+        if live_stream and engine.checkpoint_policy is not None:
+            raise ConfigurationError(_LIVE_STREAM)
+        recorder = FlightRecorder(
+            self.config, on_sample=self.on_sample, events=self.events
+        )
+        compose_probe(engine, recorder)
+        return recorder
+
+
 def simulate_with_flight(
     config,
     flight: FlightConfig | None = None,
@@ -570,8 +579,9 @@ def simulate_with_flight(
     """
     from ..sim.run import simulate
 
-    recorder = FlightRecorder(flight, on_sample=on_sample, events=events)
-    return simulate(config, probe=recorder, checkpoint=checkpoint)
+    return simulate(
+        config, [Flight(flight, on_sample, events)], checkpoint=checkpoint
+    )
 
 
 def describe_flight(doc: dict) -> str:

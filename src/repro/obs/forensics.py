@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 from ..sim.diagnostics import DeadlockSnapshot, capture_snapshot
 from ..sim.packet import FAULT_SENTINEL
-from .probe import MultiProbe, Probe
+from .probe import Instrument, MultiProbe, Probe, compose_probe
 
 #: bump on breaking changes to the forensics document layout
 FORENSICS_FORMAT_VERSION = 1
@@ -742,20 +742,24 @@ def attach_forensics(result, probe: ForensicsProbe):
     return result
 
 
-def _find_forensics(probe):
-    """The ForensicsProbe inside a probe tree, or None."""
-    if isinstance(probe, ForensicsProbe):
+@dataclasses.dataclass(frozen=True)
+class Forensics(Instrument):
+    """The forensics tier as an instrument of
+    :func:`~repro.sim.run.simulate`: a :class:`ForensicsProbe` whose
+    document lands on ``telemetry.forensics``."""
+
+    sample_every: int = 200
+    keep_packets: int = 0
+
+    def install(self, engine) -> ForensicsProbe:
+        probe = ForensicsProbe(
+            sample_every=self.sample_every, keep_packets=self.keep_packets
+        )
+        compose_probe(engine, probe)
         return probe
-    for child in getattr(probe, "probes", ()):
-        found = _find_forensics(child)
-        if found is not None:
-            return found
-    return None
 
-
-def _resume_finish(engine, result):
-    """Checkpoint finisher: reattach the restored probe's document."""
-    return attach_forensics(result, _find_forensics(engine.probe))
+    def finish(self, engine, live, result):
+        return attach_forensics(result, live)
 
 
 def simulate_with_forensics(config, sample_every: int = 200, checkpoint=None):
@@ -768,25 +772,9 @@ def simulate_with_forensics(config, sample_every: int = 200, checkpoint=None):
     stays unchanged.  ``checkpoint`` makes the run resumable; the
     forensics document is then rebuilt from the *restored* probe.
     """
-    from ..sim.run import build_engine, simulate
+    from ..sim.run import simulate
 
-    if checkpoint is None:
-        probe = ForensicsProbe(sample_every=sample_every)
-        result = simulate(config, probe=probe)
-        return attach_forensics(result, probe)
-
-    from ..sim.checkpoint import attach_checkpoints, resume_point
-
-    resumed = resume_point(checkpoint, config)
-    if resumed is not None:
-        return resumed
-    probe = ForensicsProbe(sample_every=sample_every)
-    engine = build_engine(config, probe=probe)
-    attach_checkpoints(
-        engine, checkpoint, finisher="repro.obs.forensics:_resume_finish"
-    )
-    result = engine.run()
-    return attach_forensics(result, probe)
+    return simulate(config, [Forensics(sample_every)], checkpoint=checkpoint)
 
 
 def run_with_forensics(
@@ -804,17 +792,9 @@ def run_with_forensics(
     alongside the forensics tier; the returned probe is always the
     :class:`ForensicsProbe`.
     """
-    from ..errors import DeadlockError
-    from ..sim.run import build_engine
+    from ..sim.run import simulate_post_mortem
 
-    forensics = ForensicsProbe(sample_every=sample_every, keep_packets=keep_packets)
-    attach = forensics if probe is None else MultiProbe([forensics, probe])
-    engine = build_engine(config, probe=attach)
-    deadlock = None
-    try:
-        result = engine.run()
-    except DeadlockError as exc:
-        deadlock = exc
-        result = engine.result
-    attach_forensics(result, forensics)
-    return result, forensics, deadlock
+    result, engine, deadlock = simulate_post_mortem(
+        config, [Forensics(sample_every, keep_packets)], probe=probe
+    )
+    return result, engine.find_probe(ForensicsProbe), deadlock

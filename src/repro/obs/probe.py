@@ -18,8 +18,10 @@ in the order nested ``MultiProbe`` fan-outs would deliver them; a
 ``MultiProbe`` subclass that leaves an event alone is flattened away,
 one that overrides it is called as a leaf and delivers to its children
 itself.  :func:`compose_probe` adds a probe beside whatever an engine
-already carries.  ``bind``, ``on_run_start`` and ``on_run_end`` are not
-per-cycle events and stay ordinary calls through the tree.
+already carries, :meth:`Engine.find_probe` looks one up by class.
+``bind``, ``on_run_start`` and ``on_run_end`` are not per-cycle events
+and stay ordinary calls through the tree.  An :class:`Instrument` is the
+picklable recipe for a tier of probes.
 
 Event vocabulary (``cycle`` is always the engine cycle of the event):
 
@@ -187,6 +189,27 @@ class MultiProbe(Probe):
     def on_cycle(self, cycle: int) -> None:
         for p in self.probes:
             p.on_cycle(cycle)
+
+
+class Instrument:
+    """One tier of an instrumented run, as a recipe: a small frozen,
+    picklable spec (so sweeps ship it to pool workers and it rides inside
+    checkpoints) that :func:`repro.sim.run.simulate` installs on the built
+    engine and lets finish the result.
+
+    :meth:`install` attaches the tier's probes, sources or hooks to the
+    engine and returns its *live* object (whatever :meth:`finish` needs);
+    the engine keeps the ``(spec, live)`` pair.  :meth:`finish` runs after
+    the run — restored from a checkpoint or not — and returns the result
+    with the tier's document attached; tiers whose probe files its
+    document in ``on_run_end`` inherit the no-op.
+    """
+
+    def install(self, engine):
+        raise NotImplementedError
+
+    def finish(self, engine, live, result):
+        return result
 
 
 def event_consumers(probe, event: str) -> list:

@@ -49,8 +49,8 @@ import struct
 from array import array
 
 from ..errors import ConfigurationError
-from .flight import _find_transport
-from .probe import MultiProbe, Probe
+from ..traffic.transport import ReliableTransport
+from .probe import Instrument, Probe, compose_probe
 from .telemetry import config_digest
 
 #: bump on breaking changes to the digest document layout
@@ -344,20 +344,18 @@ def _transport_ints(engine, tp) -> list[int]:
     return vals
 
 
-def _transport_hex(engine) -> str:
-    tp = _find_transport(engine.probe)
+def _transport_hex(engine, tp) -> str:
     if tp is None:
         return _hex(b"")
     return _hex(_ints(_transport_ints(engine, tp)))
 
 
-def _rng_hex(engine) -> str:
+def _rng_hex(engine, tp) -> str:
     parts = []
     for node in engine.nodes:
         src = node.source
         inner = getattr(src, "inner", src)
         parts.append(_rng_digest(getattr(inner, "rng", None)))
-    tp = _find_transport(engine.probe)
     parts.append(b"no-transport" if tp is None else _rng_digest(tp._rng))
     return _hex(b"".join(parts))
 
@@ -381,8 +379,9 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
     """
     fabric_hex, links, lanes = _fabric(engine, detail)
     injection_hex, nodes = _injection(engine, detail)
-    transport_hex = _transport_hex(engine)
-    rng_hex = _rng_hex(engine)
+    tp = engine.find_probe(ReliableTransport)
+    transport_hex = _transport_hex(engine, tp)
+    rng_hex = _rng_hex(engine, tp)
     cycle = engine.cycle if at_cycle is None else at_cycle
     meta = (
         cycle,
@@ -500,7 +499,7 @@ def state_snapshot(engine) -> dict:
             },
             "source": source_doc,
         }
-    tp = _find_transport(engine.probe)
+    tp = engine.find_probe(ReliableTransport)
     transport = None if tp is None else _transport_snapshot(engine, tp)
     rng = {
         "sources": {
@@ -742,22 +741,34 @@ class StateDigestProbe(Probe):
 # -- conveniences --------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class StateHash(Instrument):
+    """The state-digest audit trail as an instrument of
+    :func:`~repro.sim.run.simulate`; the probe files its chain on
+    ``telemetry.statehash`` at run end."""
+
+    config: StateDigestConfig | None = None
+
+    def install(self, engine) -> StateDigestProbe:
+        probe = StateDigestProbe(self.config)
+        compose_probe(engine, probe)
+        return probe
+
+
 def simulate_with_statehash(
     config, statehash: StateDigestConfig | None = None, probe=None, checkpoint=None
 ):
     """One run with the digest chain on ``result.telemetry.statehash``.
 
-    ``probe`` composes an additional observer alongside the digest probe
-    (via :class:`~repro.obs.probe.MultiProbe`).  Module-level and
-    picklable, so campaign pools can ship it to workers.  With
-    ``checkpoint`` the digest chain doubles as the restore verifier: a
-    resumed run's chain is byte-identical to an uninterrupted one's.
+    ``probe`` composes an additional observer alongside the digest
+    probe.  Module-level and picklable, so campaign pools can ship it to
+    workers.  With ``checkpoint`` the digest chain doubles as the restore
+    verifier: a resumed run's chain is byte-identical to an uninterrupted
+    one's.
     """
     from ..sim.run import simulate
 
-    digests = StateDigestProbe(statehash or StateDigestConfig())
-    composed = digests if probe is None else MultiProbe([digests, probe])
-    return simulate(config, probe=composed, checkpoint=checkpoint)
+    return simulate(config, [StateHash(statehash)], probe=probe, checkpoint=checkpoint)
 
 
 def describe_statehash(doc: dict) -> str:

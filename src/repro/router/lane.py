@@ -8,10 +8,11 @@ represented by counters instead of per-flit objects:
   ``received`` from the link and ``forwarded`` through the crossbar; the
   buffered amount is ``received - forwarded`` and is bounded by ``cap``;
 * an :class:`OutputLane` tracks flits buffered after the crossbar and
-  ``sent`` on the link, plus the credit counter of §4: initialized to the
-  downstream input lane's buffer size, decremented per flit sent,
-  incremented per acknowledgment (the downstream crossbar forwarding a
-  flit).
+  the credit counter of §4: initialized to the downstream input lane's
+  buffer size, decremented per flit sent, incremented per acknowledgment
+  (the downstream crossbar forwarding a flit).  How many flits it has
+  ``sent`` on the link is read off its sink, which counts them as
+  ``received``.
 
 A :class:`LinkDirection` groups the output lanes multiplexed on one
 physical channel direction; the engine's link phase moves at most one flit
@@ -136,7 +137,6 @@ class OutputLane:
         "cap",
         "packet",
         "buffered",
-        "sent",
         "credits",
         "sink",
         "direction",
@@ -159,8 +159,6 @@ class OutputLane:
         self.packet: Packet | None = None
         #: flits buffered, waiting for the link
         self.buffered = 0
-        #: flits of the current packet already sent on the link
-        self.sent = 0
         #: free buffer slots at the downstream input lane (§4 ack counter)
         self.credits = credits
         #: downstream input lane (or EjectionLane) across the link
@@ -171,14 +169,26 @@ class OutputLane:
     def __getstate__(self) -> list:
         return [
             self.switch, self.port, self.vc, self.cap, self.packet,
-            self.buffered, self.sent, self.credits, self.sink, self.direction,
+            self.buffered, self.credits, self.sink, self.direction,
         ]
 
     def __setstate__(self, state: list) -> None:
         (
             self.switch, self.port, self.vc, self.cap, self.packet,
-            self.buffered, self.sent, self.credits, self.sink, self.direction,
+            self.buffered, self.credits, self.sink, self.direction,
         ) = state
+
+    @property
+    def sent(self) -> int:
+        """Flits of the current packet already sent on the link: what the
+        sink has received of it (the pair carries one packet at a time, see
+        the module docstring), 0 before the header leaves and after the
+        tail has."""
+        packet = self.packet
+        sink = self.sink
+        if packet is None or sink is None or sink.packet is not packet:
+            return 0
+        return sink.received
 
     def is_free(self) -> bool:
         """Allocatable to a new packet (see module docstring)."""

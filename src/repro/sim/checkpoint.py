@@ -6,7 +6,9 @@ buffers, credits and routes, arbiter and routing state, injection
 queues and source stream positions, transport/AIMD state and every RNG
 stream.  Rather than re-enumerating that state field by field (and
 silently rotting the first time the engine grows a new attribute), the
-whole engine object graph is pickled; the recorded
+whole engine object graph is pickled — probes and the installed
+instrument specs included, so a restored run is finished by what it
+was started with (:func:`repro.sim.run.finish`); the recorded
 ``Engine.state_fingerprint()`` root then *proves* the restore is exact,
 because the fingerprint enumerates the state independently of pickle.
 
@@ -45,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import importlib
 import json
 import os
 import pathlib
@@ -67,7 +68,7 @@ from ..obs.telemetry import config_digest
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes ``Engine.step`` reads off a restored engine
 #: change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -448,8 +449,9 @@ class CheckpointPolicy:
     ``simulate(config, checkpoint=CheckpointPolicy("ckpts/"))`` first
     tries to resume from the newest valid checkpoint in ``directory``
     (unless ``resume`` is off), then runs with a
-    :class:`CheckpointProbe` composed onto whatever probe the caller
-    supplied.  Picklable so campaign pools ship it to worker processes.
+    :class:`CheckpointProbe` composed onto whatever probe and
+    instruments the caller supplied.  Picklable so campaign pools ship
+    it to worker processes.
     """
 
     directory: str
@@ -478,20 +480,11 @@ class CheckpointProbe(Probe):
     the supervisor's SIGUSR1 soft-timeout escalation — schedules an
     extra checkpoint plus a diagnostic snapshot at the next cycle
     boundary, where the state is consistent again.
-
-    ``finisher`` names a module-level function as ``"module:attr"``;
-    after a resumed run completes, :func:`resume_point` calls
-    ``finisher(engine, result, **finisher_args)`` to reapply the
-    post-run work the original entry point would have done (audits,
-    reliability documents).  A dotted path rather than a callable keeps
-    the probe — and therefore the checkpoint itself — picklable.
     """
 
-    def __init__(self, directory, config=None, finisher=None, finisher_args=None):
+    def __init__(self, directory, config=None):
         self.directory = str(directory)
         self.config = config or CheckpointConfig()
-        self.finisher = finisher
-        self.finisher_args = dict(finisher_args or {})
         self.engine = None
         self.taken = 0
         self.escalations = 0
@@ -596,25 +589,9 @@ class CheckpointProbe(Probe):
         _update_manifest(directory, mutate)
 
 
-def find_checkpoint_probe(probe):
-    """The :class:`CheckpointProbe` inside a probe tree, or ``None``."""
-    if isinstance(probe, CheckpointProbe):
-        return probe
-    for child in getattr(probe, "probes", ()):
-        found = find_checkpoint_probe(child)
-        if found is not None:
-            return found
-    return None
-
-
-def attach_checkpoints(engine, policy, finisher=None, finisher_args=None):
+def attach_checkpoints(engine, policy):
     """Compose a :class:`CheckpointProbe` onto ``engine`` per ``policy``."""
-    probe = CheckpointProbe(
-        policy.directory,
-        policy.config,
-        finisher=finisher,
-        finisher_args=finisher_args,
-    )
+    probe = CheckpointProbe(policy.directory, policy.config)
     compose_probe(engine, probe)
     return probe
 
@@ -622,28 +599,16 @@ def attach_checkpoints(engine, policy, finisher=None, finisher_args=None):
 # -- resume --------------------------------------------------------------------
 
 
-def _resolve_finisher(spec: str):
-    module_name, sep, attr = spec.partition(":")
-    if not sep or not module_name or not attr:
-        raise CheckpointError(
-            f"finisher {spec!r} is not a 'module:function' dotted path"
-        )
-    try:
-        return getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
-        raise CheckpointError(
-            f"cannot resolve checkpoint finisher {spec!r}: {exc}"
-        ) from exc
-
-
 def resume_point(policy, config):
-    """Finish an interrupted run from its newest valid checkpoint.
+    """The interrupted run of ``config``, restored from its newest valid
+    checkpoint and ready for ``resume_run()``.
 
-    Returns the completed :class:`~repro.sim.results.RunResult`, or
-    ``None`` when no trustworthy checkpoint for ``config`` exists (the
-    caller then runs from scratch).  The resumed run's document is
-    byte-identical to an uninterrupted run's, wall-clock telemetry
-    aside — the statehash chain, when active, proves it.
+    Returns the engine, or ``None`` when no trustworthy checkpoint for
+    ``config`` exists (the caller then runs from scratch).  The resumed
+    run's document is byte-identical to an uninterrupted run's,
+    wall-clock telemetry aside — the statehash chain, when active,
+    proves it; the instruments the run was started with came back in
+    ``engine.instruments`` and finish it (:func:`repro.sim.run.finish`).
     """
     if policy is None or not policy.resume:
         return None
@@ -651,14 +616,10 @@ def resume_point(policy, config):
     if loaded is None:
         return None
     engine, _header = loaded
-    probe = find_checkpoint_probe(engine.probe)
+    probe = engine.find_probe(CheckpointProbe)
     if probe is not None:
         probe.resumed(engine, directory=policy.directory)
-    result = engine.resume_run()
-    if probe is not None and probe.finisher:
-        fn = _resolve_finisher(probe.finisher)
-        result = fn(engine, result, **probe.finisher_args)
-    return result
+    return engine
 
 
 # -- supervision signal plumbing -----------------------------------------------

@@ -145,6 +145,14 @@ class Engine:
         #: ``_handlers``, which is all ``step`` and ``kill_packet`` look at
         #: (``None`` while no probe consumes any event)
         self.probe = None
+        #: ``(spec, live)`` per instrument :func:`repro.sim.run.start`
+        #: installed, in order: they ride inside checkpoints, so a restored
+        #: run is finished by the specs it was started with
+        self.instruments: list[tuple] = []
+        #: the :class:`~repro.sim.checkpoint.CheckpointPolicy` this run
+        #: snapshots itself under, known before the instruments install so
+        #: one that cannot ride inside a snapshot refuses up front
+        self.checkpoint_policy = None
 
         # routing bookkeeping
         self.pending: list[list[InputLane]] = [[] for _ in range(num_switches)]
@@ -305,6 +313,17 @@ class Engine:
         delivery order; ``None`` when no probe consumes any event."""
         self._handlers = bind_events(self._probe)
 
+    def find_probe(self, cls):
+        """The first attached probe that is a ``cls`` (depth first over the
+        probe tree, i.e. in delivery order), or ``None``."""
+        stack = [self._probe]
+        while stack:
+            probe = stack.pop()
+            if isinstance(probe, cls):
+                return probe
+            stack.extend(reversed(getattr(probe, "probes", ())))
+        return None
+
     def attach_probe(self, probe) -> None:
         """Attach an observability probe (see :mod:`repro.obs.probe`).
 
@@ -456,19 +475,16 @@ class Engine:
             sink.last_arrival = t
             if sink.packet is None:
                 sink.packet = pkt
-                sink.received = 1
+                sink.received = received = 1
                 self._enqueue_header(sink)
                 if handlers is not None and handlers.on_head_arrived is not None:
                     handlers.on_head_arrived(t, sink, pkt)
             else:
-                sink.received += 1
-            sent = lane.sent + 1
-            if sent == pkt.size:
-                # tail left this switch: free the output lane
+                sink.received = received = sink.received + 1
+            if received == pkt.size:
+                # tail left this switch (the sink has counted every flit
+                # the lane sent): free the output lane
                 lane.packet = None
-                lane.sent = 0
-            else:
-                lane.sent = sent
             d.rr = rr_after[lane.vc]
             progress = True
 
@@ -535,14 +551,10 @@ class Engine:
                         res.latency_max = lat
                     if config.collect_latencies:
                         res.latencies.append(lat)
+                # the tail left the switch too: free the output lane
+                lane.packet = None
             else:
                 sink.received = received
-            sent = lane.sent + 1
-            if sent == pkt.size:
-                lane.packet = None
-                lane.sent = 0
-            else:
-                lane.sent = sent
             d.rr = rr_after[lane.vc]
         if delivered:
             progress = True
@@ -645,7 +657,6 @@ class Engine:
         # rebuilt without the bindings whose tail went through; each
         # binding touches only its own two lanes, so order is immaterial.
         bindings = []
-        keep = bindings.append
         for lane in self.bindings:
             forwarded = lane.forwarded
             buffered = lane.received - forwarded
@@ -674,7 +685,7 @@ class Engine:
                             awake[src_out.switch] = True
                         continue
                     lane.forwarded = forwarded
-            keep(lane)
+            bindings.append(lane)
         self.bindings = bindings
 
         now = clock()
@@ -708,7 +719,8 @@ class Engine:
                 if age_arb:
                     # oldest header first; sort stability breaks ties on
                     # arrival order within the pending list
-                    order = sorted(range(n), key=lambda i: pend[i].packet.created)
+                    ages = [lane.packet.created for lane in pend]
+                    order = sorted(range(n), key=ages.__getitem__)
                 else:
                     order = None
                     rr = route_rr[s] % n
@@ -733,7 +745,7 @@ class Engine:
                     if out is not None:
                         lane.bound = out
                         out.packet = lane.packet
-                        keep(lane)
+                        bindings.append(lane)
                         routed = idx
                         if handlers is not None and handlers.on_header_routed is not None:
                             handlers.on_header_routed(t, s, lane, out)
@@ -750,7 +762,7 @@ class Engine:
                 elif not fresh:
                     awake[s] = False
             if drained:
-                self.route_queue = [s for s in queue if in_queue[s]]
+                self.route_queue = list(filter(in_queue.__getitem__, queue))
 
         interval = config.interval_cycles
         if interval and warm and (t - config.warmup_cycles + 1) % interval == 0:
@@ -967,7 +979,6 @@ class Engine:
                             flushed += lane.buffered
                         lane.packet = None
                         lane.buffered = 0
-                        lane.sent = 0
 
         for ej in self.eject_lanes[pkt.dst]:
             if ej.packet is pkt:

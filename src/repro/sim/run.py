@@ -1,6 +1,7 @@
 """High-level simulation entry points.
 
-:func:`simulate` turns a :class:`~repro.sim.config.SimulationConfig` into a
+:func:`simulate` turns a :class:`~repro.sim.config.SimulationConfig` — and
+the instruments to run it under — into a
 :class:`~repro.sim.results.RunResult`; :func:`tree_config` and
 :func:`cube_config` build paper-faithful configurations (flit widths,
 capacities and packet sizes from the §5 normalization) with one call.
@@ -16,6 +17,10 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
+
+from ..errors import DeadlockError
+from ..obs.probe import Instrument
 from ..routing.base import make_routing
 from ..timing.normalization import cube_scaling, tree_scaling
 from ..topology.cube import KAryNCube
@@ -53,29 +58,101 @@ def build_engine(config: SimulationConfig, probe=None) -> Engine:
     return engine
 
 
-def simulate(config: SimulationConfig, probe=None, checkpoint=None) -> RunResult:
-    """Run one simulation to completion and return its measurements.
+@dataclasses.dataclass(frozen=True)
+class Audit(Instrument):
+    """Verify the engine's global invariants after the run
+    (:meth:`Engine.audit`): an instrumented run that corrupted one fails
+    loudly instead of skewing a curve."""
 
-    An optional ``probe`` (:mod:`repro.obs`) instruments the run; the
-    returned result always carries :class:`~repro.obs.telemetry.RunTelemetry`.
+    def install(self, engine):
+        return None
 
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the run resumable: a valid checkpoint in the policy's
-    directory finishes the interrupted run (byte-identical document,
-    wall-clock aside); otherwise the run starts fresh with a
-    :class:`~repro.sim.checkpoint.CheckpointProbe` composed onto
-    ``probe``.
+    def finish(self, engine, live, result):
+        engine.audit()
+        return result
+
+
+def start(config, instruments=(), probe=None, checkpoint=None, build=build_engine):
+    """The engine of one instrumented run and the call that runs it.
+
+    With a ``checkpoint`` policy whose directory holds a valid snapshot of
+    ``config``, the restored engine and its ``resume_run`` — its
+    instruments came back inside the snapshot.  Otherwise ``build(config,
+    probe=probe)`` with every instrument installed in order (each sees the
+    policy as ``engine.checkpoint_policy``), then a
+    :class:`~repro.sim.checkpoint.CheckpointProbe` when a policy was
+    given, and the engine's ``run``.
     """
     if checkpoint is not None:
         from .checkpoint import attach_checkpoints, resume_point
 
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
+        engine = resume_point(checkpoint, config)
+        if engine is not None:
+            return engine, engine.resume_run
+    engine = build(config, probe=probe)
+    engine.checkpoint_policy = checkpoint
+    for spec in instruments:
+        engine.instruments.append((spec, spec.install(engine)))
+    if checkpoint is not None:
         attach_checkpoints(engine, checkpoint)
-        return engine.run()
-    return build_engine(config, probe=probe).run()
+    return engine, engine.run
+
+
+def finish(engine: Engine, result: RunResult) -> RunResult:
+    """Let every installed instrument attach its document to ``result``."""
+    for spec, live in engine.instruments:
+        result = spec.finish(engine, live, result)
+    return result
+
+
+def simulate(
+    config: SimulationConfig,
+    instruments=(),
+    probe=None,
+    checkpoint=None,
+    build=build_engine,
+) -> RunResult:
+    """Run one simulation to completion and return its measurements.
+
+    The one instrumented-run pipeline: every ``simulate_*`` / ``run_*_point``
+    entry point is this call with its tier's
+    :class:`~repro.obs.probe.Instrument` specs in ``instruments`` —
+    ``Forensics``, ``Flight``, ``StateHash``, ``Reliable``, ``Congested``,
+    ``Storm``, ``Overload``, :class:`Audit` — and any of them combines
+    with any other.  Specs are installed in list order — list observers
+    before the transport tiers, so that they see a cycle before the
+    protocol acts on it — and each attaches its document to the result
+    afterwards.  An optional ``probe`` (:mod:`repro.obs`) is attached
+    first; the returned result always carries
+    :class:`~repro.obs.telemetry.RunTelemetry`.
+
+    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
+    makes the run resumable: a valid checkpoint in the policy's directory
+    finishes the interrupted run with the instruments it was started
+    with (byte-identical document, wall-clock aside); otherwise the run
+    starts fresh and checkpoints itself.  ``build`` replaces
+    :func:`build_engine`.
+    """
+    engine, run = start(config, instruments, probe, checkpoint, build)
+    return finish(engine, run())
+
+
+def simulate_post_mortem(config, instruments=(), probe=None, checkpoint=None):
+    """:func:`simulate` that survives a deadlock.
+
+    Returns ``(result, engine, deadlock)`` where ``deadlock`` is the
+    caught :class:`~repro.errors.DeadlockError` or ``None``.  On deadlock
+    the partial result still carries every instrument's document — the
+    post-mortem is the whole point.
+    """
+    engine, run = start(config, instruments, probe, checkpoint)
+    deadlock = None
+    try:
+        result = run()
+    except DeadlockError as exc:
+        deadlock = exc
+        result = engine.result
+    return finish(engine, result), engine, deadlock
 
 
 def tree_config(

@@ -24,6 +24,7 @@ from .address import (
 )
 from .generator import BernoulliInjector, PacketSource
 from .transport import (
+    Reliable,
     ReliableSource,
     ReliableTransport,
     TransportConfig,
@@ -55,6 +56,7 @@ __all__ = [
     "node_to_digits",
     "BernoulliInjector",
     "PacketSource",
+    "Reliable",
     "ReliableSource",
     "ReliableTransport",
     "TransportConfig",

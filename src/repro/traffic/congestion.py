@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..obs.probe import Probe, compose_probe
-from .transport import ReliableTransport, TransportConfig, attach_reliability
+from .transport import Reliable, ReliableTransport, TransportConfig
 
 
 @dataclass(frozen=True)
@@ -392,6 +392,17 @@ def install_congestion(
     return ReliableTransport(transport_config, congestion=control).install(engine)
 
 
+@dataclasses.dataclass(frozen=True)
+class Congested(Reliable):
+    """The closed congestion loop (marker + AIMD windows over the reliable
+    transport) as an instrument of :func:`~repro.sim.run.simulate`."""
+
+    control: CongestionConfig | None = None
+
+    def install(self, engine) -> ReliableTransport:
+        return install_congestion(engine, self.transport, self.control)
+
+
 def simulate_congested(
     config,
     transport_config: TransportConfig | None = None,
@@ -407,23 +418,11 @@ def simulate_congested(
     ``checkpoint`` makes the run resumable — marker windows, AIMD state
     and hold queues ride inside the snapshot.
     """
-    from ..sim.run import build_engine
+    from ..sim.run import simulate
 
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints, resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
-        transport = install_congestion(engine, transport_config, congestion_config)
-        attach_checkpoints(
-            engine, checkpoint, finisher="repro.traffic.transport:_resume_finish"
-        )
-        result = engine.run()
-        return attach_reliability(result, transport)
-
-    engine = build_engine(config, probe=probe)
-    transport = install_congestion(engine, transport_config, congestion_config)
-    result = engine.run()
-    return attach_reliability(result, transport)
+    return simulate(
+        config,
+        [Congested(transport_config, congestion_config)],
+        probe=probe,
+        checkpoint=checkpoint,
+    )

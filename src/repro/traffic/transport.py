@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..obs.probe import Probe, compose_probe
+from ..obs.probe import Instrument, Probe, compose_probe
 
 
 @dataclass(frozen=True)
@@ -546,11 +546,19 @@ def attach_reliability(result, transport: ReliableTransport, extra: dict | None 
     return result
 
 
-def _resume_finish(engine, result, extra=None):
-    """Checkpoint finisher: fold the restored transport's accounting in."""
-    from ..obs.flight import _find_transport
+@dataclass(frozen=True)
+class Reliable(Instrument):
+    """The reliable transport as an instrument of
+    :func:`~repro.sim.run.simulate`; the accounting document lands on
+    ``telemetry.reliability``."""
 
-    return attach_reliability(result, _find_transport(engine.probe), extra=extra)
+    transport: TransportConfig | None = None
+
+    def install(self, engine) -> ReliableTransport:
+        return ReliableTransport(self.transport).install(engine)
+
+    def finish(self, engine, live, result):
+        return attach_reliability(result, live)
 
 
 def simulate_reliable(
@@ -568,23 +576,8 @@ def simulate_reliable(
     resumable — the transport (timer wheel, windows, RNG) rides inside
     the snapshot like everything else.
     """
-    from ..sim.run import build_engine
+    from ..sim.run import simulate
 
-    if checkpoint is not None:
-        from ..sim.checkpoint import attach_checkpoints, resume_point
-
-        resumed = resume_point(checkpoint, config)
-        if resumed is not None:
-            return resumed
-        engine = build_engine(config, probe=probe)
-        transport = ReliableTransport(transport_config).install(engine)
-        attach_checkpoints(
-            engine, checkpoint, finisher="repro.traffic.transport:_resume_finish"
-        )
-        result = engine.run()
-        return attach_reliability(result, transport)
-
-    engine = build_engine(config, probe=probe)
-    transport = ReliableTransport(transport_config).install(engine)
-    result = engine.run()
-    return attach_reliability(result, transport)
+    return simulate(
+        config, [Reliable(transport_config)], probe=probe, checkpoint=checkpoint
+    )

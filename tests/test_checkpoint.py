@@ -35,10 +35,10 @@ from repro.obs.flight import FlightConfig, FlightRecorder, simulate_with_flight
 from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
 from repro.sim.checkpoint import (
     CheckpointPolicy,
+    CheckpointProbe,
     attach_checkpoints,
     checkpoint_files,
     clear_checkpoints,
-    find_checkpoint_probe,
     has_resumable,
     install_escalation_handler,
     load_checkpoint,
@@ -172,8 +172,8 @@ class TestCheckpointFile:
         assert discarded[0]["file"] == bad.name
 
     def test_previous_format_version_discarded_before_unpickling(self, tmp_path):
-        # a version-2 payload holds lanes pickled as slot dicts and an
-        # engine without the attributes the current step reads; it must be
+        # a version-3 payload holds output lanes with a ``sent`` slot and an
+        # engine without the instruments the resumed run is finished by; it must be
         # turned away at the header, as a structured finding, not fail with
         # AttributeError mid-resume
         config = small_tree_config()
@@ -181,8 +181,8 @@ class TestCheckpointFile:
         save_checkpoint(build_engine(config), path)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        assert header["format"] == 3
-        header["format"] = 2
+        assert header["format"] == 4
+        header["format"] = 3
         path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
@@ -577,7 +577,7 @@ def _boom(engine) -> None:
 
 
 def _request_checkpoint(engine) -> None:
-    find_checkpoint_probe(engine.probe).request()
+    engine.find_probe(CheckpointProbe).request()
 
 
 def _self_sigusr1(engine) -> None:

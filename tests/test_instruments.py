@@ -1,0 +1,329 @@
+"""The instrument matrix: any tier combines with any other, checkpointed.
+
+``simulate(config, instruments=[...])`` is the one instrumented-run
+pipeline.  On 16-node networks, for every subset of the observer tiers
+{forensics, flight, statehash} under every transport stack {none,
+reliable, congested} (plus one fail-stop storm):
+
+* each tier's document equals the one that tier produces alone, through
+  the single-tier entry point it had before the pipeline existed;
+* a run killed between two checkpoints and resumed yields the
+  byte-identical canonical document — including the combinations the
+  command line used to refuse;
+* every spec survives ``pickle`` and runs in pool workers via
+  ``run_sweep``.
+"""
+
+import dataclasses
+import itertools
+import json
+import pickle
+
+import pytest
+
+from repro.errors import CheckpointError, ConfigurationError
+from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
+from repro.experiments.congestion import Overload, OverloadSpec, run_overload_point
+from repro.experiments.sweep import run_sweep
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder, simulate_with_flight
+from repro.obs.forensics import Forensics, ForensicsProbe, simulate_with_forensics
+from repro.obs.statehash import (
+    StateDigestConfig,
+    StateDigestProbe,
+    StateHash,
+    simulate_with_statehash,
+)
+from repro.sim.checkpoint import (
+    CheckpointPolicy,
+    CheckpointProbe,
+    checkpoint_files,
+    read_checkpoint_header,
+    read_manifest,
+)
+from repro.sim.run import Audit, cube_config, finish, simulate, start, tree_config
+from repro.traffic.congestion import Congested, CongestionConfig, simulate_congested
+from repro.traffic.transport import Reliable, TransportConfig, simulate_reliable
+
+from .test_checkpoint import _BOOM, _boom  # the self-disarming crash hook
+from .test_determinism import _canonical
+
+CONFIG = tree_config(
+    k=4, n=2, vcs=2, pattern="transpose", load=0.7, seed=7,
+    warmup_cycles=100, total_cycles=600,
+)
+FLIGHT = FlightConfig(interval_cycles=64)
+DIGESTS = StateDigestConfig(interval_cycles=100)
+TRANSPORT = TransportConfig(base_timeout=32, jitter=8, seed=3)
+CONTROL = CongestionConfig(window_cycles=32, hot_fraction=0.3)
+
+OBSERVERS = {
+    "forensics": Forensics(sample_every=150),
+    "flight": Flight(FLIGHT),
+    "statehash": StateHash(DIGESTS),
+}
+STACKS = {
+    "none": (),
+    "reliable": (Reliable(TRANSPORT),),
+    "congested": (Congested(TRANSPORT, CONTROL),),
+}
+#: the single-tier probe each observer is, for the transport entry points
+PROBES = {
+    "forensics": lambda: ForensicsProbe(sample_every=150),
+    "flight": lambda: FlightRecorder(FLIGHT),
+    "statehash": lambda: StateDigestProbe(DIGESTS),
+}
+SUBSETS = [
+    subset
+    for size in range(len(OBSERVERS) + 1)
+    for subset in itertools.combinations(OBSERVERS, size)
+]
+MATRIX = [(subset, stack) for stack in STACKS for subset in SUBSETS]
+
+
+def _id(case) -> str:
+    subset, stack = case
+    return "+".join(subset or ("plain",)) + "/" + stack
+
+
+def _tiers(subset, stack) -> list:
+    return [OBSERVERS[name] for name in subset] + list(STACKS[stack])
+
+
+def _alone(stack: str, probe=None):
+    """One run under ``stack`` through the entry point it always had."""
+    if stack == "reliable":
+        return simulate_reliable(CONFIG, TRANSPORT, probe=probe)
+    if stack == "congested":
+        return simulate_congested(CONFIG, TRANSPORT, CONTROL, probe=probe)
+    return simulate(CONFIG, probe=probe)
+
+
+def _single_tier_document(name: str, stack: str):
+    """The document of observer ``name`` when it is the only observer."""
+    if stack == "none":
+        entry = {
+            "forensics": lambda: simulate_with_forensics(CONFIG, sample_every=150),
+            "flight": lambda: simulate_with_flight(CONFIG, FLIGHT),
+            "statehash": lambda: simulate_with_statehash(CONFIG, DIGESTS),
+        }[name]
+        return getattr(entry().telemetry, name)
+    probe = PROBES[name]()
+    result = _alone(stack, probe=probe)
+    return probe.summary() if name == "forensics" else getattr(result.telemetry, name)
+
+
+_REFERENCE: dict = {}
+
+
+def _reference(key, make):
+    if key not in _REFERENCE:
+        _REFERENCE[key] = make()
+    return _REFERENCE[key]
+
+
+def _kill_and_resume(config, tiers, directory):
+    """Run under a checkpoint policy, crash at cycle 450 (between the
+    snapshots at 400 and 600), then call the pipeline again."""
+    policy = CheckpointPolicy(str(directory), interval_cycles=200)
+    engine, run = start(config, tiers, checkpoint=policy)
+    engine.add_cycle_hook(450, _boom)
+    _BOOM["armed"] = True
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run()
+    finally:
+        _BOOM["armed"] = False
+    newest = checkpoint_files(directory)[0]
+    assert read_checkpoint_header(newest)["cycle"] == 400
+    resumed = simulate(config, tiers, checkpoint=policy)
+    assert not read_manifest(directory)["discarded"]
+    return resumed
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("case", MATRIX, ids=_id)
+    def test_each_tier_document_equals_its_single_tier_run(self, case):
+        subset, stack = case
+        result = simulate(CONFIG, _tiers(subset, stack))
+        telemetry = result.telemetry
+        for name in OBSERVERS:
+            doc = getattr(telemetry, name)
+            if name not in subset:
+                assert doc is None
+                continue
+            alone = _reference(
+                (name, stack), lambda: _single_tier_document(name, stack)
+            )
+            assert json.dumps(doc, sort_keys=True) == json.dumps(alone, sort_keys=True)
+        bare = _reference(("bare", stack), lambda: _alone(stack))
+        assert telemetry.reliability == bare.telemetry.reliability
+        assert (telemetry.reliability is None) == (stack == "none")
+        # the observers do not perturb the run: strip their documents and
+        # the whole run document is the bare stack's
+        result.telemetry = dataclasses.replace(
+            telemetry, **{name: None for name in OBSERVERS}
+        )
+        assert _canonical(result) == _canonical(bare)
+
+    @pytest.mark.parametrize("case", MATRIX, ids=_id)
+    def test_killed_run_resumes_byte_identically(self, case, tmp_path):
+        subset, stack = case
+        tiers = _tiers(subset, stack)
+        reference = _reference(
+            ("doc", subset, stack), lambda: _canonical(simulate(CONFIG, tiers))
+        )
+        assert _canonical(_kill_and_resume(CONFIG, tiers, tmp_path)) == reference
+
+    def test_storm_with_every_observer(self, tmp_path):
+        config = cube_config(
+            k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=5,
+            warmup_cycles=100, total_cycles=600,
+        )
+        storm = StormSpec(fault_rate=0.2, repair_cycles=150, storm_seed=9)
+        alone = run_chaos_point(config, storm, flight=FLIGHT)
+        assert alone.dropped_packets > 0  # the storm really struck
+        tiers = [
+            OBSERVERS["forensics"], Flight(FLIGHT), OBSERVERS["statehash"],
+            Audit(), Storm(storm),
+        ]
+        combined = simulate(config, tiers)
+        assert combined.telemetry.reliability == alone.telemetry.reliability
+        assert combined.telemetry.flight == alone.telemetry.flight
+        kinds = {a["kind"] for a in combined.telemetry.flight["annotations"]}
+        assert {"fault_strike", "fault_repair"} <= kinds
+        assert combined.telemetry.forensics is not None
+        assert combined.telemetry.statehash is not None
+        resumed = _kill_and_resume(config, tiers, tmp_path)
+        assert _canonical(resumed) == _canonical(combined)
+
+
+ALL_SPECS = [
+    Forensics(sample_every=150, keep_packets=4),
+    Flight(FLIGHT),
+    StateHash(DIGESTS),
+    Reliable(TRANSPORT),
+    Congested(TRANSPORT, CONTROL),
+    Storm(StormSpec(fault_rate=0.1, storm_seed=9, transport=TRANSPORT)),
+    Overload(OverloadSpec(closed_loop=True, saturation=0.5, transport=TRANSPORT)),
+    Audit(),
+]
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_spec_is_frozen_hashable_and_pickles(self, spec):
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec)
+        with pytest.raises(Exception):
+            setattr(spec, next(iter(vars(spec)), "x"), None)
+
+    @pytest.mark.parametrize(
+        "tiers",
+        [
+            (Forensics(sample_every=150), Flight(FLIGHT), StateHash(DIGESTS)),
+            (Flight(FLIGHT), Congested(TRANSPORT, CONTROL)),
+            (StateHash(DIGESTS), Audit(), Storm(StormSpec(fault_rate=0.1, storm_seed=9))),
+            (Audit(), Overload(OverloadSpec(closed_loop=False, saturation=0.5))),
+        ],
+        ids=lambda tiers: "+".join(type(t).__name__ for t in tiers),
+    )
+    def test_specs_run_in_pool_workers(self, tiers):
+        loads = [0.3, 0.7]
+
+        def factory(load):
+            return dataclasses.replace(CONFIG, load=load)
+
+        pooled: list = []
+        run_sweep(
+            factory, loads, "pooled", parallel=True, max_workers=2,
+            instruments=tiers, on_result=pooled.append,
+        )
+        serial = [simulate(factory(load), tiers) for load in loads]
+        assert [_canonical(r) for r in pooled] == [_canonical(r) for r in serial]
+
+    def test_sweep_refuses_instruments_with_a_point_function(self):
+        with pytest.raises(ConfigurationError, match="not both"):
+            run_sweep(
+                lambda load: CONFIG, [0.3], "both",
+                instruments=[Flight()], simulate_fn=simulate,
+            )
+
+    def test_overload_point_is_the_pipeline(self):
+        spec = OverloadSpec(
+            closed_loop=True, saturation=0.4, arbiter="age",
+            transport=TRANSPORT, control=CONTROL, flight=FLIGHT,
+        )
+        derived = dataclasses.replace(CONFIG, arbiter="age", collect_latencies=True)
+        direct = simulate(derived, [Flight(FLIGHT), Audit(), Overload(spec)])
+        assert _canonical(run_overload_point(CONFIG, spec)) == _canonical(direct)
+        assert direct.telemetry.reliability["overload"]["mode"] == "closed"
+
+    def test_restored_run_is_finished_by_its_own_instruments(self, tmp_path):
+        # the (spec, live) pairs ride inside the snapshot: the resuming call
+        # need not know what the interrupted run was instrumented with
+        tiers = [Forensics(sample_every=150), Reliable(TRANSPORT)]
+        reference = _canonical(simulate(CONFIG, tiers))
+        policy = CheckpointPolicy(str(tmp_path), interval_cycles=200)
+        simulate(CONFIG, tiers, checkpoint=policy)
+        engine, run = start(CONFIG, (), checkpoint=policy)
+        assert [type(spec) for spec, _ in engine.instruments] == [Forensics, Reliable]
+        assert engine.instruments[0][1] is engine.find_probe(ForensicsProbe)
+        assert run == engine.resume_run
+        assert _canonical(finish(engine, run())) == reference
+
+
+class TestFlightStreamsAndCheckpoints:
+    """A live event stream or watch callback cannot ride inside a
+    snapshot: the combination is refused before the first cycle."""
+
+    @pytest.mark.parametrize("stream", ["events", "on_sample"])
+    def test_refused_at_install(self, stream, tmp_path):
+        events = tmp_path / "events.jsonl"
+        kwargs = (
+            {"events": str(events)} if stream == "events"
+            else {"on_sample": lambda row: None}
+        )
+        policy = CheckpointPolicy(str(tmp_path / "ckpt"), interval_cycles=100)
+        with pytest.raises(ConfigurationError, match="cannot be checkpointed"):
+            simulate(CONFIG, [Flight(FLIGHT, **kwargs)], checkpoint=policy)
+        with pytest.raises(ConfigurationError, match="cannot be checkpointed"):
+            simulate_with_flight(CONFIG, FLIGHT, checkpoint=policy, **kwargs)
+        assert not events.exists()  # not a row was written
+        assert not checkpoint_files(policy.directory)
+
+    def test_streams_without_checkpoint_still_work(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        rows: list = []
+        result = simulate(
+            CONFIG, [Flight(FLIGHT, on_sample=rows.append, events=str(events))]
+        )
+        assert len(rows) == result.telemetry.flight["rows"]
+        assert events.read_text().count('"type": "sample"') == len(rows)
+
+    def test_getstate_guard_is_the_backstop(self, tmp_path):
+        # a recorder composed by hand bypasses Flight.install; the snapshot
+        # itself still refuses, loudly and typed
+        recorder = FlightRecorder(FLIGHT, on_sample=lambda row: None)
+        engine, run = start(
+            CONFIG, probe=recorder,
+            checkpoint=CheckpointPolicy(str(tmp_path), interval_cycles=100),
+        )
+        assert engine.find_probe(CheckpointProbe) is not None
+        with pytest.raises(CheckpointError, match="cannot be checkpointed"):
+            run()
+        assert engine.cycle == 100  # it got as far as the first periodic save
+
+    def test_cli_rejects_before_simulating(self, tmp_path, capsys):
+        from repro.cli import main
+
+        events = tmp_path / "events.jsonl"
+        rc = main(
+            [
+                "run", "--network", "tree", "--k", "2", "--n", "2", "--vcs", "2",
+                "--profile", "fast", "--flight", "--events", str(events),
+                "--checkpoint", str(tmp_path / "ckpt"), "--checkpoint-every", "100",
+            ]
+        )
+        assert rc == 2
+        assert "cannot be checkpointed" in capsys.readouterr().err
+        assert not events.exists()

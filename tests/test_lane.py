@@ -151,3 +151,32 @@ class TestPickledState:
         assert state == [100 + i for i in range(len(slots))]
         clone = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
         assert [getattr(clone, name) for name in slots] == state
+
+    def test_sent_is_read_off_the_sink(self):
+        # the output-lane/sink pair carries one packet at a time, so the
+        # flits the lane has sent are the flits its sink has received
+        sink = InputLane(1, 0, 0, cap=4)
+        lane = OutputLane(0, 0, 0, cap=4, sink=sink, credits=4)
+        assert "sent" not in OutputLane.__slots__
+        assert lane.sent == 0  # unallocated
+        p = pkt(size=3)
+        lane.packet = p
+        assert lane.sent == 0  # allocated, header not sent yet
+        sink.accept_flit(p, 0)
+        sink.accept_flit(p, 1)
+        assert lane.sent == 2
+        clone = pickle.loads(pickle.dumps(lane, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone.sent == 2 and clone.sink.received == 2
+        sink.accept_flit(p, 2)
+        lane.packet = None  # the tail left: the sink still drains it
+        assert lane.sent == 0
+        with pytest.raises(AttributeError):
+            lane.sent = 1
+        assert OutputLane(0, 0, 0, cap=4).sent == 0  # unwired (unit tests)
+
+    def test_step_makes_no_closure_cells(self):
+        # a cell turns every access to the variable into a LOAD_DEREF and is
+        # allocated once per cycle; ``step`` keeps its hot locals plain
+        from repro.sim.engine import Engine
+
+        assert Engine.step.__code__.co_cellvars == ()
