@@ -7,7 +7,7 @@ choice of 4 sits near the knee for 16/32-flit packets.
 """
 
 from repro.experiments.report import render_table
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_curves
 from repro.profiles import get_profile
 from repro.sim.run import cube_config, tree_config
 
@@ -18,27 +18,15 @@ LOADS = (0.5, 0.8, 1.0)
 
 
 def run_all():
-    profile = get_profile()
-    out = {}
+    common = dict(seed=19, **get_profile().windows)
+    curves = []
     for depth in DEPTHS:
-        tree = run_sweep(
-            lambda load, d=depth: tree_config(
-                vcs=4, load=load, buffer_flits=d, seed=19,
-                warmup_cycles=profile.warmup_cycles, total_cycles=profile.total_cycles,
-            ),
-            LOADS,
-            label=f"tree/buf{depth}",
-        )
-        cube = run_sweep(
-            lambda load, d=depth: cube_config(
-                algorithm="duato", load=load, buffer_flits=d, seed=19,
-                warmup_cycles=profile.warmup_cycles, total_cycles=profile.total_cycles,
-            ),
-            LOADS,
-            label=f"cube/buf{depth}",
-        )
-        out[depth] = (tree.peak_accepted(), cube.peak_accepted())
-    return out
+        curves += [
+            (f"tree/buf{depth}", tree_config(vcs=4, buffer_flits=depth, **common), ()),
+            (f"cube/buf{depth}", cube_config(algorithm="duato", buffer_flits=depth, **common), ()),
+        ]
+    peaks = [series.peak_accepted() for series, _ in run_curves(curves, LOADS)]
+    return {depth: tuple(peaks[2 * i : 2 * i + 2]) for i, depth in enumerate(DEPTHS)}
 
 
 def test_buffer_depth(benchmark, reporter):

@@ -9,7 +9,7 @@ and start eroding throughput at the largest sizes.
 """
 
 from repro.experiments.report import render_table
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_curves
 from repro.metrics.saturation import sustained_rate
 from repro.profiles import get_profile
 from repro.sim.run import cube_config
@@ -21,19 +21,15 @@ LOADS = (0.15, 0.5, 0.8, 1.0)
 
 
 def run_all():
-    profile = get_profile()
-    out = {}
-    for size in SIZES:
-        series = run_sweep(
-            lambda load, s=size: cube_config(
-                algorithm="duato", load=load, packet_flits=s, seed=53,
-                warmup_cycles=profile.warmup_cycles, total_cycles=profile.total_cycles,
-            ),
-            LOADS,
-            label=f"{size} flits",
-        )
-        out[size] = (series.points[0].latency_cycles, sustained_rate(series))
-    return out
+    windows = get_profile().windows
+    curves = [
+        (f"{size} flits", cube_config(algorithm="duato", packet_flits=size, seed=53, **windows), ())
+        for size in SIZES
+    ]
+    return {
+        size: (series.points[0].latency_cycles, sustained_rate(series))
+        for size, (series, _) in zip(SIZES, run_curves(curves, LOADS))
+    }
 
 
 def test_packet_size(benchmark, reporter):

@@ -14,7 +14,7 @@ qualitative behaviors:
 """
 
 from repro.experiments.report import render_table
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_curves
 from repro.profiles import get_profile
 from repro.sim.run import cube_config, tree_config
 
@@ -23,48 +23,28 @@ from .conftest import run_once
 LOADS = (0.3, 0.6, 0.9)
 
 
-def _sweep(make_config, label):
-    profile = get_profile()
-    return run_sweep(
-        lambda load: make_config(
-            load=load,
-            warmup_cycles=profile.warmup_cycles,
-            total_cycles=profile.total_cycles,
-            seed=17,
-        ),
-        LOADS,
-        label=label,
-    )
+PATTERNS = ("neighbor", "shuffle", "butterfly", "tornado")
 
 
 def run_all():
-    rows = []
-    series = {}
-    for pattern in ("neighbor", "shuffle", "butterfly", "tornado"):
-        tree = _sweep(
-            lambda pattern=pattern, **kw: tree_config(vcs=4, pattern=pattern, **kw),
-            f"tree/{pattern}",
-        )
-        cube = _sweep(
-            lambda pattern=pattern, **kw: cube_config(
-                algorithm="duato", pattern=pattern, **kw
-            ),
-            f"cube/{pattern}",
-        )
-        series[("tree", pattern)] = tree
-        series[("cube", pattern)] = cube
-        rows.append([pattern, tree.peak_accepted(), cube.peak_accepted()])
-    hotspot = _sweep(
-        lambda **kw: cube_config(
-            algorithm="duato",
-            pattern="hotspot",
-            pattern_kwargs={"hotspots": (0,), "fraction": 0.2},
-            **kw,
-        ),
-        "cube/hotspot20",
+    common = dict(seed=17, **get_profile().windows)
+    table = {}
+    for pattern in PATTERNS:
+        table["tree", pattern] = tree_config(vcs=4, pattern=pattern, **common)
+        table["cube", pattern] = cube_config(algorithm="duato", pattern=pattern, **common)
+    table["cube", "hotspot"] = cube_config(
+        algorithm="duato",
+        pattern="hotspot",
+        pattern_kwargs={"hotspots": (0,), "fraction": 0.2},
+        **common,
     )
-    series[("cube", "hotspot")] = hotspot
-    rows.append(["hotspot(20%)", None, hotspot.peak_accepted()])
+    curves = [(f"{net}/{pattern}", config, ()) for (net, pattern), config in table.items()]
+    series = {key: s for key, (s, _) in zip(table, run_curves(curves, LOADS))}
+    rows = [
+        [p, series["tree", p].peak_accepted(), series["cube", p].peak_accepted()]
+        for p in PATTERNS
+    ]
+    rows.append(["hotspot(20%)", None, series["cube", "hotspot"].peak_accepted()])
     return rows, series
 
 

@@ -21,7 +21,7 @@ matches the routing function.
 """
 
 from repro.experiments.report import render_table
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_curves
 from repro.metrics.saturation import sustained_rate
 from repro.profiles import get_profile
 from repro.sim.run import tree_config
@@ -33,21 +33,16 @@ PATTERNS = ("uniform", "complement", "transpose")
 
 
 def run_all():
-    profile = get_profile()
-    out = {}
-    for pattern in PATTERNS:
-        for algorithm in ("tree_adaptive", "tree_deterministic"):
-            series = run_sweep(
-                lambda load, a=algorithm, p=pattern: tree_config(
-                    vcs=4, algorithm=a, pattern=p, load=load, seed=41,
-                    warmup_cycles=profile.warmup_cycles,
-                    total_cycles=profile.total_cycles,
-                ),
-                LOADS,
-                label=f"{pattern}/{algorithm}",
-            )
-            out[(pattern, algorithm)] = sustained_rate(series)
-    return out
+    windows = get_profile().windows
+    keys = [(p, a) for p in PATTERNS for a in ("tree_adaptive", "tree_deterministic")]
+    curves = [
+        (f"{p}/{a}", tree_config(vcs=4, algorithm=a, pattern=p, seed=41, **windows), ())
+        for p, a in keys
+    ]
+    return {
+        key: sustained_rate(series)
+        for key, (series, _) in zip(keys, run_curves(curves, LOADS))
+    }
 
 
 def test_tree_adaptivity_gain(benchmark, reporter):

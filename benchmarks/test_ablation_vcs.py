@@ -9,7 +9,7 @@ bits/ns advantage largely evaporates — confirming the §11 prediction.
 """
 
 from repro.experiments.report import render_table
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import run_curves
 from repro.metrics.saturation import sustained_rate
 from repro.profiles import get_profile
 from repro.sim.run import tree_config
@@ -24,17 +24,12 @@ VC_VARIANTS = (1, 2, 4, 8)
 
 
 def run_all():
-    profile = get_profile()
+    windows = get_profile().windows
+    curves = [
+        (f"{vcs} vc", tree_config(vcs=vcs, seed=23, **windows), ()) for vcs in VC_VARIANTS
+    ]
     out = {}
-    for vcs in VC_VARIANTS:
-        series = run_sweep(
-            lambda load, v=vcs: tree_config(
-                vcs=v, load=load, seed=23,
-                warmup_cycles=profile.warmup_cycles, total_cycles=profile.total_cycles,
-            ),
-            LOADS,
-            label=f"{vcs} vc",
-        )
+    for vcs, (series, _) in zip(VC_VARIANTS, run_curves(curves, LOADS)):
         clock = router_delays(
             tree_freedom_adaptive(4, vcs),
             tree_crossbar_ports(4, vcs),

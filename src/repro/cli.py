@@ -32,9 +32,6 @@ Subcommands:
   optional standalone SVG heatmap/breakdown or HTML output;
 * ``report`` — render the HTML reproduction scorecard (paper-reference
   overlays + fidelity scores) from a ``--ledger`` JSONL file;
-* ``bench`` — record an engine performance baseline
-  (``BENCH_<host>.json``: cycles/sec overall and per step phase, probes
-  off/on) or ``--compare`` against one (exit 3 on regression);
 * ``find-sat`` — bisect the offered load for the saturation point;
 * ``dimensions`` — the cube-dimensionality study (§11 outlook);
 * ``info`` — topology/normalization facts for a network.
@@ -79,7 +76,6 @@ Examples::
     repro-net analyze --ledger runs.jsonl --heatmap hotspots.svg
     repro-net sweep --pattern uniform --ledger runs.jsonl
     repro-net report --ledger runs.jsonl --out scorecard.html
-    repro-net bench && repro-net bench --compare BENCH_$(hostname).json
     repro-net trace --network tree --vcs 2 --pattern transpose --load 0.8
     repro-net fig6 --pattern complement --profile fast --plot
     repro-net drain --network tree --pattern bitrev
@@ -110,7 +106,7 @@ from .experiments.report import (
     render_delay_table,
 )
 from .experiments.search import find_saturation
-from .experiments.sweep import default_loads, run_sweep
+from .experiments.sweep import run_curves
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
 from .sim.run import cube_config, simulate_post_mortem, tree_config
@@ -118,20 +114,6 @@ from .timing.normalization import cube_scaling, equal_cost_pairs, tree_scaling
 from .topology.cube import KAryNCube
 from .topology.tree import KAryNTree
 from .traffic.patterns import PATTERNS
-
-
-def _flight_config(args):
-    """The FlightConfig requested by --flight/--watch/--events, or None."""
-    interval = getattr(args, "flight", None)
-    if interval is None and not (
-        getattr(args, "watch", False) or getattr(args, "events", None)
-    ):
-        return None
-    from .obs.flight import FlightConfig
-
-    if interval:
-        return FlightConfig(interval_cycles=interval)
-    return FlightConfig()
 
 
 def _instruments(args, streams: bool = True) -> list:
@@ -149,14 +131,15 @@ def _instruments(args, streams: bool = True) -> list:
         from .obs.forensics import Forensics
 
         tiers.append(Forensics(getattr(args, "sample_every", 200)))
-    flight = _flight_config(args)
-    if flight is not None:
-        from .obs.flight import Flight
+    interval = getattr(args, "flight", None)
+    # --watch and --events imply --flight
+    if interval is not None or getattr(args, "watch", False) or getattr(args, "events", None):
+        from .obs.flight import Flight, FlightConfig
 
         watch = streams and args.watch
         tiers.append(
             Flight(
-                flight,
+                FlightConfig(interval_cycles=interval) if interval else FlightConfig(),
                 on_sample=_watch_sampler() if watch else None,
                 events=args.events if streams else None,
             )
@@ -502,8 +485,6 @@ def _progress_printer(stream=None, inplace=False):
 
 def cmd_sweep(args) -> int:
     def body() -> int:
-        profile = get_profile(args.profile)
-        loads = default_loads(profile.sweep_points)
         telemetry: list = []
 
         campaign_progress, close_events = _campaign_progress(args)
@@ -514,14 +495,17 @@ def cmd_sweep(args) -> int:
                 telemetry.append(p.cycles_per_sec)
 
         try:
-            rc, series = _guarded(
-                lambda: run_sweep(
-                    lambda load: _make_config(args, load),
-                    loads,
-                    label=args.pattern,
+            curve = (
+                args.pattern,
+                _make_config(args, load=0.0),
+                _instruments(args, streams=False),
+            )
+            rc, curves = _guarded(
+                lambda: run_curves(
+                    [curve],
+                    profile=get_profile(args.profile),
                     progress=progress,
                     ledger=_open_ledger(args),
-                    instruments=_instruments(args, streams=False),
                     ledger_kind="forensics" if args.forensics else None,
                     checkpoints=_campaign_checkpoints(args),
                 ),
@@ -531,6 +515,7 @@ def cmd_sweep(args) -> int:
             close_events()
         if rc:
             return rc
+        ((series, _),) = curves
         from .metrics.saturation import saturation_point
 
         if args.json:
@@ -797,11 +782,10 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
+def _chaos(args):
+    """The ``chaos`` row of the campaign table (see :func:`cmd_campaign`)."""
     from .experiments.chaos import chaos_campaign, degradation_rows
-    from .experiments.report import render_table
 
-    profile = get_profile(args.profile)
     try:
         rates = tuple(float(f) for f in args.rates.split(",") if f.strip())
         repairs = tuple(int(f) for f in args.repairs.split(",") if f.strip())
@@ -809,144 +793,114 @@ def cmd_chaos(args) -> int:
         raise ConfigurationError(
             f"bad --rates {args.rates!r} or --repairs {args.repairs!r}"
         ) from None
-    transport = _transport_override(args, profile)
+    both = args.network == "both"
+    grid = dict(
+        fault_rates=rates, repair_grid=repairs, vcs=args.vcs, seed=args.seed,
+        storm_seed=args.storm_seed, k=args.k, n=args.n,
+        algorithm=None if both else args.algorithm,
+    )
+    return (
+        chaos_campaign,
+        [(network, grid) for network in (("tree", "cube") if both else (args.network,))],
+        lambda network, campaign: [
+            {"network": network, **row} for row in degradation_rows(campaign)
+        ],
+        (
+            ("network", lambda r: r["network"]),
+            ("fault rate", lambda r: r["fault_rate"]),
+            ("repair", lambda r: r["repair_cycles"] or "perm"),
+            ("goodput", lambda r: round(r["goodput_fraction"], 4)),
+            ("retx ovh", lambda r: round(r["retransmit_overhead"], 4)),
+            ("dropped", lambda r: r["dropped"]),
+            ("gave up", lambda r: r["given_up"]),
+            ("failures", lambda r: r["failures"]),
+        ),
+        "fail-stop chaos campaign (load-averaged per fault rate)",
+        "goodput",
+    )
+
+
+def _congestion(args):
+    """The ``congestion`` row of the campaign table."""
+    from .experiments.congestion import collapse_rows, congestion_campaign
+
+    grid = dict(
+        modes={"both": (False, True), "open": (False,), "closed": (True,)}[args.mode],
+        max_factor=args.max_factor, vcs=args.vcs, pattern=args.pattern,
+        seed=args.seed, k=args.k, n=args.n, algorithm=args.algorithm,
+        arbiter_closed=args.arbiter_closed,
+    )
+    return (
+        congestion_campaign,
+        [(args.network, grid)],
+        lambda network, campaign: collapse_rows(campaign),
+        (
+            ("mode", lambda r: r["mode"]),
+            ("arbiter", lambda r: r["arbiter"]),
+            ("load", lambda r: round(r["load"], 3)),
+            ("x sat", lambda r: round(r["factor"], 2)),
+            ("goodput", lambda r: round(r["goodput_fraction"], 4)),
+            ("p99 lat", lambda r: r["p99_latency"]),
+            ("retx ovh", lambda r: round(r["retransmit_overhead"], 4)),
+            ("gave up", lambda r: r["given_up"]),
+        ),
+        "overload campaign: open vs closed loop past saturation",
+        "collapse",
+    )
+
+
+def cmd_campaign(args) -> int:
+    """``chaos`` and ``congestion``: one campaign per network of the
+    command's table row — campaign function, ``(network, grid keywords)``
+    runs, row flattener, ``(heading, cell)`` columns, table title and the
+    scorecard panel its ledger records feed — under the shared harness
+    options, then the rows as a table or JSON."""
+    from .experiments.report import render_table
+
+    campaign_fn, runs, flatten, columns, title, panel = {
+        "chaos": _chaos, "congestion": _congestion
+    }[args.command](args)
+    profile = get_profile(args.profile)
     ledger = _open_ledger(args)
-    networks = ("tree", "cube") if args.network == "both" else (args.network,)
-    all_rows = []
+    rows = []
     progress, close_events = _campaign_progress(args)
     try:
-        for network in networks:
-            print(f"chaos campaign: {network}", file=sys.stderr)
+        harness = dict(
+            profile=profile,
+            transport=_transport_override(args, profile),
+            instruments=_instruments(args, streams=False),
+            parallel=args.parallel,
+            max_workers=args.workers,
+            retries=args.retries,
+            timeout=args.timeout,
+            progress=progress,
+            ledger=ledger,
+            checkpoints=_campaign_checkpoints(args),
+        )
+        for network, grid in runs:
+            print(f"{args.command} campaign: {network}", file=sys.stderr)
             rc, campaign = _guarded(
-                lambda: chaos_campaign(
-                    network=network,
-                    fault_rates=rates,
-                    repair_grid=repairs,
-                    profile=profile,
-                    vcs=args.vcs,
-                    seed=args.seed,
-                    storm_seed=args.storm_seed,
-                    k=args.k,
-                    n=args.n,
-                    algorithm=args.algorithm if args.network != "both" else None,
-                    transport=transport,
-                    flight=_flight_config(args),
-                    parallel=args.parallel,
-                    max_workers=args.workers,
-                    retries=args.retries,
-                    timeout=args.timeout,
-                    progress=progress,
-                    ledger=ledger,
-                    checkpoints=_campaign_checkpoints(args),
-                ),
-                "ledger",
+                lambda: campaign_fn(network=network, **grid, **harness), "ledger"
             )
             if rc:
                 return rc
-            for row in degradation_rows(campaign):
-                all_rows.append({"network": network, **row})
+            rows += flatten(network, campaign)
     finally:
         close_events()
-    if args.json:
-        print(json.dumps({"rows": all_rows}, indent=1))
-        return 0
-    print(
-        render_table(
-            ["network", "fault rate", "repair", "goodput", "retx ovh",
-             "dropped", "gave up", "failures"],
-            [
-                [
-                    r["network"],
-                    r["fault_rate"],
-                    r["repair_cycles"] or "perm",
-                    round(r["goodput_fraction"], 4),
-                    round(r["retransmit_overhead"], 4),
-                    r["dropped"],
-                    r["given_up"],
-                    r["failures"],
-                ]
-                for r in all_rows
-            ],
-            title="fail-stop chaos campaign (load-averaged per fault rate)",
-        )
-    )
-    if ledger is not None:
-        print(
-            f"chaos records appended to {args.ledger}; render the goodput "
-            "panel with: repro-net report --ledger "
-            f"{args.ledger} --out scorecard.html",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def cmd_congestion(args) -> int:
-    from .experiments.congestion import collapse_rows, congestion_campaign
-    from .experiments.report import render_table
-
-    profile = get_profile(args.profile)
-    modes = {"both": (False, True), "open": (False,), "closed": (True,)}[args.mode]
-    ledger = _open_ledger(args)
-    print(f"congestion campaign: {args.network}", file=sys.stderr)
-    progress, close_events = _campaign_progress(args)
-    try:
-        rc, campaign = _guarded(
-            lambda: congestion_campaign(
-                network=args.network,
-                modes=modes,
-                max_factor=args.max_factor,
-                profile=profile,
-                vcs=args.vcs,
-                pattern=args.pattern,
-                seed=args.seed,
-                k=args.k,
-                n=args.n,
-                algorithm=args.algorithm,
-                transport=_transport_override(args, profile),
-                flight=_flight_config(args),
-                arbiter_closed=args.arbiter_closed,
-                parallel=args.parallel,
-                max_workers=args.workers,
-                retries=args.retries,
-                timeout=args.timeout,
-                progress=progress,
-                ledger=ledger,
-                checkpoints=_campaign_checkpoints(args),
-            ),
-            "ledger",
-        )
-    finally:
-        close_events()
-    if rc:
-        return rc
-    rows = collapse_rows(campaign)
     if args.json:
         print(json.dumps({"rows": rows}, indent=1))
         return 0
     print(
         render_table(
-            ["mode", "arbiter", "load", "x sat", "goodput", "p99 lat",
-             "retx ovh", "gave up"],
-            [
-                [
-                    r["mode"],
-                    r["arbiter"],
-                    round(r["load"], 3),
-                    round(r["factor"], 2),
-                    round(r["goodput_fraction"], 4),
-                    r["p99_latency"],
-                    round(r["retransmit_overhead"], 4),
-                    r["given_up"],
-                ]
-                for r in rows
-            ],
-            title="overload campaign: open vs closed loop past saturation",
+            [heading for heading, _ in columns],
+            [[cell(row) for _, cell in columns] for row in rows],
+            title=title,
         )
     )
     if ledger is not None:
         print(
-            f"congestion records appended to {args.ledger}; render the "
-            f"collapse panel with: repro-net report --ledger {args.ledger} "
+            f"{args.command} records appended to {args.ledger}; render the "
+            f"{panel} panel with: repro-net report --ledger {args.ledger} "
             "--out scorecard.html",
             file=sys.stderr,
         )
@@ -1075,62 +1029,6 @@ def cmd_report(args) -> int:
                     f"    {label}: saturation {fig.saturation[label]:.3f} "
                     f"vs {ref.figure} {ref.saturation:.3f} -> {score:.0%}"
                 )
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .obs.bench import (
-        REGRESSION_EXIT_CODE,
-        compare,
-        default_baseline_path,
-        load_baseline,
-        remeasure,
-        run_bench,
-        save_baseline,
-    )
-
-    if args.compare is None:
-        doc = run_bench(repeats=args.repeats or 3, cycles=args.cycles)
-        out = args.out or default_baseline_path()
-        save_baseline(doc, out)
-        if args.json:
-            print(json.dumps(doc, indent=1))
-            return 0
-        print(f"bench baseline ({doc['host']}, python {doc['python']}) -> {out}")
-        for entry in doc["entries"]:
-            from .obs.telemetry import RunTelemetry
-
-            t = RunTelemetry.from_dict(entry["telemetry"])
-            print(f"  {entry['name']:<12} {entry['cycles_per_sec']:>12,.0f} cyc/s   "
-                  f"{t.phase_summary()}")
-        return 0
-
-    baseline = load_baseline(args.compare)
-    current = remeasure(baseline, repeats=args.repeats)
-    if args.out:
-        from .obs.bench import bench_document
-
-        save_baseline(
-            bench_document(current, args.repeats or baseline.get("repeats", 3)),
-            args.out,
-        )
-    if args.json:
-        from .obs.bench import compare_document
-
-        doc = compare_document(baseline, current, threshold=args.threshold)
-        print(json.dumps(doc, indent=1))
-        return 0 if doc["passed"] else REGRESSION_EXIT_CODE
-    findings = compare(baseline, current, threshold=args.threshold)
-    for base, cur in zip(baseline["entries"], current):
-        print(f"  {base['name']:<12} baseline {base['cycles_per_sec']:>12,.0f} "
-              f"cyc/s   now {cur['cycles_per_sec']:>12,.0f} cyc/s")
-    if findings:
-        print(f"PERF REGRESSION vs {args.compare} (threshold {args.threshold:.0%}):",
-              file=sys.stderr)
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-        return REGRESSION_EXIT_CODE
-    print(f"ok: no entry slower than baseline by more than {args.threshold:.0%}")
     return 0
 
 
@@ -1365,21 +1263,6 @@ OPTIONS = {
     "include_faults": _switch(
         "--include-faults", "also plot runs recorded by fault experiments (degraded points)"
     ),
-    # bench
-    "compare": _opt(
-        "--compare", metavar="BASELINE",
-        help="re-measure the recipes in this baseline and exit 3 when any "
-        "entry regressed past the threshold",
-    ),
-    "threshold": _opt(
-        "--threshold", float, 0.15, "tolerated slowdown fraction before failing (default 0.15)"
-    ),
-    "repeats": _opt(
-        "--repeats", int, help="runs per entry; best-of is kept (default 3 / baseline's)"
-    ),
-    "cycles": _opt(
-        "--cycles", int, 2000, "cycles per suite run when recording a new baseline"
-    ),
     "resolution": _opt("--resolution", float, 0.02),
 }
 
@@ -1427,8 +1310,7 @@ def _commands() -> tuple:
          (*_FIGURE, ("seed", dict(default=11)), "plot")),
         ("fig6", "cube CNF curves (Figure 6)", cmd_fig6,
          (*_FIGURE, ("seed", dict(default=13)), "plot")),
-        ("fig7", "absolute comparison (Figure 7)", cmd_fig7,
-         (*_FIGURE, ("seed", dict(default=13)))),
+        ("fig7", "absolute comparison (Figure 7)", cmd_fig7, _FIGURE),
         ("drain", "batch-drain one full permutation", cmd_drain, _COMMON),
         ("faults", "fault-degradation experiments (both networks)", cmd_faults, (
             *_COMMON, ("load", dict(default=1.0)), "fractions", "fault_seed", "transient",
@@ -1436,7 +1318,8 @@ def _commands() -> tuple:
             ("ledger", dict(
                 help="append every fault run's document to this JSONL metrics ledger")),
         )),
-        ("chaos", "fail-stop fault storms under reliable transport (goodput curves)", cmd_chaos, (
+        ("chaos", "fail-stop fault storms under reliable transport (goodput curves)",
+         cmd_campaign, (
             ("network", dict(
                 choices=("tree", "cube", "both"), default="both",
                 help="paper network(s) to storm (default: both, for the scorecard panel)")),
@@ -1453,7 +1336,7 @@ def _commands() -> tuple:
         )),
         ("congestion",
          "overload campaign past saturation: open vs closed loop (collapse curves)",
-         cmd_congestion, (
+         cmd_campaign, (
             *_SHAPE,
             ("algorithm", dict(help="routing algorithm override; default per network")),
             "vcs", "pattern", ("seed", dict(default=29, help="traffic seed")), "profile",
@@ -1485,16 +1368,6 @@ def _commands() -> tuple:
             ("ledger", dict(required=True, help="ledger to score")),
             ("out", dict(default="scorecard.html", help="output HTML path")),
             "title", "tol", "include_faults",
-        )),
-        ("bench", "record or compare an engine performance baseline", cmd_bench, (
-            ("out", dict(
-                metavar="JSON",
-                help="baseline output path (default BENCH_<host>.json when recording)")),
-            "compare", "threshold", "repeats", "cycles",
-            ("json", dict(
-                help="emit the baseline document (recording) or the comparison "
-                "document with per-entry deltas and pass/fail (--compare) as "
-                "JSON; the regression exit code is unchanged")),
         )),
         ("find-sat", "bisect the saturation point", cmd_find_sat, (*_COMMON, "resolution")),
         ("dimensions", "cube dimensionality study (§11)", cmd_dimensions, (

@@ -2,7 +2,8 @@
 
 * :mod:`repro.experiments.sweep` — offered-load sweeps (serial or
   process-pool) with an in-process result cache so Figure 7 reuses the
-  runs of Figures 5 and 6.
+  runs of Figures 5 and 6, and ``run_curves``, the one driver every
+  figure and campaign below is a table of curves over.
 * :mod:`repro.experiments.fig5` — fat-tree CNF curves (Figure 5 a–h).
 * :mod:`repro.experiments.fig6` — cube CNF curves (Figure 6 a–h).
 * :mod:`repro.experiments.fig7` — the normalized absolute comparison
@@ -23,7 +24,7 @@ from .fig7 import fig7_experiment
 from .report import render_ascii_plot, render_cnf, render_comparison, render_table
 from .search import SaturationEstimate, find_saturation
 from .stats import Estimate, replicate_point, t_confidence
-from .sweep import clear_cache, run_point, run_sweep
+from .sweep import clear_cache, run_curves, run_point, run_sweep
 from .tables import table1_rows, table2_rows
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "replicate_point",
     "t_confidence",
     "clear_cache",
+    "run_curves",
     "run_point",
     "run_sweep",
     "table1_rows",

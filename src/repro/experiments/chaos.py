@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..errors import ConfigurationError
 from ..faults import (
@@ -59,7 +58,7 @@ from ..traffic.transport import (
     attach_reliability,
 )
 from .degradation import _make_config, fault_population
-from .sweep import default_loads, run_sweep
+from .sweep import run_curves
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,6 @@ def run_chaos_point(
 ) -> RunResult:
     """Simulate one chaos point: reliable transport + fail-stop storm.
 
-    Module-level and driven by picklable arguments, so the resilient
-    sweep can fan it out over process pools via ``functools.partial``.
     The engine is audited after the run — a storm that corrupts a
     network invariant fails loudly instead of skewing a curve.
 
@@ -262,76 +259,63 @@ def chaos_campaign(
     n: int | None = None,
     algorithm: str | None = None,
     transport: TransportConfig | None = None,
-    flight=None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    retries: int = 0,
-    timeout: float | None = None,
+    instruments=(),
     record_failures: bool = True,
-    progress=None,
-    ledger=None,
-    checkpoints=None,
+    **harness,
 ) -> list[ChaosSeries]:
     """Grid fail-stop storms over fault rate × repair time × offered load.
 
-    One :class:`ChaosSeries` per (fault_rate, repair_cycles) pair, each a
-    full load sweep of :func:`run_chaos_point` through the resilient
-    harness.  Adaptive algorithms only — the storms are lane-level, so
-    deterministic baselines reject them at validation (by design: the
-    unprotected contrast belongs to the fault tests, not the campaign).
+    One :class:`ChaosSeries` per (fault_rate, repair_cycles) pair: a
+    curve of :func:`~repro.experiments.sweep.run_curves` whose points run
+    under ``(*instruments, Audit(), Storm(storm))`` — what
+    :func:`run_chaos_point` runs one point under — through the resilient
+    harness (``harness``: ``parallel``, ``max_workers``, ``retries``,
+    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  Adaptive
+    algorithms only — the storms are lane-level, so deterministic
+    baselines reject them at validation (by design: the unprotected
+    contrast belongs to the fault tests, not the campaign).
 
     Every completed point is appended to ``ledger`` as a ``"chaos"``
     record with dedup off (grid points share config digest + seed; the
     storm recipe on ``telemetry.reliability`` is what distinguishes
-    them).  ``flight`` (a :class:`~repro.obs.flight.FlightConfig`)
-    attaches a flight recorder to every point, with strike/repair
-    annotations stamped on each timeline.  ``checkpoints`` (a
-    :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
+    them).  ``instruments`` are observers installed ahead of the storm
+    on every point — a :class:`~repro.obs.flight.Flight` gets the
+    strike/repair annotations stamped on each timeline.  ``checkpoints``
+    (a :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
     point checkpointed and resumable; a rerun with the same directory
     reloads finished points and resumes interrupted ones.
     """
     profile = profile or get_profile()
-    if loads is None:
-        loads = default_loads(profile.sweep_points)
     if transport is None:
         transport = default_transport(profile)
-    out: list[ChaosSeries] = []
-    for repair_cycles in repair_grid:
-        for rate in fault_rates:
-            storm = StormSpec(
-                fault_rate=rate,
-                repair_cycles=repair_cycles,
-                storm_seed=storm_seed,
-                transport=transport,
-            )
-            label = f"{network} chaos fr={rate:.2f}"
-            if len(repair_grid) > 1:
-                label += f" repair={repair_cycles}"
-            collected: list[RunResult] = []
-            series = run_sweep(
-                partial(
-                    _make_config, network, vcs=vcs, profile=profile, seed=seed,
-                    k=k, n=n, algorithm=algorithm,
-                ),
-                loads,
-                label,
-                parallel=parallel,
-                max_workers=max_workers,
-                retries=retries,
-                timeout=timeout,
-                record_failures=record_failures,
-                progress=progress,
-                ledger=ledger,
-                simulate_fn=partial(run_chaos_point, storm=storm, flight=flight),
-                ledger_kind="chaos",
-                ledger_dedup=False,
-                on_result=collected.append,
-                checkpoints=checkpoints,
-            )
-            out.append(
-                ChaosSeries(storm=storm, series=series, results=tuple(collected))
-            )
-    return out
+    config = _make_config(network, 0.0, vcs, profile, seed, k, n, algorithm)
+    storms = [
+        StormSpec(
+            fault_rate=rate,
+            repair_cycles=repair_cycles,
+            storm_seed=storm_seed,
+            transport=transport,
+        )
+        for repair_cycles in repair_grid
+        for rate in fault_rates
+    ]
+    curves = [
+        (
+            f"{network} chaos fr={storm.fault_rate:.2f}"
+            + (f" repair={storm.repair_cycles}" if len(repair_grid) > 1 else ""),
+            config,
+            (*instruments, Audit(), Storm(storm)),
+        )
+        for storm in storms
+    ]
+    ran = run_curves(
+        curves, loads, profile, ledger_kind="chaos", ledger_dedup=False,
+        record_failures=record_failures, **harness,
+    )
+    return [
+        ChaosSeries(storm=storm, series=series, results=results)
+        for storm, (series, results) in zip(storms, ran)
+    ]
 
 
 def degradation_rows(campaign: list[ChaosSeries]) -> list[dict]:

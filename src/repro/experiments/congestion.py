@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..metrics.series import LoadSweepSeries
 from ..obs.flight import Flight, FlightConfig
@@ -46,7 +45,7 @@ from ..traffic.congestion import Congested, CongestionConfig
 from ..traffic.transport import Reliable, TransportConfig, attach_reliability
 from .chaos import default_transport
 from .degradation import _make_config
-from .sweep import run_sweep
+from .sweep import run_curves
 
 #: overload axis when the paper gives no saturation reference for a shape
 FALLBACK_SATURATION = 0.6
@@ -149,26 +148,30 @@ class Overload(Instrument):
         return attach_reliability(result, live, extra={"overload": doc})
 
 
+def overload_recipe(
+    config: SimulationConfig, spec: OverloadSpec, instruments=()
+) -> tuple[SimulationConfig, tuple]:
+    """The complete recipe of one mode's points: the config with latency
+    collection forced on (the collapse panel needs p99) and the spec's
+    arbiter — so both are part of the recorded config document and of the
+    point's identity — and the instruments to run it under, ``instruments``
+    ahead of the audit and the mode itself."""
+    config = dataclasses.replace(config, arbiter=spec.arbiter, collect_latencies=True)
+    return config, (*instruments, Audit(), Overload(spec))
+
+
 def run_overload_point(
     config: SimulationConfig, spec: OverloadSpec, checkpoint=None
 ) -> RunResult:
-    """Simulate one overload point in one mode.
-
-    Module-level and driven by picklable arguments so the resilient
-    sweep can fan it out over process pools.  Latency collection is
-    forced on (the collapse panel needs p99) and the arbiter comes from
-    the spec, so both knobs are part of the recorded config document.
-    The engine is audited after the run.
+    """Simulate one overload point in one mode (:func:`overload_recipe`,
+    under a flight recorder when ``spec.flight`` is set).  The engine is
+    audited after the run.
 
     ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
     makes the point resumable; transport/AIMD state rides the snapshot.
     """
-    config = dataclasses.replace(
-        config, arbiter=spec.arbiter, collect_latencies=True
-    )
-    tiers = [Audit(), Overload(spec)]
-    if spec.flight is not None:
-        tiers.insert(0, Flight(spec.flight))
+    observers = (Flight(spec.flight),) if spec.flight is not None else ()
+    config, tiers = overload_recipe(config, spec, observers)
     return simulate(config, tiers, checkpoint=checkpoint)
 
 
@@ -222,85 +225,67 @@ def congestion_campaign(
     algorithm: str | None = None,
     transport: TransportConfig | None = None,
     control: CongestionConfig | None = None,
-    flight: FlightConfig | None = None,
+    instruments=(),
     arbiter_open: str = "round_robin",
     arbiter_closed: str = "round_robin",
-    parallel: bool = False,
-    max_workers: int | None = None,
-    retries: int = 0,
-    timeout: float | None = None,
     record_failures: bool = True,
-    progress=None,
-    ledger=None,
-    checkpoints=None,
+    **harness,
 ) -> list[OverloadSeries]:
     """Grid open-loop vs closed-loop runs over an overload axis.
 
     One :class:`OverloadSeries` per entry of ``modes`` (False = open
-    loop, True = closed loop), each a full offered-load sweep of
-    :func:`run_overload_point` from 0.5× to ``max_factor``× the paper's
-    saturation reference for the swept shape.  Every completed point is
-    appended to ``ledger`` as a ``"congestion"`` record with dedup off
-    (modes intentionally share config digest + seed; the mode document
-    on ``telemetry.reliability`` is what distinguishes them).
-    ``checkpoints`` (a
+    loop, True = closed loop): a curve of
+    :func:`~repro.experiments.sweep.run_curves` built by
+    :func:`overload_recipe`, from 0.5× to ``max_factor``× the paper's
+    saturation reference for the swept shape, through the resilient
+    harness (``harness``: ``parallel``, ``max_workers``, ``retries``,
+    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  Every
+    completed point is appended to ``ledger`` as a ``"congestion"``
+    record with dedup off (modes intentionally share config digest +
+    seed; the mode document on ``telemetry.reliability`` is what
+    distinguishes them).  ``instruments`` are observers installed ahead
+    of the mode on every point (a :class:`~repro.obs.flight.Flight`
+    records the window dynamics).  ``checkpoints`` (a
     :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
     point checkpointed and resumable; a rerun with the same directory
     reloads finished points and resumes interrupted ones.
     """
     profile = profile or get_profile()
+    config = _make_config(
+        network, 0.0, vcs, profile, seed, k, n, algorithm, pattern=pattern
+    )
     saturation = saturation_reference(
-        network,
-        k or (4 if network == "tree" else 16),
-        n or (4 if network == "tree" else 2),
-        algorithm or ("tree_adaptive" if network == "tree" else "duato"),
-        vcs,
-        pattern,
+        network, config.k, config.n, config.algorithm, vcs, pattern
     )
     if loads is None:
         loads = overload_loads(
             saturation, profile.sweep_points, max_factor=max_factor
         )
-    if transport is None:
-        transport = default_transport(profile)
-    if control is None:
-        control = DEFAULT_CONTROL
-    out: list[OverloadSeries] = []
-    for closed_loop in modes:
-        spec = OverloadSpec(
+    specs = [
+        OverloadSpec(
             closed_loop=closed_loop,
             saturation=saturation,
             arbiter=arbiter_closed if closed_loop else arbiter_open,
-            transport=transport,
-            control=control,
-            flight=flight,
+            transport=transport or default_transport(profile),
+            control=control or DEFAULT_CONTROL,
         )
-        label = f"{network} congestion {spec.mode}-loop"
-        collected: list[RunResult] = []
-        series = run_sweep(
-            partial(
-                _make_config, network, vcs=vcs, profile=profile, seed=seed,
-                k=k, n=n, algorithm=algorithm, pattern=pattern,
-            ),
-            loads,
-            label,
-            parallel=parallel,
-            max_workers=max_workers,
-            retries=retries,
-            timeout=timeout,
-            record_failures=record_failures,
-            progress=progress,
-            ledger=ledger,
-            simulate_fn=partial(run_overload_point, spec=spec),
-            ledger_kind="congestion",
-            ledger_dedup=False,
-            on_result=collected.append,
-            checkpoints=checkpoints,
+        for closed_loop in modes
+    ]
+    curves = [
+        (
+            f"{network} congestion {spec.mode}-loop",
+            *overload_recipe(config, spec, instruments),
         )
-        out.append(
-            OverloadSeries(spec=spec, series=series, results=tuple(collected))
-        )
-    return out
+        for spec in specs
+    ]
+    ran = run_curves(
+        curves, loads, ledger_kind="congestion", ledger_dedup=False,
+        record_failures=record_failures, **harness,
+    )
+    return [
+        OverloadSeries(spec=spec, series=series, results=results)
+        for spec, (series, results) in zip(specs, ran)
+    ]
 
 
 def collapse_rows(campaign: list[OverloadSeries]) -> list[dict]:

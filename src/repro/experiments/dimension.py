@@ -34,7 +34,7 @@ from ..sim.config import SimulationConfig
 from ..timing.chien import WireLength, router_delays
 from ..timing.normalization import NetworkScaling, PACKET_BYTES
 from ..topology.properties import cube_effective_capacity
-from .sweep import default_loads, run_sweep
+from .sweep import run_curves
 
 #: byte-pins of the reference router (16-ary 2-cube: 4 ports x 4 bytes)
 PIN_BUDGET_BYTES = 16
@@ -115,13 +115,11 @@ def dimension_study(
 ) -> list[DimensionStudyRow]:
     """Sweep every shape and summarize in absolute units."""
     profile = profile or get_profile()
-    loads = default_loads(profile.sweep_points)
-    rows = []
-    for k, n in shapes:
-        variant = normalize_cube(k, n, algorithm)
-
-        def factory(load: float, variant: CubeVariant = variant) -> SimulationConfig:
-            return SimulationConfig(
+    variants = [normalize_cube(k, n, algorithm) for k, n in shapes]
+    curves = [
+        (
+            variant.label,
+            SimulationConfig(
                 network="cube",
                 k=variant.k,
                 n=variant.n,
@@ -130,13 +128,15 @@ def dimension_study(
                 packet_flits=variant.packet_flits,
                 capacity_flits_per_cycle=variant.capacity_flits_per_cycle,
                 pattern=pattern,
-                load=load,
                 seed=seed,
-                warmup_cycles=profile.warmup_cycles,
-                total_cycles=profile.total_cycles,
-            )
-
-        sweep = run_sweep(factory, loads, label=variant.label)
+                **profile.windows,
+            ),
+            (),
+        )
+        for variant in variants
+    ]
+    rows = []
+    for variant, (sweep, _) in zip(variants, run_curves(curves, profile=profile)):
         scaling = variant.scaling()
         first = sweep.points[0]
         rows.append(

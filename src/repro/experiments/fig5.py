@@ -22,7 +22,7 @@ from ..metrics.cnf import CNFResult
 from ..profiles import Profile, get_profile
 from ..sim.run import tree_config
 from ..traffic.patterns import PAPER_PATTERNS
-from .sweep import default_loads, run_sweep
+from .sweep import default_loads, run_curves
 
 #: virtual-channel variants evaluated by the paper
 TREE_VC_VARIANTS = (1, 2, 4)
@@ -49,27 +49,16 @@ def fig5_experiment(
     if pattern not in PAPER_PATTERNS:
         raise ConfigurationError(
             f"figure 5 covers {PAPER_PATTERNS}, got {pattern!r} "
-            f"(use run_sweep directly for extension patterns)"
+            f"(use run_curves directly for extension patterns)"
         )
     profile = profile or get_profile()
-    loads = fig5_loads(profile)
-    series = []
-    for vcs in vc_variants:
-        series.append(
-            run_sweep(
-                lambda load, v=vcs: tree_config(
-                    k=k,
-                    n=n,
-                    vcs=v,
-                    pattern=pattern,
-                    load=load,
-                    seed=seed,
-                    warmup_cycles=profile.warmup_cycles,
-                    total_cycles=profile.total_cycles,
-                ),
-                loads,
-                label=f"{vcs} vc",
-                parallel=parallel,
-            )
+    curves = [
+        (
+            f"{vcs} vc",
+            tree_config(k=k, n=n, vcs=vcs, pattern=pattern, seed=seed, **profile.windows),
+            (),
         )
+        for vcs in vc_variants
+    ]
+    series = [s for s, _ in run_curves(curves, profile=profile, parallel=parallel)]
     return CNFResult(title=f"4-ary 4-tree, {pattern} traffic", series=series)

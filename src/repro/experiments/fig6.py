@@ -22,7 +22,7 @@ from ..metrics.cnf import CNFResult
 from ..profiles import Profile, get_profile
 from ..sim.run import cube_config
 from ..traffic.patterns import PAPER_PATTERNS
-from .sweep import default_loads, run_sweep
+from .sweep import run_curves
 
 #: the two algorithms with their figure legend labels
 CUBE_ALGORITHMS = (("dor", "deterministic"), ("duato", "Duato"))
@@ -41,28 +41,19 @@ def fig6_experiment(
     if pattern not in PAPER_PATTERNS:
         raise ConfigurationError(
             f"figure 6 covers {PAPER_PATTERNS}, got {pattern!r} "
-            f"(use run_sweep directly for extension patterns)"
+            f"(use run_curves directly for extension patterns)"
         )
     profile = profile or get_profile()
-    loads = default_loads(profile.sweep_points)
-    series = []
-    for algorithm, label in CUBE_ALGORITHMS:
-        series.append(
-            run_sweep(
-                lambda load, a=algorithm: cube_config(
-                    k=k,
-                    n=n,
-                    algorithm=a,
-                    vcs=vcs,
-                    pattern=pattern,
-                    load=load,
-                    seed=seed,
-                    warmup_cycles=profile.warmup_cycles,
-                    total_cycles=profile.total_cycles,
-                ),
-                loads,
-                label=label,
-                parallel=parallel,
-            )
+    curves = [
+        (
+            label,
+            cube_config(
+                k=k, n=n, algorithm=algorithm, vcs=vcs, pattern=pattern, seed=seed,
+                **profile.windows,
+            ),
+            (),
         )
+        for algorithm, label in CUBE_ALGORITHMS
+    ]
+    series = [s for s, _ in run_curves(curves, profile=profile, parallel=parallel)]
     return CNFResult(title=f"16-ary 2-cube, {pattern} traffic", series=series)

@@ -1,7 +1,9 @@
 """Offered-load sweeps, with a resilient campaign harness.
 
-A sweep runs one simulation per offered-load point and assembles a
-:class:`~repro.metrics.series.LoadSweepSeries`.  Two execution modes:
+A sweep (:func:`run_sweep`) runs one simulation per offered-load point
+and assembles a :class:`~repro.metrics.series.LoadSweepSeries`;
+:func:`run_curves` runs a table of them — the shape every figure,
+ablation and campaign has — over one load grid.  Two execution modes:
 
 * **serial** (default) — one process; right for the single-CPU benchmark
   environment and for reproducibility layering.
@@ -67,6 +69,7 @@ from ..errors import (
     WorkerDiedError,
 )
 from ..metrics.series import FailedPoint, LoadSweepSeries
+from ..profiles import Profile, get_profile
 from ..sim.checkpoint import (
     CheckpointPolicy,
     clear_checkpoints,
@@ -120,14 +123,15 @@ _BACKOFF_CAP = 2.0
 class CampaignCheckpoints:
     """Campaign-level checkpoint supervision for :func:`run_sweep`.
 
-    Every point gets its own subdirectory of ``directory`` (named by a
-    digest of the campaign label + the point's cache key, so chaos and
-    congestion grid cells that share a plain config recipe never
-    collide).  Each point directory holds the point's periodic
-    checkpoints, its manifest, and — once the point finishes — its
-    result document as a one-entry :class:`RunCache`, which is what a
-    later ``--resume`` reloads completed points from even for decorated
-    (``simulate_fn``) campaigns where the global cache is bypassed.
+    Every point gets its own subdirectory of ``directory``, named by a
+    digest of the point's key (:func:`_cache_key`: config fields plus
+    instrument specs, so chaos and congestion grid cells that share a
+    plain config never collide) and the campaign label — the only
+    namespace an opaque ``simulate_fn`` campaign has.  Each point
+    directory holds the point's periodic checkpoints, its manifest, and
+    — once the point finishes — its result document as a one-entry
+    :class:`RunCache`, which is what a later ``--resume`` reloads
+    completed points from even where the global cache is bypassed.
     """
 
     directory: str
@@ -178,23 +182,15 @@ class PointProgress:
     flight: dict | None = None
 
 
-def _cache_key(config: SimulationConfig) -> tuple:
-    return (
-        config.network,
-        config.k,
-        config.n,
-        config.algorithm,
-        config.vcs,
-        config.buffer_flits,
-        config.packet_flits,
-        config.pattern,
-        tuple(sorted(config.pattern_kwargs.items())),
-        round(config.load, 9),
-        config.warmup_cycles,
-        config.total_cycles,
-        config.seed,
-        config.arbiter,
-    )
+def _cache_key(config: SimulationConfig, instruments=()) -> tuple:
+    """A point's identity — in the memo, in a :class:`RunCache` and as a
+    checkpoint directory: its whole recipe, i.e. every config field plus
+    the instrument specs it runs under (frozen dataclasses, so their
+    ``repr`` is their recipe)."""
+    recipe = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    recipe["pattern_kwargs"] = tuple(sorted(config.pattern_kwargs.items()))
+    recipe["load"] = round(config.load, 9)
+    return (*recipe.values(), *map(repr, instruments))
 
 
 def clear_cache() -> int:
@@ -450,14 +446,7 @@ def _terminate_workers(pool) -> None:
 
 
 def _run_parallel(
-    pending,
-    retries,
-    timeout,
-    max_workers,
-    simulate_fn=simulate,
-    consume=None,
-    checkpoints=None,
-    point_dirs=None,
+    pending, point_dirs, retries, timeout, max_workers, simulate_fn, consume, checkpoints
 ):
     """Fan points out over a pool, consuming outcomes in ``pending`` order.
 
@@ -485,9 +474,7 @@ def _run_parallel(
     pool = pool_cls(max_workers=workers)
     futures = [None] * len(pending)
     for i in sorted(range(len(pending)), key=lambda i: -pending[i].load):
-        futures[i] = pool.submit(
-            task, pending[i], point_dir=point_dirs[i] if point_dirs else None
-        )
+        futures[i] = pool.submit(task, pending[i], point_dir=point_dirs[i])
     consumed = 0
     try:
         for config, fut in zip(pending, futures):
@@ -526,7 +513,6 @@ def run_sweep(
     cache: RunCache | None = None,
     progress: Callable[[PointProgress], None] | None = None,
     ledger=None,
-    forensics: bool = False,
     simulate_fn=None,
     instruments=(),
     ledger_kind: str | None = None,
@@ -557,28 +543,23 @@ def run_sweep(
             that produced a result (cached hits included) is appended as
             a ``"sweep"`` record, deduplicated by config digest + seed,
             so repeated campaigns accrete one durable results file.
-        forensics: instrument every point with the congestion-forensics
-            tier (:mod:`repro.obs.forensics`); the forensics document
-            rides on each result's telemetry (parallel workers
-            included) and ledger records are filed as ``"forensics"``.
-            Caches are bypassed: a plain cached run has no forensics
-            document, and an instrumented run must not satisfy later
-            uninstrumented campaigns either.
         simulate_fn: optional picklable callable replacing the
             point-simulation function entirely (a module-level function
             or :func:`functools.partial` of one, taking a
-            :class:`SimulationConfig`).  Campaigns that decorate runs
-            with extra machinery (reliable transport, fault storms)
-            plug in here; caches are bypassed for the same reason as
-            with ``forensics``.
+            :class:`SimulationConfig`) — the seam tests inject failures
+            through.  It is opaque, so the memo and ``cache`` are
+            bypassed: nothing says which recipe its results belong to
+            beyond the config (``label`` keeps its checkpoint
+            directories apart from other campaigns').
         instruments: :class:`~repro.obs.probe.Instrument` specs every
-            point runs under (after the forensics tier when
-            ``forensics`` is set) — the point function is then
-            :func:`~repro.sim.run.simulate` with them bound, and caches
-            are bypassed as with ``forensics``.  Not with
-            ``simulate_fn``, which brings its own.
-        ledger_kind: override the kind ledger records are filed under
-            (default ``"sweep"``, or ``"forensics"`` when instrumented).
+            point runs under — the point function is then
+            :func:`~repro.sim.run.simulate` with them bound, and they are
+            part of each point's identity (:func:`_cache_key`).  The memo
+            and ``cache`` are bypassed: instrumented results carry
+            documents no later plain campaign should be handed.  Not
+            with ``simulate_fn``, which brings its own.
+        ledger_kind: the kind ledger records are filed under (default
+            ``"sweep"``).
         ledger_dedup: pass ``dedup=False`` for campaigns whose points
             intentionally share a config digest + seed (e.g. a chaos
             grid varying only the storm parameters).
@@ -592,31 +573,25 @@ def run_sweep(
             persist their result there as a one-entry :class:`RunCache`
             and drop their snapshots.  A later campaign passing the same
             directory reloads completed points from those per-point
-            caches (even when ``simulate_fn`` bypasses the global cache)
-            and restarts interrupted points from their newest valid
-            checkpoint.  With a ``timeout``, supervision also enables
-            worker heartbeats, the SIGUSR1 soft-timeout escalation and
+            caches (even when the global cache is bypassed) and restarts
+            interrupted points from their newest valid checkpoint.  With
+            a ``timeout``, supervision also enables worker heartbeats,
+            the SIGUSR1 soft-timeout escalation and
             resume-from-checkpoint retries.  When ``simulate_fn`` is
-            set it must accept a ``checkpoint=`` keyword (all the
-            repo's point functions do).
+            set it must accept a ``checkpoint=`` keyword.
     """
-    if forensics:
-        from ..obs.forensics import Forensics
-
-        instruments = (Forensics(), *instruments)
+    instruments = tuple(instruments)
     if instruments and simulate_fn is not None:
         raise ConfigurationError("pass instruments or simulate_fn, not both")
     if instruments or simulate_fn is not None:
-        # the memo/disk cache is keyed by recipe alone; instrumented,
-        # decorated and plain runs would collide there (see the docstring)
         use_cache = False
         cache = None
     if instruments:
-        simulate_fn = partial(simulate, instruments=tuple(instruments))
+        simulate_fn = partial(simulate, instruments=instruments)
     elif simulate_fn is None:
         simulate_fn = simulate
     _INTERRUPTED.clear()
-    kind = ledger_kind or ("forensics" if forensics else "sweep")
+    kind = ledger_kind or "sweep"
     if not loads:
         raise ConfigurationError("empty load grid")
     if retries < 0:
@@ -662,12 +637,29 @@ def run_sweep(
             )
         )
 
+    def accept(config: SimulationConfig, result: RunResult, status: str) -> None:
+        series.add(result)
+        if ledger is not None:
+            ledger.append_run(result, kind=kind, dedup=ledger_dedup)
+        if on_result is not None:
+            on_result(result)
+        # a reloaded point's telemetry describes the run that produced it
+        report(config, status, result if status == "ok" else None)
+
+    def key_of(config: SimulationConfig) -> tuple:
+        return _cache_key(config, instruments)
+
+    def point_dir(config: SimulationConfig) -> str | None:
+        if checkpoints is None:
+            return None
+        return checkpoints.point_dir(label, key_of(config))
+
     # Classify by cache key — never by config equality: two configs that
     # compare equal are the same *recipe* regardless of which factory call
     # produced them, and key sets keep this O(n).
     pending: list[SimulationConfig] = []
     for config in configs:
-        key = _cache_key(config)
+        key = key_of(config)
         result = _CACHE.get(key) if use_cache else None
         if result is None and use_cache and cache is not None:
             result = cache.get(key)
@@ -675,82 +667,105 @@ def run_sweep(
                 _CACHE[key] = result
         if result is None and checkpoints is not None:
             # the point's own one-entry cache — how --resume reloads
-            # completed points even for decorated (simulate_fn) campaigns
-            result = RunCache(checkpoints.point_dir(label, key)).get(key)
+            # completed points even where the global cache is bypassed
+            result = RunCache(point_dir(config)).get(key)
         if result is not None:
-            series.add(result)
-            if ledger is not None:
-                ledger.append_run(result, kind=kind, dedup=ledger_dedup)
-            if on_result is not None:
-                on_result(result)
-            report(config, "cached")
+            accept(config, result, "cached")
         else:
             pending.append(config)
     if not pending:  # fully cached: no pool, no subprocesses, no work
         return series
 
     def consume(config: SimulationConfig, outcome) -> None:
-        if outcome[0] == "ok":
-            result = outcome[1]
-            if use_cache:
-                _CACHE[_cache_key(result.config)] = result
-                if cache is not None:
-                    cache.put(_cache_key(result.config), result)
-            if checkpoints is not None:
-                # file under the ORIGINAL recipe's key (a reseeded retry
-                # must still satisfy the same grid point on resume), then
-                # drop the now-redundant snapshots
-                pdir = checkpoints.point_dir(label, _cache_key(config))
-                RunCache(pdir).put(_cache_key(config), result)
-                clear_checkpoints(pdir)
-            series.add(result)
-            if ledger is not None:
-                ledger.append_run(result, kind=kind, dedup=ledger_dedup)
-            if on_result is not None:
-                on_result(result)
-            report(config, "ok", result)
-        else:
+        if outcome[0] != "ok":
             if not record_failures:
                 raise outcome[2]
             series.add_failure(outcome[1])
             report(config, "failed")
+            return
+        result = outcome[1]
+        if use_cache:
+            # a reseeded retry is filed under the recipe that produced it
+            produced = _cache_key(result.config)
+            _CACHE[produced] = result
+            if cache is not None:
+                cache.put(produced, result)
+        if checkpoints is not None:
+            # ... but under the ORIGINAL recipe's key here (it must still
+            # satisfy the same grid point on resume); then drop the
+            # now-redundant snapshots
+            pdir = point_dir(config)
+            RunCache(pdir).put(key_of(config), result)
+            clear_checkpoints(pdir)
+        accept(config, result, "ok")
 
-    point_dirs = None
-    if checkpoints is not None:
-        point_dirs = [
-            checkpoints.point_dir(label, _cache_key(config)) for config in pending
-        ]
+    point_dirs = [point_dir(config) for config in pending]
     if parallel and len(pending) > 1:
         _run_parallel(
-            pending,
-            retries,
-            timeout,
-            max_workers,
-            simulate_fn=simulate_fn,
-            consume=consume,
-            checkpoints=checkpoints,
-            point_dirs=point_dirs,
+            pending, point_dirs, retries, timeout, max_workers, simulate_fn, consume,
+            checkpoints,
         )
-    else:
-        for i, config in enumerate(pending):
-            key = _cache_key(config)
-            if use_cache and key in _CACHE:  # duplicate earlier in this grid
-                series.add(_CACHE[key])
-                if ledger is not None:
-                    ledger.append_run(_CACHE[key], kind=kind, dedup=ledger_dedup)
-                if on_result is not None:
-                    on_result(_CACHE[key])
-                report(config, "cached")
-                continue
-            consume(
+        return series
+    for config, pdir in zip(pending, point_dirs):
+        duplicate = _CACHE.get(key_of(config)) if use_cache else None
+        if duplicate is not None:  # the same recipe earlier in this grid
+            accept(config, duplicate, "cached")
+            continue
+        consume(
+            config,
+            _point_task(
                 config,
-                _point_task(
-                    config,
-                    retries=retries,
-                    timeout=timeout,
-                    simulate_fn=simulate_fn,
-                    checkpoints=checkpoints,
-                    point_dir=point_dirs[i] if point_dirs else None,
-                ),
-            )
+                retries=retries,
+                timeout=timeout,
+                simulate_fn=simulate_fn,
+                checkpoints=checkpoints,
+                point_dir=pdir,
+            ),
+        )
     return series
+
+
+def _at_load(config: SimulationConfig, load: float) -> SimulationConfig:
+    return dataclasses.replace(config, load=load)
+
+
+def run_curves(
+    curves,
+    loads: Sequence[float] | None = None,
+    profile: Profile | None = None,
+    ledger_kind: str | None = None,
+    ledger_dedup: bool = True,
+    **harness,
+) -> list[tuple[LoadSweepSeries, tuple[RunResult, ...]]]:
+    """Run a table of curves over one offered-load grid — the shape of
+    every figure, ablation and campaign of this repo.
+
+    A curve is ``(label, config, instruments)``: ``config`` is the
+    *complete* recipe of its points at a placeholder load (arbiter,
+    ``collect_latencies``, windows already applied) and ``instruments``
+    the specs they run under; the driver only varies ``config.load``.
+    ``loads`` defaults to the ``profile``'s grid (``profile`` to
+    :func:`~repro.profiles.get_profile`).  ``harness`` reaches every
+    curve's :func:`run_sweep` (``parallel``, ``max_workers``,
+    ``retries``, ``timeout``, ``record_failures``, ``cache``,
+    ``progress``, ``ledger``, ``checkpoints``).
+
+    Returns, per curve, its series and the raw results behind it.
+    """
+    if loads is None:
+        loads = default_loads((profile or get_profile()).sweep_points)
+    out = []
+    for label, config, instruments in curves:
+        results: list[RunResult] = []
+        series = run_sweep(
+            partial(_at_load, config),
+            loads,
+            label,
+            instruments=instruments,
+            ledger_kind=ledger_kind,
+            ledger_dedup=ledger_dedup,
+            on_result=results.append,
+            **harness,
+        )
+        out.append((series, tuple(results)))
+    return out

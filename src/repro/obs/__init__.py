@@ -35,9 +35,8 @@ On top of the per-run signals sits the aggregation tier:
 * :mod:`repro.obs.report` — the HTML reproduction scorecard: ledger
   curves rendered as inline SVG with the paper's Figure 5/6 saturation
   points overlaid and a per-figure fidelity score.
-* :mod:`repro.obs.bench` — engine performance baselines
-  (``BENCH_<host>.json``) and the ``bench --compare`` regression gate
-  over overall and per-phase cycles/sec.
+* :mod:`repro.obs.bench` — ``PROBE_FACTORIES``: one factory per probe
+  tier, the operating points ``benchmarks/perf`` times.
 * :mod:`repro.obs.forensics` — the congestion-forensics tier:
   per-packet latency attribution (:class:`ForensicsProbe` et al.),
   wait-for graph sampling with deadlock-precursor detection, and
@@ -68,9 +67,9 @@ On top of the per-run signals sits the aggregation tier:
 CLI entry points: ``repro-net trace`` for instrumented single runs,
 ``repro-net run/sweep/trace --json`` for machine-readable results
 including telemetry, ``--ledger`` on run/sweep/trace/faults for durable
-result capture, ``repro-net report`` for the scorecard, ``repro-net
-bench`` for the perf gate, and ``benchmarks/perf`` for the 256-node
-benchmark matrix (probe tiers included) behind every performance claim.
+result capture, ``repro-net report`` for the scorecard, and
+``benchmarks/perf`` for the 256-node benchmark matrix (probe tiers
+included) behind every performance claim.
 """
 
 from .counters import CounterWindow, DirectionWindow, WindowedCounterProbe
@@ -78,18 +77,12 @@ from .probe import Instrument, MultiProbe, NullProbe, Probe, compose_probe
 from .telemetry import PHASE_NAMES, RunTelemetry, config_digest
 from .trace import EVENT_KINDS, TraceEvent, TraceProbe
 
-# The aggregation tier (ledger/report/bench) sits *above* the simulation
+# The aggregation tier (ledger/report) sits *above* the simulation
 # layer, while the probe/telemetry leaves sit *below* it (the engine
 # imports repro.obs.telemetry).  Importing the tier eagerly here would
-# close a cycle engine -> obs -> bench -> sim.run -> engine, so its names
+# close a cycle engine -> obs -> report -> sim -> engine, so its names
 # resolve lazily on first attribute access (PEP 562).
 _LAZY = {
-    "BENCH_FORMAT_VERSION": "bench",
-    "REGRESSION_EXIT_CODE": "bench",
-    "compare": "bench",
-    "load_baseline": "bench",
-    "run_bench": "bench",
-    "save_baseline": "bench",
     "LEDGER_FORMAT_VERSION": "ledger",
     "Ledger": "ledger",
     "ledger_record": "ledger",
@@ -101,7 +94,6 @@ _LAZY = {
     "figures_from_results": "report",
     "forensics_by_figure": "report",
     "paper_reference": "report",
-    "partition_reliability": "report",
     "partition_results": "report",
     "reliability_curves": "report",
     "render_scorecard": "report",
@@ -164,12 +156,6 @@ def __dir__() -> list[str]:
     return sorted(set(__all__) | set(globals()))
 
 __all__ = [
-    "BENCH_FORMAT_VERSION",
-    "REGRESSION_EXIT_CODE",
-    "compare",
-    "load_baseline",
-    "run_bench",
-    "save_baseline",
     "CounterWindow",
     "DirectionWindow",
     "WindowedCounterProbe",
@@ -189,7 +175,6 @@ __all__ = [
     "figures_from_results",
     "forensics_by_figure",
     "paper_reference",
-    "partition_reliability",
     "partition_results",
     "reliability_curves",
     "render_scorecard",

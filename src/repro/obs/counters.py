@@ -103,7 +103,6 @@ class WindowedCounterProbe(Probe):
     def bind(self, engine) -> None:
         self._engine = engine
         self._dirs = engine.dirs
-        self._index = {id(d): i for i, d in enumerate(self._dirs)}
         self._start_cycle = 0 if self.include_warmup else engine.config.warmup_cycles
         self._window_start: int | None = None
         n = len(self._dirs)
@@ -111,24 +110,12 @@ class WindowedCounterProbe(Probe):
         self._occ = [[0] * len(d.lanes) for d in self._dirs]
         self._flit_base = [0] * n
 
-    def __getstate__(self) -> dict:
-        # the id(direction) index dies across processes; _dirs carries
-        # the same objects in order, so rebuild it on restore
-        state = dict(self.__dict__)
-        state.pop("_index", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if hasattr(self, "_dirs"):
-            self._index = {id(d): i for i, d in enumerate(self._dirs)}
-
     # -- callbacks -----------------------------------------------------------
 
     def on_direction_blocked(self, cycle: int, direction) -> None:
         if cycle < self._start_cycle:
             return
-        self._blocked[self._index[id(direction)]] += 1
+        self._blocked[direction.index] += 1
 
     def on_cycle(self, cycle: int) -> None:
         if cycle < self._start_cycle:

@@ -189,13 +189,7 @@ class FlightRecorder(Probe):
 
     def bind(self, engine) -> None:
         self.engine = engine
-        labels = []
-        for d in engine.dirs:
-            if d.to_node:
-                labels.append(f"n{d.lanes[0].sink.node}<")
-            else:
-                labels.append(f"s{d.switch}p{d.port}")
-        self._dir_labels = labels
+        self._dir_labels = [d.label for d in engine.dirs]
 
     def on_run_start(self, engine) -> None:
         self.transport = engine.find_probe(ReliableTransport)

@@ -570,35 +570,24 @@ class HotspotProbe(Probe):
     """
 
     def __init__(self) -> None:
-        self._blocked: dict[int, list] = {}
+        #: blocked cycles per direction, by ``LinkDirection.index``
+        self._blocked: list[int] = []
         self.engine = None
         self._warmup = 0
 
     def bind(self, engine) -> None:
         self.engine = engine
         self._warmup = engine.config.warmup_cycles
-        self._blocked = {id(d): [d, 0] for d in engine.dirs}
+        self._blocked = [0] * len(engine.dirs)
 
     def on_direction_blocked(self, cycle: int, direction) -> None:
         if cycle >= self._warmup:
-            self._blocked[id(direction)][1] += 1
-
-    def __getstate__(self) -> dict:
-        # id(direction) keys die across processes; checkpoint the
-        # direction objects and re-key on restore
-        state = dict(self.__dict__)
-        state["_blocked"] = [list(rec) for rec in self._blocked.values()]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        blocked = state.pop("_blocked")
-        self.__dict__.update(state)
-        self._blocked = {id(rec[0]): rec for rec in blocked}
+            self._blocked[direction.index] += 1
 
     def records(self) -> list[dict]:
         """Per-direction hotspot records (all directions, even idle)."""
         out = []
-        for d, blocked in self._blocked.values():
+        for d, blocked in zip(self.engine.dirs, self._blocked):
             out.append(
                 {
                     "switch": d.switch,

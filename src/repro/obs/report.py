@@ -196,20 +196,6 @@ def partition_results(
     return plain, chaos, congestion
 
 
-def partition_reliability(
-    results: list[RunResult],
-) -> tuple[list[RunResult], list[RunResult]]:
-    """Split chaos-campaign runs out of a result set.
-
-    Back-compat wrapper around :func:`partition_results`: overload runs
-    land in the *plain* half here, so callers mixing congestion
-    campaigns into one ledger should prefer the three-way partition.
-    Returns ``(plain, chaos)``.
-    """
-    plain, chaos, congestion = partition_results(results)
-    return plain + congestion, chaos
-
-
 @dataclass
 class ReliabilityCurve:
     """One configuration's fault-rate curve from a chaos campaign.

@@ -117,15 +117,6 @@ def _rng_digest(rng) -> bytes:
 # -- per-subsystem leaf records ------------------------------------------------
 
 
-def direction_label(d) -> str:
-    """The direction's stable name (same convention as the flight
-    recorder): ``n<node><`` for ejection links, ``s<switch>p<port>``
-    for fabric links."""
-    if d.to_node:
-        return f"n{d.lanes[0].sink.node}<"
-    return f"s{d.switch}p{d.port}"
-
-
 def _lane_record(d, lane) -> list[int]:
     """One output lane plus its sink as an int64 leaf record."""
     p = lane.packet
@@ -189,7 +180,7 @@ def _fabric(engine, detail: bool):
             for rec in lane_recs:
                 seg += rec
             flat += seg
-            label = direction_label(d)
+            label = d.label
             links[label] = _hex(_ints(seg))
             lanes[label] = {
                 f"vc{lane.vc}": _hex(_ints(rec))
@@ -294,9 +285,6 @@ def _congestion_ints(engine, control) -> list[int]:
     marker = control.marker
     if marker is None:
         return vals
-    # marker sets are keyed by id(direction): map to engine.dirs indices
-    # so the digest is stable across processes and backends
-    dir_index = {id(d): i for i, d in enumerate(engine.dirs)}
     vals.append(_NONE)
     vals += (
         marker.packets_marked, marker.windows, marker.hot_link_windows,
@@ -304,10 +292,10 @@ def _congestion_ints(engine, control) -> list[int]:
     )
     vals += sorted(marker._marked)
     vals.append(_NONE)
-    vals += sorted(dir_index[h] for h in marker._hot)
+    vals += sorted(marker._hot)
     vals.append(_NONE)
-    for key in sorted(marker._blocked, key=lambda k: dir_index[k]):
-        vals += (dir_index[key], marker._blocked[key][1])
+    for index, cycles in enumerate(marker._blocked):
+        vals += (index, cycles)
     return vals
 
 
@@ -454,7 +442,7 @@ def state_snapshot(engine) -> dict:
                 "credits": lane.credits,
                 "sink": sink_doc,
             }
-        links[direction_label(d)] = {
+        links[d.label] = {
             "rr": d.rr, "nbusy": d.nbusy, "flits": d.flits, "lanes": lane_docs,
         }
     routing = {
@@ -545,8 +533,7 @@ def _transport_snapshot(engine, tp) -> dict:
         marker = control.marker
         marker_doc = None
         if marker is not None:
-            dir_index = {id(d): i for i, d in enumerate(engine.dirs)}
-            labels = [direction_label(d) for d in engine.dirs]
+            labels = [d.label for d in engine.dirs]
             marker_doc = {
                 "packets_marked": marker.packets_marked,
                 "windows": marker.windows,
@@ -554,11 +541,8 @@ def _transport_snapshot(engine, tp) -> dict:
                 "peak_hot_links": marker.peak_hot_links,
                 "window_end": marker._window_end,
                 "marked_pids": sorted(marker._marked),
-                "hot_links": sorted(labels[dir_index[h]] for h in marker._hot),
-                "blocked": {
-                    labels[dir_index[key]]: marker._blocked[key][1]
-                    for key in marker._blocked
-                },
+                "hot_links": sorted(labels[h] for h in marker._hot),
+                "blocked": dict(zip(labels, marker._blocked)),
             }
         congestion = {
             "counters": {

@@ -32,21 +32,23 @@ class Profile:
             (paper: 2000).
         total_cycles: cycle at which each simulation halts (paper: 20000).
         sweep_points: number of offered-load points per curve.
-        drain_packets: minimum measured packets per point for latency
-            statistics to be considered meaningful; points with fewer
-            delivered packets are still reported but flagged.
     """
 
     name: str
     warmup_cycles: int
     total_cycles: int
     sweep_points: int
-    drain_packets: int = 50
 
     @property
     def measure_cycles(self) -> int:
         """Length of the measurement window in cycles."""
         return self.total_cycles - self.warmup_cycles
+
+    @property
+    def windows(self) -> dict[str, int]:
+        """The time axis as :class:`~repro.sim.config.SimulationConfig`
+        keywords."""
+        return dict(warmup_cycles=self.warmup_cycles, total_cycles=self.total_cycles)
 
 
 #: Tiny profile for smoke tests: small time axis, coarse grid.

@@ -255,10 +255,15 @@ class LinkDirection:
     maintains it on every buffered-count 0↔1 transition.
     """
 
-    __slots__ = ("lanes", "rot", "rr", "nbusy", "to_node", "flits", "flits_at_warmup")
+    __slots__ = (
+        "lanes", "rot", "index", "rr", "nbusy", "to_node", "flits", "flits_at_warmup",
+    )
 
-    def __init__(self, lanes: list[OutputLane], to_node: bool = False):
+    def __init__(self, lanes: list[OutputLane], to_node: bool = False, index: int = -1):
         self.lanes = lanes
+        #: position in ``Engine.dirs`` — what per-direction tables of
+        #: probes are indexed by (-1: not wired into an engine)
+        self.index = index
         for lane in lanes:
             lane.direction = self
         self.build_rot()
@@ -290,7 +295,8 @@ class LinkDirection:
 
     def __getstate__(self) -> list:
         # ``rot`` is derived from ``lanes``: V more lists per direction are
-        # left out of pickles; ``Engine.__setstate__`` rebuilds them
+        # left out of pickles; ``Engine.__setstate__`` rebuilds them, and
+        # ``index`` from the position in ``Engine.dirs``
         return [
             self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
             self.flits_at_warmup,
@@ -306,6 +312,14 @@ class LinkDirection:
     def measured_flits(self) -> int:
         """Flits transferred during the measurement window only."""
         return self.flits - self.flits_at_warmup
+
+    @property
+    def label(self) -> str:
+        """Stable name in documents and digests: ``n<node><`` for an
+        ejection link, ``s<switch>p<port>`` for a fabric link."""
+        if self.to_node:
+            return f"n{self.lanes[0].sink.node}<"
+        return f"s{self.switch}p{self.port}"
 
     @property
     def switch(self) -> int:

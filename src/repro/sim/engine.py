@@ -225,7 +225,7 @@ class Engine:
                     ins[v].src_out = outs[v]
                 in_lanes[sb][pb] = ins
                 out_lanes[sa][pa] = outs
-                dirs.append(LinkDirection(outs))
+                dirs.append(LinkDirection(outs, index=len(dirs)))
 
     def _wire_node_links(self, cap: int, vcs: int, injection_lanes: int) -> None:
         """Create each node's ejection channel and injection lanes.
@@ -243,7 +243,7 @@ class Engine:
             outs = [OutputLane(s, p, v, cap, sinks[v], _EJECT_CREDITS) for v in channels]
             self.eject_lanes[node] = sinks
             self.out_lanes[s][p] = outs
-            self.dirs.append(LinkDirection(outs, to_node=True))
+            self.dirs.append(LinkDirection(outs, to_node=True, index=len(self.dirs)))
             # injection: the node feeds the switch input lanes directly
             ins = [InputLane(s, p, v, cap) for v in range(injection_lanes)]
             self.in_lanes[s][p] = ins
@@ -261,7 +261,8 @@ class Engine:
         # here and not in LinkDirection.__setstate__: lanes point back at
         # their direction, so while a pickle loads a direction can be
         # restored before its ``lanes`` list has been filled
-        for d in self.dirs:
+        for index, d in enumerate(self.dirs):
+            d.index = index
             d.build_rot()
         # the engine is the root of its pickle, so the probe tree under it
         # is complete by now: events reach the restored probes

@@ -145,9 +145,9 @@ class CongestionMarker(Probe):
     def __init__(self, config: CongestionConfig | None = None):
         self.config = config or CongestionConfig()
         self.engine = None
-        #: id(direction) -> [direction, blocked cycles this window]
-        self._blocked: dict[int, list] = {}
-        #: id(direction) of links hot for the current window
+        #: blocked cycles this window per direction, by ``LinkDirection.index``
+        self._blocked: list[int] = []
+        #: ``LinkDirection.index`` of the links hot for the current window
         self._hot: set[int] = set()
         #: node -> its ejection LinkDirection
         self._eject: dict[int, object] = {}
@@ -162,47 +162,24 @@ class CongestionMarker(Probe):
 
     def bind(self, engine) -> None:
         self.engine = engine
-        self._blocked = {id(d): [d, 0] for d in engine.dirs}
+        self._blocked = [0] * len(engine.dirs)
         self._eject = {
             d.lanes[0].sink.node: d for d in engine.dirs if d.to_node
         }
         self._window_end = engine.cycle + self.config.window_cycles
 
-    # -- checkpointing --------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # the hot-link tables are keyed by id(direction), which is
-        # meaningless in another process; pickle the direction objects
-        # themselves (shared references inside one engine pickle) and
-        # rebuild the id keys on restore
-        state = dict(self.__dict__)
-        state["_blocked"] = [list(rec) for rec in self._blocked.values()]
-        state["_hot"] = [
-            rec[0] for rec in self._blocked.values() if id(rec[0]) in self._hot
-        ]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        blocked = state.pop("_blocked")
-        hot = state.pop("_hot")
-        self.__dict__.update(state)
-        self._blocked = {id(rec[0]): rec for rec in blocked}
-        self._hot = {id(d) for d in hot}
-
     # -- hot-link accounting --------------------------------------------------
 
     def on_direction_blocked(self, cycle: int, direction) -> None:
-        self._blocked[id(direction)][1] += 1
+        self._blocked[direction.index] += 1
 
     def on_cycle(self, cycle: int) -> None:
         if cycle + 1 < self._window_end:
             return
         threshold = self.config.hot_fraction * self.config.window_cycles
-        hot = set()
-        for rec in self._blocked.values():
-            if rec[1] >= threshold:
-                hot.add(id(rec[0]))
-            rec[1] = 0
+        blocked = self._blocked
+        hot = {i for i, cycles in enumerate(blocked) if cycles >= threshold}
+        blocked[:] = [0] * len(blocked)
         self._hot = hot
         self.windows += 1
         nhot = len(hot)
@@ -214,7 +191,7 @@ class CongestionMarker(Probe):
     # -- stamping -------------------------------------------------------------
 
     def _crossed_congested(self, direction) -> bool:
-        if id(direction) in self._hot:
+        if direction.index in self._hot:
             return True
         lanes = direction.lanes
         return direction.nbusy > self.config.occupancy_fraction * len(lanes)

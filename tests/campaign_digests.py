@@ -1,0 +1,94 @@
+"""What the campaign drivers produce, as sha256 digests.
+
+``digests()`` runs every curve-table experiment once on 16-node networks
+(one Fig. 5 and one Fig. 6 panel, the dimension study on two shapes, a
+chaos campaign serial and pooled, a congestion campaign in both modes)
+and hashes the canonical — timing-nulled — run documents, plus each
+campaign's ledger records.  ``tests/data/campaign_digests.json`` is this
+function's output at the commit before ``run_curves`` existed:
+``python -m tests.campaign_digests > tests/data/campaign_digests.json``
+re-records it after a deliberate change of a run document.
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+import tempfile
+
+from repro.experiments import sweep
+from repro.experiments.chaos import chaos_campaign
+from repro.experiments.congestion import congestion_campaign
+from repro.experiments.dimension import dimension_study
+from repro.experiments.fig5 import fig5_experiment
+from repro.experiments.fig6 import fig6_experiment
+from repro.obs.flight import Flight, FlightConfig
+from repro.obs.ledger import Ledger
+from repro.profiles import Profile
+from repro.traffic.transport import TransportConfig
+
+from .test_determinism import _TIMING_FIELDS, _canonical
+
+#: two offered loads per curve (0.1 and 1.0), short windows
+PROFILE = Profile(name="pin", warmup_cycles=100, total_cycles=500, sweep_points=2)
+_FLIGHT = (Flight(FlightConfig(interval_cycles=64)),)
+_TRANSPORT = TransportConfig(base_timeout=32, max_retries=2)
+
+
+def _sha(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def _memoised(experiment) -> str:
+    """Digest of every run ``experiment()`` leaves in the sweep memo."""
+    sweep.clear_cache()
+    experiment()
+    return _sha(sorted(_canonical(result) for result in sweep._CACHE.values()))
+
+
+def _ledger_digest(path) -> str:
+    records = []
+    for record in Ledger(path).records():
+        record["recorded_at"] = None
+        for field in _TIMING_FIELDS:
+            record["run"]["telemetry"][field] = None
+        records.append(json.dumps(record, sort_keys=True))
+    return _sha(records)
+
+
+def _campaign(name: str, campaign, out: dict, **kwargs) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ledger.jsonl"
+        series = campaign(
+            profile=PROFILE, k=4, n=2, vcs=2, instruments=_FLIGHT,
+            ledger=Ledger(path), **kwargs,
+        )
+        out[f"{name}.runs"] = _sha(_canonical(r) for s in series for r in s.results)
+        out[f"{name}.ledger"] = _ledger_digest(path)
+
+
+def digests() -> dict:
+    out = {
+        "fig5.transpose": _memoised(
+            lambda: fig5_experiment("transpose", PROFILE, k=4, n=2)
+        ),
+        "fig6.transpose": _memoised(
+            lambda: fig6_experiment("transpose", PROFILE, k=4, n=2)
+        ),
+        "dimension": _memoised(
+            lambda: dimension_study(shapes=((4, 2), (2, 4)), profile=PROFILE)
+        ),
+    }
+    chaos = dict(fault_rates=(0.05, 0.2), loads=[0.3, 0.6], transport=_TRANSPORT)
+    _campaign("chaos.serial", chaos_campaign, out, **chaos)
+    _campaign("chaos.parallel", chaos_campaign, out, parallel=True, max_workers=2, **chaos)
+    _campaign(
+        "congestion", congestion_campaign, out,
+        loads=[0.4, 0.9], pattern="transpose", transport=_TRANSPORT,
+    )
+    return out
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=1)
+    sys.stdout.write("\n")

@@ -16,7 +16,7 @@ from repro.experiments.chaos import (
 )
 from repro.faults import CubeLinkFault, FaultPolicy, FaultSchedule, TreeUplinkFault
 from repro.faults.schedule import _ActiveFault
-from repro.obs.report import partition_reliability, reliability_curves, write_scorecard
+from repro.obs.report import partition_results, reliability_curves, write_scorecard
 from repro.profiles import FAST
 from repro.sim.packet import FAULT_SENTINEL, Packet
 from repro.sim.run import build_engine, tree_config
@@ -272,9 +272,10 @@ class TestScorecardReliabilityPanel:
 
         chaos = self._chaos_results()
         plain_run = simulate(_build(dict(network="tree", vcs=2), load=0.3))
-        plain, storms = partition_reliability(chaos + [plain_run])
+        plain, storms, overload = partition_results(chaos + [plain_run])
         assert plain == [plain_run]
         assert storms == chaos
+        assert overload == []
 
     def test_curves_are_rate_sorted_and_load_averaged(self):
         curves = reliability_curves(self._chaos_results())

@@ -25,7 +25,6 @@ from repro.obs.ledger import ledger_record
 from repro.obs.probe import Probe
 from repro.obs.report import (
     congestion_curves,
-    partition_reliability,
     partition_results,
     write_scorecard,
 )
@@ -414,9 +413,6 @@ class TestScorecardCongestionPanel:
         assert plain == [plain_run]
         assert chaos == []
         assert congestion == overload
-        # back-compat wrapper keeps overload runs out of the chaos bucket
-        not_chaos, storms = partition_reliability([plain_run] + overload)
-        assert storms == [] and len(not_chaos) == 5
 
     def test_curves_group_by_mode(self):
         curves = congestion_curves(self._overload_results())

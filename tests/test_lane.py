@@ -139,7 +139,7 @@ class TestPickledState:
             (OutputLane(2, 1, 3, cap=4), ()),
             (EjectionLane(7), ()),
             (pkt(), ()),
-            (LinkDirection([]), ("rot",)),  # rebuilt by Engine.__setstate__
+            (LinkDirection([]), ("rot", "index")),  # rebuilt by Engine.__setstate__
         ],
         ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else "",
     )

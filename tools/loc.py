@@ -1,0 +1,45 @@
+"""Count code lines: lines that are not blank, comment or docstring.
+
+``python tools/loc.py [ROOT]`` (default ``src``) prints the total and the
+ten largest modules.  A line counts when a token other than a comment
+starts, continues or ends on it, unless it belongs to a docstring — the
+string expression that opens a module, class or function body.
+"""
+
+import ast
+import pathlib
+import sys
+import tokenize
+
+_LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(path: pathlib.Path) -> int:
+    with tokenize.open(path) as fh:
+        source = fh.read()
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(iter(source.splitlines(keepends=True)).__next__):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def main(argv: list[str]) -> int:
+    root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
+    counts = {path: code_lines(path) for path in sorted(root.rglob("*.py"))}
+    print(f"{sum(counts.values()):>7,}  {root}/ ({len(counts)} modules)")
+    for path, count in sorted(counts.items(), key=lambda item: -item[1])[:10]:
+        print(f"{count:>7,}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
