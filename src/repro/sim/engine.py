@@ -27,6 +27,13 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    asking every cycle because a ``select`` that returns ``None`` has no
    side effect (the :class:`~repro.routing.base.RoutingAlgorithm` contract).
 
+Where a C compiler is at hand the link and crossbar phases run compiled
+(``_phases.c``, built on first import by :mod:`repro.sim.native`): a
+transcription of the loops below over the very same lane objects, stepped in
+lockstep with them by ``tests/test_property_engine.py``.  The Python loops
+stay as they are — the reference, and the only path where the kernel cannot
+be built; nothing but that decides which runs.
+
 There is one ``step``, written so that a cycle touches only what can move:
 idle link directions cost one comparison, idle sources one comparison and
 one queue test, sleeping switches one flag test, and a probe event nobody
@@ -56,8 +63,15 @@ from ..topology.cube import KAryNCube
 from ..traffic.generator import BernoulliInjector
 from .config import SimulationConfig
 from .diagnostics import capture_snapshot
+from .native import load_phases
 from .packet import FAULT_SENTINEL, Packet
 from .results import RunResult
+
+#: the compiled link and crossbar phases (``_phases.c``, built on first
+#: import — see :mod:`repro.sim.native`), or ``None`` where they cannot be
+#: had and ``step`` runs its Python loops.  Read once per cycle; the
+#: lockstep tests set it to ``None`` to step the Python loops beside it.
+NATIVE_PHASES = load_phases(InputLane, OutputLane, EjectionLane, LinkDirection, Packet)
 
 #: effectively infinite credit for ejection channels (the node consumes
 #: flits as fast as the link can deliver them)
@@ -440,129 +454,133 @@ class Engine:
         # ``rr``).  Switch->switch directions first, then ejection ones:
         # the order of ``self.dirs``.
         age_arb = self._age_arbiter
-        rr_after = self._rr_after
-        for d in self._fabric_dirs:
-            if d.nbusy == 0:
-                continue
-            if age_arb:
-                lane = None
-                for cand in d.lanes:
-                    if cand.buffered > 0 and cand.credits > 0:
-                        age = cand.packet.created
-                        if lane is None or age < best_age:
-                            lane = cand
-                            best_age = age
-                if lane is None:
-                    if handlers is not None and handlers.on_direction_blocked is not None:
-                        handlers.on_direction_blocked(t, d)
+        native = NATIVE_PHASES
+        if native is not None:
+            progress = native.link_phase(self, t, handlers, warm)
+        else:
+            rr_after = self._rr_after
+            for d in self._fabric_dirs:
+                if d.nbusy == 0:
                     continue
-            else:
-                for lane in d.rot[d.rr]:
-                    if lane.buffered > 0 and lane.credits > 0:
-                        break
+                if age_arb:
+                    lane = None
+                    for cand in d.lanes:
+                        if cand.buffered > 0 and cand.credits > 0:
+                            age = cand.packet.created
+                            if lane is None or age < best_age:
+                                lane = cand
+                                best_age = age
+                    if lane is None:
+                        if handlers is not None and handlers.on_direction_blocked is not None:
+                            handlers.on_direction_blocked(t, d)
+                        continue
                 else:
-                    # busy direction, no lane had both a flit and a credit
-                    if handlers is not None and handlers.on_direction_blocked is not None:
-                        handlers.on_direction_blocked(t, d)
-                    continue
-            pkt = lane.packet
-            left = lane.buffered - 1
-            lane.buffered = left
-            if left == 0:
-                d.nbusy -= 1
-            lane.credits -= 1
-            d.flits += 1
-            sink = lane.sink
-            sink.last_arrival = t
-            if sink.packet is None:
-                sink.packet = pkt
-                sink.received = received = 1
-                self._enqueue_header(sink)
-                if handlers is not None and handlers.on_head_arrived is not None:
-                    handlers.on_head_arrived(t, sink, pkt)
-            else:
-                sink.received = received = sink.received + 1
-            if received == pkt.size:
-                # tail left this switch (the sink has counted every flit
-                # the lane sent): free the output lane
-                lane.packet = None
-            d.rr = rr_after[lane.vc]
-            progress = True
+                    for lane in d.rot[d.rr]:
+                        if lane.buffered > 0 and lane.credits > 0:
+                            break
+                    else:
+                        # busy direction, no lane had both a flit and a credit
+                        if handlers is not None and handlers.on_direction_blocked is not None:
+                            handlers.on_direction_blocked(t, d)
+                        continue
+                pkt = lane.packet
+                left = lane.buffered - 1
+                lane.buffered = left
+                if left == 0:
+                    d.nbusy -= 1
+                lane.credits -= 1
+                d.flits += 1
+                sink = lane.sink
+                sink.last_arrival = t
+                if sink.packet is None:
+                    sink.packet = pkt
+                    sink.received = received = 1
+                    self._enqueue_header(sink)
+                    if handlers is not None and handlers.on_head_arrived is not None:
+                        handlers.on_head_arrived(t, sink, pkt)
+                else:
+                    sink.received = received = sink.received + 1
+                if received == pkt.size:
+                    # tail left this switch (the sink has counted every flit
+                    # the lane sent): free the output lane
+                    lane.packet = None
+                d.rr = rr_after[lane.vc]
+                progress = True
 
-        delivered = 0
-        per_node = self.delivered_flits_per_node
-        for d in self._eject_dirs:
-            if d.nbusy == 0:
-                continue
-            if age_arb:
-                lane = None
-                for cand in d.lanes:
-                    if cand.buffered > 0 and cand.credits > 0:
-                        age = cand.packet.created
-                        if lane is None or age < best_age:
-                            lane = cand
-                            best_age = age
-                if lane is None:
-                    if handlers is not None and handlers.on_direction_blocked is not None:
-                        handlers.on_direction_blocked(t, d)
+            delivered = 0
+            per_node = self.delivered_flits_per_node
+            for d in self._eject_dirs:
+                if d.nbusy == 0:
                     continue
-            else:
-                for lane in d.rot[d.rr]:
-                    if lane.buffered > 0 and lane.credits > 0:
-                        break
+                if age_arb:
+                    lane = None
+                    for cand in d.lanes:
+                        if cand.buffered > 0 and cand.credits > 0:
+                            age = cand.packet.created
+                            if lane is None or age < best_age:
+                                lane = cand
+                                best_age = age
+                    if lane is None:
+                        if handlers is not None and handlers.on_direction_blocked is not None:
+                            handlers.on_direction_blocked(t, d)
+                        continue
                 else:
-                    if handlers is not None and handlers.on_direction_blocked is not None:
-                        handlers.on_direction_blocked(t, d)
-                    continue
-            pkt = lane.packet
-            left = lane.buffered - 1
-            lane.buffered = left
-            if left == 0:
-                d.nbusy -= 1
-            lane.credits -= 1
-            d.flits += 1
-            # the node consumes the flit immediately
-            sink = lane.sink
-            if sink.packet is None:
-                sink.packet = pkt
-                received = 1
-                pkt.head_delivered = t
-                if handlers is not None and handlers.on_head_delivered is not None:
-                    handlers.on_head_delivered(t, pkt)
-            else:
-                received = sink.received + 1
-            delivered += 1
-            if warm:
-                per_node[sink.node] += 1
-            if received == pkt.size:
-                pkt.delivered = t
-                sink.packet = None
-                sink.received = 0
-                # an output lane of this switch is allocatable again
-                awake[lane.switch] = True
-                self.delivered_packets_total += 1
-                if handlers is not None and handlers.on_tail_delivered is not None:
-                    handlers.on_tail_delivered(t, pkt)
-                if pkt.injected >= config.warmup_cycles:
-                    res.delivered_packets += 1
-                    lat = t - pkt.injected
-                    res.latency_sum += lat
-                    res.head_latency_sum += pkt.head_delivered - pkt.injected
-                    if lat > res.latency_max:
-                        res.latency_max = lat
-                    if config.collect_latencies:
-                        res.latencies.append(lat)
-                # the tail left the switch too: free the output lane
-                lane.packet = None
-            else:
-                sink.received = received
-            d.rr = rr_after[lane.vc]
-        if delivered:
-            progress = True
-            self.delivered_flits_total += delivered
-            if warm:
-                res.delivered_flits += delivered
-                self._interval_delivered += delivered
+                    for lane in d.rot[d.rr]:
+                        if lane.buffered > 0 and lane.credits > 0:
+                            break
+                    else:
+                        if handlers is not None and handlers.on_direction_blocked is not None:
+                            handlers.on_direction_blocked(t, d)
+                        continue
+                pkt = lane.packet
+                left = lane.buffered - 1
+                lane.buffered = left
+                if left == 0:
+                    d.nbusy -= 1
+                lane.credits -= 1
+                d.flits += 1
+                # the node consumes the flit immediately
+                sink = lane.sink
+                if sink.packet is None:
+                    sink.packet = pkt
+                    received = 1
+                    pkt.head_delivered = t
+                    if handlers is not None and handlers.on_head_delivered is not None:
+                        handlers.on_head_delivered(t, pkt)
+                else:
+                    received = sink.received + 1
+                delivered += 1
+                if warm:
+                    per_node[sink.node] += 1
+                if received == pkt.size:
+                    pkt.delivered = t
+                    sink.packet = None
+                    sink.received = 0
+                    # an output lane of this switch is allocatable again
+                    awake[lane.switch] = True
+                    self.delivered_packets_total += 1
+                    if handlers is not None and handlers.on_tail_delivered is not None:
+                        handlers.on_tail_delivered(t, pkt)
+                    if pkt.injected >= config.warmup_cycles:
+                        res.delivered_packets += 1
+                        lat = t - pkt.injected
+                        res.latency_sum += lat
+                        res.head_latency_sum += pkt.head_delivered - pkt.injected
+                        if lat > res.latency_max:
+                            res.latency_max = lat
+                        if config.collect_latencies:
+                            res.latencies.append(lat)
+                    # the tail left the switch too: free the output lane
+                    lane.packet = None
+                else:
+                    sink.received = received
+                d.rr = rr_after[lane.vc]
+            if delivered:
+                progress = True
+                self.delivered_flits_total += delivered
+                if warm:
+                    res.delivered_flits += delivered
+                    self._interval_delivered += delivered
 
         phases = self._phase_seconds
         now = clock()
@@ -657,37 +675,42 @@ class Engine:
         # arrive this cycle and the output lane has space.  The list is
         # rebuilt without the bindings whose tail went through; each
         # binding touches only its own two lanes, so order is immaterial.
-        bindings = []
-        for lane in self.bindings:
-            forwarded = lane.forwarded
-            buffered = lane.received - forwarded
-            # a flit that arrived in this cycle's link phase waits a cycle
-            if buffered > 1 or (buffered == 1 and lane.last_arrival != t):
-                out = lane.bound
-                filled = out.buffered
-                if filled < cap:
-                    if filled == 0:
-                        out.direction.nbusy += 1
-                    out.buffered = filled + 1
-                    src_out = lane.src_out
-                    if src_out is not None:
-                        src_out.credits += 1
-                    progress = True
-                    forwarded += 1
-                    if forwarded == lane.packet.size:
-                        # tail through the crossbar: release the input
-                        # lane, which makes the upstream output lane
-                        # allocatable again
-                        lane.packet = None
-                        lane.received = 0
-                        lane.forwarded = 0
-                        lane.bound = None
+        if native is not None:
+            if native.crossbar_phase(self, t):
+                progress = True
+            bindings = self.bindings
+        else:
+            bindings = []
+            for lane in self.bindings:
+                forwarded = lane.forwarded
+                buffered = lane.received - forwarded
+                # a flit that arrived in this cycle's link phase waits a cycle
+                if buffered > 1 or (buffered == 1 and lane.last_arrival != t):
+                    out = lane.bound
+                    filled = out.buffered
+                    if filled < cap:
+                        if filled == 0:
+                            out.direction.nbusy += 1
+                        out.buffered = filled + 1
+                        src_out = lane.src_out
                         if src_out is not None:
-                            awake[src_out.switch] = True
-                        continue
-                    lane.forwarded = forwarded
-            bindings.append(lane)
-        self.bindings = bindings
+                            src_out.credits += 1
+                        progress = True
+                        forwarded += 1
+                        if forwarded == lane.packet.size:
+                            # tail through the crossbar: release the input
+                            # lane, which makes the upstream output lane
+                            # allocatable again
+                            lane.packet = None
+                            lane.received = 0
+                            lane.forwarded = 0
+                            lane.bound = None
+                            if src_out is not None:
+                                awake[src_out.switch] = True
+                            continue
+                        lane.forwarded = forwarded
+                bindings.append(lane)
+            self.bindings = bindings
 
         now = clock()
         phases[2] += now - phase_start
@@ -1024,9 +1047,18 @@ class Engine:
         * credit counters mirror downstream free space exactly;
         * crossbar bindings are mutually consistent;
         * flit conservation: every injected flit is either delivered or
-          buffered in exactly one lane.
+          buffered in exactly one lane;
+        * the derived state the phases maintain instead of recomputing: a
+          direction's ``nbusy`` counts its lanes holding flits (a wrong
+          count silently skips the direction), ``bindings`` holds exactly
+          the bound input lanes, once each, and ``_in_route_queue`` marks
+          exactly the members of ``route_queue``.
         """
         buffered_flits = 0
+        bindings = {id(lane) for lane in self.bindings}
+        if len(bindings) != len(self.bindings):
+            raise SimulationError("an input lane is in the crossbar bindings twice")
+        bound_lanes = 0
         for s in range(self.topology.num_switches):
             for port_lanes in self.in_lanes[s]:
                 for lane in port_lanes:
@@ -1035,8 +1067,12 @@ class Engine:
                         raise SimulationError(f"input buffer out of range: {lane!r}")
                     if lane.packet is None and (lane.received or lane.forwarded or lane.bound):
                         raise SimulationError(f"free input lane with residue: {lane!r}")
-                    if lane.bound is not None and lane.bound.packet is not lane.packet:
-                        raise SimulationError(f"binding mismatch: {lane!r} -> {lane.bound!r}")
+                    if lane.bound is not None:
+                        if lane.bound.packet is not lane.packet:
+                            raise SimulationError(f"binding mismatch: {lane!r} -> {lane.bound!r}")
+                        if id(lane) not in bindings:
+                            raise SimulationError(f"bound lane missing from the bindings: {lane!r}")
+                        bound_lanes += 1
                     buffered_flits += buf
             for port_lanes in self.out_lanes[s]:
                 for lane in port_lanes:
@@ -1051,6 +1087,23 @@ class Engine:
                                 f"downstream free space={expect}"
                             )
                     buffered_flits += lane.buffered
+        if bound_lanes != len(bindings):
+            raise SimulationError(
+                f"the bindings hold {len(bindings) - bound_lanes} lane(s) that are not bound"
+            )
+        for d in self.dirs:
+            busy = sum(1 for lane in d.lanes if lane.buffered > 0)
+            if d.nbusy != busy:
+                raise SimulationError(
+                    f"busy-lane count drift: {d.label} nbusy={d.nbusy}, lanes holding flits={busy}"
+                )
+        queued = [False] * len(self._in_route_queue)
+        for s in self.route_queue:
+            if queued[s]:
+                raise SimulationError(f"switch {s} is in the routing queue twice")
+            queued[s] = True
+        if queued != self._in_route_queue:
+            raise SimulationError("_in_route_queue does not mirror route_queue")
         # delivered_flits_total counts every ejected flit (including those
         # of packets still partially in flight) and dropped_flits_total
         # every flit flushed by a fail-stop kill, so what remains in the

@@ -32,6 +32,15 @@ def some_wired_outlane(engine):
     raise AssertionError("no internal output lane found")
 
 
+def unbound_inlane(engine):
+    for switch_ports in engine.in_lanes:
+        for port_lanes in switch_ports:
+            for lane in port_lanes:
+                if lane.bound is None:
+                    return lane
+    raise AssertionError("every input lane is bound")
+
+
 class TestAuditDetectsCorruption:
     def test_credit_drift(self, engine):
         some_wired_outlane(engine).credits += 1
@@ -78,6 +87,35 @@ class TestAuditDetectsCorruption:
     def test_flit_leak(self, engine):
         engine.injected_flits_total += 1  # a flit that never existed
         with pytest.raises(SimulationError, match="conservation"):
+            engine.audit()
+
+    # -- derived state: kept up to date by the phases, never recomputed --------
+
+    def test_busy_lane_count_drift(self, engine):
+        # a direction whose nbusy reads 0 is skipped by the link phase
+        some_wired_outlane(engine).direction.nbusy += 1
+        with pytest.raises(SimulationError, match="busy-lane count drift"):
+            engine.audit()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda e: e.bindings.pop(), "missing from the bindings"),
+        (lambda e: e.bindings.append(e.bindings[0]), "bindings twice"),
+        (lambda e: e.bindings.append(unbound_inlane(e)), "not bound"),
+    ])
+    def test_bindings_are_exactly_the_bound_lanes(self, engine, corrupt, message):
+        assert engine.bindings  # the run ends with worms in flight
+        corrupt(engine)
+        with pytest.raises(SimulationError, match=message):
+            engine.audit()
+
+    def test_route_queue_mirror(self, engine):
+        idle = engine._in_route_queue.index(False)
+        engine._in_route_queue[idle] = True
+        with pytest.raises(SimulationError, match="does not mirror"):
+            engine.audit()
+        engine._in_route_queue[idle] = False
+        engine.route_queue += [idle, idle]
+        with pytest.raises(SimulationError, match="routing queue twice"):
             engine.audit()
 
 

@@ -6,13 +6,40 @@ Every randomly drawn configuration must satisfy, after a full run:
   bounds, binding consistency);
 * monotone accounting (delivered <= injected <= generated-ish);
 * all delivered latencies at or above the analytic zero-load bound.
+
+And the compiled link and crossbar phases (``sim/_phases.c``) must be
+indistinguishable from the Python loops of ``Engine.step``, which are the
+reference: a kernel engine and its pure-Python twin, stepped side by side
+over random recipes, agree on ``state_fingerprint()`` after every cycle and
+on the ordered log of all nine probe events.  The twin is the same engine
+class stepped with the module-level kernel handle patched to ``None``.
 """
 
+import contextlib
+import dataclasses
+import sys
+from unittest import mock
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.engine as engine_module
+from repro.faults import (
+    CubeLinkFault,
+    FaultPolicy,
+    FaultSchedule,
+    TreeUplinkFault,
+    random_cube_link_faults,
+    random_uplink_faults,
+)
 from repro.metrics.analytic import zero_load_latency
-from repro.sim.run import build_engine, cube_config, tree_config
+from repro.obs.probe import EVENTS, Probe
+from repro.sim.checkpoint import CheckpointPolicy, checkpoint_files, read_checkpoint_header
+from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
+from repro.traffic.transport import Reliable, TransportConfig
+
+from .test_determinism import _canonical
 
 engine_settings = settings(
     max_examples=15,
@@ -99,3 +126,286 @@ class TestEngineInvariants:
             b.step()
         assert a.delivered_flits_total == b.delivered_flits_total
         assert a.result.latency_sum == b.result.latency_sum
+
+
+# -- the compiled phases against the Python loops ---------------------------------
+
+needs_kernel = pytest.mark.skipif(
+    engine_module.NATIVE_PHASES is None,
+    reason="no compiled phases: no C compiler, no writable cache directory, or not CPython",
+)
+
+
+@contextlib.contextmanager
+def python_loops():
+    """``Engine.step`` as it runs where the kernel cannot be built."""
+    with mock.patch.object(engine_module, "NATIVE_PHASES", None):
+        yield
+
+
+class EventLog(Probe):
+    """Every per-cycle event, in delivery order, by value."""
+
+    def __init__(self):
+        self.events: list[tuple] = []
+
+    def on_packets_generated(self, cycle, node, count):
+        self.events.append(("generated", cycle, node, count))
+
+    def on_packet_injected(self, cycle, packet):
+        self.events.append(("injected", cycle, packet.pid, packet.src, packet.dst, packet.size))
+
+    def on_header_routed(self, cycle, switch, in_lane, out_lane):
+        self.events.append(
+            ("routed", cycle, switch, in_lane.packet.pid, in_lane.port, in_lane.vc,
+             out_lane.port, out_lane.vc)
+        )
+
+    def on_head_arrived(self, cycle, lane, packet):
+        self.events.append(
+            ("head_arrived", cycle, lane.switch, lane.port, lane.vc, lane.received, packet.pid)
+        )
+
+    def on_head_delivered(self, cycle, packet):
+        self.events.append(("head_delivered", cycle, packet.pid, packet.head_delivered))
+
+    def on_tail_delivered(self, cycle, packet):
+        self.events.append(("tail_delivered", cycle, packet.pid, packet.delivered - packet.injected))
+
+    def on_packet_dropped(self, cycle, packet, reason):
+        self.events.append(("dropped", cycle, packet.pid, reason))
+
+    def on_direction_blocked(self, cycle, direction):
+        self.events.append(("blocked", cycle, direction.index, direction.nbusy))
+
+    def on_cycle(self, cycle):
+        self.events.append(("cycle", cycle))
+
+
+assert all(getattr(EventLog, event) is not getattr(Probe, event) for event in EVENTS)
+
+
+@dataclasses.dataclass(frozen=True)
+class Recipe:
+    """A config plus what is done to the engine before its first cycle."""
+
+    config: object
+    #: (position in the random fault draw, fail_at, repair_at, policy)
+    faults: tuple = ()
+    reliable: bool = False
+    #: (src, dst, flits) messages of explicit size, the way trace-driven
+    #: sources queue them; 1-flit worms are head and tail at once
+    sized: tuple = ()
+
+
+@st.composite
+def lockstep_recipe(draw):
+    common = dict(
+        load=draw(st.floats(min_value=0.05, max_value=1.0)),
+        seed=draw(st.integers(0, 10_000)),
+        buffer_flits=draw(st.sampled_from([1, 2, 4, 8])),
+        packet_flits=draw(st.sampled_from([2, 5, 16])),
+        arbiter=draw(st.sampled_from(["round_robin", "age"])),
+        warmup_cycles=40,
+        total_cycles=240,
+    )
+    if draw(st.booleans()):
+        k, n = draw(st.sampled_from([(2, 2), (2, 3), (4, 2)]))
+        config = tree_config(
+            k=k, n=n,
+            vcs=draw(st.sampled_from([1, 2, 4])),
+            pattern=draw(st.sampled_from(["uniform", "complement", "neighbor"])),
+            **common,
+        )
+    else:
+        k, n = draw(st.sampled_from([(2, 2), (4, 2), (2, 3)]))
+        config = cube_config(
+            k=k, n=n,
+            algorithm=draw(st.sampled_from(["dor", "duato"])),
+            vcs=4,
+            pattern=draw(st.sampled_from(["uniform", "complement", "tornado"])),
+            **common,
+        )
+    nodes = config.num_nodes
+    # dimension-order routing has no lane to spare: its cubes run unstruck
+    faults = [] if config.algorithm == "dor" else draw(st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(1, 150),
+            st.one_of(st.none(), st.integers(151, 230)),
+            st.sampled_from(list(FaultPolicy)),
+        ),
+        max_size=2, unique_by=lambda fault: fault[0],
+    ))
+    sized = draw(st.lists(
+        st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1), st.sampled_from([1, 1, 2, 7])),
+        max_size=6,
+    ))
+    return Recipe(
+        config,
+        faults=tuple(faults),
+        reliable=draw(st.booleans()),
+        sized=tuple((src, (src + hop) % nodes, flits) for src, hop, flits in sized),
+    )
+
+
+def build_recipe(recipe: Recipe):
+    """``(engine, log)`` of a recipe, ready for its first ``step``."""
+    log = EventLog()
+    instruments = [Reliable(TransportConfig(base_timeout=48, seed=3))] if recipe.reliable else []
+    engine, _ = start(recipe.config, instruments, probe=log)
+    if recipe.faults:
+        topology = engine.topology
+        if recipe.config.network == "tree":
+            drawn = [TreeUplinkFault(*f) for f in random_uplink_faults(topology, 2, seed=recipe.config.seed)]
+        else:
+            drawn = [CubeLinkFault(*f) for f in random_cube_link_faults(topology, 2, seed=recipe.config.seed)]
+        schedule = FaultSchedule()
+        for position, fail_at, repair_at, policy in recipe.faults:
+            schedule.add(drawn[position], fail_at, repair_at, policy=policy)
+        schedule.install(engine)
+    for src, dst, flits in recipe.sized:
+        node = engine.nodes[src]
+        # under the transport the engine pops the wrapper's queue, which
+        # registers what it drains from the wrapped source's
+        source = getattr(node.source, "inner", node.source)
+        source.queue.append((0, dst, flits))
+        if node not in engine.active_nodes:
+            engine.active_nodes.append(node)
+    engine._start_run()
+    return engine, log
+
+
+def run_in_lockstep(recipe: Recipe) -> list[tuple]:
+    """Step a kernel engine and its pure-Python twin through ``recipe``,
+    comparing them after every cycle; the (common) event log."""
+    kernel, kernel_log = build_recipe(recipe)
+    twin, twin_log = build_recipe(recipe)
+    for cycle in range(recipe.config.total_cycles):
+        moved = kernel.step()
+        with python_loops():
+            assert twin.step() == moved
+        assert (
+            kernel.state_fingerprint()["root"] == twin.state_fingerprint()["root"]
+        ), f"diverged in cycle {cycle}"
+    assert kernel_log.events == twin_log.events
+    kernel.audit()
+    twin.audit()
+    assert dataclasses.asdict(kernel.result) == dataclasses.asdict(twin.result)
+    assert kernel.delivered_flits_per_node == twin.delivered_flits_per_node
+    return kernel_log.events
+
+
+@needs_kernel
+class TestCompiledPhasesInLockstep:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lockstep_recipe())
+    def test_kernel_and_python_twin_agree_every_cycle(self, recipe):
+        events = run_in_lockstep(recipe)
+        assert {event[0] for event in events} >= {"generated", "injected", "cycle"}
+
+    def test_the_recipes_reach_every_link_phase_event(self):
+        # one fixed recipe that is known to block, drop, deliver and route
+        recipe = Recipe(
+            cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=6, buffer_flits=2,
+                        arbiter="age", warmup_cycles=50, total_cycles=400),
+            faults=((0, 80, 200, FaultPolicy.FAIL_STOP), (1, 120, 260, FaultPolicy.DRAIN)),
+            sized=((0, 5, 1), (3, 9, 1)),
+        )
+        assert {event[0] for event in run_in_lockstep(recipe)} == {
+            "generated", "injected", "routed", "head_arrived", "head_delivered",
+            "tail_delivered", "dropped", "blocked", "cycle",
+        }
+
+    @pytest.mark.parametrize("first, second", [(False, True), (True, False)])
+    def test_checkpoint_written_under_one_path_restores_under_the_other(self, first, second, tmp_path):
+        config = cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=8,
+                             warmup_cycles=100, total_cycles=700)
+        instruments = [Reliable(TransportConfig(base_timeout=64))]
+        policy = CheckpointPolicy(str(tmp_path), interval_cycles=250)
+
+        def run(python: bool, **kwargs) -> str:
+            with python_loops() if python else contextlib.nullcontext():
+                return _canonical(simulate(config, instruments, **kwargs))
+
+        reference = run(first)
+        assert run(second) == reference
+        # the first call leaves its mid-run snapshots behind; the second
+        # restores the newest and finishes the run on the other path
+        assert run(first, checkpoint=policy) == reference
+        snapshots = checkpoint_files(tmp_path)
+        assert sorted(read_checkpoint_header(path)["cycle"] for path in snapshots) == [250, 500]
+        for path in snapshots:
+            assert read_checkpoint_header(path)["format"] == 4
+            assert b"_phases" not in path.read_bytes()  # nothing of the kernel is pickled
+        assert run(second, checkpoint=policy) == reference
+
+
+@needs_kernel
+class TestCompiledPhasesFailurePaths:
+    def loaded(self):
+        engine = build_engine(cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=2,
+                                          warmup_cycles=20, total_cycles=5000))
+        while engine.cycle < 60:
+            engine.step()
+        return engine
+
+    def test_no_reference_leaks_over_a_thousand_cycles(self):
+        engine = self.loaded()
+        direction = engine.dirs[0]
+        lane = direction.lanes[0]
+        packet = next(b.packet for b in engine.bindings)
+        watched = (direction, lane, lane.sink, engine.dirs[-1].lanes[0].sink, engine.bindings[0])
+        before = [sys.getrefcount(obj) for obj in watched]
+        holders = sys.getrefcount(packet)
+        for _ in range(1000):
+            engine.step()
+        engine.audit()
+        assert engine.delivered_flits_total > 5000
+        assert [sys.getrefcount(obj) for obj in watched] == before
+        # delivered long ago: only this frame still holds the packet
+        assert packet.delivered > 0 and sys.getrefcount(packet) < holders
+
+    @pytest.mark.parametrize("python", [False, True])
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda lane: setattr(lane, "credits", "4"), TypeError),
+        (lambda lane: setattr(lane, "buffered", None), TypeError),
+        (lambda lane: setattr(lane, "packet", None), AttributeError),
+        (lambda lane: setattr(lane.sink, "received", "1"), TypeError),
+        (lambda lane: delattr(lane, "credits"), AttributeError),
+    ])
+    def test_corrupt_state_raises_what_the_python_loops_raise(self, python, corrupt, error):
+        engine = self.loaded()
+        lane = next(
+            lane for d in engine._fabric_dirs for lane in d.lanes
+            if lane.buffered > 0 and lane.credits > 0 and lane.sink.packet is not None
+        )
+        corrupt(lane)
+        with pytest.raises(error):
+            with python_loops() if python else contextlib.nullcontext():
+                for _ in range(8):
+                    engine.step()
+
+    @pytest.mark.parametrize("python", [False, True])
+    @pytest.mark.parametrize("event", ["on_head_arrived", "on_direction_blocked",
+                                       "on_head_delivered", "on_tail_delivered"])
+    def test_a_raising_probe_propagates(self, python, event):
+        class Boom(Probe):
+            pass
+
+        def boom(self, *args):
+            raise ZeroDivisionError(event)
+
+        setattr(Boom, event, boom)
+        engine = build_engine(
+            cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
+                        warmup_cycles=20, total_cycles=5000),
+            probe=Boom(),
+        )
+        watched = (engine.dirs[0], engine.dirs[0].lanes[0], engine.dirs[0].lanes[0].sink)
+        before = [sys.getrefcount(obj) for obj in watched]
+        with pytest.raises(ZeroDivisionError, match=event):
+            with python_loops() if python else contextlib.nullcontext():
+                for _ in range(2000):
+                    engine.step()
+        assert [sys.getrefcount(obj) for obj in watched] == before

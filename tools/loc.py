@@ -1,13 +1,16 @@
 """Count code lines: lines that are not blank, comment or docstring.
 
 ``python tools/loc.py [ROOT]`` (default ``src``) prints the total and the
-ten largest modules.  A line counts when a token other than a comment
-starts, continues or ends on it, unless it belongs to a docstring — the
-string expression that opens a module, class or function body.
+ten largest modules, then the C sources beside them.  A Python line counts
+when a token other than a comment starts, continues or ends on it, unless
+it belongs to a docstring — the string expression that opens a module,
+class or function body; a C line counts when something is left on it once
+the comments are gone.
 """
 
 import ast
 import pathlib
+import re
 import sys
 import tokenize
 
@@ -32,12 +35,29 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines)
 
 
+#: a C comment, or a literal a comment opener may hide in (kept)
+_C_COMMENT = re.compile(
+    r"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""", re.DOTALL
+)
+
+
+def c_code_lines(path: pathlib.Path) -> int:
+    def blank(match: re.Match) -> str:
+        text = match.group()
+        return text if text[0] in "\"'" else "\n" * text.count("\n")
+
+    source = _C_COMMENT.sub(blank, path.read_text(encoding="utf-8"))
+    return sum(1 for line in source.splitlines() if line.strip())
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
     counts = {path: code_lines(path) for path in sorted(root.rglob("*.py"))}
     print(f"{sum(counts.values()):>7,}  {root}/ ({len(counts)} modules)")
     for path, count in sorted(counts.items(), key=lambda item: -item[1])[:10]:
         print(f"{count:>7,}  {path}")
+    for path in sorted(root.rglob("*.c")):
+        print(f"{c_code_lines(path):>7,}  {path} (C)")
     return 0
 
 
