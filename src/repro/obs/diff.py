@@ -14,10 +14,12 @@ chains into an answer:
    sources — and the result is flagged ``unreplayable`` instead of
    silently wrong), then step cycle-by-cycle until the roots split:
    the **exact first divergent cycle**.
-3. **Explain**: take detail fingerprints and un-hashed state snapshots
-   of both engines at that cycle, flatten them into path -> value maps,
-   and report every differing leaf — which subsystem, link, lane, flit
-   pid or credit counter holds a different value.
+3. **Explain**: take the state snapshot of both engines at that cycle —
+   the very rows the fingerprint hashes, under their field names —
+   flatten the two into path -> value maps, and report every differing
+   leaf: which subsystem, link, lane, flit pid or credit counter holds a
+   different value.  A finding is located from its path alone, so a
+   field added to a row shows up here with no edit.
 
 Inputs are run documents (``repro run --statehash --json``), ledger
 records, or bare config dicts; sides without a recorded chain are
@@ -48,11 +50,13 @@ from .statehash import (
 )
 from .telemetry import config_digest
 
-#: bump on breaking changes to the diff outcome document
-DIFF_FORMAT_VERSION = 1
+#: bump on breaking changes to the diff outcome document (2: finding
+#: paths are the snapshot's schema names — ``sink/bound_switch``,
+#: ``windows/<src>/<dst>/cwnd``, ... — where 1 had hand-written ones)
+DIFF_FORMAT_VERSION = 2
 
-#: ``repro diff`` exit code when the runs diverge (0 = identical,
-#: 2 = error, mirroring the bench gate's dedicated exit-code idiom)
+#: ``repro diff`` exit code when the runs diverge: 0 = identical,
+#: 2 = error, so a script can tell "they differ" from "it broke"
 DIVERGENCE_EXIT_CODE = 4
 
 #: findings kept in the outcome document before truncation

@@ -1,17 +1,23 @@
 """Layered state digests: a Merkle-style audit trail of engine state.
 
-ROADMAP item 1 (the vectorized multi-backend engine) needs a way to
-prove a new backend *byte-identical* to this reference implementation —
-and when it is not, to say **when and where** the two diverged, not just
-that the final run documents differ.  This module is that contract.
+Two engines that claim to be the same simulation — a rewritten hot loop
+against the reference loops, a restored checkpoint against the run that
+wrote it, one interpreter against another — are held to it by proving
+their state *byte-identical*, and when it is not, by saying **when and
+where** the two diverged, not just that the final run documents differ.
+This module is that contract.
 
-Every K cycles the :class:`StateDigestProbe` folds the complete mutable
-engine state into one 64-bit **root digest** built bottom-up:
+The state is written down **once**, as rows of int64 beside static
+schemas of field names (``_DIRECTION``, ``_OUT_LANE``, ``_IN_LANE``,
+``_MESSAGE``, ...; DESIGN.md §7 lists them as the normative layout).
+Every K cycles the :class:`StateDigestProbe` folds the rows into one
+64-bit **root digest** built bottom-up:
 
-- per-lane leaf records (occupancy, flit pid, credit counters) hashed
-  per :class:`~repro.router.lane.LinkDirection` into **link digests**,
-  plus the routing state (round-robin pointers, pending headers, the
-  route queue, crossbar bindings) — together the **fabric** digest;
+- one record per :class:`~repro.router.lane.LinkDirection` (its arbiter
+  state, then every output lane with its sink: occupancy, flit pid,
+  credit counters), plus the routing state (round-robin pointers,
+  pending headers, the route queue, crossbar bindings) — together the
+  **fabric** digest;
 - per-node **injection** digests (injection channel state, source
   queues, geometric-arrival cursors);
 - the **transport** digest (ARQ registries, the timer wheel, AIMD
@@ -23,14 +29,14 @@ Roots are linked into a tamper-evident chain seeded by the config
 digest (``chain[i] = H(chain[i-1] ‖ root[i])``), bounded like the
 flight recorder by pairwise decimation, and ride ``telemetry.statehash``
 into run documents and the ledger.  :func:`engine_fingerprint` (exposed
-as ``Engine.state_fingerprint``) is the instantaneous form;
-:func:`state_snapshot` is the un-hashed nested view the divergence
-debugger (:mod:`repro.obs.diff`) walks to name the exact lane, flit or
-credit counter that differs.
+as ``Engine.state_fingerprint``) hashes the rows; :func:`state_snapshot`
+is the same rows under their names, the view the divergence debugger
+(:mod:`repro.obs.diff`) walks to name the exact lane, flit or credit
+counter that differs — a field added to a row is in both by construction.
 
 Determinism rules: digests cover only *simulation* state — never wall
 clock, ``id()`` values, measurement accumulators or phase timers — so
-two runs of one config produce byte-identical chains, and a future
+two runs of one config produce byte-identical chains, and another
 backend can replay a chain entry-for-entry.
 
 Example::
@@ -60,22 +66,93 @@ STATEHASH_FORMAT_VERSION = 1
 #: first 64 bits of BLAKE2b, rendered as 16 hex chars
 DIGEST_ALGO = "blake2b-64"
 
-#: hashed in place of absent values (an empty lane, an unset RTT); far
-#: outside any cycle count, pid or credit value yet inside int64
+#: hashed in place of absent values (an empty lane, an unset RTT) and as
+#: the separator between variable-length sections; far outside any cycle
+#: count, pid or credit value yet inside int64
 _NONE = -(1 << 62) - 11
+
+# -- the schemas ---------------------------------------------------------------
+#
+# The field names of every fixed-width row, in pre-image order.  State is
+# enumerated as tables ``(path, names, rows)``: ``rows`` maps each row's key
+# to its ints, in pre-image order — the ints, end to end, are what gets
+# hashed; ``path`` (keys under the subsystem), the row's key and ``names``
+# (one of the tuples below, or None for a variable-length row, filed as a
+# list) are where the snapshot puts them; a single row's key is ``()``.  A
+# table with no path — a separator, the key opening a group — is hashed only.
+
+_ENGINE = (
+    "cycle", "injected_packets", "delivered_packets", "dropped_packets",
+    "injected_flits", "delivered_flits", "dropped_flits", "next_pid",
+)
+_DIRECTION = ("index", "rr", "nbusy", "flits", "to_node")
+_OUT_LANE = ("vc", "packet", "buffered", "sent", "credits")
+_EJECTION_LANE = ("packet", "received")
+_IN_LANE = _EJECTION_LANE + (
+    "forwarded", "last_arrival", "bound_switch", "bound_port", "bound_vc",
+)
+_PENDING = ("port", "vc", "packet")
+_BINDING = ("switch", "port", "vc", "packet")
+_NODE = ("nid", "rr", "sent", "packet", "lane")
+_NODE_LANE = ("vc",) + _IN_LANE
+_TRANSPORT = (
+    "messages", "acked", "gave_up", "retransmissions", "duplicates", "late_acks",
+    "drops_seen", "max_attempts", "event_counter", "rtt_estimate",
+)
+_NEXT_SEQ = ("src", "dst", "seq")
+_UNRESOLVED = ("node", "count")
+_MESSAGE = (
+    "src", "dst", "seq", "size", "created", "attempts", "acked", "gave_up",
+    "delivered_first", "deadline", "claimed", "last_sent",
+)
+_EVENT = ("due", "counter", "kind", "src", "dst", "seq", "tag")
+_CONGESTION = (
+    "released", "held", "clean_acks", "marked_acks", "timeouts", "decreases",
+    "min_cwnd_seen", "max_cwnd_seen",
+)
+_WINDOW = ("src", "dst", "cwnd", "in_flight", "last_decrease")
+_MARKER = (
+    "packets_marked", "windows", "hot_link_windows", "peak_hot_links", "window_end",
+)
+_BLOCKED = ("index", "cycles")
+
+#: fields whose int64 is a float's IEEE-754 bit pattern
+_FLOAT_FIELDS = frozenset(("rtt_estimate", "min_cwnd_seen", "max_cwnd_seen", "cwnd"))
+
+_TO_NODE = _DIRECTION.index("to_node")
+
+
+def _unnamed(*ints) -> tuple:
+    return None, None, {(): ints}
+
+
+_SEP = _unnamed(_NONE)
 
 
 # -- hashing primitives --------------------------------------------------------
 
 
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=8).digest()
+
+
 def _hex(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+    return _digest(data).hex()
 
 
 def _ints(values) -> bytes:
     """Canonical byte form of an int64 stream (little-endian on every
     platform this targets; ``array`` keeps the hot path allocation-light)."""
     return array("q", values).tobytes()
+
+
+def _preimage(tables) -> bytes:
+    """The bytes a list of tables is hashed as: their ints, end to end."""
+    flat = []
+    for _, _, rows in tables:
+        for ints in rows.values():
+            flat += ints
+    return _ints(flat)
 
 
 def _f2i(x) -> int:
@@ -93,177 +170,156 @@ def _pid(packet) -> int:
     return _NONE if packet is None else packet.pid
 
 
+def _by_key(table: dict) -> list:
+    """``sorted(table.items())`` without ever comparing a value: the keys
+    are unique, and sorting them alone costs half as much."""
+    return [(key, table[key]) for key in sorted(table)]
+
+
 def _rng_digest(rng) -> bytes:
     """Digest of a ``random.Random`` stream position.
 
     ``getstate()`` for the Mersenne Twister is ``(version, 625 uints,
-    gauss_next)``; ``hash()`` of that int tuple folds it in C (tuple/int
-    hashing is unsalted — ``PYTHONHASHSEED`` only perturbs str/bytes —
-    so the value is stable across processes on one interpreter build).
-    This runs for every node every sample; pickling or packing 625
-    words per call was the probe's single largest cost.  The RNG leaf
-    is the one interpreter-specific digest — see the DESIGN.md backend
-    validation contract.  Exotic states fall back to a pinned pickle.
+    gauss_next)``; ``hash()`` of that int tuple folds it in C.  Tuple and
+    int hashing is unsalted (``PYTHONHASHSEED`` only perturbs str/bytes)
+    and has not changed across CPython 3.10–3.13, so the value — and with
+    it every root, chain and checkpoint gate — is the same on all four
+    (measured; CI pins 3.10 against 3.12).  Another Python implementation
+    may hash tuples differently: it validates the fabric, injection and
+    transport digests instead.  This runs for every node every sample;
+    pickling or packing 625 words per call was the probe's single largest
+    cost.  Exotic states fall back to a pinned pickle.
     """
     if rng is None:
         return b"no-rng"
     version, internal, gauss = rng.getstate()
     if version == 3 and type(internal) is tuple:
         return _ints((version, hash(internal), _f2i(gauss)))
-    state = pickle.dumps((version, internal, gauss), protocol=4)
-    return hashlib.blake2b(state, digest_size=8).digest()
+    return _digest(pickle.dumps((version, internal, gauss), protocol=4))
 
 
-# -- per-subsystem leaf records ------------------------------------------------
+# -- the rows: each subsystem's state, read in exactly one place ---------------
 
 
-def _lane_record(d, lane) -> list[int]:
-    """One output lane plus its sink as an int64 leaf record."""
-    p = lane.packet
-    rec = [
-        lane.vc,
-        _NONE if p is None else p.pid,
-        lane.buffered,
-        lane.sent,
-        lane.credits,
+def _fabric_rows(engine) -> list[list[int]]:
+    """One record per direction: a ``_DIRECTION`` header, then for each
+    lane its ``_OUT_LANE`` fields and its sink's (``_EJECTION_LANE`` on a
+    link into a node, ``_IN_LANE`` otherwise).  Nine tenths of the ints a
+    sample hashes are read here, so this stays one flat ``append`` loop per
+    direction — no per-lane call or tuple; :func:`_lane_records` cuts a
+    record back into lanes for whoever wants them apart."""
+    none = _NONE
+    rows = []
+    for idx, d in enumerate(engine.dirs):
+        to_node = d.to_node
+        row = [idx, d.rr, d.nbusy, d.flits, 1 if to_node else 0]
+        append = row.append
+        for lane in d.lanes:
+            p = lane.packet
+            append(lane.vc)
+            append(none if p is None else p.pid)
+            append(lane.buffered)
+            append(lane.sent)
+            append(lane.credits)
+            sink = lane.sink
+            sp = sink.packet
+            append(none if sp is None else sp.pid)
+            append(sink.received)
+            if not to_node:
+                append(sink.forwarded)
+                append(sink.last_arrival)
+                bound = sink.bound
+                if bound is None:
+                    row += (none, none, none)
+                else:
+                    append(bound.switch)
+                    append(bound.port)
+                    append(bound.vc)
+        rows.append(row)
+    return rows
+
+
+def _lane_records(row: list[int]) -> list[list[int]]:
+    """A direction's record cut at its lane stride."""
+    stride = len(_OUT_LANE) + len(_EJECTION_LANE if row[_TO_NODE] else _IN_LANE)
+    return [row[at : at + stride] for at in range(len(_DIRECTION), len(row), stride)]
+
+
+def _link_tables(engine, records) -> list:
+    """The fabric records as tables, keyed by link label and lane (a table
+    has one schema, so the sinks make two: ``sinks[to_node]``)."""
+    links, lanes, sinks = {}, {}, ({}, {})
+    for d, row in zip(engine.dirs, records):
+        label = d.label
+        links[label] = row
+        for rec in _lane_records(row):
+            lane = (label, "lanes", f"vc{rec[0]}")
+            lanes[lane] = rec
+            sinks[row[_TO_NODE]][lane + ("sink",)] = rec[len(_OUT_LANE) :]
+    return [
+        (("links",), _DIRECTION, links),
+        (("links",), _OUT_LANE, lanes),
+        (("links",), _IN_LANE, sinks[0]),
+        (("links",), _EJECTION_LANE, sinks[1]),
     ]
-    sink = lane.sink
-    sp = sink.packet
-    rec.append(_NONE if sp is None else sp.pid)
-    rec.append(sink.received)
-    if not d.to_node:
-        rec.append(sink.forwarded)
-        rec.append(sink.last_arrival)
-        bound = sink.bound
-        if bound is None:
-            rec += (_NONE, _NONE, _NONE)
-        else:
-            rec += (bound.switch, bound.port, bound.vc)
-    return rec
 
 
-def _routing_ints(engine) -> list[int]:
+def _routing_tables(engine) -> list:
     """Routing state: rr pointers, pending headers (order is semantic),
     the route queue (order is semantic) and crossbar bindings (sorted —
     the order of the engine's list is an implementation detail no
     alternative backend should have to reproduce)."""
-    vals = list(engine.route_rr)
-    vals.append(_NONE)
+    tables = [(("route_rr",), None, {(): engine.route_rr}), _SEP]
     for s, lanes in enumerate(engine.pending):
-        if not lanes:
-            continue
-        vals.append(s)
-        for lane in lanes:
-            vals += (lane.port, lane.vc, _pid(lane.packet))
-    vals.append(_NONE)
-    vals += engine.route_queue
-    vals.append(_NONE)
-    for lane in sorted(engine.bindings, key=lambda l: (l.switch, l.port, l.vc)):
-        vals += (lane.switch, lane.port, lane.vc, _pid(lane.packet))
-    return vals
+        if lanes:
+            headers = {i: (l.port, l.vc, _pid(l.packet)) for i, l in enumerate(lanes)}
+            tables += (_unnamed(s), (("pending", s), _PENDING, headers))
+    tables += (_SEP, (("route_queue",), None, {(): engine.route_queue}), _SEP)
+    bindings = sorted(engine.bindings, key=lambda l: (l.switch, l.port, l.vc))
+    tables.append((("bindings",), _BINDING, {
+        i: (l.switch, l.port, l.vc, _pid(l.packet)) for i, l in enumerate(bindings)
+    }))
+    return tables
 
 
-def _fabric(engine, detail: bool):
-    """(fabric digest, per-link digests, per-lane digests) — the latter
-    two only materialized when ``detail`` is set (diff-time, not the
-    sampling hot path).  The hot path inlines :func:`_lane_record` —
-    same bytes, no per-lane call or list churn; every sample walks every
-    lane, so this loop is most of the probe's marginal cost."""
-    links = {} if detail else None
-    lanes = {} if detail else None
-    none = _NONE
-    flat = []
-    if detail:
-        for idx, d in enumerate(engine.dirs):
-            lane_recs = [_lane_record(d, lane) for lane in d.lanes]
-            seg = [idx, d.rr, d.nbusy, d.flits, int(d.to_node)]
-            for rec in lane_recs:
-                seg += rec
-            flat += seg
-            label = d.label
-            links[label] = _hex(_ints(seg))
-            lanes[label] = {
-                f"vc{lane.vc}": _hex(_ints(rec))
-                for lane, rec in zip(d.lanes, lane_recs)
-            }
-    else:
-        append = flat.append
-        for idx, d in enumerate(engine.dirs):
-            to_node = d.to_node
-            append(idx)
-            append(d.rr)
-            append(d.nbusy)
-            append(d.flits)
-            append(1 if to_node else 0)
-            for lane in d.lanes:
-                p = lane.packet
-                append(lane.vc)
-                append(none if p is None else p.pid)
-                append(lane.buffered)
-                append(lane.sent)
-                append(lane.credits)
-                sink = lane.sink
-                sp = sink.packet
-                append(none if sp is None else sp.pid)
-                append(sink.received)
-                if not to_node:
-                    append(sink.forwarded)
-                    append(sink.last_arrival)
-                    bound = sink.bound
-                    if bound is None:
-                        flat += (none, none, none)
-                    else:
-                        append(bound.switch)
-                        append(bound.port)
-                        append(bound.vc)
-    routing = hashlib.blake2b(_ints(_routing_ints(engine)), digest_size=8)
-    fabric_hex = _hex(_ints(flat) + routing.digest())
-    return fabric_hex, links, lanes
-
-
-def _node_ints(node) -> list[int]:
-    """One node's injection-side state: the injection channel, its input
-    lanes at the switch boundary, and the (possibly transport-wrapped)
-    source queue and arrival cursor."""
-    vals = [node.nid, node.rr, node.sent, _pid(node.packet)]
-    vals.append(_NONE if node.lane is None else node.lane.vc)
-    for lane in node.lanes:
-        vals += (lane.vc, _pid(lane.packet), lane.received, lane.forwarded, lane.last_arrival)
-        bound = lane.bound
-        if bound is None:
-            vals += (_NONE, _NONE, _NONE)
-        else:
-            vals += (bound.switch, bound.port, bound.vc)
-    src = node.source
-    vals.append(int(bool(getattr(src, "active", False))))
-    for entry in getattr(src, "queue", ()):
-        vals.append(len(entry))
-        vals.extend(int(v) for v in entry)
+def _source_tables(src, path: tuple) -> list:
+    """A source's queue and arrival cursor, filed under ``path``."""
     nxt = getattr(src, "_next", None)
-    vals.append(_NONE if nxt is None else nxt)
+    queue = {i: (len(entry), *entry) for i, entry in enumerate(getattr(src, "queue", ()))}
+    return [
+        (path, ("active",), {(): (int(bool(getattr(src, "active", False))),)}),
+        (path + ("queue",), None, queue),
+        (path, ("next",), {(): (_NONE if nxt is None else nxt,)}),
+    ]
+
+
+def _node_tables(node) -> list:
+    """One node's injection-side state: the injection channel, its input
+    lanes at the switch boundary, and the source queue and arrival cursor
+    — of the transport's wrapper and of the raw source underneath it when
+    one is installed."""
+    current = node.lane
+    lanes = {}
+    for lane in node.lanes:
+        bound = lane.bound
+        lanes[f"vc{lane.vc}"] = (
+            lane.vc, _pid(lane.packet), lane.received, lane.forwarded, lane.last_arrival,
+            *((_NONE, _NONE, _NONE) if bound is None else (bound.switch, bound.port, bound.vc)),
+        )
+    src = node.source
     inner = getattr(src, "inner", None)
-    if inner is not None:  # transport-wrapped: the raw source underneath
-        vals.append(int(bool(inner.active)))
-        for entry in inner.queue:
-            vals.append(len(entry))
-            vals.extend(int(v) for v in entry)
-        inxt = getattr(inner, "_next", None)
-        vals.append(_NONE if inxt is None else inxt)
-    return vals
+    return [
+        ((), _NODE, {(): (
+            node.nid, node.rr, node.sent, _pid(node.packet),
+            _NONE if current is None else current.vc,
+        )}),
+        (("lanes",), _NODE_LANE, lanes),
+        *_source_tables(src, ("source",)),
+        *(() if inner is None else _source_tables(inner, ("source", "inner"))),
+    ]
 
 
-def _injection(engine, detail: bool):
-    node_digests = []
-    nodes = {} if detail else None
-    for node in engine.nodes:
-        h = hashlib.blake2b(_ints(_node_ints(node)), digest_size=8)
-        node_digests.append(h.digest())
-        if detail:
-            nodes[str(node.nid)] = h.hexdigest()
-    return _hex(b"".join(node_digests)), nodes
-
-
-def _msg_ints(msg) -> tuple:
+def _message_ints(msg) -> tuple:
     return (
         msg.src, msg.dst, msg.seq, msg.size, msg.created, msg.attempts,
         int(msg.acked), int(msg.gave_up), msg.delivered_first, msg.deadline,
@@ -271,84 +327,105 @@ def _msg_ints(msg) -> tuple:
     )
 
 
-def _congestion_ints(engine, control) -> list[int]:
+def _congestion_tables(control) -> list:
+    """AIMD windows sorted by flow, then the ECN marker: its marked pids
+    and hot direction indices sorted, its blocked-cycle cell per direction."""
     if control is None:
-        return [_NONE]
-    vals = [
-        control.released, control.held, control.clean_acks, control.marked_acks,
-        control.timeouts, control.decreases,
-        _f2i(control.min_cwnd_seen), _f2i(control.max_cwnd_seen),
+        return [_SEP]
+    tables = [
+        (("congestion",), _CONGESTION, {(): (
+            control.released, control.held, control.clean_acks, control.marked_acks,
+            control.timeouts, control.decreases,
+            _f2i(control.min_cwnd_seen), _f2i(control.max_cwnd_seen),
+        )}),
+        (("congestion", "windows"), _WINDOW, {
+            flow: (*flow, _f2i(cwnd), in_flight, last_decrease)
+            for flow, (cwnd, in_flight, last_decrease) in _by_key(control._windows)
+        }),
     ]
-    for (src, dst), state in sorted(control._windows.items()):
-        cwnd, in_flight, last_decrease = state
-        vals += (src, dst, _f2i(cwnd), in_flight, last_decrease)
     marker = control.marker
     if marker is None:
-        return vals
-    vals.append(_NONE)
-    vals += (
-        marker.packets_marked, marker.windows, marker.hot_link_windows,
-        marker.peak_hot_links, marker._window_end,
-    )
-    vals += sorted(marker._marked)
-    vals.append(_NONE)
-    vals += sorted(marker._hot)
-    vals.append(_NONE)
-    for index, cycles in enumerate(marker._blocked):
-        vals += (index, cycles)
-    return vals
-
-
-def _transport_ints(engine, tp) -> list[int]:
-    vals = [
-        tp.messages, tp.acked, tp.gave_up, tp.retransmissions, tp.duplicates,
-        tp.late_acks, tp.drops_seen, tp.max_attempts, tp._counter,
-        _f2i(tp.rtt_estimate),
+        return tables
+    here = ("congestion", "marker")
+    return tables + [
+        _SEP,
+        (here, _MARKER, {(): (
+            marker.packets_marked, marker.windows, marker.hot_link_windows,
+            marker.peak_hot_links, marker._window_end,
+        )}),
+        (here + ("marked",), None, {(): sorted(marker._marked)}),
+        _SEP,
+        (here + ("hot",), None, {(): sorted(marker._hot)}),
+        _SEP,
+        (here + ("blocked",), _BLOCKED, {
+            index: (index, cycles) for index, cycles in enumerate(marker._blocked)
+        }),
     ]
-    for (src, dst), seq in sorted(tp._next_seq.items()):
-        vals += (src, dst, seq)
-    vals.append(_NONE)
-    for node, count in sorted(tp._unresolved.items()):
-        vals += (node, count)
-    vals.append(_NONE)
-    for node in sorted(tp._fifo):
-        vals.append(node)
-        for msg in tp._fifo[node]:
-            vals += _msg_ints(msg)
-    vals.append(_NONE)
-    for node in sorted(tp._waiting):
-        vals.append(node)
-        for msg in tp._waiting[node]:
-            vals += _msg_ints(msg)
-    vals.append(_NONE)
-    for pid in sorted(tp._by_pid):
-        vals.append(pid)
-        vals += _msg_ints(tp._by_pid[pid])
-    vals.append(_NONE)
-    for due, counter, kind, msg, tag in sorted(tp._events, key=lambda e: (e[0], e[1])):
-        vals += (due, counter, kind, msg.src, msg.dst, msg.seq, tag)
-    vals.append(_NONE)
-    vals += _congestion_ints(engine, tp.congestion)
-    return vals
 
 
-def _transport_hex(engine, tp) -> str:
-    if tp is None:
-        return _hex(b"")
-    return _hex(_ints(_transport_ints(engine, tp)))
+def _transport_tables(tp) -> list:
+    """The reliable transport: counters, sequence numbers and unresolved
+    counts sorted by key, the per-node registries in queue order, the
+    timer wheel in (due, counter) order, then the congestion loop."""
+    tables = [
+        ((), _TRANSPORT, {(): (
+            tp.messages, tp.acked, tp.gave_up, tp.retransmissions, tp.duplicates,
+            tp.late_acks, tp.drops_seen, tp.max_attempts, tp._counter,
+            _f2i(tp.rtt_estimate),
+        )}),
+        (("next_seq",), _NEXT_SEQ, {
+            flow: (*flow, seq) for flow, seq in _by_key(tp._next_seq)
+        }),
+        _SEP,
+        (("unresolved",), _UNRESOLVED, {
+            node: (node, count) for node, count in _by_key(tp._unresolved)
+        }),
+    ]
+    for name, queues in (("fifo", tp._fifo), ("waiting", tp._waiting)):
+        tables.append(_SEP)
+        for node, queue in _by_key(queues):
+            messages = dict(enumerate(map(_message_ints, queue)))
+            tables += (_unnamed(node), ((name, node), _MESSAGE, messages))
+    events = sorted(tp._events, key=lambda e: (e[0], e[1]))
+    return tables + [
+        _SEP,
+        (("by_pid",), ("pid",) + _MESSAGE, {
+            pid: (pid, *_message_ints(msg)) for pid, msg in _by_key(tp._by_pid)
+        }),
+        _SEP,
+        (("events",), _EVENT, {
+            i: (due, counter, kind, msg.src, msg.dst, msg.seq, tag)
+            for i, (due, counter, kind, msg, tag) in enumerate(events)
+        }),
+        _SEP,
+        *_congestion_tables(tp.congestion),
+    ]
 
 
-def _rng_hex(engine, tp) -> str:
+def _engine_ints(engine, cycle: int) -> tuple:
+    return (
+        cycle,
+        engine.injected_packets_total, engine.delivered_packets_total,
+        engine.dropped_packets_total, engine.injected_flits_total,
+        engine.delivered_flits_total, engine.dropped_flits_total,
+        engine._next_pid,
+    )
+
+
+def _rng_digests(engine, tp) -> list[bytes]:
+    """Every node's source stream position, then the transport's jitter."""
     parts = []
     for node in engine.nodes:
         src = node.source
-        inner = getattr(src, "inner", src)
-        parts.append(_rng_digest(getattr(inner, "rng", None)))
+        parts.append(_rng_digest(getattr(getattr(src, "inner", src), "rng", None)))
     parts.append(b"no-transport" if tp is None else _rng_digest(tp._rng))
-    return _hex(b"".join(parts))
+    return parts
 
 
-# -- the fingerprint -----------------------------------------------------------
+# -- the fingerprint: the rows, hashed -----------------------------------------
+
+#: subsystem keys of a fingerprint, in document order
+SUBSYSTEMS = ("fabric", "injection", "transport", "rng")
 
 
 def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None) -> dict:
@@ -356,234 +433,88 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
 
     Returns ``{"cycle", "root", "fabric", "injection", "transport",
     "rng"}``; with ``detail`` also ``"links"``/``"lanes"``/``"nodes"``
-    (per-link, per-lane and per-node leaf digests, for divergence
-    localization).  ``at_cycle`` overrides the cycle folded into the
-    root: probes sample from ``on_cycle(t)`` where the state is already
-    post-step but ``engine.cycle`` has not yet advanced to ``t + 1``.
+    (the same rows hashed one at a time: per link, per lane, per node).
+    ``at_cycle`` overrides the cycle folded into the root: probes sample
+    from ``on_cycle(t)`` where the state is already post-step but
+    ``engine.cycle`` has not yet advanced to ``t + 1``.
 
     This is the **backend validation contract** (DESIGN.md): any
     alternative engine backend must produce identical fingerprints at
     identical cycles for identical configs.
     """
-    fabric_hex, links, lanes = _fabric(engine, detail)
-    injection_hex, nodes = _injection(engine, detail)
     tp = engine.find_probe(ReliableTransport)
-    transport_hex = _transport_hex(engine, tp)
-    rng_hex = _rng_hex(engine, tp)
-    cycle = engine.cycle if at_cycle is None else at_cycle
-    meta = (
-        cycle,
-        engine.injected_packets_total, engine.delivered_packets_total,
-        engine.dropped_packets_total, engine.injected_flits_total,
-        engine.delivered_flits_total, engine.dropped_flits_total,
-        engine._next_pid,
-    )
-    root = _hex(
-        _ints(meta)
-        + (fabric_hex + injection_hex + transport_hex + rng_hex).encode("ascii")
-    )
-    fp = {
-        "cycle": cycle,
-        "root": root,
-        "fabric": fabric_hex,
-        "injection": injection_hex,
-        "transport": transport_hex,
-        "rng": rng_hex,
+    records = _fabric_rows(engine)
+    links = [_ints(row) for row in records]
+    nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
+    subsystems = {
+        "fabric": _hex(b"".join(links) + _digest(_preimage(_routing_tables(engine)))),
+        "injection": _hex(b"".join(nodes)),
+        "transport": _hex(b"" if tp is None else _preimage(_transport_tables(tp))),
+        "rng": _hex(b"".join(_rng_digests(engine, tp))),
     }
+    cycle = engine.cycle if at_cycle is None else at_cycle
+    root = _hex(
+        _ints(_engine_ints(engine, cycle)) + "".join(subsystems.values()).encode("ascii")
+    )
+    fp = {"cycle": cycle, "root": root, **subsystems}
     if detail:
-        fp["links"] = links
-        fp["lanes"] = lanes
-        fp["nodes"] = nodes
+        labels = [d.label for d in engine.dirs]
+        fp["links"] = {label: _hex(data) for label, data in zip(labels, links)}
+        fp["lanes"] = {
+            label: {f"vc{rec[0]}": _hex(_ints(rec)) for rec in _lane_records(row)}
+            for label, row in zip(labels, records)
+        }
+        fp["nodes"] = {str(node.nid): d.hex() for node, d in zip(engine.nodes, nodes)}
     return fp
 
 
-#: subsystem keys of a fingerprint, in document order
-SUBSYSTEMS = ("fabric", "injection", "transport", "rng")
+# -- the snapshot: the rows, named ---------------------------------------------
 
 
-# -- the un-hashed snapshot (diff-time field-level view) -----------------------
-
-
-def _opt_pid(packet):
-    return None if packet is None else packet.pid
+def _named(tables) -> dict:
+    """Tables as a nested document: each row under its path, its key and
+    its field names, ``None`` back in for the sentinel and floats back out
+    of their bit patterns."""
+    doc: dict = {}
+    for path, names, rows in tables:
+        if path is None:
+            continue
+        floats = _FLOAT_FIELDS.intersection(names or ())
+        for key, ints in rows.items():
+            at = path + (key if type(key) is tuple else (key,))
+            values = [None if v == _NONE else v for v in ints]
+            node = doc
+            for k in (at if names else at[:-1]):
+                node = node.setdefault(str(k), {})
+            if names is None:
+                node[str(at[-1])] = values
+                continue
+            node.update(zip(names, values))
+            for name in floats:
+                if node[name] is not None:
+                    node[name] = struct.unpack("<d", struct.pack("<q", node[name]))[0]
+    return doc
 
 
 def state_snapshot(engine) -> dict:
     """The fingerprint's pre-image as a nested JSON-able dict.
 
-    Same coverage and canonicalization as :func:`engine_fingerprint`,
-    but with named fields instead of digests — the divergence debugger
-    flattens two snapshots into path -> value maps and reports exactly
-    which lane, flit or counter differs.  Costs far more than a
-    fingerprint; meant for diff-time, not per-interval sampling.
+    The very rows :func:`engine_fingerprint` hashes, under their schema
+    names — the divergence debugger flattens two snapshots into
+    path -> value maps and reports exactly which lane, flit or counter
+    differs.  Meant for diff-time, not per-interval sampling.
     """
-    links = {}
-    for d in engine.dirs:
-        lane_docs = {}
-        for lane in d.lanes:
-            sink = lane.sink
-            if d.to_node:
-                sink_doc = {"node": sink.node, "packet": _opt_pid(sink.packet),
-                            "received": sink.received}
-            else:
-                bound = sink.bound
-                sink_doc = {
-                    "packet": _opt_pid(sink.packet),
-                    "received": sink.received,
-                    "forwarded": sink.forwarded,
-                    "last_arrival": sink.last_arrival,
-                    "bound": None if bound is None
-                    else f"s{bound.switch}p{bound.port}vc{bound.vc}",
-                }
-            lane_docs[f"vc{lane.vc}"] = {
-                "packet": _opt_pid(lane.packet),
-                "buffered": lane.buffered,
-                "sent": lane.sent,
-                "credits": lane.credits,
-                "sink": sink_doc,
-            }
-        links[d.label] = {
-            "rr": d.rr, "nbusy": d.nbusy, "flits": d.flits, "lanes": lane_docs,
-        }
-    routing = {
-        "route_rr": list(engine.route_rr),
-        "pending": {
-            str(s): [[lane.port, lane.vc, _opt_pid(lane.packet)] for lane in lanes]
-            for s, lanes in enumerate(engine.pending) if lanes
-        },
-        "route_queue": list(engine.route_queue),
-        "bindings": [
-            [lane.switch, lane.port, lane.vc, _opt_pid(lane.packet)]
-            for lane in sorted(engine.bindings, key=lambda l: (l.switch, l.port, l.vc))
-        ],
-    }
-    injection = {}
-    for node in engine.nodes:
-        src = node.source
-        inner = getattr(src, "inner", None)
-        source_doc = {
-            "active": bool(getattr(src, "active", False)),
-            "queue": [list(entry) for entry in getattr(src, "queue", ())],
-            "next": getattr(src, "_next", None),
-        }
-        if inner is not None:
-            source_doc["inner_queue"] = [list(entry) for entry in inner.queue]
-            source_doc["inner_next"] = getattr(inner, "_next", None)
-        injection[str(node.nid)] = {
-            "rr": node.rr,
-            "sent": node.sent,
-            "packet": _opt_pid(node.packet),
-            "lane": None if node.lane is None else node.lane.vc,
-            "lanes": {
-                f"vc{lane.vc}": {
-                    "packet": _opt_pid(lane.packet),
-                    "received": lane.received,
-                    "forwarded": lane.forwarded,
-                    "last_arrival": lane.last_arrival,
-                    "bound": None if lane.bound is None
-                    else f"s{lane.bound.switch}p{lane.bound.port}vc{lane.bound.vc}",
-                }
-                for lane in node.lanes
-            },
-            "source": source_doc,
-        }
     tp = engine.find_probe(ReliableTransport)
-    transport = None if tp is None else _transport_snapshot(engine, tp)
-    rng = {
-        "sources": {
-            str(node.nid): _rng_digest(
-                getattr(getattr(node.source, "inner", node.source), "rng", None)
-            ).hex()
-            for node in engine.nodes
-        },
-        "jitter": None if tp is None else _rng_digest(tp._rng).hex(),
-    }
+    *sources, jitter = (d.hex() for d in _rng_digests(engine, tp))
     return {
-        "cycle": engine.cycle,
-        "counters": {
-            "injected_packets": engine.injected_packets_total,
-            "delivered_packets": engine.delivered_packets_total,
-            "dropped_packets": engine.dropped_packets_total,
-            "injected_flits": engine.injected_flits_total,
-            "delivered_flits": engine.delivered_flits_total,
-            "dropped_flits": engine.dropped_flits_total,
-            "next_pid": engine._next_pid,
+        "counters": dict(zip(_ENGINE, _engine_ints(engine, engine.cycle))),
+        "fabric": {
+            **_named(_link_tables(engine, _fabric_rows(engine))),
+            "routing": _named(_routing_tables(engine)),
         },
-        "fabric": {"links": links, "routing": routing},
-        "injection": injection,
-        "transport": transport,
-        "rng": rng,
-    }
-
-
-def _msg_doc(msg) -> dict:
-    return {
-        "src": msg.src, "dst": msg.dst, "seq": msg.seq, "size": msg.size,
-        "created": msg.created, "attempts": msg.attempts,
-        "acked": msg.acked, "gave_up": msg.gave_up,
-        "delivered_first": msg.delivered_first, "deadline": msg.deadline,
-        "claimed": msg.claimed, "last_sent": msg.last_sent,
-    }
-
-
-def _transport_snapshot(engine, tp) -> dict:
-    control = tp.congestion
-    congestion = None
-    if control is not None:
-        marker = control.marker
-        marker_doc = None
-        if marker is not None:
-            labels = [d.label for d in engine.dirs]
-            marker_doc = {
-                "packets_marked": marker.packets_marked,
-                "windows": marker.windows,
-                "hot_link_windows": marker.hot_link_windows,
-                "peak_hot_links": marker.peak_hot_links,
-                "window_end": marker._window_end,
-                "marked_pids": sorted(marker._marked),
-                "hot_links": sorted(labels[h] for h in marker._hot),
-                "blocked": dict(zip(labels, marker._blocked)),
-            }
-        congestion = {
-            "counters": {
-                "released": control.released, "held": control.held,
-                "clean_acks": control.clean_acks, "marked_acks": control.marked_acks,
-                "timeouts": control.timeouts, "decreases": control.decreases,
-            },
-            "min_cwnd_seen": control.min_cwnd_seen,
-            "max_cwnd_seen": control.max_cwnd_seen,
-            "windows": {
-                f"{src}->{dst}": list(state)
-                for (src, dst), state in sorted(control._windows.items())
-            },
-            "marker": marker_doc,
-        }
-    return {
-        "counters": {
-            "messages": tp.messages, "acked": tp.acked, "gave_up": tp.gave_up,
-            "retransmissions": tp.retransmissions, "duplicates": tp.duplicates,
-            "late_acks": tp.late_acks, "drops_seen": tp.drops_seen,
-            "max_attempts": tp.max_attempts, "event_counter": tp._counter,
-        },
-        "rtt_estimate": tp.rtt_estimate,
-        "next_seq": {f"{s}->{d}": n for (s, d), n in sorted(tp._next_seq.items())},
-        "unresolved": {str(n): c for n, c in sorted(tp._unresolved.items()) if c},
-        "fifo": {
-            str(n): [_msg_doc(m) for m in tp._fifo[n]]
-            for n in sorted(tp._fifo) if tp._fifo[n]
-        },
-        "waiting": {
-            str(n): [_msg_doc(m) for m in tp._waiting[n]]
-            for n in sorted(tp._waiting) if tp._waiting[n]
-        },
-        "by_pid": {str(pid): _msg_doc(tp._by_pid[pid]) for pid in sorted(tp._by_pid)},
-        "events": [
-            [due, counter, kind, msg.src, msg.dst, msg.seq, tag]
-            for due, counter, kind, msg, tag in sorted(
-                tp._events, key=lambda e: (e[0], e[1])
-            )
-        ],
-        "congestion": congestion,
+        "injection": {str(node.nid): _named(_node_tables(node)) for node in engine.nodes},
+        "transport": None if tp is None else _named(_transport_tables(tp)),
+        "rng": {"sources": sources, "jitter": jitter},
     }
 
 
@@ -596,8 +527,9 @@ class StateDigestConfig:
 
     Args:
         interval_cycles: cycles between digest samples; every sample is
-            a full state fingerprint, so this is the overhead dial (the
-            default keeps the probe under the CI overhead gate).
+            a full state fingerprint, so this is the overhead dial
+            (``obs.statehash_cps`` against ``obs.off_cps`` in the
+            ``benchmarks/perf`` matrix is its cost at the default).
         max_intervals: buffer bound; reaching it pairwise-decimates the
             chain (stride doubles), like the flight recorder, so a
             million-cycle run still fits one run document.

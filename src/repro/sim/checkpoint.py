@@ -28,11 +28,21 @@ failed gate raises :class:`~repro.errors.CheckpointError` with a
 ``kind`` tag that becomes a structured *discard finding* in the
 directory's manifest.
 
-Verification caveat: the fingerprint's RNG leaf folds Mersenne state
-with CPython's unsalted tuple hash, so a checkpoint verifies on the
-same interpreter build that wrote it (the normal supervisor topology:
-parent resumes what its killed child saved).  The payload itself is
-portable pickle.
+Portability: the payload is plain pickle (protocol 5 on every CPython
+since 3.8) and the fingerprint's RNG leaf folds Mersenne state with
+CPython's tuple hash, which is unsalted and unchanged across CPython
+3.10–3.13 — a checkpoint written by 3.10 passes
+all three gates on 3.12 and 3.13 and resumes to the document of an
+uninterrupted run (CI kills a run under 3.10 and resumes it under 3.12).
+Only a non-CPython interpreter, whose tuple hash may differ, would fail
+the third gate on a file it did not write.
+
+Why the pickle stays (ROADMAP item 4, sized and closed): a checkpoint
+written from the rows the fingerprint enumerates would need a
+``state()``/``from_state()`` pair on every probe class, where a handful
+of ``__getstate__`` hooks and one ``pickle.dump`` do the job today — and
+a fingerprint that shared its enumeration with the writer could no
+longer vouch for the restore.
 
 :class:`CheckpointProbe` takes periodic checkpoints from *engine cycle
 hooks*, not from ``on_cycle``: a hook fires at the start of a cycle,

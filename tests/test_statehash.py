@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MultiProbe, TraceProbe, WindowedCounterProbe, config_digest
+from repro.obs.diff import snapshot_diff
 from repro.obs.flight import FlightRecorder
 from repro.obs.statehash import (
     DIGEST_ALGO,
@@ -29,7 +30,8 @@ from repro.obs.statehash import (
     state_snapshot,
 )
 from repro.sim.run import build_engine, simulate
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.traffic.congestion import install_congestion
+from repro.traffic.transport import ReliableTransport, TransportConfig, simulate_reliable
 
 from .conftest import small_cube_config, small_tree_config
 
@@ -136,16 +138,133 @@ class TestReplayAlignment:
         assert engine.state_fingerprint() == engine_fingerprint(engine)
 
     def test_snapshot_matches_fingerprint_coverage(self):
-        engine = build_engine(small_cube_config(load=0.4))
-        for _ in range(200):
-            engine.step()
+        engine = _stepped(closed_loop=True)
         snap = state_snapshot(engine)
-        assert set(snap) == {
-            "cycle", "counters", "fabric", "injection", "transport", "rng"
-        }
-        assert snap["cycle"] == engine.cycle
+        assert json.loads(json.dumps(snap)) == snap
+        assert set(snap) == {"counters", *SUBSYSTEMS}
+        assert snap["counters"]["cycle"] == engine.cycle
         assert len(snap["injection"]) == len(engine.nodes)
         assert len(snap["fabric"]["links"]) == len(engine.dirs)
+
+
+def _stepped(closed_loop: bool):
+    """An engine 200 cycles into a small run: a plain cube, or a tree
+    under the reliable transport with AIMD windows and the ECN marker."""
+    if closed_loop:
+        engine = build_engine(small_tree_config(load=0.9))
+        install_congestion(engine)
+    else:
+        engine = build_engine(small_cube_config(load=0.6))
+    for _ in range(200):
+        engine.step()
+    return engine
+
+
+def _fabric_lane(engine):
+    d = next(d for d in engine.dirs if not d.to_node)
+    return d, d.lanes[0], f"fabric/links/{d.label}/lanes/vc{d.lanes[0].vc}"
+
+
+# Each mutation flips one value of one row kind on the engine it is handed
+# and returns the snapshot path that must name it.
+
+
+def _flip_credits(engine):
+    _, lane, path = _fabric_lane(engine)
+    lane.credits += 1
+    return f"{path}/credits"
+
+
+def _flip_last_arrival(engine):
+    _, lane, path = _fabric_lane(engine)
+    lane.sink.last_arrival += 1
+    return f"{path}/sink/last_arrival"
+
+
+def _flip_direction_rr(engine):
+    d, _, _ = _fabric_lane(engine)
+    d.rr += 1
+    return f"fabric/links/{d.label}/rr"
+
+
+def _flip_route_rr(engine):
+    engine.route_rr[3] += 1
+    return "fabric/routing/route_rr/3"
+
+
+def _flip_node_rr(engine):
+    engine.nodes[2].rr += 1
+    return "injection/2/rr"
+
+
+def _flip_queue_entry(engine):
+    node = next(n for n in engine.nodes if n.source.queue)
+    created, dst = node.source.queue[0]
+    node.source.queue[0] = (created, dst ^ 1)
+    return f"injection/{node.nid}/source/queue/0/2"  # [len, created, dst]
+
+
+def _flip_inner_active(engine):
+    inner = engine.nodes[1].source.inner
+    inner.active = not inner.active
+    return "injection/1/source/inner/active"
+
+
+def _transport(engine):
+    return engine.find_probe(ReliableTransport)
+
+
+def _flip_attempts(engine):
+    pid, msg = min(_transport(engine)._by_pid.items())
+    msg.attempts += 1
+    return f"transport/by_pid/{pid}/attempts"
+
+
+def _flip_unresolved(engine):
+    _transport(engine)._unresolved[2] += 1
+    return "transport/unresolved/2/count"
+
+
+def _flip_cwnd(engine):
+    (src, dst), state = min(_transport(engine).congestion._windows.items())
+    state[0] += 0.5
+    return f"transport/congestion/windows/{src}/{dst}/cwnd"
+
+
+def _flip_blocked(engine):
+    _transport(engine).congestion.marker._blocked[5] += 1
+    return "transport/congestion/marker/blocked/5/cycles"
+
+
+class TestOneDescriptionOfState:
+    """The fingerprint and the snapshot read the same rows: whatever moves
+    a root is named by the diff, whichever row kind holds it."""
+
+    @pytest.mark.parametrize(
+        "closed_loop, flip",
+        [
+            (False, _flip_credits),
+            (False, _flip_last_arrival),
+            (False, _flip_direction_rr),
+            (False, _flip_route_rr),
+            (False, _flip_node_rr),
+            (False, _flip_queue_entry),
+            (True, _flip_credits),
+            (True, _flip_inner_active),
+            (True, _flip_attempts),
+            (True, _flip_unresolved),
+            (True, _flip_cwnd),
+            (True, _flip_blocked),
+        ],
+    )
+    def test_every_hashed_value_is_a_named_leaf(self, closed_loop, flip):
+        a, b = _stepped(closed_loop), _stepped(closed_loop)
+        assert engine_fingerprint(a) == engine_fingerprint(b)
+        assert snapshot_diff(state_snapshot(a), state_snapshot(b)) == ([], 0)
+        path = flip(b)
+        assert engine_fingerprint(a)["root"] != engine_fingerprint(b)["root"]
+        findings, _ = snapshot_diff(state_snapshot(a), state_snapshot(b))
+        assert [f["path"] for f in findings] == [path]
 
 
 class TestDeterminism:
