@@ -13,6 +13,18 @@ Algorithms are bound to a live engine with :meth:`attach`, which hands
 them direct references to the engine's lane arrays — ``select`` runs in
 the hottest part of the simulation and must not go through indirection
 layers.
+
+The engine's compiled routing phase (``sim/_select.c``) carries a
+transcription of ``select`` for the four shipped classes —
+``tree_adaptive``, ``tree_deterministic``, ``dor``, ``duato`` — and of
+:func:`randbelow` and :meth:`RoutingAlgorithm.pick_free_lane` under them,
+reading the tables ``attach`` builds and drawing from :attr:`rng` through
+``getrandbits``.  It serves an object whose type is *exactly* one of the
+four; a subclass or a newly registered algorithm has its Python ``select``
+called instead, so nothing here needs a C twin to work.  **Change one of
+those selects, ``pick_free_lane`` or ``randbelow`` and change its C twin**:
+``tests/test_routing_contract.py`` holds the two to the same lane, draws and
+counters, the lockstep suite to the same run.
 """
 
 from __future__ import annotations

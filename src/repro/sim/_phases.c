@@ -1,102 +1,45 @@
-/* The link and crossbar phases of Engine.step, compiled.
+/* The link and crossbar phases of Engine.step, compiled, and what every
+ * translation unit of the kernel shares (declared in _phases.h): names, slot
+ * table, accessors, setup() and the module itself.
  *
- * No second data model: the functions below walk the engine's own slotted
- * InputLane / OutputLane / EjectionLane / LinkDirection / Packet objects and
- * read and write their slots in place, at the offsets the classes' member
- * descriptors report (resolved once, in setup()).  They are a transcription
- * of the Python loops in engine.py -- same statement order, same probe
- * calls, same values stored -- and tests/test_property_engine.py steps the
- * two side by side, so the Python loops stay the reference.
+ * The phases are a transcription of the Python loops in engine.py -- same
+ * statement order, same probe calls, same values stored -- and
+ * tests/test_property_engine.py steps the two side by side, so the Python
+ * loops stay the reference.  Injection and routing are in _routing.c, the
+ * four select()s in _select.c.
  *
- * An object is checked against its slotted class once (need()), after which
- * its slots are addressed raw; a counter must be an int.  Where a check fails
- * the phase raises what the Python loop raises on the same state --
- * AttributeError on a None where a packet belongs, TypeError on a str where a
- * counter does -- and nothing is ever read at an offset of a foreign object.
- * References are borrowed from the engine's own lists and slots, except
- * across a probe call, which may run arbitrary Python: the direction, lane,
- * sink and packet of the hop in hand are held through it.
- *
- * Built by native.py with the interpreter's own C compiler; one translation
- * unit, -O1 (cc1 is a child of whoever imports first, and its resident
- * memory counts against them).
+ * Built by native.py with the interpreter's own C compiler at -O1, one unit
+ * at a time.
  */
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_phases.h"
 #ifndef Py_T_OBJECT_EX /* CPython < 3.12 */
 #include <structmember.h>
 #define Py_T_OBJECT_EX T_OBJECT_EX
 #endif
 
-/* -- names ------------------------------------------------------------------ */
-
-/* attributes of the engine, its config and result, and the handler object */
-#define NAMES(X) \
-    X(_fabric_dirs) X(_eject_dirs) X(_age_arbiter) X(_rr_after) X(_route_awake) \
-    X(pending) X(_in_route_queue) X(route_queue) X(bindings) X(config) X(result) \
-    X(delivered_flits_per_node) X(delivered_packets_total) X(delivered_flits_total) \
-    X(_interval_delivered) X(warmup_cycles) X(collect_latencies) X(buffer_flits) \
-    X(delivered_packets) X(delivered_flits) X(latency_sum) X(head_latency_sum) \
-    X(latency_max) X(latencies) \
-    X(on_direction_blocked) X(on_head_arrived) X(on_head_delivered) X(on_tail_delivered)
-
-#define X(n) static PyObject *s_##n;
+#define X(n) PyObject *s_##n;
 NAMES(X)
 #undef X
 
-/* the slots addressed by offset: class tag, attribute */
-#define SLOTS(X) \
-    X(IL, switch) X(IL, packet) X(IL, received) X(IL, forwarded) X(IL, bound) \
-    X(IL, src_out) X(IL, last_arrival) \
-    X(OL, switch) X(OL, vc) X(OL, packet) X(OL, buffered) X(OL, credits) X(OL, sink) \
-    X(OL, direction) \
-    X(EJ, node) X(EJ, packet) X(EJ, received) \
-    X(LD, lanes) X(LD, rr) X(LD, nbusy) X(LD, flits) \
-    X(PK, size) X(PK, created) X(PK, injected) X(PK, head_delivered) X(PK, delivered)
-
-enum { IL, OL, EJ, LD, PK, N_CLASSES };
-enum {
-#define X(c, a) c##_##a,
-    SLOTS(X)
-#undef X
-    N_SLOTS
-};
-
-static PyTypeObject *classes[N_CLASSES];
-static struct {
-    int cls;
-    const char *attr;
-    Py_ssize_t offset;
-    PyObject *name;
-} slots[N_SLOTS] = {
+PyTypeObject *classes[N_CLASSES];
+struct slot slots[N_SLOTS] = {
 #define X(c, a) {c, #a, 0, NULL},
     SLOTS(X)
 #undef X
 };
 
-static PyObject *zero, *one;
+PyObject *zero, *one;
 
 /* -- slot access ------------------------------------------------------------- */
 
-#define SLOT(o, i) (*(PyObject **)((char *)(o) + slots[i].offset))
-
-/* a non-negative one-digit int, the common case, without a call */
-#if PY_VERSION_HEX >= 0x030C0000
-#define IS_SMALL(v) PyUnstable_Long_IsCompact((PyLongObject *)(v))
-#define SMALL_VALUE(v) PyUnstable_Long_CompactValue((PyLongObject *)(v))
-#else
-#define IS_SMALL(v) (Py_SIZE(v) == 0 || Py_SIZE(v) == 1)
-#define SMALL_VALUE(v) (Py_SIZE(v) ? (long long)((PyLongObject *)(v))->ob_digit[0] : 0)
-#endif
-
-static int
-as_int(PyObject *v, long long *out)
+int
+as_int_slow(PyObject *v, long long *out)
 {
     *out = PyLong_AsLongLong(v);
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-static int
+int
 need_slow(PyObject *o, int i)
 {
     PyTypeObject *cls = classes[slots[i].cls];
@@ -116,60 +59,21 @@ need_slow(PyObject *o, int i)
     return -1;
 }
 
-/* o must be an instance of the class slot i belongs to before SLOT(o, i),
- * or any other slot of that class, is addressed */
-static inline int
-need(PyObject *o, int i)
-{
-    return Py_IS_TYPE(o, classes[slots[i].cls]) ? 0 : need_slow(o, i);
-}
-
-/* o.<slot>, borrowed */
-static inline PyObject *
-get_obj(PyObject *o, int i)
-{
-    PyObject *v = SLOT(o, i);
-    if (v == NULL)
-        PyErr_SetObject(PyExc_AttributeError, slots[i].name);
-    return v;
-}
-
-/* o.<slot> = v */
-static void
-set_obj(PyObject *o, int i, PyObject *v)
-{
-    PyObject *old = SLOT(o, i);
-    SLOT(o, i) = Py_NewRef(v);
-    Py_XDECREF(old);
-}
-
 /* a big int, or whatever is wrong with the slot */
-static int
+int
 get_int_slow(PyObject *o, int i, long long *out)
 {
     PyObject *v = get_obj(o, i);
     if (v == NULL)
         return -1;
     if (PyLong_Check(v))
-        return as_int(v, out);
+        return as_int_slow(v, out);
     PyErr_Format(PyExc_TypeError, "%s.%s must be an int, not %s",
                  Py_TYPE(o)->tp_name, slots[i].attr, Py_TYPE(v)->tp_name);
     return -1;
 }
 
-/* o.<slot> as a C integer */
-static inline int
-get_int(PyObject *o, int i, long long *out)
-{
-    PyObject *v = SLOT(o, i);
-    if (v != NULL && PyLong_CheckExact(v) && IS_SMALL(v)) {
-        *out = SMALL_VALUE(v);
-        return 0;
-    }
-    return get_int_slow(o, i, out);
-}
-
-static int
+int
 set_int(PyObject *o, int i, long long value)
 {
     PyObject *v = PyLong_FromLongLong(value);
@@ -181,16 +85,16 @@ set_int(PyObject *o, int i, long long value)
 }
 
 /* o.<slot> += delta */
-static int
+int
 add_int(PyObject *o, int i, long long delta)
 {
     long long v;
     return get_int(o, i, &v) < 0 ? -1 : set_int(o, i, v + delta);
 }
 
-/* -- plain attributes and items ---------------------------------------------- */
+/* -- plain attributes, items and calls ---------------------------------------- */
 
-static int
+int
 attr_int(PyObject *o, PyObject *name, long long *out)
 {
     PyObject *v = PyObject_GetAttr(o, name);
@@ -203,7 +107,7 @@ attr_int(PyObject *o, PyObject *name, long long *out)
 }
 
 /* o.<name> += delta */
-static int
+int
 attr_add(PyObject *o, PyObject *name, long long delta)
 {
     long long v;
@@ -214,6 +118,39 @@ attr_add(PyObject *o, PyObject *name, long long delta)
     rc = PyObject_SetAttr(o, name, sum);
     Py_DECREF(sum);
     return rc;
+}
+
+/* bool(o.<name>) */
+int
+attr_true(PyObject *o, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(o, name);
+    int rc;
+    if (v == NULL)
+        return -1;
+    rc = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* the out-of-line half of item(): negative indices, tuples, and the errors */
+PyObject *
+item_slow(PyObject *seq, long long i)
+{
+    Py_ssize_t n;
+    if (!PyList_Check(seq) && !PyTuple_Check(seq)) {
+        PyErr_Format(PyExc_TypeError, "the compiled phases index lists and tuples, not a %s",
+                     Py_TYPE(seq)->tp_name);
+        return NULL;
+    }
+    n = Py_SIZE(seq);
+    if (i < 0)
+        i += n;
+    if (i < 0 || i >= n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    return PyList_Check(seq) ? PyList_GET_ITEM(seq, i) : PyTuple_GET_ITEM(seq, i);
 }
 
 /* list[index] += 1 */
@@ -233,7 +170,7 @@ count_one(PyObject *list, long long index)
 }
 
 /* NULL when the handler object is None or nobody consumes the event */
-static int
+int
 handler(PyObject *handlers, PyObject *event, PyObject **out)
 {
     *out = NULL;
@@ -246,26 +183,80 @@ handler(PyObject *handlers, PyObject *event, PyObject **out)
     return 0;
 }
 
-static int
-call(PyObject *fn, PyObject *a, PyObject *b, PyObject *c)
+/* fn(a, b, ...): the arguments end at the first NULL */
+int
+call(PyObject *fn, PyObject *a, PyObject *b, PyObject *c, PyObject *d)
 {
-    PyObject *r = PyObject_CallFunctionObjArgs(fn, a, b, c, NULL);
+    PyObject *r = PyObject_CallFunctionObjArgs(fn, a, b, c, d, NULL);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
     return 0;
 }
 
+/* -- Engine._enqueue_header ---------------------------------------------------- */
+
+int
+headers_open(Headers *h, PyObject *engine)
+{
+    h->engine = engine;
+    if ((h->awake = PyObject_GetAttr(engine, s__route_awake)) == NULL
+        || (h->pending = PyObject_GetAttr(engine, s_pending)) == NULL
+        || (h->in_queue = PyObject_GetAttr(engine, s__in_route_queue)) == NULL)
+        return -1;
+    return 0;
+}
+
+void
+headers_close(Headers *h)
+{
+    Py_XDECREF(h->awake);
+    Py_XDECREF(h->pending);
+    Py_XDECREF(h->in_queue);
+}
+
+int
+enqueue_header(Headers *h, PyObject *lane)
+{
+    PyObject *s, *pend = NULL, *queued = NULL, *queue = NULL;
+    int rc = -1, is_queued;
+    if ((s = get_obj(lane, IL_switch)) == NULL)
+        return -1;
+    Py_INCREF(s);
+    if ((pend = PyObject_GetItem(h->pending, s)) == NULL
+        || (queue = PyObject_GetAttr(h->engine, s_route_queue)) == NULL)
+        goto done;
+    if (!PyList_Check(pend) || !PyList_Check(queue)) {
+        PyErr_SetString(PyExc_TypeError, "the engine's routing queues must be lists");
+        goto done;
+    }
+    if (PyList_Append(pend, lane) < 0
+        || PyObject_SetItem(h->awake, s, Py_True) < 0
+        || (queued = PyObject_GetItem(h->in_queue, s)) == NULL
+        || (is_queued = PyObject_IsTrue(queued)) < 0
+        || (!is_queued
+            && (PyObject_SetItem(h->in_queue, s, Py_True) < 0 || PyList_Append(queue, s) < 0)))
+        goto done;
+    rc = 0;
+done:
+    Py_DECREF(s);
+    Py_XDECREF(pend);
+    Py_XDECREF(queued);
+    Py_XDECREF(queue);
+    return rc;
+}
+
 /* -- the link phase ----------------------------------------------------------- */
 
 typedef struct {
-    PyObject *engine, *t; /* borrowed from the caller */
+    Headers h;            /* the engine (borrowed) and its routing queues */
+    PyObject *t;          /* borrowed from the caller */
     long long now;        /* t */
     int warm, age;
     long long delivered;  /* flits ejected so far this cycle */
     /* owned; a handler nobody consumes is NULL */
     PyObject *on_blocked, *on_head_arrived, *on_head_delivered, *on_tail_delivered;
-    PyObject *rr_after, *awake, *pending, *in_queue, *per_node, *config, *result;
+    PyObject *rr_after, *per_node, *config, *result;
 } Link;
 
 static void
@@ -275,10 +266,8 @@ link_close(Link *k)
     Py_XDECREF(k->on_head_arrived);
     Py_XDECREF(k->on_head_delivered);
     Py_XDECREF(k->on_tail_delivered);
+    headers_close(&k->h);
     Py_XDECREF(k->rr_after);
-    Py_XDECREF(k->awake);
-    Py_XDECREF(k->pending);
-    Py_XDECREF(k->in_queue);
     Py_XDECREF(k->per_node);
     Py_XDECREF(k->config);
     Py_XDECREF(k->result);
@@ -287,24 +276,20 @@ link_close(Link *k)
 static int
 link_open(Link *k, PyObject *handlers)
 {
-    PyObject *e = k->engine, *age;
+    PyObject *e = k->h.engine;
     if (as_int(k->t, &k->now) < 0
+        || headers_open(&k->h, e) < 0
         || handler(handlers, s_on_direction_blocked, &k->on_blocked) < 0
         || handler(handlers, s_on_head_arrived, &k->on_head_arrived) < 0
         || handler(handlers, s_on_head_delivered, &k->on_head_delivered) < 0
         || handler(handlers, s_on_tail_delivered, &k->on_tail_delivered) < 0
         || (k->rr_after = PyObject_GetAttr(e, s__rr_after)) == NULL
-        || (k->awake = PyObject_GetAttr(e, s__route_awake)) == NULL
-        || (k->pending = PyObject_GetAttr(e, s_pending)) == NULL
-        || (k->in_queue = PyObject_GetAttr(e, s__in_route_queue)) == NULL
         || (k->per_node = PyObject_GetAttr(e, s_delivered_flits_per_node)) == NULL
         || (k->config = PyObject_GetAttr(e, s_config)) == NULL
         || (k->result = PyObject_GetAttr(e, s_result)) == NULL
-        || (age = PyObject_GetAttr(e, s__age_arbiter)) == NULL)
+        || (k->age = attr_true(e, s__age_arbiter)) < 0)
         return -1;
-    k->age = PyObject_IsTrue(age);
-    Py_DECREF(age);
-    return k->age < 0 ? -1 : 0;
+    return 0;
 }
 
 /* The arbiter of direction d: 1 and the chosen lane (borrowed) when a flit
@@ -363,7 +348,7 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
         }
     }
     if (best == NULL) {
-        if (k->on_blocked != NULL && call(k->on_blocked, k->t, d, NULL) < 0)
+        if (k->on_blocked != NULL && call(k->on_blocked, k->t, d, NULL, NULL) < 0)
             return -1;
         return 0;
     }
@@ -408,38 +393,6 @@ advance_rr(Link *k, PyObject *d, PyObject *lane)
     return 0;
 }
 
-/* Engine._enqueue_header */
-static int
-enqueue_header(Link *k, PyObject *lane)
-{
-    PyObject *s, *pend = NULL, *queued = NULL, *queue = NULL;
-    int rc = -1, is_queued;
-    if ((s = get_obj(lane, IL_switch)) == NULL)
-        return -1;
-    Py_INCREF(s);
-    if ((pend = PyObject_GetItem(k->pending, s)) == NULL
-        || (queue = PyObject_GetAttr(k->engine, s_route_queue)) == NULL)
-        goto done;
-    if (!PyList_Check(pend) || !PyList_Check(queue)) {
-        PyErr_SetString(PyExc_TypeError, "the engine's routing queues must be lists");
-        goto done;
-    }
-    if (PyList_Append(pend, lane) < 0
-        || PyObject_SetItem(k->awake, s, Py_True) < 0
-        || (queued = PyObject_GetItem(k->in_queue, s)) == NULL
-        || (is_queued = PyObject_IsTrue(queued)) < 0
-        || (!is_queued
-            && (PyObject_SetItem(k->in_queue, s, Py_True) < 0 || PyList_Append(queue, s) < 0)))
-        goto done;
-    rc = 0;
-done:
-    Py_DECREF(s);
-    Py_XDECREF(pend);
-    Py_XDECREF(queued);
-    Py_XDECREF(queue);
-    return rc;
-}
-
 /* One switch->switch direction: 1 when a flit crossed, 0 when none, -1 on error. */
 static int
 fabric_hop(Link *k, PyObject *d)
@@ -460,8 +413,8 @@ fabric_hop(Link *k, PyObject *d)
         received = 1;
         set_obj(sink, IL_packet, pkt);
         set_obj(sink, IL_received, one);
-        if (enqueue_header(k, sink) < 0
-            || (k->on_head_arrived != NULL && call(k->on_head_arrived, k->t, sink, pkt) < 0))
+        if (enqueue_header(&k->h, sink) < 0
+            || (k->on_head_arrived != NULL && call(k->on_head_arrived, k->t, sink, pkt, NULL) < 0))
             goto done;
     }
     else {
@@ -487,7 +440,7 @@ done:
 static int
 record_delivery(Link *k, PyObject *pkt)
 {
-    PyObject *res = k->result, *flag, *lat = NULL, *list = NULL;
+    PyObject *res = k->result, *lat = NULL, *list = NULL;
     long long injected, warmup, head, latency, worst;
     int rc = -1, collect;
     if (get_int(pkt, PK_injected, &injected) < 0
@@ -503,11 +456,7 @@ record_delivery(Link *k, PyObject *pkt)
         || attr_int(res, s_latency_max, &worst) < 0
         || (lat = PyLong_FromLongLong(latency)) == NULL
         || (latency > worst && PyObject_SetAttr(res, s_latency_max, lat) < 0)
-        || (flag = PyObject_GetAttr(k->config, s_collect_latencies)) == NULL)
-        goto done;
-    collect = PyObject_IsTrue(flag);
-    Py_DECREF(flag);
-    if (collect < 0)
+        || (collect = attr_true(k->config, s_collect_latencies)) < 0)
         goto done;
     if (collect) {
         if ((list = PyObject_GetAttr(res, s_latencies)) == NULL)
@@ -543,7 +492,7 @@ eject_hop(Link *k, PyObject *d)
         received = 1;
         set_obj(sink, EJ_packet, pkt);
         set_obj(pkt, PK_head_delivered, k->t);
-        if (k->on_head_delivered != NULL && call(k->on_head_delivered, k->t, pkt, NULL) < 0)
+        if (k->on_head_delivered != NULL && call(k->on_head_delivered, k->t, pkt, NULL, NULL) < 0)
             goto done;
     }
     else {
@@ -562,9 +511,9 @@ eject_hop(Link *k, PyObject *d)
         set_obj(sink, EJ_received, zero);
         /* an output lane of this switch is allocatable again */
         if ((s = get_obj(lane, OL_switch)) == NULL
-            || PyObject_SetItem(k->awake, s, Py_True) < 0
-            || attr_add(k->engine, s_delivered_packets_total, 1) < 0
-            || (k->on_tail_delivered != NULL && call(k->on_tail_delivered, k->t, pkt, NULL) < 0)
+            || PyObject_SetItem(k->h.awake, s, Py_True) < 0
+            || attr_add(k->h.engine, s_delivered_packets_total, 1) < 0
+            || (k->on_tail_delivered != NULL && call(k->on_tail_delivered, k->t, pkt, NULL, NULL) < 0)
             || record_delivery(k, pkt) < 0)
             goto done;
         /* the tail left the switch too: free the output lane */
@@ -584,7 +533,7 @@ done:
 static int
 walk(Link *k, PyObject *name, int (*hop)(Link *, PyObject *))
 {
-    PyObject *dirs = PyObject_GetAttr(k->engine, name), *d;
+    PyObject *dirs = PyObject_GetAttr(k->h.engine, name), *d;
     Py_ssize_t i;
     int rc = 0, moved;
     if (dirs == NULL)
@@ -613,7 +562,7 @@ link_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "link_phase(engine, t, handlers, warm)");
         return NULL;
     }
-    k.engine = args[0];
+    k.h.engine = args[0];
     k.t = args[1];
     k.warm = PyObject_IsTrue(args[3]);
     if (k.warm < 0 || link_open(&k, args[2]) < 0) {
@@ -625,10 +574,10 @@ link_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (fabric >= 0)
         eject = walk(&k, s__eject_dirs, eject_hop);
     if (eject >= 0 && k.delivered) {
-        if (attr_add(k.engine, s_delivered_flits_total, k.delivered) < 0
+        if (attr_add(k.h.engine, s_delivered_flits_total, k.delivered) < 0
             || (k.warm
                 && (attr_add(k.result, s_delivered_flits, k.delivered) < 0
-                    || attr_add(k.engine, s__interval_delivered, k.delivered) < 0)))
+                    || attr_add(k.h.engine, s__interval_delivered, k.delivered) < 0)))
             eject = -1;
     }
     link_close(&k);
@@ -743,24 +692,27 @@ done:
 
 /* -- start-up ------------------------------------------------------------------ */
 
-/* setup(InputLane, OutputLane, EjectionLane, LinkDirection, Packet): resolve
- * every slot's offset from its member descriptor; raises when a class is not
- * laid out the way the phases address it. */
+/* setup(InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
+ * TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting,
+ * DuatoAdaptiveRouting): resolve every slot's offset from its member
+ * descriptor -- raises when a class is not laid out the way the phases address
+ * it -- and remember the algorithms whose select() exists compiled. */
 static PyObject *
 setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     int i;
     if (nargs != N_CLASSES) {
-        PyErr_SetString(PyExc_TypeError, "setup() takes the five slotted classes");
+        PyErr_SetString(PyExc_TypeError, "setup() takes the six slotted classes and the four routing algorithms");
         return NULL;
     }
-    for (i = 0; i < N_SLOTS; i++) {
-        PyObject *cls = args[slots[i].cls], *descr;
-        PyMemberDef *member;
-        if (!PyType_Check(cls)) {
+    for (i = 0; i < N_CLASSES; i++)
+        if (!PyType_Check(args[i])) {
             PyErr_SetString(PyExc_TypeError, "setup() takes classes");
             return NULL;
         }
+    for (i = 0; i < N_SLOTS; i++) {
+        PyObject *cls = args[slots[i].cls], *descr;
+        PyMemberDef *member;
         Py_XSETREF(slots[i].name, PyUnicode_InternFromString(slots[i].attr));
         if (slots[i].name == NULL)
             return NULL;
@@ -782,7 +734,10 @@ setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     {"setup", (PyCFunction)(void (*)(void))setup, METH_FASTCALL, NULL},
     {"link_phase", (PyCFunction)(void (*)(void))link_phase, METH_FASTCALL, NULL},
+    {"injection_phase", (PyCFunction)(void (*)(void))injection_phase, METH_FASTCALL, NULL},
     {"crossbar_phase", (PyCFunction)(void (*)(void))crossbar_phase, METH_FASTCALL, NULL},
+    {"routing_phase", (PyCFunction)(void (*)(void))routing_phase, METH_FASTCALL, NULL},
+    {"select", (PyCFunction)(void (*)(void))select_lane, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

@@ -27,12 +27,18 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    asking every cycle because a ``select`` that returns ``None`` has no
    side effect (the :class:`~repro.routing.base.RoutingAlgorithm` contract).
 
-Where a C compiler is at hand the link and crossbar phases run compiled
-(``_phases.c``, built on first import by :mod:`repro.sim.native`): a
-transcription of the loops below over the very same lane objects, stepped in
-lockstep with them by ``tests/test_property_engine.py``.  The Python loops
+Where a C compiler is at hand all four loops of ``step`` — link, injection,
+crossbar, routing — run compiled (``_phases.c``, ``_routing.c`` and
+``_select.c``, built on first import by :mod:`repro.sim.native`): a
+transcription of the loops below over the very same node, lane and packet
+objects, stepped in lockstep with them by ``tests/test_property_engine.py``.
+The routing walk has the ``select`` of the four shipped algorithms compiled
+with it (drawing from the algorithm's own ``rng``) and calls the Python
+``select`` of any other class; sources stay Python objects.  The Python loops
 stay as they are — the reference, and the only path where the kernel cannot
-be built; nothing but that decides which runs.
+be built; nothing but that decides which runs.  **Change a loop here and
+change its C twin**; the same goes for ``select``, ``pick_free_lane`` and
+``randbelow`` in :mod:`repro.routing`.
 
 There is one ``step``, written so that a cycle touches only what can move:
 idle link directions cost one comparison, idle sources one comparison and
@@ -58,6 +64,10 @@ from ..obs.probe import bind_events
 from ..obs.telemetry import PHASE_NAMES, RunTelemetry, config_digest
 from ..router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
 from ..routing.base import RoutingAlgorithm
+from ..routing.dor import DimensionOrderRouting
+from ..routing.duato import DuatoAdaptiveRouting
+from ..routing.tree_adaptive import TreeAdaptiveRouting
+from ..routing.tree_deterministic import TreeDeterministicRouting
 from ..topology.base import Topology
 from ..topology.cube import KAryNCube
 from ..traffic.generator import BernoulliInjector
@@ -66,12 +76,6 @@ from .diagnostics import capture_snapshot
 from .native import load_phases
 from .packet import FAULT_SENTINEL, Packet
 from .results import RunResult
-
-#: the compiled link and crossbar phases (``_phases.c``, built on first
-#: import — see :mod:`repro.sim.native`), or ``None`` where they cannot be
-#: had and ``step`` runs its Python loops.  Read once per cycle; the
-#: lockstep tests set it to ``None`` to step the Python loops beside it.
-NATIVE_PHASES = load_phases(InputLane, OutputLane, EjectionLane, LinkDirection, Packet)
 
 #: effectively infinite credit for ejection channels (the node consumes
 #: flits as fast as the link can deliver them)
@@ -97,6 +101,17 @@ class _Node:
         self.packet: Packet | None = None
         self.sent = 0
         self.lane: InputLane | None = None
+
+
+#: the four phases of ``step``, compiled (``_phases.c`` and ``_routing.c``,
+#: built on first import — see :mod:`repro.sim.native`), or ``None`` where
+#: they cannot be had and ``step`` runs its Python loops.  Read once per
+#: cycle; the lockstep tests set it to ``None`` to step the Python loops
+#: beside it.
+NATIVE_PHASES = load_phases(
+    InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
+    TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,
+)
 
 
 class Engine:
@@ -591,80 +606,84 @@ class Engine:
         # A source is polled only from the cycle it next creates in
         # (``node.wake``); a node with nothing queued and nothing streaming
         # costs one comparison and one queue test.
-        cap = config.buffer_flits
-        default_size = config.packet_flits
-        streamed = 0
-        for node in self.active_nodes:
-            if t >= node.wake:
-                src = node.source
-                created = src.advance(t)
-                node.wake = src.next_cycle()
-                if created:
-                    if warm:
-                        res.generated_packets += created
-                    if handlers is not None and handlers.on_packets_generated is not None:
-                        handlers.on_packets_generated(t, node.nid, created)
-            pkt = node.packet
-            if pkt is None:
-                queue = node.source.queue
-                if not queue:
-                    continue
-                # allocate a free injection lane (rotating fair choice)
-                lanes = node.lanes
-                n = len(lanes)
-                rr = node.rr
-                for off in range(n):
-                    idx = (rr + off) % n
-                    lane = lanes[idx]
-                    if lane.packet is None:
-                        break
-                else:
-                    continue
-                node.rr = (idx + 1) % n
-                entry = queue.popleft()
-                # trace-driven sources carry an explicit per-message size
-                size = entry[2] if len(entry) > 2 else default_size
-                pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
-                self._next_pid += 1
-                pkt.injected = t
-                lane.packet = pkt
-                lane.received = 1
-                lane.last_arrival = t
-                self._enqueue_header(lane)
-                node.packet = pkt
-                node.sent = 1
-                node.lane = lane
-                self.injected_packets_total += 1
-                streamed += 1
-                in_flight = (
-                    self.injected_packets_total
-                    - self.delivered_packets_total
-                    - self.dropped_packets_total
-                )
-                if in_flight > self._peak_in_flight:
-                    self._peak_in_flight = in_flight
-                if warm:
-                    res.injected_packets += 1
-                if handlers is not None and handlers.on_packet_injected is not None:
-                    handlers.on_packet_injected(t, pkt)
-                if size == 1:  # degenerate tiny packets
-                    node.packet = None
-                    node.lane = None
-            else:
-                lane = node.lane
-                received = lane.received
-                if received - lane.forwarded < cap:
-                    lane.received = received + 1
+        if native is not None:
+            if native.injection_phase(self, t, handlers, warm):
+                progress = True
+        else:
+            cap = config.buffer_flits
+            default_size = config.packet_flits
+            streamed = 0
+            for node in self.active_nodes:
+                if t >= node.wake:
+                    src = node.source
+                    created = src.advance(t)
+                    node.wake = src.next_cycle()
+                    if created:
+                        if warm:
+                            res.generated_packets += created
+                        if handlers is not None and handlers.on_packets_generated is not None:
+                            handlers.on_packets_generated(t, node.nid, created)
+                pkt = node.packet
+                if pkt is None:
+                    queue = node.source.queue
+                    if not queue:
+                        continue
+                    # allocate a free injection lane (rotating fair choice)
+                    lanes = node.lanes
+                    n = len(lanes)
+                    rr = node.rr
+                    for off in range(n):
+                        idx = (rr + off) % n
+                        lane = lanes[idx]
+                        if lane.packet is None:
+                            break
+                    else:
+                        continue
+                    node.rr = (idx + 1) % n
+                    entry = queue.popleft()
+                    # trace-driven sources carry an explicit per-message size
+                    size = entry[2] if len(entry) > 2 else default_size
+                    pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
+                    self._next_pid += 1
+                    pkt.injected = t
+                    lane.packet = pkt
+                    lane.received = 1
                     lane.last_arrival = t
-                    sent = node.sent + 1
-                    node.sent = sent
+                    self._enqueue_header(lane)
+                    node.packet = pkt
+                    node.sent = 1
+                    node.lane = lane
+                    self.injected_packets_total += 1
                     streamed += 1
-                    if sent == pkt.size:
+                    in_flight = (
+                        self.injected_packets_total
+                        - self.delivered_packets_total
+                        - self.dropped_packets_total
+                    )
+                    if in_flight > self._peak_in_flight:
+                        self._peak_in_flight = in_flight
+                    if warm:
+                        res.injected_packets += 1
+                    if handlers is not None and handlers.on_packet_injected is not None:
+                        handlers.on_packet_injected(t, pkt)
+                    if size == 1:  # degenerate tiny packets
                         node.packet = None
                         node.lane = None
-        if streamed:
-            progress = True
-            self.injected_flits_total += streamed
+                else:
+                    lane = node.lane
+                    received = lane.received
+                    if received - lane.forwarded < cap:
+                        lane.received = received + 1
+                        lane.last_arrival = t
+                        sent = node.sent + 1
+                        node.sent = sent
+                        streamed += 1
+                        if sent == pkt.size:
+                            node.packet = None
+                            node.lane = None
+            if streamed:
+                progress = True
+                self.injected_flits_total += streamed
 
         now = clock()
         phases[1] += now - phase_start
@@ -678,7 +697,6 @@ class Engine:
         if native is not None:
             if native.crossbar_phase(self, t):
                 progress = True
-            bindings = self.bindings
         else:
             bindings = []
             for lane in self.bindings:
@@ -724,69 +742,73 @@ class Engine:
         # output lanes becomes allocatable, or a cycle hook / kill_packet
         # changes lanes behind the engine's back — each of which sets
         # ``awake``.  The queue keeps its members and their order.
-        queue = self.route_queue
-        if queue:
-            select = self.routing.select
-            pending = self.pending
-            route_rr = self.route_rr
-            in_queue = self._in_route_queue
-            drained = False
-            for s in queue:
-                if not awake[s]:
-                    continue
-                pend = pending[s]
-                if not pend:
-                    in_queue[s] = False
-                    drained = True
-                    continue
-                n = len(pend)
-                if age_arb:
-                    # oldest header first; sort stability breaks ties on
-                    # arrival order within the pending list
-                    ages = [lane.packet.created for lane in pend]
-                    order = sorted(range(n), key=ages.__getitem__)
-                else:
-                    order = None
-                    rr = route_rr[s] % n
-                routed = -1
-                fresh = False
-                for off in range(n):
-                    if order is not None:
-                        idx = order[off]
-                    else:
-                        idx = rr + off
-                        if idx >= n:
-                            idx -= n
-                    lane = pend[idx]
-                    if lane.received == 1 and lane.last_arrival == t:
-                        # the header itself arrived in this cycle's link
-                        # phase; routing it costs one full T_routing.
-                        # (received > 1 means the header arrived earlier —
-                        # last_arrival tracks the newest flit, not the head.)
-                        fresh = True
+        if native is not None:
+            if native.routing_phase(self, t, handlers):
+                progress = True
+        else:
+            queue = self.route_queue
+            if queue:
+                select = self.routing.select
+                pending = self.pending
+                route_rr = self.route_rr
+                in_queue = self._in_route_queue
+                drained = False
+                for s in queue:
+                    if not awake[s]:
                         continue
-                    out = select(s, lane, lane.packet)
-                    if out is not None:
-                        lane.bound = out
-                        out.packet = lane.packet
-                        bindings.append(lane)
-                        routed = idx
-                        if handlers is not None and handlers.on_header_routed is not None:
-                            handlers.on_header_routed(t, s, lane, out)
-                        break
-                if routed >= 0:
-                    pend.pop(routed)
-                    progress = True
-                    if pend:
-                        route_rr[s] = routed % len(pend)
-                    else:
-                        route_rr[s] = 0
+                    pend = pending[s]
+                    if not pend:
                         in_queue[s] = False
                         drained = True
-                elif not fresh:
-                    awake[s] = False
-            if drained:
-                self.route_queue = list(filter(in_queue.__getitem__, queue))
+                        continue
+                    n = len(pend)
+                    if age_arb:
+                        # oldest header first; sort stability breaks ties on
+                        # arrival order within the pending list
+                        ages = [lane.packet.created for lane in pend]
+                        order = sorted(range(n), key=ages.__getitem__)
+                    else:
+                        order = None
+                        rr = route_rr[s] % n
+                    routed = -1
+                    fresh = False
+                    for off in range(n):
+                        if order is not None:
+                            idx = order[off]
+                        else:
+                            idx = rr + off
+                            if idx >= n:
+                                idx -= n
+                        lane = pend[idx]
+                        if lane.received == 1 and lane.last_arrival == t:
+                            # the header itself arrived in this cycle's link
+                            # phase; routing it costs one full T_routing.
+                            # (received > 1 means the header arrived earlier —
+                            # last_arrival tracks the newest flit, not the head.)
+                            fresh = True
+                            continue
+                        out = select(s, lane, lane.packet)
+                        if out is not None:
+                            lane.bound = out
+                            out.packet = lane.packet
+                            bindings.append(lane)
+                            routed = idx
+                            if handlers is not None and handlers.on_header_routed is not None:
+                                handlers.on_header_routed(t, s, lane, out)
+                            break
+                    if routed >= 0:
+                        pend.pop(routed)
+                        progress = True
+                        if pend:
+                            route_rr[s] = routed % len(pend)
+                        else:
+                            route_rr[s] = 0
+                            in_queue[s] = False
+                            drained = True
+                    elif not fresh:
+                        awake[s] = False
+                if drained:
+                    self.route_queue = list(filter(in_queue.__getitem__, queue))
 
         interval = config.interval_cycles
         if interval and warm and (t - config.warmup_cycles + 1) % interval == 0:
@@ -1051,8 +1073,11 @@ class Engine:
         * the derived state the phases maintain instead of recomputing: a
           direction's ``nbusy`` counts its lanes holding flits (a wrong
           count silently skips the direction), ``bindings`` holds exactly
-          the bound input lanes, once each, and ``_in_route_queue`` marks
-          exactly the members of ``route_queue``.
+          the bound input lanes, once each, ``_in_route_queue`` marks
+          exactly the members of ``route_queue``, a switch sleeps only
+          while none of its pending headers could be routed (a wrong flag
+          strands them), each node's streaming state is consistent and
+          ``active_nodes`` lists a node once.
         """
         buffered_flits = 0
         bindings = {id(lane) for lane in self.bindings}
@@ -1104,6 +1129,29 @@ class Engine:
             queued[s] = True
         if queued != self._in_route_queue:
             raise SimulationError("_in_route_queue does not mirror route_queue")
+        candidates = self.routing.candidates
+        for s, pend in enumerate(self.pending):
+            if self._route_awake[s]:
+                continue
+            for lane in pend:
+                lanes = candidates(s, lane, lane.packet)
+                # None: the algorithm cannot say which lanes it would take
+                if lanes is not None and any(out.is_free() for out in lanes):
+                    raise SimulationError(
+                        f"switch {s} sleeps on a header that could be routed: {lane!r}"
+                    )
+        for node in self.nodes:
+            pkt, lane = node.packet, node.lane
+            if (pkt is None) != (lane is None):
+                raise SimulationError(
+                    f"node {node.nid} streams {pkt!r} into {lane!r}: one without the other"
+                )
+            if pkt is not None and not (lane.packet is pkt and 0 < node.sent < pkt.size):
+                raise SimulationError(
+                    f"node {node.nid} has sent {node.sent} flits of {pkt!r} into {lane!r}"
+                )
+        if len({id(node) for node in self.active_nodes}) != len(self.active_nodes):
+            raise SimulationError("a node is in active_nodes twice")
         # delivered_flits_total counts every ejected flit (including those
         # of packets still partially in flight) and dropped_flits_total
         # every flit flushed by a fail-stop kill, so what remains in the

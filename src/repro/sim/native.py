@@ -1,8 +1,8 @@
-"""Builds and loads the compiled link and crossbar phases (``_phases.c``).
+"""Builds and loads the compiled phases (``_phases.c``, ``_routing.c``, ``_select.c``).
 
 The extension is compiled on first import with the C compiler the
 interpreter itself was built with, into a per-user cache directory, and
-loaded from there ever after: a warm start costs a hash of the source, a
+loaded from there ever after: a warm start costs a hash of the sources, a
 ``stat`` and a ``dlopen``.  Where it cannot be had — no CPython, no
 compiler, no writable cache, a cached file somebody else owns —
 :func:`load_phases` returns ``None`` and ``Engine.step`` runs its Python
@@ -21,18 +21,28 @@ import sys
 import time
 import warnings
 
-SOURCE = pathlib.Path(__file__).with_name("_phases.c")
+_HERE = pathlib.Path(__file__).parent
+#: the translation units, compiled one after the other and linked into one
+#: extension: the compiler is a child process of whoever imports first, and
+#: its resident memory — which grows with the unit — counts against them
+SOURCES = (_HERE / "_phases.c", _HERE / "_routing.c", _HERE / "_select.c")
+#: what the units share; part of the cache key
+HEADER = _HERE / "_phases.h"
 
-#: one small unit at -O1: the compiler is a child process of whoever imports
-#: first, and its resident memory counts against that process
-FLAGS = ("-shared", "-fPIC", "-O1")
-#: gcc only: collect garbage between functions instead of never (its default
-#: below ~100 MiB of heap) — cc1 peaks at 40 MiB, not 45, for no more time
-GCC_FLAGS = ("--param", "ggc-min-expand=10", "--param", "ggc-min-heapsize=4096")
+#: small units at -O1 (see :data:`SOURCES`); only the module's init function
+#: is visible outside the extension
+FLAGS = ("-fPIC", "-O1", "-fvisibility=hidden")
+#: gcc only, for cc1's peak memory: collect garbage between functions instead
+#: of never (its default below ~100 MiB of heap), and do not fold every static
+#: function with one caller into a phase-sized body — 4 and 2 MiB lower
+GCC_FLAGS = (
+    "--param", "ggc-min-expand=10", "--param", "ggc-min-heapsize=4096",
+    "-fno-inline-functions-called-once",
+)
 
 #: what the last :func:`load_phases` did, for CI and the curious: ``path``
-#: of the extension, and when it had to be built the ``command`` and
-#: ``seconds`` it took
+#: of the extension, and when it had to be built the ``steps`` taken — one
+#: ``(name, command, seconds)`` per translation unit, then the link
 build_log: dict = {}
 
 
@@ -43,7 +53,7 @@ def cache_dir() -> pathlib.Path:
 
 
 def _build(target: pathlib.Path) -> bool:
-    """Compile ``SOURCE`` to ``target``; False (silently) without a
+    """Compile ``SOURCES`` to ``target``; False (silently) without a
     compiler, False with one warning when the compiler refuses."""
     import shlex
     import shutil
@@ -54,52 +64,85 @@ def _build(target: pathlib.Path) -> bool:
     compiler = shlex.split(sysconfig.get_config_var("CC") or "")
     if not compiler or shutil.which(compiler[0]) is None:
         return False
-    handle, scratch = tempfile.mkstemp(dir=target.parent, suffix=".so")
-    os.close(handle)
     flags = FLAGS + GCC_FLAGS if "gcc" in os.path.basename(compiler[0]) else FLAGS
-    command = [*compiler, *flags, "-I", sysconfig.get_paths()["include"], str(SOURCE), "-o", scratch]
-    started = time.perf_counter()
+    include = ("-I", sysconfig.get_paths()["include"], "-I", str(HEADER.parent))
+    steps = []
     try:
-        done = subprocess.run(command, capture_output=True, text=True, timeout=120)
-        if done.returncode != 0:
-            raise OSError(done.stderr.strip())
-        os.replace(scratch, target)  # atomic: concurrent builders agree on the bytes
+        with tempfile.TemporaryDirectory(dir=target.parent) as scratch:
+            objects = [os.path.join(scratch, source.stem + ".o") for source in SOURCES]
+            shared = os.path.join(scratch, target.name)
+            commands = [
+                (source.name, [*compiler, *flags, *include, "-c", str(source), "-o", obj])
+                for source, obj in zip(SOURCES, objects)
+            ]
+            commands.append(("link", [*compiler, "-shared", *objects, "-o", shared]))
+            for name, command in commands:
+                started = time.perf_counter()
+                done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+                if done.returncode != 0:
+                    raise OSError(done.stderr.strip())
+                steps.append((name, command, time.perf_counter() - started))
+            os.replace(shared, target)  # atomic: concurrent builders agree on the bytes
     except (OSError, subprocess.SubprocessError) as err:
         warnings.warn(
-            f"building {SOURCE.name} failed, the engine runs its Python loops:\n{err}",
+            f"building {target.name} failed, the engine runs its Python loops:\n{err}",
             RuntimeWarning,
             stacklevel=3,
         )
         return False
-    finally:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
-    build_log.update(command=command, seconds=time.perf_counter() - started)
+    build_log["steps"] = steps
     return True
 
 
+def _import(target: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(f"{__package__}._phases", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_phases(*classes):
-    """The compiled phases bound to the slotted ``classes`` (``InputLane,
-    OutputLane, EjectionLane, LinkDirection, Packet``), or ``None``."""
+    """The compiled phases bound to ``classes`` — the slotted ``InputLane,
+    OutputLane, EjectionLane, LinkDirection, Packet, _Node``, then the four
+    routing algorithms whose ``select`` exists compiled — or ``None``."""
     build_log.clear()
     if sys.implementation.name != "cpython" or not hasattr(os, "getuid"):
         return None
     try:
-        digest = hashlib.sha256(SOURCE.read_bytes() + repr((FLAGS, GCC_FLAGS)).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(repr((FLAGS, GCC_FLAGS)).encode())
+        for source in (HEADER, *SOURCES):
+            digest.update(source.read_bytes())
         # the suffix carries the SOABI: one file per interpreter build
-        target = cache_dir() / f"_phases-{digest}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
-        if not target.exists():
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        target = cache_dir() / f"_phases-{digest.hexdigest()[:16]}{suffix}"
+        built = not target.exists()
+        if built:
             target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
             if not _build(target):
                 return None
         uid = os.getuid()
         if target.stat().st_uid != uid or target.parent.stat().st_uid != uid:
             return None
-        spec = importlib.util.spec_from_file_location(f"{__package__}._phases", target)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        try:
+            module = _import(target)
+        except ImportError:
+            # a cached file that does not load (cut short, or left behind by
+            # another build of this interpreter): make it again, once
+            if built or not _build(target):
+                raise
+            built = True
+            module = _import(target)
         module.setup(*classes)
-    except (OSError, ImportError, TypeError):
+    except ImportError as err:
+        if built:
+            warnings.warn(
+                f"{target.name} was built but does not import, the engine runs its "
+                f"Python loops:\n{err}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return None
+    except (OSError, TypeError):
         return None
     build_log["path"] = str(target)
     return module

@@ -118,6 +118,43 @@ class TestAuditDetectsCorruption:
         with pytest.raises(SimulationError, match="routing queue twice"):
             engine.audit()
 
+    def test_sleeping_switch_with_a_routable_header(self, engine):
+        # a switch that sleeps is not asked again: its headers would never move
+        def routable():
+            return next((
+                (s, lane) for s, lane in engine.unrouted_headers()
+                if any(out.is_free() for out in engine.routing.candidates(s, lane, lane.packet))
+            ), None)
+
+        for _ in range(200):  # until a header has arrived that is yet to be asked
+            if routable() is not None:
+                break
+            engine.step()
+        s, lane = routable()
+        engine.audit()
+        assert engine._route_awake[s]
+        engine._route_awake[s] = False
+        with pytest.raises(SimulationError, match=f"switch {s} sleeps on a header"):
+            engine.audit()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda node: setattr(node, "lane", None), "one without the other"),
+        (lambda node: setattr(node, "packet", None), "one without the other"),
+        (lambda node: setattr(node, "sent", node.packet.size), "has sent"),
+        (lambda node: setattr(node, "sent", 0), "has sent"),
+        (lambda node: setattr(node, "packet", Packet(0, node.nid, 1, 99, 0)), "has sent"),
+    ])
+    def test_node_streaming_state(self, engine, corrupt, message):
+        node = next(node for node in engine.nodes if node.packet is not None)
+        corrupt(node)
+        with pytest.raises(SimulationError, match=f"node {node.nid} .*{message}"):
+            engine.audit()
+
+    def test_active_nodes_lists_a_node_once(self, engine):
+        engine.active_nodes.append(engine.active_nodes[0])
+        with pytest.raises(SimulationError, match="active_nodes twice"):
+            engine.audit()
+
 
 class TestWiringChecks:
     def test_double_wiring_detected(self):

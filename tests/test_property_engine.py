@@ -7,16 +7,20 @@ Every randomly drawn configuration must satisfy, after a full run:
 * monotone accounting (delivered <= injected <= generated-ish);
 * all delivered latencies at or above the analytic zero-load bound.
 
-And the compiled link and crossbar phases (``sim/_phases.c``) must be
-indistinguishable from the Python loops of ``Engine.step``, which are the
-reference: a kernel engine and its pure-Python twin, stepped side by side
-over random recipes, agree on ``state_fingerprint()`` after every cycle and
-on the ordered log of all nine probe events.  The twin is the same engine
-class stepped with the module-level kernel handle patched to ``None``.
+And the compiled phases (``sim/_phases.c``, ``_routing.c``, ``_select.c``)
+must be indistinguishable from the Python loops of ``Engine.step`` and the
+Python ``select`` of the routing algorithms, which are the reference: a
+kernel engine and its pure-Python twin, stepped side by side over random
+recipes, agree on ``state_fingerprint()``, the routing algorithm's RNG state
+and its counters after every cycle and on the ordered log of all nine probe
+events.  The twin is the same engine class stepped with the module-level
+kernel handle patched to ``None``.
 """
 
+import collections
 import contextlib
 import dataclasses
+import random
 import sys
 from unittest import mock
 
@@ -25,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine_module
+from repro.errors import SimulationError
 from repro.faults import (
     CubeLinkFault,
     FaultPolicy,
@@ -35,11 +40,17 @@ from repro.faults import (
 )
 from repro.metrics.analytic import zero_load_latency
 from repro.obs.probe import EVENTS, Probe
+from repro.routing.base import RoutingAlgorithm, register
+from repro.routing.tree_adaptive import TreeAdaptiveRouting
 from repro.sim.checkpoint import CheckpointPolicy, checkpoint_files, read_checkpoint_header
 from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
+from repro.traffic.generator import PacketSource
 from repro.traffic.transport import Reliable, TransportConfig
+from repro.workloads.trace import Trace, TraceInjector
 
 from .test_determinism import _canonical
+from .test_routing_contract import algorithm_state
+from .test_sweep_resilient import UnsafeRingRouting
 
 engine_settings = settings(
     max_examples=15,
@@ -185,6 +196,52 @@ class EventLog(Probe):
 assert all(getattr(EventLog, event) is not getattr(Probe, event) for event in EVENTS)
 
 
+# Two algorithms the compiled walk must call back into Python for: its
+# select() exists compiled for exactly the four shipped classes.
+
+
+@register
+class FirstFitTreeRouting(RoutingAlgorithm):
+    """A custom algorithm: up*/down*, the first free lane of the first
+    port that has one.  No ``candidates()``: the audit cannot second-guess
+    its sleeping switches."""
+
+    name = "lockstep_first_fit"
+    network = "tree"
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        topo = engine.topology
+        self.k = topo.k
+        self.up_ports = list(topo.up_ports())
+        self.calls = 0
+
+    def select(self, switch, inlane, packet):
+        self.calls += 1
+        topo = self.engine.topology
+        if topo._range_lo[switch] <= packet.dst < topo._range_hi[switch]:
+            ports = [(packet.dst // self.k ** topo.level_of(switch)) % self.k]
+        else:
+            ports = self.up_ports
+        for port in ports:
+            for lane in self.out[switch][port]:
+                if lane.is_free():
+                    return lane
+        return None
+
+
+@register
+class CountingTreeRouting(TreeAdaptiveRouting):
+    """A subclass of a shipped algorithm that overrides ``select``."""
+
+    name = "lockstep_counting"
+    calls = 0
+
+    def select(self, switch, inlane, packet):
+        self.calls += 1
+        return super().select(switch, inlane, packet)
+
+
 @dataclasses.dataclass(frozen=True)
 class Recipe:
     """A config plus what is done to the engine before its first cycle."""
@@ -196,6 +253,13 @@ class Recipe:
     #: (src, dst, flits) messages of explicit size, the way trace-driven
     #: sources queue them; 1-flit worms are head and tail at once
     sized: tuple = ()
+    #: (release cycle, src, dst, flits): when non-empty every node replays
+    #: its share of these from a ``TraceSource`` instead of drawing traffic
+    trace: tuple = ()
+    #: (src, dst) packets queued through ``Engine.preload_packet``
+    preload: tuple = ()
+    #: nodes whose source creates a packet every cycle (``prob == 1.0``)
+    flood: tuple = ()
 
 
 @st.composite
@@ -213,22 +277,27 @@ def lockstep_recipe(draw):
         k, n = draw(st.sampled_from([(2, 2), (2, 3), (4, 2)]))
         config = tree_config(
             k=k, n=n,
+            algorithm=draw(st.sampled_from([
+                "tree_adaptive", "tree_adaptive", "tree_deterministic",
+                FirstFitTreeRouting.name, CountingTreeRouting.name,
+            ])),
             vcs=draw(st.sampled_from([1, 2, 4])),
             pattern=draw(st.sampled_from(["uniform", "complement", "neighbor"])),
             **common,
         )
     else:
-        k, n = draw(st.sampled_from([(2, 2), (4, 2), (2, 3)]))
+        k, n = draw(st.sampled_from([(2, 2), (4, 2), (2, 3), (8, 1)]))
         config = cube_config(
             k=k, n=n,
-            algorithm=draw(st.sampled_from(["dor", "duato"])),
+            # the unsafe ring wedges past light load: its twins stay in step wedged
+            algorithm=UnsafeRingRouting.name if n == 1 else draw(st.sampled_from(["dor", "duato"])),
             vcs=4,
             pattern=draw(st.sampled_from(["uniform", "complement", "tornado"])),
             **common,
         )
     nodes = config.num_nodes
-    # dimension-order routing has no lane to spare: its cubes run unstruck
-    faults = [] if config.algorithm == "dor" else draw(st.lists(
+    # an algorithm with one legal link per hop has no lane to spare: unstruck
+    faults = [] if config.algorithm in ("dor", "tree_deterministic", "unsafe_ring") else draw(st.lists(
         st.tuples(
             st.integers(0, 1),
             st.integers(1, 150),
@@ -241,11 +310,20 @@ def lockstep_recipe(draw):
         st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1), st.sampled_from([1, 1, 2, 7])),
         max_size=6,
     ))
+    pairs = st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1))
+    reliable = draw(st.booleans())
+    # the transport wraps the sources it finds: a trace replaces them bare
+    trace = [] if reliable else draw(st.lists(
+        st.tuples(st.integers(0, 200), pairs, st.sampled_from([2, 3, 16, 40])), max_size=12,
+    ))
     return Recipe(
         config,
         faults=tuple(faults),
-        reliable=draw(st.booleans()),
+        reliable=reliable,
         sized=tuple((src, (src + hop) % nodes, flits) for src, hop, flits in sized),
+        trace=tuple((at, src, (src + hop) % nodes, flits) for at, (src, hop), flits in trace),
+        preload=tuple((src, (src + hop) % nodes) for src, hop in draw(st.lists(pairs, max_size=3))),
+        flood=tuple(draw(st.lists(st.integers(0, nodes - 1), max_size=2, unique=True))),
     )
 
 
@@ -264,6 +342,22 @@ def build_recipe(recipe: Recipe):
         for position, fail_at, repair_at, policy in recipe.faults:
             schedule.add(drawn[position], fail_at, repair_at, policy=policy)
         schedule.install(engine)
+    if recipe.trace:
+        trace = Trace(recipe.config.num_nodes)
+        for message in recipe.trace:
+            trace.send(*message)
+        for node, source in zip(engine.nodes, TraceInjector(trace).sources):
+            node.source = source
+    for nid in recipe.flood:
+        flooding = PacketSource(nid, engine.injector.pattern, 1.0, random.Random(nid))
+        wrapper = engine.nodes[nid].source
+        if recipe.reliable:
+            wrapper.inner, wrapper.active = flooding, flooding.active
+        else:
+            engine.nodes[nid].source = flooding
+    engine.active_nodes = [node for node in engine.nodes if node.source.active]
+    for src, dst in recipe.preload:
+        engine.preload_packet(src, dst)
     for src, dst, flits in recipe.sized:
         node = engine.nodes[src]
         # under the transport the engine pops the wrapper's queue, which
@@ -288,6 +382,11 @@ def run_in_lockstep(recipe: Recipe) -> list[tuple]:
         assert (
             kernel.state_fingerprint()["root"] == twin.state_fingerprint()["root"]
         ), f"diverged in cycle {cycle}"
+        # the fingerprint leaves the routing algorithm's own state out: its
+        # tie-break stream, Duato's grants, the call counts of the test ones
+        assert algorithm_state(kernel.routing) == algorithm_state(twin.routing), (
+            f"routing diverged in cycle {cycle}"
+        )
     assert kernel_log.events == twin_log.events
     kernel.audit()
     twin.audit()
@@ -304,7 +403,7 @@ class TestCompiledPhasesInLockstep:
         events = run_in_lockstep(recipe)
         assert {event[0] for event in events} >= {"generated", "injected", "cycle"}
 
-    def test_the_recipes_reach_every_link_phase_event(self):
+    def test_the_recipes_reach_all_nine_events(self):
         # one fixed recipe that is known to block, drop, deliver and route
         recipe = Recipe(
             cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=6, buffer_flits=2,
@@ -316,6 +415,30 @@ class TestCompiledPhasesInLockstep:
             "generated", "injected", "routed", "head_arrived", "head_delivered",
             "tail_delivered", "dropped", "blocked", "cycle",
         }
+
+    def test_every_kind_of_source_is_polled_and_drained_alike(self):
+        # preloaded packets, a source that creates every cycle, then a trace
+        config = cube_config(k=4, n=2, algorithm="dor", vcs=4, load=0.4, seed=9,
+                             warmup_cycles=40, total_cycles=240)
+        events = run_in_lockstep(Recipe(config, preload=((2, 7), (2, 8)), flood=(11,), reliable=True))
+        assert [event[2] for event in events if event[0] == "generated" and event[1] < 3] == [11] * 3
+        assert [event[3:5] for event in events if event[0] == "injected"][:1] == [(2, 7)]
+        trace = ((0, 1, 6, 40), (0, 1, 7, 2), (3, 1, 2, 2), (9, 5, 0, 3), (230, 4, 5, 16))
+        events = run_in_lockstep(Recipe(config, trace=trace, flood=(11,)))
+        sizes = {event[2]: event[5] for event in events if event[0] == "injected" and event[3] != 11}
+        assert sorted(sizes.values()) == [2, 2, 3, 16, 40]
+
+    @pytest.mark.parametrize("algorithm", [FirstFitTreeRouting, CountingTreeRouting])
+    def test_an_algorithm_that_is_not_a_shipped_class_has_its_python_select_called(self, algorithm):
+        # a subclass too: its select() is not the one that exists compiled
+        config = tree_config(k=2, n=3, vcs=2, algorithm=algorithm.name, load=0.7, seed=4,
+                             warmup_cycles=40, total_cycles=240)
+        events = run_in_lockstep(Recipe(config, trace=((0, 1, 6, 40), (3, 1, 2, 2), (9, 5, 0, 3))))
+        kernel, _ = build_recipe(Recipe(config))
+        for _ in range(config.total_cycles):
+            kernel.step()
+        assert type(kernel.routing) is algorithm
+        assert kernel.routing.calls >= sum(event[0] == "routed" for event in events) > 0
 
     @pytest.mark.parametrize("first, second", [(False, True), (True, False)])
     def test_checkpoint_written_under_one_path_restores_under_the_other(self, first, second, tmp_path):
@@ -341,11 +464,39 @@ class TestCompiledPhasesInLockstep:
         assert run(second, checkpoint=policy) == reference
 
 
+class PacketLog(Probe):
+    """Every injected packet, by reference."""
+
+    def __init__(self):
+        self.packets = []
+
+    def on_packet_injected(self, cycle, packet):
+        self.packets.append(packet)
+
+
+def stepped_under(engine, python: bool, cycles: int = 8):
+    """What stepping ``engine`` raised (its type, ``None`` for nothing), what
+    ``audit()`` then says of it, and the fingerprint it was left with."""
+    raised = None
+    with python_loops() if python else contextlib.nullcontext():
+        try:
+            for _ in range(cycles):
+                engine.step()
+        except Exception as err:
+            raised = type(err)
+    try:
+        engine.audit()
+        verdict = "clean"
+    except SimulationError as err:
+        verdict = str(err)
+    return raised, verdict, engine.state_fingerprint()["root"]
+
+
 @needs_kernel
 class TestCompiledPhasesFailurePaths:
-    def loaded(self):
+    def loaded(self, probe=None):
         engine = build_engine(cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=2,
-                                          warmup_cycles=20, total_cycles=5000))
+                                          warmup_cycles=20, total_cycles=5000), probe=probe)
         while engine.cycle < 60:
             engine.step()
         return engine
@@ -355,7 +506,12 @@ class TestCompiledPhasesFailurePaths:
         direction = engine.dirs[0]
         lane = direction.lanes[0]
         packet = next(b.packet for b in engine.bindings)
-        watched = (direction, lane, lane.sink, engine.dirs[-1].lanes[0].sink, engine.bindings[0])
+        node = engine.nodes[3]
+        watched = (
+            direction, lane, lane.sink, engine.dirs[-1].lanes[0].sink, engine.bindings[0],
+            node, node.source, node.source.queue, node.lanes[0], engine.nodes[-1],
+            engine.routing, engine.routing.rng, engine.pending[0], engine.out_lanes[5][0][1],
+        )
         before = [sys.getrefcount(obj) for obj in watched]
         holders = sys.getrefcount(packet)
         for _ in range(1000):
@@ -365,6 +521,20 @@ class TestCompiledPhasesFailurePaths:
         assert [sys.getrefcount(obj) for obj in watched] == before
         # delivered long ago: only this frame still holds the packet
         assert packet.delivered > 0 and sys.getrefcount(packet) < holders
+
+    def test_packets_created_in_c_are_released_like_the_python_ones(self):
+        def holders(python: bool) -> set:
+            log = PacketLog()
+            with python_loops() if python else contextlib.nullcontext():
+                engine = self.loaded(probe=log)
+                for _ in range(400):
+                    engine.step()
+            done = [packet for packet in log.packets if packet.delivered >= 0]
+            assert len(done) > 100
+            return {sys.getrefcount(packet) for packet in done}
+
+        # the log, the list above and the loop variable
+        assert holders(python=False) == holders(python=True) == {4}
 
     @pytest.mark.parametrize("python", [False, True])
     @pytest.mark.parametrize("corrupt, error", [
@@ -386,9 +556,81 @@ class TestCompiledPhasesFailurePaths:
                 for _ in range(8):
                     engine.step()
 
+    @staticmethod
+    def stalled_switch(engine) -> int:
+        """A switch with a header that has waited a cycle: asked next."""
+        return next(s for s, lane in engine.unrouted_headers() if lane.last_arrival < engine.cycle - 1)
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda e, s: setattr(next(n for n in e.nodes if n.packet is not None), "lane", None),
+         AttributeError),
+        (lambda e, s: setattr(next(n for n in e.nodes if n.packet is not None), "sent", "2"),
+         TypeError),
+        (lambda e, s: e.route_rr.__setitem__(s, "0"), TypeError),
+        (lambda e, s: e.pending[s].insert(0, None), AttributeError),
+        (lambda e, s: setattr(e.pending[s][0], "packet", None), AttributeError),
+        (lambda e, s: setattr(e.routing, "_hops", None), TypeError),
+    ])
+    def test_corrupt_injection_and_routing_state_raises_the_same_on_both_paths(self, corrupt, error):
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            s = self.stalled_switch(engine)
+            engine._wake_routing()
+            engine.route_rr[s] = 0
+            corrupt(engine, s)
+            with pytest.raises(error):
+                with python_loops() if python else contextlib.nullcontext():
+                    for _ in range(8):
+                        engine.step()
+            outcomes.append(engine.cycle)
+        assert outcomes[0] == outcomes[1]  # in the same cycle
+
+    def test_a_raising_select_propagates_and_leaves_the_same_engine(self):
+        class Fused(FirstFitTreeRouting):
+            def select(self, switch, inlane, packet):
+                if self.calls == 150:
+                    raise ZeroDivisionError("select")
+                return super().select(switch, inlane, packet)
+
+        def outcome(python: bool):
+            engine = build_engine(tree_config(k=2, n=3, vcs=2, load=0.8, seed=5,
+                                              warmup_cycles=20, total_cycles=5000))
+            routing = Fused()
+            routing.attach(engine)
+            engine.routing = routing
+            return stepped_under(engine, python, cycles=400)
+
+        assert outcome(python=False) == outcome(python=True)
+        assert outcome(python=False)[0] is ZeroDivisionError
+
+    def test_a_raising_source_propagates_and_leaves_the_same_engine(self):
+        class Broken:
+            active = True
+            queue = collections.deque()
+
+            def advance(self, cycle):
+                raise ZeroDivisionError("advance")
+
+            def next_cycle(self):
+                return 0
+
+        def outcome(python: bool):
+            engine = self.loaded()
+            node = engine.nodes[9]
+            node.source, node.wake = Broken(), engine.cycle + 3
+            return stepped_under(engine, python)
+
+        raised, verdict, _ = kernel = outcome(python=False)
+        assert kernel == outcome(python=True)
+        # the nodes before it had streamed: their flits were never counted
+        assert raised is ZeroDivisionError and "conservation" in verdict
+
     @pytest.mark.parametrize("python", [False, True])
-    @pytest.mark.parametrize("event", ["on_head_arrived", "on_direction_blocked",
-                                       "on_head_delivered", "on_tail_delivered"])
+    @pytest.mark.parametrize("event", [
+        "on_head_arrived", "on_direction_blocked", "on_head_delivered", "on_tail_delivered",
+        "on_packets_generated", "on_packet_injected", "on_header_routed",
+    ])
     def test_a_raising_probe_propagates(self, python, event):
         class Boom(Probe):
             pass
@@ -402,10 +644,25 @@ class TestCompiledPhasesFailurePaths:
                         warmup_cycles=20, total_cycles=5000),
             probe=Boom(),
         )
-        watched = (engine.dirs[0], engine.dirs[0].lanes[0], engine.dirs[0].lanes[0].sink)
+        watched = (engine.dirs[0], engine.dirs[0].lanes[0], engine.dirs[0].lanes[0].sink,
+                   engine.nodes[0], engine.nodes[0].source, engine.routing)
         before = [sys.getrefcount(obj) for obj in watched]
         with pytest.raises(ZeroDivisionError, match=event):
             with python_loops() if python else contextlib.nullcontext():
                 for _ in range(2000):
                     engine.step()
         assert [sys.getrefcount(obj) for obj in watched] == before
+
+    @pytest.mark.parametrize("event", ["on_packets_generated", "on_packet_injected", "on_header_routed"])
+    def test_a_probe_raising_in_injection_or_routing_leaves_the_same_engine(self, event):
+        class Boom(Probe):
+            pass
+
+        def boom(self, cycle, *args):
+            if cycle >= 70:
+                raise ZeroDivisionError(event)
+
+        setattr(Boom, event, boom)
+        kernel = stepped_under(self.loaded(probe=Boom()), python=False, cycles=40)
+        assert kernel == stepped_under(self.loaded(probe=Boom()), python=True, cycles=40)
+        assert kernel[0] is ZeroDivisionError

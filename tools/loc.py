@@ -1,7 +1,7 @@
 """Count code lines: lines that are not blank, comment or docstring.
 
 ``python tools/loc.py [ROOT]`` (default ``src``) prints the total and the
-ten largest modules, then the C sources beside them.  A Python line counts
+ten largest modules, then the C sources and headers beside them.  A Python line counts
 when a token other than a comment starts, continues or ends on it, unless
 it belongs to a docstring — the string expression that opens a module,
 class or function body; a C line counts when something is left on it once
@@ -56,8 +56,11 @@ def main(argv: list[str]) -> int:
     print(f"{sum(counts.values()):>7,}  {root}/ ({len(counts)} modules)")
     for path, count in sorted(counts.items(), key=lambda item: -item[1])[:10]:
         print(f"{count:>7,}  {path}")
-    for path in sorted(root.rglob("*.c")):
-        print(f"{c_code_lines(path):>7,}  {path} (C)")
+    c_counts = {path: c_code_lines(path) for path in sorted(root.rglob("*.[ch]"))}
+    for path, count in c_counts.items():
+        print(f"{count:>7,}  {path} (C)")
+    if len(c_counts) > 1:
+        print(f"{sum(c_counts.values()):>7,}  C in all")
     return 0
 
 
