@@ -130,9 +130,10 @@ class WindowedCounterProbe(Probe):
                 for i, d in enumerate(self._dirs):
                     self._flit_base[i] = d.flits_at_warmup
         for i, d in enumerate(self._dirs):
-            occ = self._occ[i]
-            for v, lane in enumerate(d.lanes):
-                occ[v] += lane.buffered
+            if d.nbusy:  # else every lane of it holds 0: one counter read, not V
+                occ = self._occ[i]
+                for v, lane in enumerate(d.lanes):
+                    occ[v] += lane.buffered
         if cycle - self._window_start + 1 >= self.window_cycles:
             self._flush(cycle + 1)
 

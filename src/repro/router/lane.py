@@ -19,6 +19,15 @@ physical channel direction; the engine's link phase moves at most one flit
 per direction per cycle, chosen by a round-robin arbiter among lanes that
 have a flit and a credit.
 
+The counters are what the engine's loops spend their time on, so where the
+compiled phases exist the classes keep their fields in C structs of the same
+extension (:func:`repro.sim.native.storage`: each class declares its fields
+once, as ``(name, kind)`` pairs, and subclasses what that returns with
+``__slots__ = ()``): a counter, id or cycle stamp is a 64-bit integer there —
+assigning anything else raises at the assignment — and a reference is any
+object.  Elsewhere the same names are ``__slots__``.  Reading and writing
+``lane.buffered`` is the same on both, and so is what is pickled.
+
 One modeled simplification (see DESIGN.md): an output lane is allocatable
 to a new packet only once its *downstream input lane* has fully drained the
 previous packet, so the (output lane → input lane) pair always carries a
@@ -29,24 +38,30 @@ overlap window of at most 4 flits per hop, identically for both networks.
 from __future__ import annotations
 
 from ..errors import SimulationError
+from ..sim.native import INT, REF, storage
 from ..sim.packet import Packet
 
 
-class InputLane:
+class InputLane(
+    storage(
+        "InputLane",
+        (
+            ("switch", INT),
+            ("port", INT),
+            ("vc", INT),
+            ("cap", INT),
+            ("packet", REF),
+            ("received", INT),
+            ("forwarded", INT),
+            ("bound", REF),
+            ("src_out", REF),
+            ("last_arrival", INT),
+        ),
+    )
+):
     """Input buffer of one virtual channel at one switch port."""
 
-    __slots__ = (
-        "switch",
-        "port",
-        "vc",
-        "cap",
-        "packet",
-        "received",
-        "forwarded",
-        "bound",
-        "src_out",
-        "last_arrival",
-    )
+    __slots__ = ()
 
     def __init__(self, switch: int, port: int, vc: int, cap: int):
         self.switch = switch
@@ -70,9 +85,9 @@ class InputLane:
         self.last_arrival = -1
 
     def __getstate__(self) -> list:
-        # slot values in ``__slots__`` order: a checkpoint holds thousands
-        # of lanes, and the default (None, {slot name: value}) state costs
-        # a dict and ten name strings to pickle for each
+        # field values in ``FIELDS`` order: a checkpoint holds thousands
+        # of lanes, and a (None, {field name: value}) state costs a dict
+        # and ten name strings to pickle for each
         return [
             self.switch, self.port, self.vc, self.cap, self.packet,
             self.received, self.forwarded, self.bound, self.src_out,
@@ -127,20 +142,25 @@ class InputLane:
         )
 
 
-class OutputLane:
+class OutputLane(
+    storage(
+        "OutputLane",
+        (
+            ("switch", INT),
+            ("port", INT),
+            ("vc", INT),
+            ("cap", INT),
+            ("packet", REF),
+            ("buffered", INT),
+            ("credits", INT),
+            ("sink", REF),
+            ("direction", REF),
+        ),
+    )
+):
     """Output buffer of one virtual channel at one switch port."""
 
-    __slots__ = (
-        "switch",
-        "port",
-        "vc",
-        "cap",
-        "packet",
-        "buffered",
-        "credits",
-        "sink",
-        "direction",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -205,7 +225,7 @@ class OutputLane:
         )
 
 
-class EjectionLane:
+class EjectionLane(storage("EjectionLane", (("node", INT), ("packet", REF), ("received", INT)))):
     """Node-side sink of one virtual channel of the ejection channel.
 
     The node consumes arriving flits immediately (the physical bottleneck
@@ -214,7 +234,7 @@ class EjectionLane:
     packet.  Completion is reported to the engine via ``delivered``.
     """
 
-    __slots__ = ("node", "packet", "received")
+    __slots__ = ()
 
     def __init__(self, node: int):
         self.node = node
@@ -247,7 +267,21 @@ class EjectionLane:
         return False
 
 
-class LinkDirection:
+class LinkDirection(
+    storage(
+        "LinkDirection",
+        (
+            ("lanes", REF),
+            ("rot", REF),
+            ("index", INT),
+            ("rr", INT),
+            ("nbusy", INT),
+            ("to_node", REF),
+            ("flits", INT),
+            ("flits_at_warmup", INT),
+        ),
+    )
+):
     """One direction of a physical channel: V output lanes, one flit/cycle.
 
     ``nbusy`` counts member lanes with buffered flits so the engine's link
@@ -255,9 +289,7 @@ class LinkDirection:
     maintains it on every buffered-count 0↔1 transition.
     """
 
-    __slots__ = (
-        "lanes", "rot", "index", "rr", "nbusy", "to_node", "flits", "flits_at_warmup",
-    )
+    __slots__ = ()
 
     def __init__(self, lanes: list[OutputLane], to_node: bool = False, index: int = -1):
         self.lanes = lanes

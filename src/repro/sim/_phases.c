@@ -1,21 +1,18 @@
 /* The link and crossbar phases of Engine.step, compiled, and what every
- * translation unit of the kernel shares (declared in _phases.h): names, slot
- * table, accessors, setup() and the module itself.
+ * translation unit of the kernel shares (declared in _phases.h): names, field
+ * table, accessors and the module itself.
  *
  * The phases are a transcription of the Python loops in engine.py -- same
  * statement order, same probe calls, same values stored -- and
  * tests/test_property_engine.py steps the two side by side, so the Python
  * loops stay the reference.  Injection and routing are in _routing.c, the
- * four select()s in _select.c.
+ * four select()s in _select.c, the struct types under the classes and the
+ * setup() that checks the classes against the field table in _storage.c.
  *
  * Built by native.py with the interpreter's own C compiler at -O1, one unit
  * at a time.
  */
 #include "_phases.h"
-#ifndef Py_T_OBJECT_EX /* CPython < 3.12 */
-#include <structmember.h>
-#define Py_T_OBJECT_EX T_OBJECT_EX
-#endif
 
 #define X(n) PyObject *s_##n;
 NAMES(X)
@@ -23,14 +20,12 @@ NAMES(X)
 
 PyTypeObject *classes[N_CLASSES];
 struct slot slots[N_SLOTS] = {
-#define X(c, a) {c, #a, 0, NULL},
+#define X(c, a, k) {c, #a, Py_T_##k, 0, NULL},
     SLOTS(X)
 #undef X
 };
 
-PyObject *zero, *one;
-
-/* -- slot access ------------------------------------------------------------- */
+/* -- field access ------------------------------------------------------------ */
 
 int
 as_int_slow(PyObject *v, long long *out)
@@ -57,39 +52,6 @@ need_slow(PyObject *o, int i)
     PyErr_Format(PyExc_TypeError, "the compiled phases need a %s, not a %s",
                  cls->tp_name, Py_TYPE(o)->tp_name);
     return -1;
-}
-
-/* a big int, or whatever is wrong with the slot */
-int
-get_int_slow(PyObject *o, int i, long long *out)
-{
-    PyObject *v = get_obj(o, i);
-    if (v == NULL)
-        return -1;
-    if (PyLong_Check(v))
-        return as_int_slow(v, out);
-    PyErr_Format(PyExc_TypeError, "%s.%s must be an int, not %s",
-                 Py_TYPE(o)->tp_name, slots[i].attr, Py_TYPE(v)->tp_name);
-    return -1;
-}
-
-int
-set_int(PyObject *o, int i, long long value)
-{
-    PyObject *v = PyLong_FromLongLong(value);
-    if (v == NULL)
-        return -1;
-    set_obj(o, i, v);
-    Py_DECREF(v);
-    return 0;
-}
-
-/* o.<slot> += delta */
-int
-add_int(PyObject *o, int i, long long delta)
-{
-    long long v;
-    return get_int(o, i, &v) < 0 ? -1 : set_int(o, i, v + delta);
 }
 
 /* -- plain attributes, items and calls ---------------------------------------- */
@@ -151,6 +113,19 @@ item_slow(PyObject *seq, long long i)
         return NULL;
     }
     return PyList_Check(seq) ? PyList_GET_ITEM(seq, i) : PyTuple_GET_ITEM(seq, i);
+}
+
+/* the out-of-line half of put(): negative indices and the errors */
+int
+put_slow(PyObject *list, long long i, PyObject *value)
+{
+    if (item(list, i) == NULL)
+        return -1;
+    if (!PyList_Check(list)) {
+        PyErr_SetString(PyExc_TypeError, "the engine's routing tables must be lists");
+        return -1;
+    }
+    return PyList_SetItem(list, i < 0 ? i + PyList_GET_SIZE(list) : i, Py_NewRef(value));
 }
 
 /* list[index] += 1 */
@@ -218,31 +193,33 @@ headers_close(Headers *h)
 int
 enqueue_header(Headers *h, PyObject *lane)
 {
-    PyObject *s, *pend = NULL, *queued = NULL, *queue = NULL;
-    int rc = -1, is_queued;
-    if ((s = get_obj(lane, IL_switch)) == NULL)
+    long long s = INT(lane, IL_switch);
+    PyObject *pend, *queued, *queue, *switch_id = NULL;
+    int rc;
+    if ((pend = item(h->pending, s)) == NULL)
         return -1;
-    Py_INCREF(s);
-    if ((pend = PyObject_GetItem(h->pending, s)) == NULL
-        || (queue = PyObject_GetAttr(h->engine, s_route_queue)) == NULL)
-        goto done;
-    if (!PyList_Check(pend) || !PyList_Check(queue)) {
+    if (!PyList_Check(pend)) {
         PyErr_SetString(PyExc_TypeError, "the engine's routing queues must be lists");
-        goto done;
+        return -1;
     }
     if (PyList_Append(pend, lane) < 0
-        || PyObject_SetItem(h->awake, s, Py_True) < 0
-        || (queued = PyObject_GetItem(h->in_queue, s)) == NULL
-        || (is_queued = PyObject_IsTrue(queued)) < 0
-        || (!is_queued
-            && (PyObject_SetItem(h->in_queue, s, Py_True) < 0 || PyList_Append(queue, s) < 0)))
-        goto done;
-    rc = 0;
-done:
-    Py_DECREF(s);
-    Py_XDECREF(pend);
-    Py_XDECREF(queued);
-    Py_XDECREF(queue);
+        || put(h->awake, s, Py_True) < 0
+        || (queued = item(h->in_queue, s)) == NULL
+        || (rc = truth(queued)) < 0)
+        return -1;
+    if (rc) /* queued already */
+        return 0;
+    /* the switch joins the routing queue */
+    if (put(h->in_queue, s, Py_True) < 0
+        || (queue = PyObject_GetAttr(h->engine, s_route_queue)) == NULL)
+        return -1;
+    rc = -1;
+    if (!PyList_Check(queue))
+        PyErr_SetString(PyExc_TypeError, "the engine's routing queues must be lists");
+    else if ((switch_id = PyLong_FromLongLong(s)) != NULL)
+        rc = PyList_Append(queue, switch_id);
+    Py_XDECREF(switch_id);
+    Py_DECREF(queue);
     return rc;
 }
 
@@ -300,14 +277,10 @@ static int
 pick_lane(Link *k, PyObject *d, PyObject **chosen)
 {
     PyObject *lanes, *cand, *pkt, *best = NULL;
-    long long nbusy, rr = 0, buffered, credits, created, best_age = 0;
+    long long rr = 0, created, best_age = 0;
     Py_ssize_t i, n;
 
-    if (SLOT(d, LD_nbusy) == zero)
-        return 0;
-    if (get_int(d, LD_nbusy, &nbusy) < 0)
-        return -1;
-    if (nbusy == 0)
+    if (INT(d, LD_nbusy) == 0)
         return 0;
     if ((lanes = get_obj(d, LD_lanes)) == NULL)
         return -1;
@@ -317,8 +290,7 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
     }
     n = PyList_GET_SIZE(lanes);
     if (!k->age) {
-        if (get_int(d, LD_rr, &rr) < 0)
-            return -1;
+        rr = INT(d, LD_rr);
         if (rr < 0 || rr >= n) {
             PyErr_SetString(PyExc_IndexError, "list index out of range");
             return -1;
@@ -326,22 +298,17 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
     }
     for (i = 0; i < n; i++) {
         cand = PyList_GET_ITEM(lanes, (rr + i) % n);
-        if (need(cand, OL_buffered) < 0 || get_int(cand, OL_buffered, &buffered) < 0)
+        if (need(cand, OL_buffered) < 0)
             return -1;
-        if (buffered <= 0)
-            continue;
-        if (get_int(cand, OL_credits, &credits) < 0)
-            return -1;
-        if (credits <= 0)
+        if (INT(cand, OL_buffered) <= 0 || INT(cand, OL_credits) <= 0)
             continue;
         if (!k->age) {
             best = cand;
             break;
         }
-        if ((pkt = get_obj(cand, OL_packet)) == NULL
-            || need(pkt, PK_created) < 0
-            || get_int(pkt, PK_created, &created) < 0)
+        if ((pkt = get_obj(cand, OL_packet)) == NULL || need(pkt, PK_created) < 0)
             return -1;
+        created = INT(pkt, PK_created);
         if (best == NULL || created < best_age) {
             best = cand;
             best_age = created;
@@ -358,21 +325,19 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
 
 /* The flit leaves its output lane: counters of the lane and of d.  The
  * lane's packet and sink come back as new references -- with the lane they
- * are in use across the probe calls. */
+ * are in use across the probe calls.  What the packet is comes out where the
+ * Python loop first looks into it. */
 static int
 take_flit(PyObject *d, PyObject *lane, int sink_slot, PyObject **pkt, PyObject **sink)
 {
-    long long left;
     PyObject *p, *s;
-    if ((p = get_obj(lane, OL_packet)) == NULL
-        || need(p, PK_size) < 0
-        || get_int(lane, OL_buffered, &left) < 0
-        || set_int(lane, OL_buffered, left - 1) < 0
-        || (left == 1 && add_int(d, LD_nbusy, -1) < 0)
-        || add_int(lane, OL_credits, -1) < 0
-        || add_int(d, LD_flits, 1) < 0
-        || (s = get_obj(lane, OL_sink)) == NULL
-        || need(s, sink_slot) < 0)
+    if ((p = get_obj(lane, OL_packet)) == NULL)
+        return -1;
+    if ((INT(lane, OL_buffered) -= 1) == 0)
+        INT(d, LD_nbusy) -= 1;
+    INT(lane, OL_credits) -= 1;
+    INT(d, LD_flits) += 1;
+    if ((s = get_obj(lane, OL_sink)) == NULL || need(s, sink_slot) < 0)
         return -1;
     *pkt = Py_NewRef(p);
     *sink = Py_NewRef(s);
@@ -383,13 +348,10 @@ take_flit(PyObject *d, PyObject *lane, int sink_slot, PyObject **pkt, PyObject *
 static int
 advance_rr(Link *k, PyObject *d, PyObject *lane)
 {
-    long long vc;
-    PyObject *next;
-    if (get_int(lane, OL_vc, &vc) < 0
-        || (next = PySequence_GetItem(k->rr_after, (Py_ssize_t)vc)) == NULL)
+    long long rr;
+    if (int_item(k->rr_after, INT(lane, OL_vc), &rr) < 0)
         return -1;
-    set_obj(d, LD_rr, next);
-    Py_DECREF(next);
+    INT(d, LD_rr) = rr;
     return 0;
 }
 
@@ -398,7 +360,7 @@ static int
 fabric_hop(Link *k, PyObject *d)
 {
     PyObject *lane, *pkt = NULL, *sink = NULL, *held;
-    long long received, size;
+    long long received;
     int rc = pick_lane(k, d, &lane);
     if (rc <= 0)
         return rc;
@@ -406,27 +368,21 @@ fabric_hop(Link *k, PyObject *d)
     rc = -1;
     if (take_flit(d, lane, IL_packet, &pkt, &sink) < 0)
         goto done;
-    set_obj(sink, IL_last_arrival, k->t);
+    INT(sink, IL_last_arrival) = k->now;
     if ((held = get_obj(sink, IL_packet)) == NULL)
         goto done;
     if (held == Py_None) {
-        received = 1;
         set_obj(sink, IL_packet, pkt);
-        set_obj(sink, IL_received, one);
+        INT(sink, IL_received) = received = 1;
         if (enqueue_header(&k->h, sink) < 0
             || (k->on_head_arrived != NULL && call(k->on_head_arrived, k->t, sink, pkt, NULL) < 0))
             goto done;
     }
-    else {
-        if (get_int(sink, IL_received, &received) < 0)
-            goto done;
-        received += 1;
-        if (set_int(sink, IL_received, received) < 0)
-            goto done;
-    }
-    if (get_int(pkt, PK_size, &size) < 0)
+    else
+        received = INT(sink, IL_received) += 1;
+    if (need(pkt, PK_size) < 0)
         goto done;
-    if (received == size) /* tail left this switch: free the output lane */
+    if (received == INT(pkt, PK_size)) /* tail left this switch: free the output lane */
         set_obj(lane, OL_packet, Py_None);
     rc = advance_rr(k, d, lane) < 0 ? -1 : 1;
 done:
@@ -441,18 +397,16 @@ static int
 record_delivery(Link *k, PyObject *pkt)
 {
     PyObject *res = k->result, *lat = NULL, *list = NULL;
-    long long injected, warmup, head, latency, worst;
+    long long injected = INT(pkt, PK_injected), warmup, latency, worst;
     int rc = -1, collect;
-    if (get_int(pkt, PK_injected, &injected) < 0
-        || attr_int(k->config, s_warmup_cycles, &warmup) < 0)
+    if (attr_int(k->config, s_warmup_cycles, &warmup) < 0)
         return -1;
     if (injected < warmup)
         return 0;
     latency = k->now - injected;
     if (attr_add(res, s_delivered_packets, 1) < 0
         || attr_add(res, s_latency_sum, latency) < 0
-        || get_int(pkt, PK_head_delivered, &head) < 0
-        || attr_add(res, s_head_latency_sum, head - injected) < 0
+        || attr_add(res, s_head_latency_sum, INT(pkt, PK_head_delivered) - injected) < 0
         || attr_int(res, s_latency_max, &worst) < 0
         || (lat = PyLong_FromLongLong(latency)) == NULL
         || (latency > worst && PyObject_SetAttr(res, s_latency_max, lat) < 0)
@@ -479,8 +433,8 @@ done:
 static int
 eject_hop(Link *k, PyObject *d)
 {
-    PyObject *lane, *pkt = NULL, *sink = NULL, *held, *s;
-    long long received, size, node;
+    PyObject *lane, *pkt = NULL, *sink = NULL, *held;
+    long long received;
     int rc = pick_lane(k, d, &lane);
     if (rc <= 0)
         return rc;
@@ -491,27 +445,23 @@ eject_hop(Link *k, PyObject *d)
     if (held == Py_None) {
         received = 1;
         set_obj(sink, EJ_packet, pkt);
-        set_obj(pkt, PK_head_delivered, k->t);
+        if (need(pkt, PK_head_delivered) < 0)
+            goto done;
+        INT(pkt, PK_head_delivered) = k->now;
         if (k->on_head_delivered != NULL && call(k->on_head_delivered, k->t, pkt, NULL, NULL) < 0)
             goto done;
     }
-    else {
-        if (get_int(sink, EJ_received, &received) < 0)
-            goto done;
-        received += 1;
-    }
+    else
+        received = INT(sink, EJ_received) + 1;
     k->delivered += 1;
-    if (k->warm && (get_int(sink, EJ_node, &node) < 0 || count_one(k->per_node, node) < 0))
+    if ((k->warm && count_one(k->per_node, INT(sink, EJ_node)) < 0) || need(pkt, PK_size) < 0)
         goto done;
-    if (get_int(pkt, PK_size, &size) < 0)
-        goto done;
-    if (received == size) {
-        set_obj(pkt, PK_delivered, k->t);
+    if (received == INT(pkt, PK_size)) {
+        INT(pkt, PK_delivered) = k->now;
         set_obj(sink, EJ_packet, Py_None);
-        set_obj(sink, EJ_received, zero);
+        INT(sink, EJ_received) = 0;
         /* an output lane of this switch is allocatable again */
-        if ((s = get_obj(lane, OL_switch)) == NULL
-            || PyObject_SetItem(k->h.awake, s, Py_True) < 0
+        if (put(k->h.awake, INT(lane, OL_switch), Py_True) < 0
             || attr_add(k->h.engine, s_delivered_packets_total, 1) < 0
             || (k->on_tail_delivered != NULL && call(k->on_tail_delivered, k->t, pkt, NULL, NULL) < 0)
             || record_delivery(k, pkt) < 0)
@@ -519,8 +469,8 @@ eject_hop(Link *k, PyObject *d)
         /* the tail left the switch too: free the output lane */
         set_obj(lane, OL_packet, Py_None);
     }
-    else if (set_int(sink, EJ_received, received) < 0)
-        goto done;
+    else
+        INT(sink, EJ_received) = received;
     rc = advance_rr(k, d, lane) < 0 ? -1 : 1;
 done:
     Py_DECREF(lane);
@@ -594,53 +544,48 @@ link_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static int
 forward(PyObject *lane, long long now, long long cap, PyObject *awake, int *moved)
 {
-    PyObject *out, *src_out, *direction, *pkt, *s;
-    long long forwarded, received, arrival, filled, size;
-    if (need(lane, IL_forwarded) < 0
-        || get_int(lane, IL_forwarded, &forwarded) < 0
-        || get_int(lane, IL_received, &received) < 0)
+    PyObject *out, *src_out, *direction, *pkt;
+    long long forwarded, buffered, filled;
+    if (need(lane, IL_forwarded) < 0)
         return -1;
+    forwarded = INT(lane, IL_forwarded);
+    buffered = INT(lane, IL_received) - forwarded;
     /* a flit that arrived in this cycle's link phase waits a cycle */
-    if (received - forwarded < 1)
+    if (buffered < 1 || (buffered == 1 && INT(lane, IL_last_arrival) == now))
         return 1;
-    if (received - forwarded == 1) {
-        if (get_int(lane, IL_last_arrival, &arrival) < 0)
-            return -1;
-        if (arrival == now)
-            return 1;
-    }
-    if ((out = get_obj(lane, IL_bound)) == NULL
-        || need(out, OL_buffered) < 0
-        || get_int(out, OL_buffered, &filled) < 0)
+    if ((out = get_obj(lane, IL_bound)) == NULL || need(out, OL_buffered) < 0)
         return -1;
+    filled = INT(out, OL_buffered);
     if (filled >= cap)
         return 1;
     if (filled == 0) {
-        if ((direction = get_obj(out, OL_direction)) == NULL
-            || need(direction, LD_nbusy) < 0
-            || add_int(direction, LD_nbusy, 1) < 0)
+        if ((direction = get_obj(out, OL_direction)) == NULL || need(direction, LD_nbusy) < 0)
             return -1;
+        INT(direction, LD_nbusy) += 1;
     }
-    if (set_int(out, OL_buffered, filled + 1) < 0 || (src_out = get_obj(lane, IL_src_out)) == NULL)
+    INT(out, OL_buffered) = filled + 1;
+    if ((src_out = get_obj(lane, IL_src_out)) == NULL)
         return -1;
-    if (src_out != Py_None && (need(src_out, OL_credits) < 0 || add_int(src_out, OL_credits, 1) < 0))
-        return -1;
+    if (src_out != Py_None) {
+        if (need(src_out, OL_credits) < 0)
+            return -1;
+        INT(src_out, OL_credits) += 1;
+    }
     *moved = 1;
     forwarded += 1;
-    if ((pkt = get_obj(lane, IL_packet)) == NULL
-        || need(pkt, PK_size) < 0
-        || get_int(pkt, PK_size, &size) < 0)
+    if ((pkt = get_obj(lane, IL_packet)) == NULL || need(pkt, PK_size) < 0)
         return -1;
-    if (forwarded != size)
-        return set_int(lane, IL_forwarded, forwarded) < 0 ? -1 : 1;
+    if (forwarded != INT(pkt, PK_size)) {
+        INT(lane, IL_forwarded) = forwarded;
+        return 1;
+    }
     /* tail through the crossbar: release the input lane, which makes the
      * upstream output lane allocatable again */
     set_obj(lane, IL_packet, Py_None);
-    set_obj(lane, IL_received, zero);
-    set_obj(lane, IL_forwarded, zero);
+    INT(lane, IL_received) = 0;
+    INT(lane, IL_forwarded) = 0;
     set_obj(lane, IL_bound, Py_None);
-    if (src_out != Py_None
-        && ((s = get_obj(src_out, OL_switch)) == NULL || PyObject_SetItem(awake, s, Py_True) < 0))
+    if (src_out != Py_None && put(awake, INT(src_out, OL_switch), Py_True) < 0)
         return -1;
     return 0;
 }
@@ -692,46 +637,8 @@ done:
 
 /* -- start-up ------------------------------------------------------------------ */
 
-/* setup(InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
- * TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting,
- * DuatoAdaptiveRouting): resolve every slot's offset from its member
- * descriptor -- raises when a class is not laid out the way the phases address
- * it -- and remember the algorithms whose select() exists compiled. */
-static PyObject *
-setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    int i;
-    if (nargs != N_CLASSES) {
-        PyErr_SetString(PyExc_TypeError, "setup() takes the six slotted classes and the four routing algorithms");
-        return NULL;
-    }
-    for (i = 0; i < N_CLASSES; i++)
-        if (!PyType_Check(args[i])) {
-            PyErr_SetString(PyExc_TypeError, "setup() takes classes");
-            return NULL;
-        }
-    for (i = 0; i < N_SLOTS; i++) {
-        PyObject *cls = args[slots[i].cls], *descr;
-        PyMemberDef *member;
-        Py_XSETREF(slots[i].name, PyUnicode_InternFromString(slots[i].attr));
-        if (slots[i].name == NULL)
-            return NULL;
-        descr = PyDict_GetItemWithError(((PyTypeObject *)cls)->tp_dict, slots[i].name);
-        if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            || (member = ((PyMemberDescrObject *)descr)->d_member)->type != Py_T_OBJECT_EX) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "%s.%s is not a slot",
-                             ((PyTypeObject *)cls)->tp_name, slots[i].attr);
-            return NULL;
-        }
-        slots[i].offset = member->offset;
-    }
-    for (i = 0; i < N_CLASSES; i++)
-        Py_XSETREF(classes[i], (PyTypeObject *)Py_NewRef(args[i]));
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef methods[] = {
+    {"storage", (PyCFunction)(void (*)(void))storage, METH_FASTCALL, NULL},
     {"setup", (PyCFunction)(void (*)(void))setup, METH_FASTCALL, NULL},
     {"link_phase", (PyCFunction)(void (*)(void))link_phase, METH_FASTCALL, NULL},
     {"injection_phase", (PyCFunction)(void (*)(void))injection_phase, METH_FASTCALL, NULL},
@@ -753,7 +660,5 @@ PyInit__phases(void)
         return NULL;
     NAMES(X)
 #undef X
-    if ((zero = PyLong_FromLong(0)) == NULL || (one = PyLong_FromLong(1)) == NULL)
-        return NULL;
     return PyModule_Create(&definition);
 }

@@ -1,19 +1,23 @@
 /* What the translation units of the compiled phases share: the attribute
- * names, the table of slots addressed by offset, and the accessors over it.
+ * names, the table of fields addressed by offset, and the accessors over it.
  *
- * No second data model: the phases walk the engine's own slotted InputLane /
+ * No second data model: the phases walk the engine's own InputLane /
  * OutputLane / EjectionLane / LinkDirection / Packet / _Node objects and read
- * and write their slots in place, at the offsets the classes' member
- * descriptors report (resolved once, in setup()).
+ * and write their fields in place.  The six classes take their storage from
+ * struct types this extension builds out of their field tables (_storage.c):
+ * one 8-byte member per field, a long long for every counter, id and cycle
+ * stamp, an object pointer for every reference.  The phases address the
+ * members at the offsets -- and of the kinds -- the classes' member
+ * descriptors report (checked once, in setup()).
  *
- * An object is checked against its slotted class once (need()), after which
- * its slots are addressed raw; a counter must be an int.  Where a check fails
- * the phase raises what the Python loop raises on the same state --
- * AttributeError on a None where a packet belongs, TypeError on a str where a
- * counter does -- and nothing is ever read at an offset of a foreign object.
- * References are borrowed from the engine's own lists and slots, except
- * across a call into Python (a probe, a source, a custom select), which may
- * run anything: the objects in hand are held through it.
+ * An object is checked against its class once (need()), after which its
+ * fields are addressed raw: a counter is a load, a store or an add.  Where a
+ * check fails the phase raises what the Python loop raises on the same state
+ * -- AttributeError on a None where a packet belongs -- and nothing is ever
+ * read at an offset of a foreign object.  References are borrowed from the
+ * engine's own lists and fields, except across a call into Python (a probe,
+ * a source, a custom select), which may run anything: the objects in hand are
+ * held through it.
  *
  * _phases.c defines what is declared here unless said otherwise; the units
  * are compiled one after the other (cc1 is a child of whoever imports first,
@@ -24,6 +28,11 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#ifndef Py_T_OBJECT_EX /* CPython < 3.12 */
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_T_LONGLONG T_LONGLONG
+#endif
 
 /* -- names ------------------------------------------------------------------ */
 
@@ -50,25 +59,27 @@
 NAMES(X)
 #undef X
 
-/* the slots addressed by offset: class tag, attribute */
+/* the fields addressed by offset: class tag, attribute, member type (Py_T_...) */
 #define SLOTS(X) \
-    X(IL, switch) X(IL, packet) X(IL, received) X(IL, forwarded) X(IL, bound) \
-    X(IL, src_out) X(IL, last_arrival) \
-    X(OL, switch) X(OL, vc) X(OL, packet) X(OL, buffered) X(OL, credits) X(OL, sink) \
-    X(OL, direction) \
-    X(EJ, node) X(EJ, packet) X(EJ, received) \
-    X(LD, lanes) X(LD, rr) X(LD, nbusy) X(LD, flits) \
-    X(PK, src) X(PK, dst) X(PK, size) X(PK, created) X(PK, injected) X(PK, head_delivered) \
-    X(PK, delivered) \
-    X(ND, nid) X(ND, source) X(ND, wake) X(ND, lanes) X(ND, rr) X(ND, packet) X(ND, sent) \
-    X(ND, lane)
+    X(IL, switch, LONGLONG) X(IL, packet, OBJECT_EX) X(IL, received, LONGLONG) \
+    X(IL, forwarded, LONGLONG) X(IL, bound, OBJECT_EX) X(IL, src_out, OBJECT_EX) \
+    X(IL, last_arrival, LONGLONG) \
+    X(OL, switch, LONGLONG) X(OL, vc, LONGLONG) X(OL, packet, OBJECT_EX) \
+    X(OL, buffered, LONGLONG) X(OL, credits, LONGLONG) X(OL, sink, OBJECT_EX) \
+    X(OL, direction, OBJECT_EX) \
+    X(EJ, node, LONGLONG) X(EJ, packet, OBJECT_EX) X(EJ, received, LONGLONG) \
+    X(LD, lanes, OBJECT_EX) X(LD, rr, LONGLONG) X(LD, nbusy, LONGLONG) X(LD, flits, LONGLONG) \
+    X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) X(PK, created, LONGLONG) \
+    X(PK, injected, LONGLONG) X(PK, head_delivered, LONGLONG) X(PK, delivered, LONGLONG) \
+    X(ND, nid, LONGLONG) X(ND, source, OBJECT_EX) X(ND, wake, LONGLONG) X(ND, lanes, OBJECT_EX) \
+    X(ND, rr, LONGLONG) X(ND, packet, OBJECT_EX) X(ND, sent, LONGLONG) X(ND, lane, OBJECT_EX)
 
-/* the slotted classes, then the routing algorithms with a compiled select:
- * the order of setup()'s arguments */
-enum { IL, OL, EJ, LD, PK, ND, N_SLOTTED };
-enum { TREE_ADAPTIVE = N_SLOTTED, TREE_DETERMINISTIC, DOR, DUATO, N_CLASSES };
+/* the six classes on the storage, then the routing algorithms with a compiled
+ * select: the order of setup()'s arguments */
+enum { IL, OL, EJ, LD, PK, ND, N_STORED };
+enum { TREE_ADAPTIVE = N_STORED, TREE_DETERMINISTIC, DOR, DUATO, N_CLASSES };
 enum {
-#define X(c, a) c##_##a,
+#define X(c, a, k) c##_##a,
     SLOTS(X)
 #undef X
     N_SLOTS
@@ -78,31 +89,23 @@ extern PyTypeObject *classes[N_CLASSES];
 extern struct slot {
     int cls;
     const char *attr;
+    int type; /* of the member: Py_T_LONGLONG or Py_T_OBJECT_EX */
     Py_ssize_t offset;
     PyObject *name;
 } slots[N_SLOTS];
 
-extern PyObject *zero, *one;
+/* -- field access ------------------------------------------------------------ */
 
-/* -- slot access ------------------------------------------------------------- */
-
-#define SLOT(o, i) (*(PyObject **)((char *)(o) + slots[i].offset))
-
-/* a non-negative one-digit int, the common case, without a call */
-#if PY_VERSION_HEX >= 0x030C0000
-#define IS_SMALL(v) PyUnstable_Long_IsCompact((PyLongObject *)(v))
-#define SMALL_VALUE(v) PyUnstable_Long_CompactValue((PyLongObject *)(v))
-#else
-#define IS_SMALL(v) (Py_SIZE(v) == 0 || Py_SIZE(v) == 1)
-#define SMALL_VALUE(v) (Py_SIZE(v) ? (long long)((PyLongObject *)(v))->ob_digit[0] : 0)
-#endif
+/* o.<slot> of a counter, id or cycle stamp: an lvalue */
+#define INT(o, i) (*(long long *)((char *)(o) + slots[i].offset))
+/* o.<slot> of a reference: NULL while unset */
+#define REF(o, i) (*(PyObject **)((char *)(o) + slots[i].offset))
 
 int need_slow(PyObject *o, int i);
-int get_int_slow(PyObject *o, int i, long long *out);
 int as_int_slow(PyObject *v, long long *out);
 
-/* o must be an instance of the class slot i belongs to before SLOT(o, i),
- * or any other slot of that class, is addressed */
+/* o must be an instance of the class slot i belongs to before INT(o, i),
+ * REF(o, i) or any other slot of that class is addressed */
 static inline int
 need(PyObject *o, int i)
 {
@@ -113,7 +116,7 @@ need(PyObject *o, int i)
 static inline PyObject *
 get_obj(PyObject *o, int i)
 {
-    PyObject *v = SLOT(o, i);
+    PyObject *v = REF(o, i);
     if (v == NULL)
         PyErr_SetObject(PyExc_AttributeError, slots[i].name);
     return v;
@@ -123,24 +126,22 @@ get_obj(PyObject *o, int i)
 static inline void
 set_obj(PyObject *o, int i, PyObject *v)
 {
-    PyObject *old = SLOT(o, i);
-    SLOT(o, i) = Py_NewRef(v);
+    PyObject *old = REF(o, i);
+    REF(o, i) = Py_NewRef(v);
     Py_XDECREF(old);
 }
 
-/* o.<slot> as a C integer */
-static inline int
-get_int(PyObject *o, int i, long long *out)
-{
-    PyObject *v = SLOT(o, i);
-    if (v != NULL && PyLong_CheckExact(v) && IS_SMALL(v)) {
-        *out = SMALL_VALUE(v);
-        return 0;
-    }
-    return get_int_slow(o, i, out);
-}
+/* a non-negative one-digit int, the common case, without a call */
+#if PY_VERSION_HEX >= 0x030C0000
+#define IS_SMALL(v) PyUnstable_Long_IsCompact((PyLongObject *)(v))
+#define SMALL_VALUE(v) PyUnstable_Long_CompactValue((PyLongObject *)(v))
+#else
+#define IS_SMALL(v) (Py_SIZE(v) == 0 || Py_SIZE(v) == 1)
+#define SMALL_VALUE(v) (Py_SIZE(v) ? (long long)((PyLongObject *)(v))->ob_digit[0] : 0)
+#endif
 
-/* an int object as a C integer; TypeError for anything else */
+/* an int object -- an argument, a list item, a plain attribute -- as a C
+ * integer; TypeError for anything else */
 static inline int
 as_int(PyObject *v, long long *out)
 {
@@ -150,9 +151,6 @@ as_int(PyObject *v, long long *out)
     }
     return as_int_slow(v, out);
 }
-
-int set_int(PyObject *o, int i, long long value);
-int add_int(PyObject *o, int i, long long delta);
 
 /* -- plain attributes, items and calls ---------------------------------------- */
 
@@ -171,6 +169,28 @@ item(PyObject *seq, long long i)
     if (PyList_CheckExact(seq) && i >= 0 && i < PyList_GET_SIZE(seq))
         return PyList_GET_ITEM(seq, i);
     return item_slow(seq, i);
+}
+
+/* list[i] = value */
+int put_slow(PyObject *list, long long i, PyObject *value);
+
+static inline int
+put(PyObject *list, long long i, PyObject *value)
+{
+    if (PyList_CheckExact(list) && i >= 0 && i < PyList_GET_SIZE(list)) {
+        PyObject *old = PyList_GET_ITEM(list, i);
+        PyList_SET_ITEM(list, i, Py_NewRef(value));
+        Py_DECREF(old);
+        return 0;
+    }
+    return put_slow(list, i, value);
+}
+
+/* bool(flag) */
+static inline int
+truth(PyObject *flag)
+{
+    return flag == Py_True ? 1 : flag == Py_False ? 0 : PyObject_IsTrue(flag);
 }
 
 /* int(seq[i]) */
@@ -228,6 +248,8 @@ int route(Router *r, PyObject *switch_id, long long s, PyObject *lane, PyObject 
 
 /* -- the module's functions ----------------------------------------------------- */
 
+PyObject *storage(PyObject *module, PyObject *const *args, Py_ssize_t nargs);         /* _storage.c */
+PyObject *setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */
 PyObject *routing_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *select_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs);     /* _select.c */

@@ -8,23 +8,14 @@
  */
 #include "_phases.h"
 
-/* list[i] = value, i as Python indexes */
+/* list[i] = int(value) */
 static int
-put(PyObject *list, long long i, PyObject *value)
+put_int(PyObject *list, long long i, long long value)
 {
-    if (item(list, i) == NULL)
-        return -1;
-    if (!PyList_Check(list)) {
-        PyErr_SetString(PyExc_TypeError, "the engine's routing tables must be lists");
-        return -1;
-    }
-    return PyList_SetItem(list, i < 0 ? i + PyList_GET_SIZE(list) : i, Py_NewRef(value));
-}
-
-static inline int
-truth(PyObject *flag)
-{
-    return flag == Py_True ? 1 : flag == Py_False ? 0 : PyObject_IsTrue(flag);
+    PyObject *boxed = PyLong_FromLongLong(value);
+    int rc = boxed == NULL ? -1 : put(list, i, boxed);
+    Py_XDECREF(boxed);
+    return rc;
 }
 
 /* -- the injection phase ------------------------------------------------------- */
@@ -45,16 +36,17 @@ typedef struct {
 static int
 poll_source(Inject *j, PyObject *node)
 {
-    PyObject *src, *created = NULL, *next = NULL, *nid;
-    long long count;
+    PyObject *src, *created = NULL, *next = NULL, *nid = NULL;
+    long long count, wake;
     int rc = -1, any;
     if ((src = get_obj(node, ND_source)) == NULL)
         return -1;
     Py_INCREF(src);
     if ((created = PyObject_CallMethodOneArg(src, s_advance, j->t)) == NULL
-        || (next = PyObject_CallMethodNoArgs(src, s_next_cycle)) == NULL)
+        || (next = PyObject_CallMethodNoArgs(src, s_next_cycle)) == NULL
+        || as_int(next, &wake) < 0)
         goto done;
-    set_obj(node, ND_wake, next);
+    INT(node, ND_wake) = wake;
     if ((any = PyObject_IsTrue(created)) < 0)
         goto done;
     if (any) {
@@ -62,7 +54,7 @@ poll_source(Inject *j, PyObject *node)
             && (as_int(created, &count) < 0 || attr_add(j->result, s_generated_packets, count) < 0))
             goto done;
         if (j->on_generated != NULL
-            && ((nid = get_obj(node, ND_nid)) == NULL
+            && ((nid = PyLong_FromLongLong(INT(node, ND_nid))) == NULL
                 || call(j->on_generated, j->t, nid, created, NULL) < 0))
             goto done;
     }
@@ -71,6 +63,7 @@ done:
     Py_DECREF(src);
     Py_XDECREF(created);
     Py_XDECREF(next);
+    Py_XDECREF(nid);
     return rc;
 }
 
@@ -79,7 +72,7 @@ static int
 inject_header(Inject *j, PyObject *node, PyObject *lane, PyObject *entry)
 {
     PyObject *e = j->h.engine, *size = NULL, *dst = NULL, *created = NULL, *pid = NULL;
-    PyObject *pkt = NULL, *nid;
+    PyObject *pkt = NULL, *nid = NULL;
     long long flits, injected, delivered, dropped, peak;
     Py_ssize_t fields;
     int rc = -1;
@@ -89,21 +82,21 @@ inject_header(Inject *j, PyObject *node, PyObject *lane, PyObject *entry)
     size = fields > 2 ? PySequence_GetItem(entry, 2) : Py_NewRef(j->default_size);
     if (size == NULL
         || (pid = PyObject_GetAttr(e, s__next_pid)) == NULL
-        || (nid = get_obj(node, ND_nid)) == NULL
+        || (nid = PyLong_FromLongLong(INT(node, ND_nid))) == NULL
         || (dst = PySequence_GetItem(entry, 1)) == NULL
         || (created = PySequence_GetItem(entry, 0)) == NULL
         || (pkt = PyObject_CallFunctionObjArgs((PyObject *)classes[PK], pid, nid, dst, size, created, NULL)) == NULL
         || attr_add(e, s__next_pid, 1) < 0
         || need(pkt, PK_injected) < 0)
         goto done;
-    set_obj(pkt, PK_injected, j->t);
+    INT(pkt, PK_injected) = j->now;
     set_obj(lane, IL_packet, pkt);
-    set_obj(lane, IL_received, one);
-    set_obj(lane, IL_last_arrival, j->t);
+    INT(lane, IL_received) = 1;
+    INT(lane, IL_last_arrival) = j->now;
     if (enqueue_header(&j->h, lane) < 0)
         goto done;
     set_obj(node, ND_packet, pkt);
-    set_obj(node, ND_sent, one);
+    INT(node, ND_sent) = 1;
     set_obj(node, ND_lane, lane);
     if (attr_add(e, s_injected_packets_total, 1) < 0)
         goto done;
@@ -130,6 +123,7 @@ done:
     Py_XDECREF(dst);
     Py_XDECREF(created);
     Py_XDECREF(pid);
+    Py_XDECREF(nid);
     Py_XDECREF(pkt);
     return rc;
 }
@@ -149,8 +143,9 @@ start_packet(Inject *j, PyObject *node)
     if ((rc = PyObject_IsTrue(queue)) <= 0)
         goto done;
     rc = -1;
-    if ((lanes = get_obj(node, ND_lanes)) == NULL || get_int(node, ND_rr, &rr) < 0)
+    if ((lanes = get_obj(node, ND_lanes)) == NULL)
         goto done;
+    rr = INT(node, ND_rr);
     if (!PyList_Check(lanes)) {
         PyErr_SetString(PyExc_TypeError, "_Node.lanes must be a list");
         goto done;
@@ -162,15 +157,14 @@ start_packet(Inject *j, PyObject *node)
         lane = PyList_GET_ITEM(lanes, idx);
         if (need(lane, IL_packet) < 0 || get_obj(lane, IL_packet) == NULL)
             goto done;
-        if (SLOT(lane, IL_packet) == Py_None)
+        if (REF(lane, IL_packet) == Py_None)
             break;
     }
     if (off == n) { /* every injection lane is taken */
         rc = 0;
         goto done;
     }
-    if (set_int(node, ND_rr, (idx + 1) % n) < 0)
-        goto done;
+    INT(node, ND_rr) = (idx + 1) % n;
     Py_INCREF(lane); /* the source, then a probe, may run */
     if ((entry = PyObject_CallMethodNoArgs(queue, s_popleft)) != NULL) {
         rc = inject_header(j, node, lane, entry);
@@ -187,23 +181,19 @@ static int
 stream_flit(Inject *j, PyObject *node, PyObject *pkt)
 {
     PyObject *lane;
-    long long received, forwarded, sent, size;
-    if ((lane = get_obj(node, ND_lane)) == NULL
-        || need(lane, IL_received) < 0
-        || get_int(lane, IL_received, &received) < 0
-        || get_int(lane, IL_forwarded, &forwarded) < 0)
+    long long received;
+    if ((lane = get_obj(node, ND_lane)) == NULL || need(lane, IL_received) < 0)
         return -1;
-    if (received - forwarded >= j->cap)
+    received = INT(lane, IL_received);
+    if (received - INT(lane, IL_forwarded) >= j->cap)
         return 0;
-    if (set_int(lane, IL_received, received + 1) < 0)
-        return -1;
-    set_obj(lane, IL_last_arrival, j->t);
-    if (get_int(node, ND_sent, &sent) < 0 || set_int(node, ND_sent, sent + 1) < 0)
-        return -1;
+    INT(lane, IL_received) = received + 1;
+    INT(lane, IL_last_arrival) = j->now;
+    INT(node, ND_sent) += 1;
     j->streamed += 1;
-    if (need(pkt, PK_size) < 0 || get_int(pkt, PK_size, &size) < 0)
+    if (need(pkt, PK_size) < 0)
         return -1;
-    if (sent + 1 == size) {
+    if (INT(node, ND_sent) == INT(pkt, PK_size)) {
         set_obj(node, ND_packet, Py_None);
         set_obj(node, ND_lane, Py_None);
     }
@@ -216,7 +206,6 @@ injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Inject j = {0};
     PyObject *engine, *config = NULL, *nodes = NULL, *node, *pkt;
-    long long wake;
     Py_ssize_t i;
     int rc = -1;
     if (nargs != 4) {
@@ -245,8 +234,7 @@ injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (i = 0; i < PyList_GET_SIZE(nodes); i++) {
         node = Py_NewRef(PyList_GET_ITEM(nodes, i)); /* a source or a probe may run */
         if (need(node, ND_wake) < 0
-            || get_int(node, ND_wake, &wake) < 0
-            || (j.now >= wake && poll_source(&j, node) < 0)
+            || (j.now >= INT(node, ND_wake) && poll_source(&j, node) < 0)
             || (pkt = get_obj(node, ND_packet)) == NULL
             || (pkt == Py_None ? start_packet(&j, node) : stream_flit(&j, node, pkt)) < 0) {
             Py_DECREF(node);
@@ -301,11 +289,11 @@ age_order(PyObject *pend, Py_ssize_t n)
         lane = PyList_GET_ITEM(pend, i);
         if (need(lane, IL_packet) < 0
             || (pkt = get_obj(lane, IL_packet)) == NULL
-            || need(pkt, PK_created) < 0
-            || get_int(pkt, PK_created, &age) < 0) {
+            || need(pkt, PK_created) < 0) {
             PyMem_Free(order);
             return NULL;
         }
+        age = INT(pkt, PK_created);
         for (to = i; to > 0 && order[to - 1].age > age; to--)
             order[to] = order[to - 1];
         order[to].age = age;
@@ -334,9 +322,9 @@ bind(Walk *w, PyObject *switch_id, PyObject *lane, PyObject *pkt, PyObject *out)
 static int
 route_switch(Walk *w, PyObject *switch_id)
 {
-    PyObject *flag, *pend, *lane, *pkt, *out, *next;
+    PyObject *flag, *pend, *lane, *pkt, *out;
     Aged *order = NULL;
-    long long s, rr = 0, turn, received, arrival;
+    long long s, rr = 0, turn;
     Py_ssize_t n, off, idx, routed = -1;
     int rc, fresh = 0;
     if (as_int(switch_id, &s) < 0 || (flag = item(w->awake, s)) == NULL)
@@ -364,19 +352,13 @@ route_switch(Walk *w, PyObject *switch_id)
         goto done;
     for (off = 0; off < n && routed < 0; off++) {
         idx = order != NULL ? order[off].at : rr + off < n ? rr + off : rr + off - n;
-        if ((lane = item(pend, idx)) == NULL
-            || need(lane, IL_received) < 0
-            || get_int(lane, IL_received, &received) < 0)
+        if ((lane = item(pend, idx)) == NULL || need(lane, IL_received) < 0)
             goto done;
-        if (received == 1) {
-            if (get_int(lane, IL_last_arrival, &arrival) < 0)
-                goto done;
-            if (arrival == w->now) {
-                /* the header itself arrived in this cycle's link phase;
-                 * routing it costs one full T_routing */
-                fresh = 1;
-                continue;
-            }
+        if (INT(lane, IL_received) == 1 && INT(lane, IL_last_arrival) == w->now) {
+            /* the header itself arrived in this cycle's link phase; routing
+             * it costs one full T_routing */
+            fresh = 1;
+            continue;
         }
         if ((pkt = get_obj(lane, IL_packet)) == NULL)
             goto done;
@@ -398,15 +380,11 @@ route_switch(Walk *w, PyObject *switch_id)
         if (PySequence_DelItem(pend, routed) < 0)
             goto done;
         w->progress = 1;
-        if (PyList_GET_SIZE(pend) > 0) {
-            if ((next = PyLong_FromSsize_t(routed % PyList_GET_SIZE(pend))) == NULL)
-                goto done;
-            rc = put(w->route_rr, s, next);
-            Py_DECREF(next);
-        }
+        if (PyList_GET_SIZE(pend) > 0)
+            rc = put_int(w->route_rr, s, routed % PyList_GET_SIZE(pend));
         else {
             w->drained = 1;
-            rc = put(w->route_rr, s, zero) < 0 ? -1 : put(w->in_queue, s, Py_False);
+            rc = put_int(w->route_rr, s, 0) < 0 ? -1 : put(w->in_queue, s, Py_False);
         }
     }
     else /* every pending header tried in vain: sleep until something changes */

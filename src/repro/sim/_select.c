@@ -34,7 +34,7 @@ router_open(Router *r, PyObject *routing)
 {
     int kind;
     r->routing = routing;
-    for (kind = N_SLOTTED; kind < N_CLASSES; kind++)
+    for (kind = N_STORED; kind < N_CLASSES; kind++)
         if (Py_IS_TYPE(routing, classes[kind]))
             r->kind = kind;
     if (r->kind == 0)
@@ -225,10 +225,10 @@ static int
 select_tree_adaptive(Router *r, long long s, PyObject *pkt, PyObject **chosen)
 {
     PyObject *ports, *lanes;
-    long long dst, port, nth = 0, tied = 0;
+    long long dst = INT(pkt, PK_dst), port, nth = 0, tied = 0;
     Py_ssize_t i, links, count, best = 0;
     int down;
-    if (get_int(pkt, PK_dst, &dst) < 0 || (down = tree_digit(r, s, dst, 0, &port)) < 0)
+    if ((down = tree_digit(r, s, dst, 0, &port)) < 0)
         return -1;
     if (down)
         return pick_at_port(r, s, port, chosen);
@@ -270,11 +270,9 @@ select_tree_adaptive(Router *r, long long s, PyObject *pkt, PyObject **chosen)
 static int
 select_tree_deterministic(Router *r, long long s, PyObject *pkt, PyObject **chosen)
 {
-    long long dst, src, port;
+    long long port;
     int down;
-    if (get_int(pkt, PK_dst, &dst) < 0
-        || get_int(pkt, PK_src, &src) < 0
-        || (down = tree_digit(r, s, dst, src, &port)) < 0)
+    if ((down = tree_digit(r, s, INT(pkt, PK_dst), INT(pkt, PK_src), &port)) < 0)
         return -1;
     /* ascending: the fixed up port of the source digit */
     return pick_at_port(r, s, down ? port : r->k + port, chosen);
@@ -327,9 +325,9 @@ static int
 select_dor(Router *r, long long s, PyObject *pkt, PyObject **chosen)
 {
     PyObject *here, *there, *minimal, *ports, *lanes;
-    long long dst, a, b, dor_port, vn;
+    long long a, b, dor_port, vn;
     Py_ssize_t dim, dims;
-    if (get_int(pkt, PK_dst, &dst) < 0 || coordinates(r, s, dst, &here, &there, &dims) < 0)
+    if (coordinates(r, s, INT(pkt, PK_dst), &here, &there, &dims) < 0)
         return -1;
     for (dim = 0; dim < dims; dim++) {
         if (as_int(PyTuple_GET_ITEM(here, dim), &a) < 0 || as_int(PyTuple_GET_ITEM(there, dim), &b) < 0)
@@ -351,11 +349,9 @@ static int
 select_duato(Router *r, long long s, PyObject *pkt, PyObject **chosen)
 {
     PyObject *out_ports, *here, *there, *ports, *lanes, *best_lanes = NULL, *escape = NULL;
-    long long dst, a, b, dor_port, vn, port, n_best = 0, draw;
+    long long dst = INT(pkt, PK_dst), a, b, dor_port, vn, port, n_best = 0, draw;
     Py_ssize_t dim, dims, i, count, best = 0;
     int rc;
-    if (get_int(pkt, PK_dst, &dst) < 0)
-        return -1;
     if (s == dst)
         return pick_at_port(r, s, r->eject_port, chosen);
     if ((out_ports = item(r->out, s)) == NULL || coordinates(r, s, dst, &here, &there, &dims) < 0)

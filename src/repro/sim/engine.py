@@ -32,13 +32,18 @@ crossbar, routing — run compiled (``_phases.c``, ``_routing.c`` and
 ``_select.c``, built on first import by :mod:`repro.sim.native`): a
 transcription of the loops below over the very same node, lane and packet
 objects, stepped in lockstep with them by ``tests/test_property_engine.py``.
+There the six classes the loops walk — the lanes, the link direction, the
+packet, the node — also keep their fields in C structs the same extension
+defines (``_storage.c``; :func:`repro.sim.native.storage`), so a counter is a
+machine integer to the kernel and an ``int`` boxed on demand to everything
+else; where the kernel cannot be built they keep them in ``__slots__``.
 The routing walk has the ``select`` of the four shipped algorithms compiled
 with it (drawing from the algorithm's own ``rng``) and calls the Python
 ``select`` of any other class; sources stay Python objects.  The Python loops
 stay as they are — the reference, and the only path where the kernel cannot
-be built; nothing but that decides which runs.  **Change a loop here and
-change its C twin**; the same goes for ``select``, ``pick_free_lane`` and
-``randbelow`` in :mod:`repro.routing`.
+be built; nothing but that decides which loops run and which storage is
+used.  **Change a loop here and change its C twin**; the same goes for
+``select``, ``pick_free_lane`` and ``randbelow`` in :mod:`repro.routing`.
 
 There is one ``step``, written so that a cycle touches only what can move:
 idle link directions cost one comparison, idle sources one comparison and
@@ -73,7 +78,7 @@ from ..topology.cube import KAryNCube
 from ..traffic.generator import BernoulliInjector
 from .config import SimulationConfig
 from .diagnostics import capture_snapshot
-from .native import load_phases
+from .native import INT, REF, load_phases, storage
 from .packet import FAULT_SENTINEL, Packet
 from .results import RunResult
 
@@ -82,10 +87,24 @@ from .results import RunResult
 _EJECT_CREDITS = 1 << 60
 
 
-class _Node:
+class _Node(
+    storage(
+        "_Node",
+        (
+            ("nid", INT),
+            ("source", REF),
+            ("wake", INT),
+            ("lanes", REF),
+            ("rr", INT),
+            ("packet", REF),
+            ("sent", INT),
+            ("lane", REF),
+        ),
+    )
+):
     """Per-node injection state: the single injection channel of §3."""
 
-    __slots__ = ("nid", "source", "wake", "lanes", "rr", "packet", "sent", "lane")
+    __slots__ = ()
 
     def __init__(self, nid: int, source, lanes: list[InputLane]):
         self.nid = nid
@@ -102,12 +121,18 @@ class _Node:
         self.sent = 0
         self.lane: InputLane | None = None
 
+    def __getstate__(self) -> tuple:
+        # what the default protocol writes for a ``__slots__`` class (a base
+        # that is a C struct has no default), so checkpoints hold the same
+        # bytes under either storage
+        return None, {name: getattr(self, name) for name, _ in self.FIELDS}
 
-#: the four phases of ``step``, compiled (``_phases.c`` and ``_routing.c``,
-#: built on first import — see :mod:`repro.sim.native`), or ``None`` where
-#: they cannot be had and ``step`` runs its Python loops.  Read once per
-#: cycle; the lockstep tests set it to ``None`` to step the Python loops
-#: beside it.
+
+#: the four phases of ``step``, compiled (``_phases.c``, ``_routing.c`` and
+#: ``_select.c``, built on first import — see :mod:`repro.sim.native`) and
+#: bound to the classes whose fields they address, or ``None`` where they
+#: cannot be had and ``step`` runs its Python loops.  Read once per cycle;
+#: the lockstep tests set it to ``None`` to step the Python loops beside it.
 NATIVE_PHASES = load_phases(
     InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
     TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,

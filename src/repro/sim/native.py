@@ -1,13 +1,20 @@
-"""Builds and loads the compiled phases (``_phases.c``, ``_routing.c``, ``_select.c``).
+"""Builds and loads the kernel: the compiled phases (``_phases.c``,
+``_routing.c``, ``_select.c``) and the storage they walk (``_storage.c``).
 
 The extension is compiled on first import with the C compiler the
 interpreter itself was built with, into a per-user cache directory, and
 loaded from there ever after: a warm start costs a hash of the sources, a
 ``stat`` and a ``dlopen``.  Where it cannot be had — no CPython, no
 compiler, no writable cache, a cached file somebody else owns —
-:func:`load_phases` returns ``None`` and ``Engine.step`` runs its Python
-loops.  Nothing selects the path but that: no option, no environment
-variable.  Deleting the cache directory forces a rebuild.
+:data:`KERNEL` is ``None``: the lane, packet and node classes keep their
+fields in ``__slots__`` and ``Engine.step`` runs its Python loops.  Nothing
+selects the path but that: no option, no environment variable.  Deleting the
+cache directory forces a rebuild.
+
+Three steps, the first once per process and before any class that needs a
+storage is defined: :func:`load` (build and import), :func:`storage` (the base
+class a field table becomes), :func:`load_phases` (bind the phases to the
+classes).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ _HERE = pathlib.Path(__file__).parent
 #: the translation units, compiled one after the other and linked into one
 #: extension: the compiler is a child process of whoever imports first, and
 #: its resident memory — which grows with the unit — counts against them
-SOURCES = (_HERE / "_phases.c", _HERE / "_routing.c", _HERE / "_select.c")
+SOURCES = (_HERE / "_phases.c", _HERE / "_routing.c", _HERE / "_select.c", _HERE / "_storage.c")
 #: what the units share; part of the cache key
 HEADER = _HERE / "_phases.h"
 
@@ -40,7 +47,11 @@ GCC_FLAGS = (
     "-fno-inline-functions-called-once",
 )
 
-#: what the last :func:`load_phases` did, for CI and the curious: ``path``
+#: the kinds of field a storage has: a counter, id or cycle stamp — a 64-bit
+#: integer — or a reference to any object
+INT, REF = "int", "object"
+
+#: what the last :func:`load` did, for CI and the curious: ``path``
 #: of the extension, and when it had to be built the ``steps`` taken — one
 #: ``(name, command, seconds)`` per translation unit, then the link
 build_log: dict = {}
@@ -101,10 +112,9 @@ def _import(target: pathlib.Path):
     return module
 
 
-def load_phases(*classes):
-    """The compiled phases bound to ``classes`` — the slotted ``InputLane,
-    OutputLane, EjectionLane, LinkDirection, Packet, _Node``, then the four
-    routing algorithms whose ``select`` exists compiled — or ``None``."""
+def load():
+    """Build (unless cached) and import the extension; ``None`` where it
+    cannot be had."""
     build_log.clear()
     if sys.implementation.name != "cpython" or not hasattr(os, "getuid"):
         return None
@@ -132,7 +142,6 @@ def load_phases(*classes):
                 raise
             built = True
             module = _import(target)
-        module.setup(*classes)
     except ImportError as err:
         if built:
             warnings.warn(
@@ -142,7 +151,42 @@ def load_phases(*classes):
                 stacklevel=2,
             )
         return None
-    except (OSError, TypeError):
+    except OSError:
         return None
     build_log["path"] = str(target)
     return module
+
+
+#: the extension, loaded when this module is first imported — before the
+#: classes that take their storage from it are defined — or ``None``
+KERNEL = load()
+
+
+def storage(name: str, fields: tuple) -> type:
+    """The base class that holds ``fields`` — ``(name, INT or REF)`` pairs,
+    the one place a class declares them — for the class called ``name``: a C
+    struct type of the kernel with one 8-byte member per field, or without
+    the kernel a class with the same names in ``__slots__``, in the same
+    order.  Either way the fields are attributes of the instances, the
+    subclass adds ``__slots__ = ()`` and nothing else to the layout, and
+    ``FIELDS`` on the class is the table."""
+    if KERNEL is not None:
+        base = KERNEL.storage(name, fields)
+    else:
+        base = type(name, (), {"__slots__": tuple(field for field, _ in fields)})
+    base.FIELDS = fields
+    return base
+
+
+def load_phases(*classes):
+    """The compiled phases bound to ``classes`` — ``InputLane, OutputLane,
+    EjectionLane, LinkDirection, Packet, _Node``, then the four routing
+    algorithms whose ``select`` exists compiled — or ``None``: without a
+    kernel, or for classes that are not built on its storage."""
+    if KERNEL is None:
+        return None
+    try:
+        KERNEL.setup(*classes)
+    except TypeError:
+        return None
+    return KERNEL

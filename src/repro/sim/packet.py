@@ -13,25 +13,36 @@ paper's metrics:
 * ``dropped`` — cycle a fail-stop fault killed the worm in flight (-1
   for the lossless default; a packet is never both delivered and
   dropped).
+
+All nine fields are integers: on the kernel's storage
+(:func:`repro.sim.native.storage`) a packet is nine machine words and
+nothing the garbage collector needs to follow.
 """
 
 from __future__ import annotations
 
+from .native import INT, storage
 
-class Packet:
+
+class Packet(
+    storage(
+        "Packet",
+        (
+            ("pid", INT),
+            ("src", INT),
+            ("dst", INT),
+            ("size", INT),
+            ("created", INT),
+            ("injected", INT),
+            ("head_delivered", INT),
+            ("delivered", INT),
+            ("dropped", INT),
+        ),
+    )
+):
     """One wormhole packet."""
 
-    __slots__ = (
-        "pid",
-        "src",
-        "dst",
-        "size",
-        "created",
-        "injected",
-        "head_delivered",
-        "delivered",
-        "dropped",
-    )
+    __slots__ = ()
 
     def __init__(self, pid: int, src: int, dst: int, size: int, created: int):
         self.pid = pid
@@ -48,7 +59,7 @@ class Packet:
         self.dropped = -1
 
     def __getstate__(self) -> list:
-        # slot values in ``__slots__`` order (see InputLane.__getstate__)
+        # field values in ``FIELDS`` order (see InputLane.__getstate__)
         return [
             self.pid, self.src, self.dst, self.size, self.created,
             self.injected, self.head_delivered, self.delivered, self.dropped,

@@ -7,9 +7,37 @@ checks and the benchmark harness.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.sim import native
 from repro.sim.run import build_engine, cube_config, tree_config
+
+
+def on_the_other_storage(tmp_path, expression: str, *argv: str) -> str:
+    """What ``expression`` (over ``tests.<module>`` names and ``sys.argv``)
+    prints in a child process whose lane, packet and node classes sit on the
+    storage this process does not use: without the kernel when this process
+    has it (the cache root is made a file: nothing can be built below it),
+    with it — built into a fresh cache — otherwise."""
+    cache = tmp_path / "the-other-cache"
+    if native.KERNEL is not None and not cache.exists():
+        cache.write_text("")
+    script = (
+        "import sys, tests.test_lane, tests.test_checkpoint\n"
+        "from repro.sim import native\n"
+        f"assert (native.KERNEL is None) == {native.KERNEL is not None}\n"
+        f"print({expression})"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "XDG_CACHE_HOME": str(cache)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def small_tree_config(**overrides):

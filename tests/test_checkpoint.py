@@ -53,7 +53,7 @@ from repro.sim.run import build_engine, cube_config, simulate, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
-from .conftest import small_tree_config
+from .conftest import on_the_other_storage, small_tree_config
 from .test_determinism import _canonical
 from .test_property_forensics import FIVE_CONFIGS, _build
 
@@ -313,6 +313,27 @@ class TestResumeIdentity:
         resumed = run_overload_point(config, spec, checkpoint=policy)
         assert _canonical(resumed) == reference
 
+    def test_a_snapshot_written_under_one_storage_resumes_under_the_other(self, tmp_path):
+        # a run that completes leaves its mid-run snapshots behind; the next
+        # call restores the newest and replays the tail.  The child process
+        # keeps its lanes, packets and nodes in the storage this one does not
+        reference = reliable_run_snapshotting()
+        there, here = str(tmp_path / "there"), str(tmp_path / "here_")  # the path is in the payload
+        child = "tests.test_checkpoint.reliable_run_snapshotting(sys.argv[1])"
+        assert on_the_other_storage(tmp_path, child, there).strip() == reference
+        assert reliable_run_snapshotting(here) == reference
+        for first in (there, here):
+            assert {header["format"] for header in _headers(first)} == {4}
+        # the same payload sizes and roots: what is pickled does not say which storage held it
+        assert read_manifest(there)["checkpoints"] == read_manifest(here)["checkpoints"]
+        restored, header = load_checkpoint(checkpoint_files(there)[-1])
+        assert restored.state_fingerprint()["root"] == header["root"]
+        assert reliable_run_snapshotting(there) == reference
+        assert on_the_other_storage(tmp_path, child, here).strip() == reference
+        for resumed in (there, here):
+            assert read_manifest(resumed)["discarded"] == []
+            assert [header["cycle"] for header in _headers(resumed)] == [200, 400]
+
     def test_resume_point_without_checkpoints_returns_none(self, tmp_path):
         assert resume_point(_policy(tmp_path), small_tree_config()) is None
 
@@ -566,6 +587,15 @@ class TestSigtermParity:
 # -- module-level hooks and simulate_fns (pickled by reference) ----------------
 
 _BOOM = {"armed": False}
+
+
+def reliable_run_snapshotting(directory=None) -> str:
+    """The canonical document of a small run under the reliable transport,
+    snapshotting into (or resuming from) ``directory`` when one is given."""
+    policy = None if directory is None else _policy(directory, interval=200)
+    return _canonical(simulate_reliable(
+        small_tree_config(load=0.6), TransportConfig(base_timeout=16, jitter=8, seed=3), checkpoint=policy,
+    ))
 
 
 def _boom(engine) -> None:

@@ -1,12 +1,17 @@
 """Unit tests for virtual-channel lanes (repro.router.lane)."""
 
+import json
 import pickle
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
+from repro.sim import native
+from repro.sim.engine import _Node
 from repro.sim.packet import Packet
+
+from .conftest import on_the_other_storage
 
 
 def pkt(pid=0, size=4):
@@ -128,36 +133,95 @@ class TestLinkDirection:
         assert d.to_node
 
 
+def stored() -> list:
+    """A fresh instance of each class on the storage, with the fields its
+    pickled state leaves out."""
+    return [
+        (InputLane(2, 1, 3, cap=4), ()),
+        (OutputLane(2, 1, 3, cap=4), ()),
+        (EjectionLane(7), ()),
+        (pkt(), ()),
+        (LinkDirection([]), ("rot", "index")),  # rebuilt by Engine.__setstate__
+        (_Node(5, None, []), ()),
+    ]
+
+
+def numbered(obj, derived):
+    """``obj`` with field ``i`` of its pickled state set to ``100 + i``; the names."""
+    names = [name for name, _ in obj.FIELDS if name not in derived]
+    for i, name in enumerate(names):
+        setattr(obj, name, 100 + i)
+    return names
+
+
+def state_values(obj) -> list:
+    state = obj.__getstate__()
+    # _Node keeps the default protocol's (None, {name: value})
+    return list(state[1].values()) if isinstance(state, tuple) else state
+
+
+def describe_storage() -> dict:
+    """Per class: the field table, whether the base is the C struct, and the
+    state a numbered instance pickles."""
+    described = {}
+    for obj, derived in stored():
+        numbered(obj, derived)
+        cls = type(obj)
+        described[cls.__name__] = [
+            cls.FIELDS, cls.__slots__, hasattr(cls.__base__, "__slots__"), obj.__getstate__(),
+        ]
+    return described
+
+
 class TestPickledState:
-    """Checkpoints pickle lanes and packets as lists of their slot values;
-    a slot left out of ``__getstate__`` would come back unset."""
+    """Checkpoints pickle lanes, packets and nodes as their field values; a
+    field left out of ``__getstate__`` would come back unset."""
 
     @pytest.mark.parametrize(
-        "obj, derived",
-        [
-            (InputLane(2, 1, 3, cap=4), ()),
-            (OutputLane(2, 1, 3, cap=4), ()),
-            (EjectionLane(7), ()),
-            (pkt(), ()),
-            (LinkDirection([]), ("rot", "index")),  # rebuilt by Engine.__setstate__
-        ],
+        "obj, derived", stored(),
         ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else "",
     )
     def test_every_slot_round_trips(self, obj, derived):
-        slots = [name for name in type(obj).__slots__ if name not in derived]
-        for i, name in enumerate(slots):
-            setattr(obj, name, 100 + i)
-        state = obj.__getstate__()
-        assert state == [100 + i for i in range(len(slots))]
+        names = numbered(obj, derived)
+        state = state_values(obj)
+        assert state == [100 + i for i in range(len(names))]
         clone = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-        assert [getattr(clone, name) for name in slots] == state
+        assert [getattr(clone, name) for name in names] == state
+
+    def test_the_two_storages_hold_the_same_fields_and_pickle_the_same_state(self, tmp_path):
+        there = json.loads(on_the_other_storage(
+            tmp_path, "__import__('json').dumps(tests.test_lane.describe_storage())"
+        ))
+        here = json.loads(json.dumps(describe_storage()))
+        assert len(here) == 6
+        for name, (fields, slots, slotted, state) in here.items():
+            assert slots == [] and slotted == (native.KERNEL is None)
+            assert there[name] == [fields, slots, not slotted, state]
+
+    @pytest.mark.parametrize("value", ["4", None, 2.5, 2**63])
+    def test_what_a_counter_takes_is_the_storage_s_business(self, value):
+        # the C struct refuses at the assignment what is not a 64-bit integer;
+        # a slot takes anything, and the loops trip over it later
+        lane = OutputLane(0, 0, 0, cap=4, credits=4)
+        if native.KERNEL is None:
+            lane.credits = value
+            assert lane.credits is value
+            del lane.credits
+            assert not hasattr(lane, "credits")
+        else:
+            with pytest.raises(OverflowError if isinstance(value, int) else TypeError):
+                lane.credits = value
+            with pytest.raises(TypeError):
+                del lane.credits
+            lane.credits = True  # an int, to the machine
+            assert lane.credits == 1 and type(lane.credits) is int
 
     def test_sent_is_read_off_the_sink(self):
         # the output-lane/sink pair carries one packet at a time, so the
         # flits the lane has sent are the flits its sink has received
         sink = InputLane(1, 0, 0, cap=4)
         lane = OutputLane(0, 0, 0, cap=4, sink=sink, credits=4)
-        assert "sent" not in OutputLane.__slots__
+        assert "sent" not in dict(OutputLane.FIELDS)
         assert lane.sent == 0  # unallocated
         p = pkt(size=3)
         lane.packet = p

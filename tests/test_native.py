@@ -1,11 +1,14 @@
-"""The loader of the compiled phases (``repro.sim.native``): what it builds,
-where, and every way it declines — each of which must leave ``load_phases``
-returning ``None`` (the engine then runs its Python loops), silently unless
-a compiler that is present refused the source.
+"""The loader of the kernel (``repro.sim.native``): what ``load`` builds,
+where, and every way it declines — each of which must leave it returning
+``None`` (the classes then keep their fields in ``__slots__`` and the engine
+runs its Python loops), silently unless a compiler that is present refused
+the source — and what ``load_phases`` binds the phases to.
 """
 
 import os
 import pathlib
+import subprocess
+import sys
 import sysconfig
 import warnings
 
@@ -21,6 +24,7 @@ from repro.routing import (
 from repro.sim import native
 from repro.sim.engine import _Node
 from repro.sim.packet import Packet
+from repro.sim.run import build_engine, cube_config
 
 from .test_property_engine import needs_kernel
 
@@ -45,12 +49,14 @@ def cache(tmp_path, monkeypatch):
 def load_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return native.load_phases(*CLASSES)
+        return native.load()
 
 
 def test_cold_build_then_warm_load(cache):
     module = load_silently()
-    assert {"link_phase", "injection_phase", "crossbar_phase", "routing_phase"} <= set(dir(module))
+    assert {"storage", "setup", "link_phase", "injection_phase", "crossbar_phase",
+            "routing_phase"} <= set(dir(module))
+    module.setup(*CLASSES)  # a second copy of the kernel addresses the same fields
     # one step per translation unit, then the link into the cache directory
     names, commands, seconds = zip(*native.build_log["steps"])
     assert names == (*(source.name for source in native.SOURCES), "link")
@@ -98,7 +104,7 @@ def test_refused_source_warns_once_with_the_compilers_words(cache, tmp_path, mon
     broken.write_text("#include <Python.h>\nint broken(void) { return undeclared_name; }\n")
     monkeypatch.setattr(native, "SOURCES", (broken,))
     with pytest.warns(RuntimeWarning, match="undeclared_name") as caught:
-        assert native.load_phases(*CLASSES) is None
+        assert native.load() is None
     assert len(caught) == 1
     assert list(cache.iterdir()) == []  # no half-written file left behind
 
@@ -132,7 +138,7 @@ def test_a_rebuilt_file_that_still_does_not_import_warns_once(stale, monkeypatch
 
     monkeypatch.setattr(native, "_import", refuse)
     with pytest.warns(RuntimeWarning, match="wrong ELF class") as caught:
-        assert native.load_phases(*CLASSES) is None
+        assert native.load() is None
     assert len(caught) == 1
 
 
@@ -150,11 +156,39 @@ def test_a_file_somebody_else_owns_is_not_loaded(cache, monkeypatch):
     assert load_silently() is None
 
 
-def test_classes_without_the_slots_are_declined(cache):
-    class Loose:  # no __slots__: nothing to address by offset
+def test_classes_not_built_on_the_storage_are_declined():
+    class Loose:  # no fields at all
         pass
 
+    # the right names in the right order, but every one an object pointer
+    slotted = type("InputLane", (), {"__slots__": tuple(name for name, _ in InputLane.FIELDS)})
     assert native.load_phases(Loose, *CLASSES[1:]) is None
+    assert native.load_phases(slotted, *CLASSES[1:]) is None
+    assert native.load_phases(*CLASSES[:4], OutputLane, *CLASSES[5:]) is None  # no Packet.src
+    # a declined setup leaves the one before it in place: the engine's
+    engine = build_engine(cube_config(k=4, n=2, load=0.5, warmup_cycles=10, total_cycles=60))
+    engine.run()
+    engine.audit()
+    assert native.load_phases(*CLASSES) is native.KERNEL
+
+
+def test_the_six_classes_sit_on_the_c_storage_whichever_module_is_imported_first():
+    # lane.py and packet.py need the storage types before engine.py binds the phases
+    for first in ("repro.router.lane", "repro.sim.packet", "repro"):
+        script = f"""if True:
+            import {first}
+            import repro.sim.engine as engine
+            from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
+            from repro.sim.packet import Packet
+            assert engine.NATIVE_PHASES is not None
+            for cls in (InputLane, OutputLane, EjectionLane, LinkDirection, Packet, engine._Node):
+                base = cls.__base__
+                assert cls.__slots__ == () and base.__module__ == "repro.sim._phases", cls
+                assert not hasattr(base, "__slots__") and base.FIELDS is cls.FIELDS
+                assert cls.__basicsize__ == 16 + 8 * len(cls.FIELDS)
+        """
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def test_not_cpython_is_declined(cache, monkeypatch):

@@ -14,7 +14,9 @@ kernel engine and its pure-Python twin, stepped side by side over random
 recipes, agree on ``state_fingerprint()``, the routing algorithm's RNG state
 and its counters after every cycle and on the ordered log of all nine probe
 events.  The twin is the same engine class stepped with the module-level
-kernel handle patched to ``None``.
+kernel handle patched to ``None`` — over the same storage: where these tests
+run the lanes, packets and nodes of both twins are C structs, so what can be
+corrupted is a reference, not a counter.
 """
 
 import collections
@@ -29,7 +31,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine_module
-from repro.errors import SimulationError
 from repro.faults import (
     CubeLinkFault,
     FaultPolicy,
@@ -43,6 +44,7 @@ from repro.obs.probe import EVENTS, Probe
 from repro.routing.base import RoutingAlgorithm, register
 from repro.routing.tree_adaptive import TreeAdaptiveRouting
 from repro.sim.checkpoint import CheckpointPolicy, checkpoint_files, read_checkpoint_header
+from repro.sim.native import INT
 from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.generator import PacketSource
 from repro.traffic.transport import Reliable, TransportConfig
@@ -474,9 +476,25 @@ class PacketLog(Probe):
         self.packets.append(packet)
 
 
+def counters(engine) -> tuple:
+    """Every counter the phases write, whatever the references around them
+    have become: what is left to compare of an engine too corrupt to hash."""
+    stored = [*engine.nodes, *engine.dirs]
+    stored += [lane for d in engine.dirs for lane in d.lanes]
+    stored += [lane for ports in engine.in_lanes for lanes in ports for lane in lanes]
+    stored += [sink for sinks in engine.eject_lanes for sink in sinks]
+    return (
+        [[getattr(obj, name) for name, kind in obj.FIELDS if kind == INT] for obj in stored],
+        engine.injected_flits_total, engine.delivered_flits_total, engine.injected_packets_total,
+        engine.delivered_packets_total, engine._next_pid, len(engine.bindings),
+        [len(pend) for pend in engine.pending], engine.route_queue, engine._route_awake,
+    )
+
+
 def stepped_under(engine, python: bool, cycles: int = 8):
     """What stepping ``engine`` raised (its type, ``None`` for nothing), what
-    ``audit()`` then says of it, and the fingerprint it was left with."""
+    ``audit()`` then says of it, and the fingerprint and counters it was
+    left with."""
     raised = None
     with python_loops() if python else contextlib.nullcontext():
         try:
@@ -487,9 +505,13 @@ def stepped_under(engine, python: bool, cycles: int = 8):
     try:
         engine.audit()
         verdict = "clean"
-    except SimulationError as err:
-        verdict = str(err)
-    return raised, verdict, engine.state_fingerprint()["root"]
+    except Exception as err:  # the audit may trip over the corruption itself
+        verdict = f"{type(err).__name__}: {err}"
+    try:
+        root = engine.state_fingerprint()["root"]
+    except Exception as err:
+        root = type(err).__name__
+    return raised, verdict, root, counters(engine)
 
 
 @needs_kernel
@@ -536,25 +558,44 @@ class TestCompiledPhasesFailurePaths:
         # the log, the list above and the loop variable
         assert holders(python=False) == holders(python=True) == {4}
 
-    @pytest.mark.parametrize("python", [False, True])
-    @pytest.mark.parametrize("corrupt, error", [
-        (lambda lane: setattr(lane, "credits", "4"), TypeError),
-        (lambda lane: setattr(lane, "buffered", None), TypeError),
-        (lambda lane: setattr(lane, "packet", None), AttributeError),
-        (lambda lane: setattr(lane.sink, "received", "1"), TypeError),
-        (lambda lane: delattr(lane, "credits"), AttributeError),
-    ])
-    def test_corrupt_state_raises_what_the_python_loops_raise(self, python, corrupt, error):
-        engine = self.loaded()
-        lane = next(
+    @staticmethod
+    def crossing_lane(engine):
+        """An output lane about to send a body flit over its link."""
+        return next(
             lane for d in engine._fabric_dirs for lane in d.lanes
             if lane.buffered > 0 and lane.credits > 0 and lane.sink.packet is not None
         )
-        corrupt(lane)
-        with pytest.raises(error):
-            with python_loops() if python else contextlib.nullcontext():
-                for _ in range(8):
-                    engine.step()
+
+    @pytest.mark.parametrize("value, error", [("4", TypeError), (None, TypeError), (2.0, TypeError),
+                                              (2**63, OverflowError), (-2**63 - 1, OverflowError)])
+    def test_a_counter_refuses_at_the_assignment_what_is_not_a_machine_integer(self, value, error):
+        # on the C storage the loops cannot meet a str or a None in a counter:
+        # nobody can put one there (tests/test_lane.py has the other storage)
+        engine = self.loaded()
+        lane = self.crossing_lane(engine)
+        node = next(n for n in engine.nodes if n.packet is not None)
+        for obj, name in ((lane, "credits"), (lane, "buffered"), (lane.sink, "received"),
+                          (lane.direction, "nbusy"), (lane.packet, "size"), (node, "sent")):
+            with pytest.raises(error):
+                setattr(obj, name, value)
+            with pytest.raises(TypeError):
+                delattr(obj, name)
+            assert type(getattr(obj, name)) is int
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda lane: setattr(lane, "packet", None), AttributeError),
+        (lambda lane: delattr(lane, "packet"), AttributeError),
+        (lambda lane: setattr(lane, "sink", None), AttributeError),
+        (lambda lane: setattr(lane.sink, "bound", None), AttributeError),
+    ])
+    def test_corrupt_state_raises_what_the_python_loops_raise(self, corrupt, error):
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            corrupt(self.crossing_lane(engine))
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]  # in the same cycle, leaving the same engine
+        assert outcomes[0][0] is error
 
     @staticmethod
     def stalled_switch(engine) -> int:
@@ -564,8 +605,8 @@ class TestCompiledPhasesFailurePaths:
     @pytest.mark.parametrize("corrupt, error", [
         (lambda e, s: setattr(next(n for n in e.nodes if n.packet is not None), "lane", None),
          AttributeError),
-        (lambda e, s: setattr(next(n for n in e.nodes if n.packet is not None), "sent", "2"),
-         TypeError),
+        (lambda e, s: setattr(next(n for n in e.nodes if n.packet is None), "packet", "a str"),
+         AttributeError),
         (lambda e, s: e.route_rr.__setitem__(s, "0"), TypeError),
         (lambda e, s: e.pending[s].insert(0, None), AttributeError),
         (lambda e, s: setattr(e.pending[s][0], "packet", None), AttributeError),
@@ -579,12 +620,9 @@ class TestCompiledPhasesFailurePaths:
             engine._wake_routing()
             engine.route_rr[s] = 0
             corrupt(engine, s)
-            with pytest.raises(error):
-                with python_loops() if python else contextlib.nullcontext():
-                    for _ in range(8):
-                        engine.step()
-            outcomes.append(engine.cycle)
-        assert outcomes[0] == outcomes[1]  # in the same cycle
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]  # in the same cycle, leaving the same engine
+        assert outcomes[0][0] is error
 
     def test_a_raising_select_propagates_and_leaves_the_same_engine(self):
         class Fused(FirstFitTreeRouting):
@@ -621,7 +659,7 @@ class TestCompiledPhasesFailurePaths:
             node.source, node.wake = Broken(), engine.cycle + 3
             return stepped_under(engine, python)
 
-        raised, verdict, _ = kernel = outcome(python=False)
+        raised, verdict, *_ = kernel = outcome(python=False)
         assert kernel == outcome(python=True)
         # the nodes before it had streamed: their flits were never counted
         assert raised is ZeroDivisionError and "conservation" in verdict
