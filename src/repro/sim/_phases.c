@@ -223,6 +223,43 @@ enqueue_header(Headers *h, PyObject *lane)
     return rc;
 }
 
+/* -- look-ahead ---------------------------------------------------------------- */
+
+/* The walks below visit objects scattered over the heap, and what a visit
+ * costs is mostly the wait for their first load.  So each walk asks for the
+ * cache lines of what it will visit a few positions on.  A look-ahead takes no
+ * reference, stores nothing and raises nothing, and reads a field of an
+ * object only after the test need() makes on it: whatever else lies ahead of
+ * the cursor is skipped, and the visit raises what it raises. */
+
+/* distances, in positions of the list walked (DESIGN.md section 6 has the
+ * measurements behind them) */
+enum { DIRECTIONS_AHEAD = 3, BINDINGS_AHEAD = 12, BOUND_AHEAD = 6 };
+
+/* The two cache lines the fields of a lane start in.  A macro: gcc counts a
+ * prefetch as no side effect and drops the calls of a function that has no
+ * other, so what lies ahead is found by a function and asked for here. */
+#define FETCH(o) (__builtin_prefetch(o), __builtin_prefetch((const char *)(o) + 64))
+
+/* the lanes of d where the link walk will scan them -- d is a direction with
+ * a flit waiting -- and they are a list; else NULL */
+static inline PyObject *
+lanes_ahead(PyObject *d)
+{
+    PyObject *lanes;
+    if (!Py_IS_TYPE(d, classes[LD]) || INT(d, LD_nbusy) == 0)
+        return NULL;
+    lanes = REF(d, LD_lanes);
+    return lanes != NULL && PyList_CheckExact(lanes) ? lanes : NULL;
+}
+
+/* the output lane a binding forwards to where it has one; else NULL */
+static inline PyObject *
+bound_ahead(PyObject *lane)
+{
+    return Py_IS_TYPE(lane, classes[IL]) ? REF(lane, IL_bound) : NULL;
+}
+
 /* -- the link phase ----------------------------------------------------------- */
 
 typedef struct {
@@ -278,7 +315,7 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
 {
     PyObject *lanes, *cand, *pkt, *best = NULL;
     long long rr = 0, created, best_age = 0;
-    Py_ssize_t i, n;
+    Py_ssize_t i, n, at;
 
     if (INT(d, LD_nbusy) == 0)
         return 0;
@@ -296,8 +333,10 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
             return -1;
         }
     }
-    for (i = 0; i < n; i++) {
-        cand = PyList_GET_ITEM(lanes, (rr + i) % n);
+    for (i = 0, at = rr; i < n; i++, at++) {
+        if (at == n)
+            at = 0;
+        cand = PyList_GET_ITEM(lanes, at);
         if (need(cand, OL_buffered) < 0)
             return -1;
         if (INT(cand, OL_buffered) <= 0 || INT(cand, OL_credits) <= 0)
@@ -483,8 +522,8 @@ done:
 static int
 walk(Link *k, PyObject *name, int (*hop)(Link *, PyObject *))
 {
-    PyObject *dirs = PyObject_GetAttr(k->h.engine, name), *d;
-    Py_ssize_t i;
+    PyObject *dirs = PyObject_GetAttr(k->h.engine, name), *d, *ahead;
+    Py_ssize_t i, j;
     int rc = 0, moved;
     if (dirs == NULL)
         return -1;
@@ -493,6 +532,10 @@ walk(Link *k, PyObject *name, int (*hop)(Link *, PyObject *))
         rc = -1;
     }
     for (i = 0; rc >= 0 && i < PyList_GET_SIZE(dirs); i++) {
+        if (i + DIRECTIONS_AHEAD < PyList_GET_SIZE(dirs)
+            && (ahead = lanes_ahead(PyList_GET_ITEM(dirs, i + DIRECTIONS_AHEAD))) != NULL)
+            for (j = 0; j < PyList_GET_SIZE(ahead); j++)
+                FETCH(PyList_GET_ITEM(ahead, j));
         d = Py_NewRef(PyList_GET_ITEM(dirs, i)); /* a probe may run in the hop */
         moved = need(d, LD_nbusy) < 0 ? -1 : hop(k, d);
         Py_DECREF(d);
@@ -595,9 +638,9 @@ forward(PyObject *lane, long long now, long long cap, PyObject *awake, int *move
 static PyObject *
 crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *engine, *config, *old = NULL, *kept = NULL, *awake = NULL, *lane;
+    PyObject *engine, *config, *old = NULL, *kept = NULL, *awake = NULL, *lane, *ahead;
     long long now, cap;
-    Py_ssize_t i;
+    Py_ssize_t i, n, live, staying = 0;
     int moved = 0, rc = -1;
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError, "crossbar_phase(engine, t)");
@@ -612,21 +655,32 @@ crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     rc = -1;
     if ((old = PyObject_GetAttr(engine, s_bindings)) == NULL
-        || (awake = PyObject_GetAttr(engine, s__route_awake)) == NULL
-        || (kept = PyList_New(0)) == NULL)
+        || (awake = PyObject_GetAttr(engine, s__route_awake)) == NULL)
         goto done;
     if (!PyList_Check(old)) {
         PyErr_SetString(PyExc_TypeError, "Engine.bindings must be a list");
         goto done;
     }
-    for (i = 0; i < PyList_GET_SIZE(old); i++) {
+    /* room for every binding, filled from the front; the tail is cut below */
+    n = PyList_GET_SIZE(old);
+    if ((kept = PyList_New(n)) == NULL)
+        goto done;
+    /* forward() runs no Python code over the engine's own objects, but a
+     * foreign `_route_awake` (put_slow -> __setitem__) or a packet finaliser
+     * could: the length is read again, and never past the room in kept */
+    for (i = 0; i < (live = Py_MIN(n, PyList_GET_SIZE(old))); i++) {
+        if (i + BINDINGS_AHEAD < live)
+            FETCH(PyList_GET_ITEM(old, i + BINDINGS_AHEAD));
+        if (i + BOUND_AHEAD < live && (ahead = bound_ahead(PyList_GET_ITEM(old, i + BOUND_AHEAD))) != NULL)
+            FETCH(ahead);
         lane = PyList_GET_ITEM(old, i);
-        rc = forward(lane, now, cap, awake, &moved);
-        if (rc > 0)
-            rc = PyList_Append(kept, lane);
-        if (rc < 0)
+        if ((rc = forward(lane, now, cap, awake, &moved)) < 0)
             goto done;
+        if (rc > 0)
+            PyList_SET_ITEM(kept, staying++, Py_NewRef(lane));
     }
+    if (staying < n && (rc = PyList_SetSlice(kept, staying, n, NULL)) < 0)
+        goto done;
     rc = PyObject_SetAttr(engine, s_bindings, kept);
 done:
     Py_XDECREF(old);

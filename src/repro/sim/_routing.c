@@ -151,9 +151,10 @@ start_packet(Inject *j, PyObject *node)
         goto done;
     }
     n = PyList_GET_SIZE(lanes);
+    if (n > 0 && floor_divmod(rr, n, &turn, &rr) < 0)
+        goto done;
     for (off = 0; off < n; off++) {
-        if (floor_divmod(rr + off, n, &turn, &idx) < 0)
-            goto done;
+        idx = rr + off < n ? rr + off : rr + off - n;
         lane = PyList_GET_ITEM(lanes, idx);
         if (need(lane, IL_packet) < 0 || get_obj(lane, IL_packet) == NULL)
             goto done;
@@ -164,7 +165,7 @@ start_packet(Inject *j, PyObject *node)
         rc = 0;
         goto done;
     }
-    INT(node, ND_rr) = (idx + 1) % n;
+    INT(node, ND_rr) = idx + 1 < n ? idx + 1 : 0;
     Py_INCREF(lane); /* the source, then a probe, may run */
     if ((entry = PyObject_CallMethodNoArgs(queue, s_popleft)) != NULL) {
         rc = inject_header(j, node, lane, entry);

@@ -7,6 +7,9 @@ the source — and what ``load_phases`` binds the phases to.
 
 import os
 import pathlib
+import platform
+import re
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -78,6 +81,19 @@ def test_source_builds_warning_free(cache, monkeypatch):
     monkeypatch.setattr(native, "FLAGS", native.FLAGS + ("-Wall", "-Werror"))
     assert load_silently() is not None
     assert all("-Werror" in command for _, command, _ in native.build_log["steps"][:-1])
+
+
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="no objdump to read the kernel with")
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "aarch64"), reason="prefetch mnemonics unknown")
+def test_the_look_ahead_of_the_walks_is_in_the_built_kernel():
+    # invisible by construction, so only a timing would miss it -- and gcc
+    # drops every call of a function that does nothing but prefetch
+    listing = subprocess.run(
+        ["objdump", "-d", "--no-show-raw-insn", native.build_log["path"]],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    # two lines each of a direction's lanes, a binding and its output lane
+    assert len(re.findall(r"\bprefetch|\bprfm\b", listing)) >= 6
 
 
 def test_source_change_builds_a_new_file(cache, tmp_path, monkeypatch):

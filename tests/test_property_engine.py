@@ -476,7 +476,11 @@ class PacketLog(Probe):
         self.packets.append(packet)
 
 
-def counters(engine) -> tuple:
+def int_fields(obj) -> list:
+    return [getattr(obj, name) for name, kind in obj.FIELDS if kind == INT]
+
+
+def counters(engine, row=int_fields) -> tuple:
     """Every counter the phases write, whatever the references around them
     have become: what is left to compare of an engine too corrupt to hash."""
     stored = [*engine.nodes, *engine.dirs]
@@ -484,14 +488,14 @@ def counters(engine) -> tuple:
     stored += [lane for ports in engine.in_lanes for lanes in ports for lane in lanes]
     stored += [sink for sinks in engine.eject_lanes for sink in sinks]
     return (
-        [[getattr(obj, name) for name, kind in obj.FIELDS if kind == INT] for obj in stored],
+        [row(obj) for obj in stored],
         engine.injected_flits_total, engine.delivered_flits_total, engine.injected_packets_total,
         engine.delivered_packets_total, engine._next_pid, len(engine.bindings),
         [len(pend) for pend in engine.pending], engine.route_queue, engine._route_awake,
     )
 
 
-def stepped_under(engine, python: bool, cycles: int = 8):
+def stepped_under(engine, python: bool, cycles: int = 8, row=int_fields):
     """What stepping ``engine`` raised (its type, ``None`` for nothing), what
     ``audit()`` then says of it, and the fingerprint and counters it was
     left with."""
@@ -511,7 +515,50 @@ def stepped_under(engine, python: bool, cycles: int = 8):
         root = engine.state_fingerprint()["root"]
     except Exception as err:
         root = type(err).__name__
-    return raised, verdict, root, counters(engine)
+    return raised, verdict, root, counters(engine, row)
+
+
+def lookalike(obj):
+    """``obj``'s fields and values in a ``__slots__`` class of its own: the
+    Python loops, which go by attribute, take it for the real thing; the
+    kernel, which goes by offset, must not."""
+    names = tuple(name for name, _ in obj.FIELDS)
+    double = type(f"{type(obj).__name__}Lookalike", (), {"__slots__": names})()
+    for name in names:
+        setattr(double, name, getattr(obj, name))
+    return double
+
+
+def busy_direction(engine):
+    """A fabric direction the link walk scans this cycle, far enough down the
+    list for the look-ahead to have met it before the cursor does."""
+    return next(d for d in engine._fabric_dirs[8:] if d.nbusy > 0)
+
+
+def fields_or_type(obj):
+    """A row for ``counters`` that lets an intruder without a field table
+    stand where a test put it: both twins must find the same type there."""
+    return int_fields(obj) if hasattr(obj, "FIELDS") else type(obj).__name__
+
+
+def replace_item(items: list, at: int, make) -> None:
+    items[at] = make(items[at])
+
+
+def replace_first_scanned_lane(engine, make) -> None:
+    d = busy_direction(engine)
+    replace_item(d.lanes, d.rr, make)
+    d.build_rot()
+
+
+#: where the compiled walks look ahead of their cursor, and how to put
+#: ``make(what is there)`` in such a place
+AHEAD_OF_THE_CURSOR = {
+    "_fabric_dirs": lambda engine, make: replace_item(engine._fabric_dirs, 40, make),
+    "_eject_dirs": lambda engine, make: replace_item(engine._eject_dirs, -1, make),
+    "bindings": lambda engine, make: replace_item(engine.bindings, -1, make),
+    "lanes": replace_first_scanned_lane,
+}
 
 
 @needs_kernel
@@ -596,6 +643,96 @@ class TestCompiledPhasesFailurePaths:
             outcomes.append((*stepped_under(engine, python), engine.cycle))
         assert outcomes[0] == outcomes[1]  # in the same cycle, leaving the same engine
         assert outcomes[0][0] is error
+
+    @pytest.mark.parametrize("where", AHEAD_OF_THE_CURSOR)
+    @pytest.mark.parametrize("make", [lambda obj: None, lambda obj: object()], ids=["none", "foreign"])
+    def test_what_is_not_a_lane_ahead_of_the_cursor_raises_at_the_visit_as_in_python(self, where, make):
+        # the look-ahead skips it: the walk gets as far as the Python loop does
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            assert len(engine.bindings) > 24 and len(engine._fabric_dirs) > 48
+            AHEAD_OF_THE_CURSOR[where](engine, make)
+            outcomes.append((*stepped_under(engine, python, row=fields_or_type), engine.cycle))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is AttributeError and outcomes[0][-1] == 60
+
+    @pytest.mark.parametrize("where", AHEAD_OF_THE_CURSOR)
+    def test_a_lookalike_ahead_of_the_cursor_is_refused_at_the_visit_and_never_read(self, where):
+        # no twin to hold it to: the Python loops go by attribute and carry on
+        engine = self.loaded()
+        AHEAD_OF_THE_CURSOR[where](engine, lookalike)
+        with pytest.raises(TypeError, match="the compiled phases need a .*, not a .*Lookalike"):
+            engine.step()
+        assert engine.cycle == 60
+
+    def test_lanes_shorter_than_the_round_robin_pointer_raise_the_same_on_both_paths(self):
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            d = busy_direction(engine)
+            d.lanes = d.lanes[:1]
+            d.build_rot()
+            d.rr = 2
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
+
+    def test_lanes_in_a_tuple_are_refused_at_the_visit(self):
+        # the kernel has always wanted a list here (the Python loops walk any
+        # sequence); the look-ahead leaves saying so to the visit
+        engine = self.loaded()
+        d = busy_direction(engine)
+        d.lanes = tuple(d.lanes)
+        d.build_rot()
+        with pytest.raises(TypeError, match="LinkDirection.lanes must be a list"):
+            engine.step()
+        assert engine.cycle == 60
+
+    @pytest.mark.parametrize("event", ["on_direction_blocked", "on_head_arrived"])
+    def test_a_handler_that_shortens_the_list_being_walked_ends_the_walk_alike(self, event):
+        class Cutter(Probe):
+            engine, cuts = None, 0
+
+        def cut(self, cycle, *args):
+            # the first call halves both lists, every later one drops the last
+            # direction: the cursor's look-ahead keeps running off the end
+            for dirs in (self.engine._fabric_dirs, self.engine._eject_dirs):
+                del dirs[len(dirs) // 2 if self.cuts == 0 else -1:]
+            self.cuts += 1
+
+        setattr(Cutter, event, cut)
+
+        def outcome(python: bool):
+            probe = Cutter()
+            probe.engine = engine = build_engine(
+                cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
+                            warmup_cycles=20, total_cycles=5000),
+                probe=probe,
+            )
+            result = stepped_under(engine, python, cycles=60)
+            assert 1 < probe.cuts and len(engine._fabric_dirs) < 30
+            return (*result, probe.cuts, len(engine._fabric_dirs), len(engine._eject_dirs))
+
+        assert outcome(python=False) == outcome(python=True)
+
+    def test_the_look_ahead_holds_no_reference(self):
+        # every object it touches -- the directions, their lane lists, the
+        # output lanes, the bindings and what they are bound to -- is held by
+        # exactly as many as after the same cycles of the Python loops
+        def holders(python: bool) -> list:
+            engine = self.loaded()
+            with python_loops() if python else contextlib.nullcontext():
+                for _ in range(200):
+                    engine.step()
+            touched = [*engine.dirs, *engine.bindings]
+            touched += [d.lanes for d in engine.dirs]
+            touched += [lane for d in engine.dirs for lane in d.lanes]
+            touched += [lane for ports in engine.in_lanes for lanes in ports for lane in lanes]
+            assert len(engine.bindings) > 24
+            return [sys.getrefcount(obj) for obj in touched]
+
+        assert holders(python=False) == holders(python=True)
 
     @staticmethod
     def stalled_switch(engine) -> int:
