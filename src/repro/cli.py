@@ -109,6 +109,7 @@ from .experiments.search import find_saturation
 from .experiments.sweep import run_curves
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
+from .sim.config import ARBITER_POLICIES
 from .sim.run import cube_config, simulate_post_mortem, tree_config
 from .timing.normalization import cube_scaling, equal_cost_pairs, tree_scaling
 from .topology.cube import KAryNCube
@@ -1076,8 +1077,6 @@ def _switch(flag, help=None):
     return flag, dict(action="store_true", help=help)
 
 
-_ARBITERS = ("round_robin", "age")
-
 OPTIONS = {
     # the simulated recipe
     "network": _opt("--network", default="tree", choices=("tree", "cube")),
@@ -1091,7 +1090,7 @@ OPTIONS = {
     "seed": _opt("--seed", int, 1),
     "profile": _opt("--profile", help="fast, default or full"),
     "arbiter": _opt(
-        "--arbiter", default="round_robin", choices=_ARBITERS,
+        "--arbiter", default="round_robin", choices=ARBITER_POLICIES,
         help="lane arbitration policy (age = oldest packet first)",
     ),
     "load": _opt("--load", float, 0.5, "fraction of capacity"),
@@ -1209,7 +1208,7 @@ OPTIONS = {
         "--max-factor", float, 2.0, "top of the offered-load axis in saturation multiples"
     ),
     "arbiter_closed": _opt(
-        "--arbiter-closed", default="round_robin", choices=_ARBITERS,
+        "--arbiter-closed", default="round_robin", choices=ARBITER_POLICIES,
         help="lane arbitration policy for closed-loop runs (age improves the "
         "median past saturation but inflates the tail; default: round_robin)",
     ),

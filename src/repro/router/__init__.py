@@ -4,8 +4,8 @@ The modeled switch has, per bidirectional channel and direction, V virtual
 channel *lanes* (input and output buffers), an internal crossbar binding
 input lanes to output lanes for the duration of a packet (wormhole
 switching), credit ("ack") counters that mirror the downstream input-lane
-buffer space, and fair round-robin arbiters multiplexing lanes onto the
-physical links.
+buffer space, and a fair arbiter per link direction multiplexing its lanes
+onto the physical link (:func:`repro.sim.phases.pick_lane`).
 
 Flits are never materialized as objects: wormhole allocation means a lane
 holds flits of one packet at a time, so a lane is a handful of counters
@@ -13,12 +13,9 @@ holds flits of one packet at a time, so a lane is a handful of counters
 and flit movement is counter arithmetic.
 """
 
-from .arbiter import RoundRobinArbiter, round_robin_pick
 from .lane import EjectionLane, InputLane, LinkDirection, OutputLane
 
 __all__ = [
-    "RoundRobinArbiter",
-    "round_robin_pick",
     "EjectionLane",
     "InputLane",
     "LinkDirection",

@@ -37,7 +37,6 @@ overlap window of at most 4 flits per hop, identically for both networks.
 
 from __future__ import annotations
 
-from ..errors import SimulationError
 from ..sim.native import INT, REF, storage
 from ..sim.packet import Packet
 
@@ -104,35 +103,6 @@ class InputLane(
     @property
     def buffered(self) -> int:
         return self.received - self.forwarded
-
-    def has_space(self) -> bool:
-        return self.buffered < self.cap
-
-    def accept_flit(self, packet: Packet, cycle: int) -> bool:
-        """Receive one flit from the link; returns True if it was the header."""
-        if self.packet is None:
-            if self.received or self.forwarded:
-                raise SimulationError("free input lane with residual counters")
-            self.packet = packet
-            self.received = 1
-            self.last_arrival = cycle
-            return True
-        if packet is not self.packet:
-            raise SimulationError("flit of a different packet on an allocated lane")
-        if self.buffered >= self.cap:
-            raise SimulationError("input lane overflow (credit protocol violated)")
-        self.received += 1
-        self.last_arrival = cycle
-        return False
-
-    def release(self) -> None:
-        """Free the lane after the tail flit has been forwarded."""
-        if self.forwarded != (self.packet.size if self.packet else -1):
-            raise SimulationError("releasing an input lane before the tail")
-        self.packet = None
-        self.received = 0
-        self.forwarded = 0
-        self.bound = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pid = self.packet.pid if self.packet else None
@@ -231,7 +201,7 @@ class EjectionLane(storage("EjectionLane", (("node", INT), ("packet", REF), ("re
     The node consumes arriving flits immediately (the physical bottleneck
     — one flit per cycle on the node link — is enforced by the link-phase
     arbiter), so the lane only tracks reassembly progress of the current
-    packet.  Completion is reported to the engine via ``delivered``.
+    packet (``eject_hop`` of the link phase).
     """
 
     __slots__ = ()
@@ -246,25 +216,6 @@ class EjectionLane(storage("EjectionLane", (("node", INT), ("packet", REF), ("re
 
     def __setstate__(self, state: list) -> None:
         self.node, self.packet, self.received = state
-
-    def accept_flit(self, packet: Packet, cycle: int) -> bool:
-        """Consume one flit; True when the tail arrives (packet complete)."""
-        if self.packet is None:
-            self.packet = packet
-            self.received = 1
-            packet.head_delivered = cycle
-        else:
-            if packet is not self.packet:
-                raise SimulationError("interleaved packets at an ejection lane")
-            self.received += 1
-        if self.received == packet.size:
-            if packet.head_delivered < 0:  # single-flit packets (tests)
-                packet.head_delivered = cycle
-            packet.delivered = cycle
-            self.packet = None
-            self.received = 0
-            return True
-        return False
 
 
 class LinkDirection(
@@ -314,9 +265,9 @@ class LinkDirection(
 
     def build_rot(self) -> None:
         """``rot[rr]`` is the lanes in round-robin order starting at ``rr``:
-        the arbiter walks it instead of doing index arithmetic per lane.
-        Plain slices of the doubled list — this runs once per direction of
-        every engine built or restored."""
+        the reference arbiter walks it instead of doing index arithmetic per
+        lane.  Plain slices of the doubled list — this runs once per
+        direction of every engine built or restored."""
         lanes = self.lanes
         self.rot = rot = [lanes]
         n = len(lanes)

@@ -21,8 +21,9 @@ transcription of ``select`` for the four shipped classes —
 reading the tables ``attach`` builds and drawing from :attr:`rng` through
 ``getrandbits``.  It serves an object whose type is *exactly* one of the
 four; a subclass or a newly registered algorithm has its Python ``select``
-called instead, so nothing here needs a C twin to work.  **Change one of
-those selects, ``pick_free_lane`` or ``randbelow`` and change its C twin**:
+called instead, so nothing here needs a C twin to work.  Those selects,
+``pick_free_lane`` and ``randbelow`` fall under the twin rule stated in
+:mod:`repro.sim.phases` (change one, change its C twin):
 ``tests/test_routing_contract.py`` holds the two to the same lane, draws and
 counters, the lockstep suite to the same run.
 """

@@ -2,12 +2,13 @@
  * translation unit of the kernel shares (declared in _phases.h): names, field
  * table, accessors and the module itself.
  *
- * The phases are a transcription of the Python loops in engine.py -- same
- * statement order, same probe calls, same values stored -- and
- * tests/test_property_engine.py steps the two side by side, so the Python
- * loops stay the reference.  Injection and routing are in _routing.c, the
- * four select()s in _select.c, the struct types under the classes and the
- * setup() that checks the classes against the field table in _storage.c.
+ * The phases are a transcription of the reference, phases.py: a function
+ * there has a function of its name here or in _routing.c -- same statement
+ * order, same probe calls, same values stored -- and its docstring says how
+ * the pair is held together (the twin rule).  Injection and routing are in
+ * _routing.c, the four select()s in _select.c, the struct types under the
+ * classes and the setup() that checks the classes against the field table in
+ * _storage.c.
  *
  * Built by native.py with the interpreter's own C compiler at -O1, one unit
  * at a time.
@@ -45,7 +46,7 @@ need_slow(PyObject *o, int i)
     }
     if (PyType_IsSubtype(Py_TYPE(o), cls))
         return 0;
-    /* what the Python loop raises here: None has no such attribute */
+    /* what the reference raises here: None has no such attribute */
     if ((v = PyObject_GetAttr(o, slots[i].name)) == NULL)
         return -1;
     Py_DECREF(v);
@@ -169,7 +170,7 @@ call(PyObject *fn, PyObject *a, PyObject *b, PyObject *c, PyObject *d)
     return 0;
 }
 
-/* -- Engine._enqueue_header ---------------------------------------------------- */
+/* -- enqueue_header ------------------------------------------------------------- */
 
 int
 headers_open(Headers *h, PyObject *engine)
@@ -306,8 +307,8 @@ link_open(Link *k, PyObject *handlers)
     return 0;
 }
 
-/* The arbiter of direction d: 1 and the chosen lane (borrowed) when a flit
- * can cross, 0 when d is idle or blocked (after telling the probe), -1 on
+/* The arbiter of the busy direction d: 1 and the chosen lane (borrowed) when
+ * a flit can cross, 0 when d is blocked (after telling the probe), -1 on
  * error.  Oldest packet first, lowest lane on ties, under the age arbiter;
  * else the first lane with a flit and a credit from d.rr round. */
 static int
@@ -317,8 +318,6 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
     long long rr = 0, created, best_age = 0;
     Py_ssize_t i, n, at;
 
-    if (INT(d, LD_nbusy) == 0)
-        return 0;
     if ((lanes = get_obj(d, LD_lanes)) == NULL)
         return -1;
     if (!PyList_Check(lanes)) {
@@ -365,7 +364,7 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
 /* The flit leaves its output lane: counters of the lane and of d.  The
  * lane's packet and sink come back as new references -- with the lane they
  * are in use across the probe calls.  What the packet is comes out where the
- * Python loop first looks into it. */
+ * reference first looks into it. */
 static int
 take_flit(PyObject *d, PyObject *lane, int sink_slot, PyObject **pkt, PyObject **sink)
 {
@@ -518,7 +517,8 @@ done:
     return rc;
 }
 
-/* Every direction of engine.<name>, in list order: 1 when any flit crossed. */
+/* Every direction of engine.<name> holding a flit, in list order: 1 when any
+ * flit crossed.  An idle direction costs one comparison. */
 static int
 walk(Link *k, PyObject *name, int (*hop)(Link *, PyObject *))
 {
@@ -537,7 +537,7 @@ walk(Link *k, PyObject *name, int (*hop)(Link *, PyObject *))
             for (j = 0; j < PyList_GET_SIZE(ahead); j++)
                 FETCH(PyList_GET_ITEM(ahead, j));
         d = Py_NewRef(PyList_GET_ITEM(dirs, i)); /* a probe may run in the hop */
-        moved = need(d, LD_nbusy) < 0 ? -1 : hop(k, d);
+        moved = need(d, LD_nbusy) < 0 ? -1 : INT(d, LD_nbusy) == 0 ? 0 : hop(k, d);
         Py_DECREF(d);
         rc = moved < 0 ? -1 : rc | moved;
     }

@@ -12,7 +12,7 @@
  *
  * An object is checked against its class once (need()), after which its
  * fields are addressed raw: a counter is a load, a store or an add.  Where a
- * check fails the phase raises what the Python loop raises on the same state
+ * check fails the phase raises what the reference raises on the same state
  * -- AttributeError on a None where a packet belongs -- and nothing is ever
  * read at an offset of a foreign object.  References are borrowed from the
  * engine's own lists and fields, except across a call into Python (a probe,

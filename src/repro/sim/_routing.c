@@ -1,10 +1,10 @@
 /* The injection and routing phases of Engine.step, compiled.
  *
- * Transcriptions of the loops of engine.py, like the link and crossbar phases
- * in _phases.c.  Traffic sources stay Python objects: advance(), next_cycle()
- * and queue.popleft() are called, once per poll or injected packet.  The
- * routing walk asks route() (_select.c) where the Python loop calls
- * routing.select().
+ * Transcriptions of the functions of the same names in phases.py, like the
+ * link and crossbar phases in _phases.c.  Traffic sources stay Python objects:
+ * advance(), next_cycle() and queue.popleft() are called, once per poll or
+ * injected packet.  The routing walk asks route() (_select.c) where the
+ * reference calls routing.select().
  */
 #include "_phases.h"
 

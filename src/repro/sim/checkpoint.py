@@ -76,8 +76,8 @@ from ..obs.probe import Probe, compose_probe
 from ..obs.telemetry import config_digest
 
 #: bump on breaking changes to the header schema or pickle envelope, and
-#: whenever the attributes ``Engine.step`` reads off a restored engine
-#: change: an older payload would unpickle fine and fail mid-run
+#: whenever the attributes the phases of ``Engine.step`` read off a restored
+#: engine change: an older payload would unpickle fine and fail mid-run
 CHECKPOINT_FORMAT_VERSION = 4
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"

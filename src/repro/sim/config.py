@@ -17,6 +17,9 @@ from ..errors import ConfigurationError
 TREE_ALGORITHMS = ("tree_adaptive", "tree_deterministic")
 CUBE_ALGORITHMS = ("dor", "duato")
 
+#: lane arbitration policies (``SimulationConfig.arbiter``)
+ARBITER_POLICIES = ("round_robin", "age")
+
 #: extension registry: algorithm name -> network family ("tree"/"cube").
 #: Populated by :func:`repro.routing.base.register` for algorithm classes
 #: that declare a ``network`` attribute — custom algorithms (e.g. the
@@ -131,9 +134,9 @@ class SimulationConfig:
                 f"need 0 <= warmup < total, got warmup={self.warmup_cycles}, "
                 f"total={self.total_cycles}"
             )
-        if self.arbiter not in ("round_robin", "age"):
+        if self.arbiter not in ARBITER_POLICIES:
             raise ConfigurationError(
-                f"unknown arbiter {self.arbiter!r}; allowed: round_robin, age"
+                f"unknown arbiter {self.arbiter!r}; allowed: {', '.join(ARBITER_POLICIES)}"
             )
         if self.watchdog_cycles < 0:
             raise ConfigurationError("watchdog_cycles must be >= 0")

@@ -27,37 +27,38 @@ normalization makes T_link = T_crossbar = T_routing = 1 clock):
    asking every cycle because a ``select`` that returns ``None`` has no
    side effect (the :class:`~repro.routing.base.RoutingAlgorithm` contract).
 
-Where a C compiler is at hand all four loops of ``step`` — link, injection,
-crossbar, routing — run compiled (``_phases.c``, ``_routing.c`` and
-``_select.c``, built on first import by :mod:`repro.sim.native`): a
-transcription of the loops below over the very same node, lane and packet
-objects, stepped in lockstep with them by ``tests/test_property_engine.py``.
-There the six classes the loops walk — the lanes, the link direction, the
-packet, the node — also keep their fields in C structs the same extension
-defines (``_storage.c``; :func:`repro.sim.native.storage`), so a counter is a
-machine integer to the kernel and an ``int`` boxed on demand to everything
-else; where the kernel cannot be built they keep them in ``__slots__``.
-The routing walk has the ``select`` of the four shipped algorithms compiled
-with it (drawing from the algorithm's own ``rng``) and calls the Python
-``select`` of any other class; sources stay Python objects.  The Python loops
-stay as they are — the reference, and the only path where the kernel cannot
-be built; nothing but that decides which loops run and which storage is
-used.  **Change a loop here and change its C twin**; the same goes for
-``select``, ``pick_free_lane`` and ``randbelow`` in :mod:`repro.routing`.
+``step`` itself holds no loop: it runs the cycle hooks, takes the warm-up
+snapshot, and makes four timed calls — ``link_phase``, ``injection_phase``,
+``crossbar_phase``, ``routing_phase`` — into one of two implementations of
+the same interface over the very same node, lane and packet objects:
 
-There is one ``step``, written so that a cycle touches only what can move:
-idle link directions cost one comparison, idle sources one comparison and
-one queue test, sleeping switches one flag test, and a probe event nobody
-consumes one ``is not None`` test (the engine binds each event to the probes
-that override it whenever its probe changes — :mod:`repro.obs.probe`).  The
-hot loops are deliberately written with inlined state updates (no method
-calls per flit, each counter loaded and stored once): Python-level call
-overhead would dominate a 256-node, 20000-cycle run otherwise.  The checked
-equivalents on the lane classes are exercised by the unit tests,
-:meth:`Engine.audit` verifies the global invariants (buffer bounds, credit
-consistency, flit conservation) after any run, and
-``tests/test_engine_digest.py`` pins :meth:`Engine.state_fingerprint` so the
-loops cannot drift from the model.
+* :mod:`repro.sim.phases`, the **reference**: Python, one small function per
+  step of a flit's way, written to be read against §4;
+* the kernel (``_phases.c``, ``_routing.c``, ``_select.c``, built on first
+  import by :mod:`repro.sim.native`), where a C compiler is at hand: the same
+  functions under the same names, with the ``select`` of the four shipped
+  routing algorithms compiled in (any other class has its Python ``select``
+  called; sources stay Python objects).  There the six classes the phases
+  walk — the lanes, the link direction, the packet, the node — also keep
+  their fields in C structs the same extension defines (``_storage.c``;
+  :func:`repro.sim.native.storage`), so a counter is a machine integer to the
+  kernel and an ``int`` boxed on demand to everything else; elsewhere they
+  keep them in ``__slots__``.
+
+Nothing but whether the kernel could be built decides which of the two runs
+and which storage is used.  How the pair is kept one model — the twin rule
+and the two tests that enforce it — is stated once, in the docstring of
+:mod:`repro.sim.phases`.
+
+Either way a cycle touches only what can move: idle link directions cost one
+comparison, idle sources one comparison and one queue test, sleeping switches
+one flag test, and a probe event nobody consumes one ``is not None`` test
+(the engine binds each event to the probes that override it whenever its
+probe changes — :mod:`repro.obs.probe`).  :meth:`Engine.audit` verifies the
+global invariants (buffer bounds, credit consistency, flit conservation)
+after any run, and ``tests/test_engine_digest.py`` pins
+:meth:`Engine.state_fingerprint` so neither implementation can drift from
+the model.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from ..routing.tree_deterministic import TreeDeterministicRouting
 from ..topology.base import Topology
 from ..topology.cube import KAryNCube
 from ..traffic.generator import BernoulliInjector
+from . import phases as reference
 from .config import SimulationConfig
 from .diagnostics import capture_snapshot
 from .native import INT, REF, load_phases, storage
@@ -131,8 +133,9 @@ class _Node(
 #: the four phases of ``step``, compiled (``_phases.c``, ``_routing.c`` and
 #: ``_select.c``, built on first import — see :mod:`repro.sim.native`) and
 #: bound to the classes whose fields they address, or ``None`` where they
-#: cannot be had and ``step`` runs its Python loops.  Read once per cycle;
-#: the lockstep tests set it to ``None`` to step the Python loops beside it.
+#: cannot be had and ``step`` calls the reference (:mod:`repro.sim.phases`).
+#: Read once per cycle; the lockstep tests set it to ``None`` to step the
+#: reference beside the kernel.
 NATIVE_PHASES = load_phases(
     InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
     TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,
@@ -190,7 +193,7 @@ class Engine:
         self._eject_dirs = self.dirs[len(self._fabric_dirs) :]
 
         # cycle hooks (fault schedules, instrumentation): cycle -> callbacks.
-        # _next_hook_cycle caches the earliest key so the hot loop pays a
+        # _next_hook_cycle caches the earliest key so ``step`` pays a
         # single int comparison per cycle; -1 means no hooks armed.
         self._cycle_hooks: dict[int, list] = {}
         self._next_hook_cycle = -1
@@ -215,7 +218,7 @@ class Engine:
         self.route_queue: list[int] = []
         #: False while a switch sleeps: its last routing pass tried every
         #: pending header in vain and nothing that could change the outcome
-        #: has happened since (see the routing phase in :meth:`step`)
+        #: has happened since (see :func:`repro.sim.phases.route_switch`)
         self._route_awake = [True] * num_switches
         self.bindings: list[InputLane] = []
 
@@ -248,7 +251,7 @@ class Engine:
         self._phase_at_start = (0.0, 0.0, 0.0, 0.0)
         self._warmup_snapshot_taken = config.warmup_cycles == 0
         #: oldest-first arbitration (config.arbiter == "age"); checked once
-        #: per direction/switch in the hot loops
+        #: per direction and per switch by the phases
         self._age_arbiter = config.arbiter == "age"
         #: round-robin pointer after serving lane ``vc``: the next lane
         #: (every direction has ``vcs`` lanes, lane ``i`` being VC ``i``)
@@ -471,388 +474,52 @@ class Engine:
         config = self.config
         warm = t >= config.warmup_cycles
         if warm and not self._warmup_snapshot_taken:
-            # freeze the cumulative per-direction flit counters so the
-            # utilization analyses can report measurement-window rates
-            self._warmup_snapshot_taken = True
-            for d in self.dirs:
-                d.flits_at_warmup = d.flits
-        # None unless a probe consumes some event: one local and one test per
-        # event site, not a local per event — nine more locals read 3 % slower
-        # on the probe-less benchmark with identical bytecode executed
+            self._snapshot_warmup()
+        # None unless a probe consumes some event
         handlers = self._handlers
-        res = self.result
-        awake = self._route_awake
-        progress = False
+        phases = NATIVE_PHASES or reference
+        seconds = self._phase_seconds
         clock = time.perf_counter
         phase_start = clock()
 
-        # ---- phase 1a: link traversal -------------------------------------
-        # One flit per busy direction: the arbiter picks a lane holding a
-        # flit and a credit — oldest packet first (lowest lane on ties)
-        # under config.arbiter == "age", else the first such lane in
-        # round-robin order (``rot[rr]`` is the lanes rotated to start at
-        # ``rr``).  Switch->switch directions first, then ejection ones:
-        # the order of ``self.dirs``.
-        age_arb = self._age_arbiter
-        native = NATIVE_PHASES
-        if native is not None:
-            progress = native.link_phase(self, t, handlers, warm)
-        else:
-            rr_after = self._rr_after
-            for d in self._fabric_dirs:
-                if d.nbusy == 0:
-                    continue
-                if age_arb:
-                    lane = None
-                    for cand in d.lanes:
-                        if cand.buffered > 0 and cand.credits > 0:
-                            age = cand.packet.created
-                            if lane is None or age < best_age:
-                                lane = cand
-                                best_age = age
-                    if lane is None:
-                        if handlers is not None and handlers.on_direction_blocked is not None:
-                            handlers.on_direction_blocked(t, d)
-                        continue
-                else:
-                    for lane in d.rot[d.rr]:
-                        if lane.buffered > 0 and lane.credits > 0:
-                            break
-                    else:
-                        # busy direction, no lane had both a flit and a credit
-                        if handlers is not None and handlers.on_direction_blocked is not None:
-                            handlers.on_direction_blocked(t, d)
-                        continue
-                pkt = lane.packet
-                left = lane.buffered - 1
-                lane.buffered = left
-                if left == 0:
-                    d.nbusy -= 1
-                lane.credits -= 1
-                d.flits += 1
-                sink = lane.sink
-                sink.last_arrival = t
-                if sink.packet is None:
-                    sink.packet = pkt
-                    sink.received = received = 1
-                    self._enqueue_header(sink)
-                    if handlers is not None and handlers.on_head_arrived is not None:
-                        handlers.on_head_arrived(t, sink, pkt)
-                else:
-                    sink.received = received = sink.received + 1
-                if received == pkt.size:
-                    # tail left this switch (the sink has counted every flit
-                    # the lane sent): free the output lane
-                    lane.packet = None
-                d.rr = rr_after[lane.vc]
-                progress = True
-
-            delivered = 0
-            per_node = self.delivered_flits_per_node
-            for d in self._eject_dirs:
-                if d.nbusy == 0:
-                    continue
-                if age_arb:
-                    lane = None
-                    for cand in d.lanes:
-                        if cand.buffered > 0 and cand.credits > 0:
-                            age = cand.packet.created
-                            if lane is None or age < best_age:
-                                lane = cand
-                                best_age = age
-                    if lane is None:
-                        if handlers is not None and handlers.on_direction_blocked is not None:
-                            handlers.on_direction_blocked(t, d)
-                        continue
-                else:
-                    for lane in d.rot[d.rr]:
-                        if lane.buffered > 0 and lane.credits > 0:
-                            break
-                    else:
-                        if handlers is not None and handlers.on_direction_blocked is not None:
-                            handlers.on_direction_blocked(t, d)
-                        continue
-                pkt = lane.packet
-                left = lane.buffered - 1
-                lane.buffered = left
-                if left == 0:
-                    d.nbusy -= 1
-                lane.credits -= 1
-                d.flits += 1
-                # the node consumes the flit immediately
-                sink = lane.sink
-                if sink.packet is None:
-                    sink.packet = pkt
-                    received = 1
-                    pkt.head_delivered = t
-                    if handlers is not None and handlers.on_head_delivered is not None:
-                        handlers.on_head_delivered(t, pkt)
-                else:
-                    received = sink.received + 1
-                delivered += 1
-                if warm:
-                    per_node[sink.node] += 1
-                if received == pkt.size:
-                    pkt.delivered = t
-                    sink.packet = None
-                    sink.received = 0
-                    # an output lane of this switch is allocatable again
-                    awake[lane.switch] = True
-                    self.delivered_packets_total += 1
-                    if handlers is not None and handlers.on_tail_delivered is not None:
-                        handlers.on_tail_delivered(t, pkt)
-                    if pkt.injected >= config.warmup_cycles:
-                        res.delivered_packets += 1
-                        lat = t - pkt.injected
-                        res.latency_sum += lat
-                        res.head_latency_sum += pkt.head_delivered - pkt.injected
-                        if lat > res.latency_max:
-                            res.latency_max = lat
-                        if config.collect_latencies:
-                            res.latencies.append(lat)
-                    # the tail left the switch too: free the output lane
-                    lane.packet = None
-                else:
-                    sink.received = received
-                d.rr = rr_after[lane.vc]
-            if delivered:
-                progress = True
-                self.delivered_flits_total += delivered
-                if warm:
-                    res.delivered_flits += delivered
-                    self._interval_delivered += delivered
-
-        phases = self._phase_seconds
+        progress = phases.link_phase(self, t, handlers, warm)
         now = clock()
-        phases[0] += now - phase_start
+        seconds[0] += now - phase_start
         phase_start = now
 
-        # ---- phase 1b: injection ------------------------------------------
-        # A source is polled only from the cycle it next creates in
-        # (``node.wake``); a node with nothing queued and nothing streaming
-        # costs one comparison and one queue test.
-        if native is not None:
-            if native.injection_phase(self, t, handlers, warm):
-                progress = True
-        else:
-            cap = config.buffer_flits
-            default_size = config.packet_flits
-            streamed = 0
-            for node in self.active_nodes:
-                if t >= node.wake:
-                    src = node.source
-                    created = src.advance(t)
-                    node.wake = src.next_cycle()
-                    if created:
-                        if warm:
-                            res.generated_packets += created
-                        if handlers is not None and handlers.on_packets_generated is not None:
-                            handlers.on_packets_generated(t, node.nid, created)
-                pkt = node.packet
-                if pkt is None:
-                    queue = node.source.queue
-                    if not queue:
-                        continue
-                    # allocate a free injection lane (rotating fair choice)
-                    lanes = node.lanes
-                    n = len(lanes)
-                    rr = node.rr
-                    for off in range(n):
-                        idx = (rr + off) % n
-                        lane = lanes[idx]
-                        if lane.packet is None:
-                            break
-                    else:
-                        continue
-                    node.rr = (idx + 1) % n
-                    entry = queue.popleft()
-                    # trace-driven sources carry an explicit per-message size
-                    size = entry[2] if len(entry) > 2 else default_size
-                    pkt = Packet(self._next_pid, node.nid, entry[1], size, entry[0])
-                    self._next_pid += 1
-                    pkt.injected = t
-                    lane.packet = pkt
-                    lane.received = 1
-                    lane.last_arrival = t
-                    self._enqueue_header(lane)
-                    node.packet = pkt
-                    node.sent = 1
-                    node.lane = lane
-                    self.injected_packets_total += 1
-                    streamed += 1
-                    in_flight = (
-                        self.injected_packets_total
-                        - self.delivered_packets_total
-                        - self.dropped_packets_total
-                    )
-                    if in_flight > self._peak_in_flight:
-                        self._peak_in_flight = in_flight
-                    if warm:
-                        res.injected_packets += 1
-                    if handlers is not None and handlers.on_packet_injected is not None:
-                        handlers.on_packet_injected(t, pkt)
-                    if size == 1:  # degenerate tiny packets
-                        node.packet = None
-                        node.lane = None
-                else:
-                    lane = node.lane
-                    received = lane.received
-                    if received - lane.forwarded < cap:
-                        lane.received = received + 1
-                        lane.last_arrival = t
-                        sent = node.sent + 1
-                        node.sent = sent
-                        streamed += 1
-                        if sent == pkt.size:
-                            node.packet = None
-                            node.lane = None
-            if streamed:
-                progress = True
-                self.injected_flits_total += streamed
-
+        if phases.injection_phase(self, t, handlers, warm):
+            progress = True
         now = clock()
-        phases[1] += now - phase_start
+        seconds[1] += now - phase_start
         phase_start = now
 
-        # ---- phase 2: crossbar --------------------------------------------
-        # Every binding forwards one flit if it holds one that did not
-        # arrive this cycle and the output lane has space.  The list is
-        # rebuilt without the bindings whose tail went through; each
-        # binding touches only its own two lanes, so order is immaterial.
-        if native is not None:
-            if native.crossbar_phase(self, t):
-                progress = True
-        else:
-            bindings = []
-            for lane in self.bindings:
-                forwarded = lane.forwarded
-                buffered = lane.received - forwarded
-                # a flit that arrived in this cycle's link phase waits a cycle
-                if buffered > 1 or (buffered == 1 and lane.last_arrival != t):
-                    out = lane.bound
-                    filled = out.buffered
-                    if filled < cap:
-                        if filled == 0:
-                            out.direction.nbusy += 1
-                        out.buffered = filled + 1
-                        src_out = lane.src_out
-                        if src_out is not None:
-                            src_out.credits += 1
-                        progress = True
-                        forwarded += 1
-                        if forwarded == lane.packet.size:
-                            # tail through the crossbar: release the input
-                            # lane, which makes the upstream output lane
-                            # allocatable again
-                            lane.packet = None
-                            lane.received = 0
-                            lane.forwarded = 0
-                            lane.bound = None
-                            if src_out is not None:
-                                awake[src_out.switch] = True
-                            continue
-                        lane.forwarded = forwarded
-                bindings.append(lane)
-            self.bindings = bindings
-
+        if phases.crossbar_phase(self, t):
+            progress = True
         now = clock()
-        phases[2] += now - phase_start
+        seconds[2] += now - phase_start
         phase_start = now
 
-        # ---- phase 3: routing (one header per switch per cycle) ------------
-        # A switch whose pass tried every pending header in vain goes to
-        # sleep: ``select`` returning None draws no random number and
-        # changes no state (the RoutingAlgorithm contract), so re-running it
-        # is pointless until a header arrives there, one of the switch's
-        # output lanes becomes allocatable, or a cycle hook / kill_packet
-        # changes lanes behind the engine's back — each of which sets
-        # ``awake``.  The queue keeps its members and their order.
-        if native is not None:
-            if native.routing_phase(self, t, handlers):
-                progress = True
-        else:
-            queue = self.route_queue
-            if queue:
-                select = self.routing.select
-                pending = self.pending
-                route_rr = self.route_rr
-                in_queue = self._in_route_queue
-                drained = False
-                for s in queue:
-                    if not awake[s]:
-                        continue
-                    pend = pending[s]
-                    if not pend:
-                        in_queue[s] = False
-                        drained = True
-                        continue
-                    n = len(pend)
-                    if age_arb:
-                        # oldest header first; sort stability breaks ties on
-                        # arrival order within the pending list
-                        ages = [lane.packet.created for lane in pend]
-                        order = sorted(range(n), key=ages.__getitem__)
-                    else:
-                        order = None
-                        rr = route_rr[s] % n
-                    routed = -1
-                    fresh = False
-                    for off in range(n):
-                        if order is not None:
-                            idx = order[off]
-                        else:
-                            idx = rr + off
-                            if idx >= n:
-                                idx -= n
-                        lane = pend[idx]
-                        if lane.received == 1 and lane.last_arrival == t:
-                            # the header itself arrived in this cycle's link
-                            # phase; routing it costs one full T_routing.
-                            # (received > 1 means the header arrived earlier —
-                            # last_arrival tracks the newest flit, not the head.)
-                            fresh = True
-                            continue
-                        out = select(s, lane, lane.packet)
-                        if out is not None:
-                            lane.bound = out
-                            out.packet = lane.packet
-                            bindings.append(lane)
-                            routed = idx
-                            if handlers is not None and handlers.on_header_routed is not None:
-                                handlers.on_header_routed(t, s, lane, out)
-                            break
-                    if routed >= 0:
-                        pend.pop(routed)
-                        progress = True
-                        if pend:
-                            route_rr[s] = routed % len(pend)
-                        else:
-                            route_rr[s] = 0
-                            in_queue[s] = False
-                            drained = True
-                    elif not fresh:
-                        awake[s] = False
-                if drained:
-                    self.route_queue = list(filter(in_queue.__getitem__, queue))
+        if phases.routing_phase(self, t, handlers):
+            progress = True
 
         interval = config.interval_cycles
         if interval and warm and (t - config.warmup_cycles + 1) % interval == 0:
-            res.throughput_timeline.append(self._interval_delivered)
+            self.result.throughput_timeline.append(self._interval_delivered)
             self._interval_delivered = 0
 
         if handlers is not None and handlers.on_cycle is not None:
             handlers.on_cycle(t)
-        phases[3] += clock() - phase_start
+        seconds[3] += clock() - phase_start
         self.cycle = t + 1
         return progress
 
-    def _enqueue_header(self, lane: InputLane) -> None:
-        s = lane.switch
-        self.pending[s].append(lane)
-        self._route_awake[s] = True
-        if not self._in_route_queue[s]:
-            self._in_route_queue[s] = True
-            self.route_queue.append(s)
+    def _snapshot_warmup(self) -> None:
+        """Freeze the cumulative per-direction flit counters at the warm-up
+        boundary, so the utilization analyses can report measurement-window
+        rates."""
+        self._warmup_snapshot_taken = True
+        for d in self.dirs:
+            d.flits_at_warmup = d.flits
 
     def _wake_routing(self) -> None:
         """Re-try every stalled header at the next routing phase: lanes

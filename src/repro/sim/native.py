@@ -7,9 +7,9 @@ loaded from there ever after: a warm start costs a hash of the sources, a
 ``stat`` and a ``dlopen``.  Where it cannot be had — no CPython, no
 compiler, no writable cache, a cached file somebody else owns —
 :data:`KERNEL` is ``None``: the lane, packet and node classes keep their
-fields in ``__slots__`` and ``Engine.step`` runs its Python loops.  Nothing
-selects the path but that: no option, no environment variable.  Deleting the
-cache directory forces a rebuild.
+fields in ``__slots__`` and ``Engine.step`` calls the reference phases
+(:mod:`repro.sim.phases`).  Nothing selects the path but that: no option, no
+environment variable.  Deleting the cache directory forces a rebuild.
 
 Three steps, the first once per process and before any class that needs a
 storage is defined: :func:`load` (build and import), :func:`storage` (the base
@@ -96,7 +96,7 @@ def _build(target: pathlib.Path) -> bool:
             os.replace(shared, target)  # atomic: concurrent builders agree on the bytes
     except (OSError, subprocess.SubprocessError) as err:
         warnings.warn(
-            f"building {target.name} failed, the engine runs its Python loops:\n{err}",
+            f"building {target.name} failed, the engine runs its Python phases:\n{err}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -146,7 +146,7 @@ def load():
         if built:
             warnings.warn(
                 f"{target.name} was built but does not import, the engine runs its "
-                f"Python loops:\n{err}",
+                f"Python phases:\n{err}",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -24,7 +24,7 @@ model:
   a given-up message releases its window slot like an ACK would, so the
   retry budget cannot leak window capacity;
 * **arbitration** — pairs with ``config.arbiter = "age"``
-  (:mod:`repro.router.arbiter`), which serves the oldest packet first
+  (:func:`repro.sim.phases.pick_lane`), which serves the oldest packet first
   and bounds tail latency while the windows shed load.
 
 Everything is deterministic: marking is driven by cycle counts, windows

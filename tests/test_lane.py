@@ -12,6 +12,7 @@ from repro.sim.engine import _Node
 from repro.sim.packet import Packet
 
 from .conftest import on_the_other_storage
+from .test_arbiter import Channel
 
 
 def pkt(pid=0, size=4):
@@ -19,58 +20,81 @@ def pkt(pid=0, size=4):
 
 
 class TestInputLane:
+    """What a flit does to the input lane it enters and leaves: ``fabric_hop``
+    and ``forward`` of the reference and of the kernel, on twin engines."""
+
     def test_initial_state(self):
         lane = InputLane(switch=2, port=1, vc=0, cap=4)
         assert lane.packet is None
         assert lane.buffered == 0
-        assert lane.has_space()
 
     def test_header_allocates(self):
-        lane = InputLane(0, 0, 0, cap=4)
-        p = pkt()
-        assert lane.accept_flit(p, cycle=5) is True  # header
-        assert lane.packet is p
-        assert lane.buffered == 1
-        assert lane.last_arrival == 5
+        ch = Channel(1)
+        ch.load([1])
+        for twin in ch.twins:
+            ch.step(twin, cycle=5)
+            _, engine, d = twin
+            sink = d.lanes[0].sink
+            assert sink.packet.pid == 0 and d.lanes[0].packet is sink.packet
+            assert sink.buffered == 1
+            assert sink.last_arrival == 5
+            assert engine.pending[sink.switch] == [sink]  # the header waits to be routed
 
     def test_body_flits(self):
-        lane = InputLane(0, 0, 0, cap=4)
-        p = pkt()
-        lane.accept_flit(p, 0)
-        assert lane.accept_flit(p, 1) is False
-        assert lane.buffered == 2
+        ch = Channel(1)
+        ch.load([2])
+        for twin in ch.twins:
+            ch.step(twin, cycle=0)
+            ch.step(twin, cycle=1)
+            _, engine, d = twin
+            sink = d.lanes[0].sink
+            assert sink.buffered == 2 and sink.last_arrival == 1
+            assert engine.pending[sink.switch] == [sink]  # once: the second flit is no header
 
     def test_overflow_detected(self):
-        lane = InputLane(0, 0, 0, cap=2)
-        p = pkt()
-        lane.accept_flit(p, 0)
-        lane.accept_flit(p, 1)
-        with pytest.raises(SimulationError, match="overflow"):
-            lane.accept_flit(p, 2)
+        # the credit protocol: a lane out of credits sends nothing, so its
+        # sink never holds more than ``cap``; a buffer that does fails the audit
+        ch = Channel(1)
+        ch.load([3], credits=[0])
+        for twin in ch.twins:
+            _, engine, d = twin
+            lane = d.lanes[0]
+            sink = lane.sink
+            sink.packet, sink.received = lane.packet, sink.cap  # full: what no credit means
+            ch.step(twin)
+            assert (lane.buffered, sink.received) == (3, sink.cap)
+            sink.received += 1
+            with pytest.raises(SimulationError, match="input buffer out of range"):
+                engine.audit()
 
-    def test_interleaving_detected(self):
-        lane = InputLane(0, 0, 0, cap=4)
-        lane.accept_flit(pkt(0), 0)
-        with pytest.raises(SimulationError, match="different packet"):
-            lane.accept_flit(pkt(1), 1)
+    @staticmethod
+    def bound_pair(ch, size: int, received: int, forwarded: int):
+        """Per twin, the input lane behind the channel bound to an output
+        lane of its switch, holding part of a ``size``-flit packet."""
+        for phases, engine, d in ch.twins:
+            lane = d.lanes[0].sink
+            lane.packet = pkt(size=size)
+            lane.received, lane.forwarded = received, forwarded
+            lane.bound = engine.out_lanes[lane.switch][0][0]
+            lane.bound.packet = lane.packet
+            engine.bindings = [lane]
+            yield phases, engine, lane
 
     def test_release_after_tail(self):
-        lane = InputLane(0, 0, 0, cap=4)
-        p = pkt(size=2)
-        lane.accept_flit(p, 0)
-        lane.accept_flit(p, 1)
-        lane.forwarded = 2
-        lane.release()
-        assert lane.packet is None
-        assert lane.buffered == 0
-        assert lane.bound is None
+        for phases, engine, lane in self.bound_pair(Channel(1), size=2, received=2, forwarded=1):
+            out = lane.bound
+            assert phases.crossbar_phase(engine, 7)
+            assert lane.packet is None
+            assert lane.buffered == 0
+            assert lane.bound is None
+            assert engine.bindings == [] and out.buffered == 1 and lane.src_out.credits == lane.cap + 1
 
     def test_release_before_tail_rejected(self):
-        lane = InputLane(0, 0, 0, cap=4)
-        p = pkt(size=3)
-        lane.accept_flit(p, 0)
-        with pytest.raises(SimulationError, match="before the tail"):
-            lane.release()
+        for phases, engine, lane in self.bound_pair(Channel(1), size=3, received=2, forwarded=1):
+            assert phases.crossbar_phase(engine, 7)
+            assert lane.packet is not None and lane.bound.packet is lane.packet
+            assert (lane.received, lane.forwarded) == (2, 2)
+            assert engine.bindings == [lane]
 
 
 class TestOutputLane:
@@ -83,10 +107,11 @@ class TestOutputLane:
         assert not out.is_free()
 
     def test_not_free_while_sink_occupied(self):
+        # what keeps two packets from interleaving on a lane pair
         out = OutputLane(0, 0, 0, cap=4)
         sink = InputLane(1, 1, 0, cap=4)
         out.sink = sink
-        sink.accept_flit(pkt(), 0)
+        sink.packet = pkt()
         assert not out.is_free()
 
     def test_free_with_no_sink(self):
@@ -95,29 +120,34 @@ class TestOutputLane:
 
 
 class TestEjectionLane:
-    def test_single_flit_progress(self):
-        ej = EjectionLane(node=3)
-        p = pkt(size=3)
-        assert ej.accept_flit(p, 0) is False
-        assert ej.accept_flit(p, 1) is False
-        assert ej.accept_flit(p, 2) is True
-        assert p.delivered == 2
-        assert ej.packet is None  # ready for the next packet
+    """``eject_hop`` of the reference and of the kernel, on twin engines."""
 
-    def test_interleaving_detected(self):
-        ej = EjectionLane(0)
-        ej.accept_flit(pkt(0, size=2), 0)
-        with pytest.raises(SimulationError, match="interleaved"):
-            ej.accept_flit(pkt(1, size=2), 1)
+    def test_single_flit_progress(self):
+        ch = Channel(1, eject=True)
+        ch.load([3], size=3)
+        for twin in ch.twins:
+            lane = twin[2].lanes[0]
+            p, ej = lane.packet, lane.sink
+            for cycle in range(3):
+                assert p.delivered == -1
+                ch.step(twin, cycle)
+            assert (p.head_delivered, p.delivered) == (0, 2)
+            assert ej.packet is None and lane.packet is None  # ready for the next packet
 
     def test_back_to_back_packets(self):
-        ej = EjectionLane(0)
-        a, b = pkt(0, size=2), pkt(1, size=2)
-        ej.accept_flit(a, 0)
-        ej.accept_flit(a, 1)
-        ej.accept_flit(b, 2)
-        assert ej.accept_flit(b, 3) is True
-        assert b.delivered == 3
+        ch = Channel(1, eject=True)
+        ch.load([2], size=2)
+        for twin in ch.twins:
+            lane = twin[2].lanes[0]
+            a = lane.packet
+            ch.step(twin, 0)
+            ch.step(twin, 1)
+            b = lane.packet = pkt(1, size=2)
+            lane.buffered = 2
+            lane.direction.nbusy = 1
+            ch.step(twin, 2)
+            ch.step(twin, 3)
+            assert (a.delivered, b.head_delivered, b.delivered) == (1, 2, 3)
 
 
 class TestLinkDirection:
@@ -226,12 +256,11 @@ class TestPickledState:
         p = pkt(size=3)
         lane.packet = p
         assert lane.sent == 0  # allocated, header not sent yet
-        sink.accept_flit(p, 0)
-        sink.accept_flit(p, 1)
+        sink.packet, sink.received = p, 2
         assert lane.sent == 2
         clone = pickle.loads(pickle.dumps(lane, protocol=pickle.HIGHEST_PROTOCOL))
         assert clone.sent == 2 and clone.sink.received == 2
-        sink.accept_flit(p, 2)
+        sink.received = 3
         lane.packet = None  # the tail left: the sink still drains it
         assert lane.sent == 0
         with pytest.raises(AttributeError):

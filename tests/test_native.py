@@ -1,7 +1,7 @@
 """The loader of the kernel (``repro.sim.native``): what ``load`` builds,
 where, and every way it declines — each of which must leave it returning
 ``None`` (the classes then keep their fields in ``__slots__`` and the engine
-runs its Python loops), silently unless a compiler that is present refused
+runs its Python phases), silently unless a compiler that is present refused
 the source — and what ``load_phases`` binds the phases to.
 """
 

@@ -8,22 +8,31 @@ Every randomly drawn configuration must satisfy, after a full run:
 * all delivered latencies at or above the analytic zero-load bound.
 
 And the compiled phases (``sim/_phases.c``, ``_routing.c``, ``_select.c``)
-must be indistinguishable from the Python loops of ``Engine.step`` and the
-Python ``select`` of the routing algorithms, which are the reference: a
-kernel engine and its pure-Python twin, stepped side by side over random
-recipes, agree on ``state_fingerprint()``, the routing algorithm's RNG state
-and its counters after every cycle and on the ordered log of all nine probe
-events.  The twin is the same engine class stepped with the module-level
-kernel handle patched to ``None`` — over the same storage: where these tests
-run the lanes, packets and nodes of both twins are C structs, so what can be
-corrupted is a reference, not a counter.
+must be indistinguishable from the reference phases (``sim/phases.py``) and
+the Python ``select`` of the routing algorithms: a kernel engine and its
+pure-Python twin, stepped side by side over random recipes, agree on
+``state_fingerprint()``, the routing algorithm's RNG state and its counters
+after every cycle and on the ordered log of all nine probe events.  The twin
+is the same engine class stepped with the module-level kernel handle patched
+to ``None`` — over the same storage: where these tests run the lanes, packets
+and nodes of both twins are C structs, so what can be corrupted is a
+reference, not a counter.
+
+The space those recipes are drawn from is declared as data (``LOCKSTEP_*``
+below) and is the contract of the twin rule ``sim/phases.py`` states:
+``TestTheTwinContract`` fails when ``SimulationConfig`` grows a field the
+tables do not name, or the reference a function the C units have no twin for.
 """
 
 import collections
 import contextlib
 import dataclasses
+import inspect
+import pathlib
 import random
+import re
 import sys
+import types
 from unittest import mock
 
 import pytest
@@ -43,7 +52,9 @@ from repro.metrics.analytic import zero_load_latency
 from repro.obs.probe import EVENTS, Probe
 from repro.routing.base import RoutingAlgorithm, register
 from repro.routing.tree_adaptive import TreeAdaptiveRouting
+from repro.sim import phases as reference
 from repro.sim.checkpoint import CheckpointPolicy, checkpoint_files, read_checkpoint_header
+from repro.sim.config import ARBITER_POLICIES, CUBE_ALGORITHMS, TREE_ALGORITHMS, SimulationConfig
 from repro.sim.native import INT
 from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.generator import PacketSource
@@ -151,7 +162,8 @@ needs_kernel = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def python_loops():
-    """``Engine.step`` as it runs where the kernel cannot be built."""
+    """``Engine.step`` as it runs where the kernel cannot be built: over the
+    reference phases."""
     with mock.patch.object(engine_module, "NATIVE_PHASES", None):
         yield
 
@@ -264,39 +276,128 @@ class Recipe:
     flood: tuple = ()
 
 
+# -- the recipe space: what the twin rule is held to --------------------------------
+
+#: ``SimulationConfig`` fields drawn whatever the network, and from what
+LOCKSTEP_DRAWS = {
+    "load": st.floats(min_value=0.05, max_value=1.0),
+    "seed": st.integers(0, 10_000),
+    "buffer_flits": st.sampled_from([1, 2, 4, 8]),
+    "packet_flits": st.sampled_from([2, 5, 16]),
+    "arbiter": st.sampled_from(ARBITER_POLICIES),
+    # record_delivery and the timeline at the end of step branch on these two
+    "collect_latencies": st.booleans(),
+    "interval_cycles": st.sampled_from([0, 1, 7, 50]),
+}
+
+#: per value of ``network``, what the fields that depend on it are drawn from
+LOCKSTEP_NETWORKS = {
+    "tree": {
+        "k, n": [(2, 2), (2, 3), (4, 2)],
+        "algorithm": ["tree_adaptive", "tree_adaptive", "tree_deterministic",
+                      FirstFitTreeRouting.name, CountingTreeRouting.name],
+        "vcs": [1, 2, 4],
+        "pattern": ["uniform", "complement", "neighbor"],
+    },
+    "cube": {
+        # a ring (n == 1) runs the unsafe routing, which wedges past light
+        # load: its twins stay in step wedged
+        "k, n": [(2, 2), (4, 2), (2, 3), (8, 1)],
+        "algorithm": ["dor", "duato", UnsafeRingRouting.name],
+        "vcs": [4],
+        "pattern": ["uniform", "complement", "tornado"],
+    },
+}
+
+#: fields every recipe holds at one value, and why that loses nothing
+LOCKSTEP_PINS = {
+    "warmup_cycles": "40 of 240 cycles: every run crosses the boundary, so both values of `warm` are stepped",
+    "total_cycles": "240: the length of the comparison, not a thing a phase reads",
+    "capacity_flits_per_cycle": "set from (k, n) by tree_config / cube_config (section 5); read by the sources only",
+    "pattern_kwargs": "read by the pattern's constructor before the first cycle",
+    "watchdog_cycles": "read by run(), which the suite does not call: it steps by hand",
+}
+
+#: what is installed on the engines beside the config: the transport tier,
+#: fault schedules under both policies, four kinds of source, and the
+#: ``EventLog`` probe (all nine events) on every run
+LOCKSTEP_INSTRUMENTS = (Reliable, FaultSchedule, TraceInjector, PacketSource)
+
+
+def undeclared(names) -> set:
+    """The config fields among ``names`` that the recipe space neither draws
+    nor pins."""
+    declared = {"network", "k", "n", *LOCKSTEP_DRAWS, *LOCKSTEP_PINS}
+    for space in LOCKSTEP_NETWORKS.values():
+        declared.update(key for key in space if key != "k, n")
+    return set(names) - declared
+
+
+#: functions of the C units that have no twin in the reference, by what they are for
+C_ONLY = {
+    "look-ahead (prefetch) of the walks": {"lanes_ahead", "bound_ahead"},
+    "boxing, and items and attributes of objects that are not on the storage": {
+        "as_int_slow", "need_slow", "attr_int", "attr_add", "attr_true", "item_slow", "put_slow",
+        "put_int", "count_one", "call", "advance_rr",
+    },
+    "references held for a phase (the reference's Link / Inject / Walk take none)": {
+        "headers_open", "headers_close", "link_open", "link_close",
+    },
+    "the stable sort the reference asks sorted() for": {"age_order"},
+}
+
+
+def twinless(module, *units: str) -> tuple[set, set]:
+    """The functions of ``module`` with no function of their name in the C
+    ``units`` (source text), and the C functions that are neither a twin nor
+    listed in ``C_ONLY``."""
+    ours = {
+        name for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+    }
+    # a definition has its name in the first column; PyInit__phases is the loader's
+    theirs = set(re.findall(r"^([a-z][a-z_0-9]*)\(", "\n".join(units), re.MULTILINE))
+    return ours - theirs, theirs - ours - set().union(*C_ONLY.values())
+
+
+class TestTheTwinContract:
+    def test_the_recipe_space_names_every_config_field(self):
+        names = [field.name for field in dataclasses.fields(SimulationConfig)]
+        assert undeclared(names) == set()
+        # the check bites: a field nobody declared (ROADMAP item 2's) is found
+        assert undeclared([*names, "lane_reuse"]) == {"lane_reuse"}
+        # and every shipped algorithm is drawn
+        drawn = {name for space in LOCKSTEP_NETWORKS.values() for name in space["algorithm"]}
+        assert drawn >= {*TREE_ALGORITHMS, *CUBE_ALGORITHMS}
+
+    def test_every_reference_function_has_a_c_twin_of_its_name(self):
+        sim = pathlib.Path(reference.__file__).parent
+        units = [(sim / unit).read_text() for unit in ("_phases.c", "_routing.c")]
+        assert twinless(reference, *units) == (set(), set())
+        # the check bites: a reference function under another name has no twin
+        renamed = types.ModuleType("renamed")
+        exec("def choose_lane(k, d): pass", renamed.__dict__)
+        assert twinless(renamed, *units)[0] == {"choose_lane"}
+        # and so does a C function nobody accounted for
+        assert twinless(reference, *units, "static int\nfast_path(Link *k)\n{")[1] == {"fast_path"}
+
+
 @st.composite
 def lockstep_recipe(draw):
-    common = dict(
-        load=draw(st.floats(min_value=0.05, max_value=1.0)),
-        seed=draw(st.integers(0, 10_000)),
-        buffer_flits=draw(st.sampled_from([1, 2, 4, 8])),
-        packet_flits=draw(st.sampled_from([2, 5, 16])),
-        arbiter=draw(st.sampled_from(["round_robin", "age"])),
-        warmup_cycles=40,
-        total_cycles=240,
+    common = {name: draw(strategy) for name, strategy in LOCKSTEP_DRAWS.items()}
+    common.update(warmup_cycles=40, total_cycles=240)
+    network = draw(st.sampled_from(sorted(LOCKSTEP_NETWORKS)))
+    space = LOCKSTEP_NETWORKS[network]
+    k, n = draw(st.sampled_from(space["k, n"]))
+    # the unsafe ring is the algorithm of the rings, and of nothing else
+    algorithms = [name for name in space["algorithm"] if (name == UnsafeRingRouting.name) == (n == 1)]
+    config = (tree_config if network == "tree" else cube_config)(
+        k=k, n=n,
+        algorithm=draw(st.sampled_from(algorithms)),
+        vcs=draw(st.sampled_from(space["vcs"])),
+        pattern=draw(st.sampled_from(space["pattern"])),
+        **common,
     )
-    if draw(st.booleans()):
-        k, n = draw(st.sampled_from([(2, 2), (2, 3), (4, 2)]))
-        config = tree_config(
-            k=k, n=n,
-            algorithm=draw(st.sampled_from([
-                "tree_adaptive", "tree_adaptive", "tree_deterministic",
-                FirstFitTreeRouting.name, CountingTreeRouting.name,
-            ])),
-            vcs=draw(st.sampled_from([1, 2, 4])),
-            pattern=draw(st.sampled_from(["uniform", "complement", "neighbor"])),
-            **common,
-        )
-    else:
-        k, n = draw(st.sampled_from([(2, 2), (4, 2), (2, 3), (8, 1)]))
-        config = cube_config(
-            k=k, n=n,
-            # the unsafe ring wedges past light load: its twins stay in step wedged
-            algorithm=UnsafeRingRouting.name if n == 1 else draw(st.sampled_from(["dor", "duato"])),
-            vcs=4,
-            pattern=draw(st.sampled_from(["uniform", "complement", "tornado"])),
-            **common,
-        )
     nodes = config.num_nodes
     # an algorithm with one legal link per hop has no lane to spare: unstruck
     faults = [] if config.algorithm in ("dor", "tree_deterministic", "unsafe_ring") else draw(st.lists(
@@ -409,7 +510,8 @@ class TestCompiledPhasesInLockstep:
         # one fixed recipe that is known to block, drop, deliver and route
         recipe = Recipe(
             cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=6, buffer_flits=2,
-                        arbiter="age", warmup_cycles=50, total_cycles=400),
+                        arbiter="age", collect_latencies=True, interval_cycles=16,
+                        warmup_cycles=50, total_cycles=400),
             faults=((0, 80, 200, FaultPolicy.FAIL_STOP), (1, 120, 260, FaultPolicy.DRAIN)),
             sized=((0, 5, 1), (3, 9, 1)),
         )
