@@ -7,35 +7,22 @@ degradation — the CM-5-style operational argument for fat-trees — with
 no deadlocks and no collapse even at 20% failed ascent channels.
 """
 
+from repro.experiments.degradation import degradation_experiment
 from repro.experiments.report import render_table
-from repro.faults import inject_tree_uplink_faults, random_uplink_faults
-from repro.profiles import get_profile
-from repro.sim.run import build_engine, tree_config
 
 from .conftest import run_once
 
-#: 4-ary 4-tree: 3 levels x 64 switches x 4 up channels = 768 ascent channels
-FAULT_COUNTS = (0, 38, 77, 154)  # 0%, 5%, 10%, 20%
+#: 4-ary 4-tree: 3 levels x 64 switches x 4 up channels = 768 ascent
+#: channels, so these fail 0, 38, 77 and 154 of them
+FRACTIONS = (0.0, 0.05, 0.10, 0.20)
 LOAD = 1.0
 
 
 def run_all():
-    profile = get_profile()
-    rows = []
-    for count in FAULT_COUNTS:
-        eng = build_engine(
-            tree_config(
-                vcs=4, load=LOAD, seed=47,
-                warmup_cycles=profile.warmup_cycles,
-                total_cycles=profile.total_cycles,
-            )
-        )
-        faults = random_uplink_faults(eng.topology, count, seed=5)
-        inject_tree_uplink_faults(eng, faults)
-        res = eng.run()
-        eng.audit()
-        rows.append((count, res.accepted_fraction, res.avg_latency_cycles))
-    return rows
+    return [
+        (row.faults, row.accepted, row.latency_cycles)
+        for row in degradation_experiment("tree", FRACTIONS, load=LOAD)
+    ]
 
 
 def test_fault_degradation(benchmark, reporter):

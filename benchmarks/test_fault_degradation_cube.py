@@ -9,38 +9,22 @@ deadlocks, no collapse — with the escape-channel share of routing
 decisions rising as faults squeeze the adaptive lanes.
 """
 
+from repro.experiments.degradation import degradation_experiment
 from repro.experiments.report import render_table
-from repro.faults import inject_cube_link_faults, random_cube_link_faults
-from repro.profiles import get_profile
-from repro.sim.run import build_engine, cube_config
 
 from .conftest import run_once
 
-#: 16-ary 2-cube: 256 nodes x 2 dims x 2 directions = 1024 channel directions
-FAULT_COUNTS = (0, 51, 102, 205)  # 0%, 5%, 10%, 20%
+#: 16-ary 2-cube: 256 nodes x 2 dims x 2 directions = 1024 channel
+#: directions, so these fail 0, 51, 102 and 205 of them
+FRACTIONS = (0.0, 0.05, 0.10, 0.20)
 LOAD = 1.0
 
 
 def run_all():
-    profile = get_profile()
-    rows = []
-    for count in FAULT_COUNTS:
-        eng = build_engine(
-            cube_config(
-                algorithm="duato", vcs=4, load=LOAD, seed=47,
-                warmup_cycles=profile.warmup_cycles,
-                total_cycles=profile.total_cycles,
-            )
-        )
-        faults = random_cube_link_faults(eng.topology, count, seed=5)
-        inject_cube_link_faults(eng, faults)
-        res = eng.run()
-        eng.audit()
-        rows.append(
-            (count, res.accepted_fraction, res.avg_latency_cycles,
-             eng.routing.escape_fraction())
-        )
-    return rows
+    return [
+        (row.faults, row.accepted, row.latency_cycles, row.escape_fraction)
+        for row in degradation_experiment("cube", FRACTIONS, load=LOAD)
+    ]
 
 
 def test_fault_degradation_cube(benchmark, reporter):

@@ -960,6 +960,7 @@ def cmd_analyze(args) -> int:
         from .obs.heatmap import (
             hotspot_heatmap_svg,
             latency_breakdown_svg,
+            page,
             standalone_svg,
         )
 
@@ -972,18 +973,12 @@ def cmd_analyze(args) -> int:
             pathlib.Path(args.breakdown).write_text(standalone_svg(svg))
             written.append(args.breakdown)
         if args.out:
-            import html as _html
-
-            page = (
-                "<!doctype html>\n<meta charset='utf-8'>\n"
-                f"<title>congestion forensics — {_html.escape(label)}</title>\n"
-                f"<h1>Congestion forensics</h1>\n<p>{_html.escape(label)}</p>\n"
-                + standalone_svg(latency_breakdown_svg(doc["attribution"]))
-                + "\n"
-                + standalone_svg(hotspot_heatmap_svg(doc["hotspots"], metric=args.metric))
-                + "\n"
-            )
-            pathlib.Path(args.out).write_text(page)
+            # the page's stylesheet covers the classes the figures use
+            figures = [
+                latency_breakdown_svg(doc["attribution"]),
+                hotspot_heatmap_svg(doc["hotspots"], metric=args.metric),
+            ]
+            pathlib.Path(args.out).write_text(page(f"Congestion forensics — {label}", figures))
             written.append(args.out)
     if written:
         print(f"wrote {', '.join(written)}", file=sys.stderr)
@@ -991,25 +986,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics.io import run_result_from_dict
     from .obs.ledger import Ledger
-    from .obs.report import write_scorecard
+    from .obs.report import partition_results, write_scorecard
 
-    ledger = Ledger(args.ledger)
-    records = [
-        rec
-        for rec in ledger.records()
+    results = [
+        run_result_from_dict(rec["run"])
+        for rec in Ledger(args.ledger).records()
         if args.include_faults or rec["kind"] != "faults"
     ]
-    from .metrics.io import run_result_from_dict
-
-    results = [run_result_from_dict(rec["run"]) for rec in records]
     if not results:
         raise ConfigurationError(
             f"ledger {args.ledger} holds no scorable runs "
             "(fault records are excluded unless --include-faults)"
         )
-    from .obs.report import partition_results
-
     figures = write_scorecard(results, args.out, title=args.title, tol=args.tol)
     _, chaos, congestion = partition_results(results)
     extras = f" + {len(chaos)} chaos run(s)" if chaos else ""

@@ -37,18 +37,17 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from ..faults import (
-    CubeLinkFault,
-    FaultPolicy,
-    FaultSchedule,
-    TreeUplinkFault,
-    random_cube_link_faults,
-    random_uplink_faults,
-)
+from ..faults import FaultPolicy, FaultSchedule
 from ..metrics.series import LoadSweepSeries
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
-from ..sim.results import RunResult
+from ..sim.results import (
+    RunResult,
+    mean_goodput_fraction,
+    mean_retransmit_overhead,
+    total_dropped,
+    total_given_up,
+)
 from ..obs.probe import Instrument
 from ..sim.run import Audit, build_engine, simulate
 from ..topology.tree import KAryNTree
@@ -57,7 +56,7 @@ from ..traffic.transport import (
     TransportConfig,
     attach_reliability,
 )
-from .degradation import _make_config, fault_population
+from .degradation import _make_config, fault_population, random_fault_specs
 from .sweep import run_curves
 
 
@@ -96,9 +95,8 @@ class ChaosSeries:
     """One fault-rate level of a chaos campaign: a full load sweep.
 
     ``results`` holds the raw per-point results (reliability accounting
-    on each ``telemetry.reliability``); the aggregate properties below
-    average over the load grid, which is what the fault-rate curves
-    plot.
+    on each ``telemetry.reliability``); :func:`degradation_rows` averages
+    them over the load grid, which is what the fault-rate curves plot.
     """
 
     storm: StormSpec
@@ -108,24 +106,7 @@ class ChaosSeries:
     @property
     def mean_goodput_fraction(self) -> float:
         """Goodput (first-copy flits) as a capacity fraction, load-averaged."""
-        if not self.results:
-            return 0.0
-        return sum(r.goodput_fraction for r in self.results) / len(self.results)
-
-    @property
-    def mean_retransmit_overhead(self) -> float:
-        """Retransmitted share of injected packets, load-averaged."""
-        if not self.results:
-            return 0.0
-        return sum(r.retransmit_overhead for r in self.results) / len(self.results)
-
-    @property
-    def total_given_up(self) -> int:
-        return sum(r.given_up_packets for r in self.results)
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(r.dropped_packets for r in self.results)
+        return mean_goodput_fraction(self.results)
 
 
 def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
@@ -138,22 +119,11 @@ def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
     """
     topo = engine.topology
     population = fault_population(topo)
-    requested = round(storm.fault_rate * population)
+    safe = population
     if isinstance(topo, KAryNTree):
-        max_safe = (topo.n - 1) * topo.switches_per_level * (topo.k - 1)
-        count = min(requested, max_safe)
-        specs = [
-            TreeUplinkFault(s, p)
-            for s, p in random_uplink_faults(topo, count, seed=storm.storm_seed)
-        ]
-    else:
-        count = min(requested, population)
-        specs = [
-            CubeLinkFault(node, dim, direction)
-            for node, dim, direction in random_cube_link_faults(
-                topo, count, seed=storm.storm_seed
-            )
-        ]
+        safe = (topo.n - 1) * topo.switches_per_level * (topo.k - 1)
+    count = min(round(storm.fault_rate * population), safe)
+    specs = random_fault_specs(topo, count, storm.storm_seed)
     if not specs:
         return None
     total = engine.config.total_cycles
@@ -321,17 +291,18 @@ def chaos_campaign(
 def degradation_rows(campaign: list[ChaosSeries]) -> list[dict]:
     """Flatten a campaign into fault-rate curve rows (one per series).
 
-    The rows feed the CLI table and mirror what the scorecard
-    reliability panel plots from the ledger.
+    The rows feed the CLI table; the scorecard's reliability panel plots
+    the same means (:mod:`repro.sim.results`) of the same runs, read back
+    from the ledger.
     """
     return [
         {
             "fault_rate": cs.storm.fault_rate,
             "repair_cycles": cs.storm.repair_cycles,
-            "goodput_fraction": cs.mean_goodput_fraction,
-            "retransmit_overhead": cs.mean_retransmit_overhead,
-            "dropped": cs.total_dropped,
-            "given_up": cs.total_given_up,
+            "goodput_fraction": mean_goodput_fraction(cs.results),
+            "retransmit_overhead": mean_retransmit_overhead(cs.results),
+            "dropped": total_dropped(cs.results),
+            "given_up": total_given_up(cs.results),
             "points": len(cs.results),
             "failures": len(cs.series.failures),
         }

@@ -39,7 +39,7 @@ from ..obs.probe import Instrument
 from ..obs.report import paper_reference
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
-from ..sim.results import RunResult
+from ..sim.results import RunResult, mean_goodput_fraction, total_given_up, worst_p99
 from ..sim.run import Audit, simulate
 from ..traffic.congestion import Congested, CongestionConfig
 from ..traffic.transport import Reliable, TransportConfig, attach_reliability
@@ -191,24 +191,16 @@ class OverloadSeries:
     @property
     def overload_goodput_fraction(self) -> float:
         """Mean goodput fraction over the points past saturation."""
-        past = self._past_saturation()
-        if not past:
-            return 0.0
-        return sum(r.goodput_fraction for r in past) / len(past)
+        return mean_goodput_fraction(self._past_saturation())
 
     @property
     def overload_p99_latency(self) -> float | None:
         """Worst p99 latency over the points past saturation."""
-        worst = None
-        for r in self._past_saturation():
-            pct = r.latency_percentiles()
-            if pct is not None and (worst is None or pct["p99"] > worst):
-                worst = pct["p99"]
-        return worst
+        return worst_p99(self._past_saturation())
 
     @property
     def total_given_up(self) -> int:
-        return sum(r.given_up_packets for r in self.results)
+        return total_given_up(self.results)
 
 
 def congestion_campaign(
@@ -298,7 +290,6 @@ def collapse_rows(campaign: list[OverloadSeries]) -> list[dict]:
     rows = []
     for series in campaign:
         for result in series.results:
-            pct = result.latency_percentiles()
             rows.append(
                 {
                     "mode": series.spec.mode,
@@ -308,7 +299,7 @@ def collapse_rows(campaign: list[OverloadSeries]) -> list[dict]:
                         result.config.load / series.spec.saturation, 6
                     ),
                     "goodput_fraction": result.goodput_fraction,
-                    "p99_latency": pct["p99"] if pct is not None else None,
+                    "p99_latency": worst_p99([result]),
                     "retransmit_overhead": result.retransmit_overhead,
                     "given_up": result.given_up_packets,
                 }

@@ -93,6 +93,17 @@ def _make_config(network, load, vcs, profile, seed, k, n, algorithm, **overrides
     raise ConfigurationError(f"unknown network family {network!r}")
 
 
+def random_fault_specs(topo, count: int, seed: int) -> list:
+    """``count`` random channel faults of ``topo`` as schedulable specs
+    (tree: ascending channels; cube: lane-level links)."""
+    if isinstance(topo, KAryNTree):
+        return [TreeUplinkFault(s, p) for s, p in random_uplink_faults(topo, count, seed=seed)]
+    return [
+        CubeLinkFault(node, dim, direction)
+        for node, dim, direction in random_cube_link_faults(topo, count, seed=seed)
+    ]
+
+
 def _draw_and_inject(engine, network: str, count: int, fault_seed: int) -> int:
     if network == "tree":
         return inject_tree_uplink_faults(
@@ -199,18 +210,7 @@ def transient_experiment(
         )
     )
     count = round(fraction * fault_population(engine.topology))
-    if network == "tree":
-        specs = [
-            TreeUplinkFault(s, p)
-            for s, p in random_uplink_faults(engine.topology, count, seed=fault_seed)
-        ]
-    else:
-        specs = [
-            CubeLinkFault(node, dim, direction)
-            for node, dim, direction in random_cube_link_faults(
-                engine.topology, count, seed=fault_seed
-            )
-        ]
+    specs = random_fault_specs(engine.topology, count, fault_seed)
     if specs:  # fraction 0 is a legal no-fault baseline
         schedule = FaultSchedule()
         for spec in specs:

@@ -12,6 +12,7 @@ tail is shorter.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -42,7 +43,8 @@ def drain_permutation(config: SimulationConfig, max_cycles: int = 1_000_000) -> 
 
     The config's ``load`` is ignored (set to 0 — all traffic is the
     preloaded batch); its pattern must be a fixed permutation.  Warm-up
-    is forced to 0 so every packet is measured.
+    is forced to 0 so every packet is measured; every other field
+    (arbiter included) applies unchanged.
 
     Raises:
         ConfigurationError: for non-permutation patterns.
@@ -52,23 +54,8 @@ def drain_permutation(config: SimulationConfig, max_cycles: int = 1_000_000) -> 
         raise ConfigurationError(
             f"drain_permutation needs a fixed permutation, got {config.pattern!r}"
         )
-    cfg = SimulationConfig(
-        network=config.network,
-        k=config.k,
-        n=config.n,
-        algorithm=config.algorithm,
-        vcs=config.vcs,
-        packet_flits=config.packet_flits,
-        capacity_flits_per_cycle=config.capacity_flits_per_cycle,
-        pattern=config.pattern,
-        pattern_kwargs=dict(config.pattern_kwargs),
-        load=0.0,
-        buffer_flits=config.buffer_flits,
-        warmup_cycles=0,
-        total_cycles=max_cycles,
-        seed=config.seed,
-        collect_latencies=True,
-        watchdog_cycles=config.watchdog_cycles,
+    cfg = dataclasses.replace(
+        config, load=0.0, warmup_cycles=0, total_cycles=max_cycles, collect_latencies=True
     )
     engine = build_engine(cfg)
     rng = random.Random(cfg.seed)

@@ -32,9 +32,12 @@ On top of the per-run signals sits the aggregation tier:
   results store every ``--ledger`` CLI invocation feeds, queryable by
   config digest / network / pattern / time window, deduplicated by
   recipe digest + seed.
-* :mod:`repro.obs.report` — the HTML reproduction scorecard: ledger
-  curves rendered as inline SVG with the paper's Figure 5/6 saturation
-  points overlaid and a per-figure fidelity score.
+* :mod:`repro.obs.report` — the HTML reproduction scorecard and the
+  ``repro-net diff`` page.  A data half (ledger runs grouped into
+  figures, campaign curves and per-tier entries, the paper's Figure 5/6
+  saturation points, per-figure fidelity) and the pages as section
+  specs — heading, blurb, panel pair, table columns — over the
+  primitives of :mod:`repro.obs.heatmap`.
 * :mod:`repro.obs.bench` — ``PROBE_FACTORIES``: one factory per probe
   tier, the operating points ``benchmarks/perf`` times.
 * :mod:`repro.obs.forensics` — the congestion-forensics tier:
@@ -42,9 +45,11 @@ On top of the per-run signals sits the aggregation tier:
   wait-for graph sampling with deadlock-precursor detection, and
   per-link hotspot aggregation, feeding ``repro-net analyze`` and the
   scorecard's breakdown/heatmap panels.
-* :mod:`repro.obs.heatmap` — stdlib-SVG rendering of the forensics
-  document (hotspot heatmaps, latency-breakdown panel) and of flight
-  timelines (stacked dynamics panels).
+* :mod:`repro.obs.heatmap` — all markup, once: the drawing primitives
+  (``svg_open``, ``panel_pair``, ``legend``, ``table``, ``page`` and
+  the stylesheet) and the stdlib-SVG figures of one forensics document
+  (hotspot heatmap, latency-breakdown panel) or flight document
+  (stacked dynamics timeline).
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`: the cross-layer
   flight recorder sampling one bounded per-interval timeline over
   engine, links, transport and control plane, with collapse-onset /

@@ -1,8 +1,21 @@
-"""Stdlib-SVG rendering of forensics data: hotspot heatmaps, breakdowns.
+"""Stdlib-SVG and HTML rendering: the report layer's drawing primitives
+and the forensics/flight figures built on them.
 
-Pure string assembly (same no-dependency policy as
-:mod:`repro.obs.report`) turning the forensics document's sections into
-standalone ``<svg>`` fragments:
+Pure string assembly, no plotting dependency.  Everything the package
+writes as markup is assembled here, once:
+
+* :func:`svg_open` — the ``<svg>`` opener every figure starts with;
+* :func:`panel_pair` — two panels over one x axis in a single ``<svg>``,
+  the CNF pair of the paper's Figures 5 and 6: a frame per side, one
+  palette colour per curve, dashed reference marks;
+* :func:`legend` — the colour key of a panel pair;
+* :func:`table` — an HTML table from ``(header, format, class)`` columns;
+* :func:`page` — the self-contained HTML page (the CSS lives here too).
+
+:mod:`repro.obs.report` describes the scorecard and the divergence page
+as data over these; ``repro-net analyze --out`` is a :func:`page` as well.
+
+The figures of one forensics or flight document:
 
 * :func:`hotspot_heatmap_svg` — per-switch congestion heatmap from the
   per-physical-link hotspot records.  Layout follows the topology: a
@@ -20,8 +33,9 @@ standalone ``<svg>`` fragments:
   with annotation stripes (fault strikes, first mark/decrease,
   collapse onset).
 
-Both are embedded in the ``repro-net report`` scorecard next to the CNF
-panels and written standalone by ``repro-net analyze``.
+All three are embedded in the ``repro-net report`` scorecard next to the
+CNF panels; ``repro-net analyze`` writes the first two as standalone
+files (:func:`standalone_svg`).
 """
 
 from __future__ import annotations
@@ -29,7 +43,259 @@ from __future__ import annotations
 import html
 
 from ..errors import AnalysisError
-from .forensics import COMPONENTS
+
+# -- primitives --------------------------------------------------------------
+
+#: Okabe–Ito colour-blind-safe palette, cycled across the curves of a pair
+_PALETTE = ("#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9")
+
+#: panel geometry (one pair = two panels in a single <svg>)
+_PANEL_W, _PANEL_H = 340, 230
+_MARGIN_L, _MARGIN_T = 64, 30
+_PANEL_GAP = 120
+_SVG_W = _MARGIN_L + 2 * _PANEL_W + _PANEL_GAP + 30
+_SVG_H = _MARGIN_T + _PANEL_H + 60
+
+
+def _curve_color(index: int) -> str:
+    """The palette colour of a pair's ``index``-th curve (and legend entry)."""
+    return _PALETTE[index % len(_PALETTE)]
+
+
+def svg_open(width: int, height: int) -> str:
+    """The opening tag of a ``width`` × ``height`` figure."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'width="{width}" height="{height}" role="img">'
+    )
+
+
+def fmt(value: float) -> str:
+    """Short, locale-free coordinate/tick formatting."""
+    return f"{value:.4g}"
+
+
+class _Panel:
+    """Maps data coordinates into one panel's SVG pixel box."""
+
+    def __init__(self, x1: float, y1: float, left: float):
+        self.x1, self.y1 = x1 or 1.0, y1 or 1.0
+        self.left = left
+
+    def x(self, v: float) -> float:
+        return self.left + v / self.x1 * _PANEL_W
+
+    def y(self, v: float) -> float:
+        return _MARGIN_T + _PANEL_H - v / self.y1 * _PANEL_H
+
+    def frame(self, title: str, xlabel: str, ylabel: str) -> list[str]:
+        top, bottom = _MARGIN_T, _MARGIN_T + _PANEL_H
+        right = self.left + _PANEL_W
+        parts = [
+            f'<rect x="{self.left}" y="{top}" width="{_PANEL_W}" height="{_PANEL_H}" '
+            f'class="panel"/>',
+            f'<text x="{self.left + _PANEL_W / 2}" y="{top - 10}" class="ptitle">'
+            f"{html.escape(title)}</text>",
+            f'<text x="{self.left + _PANEL_W / 2}" y="{bottom + 36}" class="axis">'
+            f"{html.escape(xlabel)}</text>",
+            f'<text x="{self.left - 48}" y="{top + _PANEL_H / 2}" class="axis" '
+            f'transform="rotate(-90 {self.left - 48} {top + _PANEL_H / 2})">'
+            f"{html.escape(ylabel)}</text>",
+        ]
+        for frac in (0.0, 0.5, 1.0):
+            xv, yv = frac * self.x1, frac * self.y1
+            px, py = self.x(xv), self.y(yv)
+            parts.append(
+                f'<line x1="{px:.1f}" y1="{top}" x2="{px:.1f}" y2="{bottom}" class="grid"/>'
+            )
+            parts.append(
+                f'<line x1="{self.left}" y1="{py:.1f}" x2="{right}" y2="{py:.1f}" class="grid"/>'
+            )
+            parts.append(
+                f'<text x="{px:.1f}" y="{bottom + 16}" class="tick">{fmt(xv)}</text>'
+            )
+            parts.append(
+                f'<text x="{self.left - 6}" y="{py + 4:.1f}" class="tick ylab">{fmt(yv)}</text>'
+            )
+        return parts
+
+    def polyline(self, pts: list[tuple[float, float]], color: str, hover=None) -> list[str]:
+        """One curve: connected point markers — or, with ``hover`` text, a
+        bare line that shows it (a sampled time series has too many points
+        to mark)."""
+        if not pts:
+            return []
+        coords = " ".join(f"{self.x(x):.1f},{self.y(y):.1f}" for x, y in pts)
+        if hover is not None:
+            return [
+                f'<polyline points="{coords}" class="curve" stroke="{color}">'
+                f"<title>{html.escape(hover)}</title></polyline>"
+            ]
+        parts = []
+        if len(pts) > 1:
+            parts.append(f'<polyline points="{coords}" class="curve" stroke="{color}"/>')
+        parts.extend(
+            f'<circle cx="{self.x(x):.1f}" cy="{self.y(y):.1f}" r="2.6" fill="{color}"/>'
+            for x, y in pts
+        )
+        return parts
+
+    def mark(self, axis: str, value: float, color: str, text: str, hover: bool) -> list[str]:
+        """A dashed reference line at ``value`` on ``axis`` (``"x"``: a
+        vertical line), ``text`` printed beside it or shown on hover."""
+        top, right = _MARGIN_T, self.left + _PANEL_W
+        if axis == "x":
+            px = self.x(value)
+            ends = f'x1="{px:.1f}" y1="{top}" x2="{px:.1f}" y2="{top + _PANEL_H}"'
+            label = f'<text x="{px:.1f}" y="{top + 12}" class="reftext" fill="{color}">'
+        else:
+            py = self.y(value)
+            ends = f'x1="{self.left}" y1="{py:.1f}" x2="{right}" y2="{py:.1f}"'
+            label = (
+                f'<text x="{right - 4}" y="{py - 4:.1f}" class="reftext anchor-end" '
+                f'fill="{color}">'
+            )
+        line = f'<line {ends} class="ref" stroke="{color}"'
+        if hover:
+            return [f"{line}><title>{html.escape(text)}</title></line>"]
+        return [f"{line}/>", f"{label}{html.escape(text)}</text>"]
+
+
+def panel_pair(x, left, right, curves, reach=((), (), ()), marks=(), hover=False) -> str:
+    """Two panels over one x axis as a single ``<svg>``.
+
+    ``x`` is ``(axis label, headroom, empty)``; ``left`` and ``right`` are
+    ``(panel title, axis label, headroom, empty)``.  An axis runs from 0 to
+    the largest value on it — drawn or marked — times ``headroom``, to
+    ``empty`` when it carries nothing but zeros; ``reach`` lists what else
+    the x, left and right axes must cover (a quantity measured but not
+    drawn).
+
+    ``curves`` is ``[(label, points, marks), ...]`` with points ``(x, left
+    y, right y, ...)`` — a y of ``None`` is not drawn — each curve in the
+    next palette colour, the order :func:`legend` keys.  A mark is
+    ``(side, axis, value, text)``: a dashed line on panel ``side`` (0 left,
+    1 right) at ``value`` of ``axis``, in its curve's colour; the pair's
+    own ``marks`` are grey.  With ``hover``, curve labels and mark texts
+    become hover text instead of point markers and print.
+    """
+    on_axes = [list(also) for also in reach]
+    for side, axis, value, _ in [*marks, *(mark for _, _, own in curves for mark in own)]:
+        on_axes[0 if axis == "x" else 1 + side].append(value)
+    tops = []
+    for axis, (*_, headroom, empty) in enumerate((x, left, right)):
+        on_axis = [p[axis] for _, points, _ in curves for p in points if p[axis] is not None]
+        top = max(on_axis + on_axes[axis], default=0.0)
+        tops.append(top * headroom if top else empty)
+    panels = [
+        _Panel(tops[0], tops[1 + side], _MARGIN_L + side * (_PANEL_W + _PANEL_GAP))
+        for side in (0, 1)
+    ]
+    parts = [svg_open(_SVG_W, _SVG_H)]
+    for panel, (title, ylabel, _, _) in zip(panels, (left, right)):
+        parts += panel.frame(title, x[0], ylabel)
+    for index, (label, points, own) in enumerate(curves):
+        color = _curve_color(index)
+        for side, panel in enumerate(panels):
+            drawn = [(p[0], p[1 + side]) for p in points if p[1 + side] is not None]
+            parts += panel.polyline(drawn, color, label if hover else None)
+        for side, axis, value, text in own:
+            parts += panels[side].mark(axis, value, color, text, hover)
+    for side, axis, value, text in marks:
+        parts += panels[side].mark(axis, value, "#666", text, hover)
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def legend(labels) -> str:
+    """The colour key of a :func:`panel_pair` whose curves carry ``labels``."""
+    swatches = "".join(
+        f'<span><i class="swatch" style="background:{_curve_color(index)}"></i>'
+        f"{html.escape(label)}</span>"
+        for index, label in enumerate(labels)
+    )
+    return f'<p class="legend">{swatches}</p>'
+
+
+def table(columns, rows) -> list[str]:
+    """An HTML table, one line per row.
+
+    ``columns`` are ``(header, format, class)`` over positional ``rows``:
+    cell *i* is ``format`` — a function, or a ``str.format`` template
+    that prints ``None`` as an em dash — applied to value *i* of the row,
+    escaped, in a ``<td>`` of ``class``: a string (empty for none,
+    ``"code"`` for a ``<code>`` cell) or a function of the value.
+    """
+    parts = [
+        "<table>",
+        "<tr>" + "".join(f"<th>{html.escape(h)}</th>" for h, _, _ in columns) + "</tr>",
+    ]
+    for row in rows:
+        cells = []
+        for value, (_, form, cls) in zip(row, columns):
+            if callable(form):
+                text = form(value)
+            else:
+                text = "—" if value is None else form.format(value)
+            text = html.escape(text)
+            if callable(cls):
+                cls = cls(value)
+            if cls == "code":
+                cells.append(f"<td><code>{text}</code></td>")
+            else:
+                cells.append(f'<td class="{cls}">{text}</td>' if cls else f"<td>{text}</td>")
+        parts.append("<tr>" + "".join(cells) + "</tr>")
+    parts.append("</table>")
+    return parts
+
+
+def page(title: str, body: list[str]) -> str:
+    """The self-contained HTML document: ``title`` as ``<title>`` and
+    ``<h1>``, the stylesheet inline, then ``body`` line by line."""
+    return "\n".join(
+        [
+            "<!DOCTYPE html>",
+            '<html lang="en"><head><meta charset="utf-8"/>',
+            f"<title>{html.escape(title)}</title>",
+            f"<style>{_CSS}</style></head><body>",
+            f"<h1>{html.escape(title)}</h1>",
+            *body,
+            "</body></html>",
+        ]
+    )
+
+
+_CSS = """
+body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto; max-width: 960px;
+       color: #1a1a2e; background: #fff; }
+h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2.2rem; }
+table { border-collapse: collapse; margin: 1rem 0; width: 100%; }
+th, td { border-bottom: 1px solid #d7d7e0; padding: .35rem .6rem; text-align: left; }
+th { background: #f4f4f8; }
+td.num { font-variant-numeric: tabular-nums; text-align: right; }
+.good { color: #00705f; font-weight: 600; }
+.warn { color: #9a4a00; font-weight: 600; }
+.bad  { color: #a02020; font-weight: 600; }
+.muted { color: #777; }
+svg { display: block; margin: .6rem 0 0; }
+svg .panel { fill: none; stroke: #444; stroke-width: 1; }
+svg .grid { stroke: #e4e4ec; stroke-width: 1; }
+svg .curve { fill: none; stroke-width: 1.8; }
+svg .ref { stroke-dasharray: 5 4; stroke-width: 1.4; opacity: .85; }
+svg .reftext { font: 10px system-ui, sans-serif; text-anchor: middle; }
+svg .anchor-end { text-anchor: end; }
+svg .ptitle { font: 600 12px system-ui, sans-serif; text-anchor: middle; }
+svg .axis { font: 11px system-ui, sans-serif; text-anchor: middle; fill: #444; }
+svg .tick { font: 10px system-ui, sans-serif; text-anchor: middle; fill: #666; }
+svg .ylab { text-anchor: end; }
+svg .barlabel { font: 600 10px system-ui, sans-serif; fill: #fff; text-anchor: middle; }
+h3 { font-size: .95rem; margin: 1.2rem 0 0; }
+.legend span { display: inline-block; margin-right: 1.2rem; }
+.swatch { display: inline-block; width: .8em; height: .8em; border-radius: 2px;
+          margin-right: .35em; vertical-align: -1px; }
+"""
+
+# -- forensics and flight figures ------------------------------------------------
 
 #: Okabe–Ito colours for the four latency components (+ the total)
 COMPONENT_COLORS = {
@@ -115,8 +381,7 @@ def hotspot_heatmap_svg(
         f"per switch (peak {peak})"
     )
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" role="img">',
+        svg_open(width, height),
         f'<text x="{pad}" y="16" class="ptitle" text-anchor="start">'
         f"{html.escape(label)}</text>",
     ]
@@ -155,6 +420,10 @@ def latency_breakdown_svg(attribution: dict, title: str | None = None) -> str:
     Raises:
         AnalysisError: when the document recorded no packets.
     """
+    # not at the top: ``import repro`` loads this module for the scorecard's
+    # primitives, and should not load the forensics probes for one tuple
+    from .forensics import COMPONENTS
+
     packets = attribution.get("packets", 0)
     if not packets:
         raise AnalysisError("attribution document holds no delivered packets")
@@ -171,8 +440,7 @@ def latency_breakdown_svg(attribution: dict, title: str | None = None) -> str:
         f"({attribution.get('pattern', '?')} traffic)"
     )
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" role="img">',
+        svg_open(width, height),
         f'<text x="{bar_x}" y="16" class="ptitle" text-anchor="start">'
         f"{html.escape(label)}</text>",
     ]
@@ -299,8 +567,7 @@ def flight_timeline_svg(doc: dict, title: str | None = None, width: int = 640) -
         f"stride {doc.get('stride', doc.get('interval', '?'))} cycles"
     )
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" role="img">',
+        svg_open(width, height),
         f'<text x="{pad}" y="15" class="ptitle" text-anchor="start">'
         f"{html.escape(label)}</text>",
     ]

@@ -17,6 +17,18 @@ top of the page is the reproduction health dashboard: a fidelity dip
 after a code change flags a behavioural regression the unit tests may
 not see.
 
+The module has two halves.  The data half reads
+:class:`~repro.sim.results.RunResult` objects and emits no markup:
+:func:`paper_reference`, :func:`figures_from_results`,
+:func:`partition_results`, the campaign curves
+(:func:`reliability_curves`, :func:`congestion_curves`) and the per-tier
+entry pickers (:func:`forensics_by_figure`, :func:`flight_entries`,
+:func:`statehash_entries`).  The rendering half reads no run: each
+section of the scorecard is a :class:`_Section` — heading, blurb, panel
+pair and ``(header, format, class)`` table columns — laid over the
+drawing primitives of :mod:`repro.obs.heatmap`; to add a panel, add one
+spec and the rows it is drawn from (DESIGN.md, *Report layer*).
+
 Typical use::
 
     repro-net sweep --network tree --pattern uniform --ledger runs.jsonl
@@ -32,10 +44,24 @@ from dataclasses import dataclass, field
 from ..errors import AnalysisError
 from ..metrics.saturation import DEFAULT_TOLERANCE, saturation_point
 from ..metrics.series import LoadSweepSeries
-from ..sim.results import RunResult
-
-#: Okabe–Ito colour-blind-safe palette, cycled across series
-_PALETTE = ("#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9")
+from ..sim.results import (
+    RunResult,
+    mean_goodput_fraction,
+    mean_retransmit_overhead,
+    total_dropped,
+    total_given_up,
+    worst_p99,
+)
+from .heatmap import (
+    flight_timeline_svg,
+    fmt,
+    hotspot_heatmap_svg,
+    latency_breakdown_svg,
+    legend,
+    page,
+    panel_pair,
+    table,
+)
 
 
 @dataclass(frozen=True)
@@ -146,6 +172,15 @@ def _figure_title(network: str, k: int, n: int, pattern: str) -> str:
     return f"{network} {k}-ary {n}-dim, {pattern} traffic"
 
 
+def _documents(results: list[RunResult], tier: str):
+    """``(result, document)`` of every run whose telemetry carries a
+    document of observer ``tier`` (``"forensics"``, ``"flight"``, ...)."""
+    for result in results:
+        doc = getattr(result.telemetry, tier, None)
+        if doc:
+            yield result, doc
+
+
 def forensics_by_figure(results: list[RunResult]) -> dict[str, tuple[str, dict]]:
     """Pick one forensics document per scorecard figure.
 
@@ -156,17 +191,14 @@ def forensics_by_figure(results: list[RunResult]) -> dict[str, tuple[str, dict]]
     ``figure title -> (run label, forensics document)``.
     """
     chosen: dict[str, tuple[float, str, dict]] = {}
-    for result in results:
-        t = result.telemetry
-        if t is None or not getattr(t, "forensics", None):
-            continue
+    for result, doc in _documents(results, "forensics"):
         c = result.config
         title = _figure_title(c.network, c.k, c.n, c.pattern)
         load = c.load
         prev = chosen.get(title)
         if prev is None or load > prev[0]:
             label = f"{_series_label(c.algorithm, c.vcs)}, load {load:g}"
-            chosen[title] = (load, label, t.forensics)
+            chosen[title] = (load, label, doc)
     return {title: (label, doc) for title, (_, label, doc) in chosen.items()}
 
 
@@ -196,6 +228,23 @@ def partition_results(
     return plain, chaos, congestion
 
 
+def _campaign_groups(results: list[RunResult], tag: str, variant: tuple, axis: str):
+    """Campaign runs — those with a ``tag`` recipe on
+    ``telemetry.reliability`` — as curves: ``[(key, [(x, runs), ...]),
+    ...]``, one key per (network, k, n, algorithm, vcs, the recipe's
+    ``variant`` fields) with its runs grouped by ``recipe[axis]``, both
+    levels sorted."""
+    groups: dict[tuple, dict[float, list[RunResult]]] = {}
+    for result in results:
+        recipe = (getattr(result.telemetry, "reliability", None) or {}).get(tag)
+        if recipe is None:
+            continue
+        c = result.config
+        key = (c.network, c.k, c.n, c.algorithm, c.vcs, *(recipe[name] for name in variant))
+        groups.setdefault(key, {}).setdefault(recipe[axis], []).append(result)
+    return [(key, sorted(by_x.items())) for key, by_x in sorted(groups.items())]
+
+
 @dataclass
 class ReliabilityCurve:
     """One configuration's fault-rate curve from a chaos campaign.
@@ -213,37 +262,28 @@ def reliability_curves(results: list[RunResult]) -> list[ReliabilityCurve]:
     """Aggregate chaos runs into goodput-degradation curves.
 
     Runs sharing (network, shape, algorithm, vcs, repair time) form one
-    curve; within it every fault rate averages its load grid — the same
-    aggregation :func:`repro.experiments.chaos.degradation_rows` applies
-    campaign-side, recomputed here from the ledger so the scorecard
-    needs only run documents.
+    curve; within it every fault rate averages its load grid — the means
+    :func:`repro.experiments.chaos.degradation_rows` prints campaign-side
+    (:mod:`repro.sim.results`), taken here over the ledger's runs so the
+    scorecard needs only run documents.
     """
-    groups: dict[tuple, dict[float, list[RunResult]]] = {}
-    for result in results:
-        rel = getattr(result.telemetry, "reliability", None) or {}
-        storm = rel.get("storm")
-        if storm is None:
-            continue
-        c = result.config
-        key = (c.network, c.k, c.n, c.algorithm, c.vcs, storm["repair_cycles"])
-        groups.setdefault(key, {}).setdefault(storm["fault_rate"], []).append(result)
     curves = []
-    for (network, k, n, algorithm, vcs, repair), rates in sorted(groups.items()):
+    for key, rates in _campaign_groups(results, "storm", ("repair_cycles",), "fault_rate"):
+        network, k, n, algorithm, vcs, repair = key
         label = f"{network} {k}-ary {n}-dim, {_series_label(algorithm, vcs)}"
         if repair:
             label += f", repair {repair} cyc"
-        curve = ReliabilityCurve(label=label)
-        for rate, runs in sorted(rates.items()):
-            curve.points.append(
-                (
-                    rate,
-                    sum(r.goodput_fraction for r in runs) / len(runs),
-                    sum(r.retransmit_overhead for r in runs) / len(runs),
-                    sum(r.given_up_packets for r in runs),
-                    sum(r.dropped_packets for r in runs),
-                )
+        points = [
+            (
+                rate,
+                mean_goodput_fraction(runs),
+                mean_retransmit_overhead(runs),
+                total_given_up(runs),
+                total_dropped(runs),
             )
-        curves.append(curve)
+            for rate, runs in rates
+        ]
+        curves.append(ReliabilityCurve(label, points))
     return curves
 
 
@@ -259,7 +299,6 @@ class CongestionCurve:
 
     label: str
     mode: str
-    saturation: float
     points: list[tuple[float, float, float | None, int]] = field(default_factory=list)
 
 
@@ -272,43 +311,18 @@ def congestion_curves(results: list[RunResult]) -> list[CongestionCurve]:
     two curves over one axis — the collapse comparison the campaign
     exists to make.
     """
-    groups: dict[tuple, dict[float, list[RunResult]]] = {}
-    sats: dict[tuple, float] = {}
-    for result in results:
-        rel = getattr(result.telemetry, "reliability", None) or {}
-        overload = rel.get("overload")
-        if overload is None:
-            continue
-        c = result.config
-        key = (
-            c.network, c.k, c.n, c.algorithm, c.vcs,
-            overload["mode"], overload["arbiter"],
-        )
-        sats[key] = overload["saturation"]
-        groups.setdefault(key, {}).setdefault(overload["factor"], []).append(result)
     curves = []
-    for key, factors in sorted(groups.items()):
+    for key, factors in _campaign_groups(results, "overload", ("mode", "arbiter"), "factor"):
         network, k, n, algorithm, vcs, mode, arbiter = key
         label = (
             f"{network} {k}-ary {n}-dim, {_series_label(algorithm, vcs)}, "
             f"{mode} loop ({arbiter})"
         )
-        curve = CongestionCurve(label=label, mode=mode, saturation=sats[key])
-        for factor, runs in sorted(factors.items()):
-            p99s = []
-            for r in runs:
-                pct = r.latency_percentiles()
-                if pct is not None:
-                    p99s.append(pct["p99"])
-            curve.points.append(
-                (
-                    factor,
-                    sum(r.goodput_fraction for r in runs) / len(runs),
-                    max(p99s) if p99s else None,
-                    sum(r.given_up_packets for r in runs),
-                )
-            )
-        curves.append(curve)
+        points = [
+            (factor, mean_goodput_fraction(runs), worst_p99(runs), total_given_up(runs))
+            for factor, runs in factors
+        ]
+        curves.append(CongestionCurve(label, mode, points))
     return curves
 
 
@@ -361,290 +375,6 @@ def figures_from_results(
     return figures
 
 
-# -- SVG assembly ----------------------------------------------------------------
-
-#: panel geometry (one figure = two panels in a single <svg>)
-_PANEL_W, _PANEL_H = 340, 230
-_MARGIN_L, _MARGIN_T = 64, 30
-_PANEL_GAP = 120
-_SVG_W = _MARGIN_L + 2 * _PANEL_W + _PANEL_GAP + 30
-_SVG_H = _MARGIN_T + _PANEL_H + 60
-
-
-def _fmt(value: float) -> str:
-    """Short, locale-free coordinate/tick formatting."""
-    return f"{value:.4g}"
-
-
-class _Panel:
-    """Maps data coordinates into one panel's SVG pixel box."""
-
-    def __init__(self, x0: float, x1: float, y0: float, y1: float, left: float):
-        self.x0, self.x1 = x0, x1 or 1.0
-        self.y0, self.y1 = y0, y1 or 1.0
-        self.left = left
-
-    def x(self, v: float) -> float:
-        span = (self.x1 - self.x0) or 1.0
-        return self.left + (v - self.x0) / span * _PANEL_W
-
-    def y(self, v: float) -> float:
-        span = (self.y1 - self.y0) or 1.0
-        return _MARGIN_T + _PANEL_H - (v - self.y0) / span * _PANEL_H
-
-    def frame(self, title: str, xlabel: str, ylabel: str) -> list[str]:
-        top, bottom = _MARGIN_T, _MARGIN_T + _PANEL_H
-        right = self.left + _PANEL_W
-        parts = [
-            f'<rect x="{self.left}" y="{top}" width="{_PANEL_W}" height="{_PANEL_H}" '
-            f'class="panel"/>',
-            f'<text x="{self.left + _PANEL_W / 2}" y="{top - 10}" class="ptitle">'
-            f"{html.escape(title)}</text>",
-            f'<text x="{self.left + _PANEL_W / 2}" y="{bottom + 36}" class="axis">'
-            f"{html.escape(xlabel)}</text>",
-            f'<text x="{self.left - 48}" y="{top + _PANEL_H / 2}" class="axis" '
-            f'transform="rotate(-90 {self.left - 48} {top + _PANEL_H / 2})">'
-            f"{html.escape(ylabel)}</text>",
-        ]
-        for frac in (0.0, 0.5, 1.0):
-            xv = self.x0 + frac * (self.x1 - self.x0)
-            yv = self.y0 + frac * (self.y1 - self.y0)
-            px, py = self.x(xv), self.y(yv)
-            parts.append(
-                f'<line x1="{px:.1f}" y1="{top}" x2="{px:.1f}" y2="{bottom}" class="grid"/>'
-            )
-            parts.append(
-                f'<line x1="{self.left}" y1="{py:.1f}" x2="{right}" y2="{py:.1f}" class="grid"/>'
-            )
-            parts.append(
-                f'<text x="{px:.1f}" y="{bottom + 16}" class="tick">{_fmt(xv)}</text>'
-            )
-            parts.append(
-                f'<text x="{self.left - 6}" y="{py + 4:.1f}" class="tick ylab">{_fmt(yv)}</text>'
-            )
-        return parts
-
-    def polyline(self, pts: list[tuple[float, float]], color: str) -> list[str]:
-        if not pts:
-            return []
-        coords = " ".join(f"{self.x(x):.1f},{self.y(y):.1f}" for x, y in pts)
-        parts = []
-        if len(pts) > 1:
-            parts.append(f'<polyline points="{coords}" class="curve" stroke="{color}"/>')
-        parts.extend(
-            f'<circle cx="{self.x(x):.1f}" cy="{self.y(y):.1f}" r="2.6" fill="{color}"/>'
-            for x, y in pts
-        )
-        return parts
-
-    def vline(self, xv: float, color: str, label: str) -> list[str]:
-        px = self.x(xv)
-        return [
-            f'<line x1="{px:.1f}" y1="{_MARGIN_T}" x2="{px:.1f}" '
-            f'y2="{_MARGIN_T + _PANEL_H}" class="ref" stroke="{color}"/>',
-            f'<text x="{px:.1f}" y="{_MARGIN_T + 12}" class="reftext" fill="{color}">'
-            f"{html.escape(label)}</text>",
-        ]
-
-    def hline(self, yv: float, color: str, label: str) -> list[str]:
-        py = self.y(yv)
-        right = self.left + _PANEL_W
-        return [
-            f'<line x1="{self.left}" y1="{py:.1f}" x2="{right}" y2="{py:.1f}" '
-            f'class="ref" stroke="{color}"/>',
-            f'<text x="{right - 4}" y="{py - 4:.1f}" class="reftext anchor-end" '
-            f'fill="{color}">{html.escape(label)}</text>',
-        ]
-
-
-def _figure_svg(fig: ScorecardFigure) -> str:
-    """One figure as a single standalone ``<svg>`` (two panels)."""
-    xs = [p.offered for s in fig.series for p in s.points]
-    bw = [max(p.accepted, p.offered_measured) for s in fig.series for p in s.points]
-    lat = [p.latency_cycles for s in fig.series for p in s.points if p.latency_cycles]
-    ref_sats = [r.saturation for r in fig.refs.values()]
-    ref_lats = [r.latency_presat for r in fig.refs.values() if r.latency_presat]
-    x_hi = max(xs + ref_sats) * 1.05
-    bw_hi = max(bw + ref_sats) * 1.1
-    lat_hi = max(lat + ref_lats) * 1.1 if (lat or ref_lats) else 1.0
-
-    left_b = _Panel(0.0, x_hi, 0.0, bw_hi, _MARGIN_L)
-    left_l = _Panel(0.0, x_hi, 0.0, lat_hi, _MARGIN_L + _PANEL_W + _PANEL_GAP)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
-        f'width="{_SVG_W}" height="{_SVG_H}" role="img">'
-    ]
-    parts += left_b.frame("accepted bandwidth", "offered (fraction of capacity)",
-                          "accepted (fraction)")
-    parts += left_l.frame("network latency", "offered (fraction of capacity)",
-                          "latency (cycles)")
-    for i, series in enumerate(fig.series):
-        color = _PALETTE[i % len(_PALETTE)]
-        parts += left_b.polyline(
-            [(p.offered, p.accepted) for p in series.points], color
-        )
-        parts += left_l.polyline(
-            [
-                (p.offered, p.latency_cycles)
-                for p in series.points
-                if p.latency_cycles is not None
-            ],
-            color,
-        )
-        ref = fig.refs.get(series.label)
-        if ref is not None:
-            parts += left_b.vline(
-                ref.saturation, color, f"paper {_fmt(ref.saturation)}"
-            )
-            if ref.latency_presat is not None:
-                parts += left_l.hline(
-                    ref.latency_presat, color, f"paper ≈{_fmt(ref.latency_presat)}"
-                )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _reliability_svg(curves: list[ReliabilityCurve]) -> str:
-    """Goodput-degradation and retransmit-overhead panels (one ``<svg>``)."""
-    rates = [p[0] for c in curves for p in c.points]
-    goodput = [p[1] for c in curves for p in c.points]
-    overhead = [p[2] for c in curves for p in c.points]
-    x_hi = (max(rates) * 1.1) if max(rates, default=0.0) else 0.25
-    g_hi = (max(goodput) * 1.15) if goodput else 1.0
-    o_hi = (max(overhead) * 1.15) if max(overhead, default=0.0) else 0.1
-
-    left = _Panel(0.0, x_hi, 0.0, g_hi, _MARGIN_L)
-    right = _Panel(0.0, x_hi, 0.0, o_hi, _MARGIN_L + _PANEL_W + _PANEL_GAP)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
-        f'width="{_SVG_W}" height="{_SVG_H}" role="img">'
-    ]
-    parts += left.frame("end-to-end goodput", "fault rate (fraction of channels)",
-                        "goodput (fraction of capacity)")
-    parts += right.frame("retransmit overhead", "fault rate (fraction of channels)",
-                         "retransmitted / injected")
-    for i, curve in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        parts += left.polyline([(p[0], p[1]) for p in curve.points], color)
-        parts += right.polyline([(p[0], p[2]) for p in curve.points], color)
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _reliability_section(curves: list[ReliabilityCurve]) -> list[str]:
-    """The chaos-campaign panel: curves, legend and accounting table."""
-    parts = ["<h2>Reliability under fail-stop fault storms</h2>"]
-    parts.append(
-        '<p class="muted">Randomized fail-stop link faults destroy in-flight '
-        "worms; the source-side reliable transport recovers them by timeout "
-        "and retransmission.  Goodput counts first-copy payload only; each "
-        "point averages a chaos campaign's offered-load grid.</p>"
-    )
-    legend = []
-    for i, curve in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        legend.append(
-            f'<span><i class="swatch" style="background:{color}"></i>'
-            f"{html.escape(curve.label)}</span>"
-        )
-    parts.append(f'<p class="legend">{"".join(legend)}</p>')
-    parts.append(_reliability_svg(curves))
-    parts.append("<table>")
-    parts.append(
-        "<tr><th>configuration</th><th>fault rate</th><th>goodput</th>"
-        "<th>retransmit overhead</th><th>given up</th><th>dropped</th></tr>"
-    )
-    for curve in curves:
-        for rate, goodput, overhead, gave_up, dropped in curve.points:
-            gave_up_cls = "num" if gave_up == 0 else "num warn"
-            parts.append(
-                f"<tr><td>{html.escape(curve.label)}</td>"
-                f'<td class="num">{rate:.2f}</td>'
-                f'<td class="num">{goodput:.3f}</td>'
-                f'<td class="num">{overhead:.1%}</td>'
-                f'<td class="{gave_up_cls}">{gave_up}</td>'
-                f'<td class="num">{dropped}</td></tr>'
-            )
-    parts.append("</table>")
-    return parts
-
-
-def _congestion_svg(curves: list[CongestionCurve]) -> str:
-    """Goodput and p99-latency collapse panels (one ``<svg>``).
-
-    The x axis is offered load in saturation multiples, so open- and
-    closed-loop curves of any shape share one frame, with the paper's
-    saturation point at exactly 1.0 (dashed marker).
-    """
-    factors = [p[0] for c in curves for p in c.points]
-    goodput = [p[1] for c in curves for p in c.points]
-    p99 = [p[2] for c in curves for p in c.points if p[2] is not None]
-    x_hi = (max(factors + [1.0])) * 1.05
-    g_hi = (max(goodput) * 1.15) if goodput else 1.0
-    l_hi = (max(p99) * 1.1) if p99 else 1.0
-
-    left = _Panel(0.0, x_hi, 0.0, g_hi, _MARGIN_L)
-    right = _Panel(0.0, x_hi, 0.0, l_hi, _MARGIN_L + _PANEL_W + _PANEL_GAP)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
-        f'width="{_SVG_W}" height="{_SVG_H}" role="img">'
-    ]
-    parts += left.frame("goodput past saturation", "offered load (× saturation)",
-                        "goodput (fraction of capacity)")
-    parts += right.frame("tail latency", "offered load (× saturation)",
-                         "p99 latency (cycles)")
-    for i, curve in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        parts += left.polyline([(p[0], p[1]) for p in curve.points], color)
-        parts += right.polyline(
-            [(p[0], p[2]) for p in curve.points if p[2] is not None], color
-        )
-    parts += left.vline(1.0, "#666", "saturation")
-    parts += right.vline(1.0, "#666", "saturation")
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _congestion_section(curves: list[CongestionCurve]) -> list[str]:
-    """The congestion-collapse panel: curves, legend and per-point table."""
-    parts = ["<h2>Congestion collapse past saturation</h2>"]
-    parts.append(
-        '<p class="muted">Overload campaigns drive the network past the '
-        "paper's saturation load.  Open loop, the reliable transport "
-        "retransmits blindly and goodput collapses while tail latency "
-        "grows; closed loop, hot-link marking and per-destination AIMD "
-        "windows throttle injection at the source — graceful degradation "
-        "instead of collapse.  Goodput counts first-copy payload only.</p>"
-    )
-    legend = []
-    for i, curve in enumerate(curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        legend.append(
-            f'<span><i class="swatch" style="background:{color}"></i>'
-            f"{html.escape(curve.label)}</span>"
-        )
-    parts.append(f'<p class="legend">{"".join(legend)}</p>')
-    parts.append(_congestion_svg(curves))
-    parts.append("<table>")
-    parts.append(
-        "<tr><th>configuration</th><th>× saturation</th><th>goodput</th>"
-        "<th>p99 latency</th><th>given up</th></tr>"
-    )
-    for curve in curves:
-        for factor, goodput, p99, gave_up in curve.points:
-            gave_up_cls = "num" if gave_up == 0 else "num warn"
-            p99_cell = f"{p99:.0f}" if p99 is not None else "—"
-            parts.append(
-                f"<tr><td>{html.escape(curve.label)}</td>"
-                f'<td class="num">{factor:.2f}</td>'
-                f'<td class="num">{goodput:.3f}</td>'
-                f'<td class="num">{p99_cell}</td>'
-                f'<td class="{gave_up_cls}">{gave_up}</td></tr>'
-            )
-    parts.append("</table>")
-    return parts
-
-
 #: dynamics panel cap: entries beyond this stay in the ledger only
 _MAX_DYNAMICS = 8
 
@@ -661,13 +391,10 @@ def flight_entries(results: list[RunResult]) -> list[tuple[str, dict]]:
     sorted by label, capped at :data:`_MAX_DYNAMICS` entries.
     """
     chosen: dict[tuple, tuple[float, str, dict]] = {}
-    for result in results:
-        t = result.telemetry
-        if t is None or getattr(t, "flight", None) is None:
-            continue
+    for result, doc in _documents(results, "flight"):
         c = result.config
         shape = f"{c.network} {c.k}-ary {c.n}-dim"
-        rel = getattr(t, "reliability", None) or {}
+        rel = getattr(result.telemetry, "reliability", None) or {}
         overload = rel.get("overload")
         storm = rel.get("storm")
         if overload is not None:
@@ -693,7 +420,7 @@ def flight_entries(results: list[RunResult]) -> list[tuple[str, dict]]:
             )
         prev = chosen.get(key)
         if prev is None or rank > prev[0]:
-            chosen[key] = (rank, label, t.flight)
+            chosen[key] = (rank, label, doc)
     entries = sorted(
         ((label, doc) for _, label, doc in chosen.values()), key=lambda e: e[0]
     )
@@ -709,286 +436,57 @@ def statehash_entries(results: list[RunResult]) -> list[tuple[str, dict]]:
     replicas), sorted by (label, seed) for stable output.
     """
     entries = []
-    for result in results:
-        t = result.telemetry
-        if t is None or getattr(t, "statehash", None) is None:
-            continue
+    for result, doc in _documents(results, "statehash"):
         c = result.config
         label = (
             f"{c.network} {c.k}-ary {c.n}-dim, {c.pattern}, "
             f"{_series_label(c.algorithm, c.vcs)}, load {c.load:g}, "
             f"seed {c.seed}"
         )
-        entries.append((label, t.statehash))
+        entries.append((label, doc))
     entries.sort(key=lambda e: e[0])
     return entries
 
 
-def _dynamics_svg(entries: list[tuple[str, dict, str]]) -> str:
-    """Delivered-rate and backlog overlays over the shared cycle axis.
+# -- rendering: the pages as data over the primitives of repro.obs.heatmap ---------
 
-    One curve per flight entry; for an open-vs-closed overload pair this
-    is the collapse contrast in the time domain — the open loop's
-    delivered rate sagging under a growing backlog while the closed
-    loop's stays level.  Annotations render as dashed markers with
-    hover tooltips on the rate panel.
-    """
-    x_hi = y_hi = b_hi = 0.0
-    for _, doc, _ in entries:
-        series = doc.get("series", {})
-        cycles = series.get("cycle") or [1]
-        spans = series.get("span") or [1] * len(cycles)
-        x_hi = max(x_hi, cycles[-1])
-        for key in ("offered", "delivered"):
-            for i, v in enumerate(series.get(key) or ()):
-                y_hi = max(y_hi, v / (spans[i] or 1))
-        b_hi = max(b_hi, max(series.get("backlog") or [0]))
-    left = _Panel(0.0, x_hi or 1.0, 0.0, (y_hi or 1.0) * 1.1, _MARGIN_L)
-    right = _Panel(
-        0.0, x_hi or 1.0, 0.0, (b_hi or 1.0) * 1.1,
-        _MARGIN_L + _PANEL_W + _PANEL_GAP,
-    )
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
-        f'width="{_SVG_W}" height="{_SVG_H}" role="img">'
-    ]
-    parts += left.frame("delivery rate", "cycle", "delivered (flits/cycle)")
-    parts += right.frame("source backlog", "cycle", "queued flits")
-    top, bottom = _MARGIN_T, _MARGIN_T + _PANEL_H
-    for label, doc, color in entries:
-        series = doc.get("series", {})
-        cycles = series.get("cycle") or []
-        spans = series.get("span") or [1] * len(cycles)
-        delivered = series.get("delivered") or []
-        backlog = series.get("backlog") or []
-        rate = " ".join(
-            f"{left.x(cycles[i]):.1f},"
-            f"{left.y(delivered[i] / (spans[i] or 1)):.1f}"
-            for i in range(len(cycles))
-        )
+
+@dataclass(frozen=True)
+class _Section:
+    """One scorecard section as data: heading, blurb (HTML), a panel pair
+    (``x``, ``left``, ``right``, ``marks`` and ``hover`` are
+    :func:`~repro.obs.heatmap.panel_pair`'s) and a table (``columns`` are
+    :func:`~repro.obs.heatmap.table`'s), either of which may be absent."""
+
+    heading: str = ""
+    blurb: str = ""
+    x: tuple | None = None
+    left: tuple = ()
+    right: tuple = ()
+    marks: tuple = ()
+    hover: bool = False
+    columns: tuple = ()
+
+
+def _section(spec, curves=(), rows=(), heading=None, reach=((), (), ())) -> list[str]:
+    """``spec`` over its data: ``curves`` and ``reach`` go to the panel
+    pair (and the curves' labels to its legend), ``rows`` fill the table."""
+    parts = [f"<h2>{html.escape(heading or spec.heading)}</h2>"]
+    if spec.blurb:
+        parts.append(f'<p class="muted">{spec.blurb}</p>')
+    if spec.x is not None:
+        parts.append(legend([label for label, _, _ in curves]))
         parts.append(
-            f'<polyline points="{rate}" class="curve" stroke="{color}">'
-            f"<title>{html.escape(label)}</title></polyline>"
+            panel_pair(spec.x, spec.left, spec.right, curves, reach, spec.marks, spec.hover)
         )
-        if backlog:
-            queue = " ".join(
-                f"{right.x(cycles[i]):.1f},{right.y(backlog[i]):.1f}"
-                for i in range(len(cycles))
-            )
-            parts.append(
-                f'<polyline points="{queue}" class="curve" stroke="{color}">'
-                f"<title>{html.escape(label)}</title></polyline>"
-            )
-        for ann in doc.get("annotations", ()):
-            px = left.x(min(ann.get("cycle", 0), x_hi))
-            tooltip = f"{label}: {ann.get('kind', '?')} @ {ann.get('cycle', '?')}"
-            parts.append(
-                f'<line x1="{px:.1f}" y1="{top}" x2="{px:.1f}" y2="{bottom}" '
-                f'class="ref" stroke="{color}">'
-                f"<title>{html.escape(tooltip)}</title></line>"
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def _dynamics_section(entries: list[tuple[str, dict]]) -> list[str]:
-    """The flight-recorder panel: rate/backlog overlay + per-run timelines."""
-    from .heatmap import flight_timeline_svg
-
-    colored = [
-        (label, doc, _PALETTE[i % len(_PALETTE)])
-        for i, (label, doc) in enumerate(entries)
-    ]
-    parts = ["<h2>Dynamics (flight recorder)</h2>"]
-    parts.append(
-        '<p class="muted">Bounded multi-layer time series sampled during '
-        "flight-instrumented runs: injection and delivery rates, fabric "
-        "occupancy, transport retransmissions and congestion-window "
-        "dynamics on one cycle axis.  Dashed markers stamp annotated "
-        "events — fault strikes, the first ECN mark and window decrease, "
-        "and the collapse onset (sustained delivery shortfall against the "
-        "offered rate).</p>"
-    )
-    legend = [
-        f'<span><i class="swatch" style="background:{color}"></i>'
-        f"{html.escape(label)}</span>"
-        for label, _, color in colored
-    ]
-    parts.append(f'<p class="legend">{"".join(legend)}</p>')
-    parts.append(_dynamics_svg(colored))
-    rows = []
-    for label, doc, _ in colored:
-        for ann in doc.get("annotations", ()):
-            rows.append((label, ann))
     if rows:
-        parts.append("<table>")
-        parts.append(
-            "<tr><th>run</th><th>annotation</th><th>cycle</th>"
-            "<th>detail</th></tr>"
-        )
-        for label, ann in rows:
-            kind = ann.get("kind", "?")
-            cls = "warn" if kind in ("collapse_onset", "stall") else "num"
-            parts.append(
-                f"<tr><td>{html.escape(label)}</td>"
-                f'<td class="{cls}">{html.escape(kind)}</td>'
-                f'<td class="num">{ann.get("cycle", "?")}</td>'
-                f"<td>{html.escape(str(ann.get('detail') or ''))}</td></tr>"
-            )
-        parts.append("</table>")
-    for label, doc, _ in colored:
-        parts.append(f"<h3>flight timeline ({html.escape(label)})</h3>")
-        parts.append(flight_timeline_svg(doc))
+        parts += table(spec.columns, rows)
     return parts
 
 
-def _statehash_section(entries: list[tuple[str, dict]]) -> list[str]:
-    """The state-digest audit panel: one chain summary row per run.
-
-    Runs sharing a genesis (identical full config, seed included) are
-    replica groups: matching chain heads render as a reproducibility
-    check mark, a mismatch flags a divergence for ``repro diff``.
-    """
-    parts = ["<h2>State-digest audit</h2>"]
-    parts.append(
-        '<p class="muted">Bounded Merkle-style chains of per-interval '
-        "state roots (lanes, credits, routing, injection queues, "
-        "transport windows, RNG positions).  Two runs of one recipe must "
-        "agree on every root; <code>repro diff</code> bisects any "
-        "mismatch to the exact first divergent cycle.</p>"
-    )
-    by_genesis: dict[str, set[str]] = {}
-    for _, doc in entries:
-        by_genesis.setdefault(doc["genesis"], set()).add(doc["chain_head"])
-    parts.append("<table>")
-    parts.append(
-        "<tr><th>run</th><th>genesis (config digest)</th><th>samples</th>"
-        "<th>stride</th><th>final root</th><th>chain head</th>"
-        "<th>replicas</th></tr>"
-    )
-    for label, doc in entries:
-        heads = by_genesis[doc["genesis"]]
-        if len(heads) > 1:
-            replica = '<td class="bad">diverged</td>'
-        else:
-            replica = '<td class="good">consistent</td>'
-        final_root = doc["roots"][-1] if doc["roots"] else "—"
-        parts.append(
-            f"<tr><td>{html.escape(label)}</td>"
-            f"<td><code>{html.escape(doc['genesis'])}</code></td>"
-            f'<td class="num">{doc["entries"]}</td>'
-            f'<td class="num">{doc["stride"]}</td>'
-            f"<td><code>{html.escape(final_root)}</code></td>"
-            f"<td><code>{html.escape(doc['chain_head'])}</code></td>"
-            f"{replica}</tr>"
-        )
-    parts.append("</table>")
-    return parts
-
-
-def render_diff_html(doc: dict, title: str = "Divergence report") -> str:
-    """Self-contained HTML for one ``repro diff`` outcome document."""
-    verdict = (
-        '<p class="good">IDENTICAL over '
-        f"{doc['compared_entries']} common sampled cycles</p>"
-        if doc["identical"]
-        else '<p class="bad">DIVERGED — first divergent interval ends cycle '
-        f"{doc['first_divergent_interval_cycle']}, subsystems: "
-        f"{html.escape(', '.join(doc['subsystems_divergent']) or '?')}</p>"
-    )
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-        verdict,
-        "<table>",
-        "<tr><th>side</th><th>label</th><th>config</th><th>seed</th>"
-        "<th>samples</th><th>stride</th><th>chain head</th></tr>",
-    ]
-    for key in ("a", "b"):
-        side = doc[key]
-        parts.append(
-            f"<tr><td>{key}</td><td>{html.escape(side['label'])}</td>"
-            f"<td><code>{html.escape(side['config_hash'])}</code></td>"
-            f'<td class="num">{side["seed"]}</td>'
-            f'<td class="num">{side["entries"]}</td>'
-            f'<td class="num">{side["stride"]}</td>'
-            f"<td><code>{html.escape(side['chain_head'])}</code></td></tr>"
-        )
-    parts.append("</table>")
-    for note in doc["notes"]:
-        parts.append(f'<p class="muted">{html.escape(note)}</p>')
-    bisection = doc.get("bisection")
-    if bisection is not None:
-        status = bisection["status"]
-        if status == "exact":
-            parts.append(
-                f"<h2>Bisected to cycle {bisection['cycle']}</h2>"
-                f'<p>Divergent subsystems at that cycle: '
-                f"{html.escape(', '.join(bisection.get('subsystems', [])) or 'root only')}"
-                "</p>"
-            )
-        else:
-            parts.append(f'<h2>Bisection: <span class="warn">{html.escape(status)}</span></h2>')
-    if doc["findings"]:
-        parts.append("<table>")
-        parts.append(
-            "<tr><th>subsystem</th><th>location</th><th>lane</th>"
-            "<th>field</th><th>a</th><th>b</th></tr>"
-        )
-        for f in doc["findings"]:
-            parts.append(
-                f"<tr><td>{html.escape(f['subsystem'])}</td>"
-                f"<td>{html.escape(str(f['location'] or ''))}</td>"
-                f"<td>{html.escape(str(f['lane'] or ''))}</td>"
-                f"<td><code>{html.escape(f['path'])}</code></td>"
-                f"<td><code>{html.escape(repr(f['a']))}</code></td>"
-                f"<td><code>{html.escape(repr(f['b']))}</code></td></tr>"
-            )
-        parts.append("</table>")
-        if doc["findings_dropped"]:
-            parts.append(
-                f'<p class="muted">… {doc["findings_dropped"]} more differing '
-                "fields (raise --max-findings to see them)</p>"
-            )
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-_CSS = """
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto; max-width: 960px;
-       color: #1a1a2e; background: #fff; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2.2rem; }
-table { border-collapse: collapse; margin: 1rem 0; width: 100%; }
-th, td { border-bottom: 1px solid #d7d7e0; padding: .35rem .6rem; text-align: left; }
-th { background: #f4f4f8; }
-td.num { font-variant-numeric: tabular-nums; text-align: right; }
-.good { color: #00705f; font-weight: 600; }
-.warn { color: #9a4a00; font-weight: 600; }
-.bad  { color: #a02020; font-weight: 600; }
-.muted { color: #777; }
-svg { display: block; margin: .6rem 0 0; }
-svg .panel { fill: none; stroke: #444; stroke-width: 1; }
-svg .grid { stroke: #e4e4ec; stroke-width: 1; }
-svg .curve { fill: none; stroke-width: 1.8; }
-svg .ref { stroke-dasharray: 5 4; stroke-width: 1.4; opacity: .85; }
-svg .reftext { font: 10px system-ui, sans-serif; text-anchor: middle; }
-svg .anchor-end { text-anchor: end; }
-svg .ptitle { font: 600 12px system-ui, sans-serif; text-anchor: middle; }
-svg .axis { font: 11px system-ui, sans-serif; text-anchor: middle; fill: #444; }
-svg .tick { font: 10px system-ui, sans-serif; text-anchor: middle; fill: #666; }
-svg .ylab { text-anchor: end; }
-svg .barlabel { font: 600 10px system-ui, sans-serif; fill: #fff; text-anchor: middle; }
-h3 { font-size: .95rem; margin: 1.2rem 0 0; }
-.legend span { display: inline-block; margin-right: 1.2rem; }
-.swatch { display: inline-block; width: .8em; height: .8em; border-radius: 2px;
-          margin-right: .35em; vertical-align: -1px; }
-"""
-
-
-def _fidelity_class(score: float) -> str:
+def _fidelity_class(score: float | None) -> str:
+    if score is None:
+        return "muted"
     if score >= 0.9:
         return "good"
     if score >= 0.7:
@@ -996,42 +494,231 @@ def _fidelity_class(score: float) -> str:
     return "bad"
 
 
-def _summary_table(figures: list[ScorecardFigure]) -> list[str]:
-    rows = [
-        "<table>",
-        "<tr><th>figure</th><th>series</th><th>paper ref</th>"
-        "<th>saturation (paper)</th><th>saturation (measured)</th>"
-        "<th>fidelity</th></tr>",
-    ]
-    for fig in figures:
-        for series in fig.series:
-            ref = fig.refs.get(series.label)
-            sat = fig.saturation[series.label]
-            if ref is None:
-                ref_cells = (
-                    '<td class="muted">—</td><td class="num muted">—</td>'
-                    f'<td class="num">{sat:.3f}</td><td class="muted">unscored</td>'
-                )
-            else:
-                score = fig.fidelity[series.label]
-                ref_cells = (
-                    f"<td>{html.escape(ref.figure)}</td>"
-                    f'<td class="num">{ref.saturation:.3f}</td>'
-                    f'<td class="num">{sat:.3f}</td>'
-                    f'<td class="{_fidelity_class(score)}">{score:.0%}</td>'
-                )
-            rows.append(
-                f"<tr><td>{html.escape(fig.title)}</td>"
-                f"<td>{html.escape(series.label)}</td>{ref_cells}</tr>"
+def _warn_unless_zero(count: int) -> str:
+    return "num warn" if count else "num"
+
+
+#: the summary table: one row per series of every figure
+_SUMMARY = (
+    ("figure", "{}", ""),
+    ("series", "{}", ""),
+    ("paper ref", "{}", lambda ref: "muted" if ref is None else ""),
+    ("saturation (paper)", "{:.3f}", lambda sat: "num muted" if sat is None else "num"),
+    ("saturation (measured)", "{:.3f}", "num"),
+    ("fidelity", lambda score: "unscored" if score is None else f"{score:.0%}", _fidelity_class),
+)
+
+#: the CNF pair of the paper's Figures 5 and 6 (headed by the figure's title)
+_CNF = _Section(
+    x=("offered (fraction of capacity)", 1.05, 1.0),
+    left=("accepted bandwidth", "accepted (fraction)", 1.1, 1.0),
+    right=("network latency", "latency (cycles)", 1.1, 1.0),
+)
+
+_RELIABILITY = _Section(
+    heading="Reliability under fail-stop fault storms",
+    blurb=(
+        "Randomized fail-stop link faults destroy in-flight "
+        "worms; the source-side reliable transport recovers them by timeout "
+        "and retransmission.  Goodput counts first-copy payload only; each "
+        "point averages a chaos campaign's offered-load grid."
+    ),
+    x=("fault rate (fraction of channels)", 1.1, 0.25),
+    left=("end-to-end goodput", "goodput (fraction of capacity)", 1.15, 1.0),
+    right=("retransmit overhead", "retransmitted / injected", 1.15, 0.1),
+    columns=(
+        ("configuration", "{}", ""),
+        ("fault rate", "{:.2f}", "num"),
+        ("goodput", "{:.3f}", "num"),
+        ("retransmit overhead", "{:.1%}", "num"),
+        ("given up", "{}", _warn_unless_zero),
+        ("dropped", "{}", "num"),
+    ),
+)
+
+#: the x axis is offered load in saturation multiples, so open- and
+#: closed-loop curves of any shape share one frame, with the paper's
+#: saturation point at exactly 1.0 (dashed marker)
+_COLLAPSE = _Section(
+    heading="Congestion collapse past saturation",
+    blurb=(
+        "Overload campaigns drive the network past the "
+        "paper's saturation load.  Open loop, the reliable transport "
+        "retransmits blindly and goodput collapses while tail latency "
+        "grows; closed loop, hot-link marking and per-destination AIMD "
+        "windows throttle injection at the source — graceful degradation "
+        "instead of collapse.  Goodput counts first-copy payload only."
+    ),
+    x=("offered load (× saturation)", 1.05, 1.0),
+    left=("goodput past saturation", "goodput (fraction of capacity)", 1.15, 1.0),
+    right=("tail latency", "p99 latency (cycles)", 1.1, 1.0),
+    marks=((0, "x", 1.0, "saturation"), (1, "x", 1.0, "saturation")),
+    columns=(
+        ("configuration", "{}", ""),
+        ("× saturation", "{:.2f}", "num"),
+        ("goodput", "{:.3f}", "num"),
+        ("p99 latency", "{:.0f}", "num"),
+        ("given up", "{}", _warn_unless_zero),
+    ),
+)
+
+#: one curve per flight entry over the shared cycle axis; for an
+#: open-vs-closed overload pair this is the collapse contrast in the time
+#: domain — the open loop's delivered rate sagging under a growing backlog
+#: while the closed loop's stays level
+_DYNAMICS = _Section(
+    heading="Dynamics (flight recorder)",
+    blurb=(
+        "Bounded multi-layer time series sampled during "
+        "flight-instrumented runs: injection and delivery rates, fabric "
+        "occupancy, transport retransmissions and congestion-window "
+        "dynamics on one cycle axis.  Dashed markers stamp annotated "
+        "events — fault strikes, the first ECN mark and window decrease, "
+        "and the collapse onset (sustained delivery shortfall against the "
+        "offered rate)."
+    ),
+    x=("cycle", 1.0, 1.0),
+    left=("delivery rate", "delivered (flits/cycle)", 1.1, 1.1),
+    right=("source backlog", "queued flits", 1.1, 1.1),
+    hover=True,
+    columns=(
+        ("run", "{}", ""),
+        ("annotation", "{}", lambda kind: "warn" if kind in ("collapse_onset", "stall") else "num"),
+        ("cycle", "{}", "num"),
+        ("detail", "{}", ""),
+    ),
+)
+
+#: runs sharing a genesis (identical full config, seed included) are
+#: replica groups: matching chain heads render as a reproducibility check
+#: mark, a mismatch flags a divergence for ``repro diff``
+_AUDIT = _Section(
+    heading="State-digest audit",
+    blurb=(
+        "Bounded Merkle-style chains of per-interval "
+        "state roots (lanes, credits, routing, injection queues, "
+        "transport windows, RNG positions).  Two runs of one recipe must "
+        "agree on every root; <code>repro diff</code> bisects any "
+        "mismatch to the exact first divergent cycle."
+    ),
+    columns=(
+        ("run", "{}", ""),
+        ("genesis (config digest)", "{}", "code"),
+        ("samples", "{}", "num"),
+        ("stride", "{}", "num"),
+        ("final root", "{}", "code"),
+        ("chain head", "{}", "code"),
+        ("replicas", "{}", {"consistent": "good", "diverged": "bad"}.get),
+    ),
+)
+
+_DIFF_SIDES = (
+    ("side", "{}", ""),
+    ("label", "{}", ""),
+    ("config", "{}", "code"),
+    ("seed", "{}", "num"),
+    ("samples", "{}", "num"),
+    ("stride", "{}", "num"),
+    ("chain head", "{}", "code"),
+)
+
+_DIFF_FINDINGS = (
+    ("subsystem", "{}", ""),
+    ("location", "{}", ""),
+    ("lane", "{}", ""),
+    ("field", "{}", "code"),
+    ("a", "{}", "code"),
+    ("b", "{}", "code"),
+)
+
+
+def _cnf_section(fig: ScorecardFigure) -> list[str]:
+    """One figure: a curve per series, the paper's saturation point (and
+    latency plateau) as marks in the series' colour.  The bandwidth axis
+    also covers the measured offered load and the paper's saturation
+    loads (accepted meets offered there)."""
+    curves = []
+    for series in fig.series:
+        marks = []
+        ref = fig.refs.get(series.label)
+        if ref is not None:
+            marks.append((0, "x", ref.saturation, f"paper {fmt(ref.saturation)}"))
+            if ref.latency_presat is not None:
+                marks.append((1, "y", ref.latency_presat, f"paper ≈{fmt(ref.latency_presat)}"))
+        points = [(p.offered, p.accepted, p.latency_cycles) for p in series.points]
+        curves.append((series.label, points, marks))
+    sats = [ref.saturation for ref in fig.refs.values()]
+    offered = [p.offered_measured for series in fig.series for p in series.points]
+    return _section(_CNF, curves, heading=fig.title, reach=((), offered + sats, ()))
+
+
+def _campaign_section(spec: _Section, curves) -> list[str]:
+    """A campaign's curves (``label`` and ``points``): every point is drawn
+    and is a row of the table."""
+    return _section(
+        spec,
+        [(curve.label, curve.points, ()) for curve in curves],
+        [(curve.label, *point) for curve in curves for point in curve.points],
+    )
+
+
+def _dynamics_section(entries: list[tuple[str, dict]]) -> list[str]:
+    """The flight-recorder panel: delivery rate and source backlog per
+    sampled interval (the rate axis also covers the offered rate),
+    annotations as marks on the rate panel and rows of the table, then one
+    stacked timeline per run."""
+    traces, offered = [], []
+    for label, doc in entries:
+        series = doc.get("series", {})
+        cycles = series.get("cycle") or []
+        spans = series.get("span") or [1] * len(cycles)
+        rates = {
+            key: [v / (spans[i] or 1) for i, v in enumerate(series.get(key) or ())]
+            for key in ("offered", "delivered")
+        }
+        offered += rates["offered"]
+        backlog = series.get("backlog") or [None] * len(cycles)
+        traces.append((label, doc, list(zip(cycles, rates["delivered"], backlog))))
+    x_hi = max((points[-1][0] for _, _, points in traces if points), default=0)
+    curves, rows = [], []
+    for label, doc, points in traces:
+        marks = []
+        for ann in doc.get("annotations", ()):
+            kind, cycle = ann.get("kind", "?"), ann.get("cycle", "?")
+            marks.append((0, "x", min(ann.get("cycle", 0), x_hi), f"{label}: {kind} @ {cycle}"))
+            rows.append((label, kind, cycle, str(ann.get("detail") or "")))
+        curves.append((label, points, marks))
+    parts = _section(_DYNAMICS, curves, rows, reach=((), offered, ()))
+    for label, doc in entries:
+        parts.append(f"<h3>flight timeline ({html.escape(label)})</h3>")
+        parts.append(flight_timeline_svg(doc))
+    return parts
+
+
+def _audit_section(entries: list[tuple[str, dict]]) -> list[str]:
+    """The state-digest audit panel: one chain summary row per run."""
+    heads: dict[str, set[str]] = {}
+    for _, doc in entries:
+        heads.setdefault(doc["genesis"], set()).add(doc["chain_head"])
+    return _section(
+        _AUDIT,
+        rows=[
+            (
+                label,
+                doc["genesis"],
+                doc["entries"],
+                doc["stride"],
+                doc["roots"][-1] if doc["roots"] else None,
+                doc["chain_head"],
+                "diverged" if len(heads[doc["genesis"]]) > 1 else "consistent",
             )
-    rows.append("</table>")
-    return rows
+            for label, doc in entries
+        ],
+    )
 
 
 def _forensics_section(label: str, doc: dict) -> list[str]:
     """The latency-breakdown + hotspot-heatmap panels for one figure."""
-    from .heatmap import hotspot_heatmap_svg, latency_breakdown_svg
-
     parts = [
         f"<h3>congestion forensics ({html.escape(label)})</h3>",
     ]
@@ -1065,6 +752,62 @@ def _forensics_section(label: str, doc: dict) -> list[str]:
     return parts
 
 
+def render_diff_html(doc: dict, title: str = "Divergence report") -> str:
+    """Self-contained HTML for one ``repro diff`` outcome document."""
+    if doc["identical"]:
+        body = [
+            '<p class="good">IDENTICAL over '
+            f"{doc['compared_entries']} common sampled cycles</p>"
+        ]
+    else:
+        body = [
+            '<p class="bad">DIVERGED — first divergent interval ends cycle '
+            f"{doc['first_divergent_interval_cycle']}, subsystems: "
+            f"{html.escape(', '.join(doc['subsystems_divergent']) or '?')}</p>"
+        ]
+    body += table(
+        _DIFF_SIDES,
+        [
+            (
+                key, side["label"], side["config_hash"], side["seed"],
+                side["entries"], side["stride"], side["chain_head"],
+            )
+            for key, side in (("a", doc["a"]), ("b", doc["b"]))
+        ],
+    )
+    for note in doc["notes"]:
+        body.append(f'<p class="muted">{html.escape(note)}</p>')
+    bisection = doc.get("bisection")
+    if bisection is not None:
+        status = bisection["status"]
+        if status == "exact":
+            body.append(
+                f"<h2>Bisected to cycle {bisection['cycle']}</h2>"
+                f'<p>Divergent subsystems at that cycle: '
+                f"{html.escape(', '.join(bisection.get('subsystems', [])) or 'root only')}"
+                "</p>"
+            )
+        else:
+            body.append(f'<h2>Bisection: <span class="warn">{html.escape(status)}</span></h2>')
+    if doc["findings"]:
+        body += table(
+            _DIFF_FINDINGS,
+            [
+                (
+                    f["subsystem"], str(f["location"] or ""), str(f["lane"] or ""),
+                    f["path"], repr(f["a"]), repr(f["b"]),
+                )
+                for f in doc["findings"]
+            ],
+        )
+        if doc["findings_dropped"]:
+            body.append(
+                f'<p class="muted">… {doc["findings_dropped"]} more differing '
+                "fields (raise --max-findings to see them)</p>"
+            )
+    return page(title, body)
+
+
 def render_scorecard(
     figures: list[ScorecardFigure],
     title: str = "Reproduction scorecard",
@@ -1092,52 +835,49 @@ def render_scorecard(
     replica-consistency verdict.
     """
     scored = [f.score for f in figures if f.score is not None]
-    overall = sum(scored) / len(scored) if scored else None
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-    ]
-    if overall is not None:
-        parts.append(
+    if scored:
+        overall = sum(scored) / len(scored)
+        body = [
             f'<p>Overall fidelity <span class="{_fidelity_class(overall)}">'
             f"{overall:.0%}</span> over {len(scored)} paper-referenced "
             "figure(s); fidelity is 1 − relative saturation-point error "
             "vs the paper.</p>"
-        )
+        ]
     else:
-        parts.append(
+        body = [
             '<p class="muted">No series matches a paper-reported '
             "configuration, so no fidelity score is available; curves are "
             "rendered unscored.</p>"
-        )
-    parts += _summary_table(figures)
+        ]
+    summary = []
     for fig in figures:
-        parts.append(f"<h2>{html.escape(fig.title)}</h2>")
-        legend = []
-        for i, series in enumerate(fig.series):
-            color = _PALETTE[i % len(_PALETTE)]
-            legend.append(
-                f'<span><i class="swatch" style="background:{color}"></i>'
-                f"{html.escape(series.label)}</span>"
+        for series in fig.series:
+            ref = fig.refs.get(series.label)
+            summary.append(
+                (
+                    fig.title,
+                    series.label,
+                    ref and ref.figure,
+                    ref and ref.saturation,
+                    fig.saturation[series.label],
+                    fig.fidelity[series.label] if ref else None,
+                )
             )
-        parts.append(f'<p class="legend">{"".join(legend)}</p>')
-        parts.append(_figure_svg(fig))
+    body += table(_SUMMARY, summary)
+    for fig in figures:
+        body += _cnf_section(fig)
         extra = (forensics or {}).get(fig.title)
         if extra is not None:
-            parts += _forensics_section(*extra)
+            body += _forensics_section(*extra)
     if reliability:
-        parts += _reliability_section(reliability)
+        body += _campaign_section(_RELIABILITY, reliability)
     if congestion:
-        parts += _congestion_section(congestion)
+        body += _campaign_section(_COLLAPSE, congestion)
     if dynamics:
-        parts += _dynamics_section(dynamics)
+        body += _dynamics_section(dynamics)
     if statehash:
-        parts += _statehash_section(statehash)
-    parts.append("</body></html>")
-    return "\n".join(parts)
+        body += _audit_section(statehash)
+    return page(title, body)
 
 
 def write_scorecard(

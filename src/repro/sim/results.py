@@ -246,3 +246,33 @@ class RunResult:
                 f"gave_up={self.given_up_packets}"
             )
         return line
+
+
+# What a campaign reports for a group of runs — a fault rate's load grid,
+# an overload factor's seeds.  The chaos and overload tables
+# (repro.experiments) and the scorecard's curves (repro.obs.report) are
+# these functions over the same runs, so the two cannot drift apart.
+
+
+def mean_goodput_fraction(runs) -> float:
+    """First-copy goodput as a capacity fraction, averaged (0.0 for none)."""
+    return sum(r.goodput_fraction for r in runs) / len(runs) if runs else 0.0
+
+
+def mean_retransmit_overhead(runs) -> float:
+    """Retransmitted share of injected packets, averaged (0.0 for none)."""
+    return sum(r.retransmit_overhead for r in runs) / len(runs) if runs else 0.0
+
+
+def total_given_up(runs) -> int:
+    return sum(r.given_up_packets for r in runs)
+
+
+def total_dropped(runs) -> int:
+    return sum(r.dropped_packets for r in runs)
+
+
+def worst_p99(runs) -> int | None:
+    """The largest p99 latency among the runs that kept latency samples."""
+    kept = [pct["p99"] for pct in (r.latency_percentiles() for r in runs) if pct is not None]
+    return max(kept) if kept else None

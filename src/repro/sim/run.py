@@ -32,6 +32,12 @@ from .engine import Engine
 from .results import RunResult
 
 
+def network_of(config: SimulationConfig) -> tuple:
+    """The topology and the routing algorithm a config names."""
+    family = KAryNTree if config.network == "tree" else KAryNCube
+    return family(config.k, config.n), make_routing(config.algorithm)
+
+
 def build_engine(config: SimulationConfig, probe=None) -> Engine:
     """Instantiate topology, routing, traffic and engine for a config.
 
@@ -40,11 +46,7 @@ def build_engine(config: SimulationConfig, probe=None) -> Engine:
         probe: optional observability probe (:mod:`repro.obs`) attached
             before the first cycle, so it sees the whole run.
     """
-    if config.network == "tree":
-        topo = KAryNTree(config.k, config.n)
-    else:
-        topo = KAryNCube(config.k, config.n)
-    routing = make_routing(config.algorithm)
+    topo, routing = network_of(config)
     pattern = make_pattern(config.pattern, topo.num_nodes, **config.pattern_kwargs)
     injector = BernoulliInjector(
         pattern,

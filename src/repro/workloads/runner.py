@@ -8,14 +8,13 @@ workload analogue of :func:`repro.experiments.drain.drain_permutation`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..routing.base import make_routing
 from ..sim.config import SimulationConfig
 from ..sim.engine import Engine
-from ..topology.cube import KAryNCube
-from ..topology.tree import KAryNTree
+from ..sim.run import network_of
 from .trace import Trace, TraceInjector
 
 
@@ -42,8 +41,8 @@ def run_trace(
     """Drain ``trace`` on the network described by ``config``.
 
     The config's traffic fields (pattern, load) are ignored — the trace
-    *is* the workload; its topology, routing, VC and buffer settings
-    apply unchanged.  Per-message sizes come from the trace, so
+    *is* the workload; its topology, routing, VC, buffer and arbiter
+    settings apply unchanged.  Per-message sizes come from the trace, so
     ``config.packet_flits`` only caps nothing (it remains the default for
     entries without a size, which trace entries always carry).
 
@@ -56,28 +55,10 @@ def run_trace(
         )
     if len(trace) == 0:
         raise ConfigurationError("empty trace")
-    cfg = SimulationConfig(
-        network=config.network,
-        k=config.k,
-        n=config.n,
-        algorithm=config.algorithm,
-        vcs=config.vcs,
-        packet_flits=config.packet_flits,
-        capacity_flits_per_cycle=config.capacity_flits_per_cycle,
-        pattern="uniform",  # unused: the injector is replaced below
-        load=0.0,
-        buffer_flits=config.buffer_flits,
-        warmup_cycles=0,
-        total_cycles=max_cycles,
-        seed=config.seed,
-        collect_latencies=True,
-        watchdog_cycles=config.watchdog_cycles,
+    cfg = dataclasses.replace(
+        config, load=0.0, warmup_cycles=0, total_cycles=max_cycles, collect_latencies=True
     )
-    if cfg.network == "tree":
-        topo = KAryNTree(cfg.k, cfg.n)
-    else:
-        topo = KAryNCube(cfg.k, cfg.n)
-    engine = Engine(topo, make_routing(cfg.algorithm), TraceInjector(trace), cfg)
+    engine = Engine(*network_of(cfg), TraceInjector(trace), cfg)
     makespan = engine.run_until_drained(max_cycles)
     result = engine.result
     return TraceResult(

@@ -58,6 +58,19 @@ class TestDrain:
         # per-packet normalized drain time (bitrev moves fewer packets)
         assert free.makespan_cycles / free.packets < congested.makespan_cycles / congested.packets
 
+    def test_the_drained_config_keeps_every_field_it_does_not_override(self):
+        # both drains used to rebuild the config field by field and lost
+        # the arbiter and the timeline interval on the way
+        from repro.workloads import alltoall_trace, run_trace
+
+        config = tree_config(k=4, n=2, vcs=1, pattern="bitrev", arbiter="age", interval_cycles=50)
+        for drained in (
+            drain_permutation(config).config,
+            run_trace(config, alltoall_trace(16, flits=8)).config,
+        ):
+            assert (drained.arbiter, drained.interval_cycles) == ("age", 50)
+            assert (drained.load, drained.warmup_cycles, drained.collect_latencies) == (0.0, 0, True)
+
 
 class TestSaturationSearch:
     @staticmethod

@@ -1,4 +1,5 @@
-"""``tools/bench_record.py`` end to end, small.  (``tools/pcsample.py --smoke`` is a CI step.)"""
+"""``tools/bench_record.py`` end to end, small, and ``tools/loc.py``'s exit
+codes.  (``tools/pcsample.py --smoke`` is a CI step.)"""
 
 import json
 import pathlib
@@ -40,3 +41,16 @@ def test_bench_record_appends_one_record_per_invocation(tmp_path):
     assert change["end_to_end"]["sim_cycles_per_s"]["median"] == 6000.0  # one run is its own quartiles
     assert parent["phase_s"] == [{"link": 0.4, "injection": 0.1, "crossbar": 0.2, "routing": 0.1}]
     assert parent["failed"] == 0
+
+
+def test_loc_refuses_a_root_that_does_not_exist(tmp_path):
+    # CI's "Code lines under src/" step must not pass on a typo
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "module.py").write_text('"""Docstring."""\n\nX = 1  # one code line\n')
+    command = [sys.executable, str(TOOLS / "loc.py")]
+    counted = subprocess.run([*command, str(tmp_path / "pkg")], capture_output=True, text=True, timeout=60)
+    assert counted.returncode == 0 and counted.stdout.split()[0] == "1"
+    for missing in ("--help", str(tmp_path / "pkgg")):
+        refused = subprocess.run([*command, missing], capture_output=True, text=True, timeout=60)
+        assert refused.returncode == 2 and refused.stdout == ""
+        assert refused.stderr.count("\n") == 1 and missing in refused.stderr

@@ -52,6 +52,9 @@ def c_code_lines(path: pathlib.Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
+    if not root.is_dir():
+        print(f"loc.py: {root}: not a directory (usage: loc.py [ROOT])", file=sys.stderr)
+        return 2
     counts = {path: code_lines(path) for path in sorted(root.rglob("*.py"))}
     print(f"{sum(counts.values()):>7,}  {root}/ ({len(counts)} modules)")
     for path, count in sorted(counts.items(), key=lambda item: -item[1])[:10]:
