@@ -2,14 +2,16 @@
 
 ``digests()`` runs every curve-table experiment once on 16-node networks
 (one Fig. 5 and one Fig. 6 panel, the dimension study on two shapes, a
-chaos campaign serial and pooled, a congestion campaign in both modes)
-and hashes the canonical — timing-nulled — run documents, plus each
+chaos campaign serial and pooled, a congestion campaign in both modes,
+the fault-degradation tables, a transient fault window and the permutation
+drains) and hashes the canonical — timing-nulled — run documents, plus each
 campaign's ledger records.  ``tests/data/campaign_digests.json`` is this
 function's output at the commit before ``run_curves`` existed:
 ``python -m tests.campaign_digests > tests/data/campaign_digests.json``
 re-records it after a deliberate change of a run document.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -19,12 +21,15 @@ import tempfile
 from repro.experiments import sweep
 from repro.experiments.chaos import chaos_campaign
 from repro.experiments.congestion import congestion_campaign
+from repro.experiments.degradation import degradation_experiment, transient_experiment
 from repro.experiments.dimension import dimension_study
+from repro.experiments.drain import drain_permutation
 from repro.experiments.fig5 import fig5_experiment
 from repro.experiments.fig6 import fig6_experiment
 from repro.obs.flight import Flight, FlightConfig
 from repro.obs.ledger import Ledger
 from repro.profiles import Profile
+from repro.sim.run import cube_config, tree_config
 from repro.traffic.transport import TransportConfig
 
 from .test_determinism import _TIMING_FIELDS, _canonical
@@ -33,6 +38,7 @@ from .test_determinism import _TIMING_FIELDS, _canonical
 PROFILE = Profile(name="pin", warmup_cycles=100, total_cycles=500, sweep_points=2)
 _FLIGHT = (Flight(FlightConfig(interval_cycles=64)),)
 _TRANSPORT = TransportConfig(base_timeout=32, max_retries=2)
+_FRACTIONS = (0.0, 0.05, 0.2)
 
 
 def _sha(texts) -> str:
@@ -50,6 +56,10 @@ def _ledger_digest(path) -> str:
     records = []
     for record in Ledger(path).records():
         record["recorded_at"] = None
+        # the fault experiments were pinned while the faults were seized by
+        # hand, outside the recipe: their documents equal today's but for
+        # this one key
+        record["run"]["telemetry"].pop("faults", None)
         for field in _TIMING_FIELDS:
             record["run"]["telemetry"][field] = None
         records.append(json.dumps(record, sort_keys=True))
@@ -65,6 +75,44 @@ def _campaign(name: str, campaign, out: dict, **kwargs) -> None:
         )
         out[f"{name}.runs"] = _sha(_canonical(r) for s in series for r in s.results)
         out[f"{name}.ledger"] = _ledger_digest(path)
+
+
+def _degradation(network: str) -> dict:
+    """Rows and ledger documents of one degradation table (three fractions)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ledger.jsonl"
+        rows = degradation_experiment(
+            network, _FRACTIONS, profile=PROFILE, k=4, n=2, ledger=Ledger(path)
+        )
+        return {
+            "rows": [list(dataclasses.astuple(row)) for row in rows],
+            "documents": _ledger_digest(path),
+        }
+
+
+def _transient() -> dict:
+    """One fault window over the middle of the measurement: the row and the
+    document (``throughput_timeline`` included)."""
+    result, row = transient_experiment("cube", 0.2, profile=PROFILE, k=4, n=2)
+    doc = json.loads(_canonical(result))
+    doc["telemetry"].pop("faults", None)  # as in _ledger_digest
+    return {
+        "row": list(dataclasses.astuple(row)),
+        "timeline": list(result.throughput_timeline),
+        "document": _sha([json.dumps(doc, sort_keys=True)]),
+    }
+
+
+def _drains() -> list:
+    """``[network, pattern, packets, makespan, avg latency, max latency]`` of
+    one-shot permutation drains on both 16-node networks."""
+    return [
+        [network, pattern, r.packets, r.makespan_cycles, r.avg_latency_cycles,
+         r.max_latency_cycles]
+        for pattern in ("complement", "transpose", "bitrev")
+        for network, config in (("tree", tree_config), ("cube", cube_config))
+        for r in [drain_permutation(config(k=4, n=2, pattern=pattern, seed=43))]
+    ]
 
 
 def digests() -> dict:
@@ -86,6 +134,10 @@ def digests() -> dict:
         "congestion", congestion_campaign, out,
         loads=[0.4, 0.9], pattern="transpose", transport=_TRANSPORT,
     )
+    out["degradation.tree"] = _degradation("tree")
+    out["degradation.cube"] = _degradation("cube")
+    out["transient.cube"] = _transient()
+    out["drain"] = _drains()
     return out
 
 
