@@ -53,8 +53,8 @@ def test_permutation_drains(benchmark, reporter):
         ),
     )
     for pattern, (tree, cube) in results.items():
-        assert tree.packets in (240, 256)  # fixed points excluded
-        assert cube.packets == tree.packets
+        assert tree.messages in (240, 256)  # fixed points excluded
+        assert cube.messages == tree.messages
         # a full permutation cannot drain faster than one packet stream
         # through a single ejection channel plus the pipeline depth
         assert tree.makespan_cycles >= tree.config.packet_flits

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .faults import (
     CubeLinkFault,
+    Faults,
     FaultSchedule,
     ScheduledFault,
     TreeUplinkFault,
@@ -98,6 +99,7 @@ __all__ = [
     "make_pattern",
     "PointTimeoutError",
     "CubeLinkFault",
+    "Faults",
     "FaultSchedule",
     "ScheduledFault",
     "TreeUplinkFault",

@@ -106,7 +106,7 @@ from .experiments.report import (
     render_delay_table,
 )
 from .experiments.search import find_saturation
-from .experiments.sweep import run_curves
+from .experiments.sweep import request_stop, run_curves
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
 from .sim.config import ARBITER_POLICIES
@@ -280,21 +280,29 @@ def _sigterm_as_interrupt():
     Campaigns already checkpoint in-flight points and flush completed
     ones on KeyboardInterrupt; a supervisor's TERM (systemd, Slurm, CI
     runners) deserves the identical teardown instead of an abrupt die.
-    The previous handler is restored on exit; off the main thread this
-    is a no-op (signal handlers can only be installed there).
+    Yields an event that is set once the signal has arrived.  The previous
+    handler is restored on exit; off the main thread this is a no-op
+    (signal handlers can only be installed there).
     """
+    terminated = threading.Event()
     if threading.current_thread() is not threading.main_thread() or not hasattr(
         signal, "SIGTERM"
     ):
-        yield
+        yield terminated
         return
 
     def raise_interrupt(signum, frame):
+        # record before raising: CPython swallows an exception raised while
+        # a weakref/GC callback runs ("Exception ignored in ..."), and the
+        # campaign must still stop — where the sweep next polls its flag,
+        # no later than the end of the point in flight
+        terminated.set()
+        request_stop()
         raise _SigtermInterrupt
 
     previous = signal.signal(signal.SIGTERM, raise_interrupt)
     try:
-        yield
+        yield terminated
     finally:
         signal.signal(signal.SIGTERM, previous)
 
@@ -305,17 +313,20 @@ def _guarded(campaign, flushed_to: str):
     Returns ``(0, value)``, or ``(130, None)`` on Ctrl-C and ``(143,
     None)`` on SIGTERM — completed points were flushed either way.
     """
-    try:
-        with _sigterm_as_interrupt():
-            return 0, campaign()
-    except KeyboardInterrupt as exc:
-        term = isinstance(exc, _SigtermInterrupt)
-        print(
-            f"{'terminated' if term else 'interrupted'}: completed points "
-            f"were flushed to the {flushed_to}",
-            file=sys.stderr,
-        )
-        return (143 if term else 130), None
+    with _sigterm_as_interrupt() as terminated:
+        try:
+            value = campaign()
+            if not terminated.is_set():
+                return 0, value
+        except KeyboardInterrupt:
+            pass
+    term = terminated.is_set()
+    print(
+        f"{'terminated' if term else 'interrupted'}: completed points "
+        f"were flushed to the {flushed_to}",
+        file=sys.stderr,
+    )
+    return (143 if term else 130), None
 
 
 def _transport_override(args, profile):
@@ -668,11 +679,11 @@ def cmd_fig7(args) -> int:
 def cmd_drain(args) -> int:
     result = drain_permutation(_make_config(args, load=0.0))
     print(f"pattern:         {args.pattern}")
-    print(f"packets drained: {result.packets}")
+    print(f"packets drained: {result.messages}")
     print(f"makespan:        {result.makespan_cycles} cycles")
     print(f"avg latency:     {result.avg_latency_cycles:.1f} cycles")
     print(f"max latency:     {result.max_latency_cycles} cycles")
-    print(f"throughput:      {result.throughput_flits_per_cycle:.2f} flits/cycle aggregate")
+    print(f"throughput:      {result.aggregate_flits_per_cycle:.2f} flits/cycle aggregate")
     return 0
 
 
@@ -720,23 +731,24 @@ def cmd_dimensions(args) -> int:
 def cmd_faults(args) -> int:
     from .experiments.report import render_table
 
-    profile = get_profile(args.profile)
-    ledger = _open_ledger(args)
+    recipe = dict(
+        network=args.network,
+        profile=get_profile(args.profile),
+        load=args.load,
+        vcs=args.vcs,
+        seed=args.seed,
+        fault_seed=args.fault_seed,
+        k=args.k,
+        n=args.n,
+        algorithm=args.algorithm,
+        pattern=args.pattern,
+        arbiter=args.arbiter,
+        ledger=_open_ledger(args),
+    )
     if args.transient:
         result, row = transient_experiment(
-            network=args.network,
-            fraction=args.fraction,
-            fail_at=args.fail_at,
-            repair_at=args.repair_at,
-            profile=profile,
-            load=args.load,
-            vcs=args.vcs,
-            seed=args.seed,
-            fault_seed=args.fault_seed,
-            k=args.k,
-            n=args.n,
-            algorithm=getattr(args, "algorithm", None),
-            ledger=ledger,
+            fraction=args.fraction, fail_at=args.fail_at, repair_at=args.repair_at,
+            **recipe,
         )
         print(result.summary())
         print(f"faults: {row.faults} channel directions failed mid-run, then repaired")
@@ -751,19 +763,7 @@ def cmd_faults(args) -> int:
         fractions = tuple(float(f) for f in args.fractions.split(",") if f.strip())
     except ValueError:
         raise ConfigurationError(f"bad --fractions {args.fractions!r}") from None
-    rows = degradation_experiment(
-        network=args.network,
-        fractions=fractions,
-        profile=profile,
-        load=args.load,
-        vcs=args.vcs,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        k=args.k,
-        n=args.n,
-        algorithm=getattr(args, "algorithm", None),
-        ledger=ledger,
-    )
+    rows = degradation_experiment(fractions=fractions, **recipe)
     print(
         render_table(
             ["fault frac", "failed chans", "accepted", "latency_cyc", "escape frac"],

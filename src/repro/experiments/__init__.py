@@ -17,7 +17,7 @@
 
 from .chaos import ChaosSeries, StormSpec, chaos_campaign, run_chaos_point
 from .dimension import dimension_study, normalize_cube
-from .drain import DrainResult, drain_permutation
+from .drain import drain_permutation
 from .fig5 import fig5_experiment, fig5_loads
 from .fig6 import fig6_experiment
 from .fig7 import fig7_experiment
@@ -34,7 +34,6 @@ __all__ = [
     "run_chaos_point",
     "dimension_study",
     "normalize_cube",
-    "DrainResult",
     "drain_permutation",
     "fig5_experiment",
     "fig5_loads",

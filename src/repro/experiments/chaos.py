@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from ..faults import FaultPolicy, FaultSchedule
+from ..faults import FaultPolicy, FaultSchedule, fault_population, random_fault_specs
 from ..metrics.series import LoadSweepSeries
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
@@ -50,13 +50,12 @@ from ..sim.results import (
 )
 from ..obs.probe import Instrument
 from ..sim.run import Audit, build_engine, simulate
-from ..topology.tree import KAryNTree
 from ..traffic.transport import (
     ReliableTransport,
     TransportConfig,
     attach_reliability,
 )
-from .degradation import _make_config, fault_population, random_fault_specs
+from .degradation import _make_config
 from .sweep import run_curves
 
 
@@ -118,11 +117,10 @@ def _draw_storm_schedule(engine, storm: StormSpec) -> FaultSchedule | None:
     document's ``faults`` count.
     """
     topo = engine.topology
-    population = fault_population(topo)
-    safe = population
-    if isinstance(topo, KAryNTree):
-        safe = (topo.n - 1) * topo.switches_per_level * (topo.k - 1)
-    count = min(round(storm.fault_rate * population), safe)
+    count = min(
+        round(storm.fault_rate * fault_population(topo)),
+        fault_population(topo, safe=True),
+    )
     specs = random_fault_specs(topo, count, storm.storm_seed)
     if not specs:
         return None
@@ -146,10 +144,9 @@ class Storm(Instrument):
     Installs the transport, then the storm's fail-stop schedule (its
     pending strikes ride the engine's cycle hooks, hence the snapshot);
     a flight recorder installed before it gets every scheduled
-    strike/repair stamped on its timeline as a ``fault_strike`` /
-    ``fault_repair`` annotation (the schedule is known up front, so the
-    stamps carry the exact cycles).  The reliability document carries
-    the storm recipe under ``"storm"``.
+    strike/repair stamped on its timeline
+    (:meth:`~repro.faults.FaultSchedule.stamp`).  The reliability document
+    carries the storm recipe under ``"storm"``.
     """
 
     spec: StormSpec
@@ -159,17 +156,8 @@ class Storm(Instrument):
         transport = ReliableTransport(storm.transport).install(engine)
         schedule = _draw_storm_schedule(engine, storm)
         if schedule is not None:
-            from ..obs.flight import FlightRecorder
-
             schedule.install(engine)
-            recorder = engine.find_probe(FlightRecorder)
-            if recorder is not None:
-                for entry in schedule.entries:
-                    recorder.annotate(entry.fail_at, "fault_strike", str(entry.spec))
-                    if entry.repair_at is not None:
-                        recorder.annotate(
-                            entry.repair_at, "fault_repair", str(entry.spec)
-                        )
+            schedule.stamp(engine)
         doc = {
             "fault_rate": storm.fault_rate,
             "repair_cycles": storm.repair_cycles,

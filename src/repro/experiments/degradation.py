@@ -2,9 +2,9 @@
 
 The operational claim under test (paper §1–2, CM-5 lineage): an adaptive
 algorithm masks channel faults with graceful, roughly proportional
-bandwidth loss — no deadlock, no collapse.  This experiment injects a
-growing fraction of random channel faults and measures sustained
-throughput at a fixed offered load:
+bandwidth loss — no deadlock, no collapse.  This experiment fails a
+growing fraction of random channels and measures sustained throughput at
+a fixed offered load:
 
 * **tree** — random ascending-channel faults
   (:func:`~repro.faults.tree.random_uplink_faults`), masked by the
@@ -14,9 +14,12 @@ throughput at a fixed offered load:
   algorithm, masked by adaptive channels while the validated escape
   subnetwork keeps the run deadlock-free.
 
-A transient variant (:func:`transient_experiment`) drives the same fault
-population through a :class:`~repro.faults.FaultSchedule` — fail at
-cycle T, repair at T' — to show the network riding a fault window out.
+Both experiments are curve tables of
+:func:`~repro.experiments.sweep.run_curves` — one curve per fraction over
+the single load, each point running under ``(Audit(), Faults(...))`` — and
+their rows are read from the results' ``telemetry.faults``.  The transient
+variant (:func:`transient_experiment`) gives the same instrument a window —
+fail at cycle T, repair at T' — to show the network riding it out.
 """
 
 from __future__ import annotations
@@ -24,21 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AnalysisError, ConfigurationError
-from ..faults import (
-    CubeLinkFault,
-    FaultSchedule,
-    TreeUplinkFault,
-    inject_cube_link_faults,
-    inject_tree_uplink_faults,
-    random_cube_link_faults,
-    random_uplink_faults,
-)
+from ..faults import Faults
 from ..profiles import Profile, get_profile
-from ..routing.duato import DuatoAdaptiveRouting
 from ..sim.results import RunResult
-from ..sim.run import build_engine, cube_config, tree_config
-from ..topology.cube import KAryNCube
-from ..topology.tree import KAryNTree
+from ..sim.run import Audit, cube_config, tree_config
+from .sweep import run_curves
 
 
 @dataclass(frozen=True)
@@ -63,20 +56,6 @@ class DegradationRow:
     escape_fraction: float | None
 
 
-def fault_population(topo) -> int:
-    """Size of the failable channel population of a topology.
-
-    Tree: every ascending channel direction of the non-root levels.
-    Cube: every inter-router channel direction.
-    """
-    if isinstance(topo, KAryNTree):
-        return (topo.n - 1) * topo.switches_per_level * topo.k
-    if isinstance(topo, KAryNCube):
-        per_node = topo.n if topo.k == 2 else 2 * topo.n
-        return topo.num_nodes * per_node
-    raise ConfigurationError(f"no fault population defined for {type(topo).__name__}")
-
-
 def _make_config(network, load, vcs, profile, seed, k, n, algorithm, **overrides):
     common = dict(
         vcs=vcs,
@@ -93,43 +72,34 @@ def _make_config(network, load, vcs, profile, seed, k, n, algorithm, **overrides
     raise ConfigurationError(f"unknown network family {network!r}")
 
 
-def random_fault_specs(topo, count: int, seed: int) -> list:
-    """``count`` random channel faults of ``topo`` as schedulable specs
-    (tree: ascending channels; cube: lane-level links)."""
-    if isinstance(topo, KAryNTree):
-        return [TreeUplinkFault(s, p) for s, p in random_uplink_faults(topo, count, seed=seed)]
-    return [
-        CubeLinkFault(node, dim, direction)
-        for node, dim, direction in random_cube_link_faults(topo, count, seed=seed)
-    ]
-
-
-def _draw_and_inject(engine, network: str, count: int, fault_seed: int) -> int:
-    if network == "tree":
-        return inject_tree_uplink_faults(
-            engine, random_uplink_faults(engine.topology, count, seed=fault_seed)
-        )
-    return inject_cube_link_faults(
-        engine, random_cube_link_faults(engine.topology, count, seed=fault_seed)
-    )
-
-
-def _row(engine, result: RunResult, fraction: float, count: int) -> DegradationRow:
+def _row(result: RunResult) -> DegradationRow:
     try:
         latency = result.avg_latency_cycles
     except AnalysisError:
         latency = None
-    routing = engine.routing
-    escape = (
-        routing.escape_fraction() if isinstance(routing, DuatoAdaptiveRouting) else None
-    )
+    doc = result.telemetry.faults
     return DegradationRow(
-        fraction=fraction,
-        faults=count,
+        fraction=doc["fraction"],
+        faults=doc["faults"],
         accepted=result.accepted_fraction,
         latency_cycles=latency,
-        escape_fraction=escape,
+        escape_fraction=doc["escape_fraction"],
     )
+
+
+def _fault_runs(config, windows, **harness) -> list[RunResult]:
+    """One run of ``config`` per :class:`~repro.faults.Faults` of
+    ``windows``: a curve each over the config's single load, audited,
+    filed as a ``"faults"`` ledger record (dedup off: the curves share
+    config digest + seed; ``telemetry.faults`` is what tells them apart)."""
+    curves = [
+        (f"{config.network} faults f={faults.fraction:g}", config, (Audit(), faults))
+        for faults in windows
+    ]
+    ran = run_curves(
+        curves, [config.load], ledger_kind="faults", ledger_dedup=False, **harness
+    )
+    return [results[0] for _, results in ran]
 
 
 def degradation_experiment(
@@ -143,35 +113,26 @@ def degradation_experiment(
     k: int | None = None,
     n: int | None = None,
     algorithm: str | None = None,
-    ledger=None,
+    pattern: str = "uniform",
+    arbiter: str = "round_robin",
+    **harness,
 ) -> list[DegradationRow]:
     """Measure throughput under growing permanent fault fractions.
 
-    Each fraction gets a fresh engine (identical traffic seed) with
-    ``round(fraction · population)`` random channel faults injected
-    before the run; the engine is audited afterwards, so a fault-induced
-    invariant violation fails loudly rather than skewing a row.  An
-    optional :class:`~repro.obs.ledger.Ledger` receives every completed
-    run as a ``"faults"`` record.
+    Each fraction is one run of the same recipe (identical traffic seed)
+    under ``Faults(fraction, fault_seed)`` — ``round(fraction ·
+    population)`` random channel faults seized at cycle 0 — and is audited
+    afterwards, so a fault-induced invariant violation fails loudly rather
+    than skewing a row.  ``harness`` reaches
+    :func:`~repro.experiments.sweep.run_curves` (``ledger``, ``parallel``,
+    ``checkpoints``, ...).
     """
-    profile = profile or get_profile()
-    rows = []
-    for fraction in fractions:
-        if not 0.0 <= fraction < 1.0:
-            raise ConfigurationError(f"fault fraction {fraction} outside [0, 1)")
-        engine = build_engine(
-            _make_config(network, load, vcs, profile, seed, k, n, algorithm)
-        )
-        count = round(fraction * fault_population(engine.topology))
-        _draw_and_inject(engine, network, count, fault_seed)
-        result = engine.run()
-        engine.audit()
-        if ledger is not None:
-            # every fraction runs the *same* recipe (faults are injected
-            # outside the config), so digest+seed dedup must be off
-            ledger.append_run(result, kind="faults", dedup=False)
-        rows.append(_row(engine, result, fraction, count))
-    return rows
+    config = _make_config(
+        network, load, vcs, profile or get_profile(), seed, k, n, algorithm,
+        pattern=pattern, arbiter=arbiter,
+    )
+    windows = [Faults(fraction, fault_seed) for fraction in fractions]
+    return [_row(result) for result in _fault_runs(config, windows, **harness)]
 
 
 def transient_experiment(
@@ -188,7 +149,9 @@ def transient_experiment(
     n: int | None = None,
     algorithm: str | None = None,
     interval_cycles: int | None = None,
-    ledger=None,
+    pattern: str = "uniform",
+    arbiter: str = "round_robin",
+    **harness,
 ) -> tuple[RunResult, DegradationRow]:
     """One run with a mid-run fault window: fail at T, repair at T'.
 
@@ -203,21 +166,10 @@ def transient_experiment(
         repair_at = profile.warmup_cycles + (3 * profile.measure_cycles) // 4
     if interval_cycles is None:
         interval_cycles = max(1, profile.measure_cycles // 10)
-    engine = build_engine(
-        _make_config(
-            network, load, vcs, profile, seed, k, n, algorithm,
-            interval_cycles=interval_cycles,
-        )
+    config = _make_config(
+        network, load, vcs, profile, seed, k, n, algorithm,
+        interval_cycles=interval_cycles, pattern=pattern, arbiter=arbiter,
     )
-    count = round(fraction * fault_population(engine.topology))
-    specs = random_fault_specs(engine.topology, count, fault_seed)
-    if specs:  # fraction 0 is a legal no-fault baseline
-        schedule = FaultSchedule()
-        for spec in specs:
-            schedule.add(spec, fail_at=fail_at, repair_at=repair_at)
-        schedule.install(engine)
-    result = engine.run()
-    engine.audit()
-    if ledger is not None:
-        ledger.append_run(result, kind="faults", dedup=False)
-    return result, _row(engine, result, fraction, count)
+    window = Faults(fraction, fault_seed, fail_at, repair_at)
+    (result,) = _fault_runs(config, [window], **harness)
+    return result, _row(result)

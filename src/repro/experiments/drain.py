@@ -12,39 +12,24 @@ tail is shorter.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..sim.config import SimulationConfig
-from ..sim.run import build_engine
 from ..traffic.patterns import make_pattern
+from ..workloads.runner import TraceResult, run_trace
+from ..workloads.trace import Trace
 
 
-@dataclass(frozen=True)
-class DrainResult:
-    """Outcome of one batch drain."""
-
-    config: SimulationConfig
-    packets: int
-    makespan_cycles: int
-    avg_latency_cycles: float
-    max_latency_cycles: int
-
-    @property
-    def throughput_flits_per_cycle(self) -> float:
-        """Aggregate delivery rate over the drain."""
-        return self.packets * self.config.packet_flits / self.makespan_cycles
-
-
-def drain_permutation(config: SimulationConfig, max_cycles: int = 1_000_000) -> DrainResult:
+def drain_permutation(config: SimulationConfig, max_cycles: int = 1_000_000) -> TraceResult:
     """Inject one packet per node under ``config.pattern`` and drain.
 
-    The config's ``load`` is ignored (set to 0 — all traffic is the
-    preloaded batch); its pattern must be a fixed permutation.  Warm-up
-    is forced to 0 so every packet is measured; every other field
-    (arbiter included) applies unchanged.
+    The batch is a one-round :class:`~repro.workloads.trace.Trace` —
+    every message at cycle 0, ``config.packet_flits`` long — played by
+    :func:`~repro.workloads.runner.run_trace`, which ignores the config's
+    ``load``, forces warm-up to 0 so every packet is measured and applies
+    every other field (arbiter included) unchanged.  The pattern must be a
+    fixed permutation; its fixed points send nothing.
 
     Raises:
         ConfigurationError: for non-permutation patterns.
@@ -54,25 +39,12 @@ def drain_permutation(config: SimulationConfig, max_cycles: int = 1_000_000) -> 
         raise ConfigurationError(
             f"drain_permutation needs a fixed permutation, got {config.pattern!r}"
         )
-    cfg = dataclasses.replace(
-        config, load=0.0, warmup_cycles=0, total_cycles=max_cycles, collect_latencies=True
-    )
-    engine = build_engine(cfg)
-    rng = random.Random(cfg.seed)
-    packets = 0
-    for src in range(cfg.num_nodes):
+    rng = random.Random(config.seed)
+    batch = Trace(config.num_nodes)
+    for src in range(config.num_nodes):
         dst = pattern.destination(src, rng)
         if dst != src:
-            engine.preload_packet(src, dst)
-            packets += 1
-    if packets == 0:
+            batch.send(0, src, dst, config.packet_flits)
+    if not batch.messages:
         raise ConfigurationError(f"pattern {config.pattern!r} moves no packets")
-    makespan = engine.run_until_drained(max_cycles)
-    result = engine.result
-    return DrainResult(
-        config=cfg,
-        packets=packets,
-        makespan_cycles=makespan,
-        avg_latency_cycles=result.latency_sum / result.delivered_packets,
-        max_latency_cycles=result.latency_max,
-    )
+    return run_trace(config, batch, max_cycles)

@@ -93,7 +93,9 @@ _RETRYABLE = (SimulationError, RoutingError, PointTimeoutError)
 _RESEED_STRIDE = 7919
 
 #: set when a KeyboardInterrupt reached the campaign layer, so worker
-#: threads stop retrying points whose watchdogs were just terminated
+#: threads stop retrying points whose watchdogs were just terminated — or
+#: by :func:`request_stop`, for an interrupt that could not be raised;
+#: polled before every attempt, per consumed point of a pool and per curve
 _INTERRUPTED = threading.Event()
 
 #: live watchdog subprocesses, so an interrupt can terminate them all
@@ -364,6 +366,13 @@ def _simulate_with_timeout(
     raise payload
 
 
+def request_stop() -> None:
+    """Ask the running campaign to stop with ``KeyboardInterrupt`` where it
+    next polls, no later than the end of the point in flight — for signal
+    handlers, whose own raise the interpreter may swallow."""
+    _INTERRUPTED.set()
+
+
 def _point_task(
     config: SimulationConfig,
     retries: int = 0,
@@ -478,6 +487,8 @@ def _run_parallel(
     consumed = 0
     try:
         for config, fut in zip(pending, futures):
+            if _INTERRUPTED.is_set():
+                raise KeyboardInterrupt
             consume(config, fut.result())
             consumed += 1
     except KeyboardInterrupt:
@@ -767,5 +778,9 @@ def run_curves(
             on_result=results.append,
             **harness,
         )
+        if _INTERRUPTED.is_set():
+            # requested during the curve's last point: the next curve's
+            # sweep would clear the flag and run
+            raise KeyboardInterrupt
         out.append((series, tuple(results)))
     return out

@@ -15,7 +15,12 @@ across *both* evaluated networks and across *time*:
   optionally repair at T') driven by engine cycle hooks, so faults can
   strike mid-run instead of only before it; per-fault
   :class:`~repro.faults.schedule.FaultPolicy` selects drain-then-seize
-  (lossless) or fail-stop (in-flight worms are destroyed) semantics.
+  (lossless) or fail-stop (in-flight worms are destroyed) semantics;
+* :mod:`repro.faults.instrument` — :class:`Faults`, a random fraction of
+  the channel population as an instrument of
+  :func:`~repro.sim.run.simulate`, with the one random spec draw
+  (:func:`random_fault_specs`) and the one population count
+  (:func:`fault_population`) every experiment shares.
 
 Every fault works by allocating the target lanes to the
 :data:`~repro.sim.packet.FAULT_SENTINEL` packet — permanently busy for
@@ -30,6 +35,7 @@ from .cube import (
     random_cube_link_faults,
     validate_escape_connectivity,
 )
+from .instrument import Faults, fault_population, random_fault_specs
 from .schedule import FaultPolicy, FaultSchedule, ScheduledFault
 from .tree import (
     TreeUplinkFault,
@@ -44,11 +50,14 @@ __all__ = [
     "TreeUplinkFault",
     "FaultPolicy",
     "FaultSchedule",
+    "Faults",
     "ScheduledFault",
     "adaptive_lane_count",
+    "fault_population",
     "inject_cube_link_faults",
     "inject_tree_uplink_faults",
     "random_cube_link_faults",
+    "random_fault_specs",
     "random_uplink_faults",
     "validate_escape_connectivity",
     "validate_tree_uplink_faults",

@@ -198,3 +198,16 @@ class FaultSchedule:
             if entry.repair_at is not None:
                 engine.add_cycle_hook(entry.repair_at, active.repair)
         self._installed = True
+
+    def stamp(self, engine: Engine) -> None:
+        """Annotate the engine's flight recorder, if it has one, with every
+        scheduled ``fault_strike`` / ``fault_repair`` (the schedule is known
+        up front, so the stamps carry the exact cycles)."""
+        from ..obs.flight import FlightRecorder  # observer tier: not an import-time need
+
+        recorder = engine.find_probe(FlightRecorder)
+        if recorder is not None:
+            for entry in self._entries:
+                recorder.annotate(entry.fail_at, "fault_strike", str(entry.spec))
+                if entry.repair_at is not None:
+                    recorder.annotate(entry.repair_at, "fault_repair", str(entry.spec))

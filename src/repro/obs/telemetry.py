@@ -79,6 +79,11 @@ class RunTelemetry:
             :class:`repro.obs.statehash.StateDigestProbe` at run end —
             the input of ``repro diff`` divergence bisection; ``None``
             for undigested runs and older archives.
+        faults: what a :class:`repro.faults.Faults` instrument did — its
+            recipe (``fraction``, ``seed``, ``fail_at``, ``repair_at``), the
+            realized ``faults`` count, the ``population`` it is a fraction
+            of and the run's ``escape_fraction`` (``None`` without an escape
+            split); ``None`` for runs without the instrument.
     """
 
     config_hash: str
@@ -92,10 +97,17 @@ class RunTelemetry:
     reliability: dict | None = None
     flight: dict | None = None
     statehash: dict | None = None
+    faults: dict | None = None
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON documents."""
-        return dataclasses.asdict(self)
+        doc = dataclasses.asdict(self)
+        # the four tiers above write an explicit null; this one, added after
+        # documents, ledgers and digests were pinned, is left out instead, so
+        # every run without the instrument keeps the bytes it had
+        if doc["faults"] is None:
+            del doc["faults"]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> RunTelemetry:
@@ -118,6 +130,8 @@ class RunTelemetry:
             flight=doc.get("flight"),
             # absent from pre-statehash archives and undigested runs
             statehash=doc.get("statehash"),
+            # absent from fault-free runs (see to_dict)
+            faults=doc.get("faults"),
         )
 
     def summary(self) -> str:

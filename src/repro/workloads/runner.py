@@ -2,8 +2,9 @@
 
 :func:`run_trace` builds a paper-normalized network, substitutes a
 :class:`~repro.workloads.trace.TraceInjector` for the stochastic sources
-and drains the trace, returning completion-time statistics.  This is the
-workload analogue of :func:`repro.experiments.drain.drain_permutation`.
+and drains the trace, returning completion-time statistics;
+:func:`repro.experiments.drain.drain_permutation` is this with a one-round
+trace.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ def _drains() -> list:
     """``[network, pattern, packets, makespan, avg latency, max latency]`` of
     one-shot permutation drains on both 16-node networks."""
     return [
-        [network, pattern, r.packets, r.makespan_cycles, r.avg_latency_cycles,
+        [network, pattern, r.messages, r.makespan_cycles, r.avg_latency_cycles,
          r.max_latency_cycles]
         for pattern in ("complement", "transpose", "bitrev")
         for network, config in (("tree", tree_config), ("cube", cube_config))

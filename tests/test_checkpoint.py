@@ -17,6 +17,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 from functools import partial
 
 import pytest
@@ -31,6 +32,7 @@ from repro.experiments.sweep import (
     _point_task,
     run_sweep,
 )
+from repro.faults import Faults
 from repro.obs.flight import FlightConfig, FlightRecorder, simulate_with_flight
 from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
 from repro.sim.checkpoint import (
@@ -49,11 +51,11 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import build_engine, cube_config, simulate, tree_config
+from repro.sim.run import Audit, build_engine, cube_config, simulate, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
-from .conftest import on_the_other_storage, small_tree_config
+from .conftest import on_the_other_storage, small_cube_config, small_tree_config
 from .test_determinism import _canonical
 from .test_property_forensics import FIVE_CONFIGS, _build
 
@@ -583,6 +585,42 @@ class TestSigtermParity:
         # parity contract: SIGTERM tears down exactly like Ctrl-C
         assert issubclass(_SigtermInterrupt, KeyboardInterrupt)
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("lands_after_point", [1, 2], ids=["mid-curve", "last-of-curve"])
+    def test_sigterm_swallowed_in_a_weakref_callback_still_stops_the_campaign(
+        self, lands_after_point, capsys
+    ):
+        # the signal can land while the collector runs a weakref callback:
+        # CPython prints "Exception ignored in ..." and carries on, so the
+        # handler's raise alone used to let the campaign run to completion
+        from repro.cli import _guarded
+        from repro.experiments.sweep import run_curves
+
+        class Referent:
+            pass
+
+        done = []
+
+        def progress(point):
+            done.append(point.done)
+            if len(done) == lands_after_point:
+                handler = signal.getsignal(signal.SIGTERM)
+                referent = Referent()
+                ref = weakref.ref(referent, lambda _: handler(signal.SIGTERM, None))
+                del referent  # the callback runs here; its exception is swallowed
+                assert ref() is None
+
+        config = small_tree_config()
+        curves = [("a", config, ()), ("b", config, (Audit(),))]
+        rc, value = _guarded(
+            lambda: run_curves(curves, [0.1, 0.2], use_cache=False, progress=progress),
+            "ledger",
+        )
+        assert (rc, value) == (143, None)
+        assert "terminated" in capsys.readouterr().err
+        # the point in flight was the last one to finish
+        assert len(done) == lands_after_point
+
 
 # -- module-level hooks and simulate_fns (pickled by reference) ----------------
 
@@ -596,6 +634,15 @@ def reliable_run_snapshotting(directory=None) -> str:
     return _canonical(simulate_reliable(
         small_tree_config(load=0.6), TransportConfig(base_timeout=16, jitter=8, seed=3), checkpoint=policy,
     ))
+
+
+def faulted_run_snapshotting(directory=None) -> str:
+    """The canonical document of a small cube run whose fault window
+    (cycles 300–500) is open at the snapshot of cycle 400."""
+    policy = None if directory is None else _policy(directory, interval=200)
+    config = small_cube_config(algorithm="duato", load=0.6)
+    window = Faults(0.2, fail_at=300, repair_at=500)
+    return _canonical(simulate(config, [window], checkpoint=policy))
 
 
 def _boom(engine) -> None:

@@ -336,7 +336,18 @@ class TestLedgerAndReport:
         )
         assert code == 0
         # same config+seed at both fractions: dedup must be off for faults
-        assert len(Ledger(ledger).query(kind="faults")) == 2
+        records = Ledger(ledger).query(kind="faults")
+        assert len(records) == 2
+        # ... and the record itself says which faults it ran under
+        documents = [rec["run"]["telemetry"]["faults"] for rec in records]
+        assert [doc["fraction"] for doc in documents] == [0.0, 0.1]
+        assert [doc["faults"] for doc in documents] == [0, 6]
+        assert set(documents[1]) == {
+            "fraction", "seed", "fail_at", "repair_at", "faults", "population",
+            "escape_fraction",
+        }
+        assert (documents[1]["seed"], documents[1]["population"]) == (5, 64)
+        assert 0.0 < documents[1]["escape_fraction"] < 1.0
 
 
 class TestFaultsCommand:
@@ -393,6 +404,31 @@ class TestFaultsCommand:
         out = capsys.readouterr().out
         assert "failed mid-run" in out
         assert "delivered flits per interval" in out
+
+    @pytest.mark.parametrize("transient", [(), ("--transient",)], ids=["table", "transient"])
+    def test_pattern_and_arbiter_reach_the_runs(self, transient, tmp_path):
+        # both options used to be parsed and dropped: every pattern printed
+        # the uniform table
+        from repro.obs.ledger import Ledger
+
+        def records(name, *options):
+            ledger = tmp_path / name
+            argv = [
+                "faults", "--network", "cube", "--k", "4", "--n", "2", "--profile", "fast",
+                "--fractions", "0.1", *transient, *options, "--ledger", str(ledger),
+            ]
+            assert main(argv) == 0
+            return [rec["run"] for rec in Ledger(ledger).query(kind="faults")]
+
+        (uniform,) = records("uniform.jsonl")
+        (transpose,) = records("transpose.jsonl", "--pattern", "transpose", "--arbiter", "age")
+        assert (uniform["config"]["pattern"], uniform["config"]["arbiter"]) == (
+            "uniform", "round_robin",
+        )
+        assert (transpose["config"]["pattern"], transpose["config"]["arbiter"]) == (
+            "transpose", "age",
+        )
+        assert uniform["result"]["delivered_flits"] != transpose["result"]["delivered_flits"]
 
     def test_bad_fractions_exit_code(self, capsys):
         code = main(["faults", "--network", "tree", "--fractions", "0,x", "--profile", "fast"])

@@ -21,10 +21,10 @@ def fresh_cache():
 class TestDrain:
     def test_complement_drain_on_tree(self):
         result = drain_permutation(tree_config(k=2, n=2, vcs=2, pattern="complement"))
-        assert result.packets == 4
+        assert result.messages == 4
         assert result.makespan_cycles >= result.config.packet_flits
         assert result.avg_latency_cycles <= result.max_latency_cycles
-        assert result.throughput_flits_per_cycle > 0
+        assert result.aggregate_flits_per_cycle > 0
 
     def test_drain_latency_bounded_below_by_model(self):
         from repro.topology.cube import KAryNCube
@@ -32,7 +32,7 @@ class TestDrain:
 
         cfg = cube_config(k=4, n=2, algorithm="duato", pattern="complement")
         result = drain_permutation(cfg)
-        assert result.packets == 16
+        assert result.messages == 16
         lower = expected_zero_load_latency(
             KAryNCube(4, 2), cfg.packet_flits, mapping=lambda s: bit_complement(s, 4)
         )
@@ -45,7 +45,7 @@ class TestDrain:
 
     def test_drain_ignores_fixed_points(self):
         result = drain_permutation(tree_config(k=2, n=2, vcs=1, pattern="bitrev"))
-        assert result.packets == 2  # 2 palindromes among 4 two-bit labels
+        assert result.messages == 2  # 2 palindromes among 4 two-bit labels
 
     def test_identity_like_pattern_rejected(self):
         # shuffle on N=2 nodes fixes everything -> nothing to drain
@@ -56,7 +56,7 @@ class TestDrain:
         free = drain_permutation(tree_config(k=4, n=2, vcs=1, pattern="complement"))
         congested = drain_permutation(tree_config(k=4, n=2, vcs=1, pattern="bitrev"))
         # per-packet normalized drain time (bitrev moves fewer packets)
-        assert free.makespan_cycles / free.packets < congested.makespan_cycles / congested.packets
+        assert free.makespan_cycles / free.messages < congested.makespan_cycles / congested.messages
 
     def test_the_drained_config_keeps_every_field_it_does_not_override(self):
         # both drains used to rebuild the config field by field and lost

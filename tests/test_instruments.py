@@ -12,6 +12,11 @@ reliable, congested} (plus one fail-stop storm):
   command line used to refuse;
 * every spec survives ``pickle`` and runs in pool workers via
   ``run_sweep``.
+
+``Faults`` — a random fraction of the channels, failed at a cycle and
+optionally repaired — is held to the same contract, plus its own: striking
+at cycle 0 is the static injectors' pre-run seizure, and its document is the
+only thing it adds to a run's.
 """
 
 import dataclasses
@@ -25,6 +30,15 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
 from repro.experiments.congestion import Overload, OverloadSpec, run_overload_point
 from repro.experiments.sweep import run_sweep
+from repro.faults import (
+    Faults,
+    fault_population,
+    inject_cube_link_faults,
+    inject_tree_uplink_faults,
+    random_cube_link_faults,
+    random_uplink_faults,
+)
+from repro.metrics.io import run_result_from_dict, run_result_to_dict
 from repro.obs.flight import Flight, FlightConfig, FlightRecorder, simulate_with_flight
 from repro.obs.forensics import Forensics, ForensicsProbe, simulate_with_forensics
 from repro.obs.statehash import (
@@ -40,11 +54,14 @@ from repro.sim.checkpoint import (
     read_checkpoint_header,
     read_manifest,
 )
-from repro.sim.run import Audit, cube_config, finish, simulate, start, tree_config
+from repro.obs.ledger import Ledger
+from repro.sim.run import Audit, build_engine, cube_config, finish, simulate, start, tree_config
 from repro.traffic.congestion import Congested, CongestionConfig, simulate_congested
 from repro.traffic.transport import Reliable, TransportConfig, simulate_reliable
 
+from .conftest import on_the_other_storage
 from .test_checkpoint import _BOOM, _boom  # the self-disarming crash hook
+from .test_checkpoint import faulted_run_snapshotting
 from .test_determinism import _canonical
 
 CONFIG = tree_config(
@@ -206,6 +223,7 @@ ALL_SPECS = [
     Storm(StormSpec(fault_rate=0.1, storm_seed=9, transport=TRANSPORT)),
     Overload(OverloadSpec(closed_loop=True, saturation=0.5, transport=TRANSPORT)),
     Audit(),
+    Faults(0.2, seed=9, fail_at=300, repair_at=500),
 ]
 
 
@@ -224,6 +242,7 @@ class TestSpecs:
             (Flight(FLIGHT), Congested(TRANSPORT, CONTROL)),
             (StateHash(DIGESTS), Audit(), Storm(StormSpec(fault_rate=0.1, storm_seed=9))),
             (Audit(), Overload(OverloadSpec(closed_loop=False, saturation=0.5))),
+            (Flight(FLIGHT), Audit(), Faults(0.2, fail_at=300, repair_at=500)),
         ],
         ids=lambda tiers: "+".join(type(t).__name__ for t in tiers),
     )
@@ -270,6 +289,119 @@ class TestSpecs:
         assert engine.instruments[0][1] is engine.find_probe(ForensicsProbe)
         assert run == engine.resume_run
         assert _canonical(finish(engine, run())) == reference
+
+
+CUBE = cube_config(
+    k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=5,
+    warmup_cycles=100, total_cycles=600,
+)
+#: open at the kill of cycle 450 and at the snapshot of cycle 400 before it
+WINDOW = Faults(0.2, fail_at=300, repair_at=500)
+
+
+def _sans_faults(result) -> str:
+    doc = json.loads(_canonical(result))
+    doc["telemetry"].pop("faults", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestFaults:
+    @pytest.mark.parametrize("config", [CONFIG, CUBE], ids=["tree", "cube"])
+    @pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s or ("plain",)))
+    def test_killed_inside_the_fault_window_resumes_byte_identically(
+        self, config, subset, tmp_path
+    ):
+        tiers = [*(OBSERVERS[name] for name in subset), Audit(), WINDOW]
+        reference = simulate(config, tiers)
+        assert reference.telemetry.faults["faults"] > 0
+        resumed = _kill_and_resume(config, tiers, tmp_path)
+        assert _canonical(resumed) == _canonical(reference)
+
+    def test_a_fault_window_open_in_a_snapshot_crosses_storages(self, tmp_path):
+        reference = faulted_run_snapshotting()
+        there, here = str(tmp_path / "there"), str(tmp_path / "here_")
+        child = "tests.test_checkpoint.faulted_run_snapshotting(sys.argv[1])"
+        assert on_the_other_storage(tmp_path, child, there).strip() == reference
+        assert faulted_run_snapshotting(here) == reference
+        # each completed run left its snapshot of cycle 400 behind: resume
+        # it, window open, on the storage that did not write it
+        assert faulted_run_snapshotting(there) == reference
+        assert on_the_other_storage(tmp_path, child, here).strip() == reference
+        for resumed in (there, here):
+            assert read_manifest(resumed)["discarded"] == []
+
+    @pytest.mark.parametrize("config", [CONFIG, CUBE], ids=["tree", "cube"])
+    @pytest.mark.parametrize("fraction", [0.05, 0.2])
+    def test_striking_at_cycle_zero_is_the_static_injection(self, config, fraction):
+        engine, run = start(config, [Faults(fraction, seed=3)])
+        scheduled = finish(engine, run())
+        by_hand = build_engine(config)
+        count = round(fraction * fault_population(by_hand.topology))
+        if config.network == "tree":
+            draw = random_uplink_faults(by_hand.topology, count, seed=3)
+            assert inject_tree_uplink_faults(by_hand, draw) == count
+        else:
+            draw = random_cube_link_faults(by_hand.topology, count, seed=3)
+            assert inject_cube_link_faults(by_hand, draw) == count
+        assert _sans_faults(scheduled) == _canonical(by_hand.run())
+        assert engine.state_fingerprint()["root"] == by_hand.state_fingerprint()["root"]
+        assert scheduled.telemetry.faults["faults"] == count
+
+    def test_the_document(self):
+        result = simulate(CUBE, [WINDOW])
+        doc = result.telemetry.faults
+        assert doc == {
+            "fraction": 0.2, "seed": 5, "fail_at": 300, "repair_at": 500,
+            "faults": 13, "population": 64,
+            "escape_fraction": doc["escape_fraction"],
+        }
+        assert 0.0 < doc["escape_fraction"] < 1.0
+        # no escape split, no escape share
+        assert simulate(CONFIG, [WINDOW]).telemetry.faults["escape_fraction"] is None
+
+    def test_a_flight_recorder_listed_first_sees_the_window(self):
+        result = simulate(CUBE, [Flight(FLIGHT), WINDOW])
+        stamps = [
+            (a["kind"], a["cycle"]) for a in result.telemetry.flight["annotations"]
+        ]
+        count = result.telemetry.faults["faults"]
+        assert stamps.count(("fault_strike", 300)) == count
+        assert stamps.count(("fault_repair", 500)) == count
+        # listed after the faults, the recorder is not there to be stamped
+        late = simulate(CUBE, [WINDOW, Flight(FLIGHT)])
+        kinds = {a["kind"] for a in late.telemetry.flight["annotations"]}
+        assert not kinds & {"fault_strike", "fault_repair"}
+        assert late.telemetry.faults == result.telemetry.faults
+
+    def test_document_round_trips_through_the_ledger(self, tmp_path):
+        result = simulate(CUBE, [WINDOW])
+        ledger = Ledger(tmp_path / "runs.jsonl")
+        ledger.append_run(result, kind="faults")
+        (record,) = ledger.records()
+        assert record["run"] == run_result_to_dict(result)
+        (loaded,) = ledger.runs(kind="faults")
+        assert loaded.telemetry.faults == result.telemetry.faults
+        assert run_result_to_dict(run_result_from_dict(record["run"])) == record["run"]
+
+    def test_a_fault_free_document_has_no_faults_key(self):
+        plain = simulate(CUBE)
+        assert plain.telemetry.faults is None
+        assert "faults" not in run_result_to_dict(plain)["telemetry"]
+        # ... and reads back as None like the four tiers that write a null
+        assert run_result_from_dict(run_result_to_dict(plain)).telemetry.faults is None
+        baseline = simulate(CUBE, [Faults(0.0)])
+        assert baseline.telemetry.faults["faults"] == 0
+        assert _sans_faults(baseline) == _canonical(plain)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_fraction_outside_the_population_is_refused(self, fraction):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\)"):
+            Faults(fraction)
+
+    def test_lane_level_faults_need_an_escape_split(self):
+        dor = dataclasses.replace(CUBE, algorithm="dor")
+        with pytest.raises(ConfigurationError, match="adaptive algorithm"):
+            simulate(dor, [Faults(0.1)])
 
 
 class TestFlightStreamsAndCheckpoints:
