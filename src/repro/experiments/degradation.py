@@ -87,14 +87,14 @@ def _row(result: RunResult) -> DegradationRow:
     )
 
 
-def _fault_runs(config, windows, **harness) -> list[RunResult]:
-    """One run of ``config`` per :class:`~repro.faults.Faults` of
-    ``windows``: a curve each over the config's single load, audited,
+def _fault_runs(config, faults, **harness) -> list[RunResult]:
+    """One run of ``config`` per :class:`~repro.faults.Faults` spec of
+    ``faults``: a curve each over the config's single load, audited,
     filed as a ``"faults"`` ledger record (dedup off: the curves share
     config digest + seed; ``telemetry.faults`` is what tells them apart)."""
     curves = [
-        (f"{config.network} faults f={faults.fraction:g}", config, (Audit(), faults))
-        for faults in windows
+        (f"{config.network} faults f={spec.fraction:g}", config, (Audit(), spec))
+        for spec in faults
     ]
     ran = run_curves(
         curves, [config.load], ledger_kind="faults", ledger_dedup=False, **harness
@@ -131,8 +131,8 @@ def degradation_experiment(
         network, load, vcs, profile or get_profile(), seed, k, n, algorithm,
         pattern=pattern, arbiter=arbiter,
     )
-    windows = [Faults(fraction, fault_seed) for fraction in fractions]
-    return [_row(result) for result in _fault_runs(config, windows, **harness)]
+    faults = [Faults(fraction, fault_seed) for fraction in fractions]
+    return [_row(result) for result in _fault_runs(config, faults, **harness)]
 
 
 def transient_experiment(

@@ -32,7 +32,7 @@ from repro.profiles import Profile
 from repro.sim.run import cube_config, tree_config
 from repro.traffic.transport import TransportConfig
 
-from .test_determinism import _TIMING_FIELDS, _canonical
+from .test_determinism import _TIMING_FIELDS, _canonical, _sans_faults
 
 #: two offered loads per curve (0.1 and 1.0), short windows
 PROFILE = Profile(name="pin", warmup_cycles=100, total_cycles=500, sweep_points=2)
@@ -94,12 +94,10 @@ def _transient() -> dict:
     """One fault window over the middle of the measurement: the row and the
     document (``throughput_timeline`` included)."""
     result, row = transient_experiment("cube", 0.2, profile=PROFILE, k=4, n=2)
-    doc = json.loads(_canonical(result))
-    doc["telemetry"].pop("faults", None)  # as in _ledger_digest
     return {
         "row": list(dataclasses.astuple(row)),
         "timeline": list(result.throughput_timeline),
-        "document": _sha([json.dumps(doc, sort_keys=True)]),
+        "document": _sha([_sans_faults(result)]),  # as in _ledger_digest
     }
 
 

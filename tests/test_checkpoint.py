@@ -636,13 +636,17 @@ def reliable_run_snapshotting(directory=None) -> str:
     ))
 
 
+#: a cube run and a fault window that is open at a kill of cycle 450 and
+#: at the snapshot of cycle 400 before it (snapshots every 200 cycles)
+FAULTED_CUBE = small_cube_config(algorithm="duato", load=0.6)
+FAULT_WINDOW = Faults(0.2, fail_at=300, repair_at=500)
+
+
 def faulted_run_snapshotting(directory=None) -> str:
-    """The canonical document of a small cube run whose fault window
-    (cycles 300–500) is open at the snapshot of cycle 400."""
+    """The canonical document of :data:`FAULTED_CUBE` under
+    :data:`FAULT_WINDOW`, snapshotting into (or resuming from) ``directory``."""
     policy = None if directory is None else _policy(directory, interval=200)
-    config = small_cube_config(algorithm="duato", load=0.6)
-    window = Faults(0.2, fail_at=300, repair_at=500)
-    return _canonical(simulate(config, [window], checkpoint=policy))
+    return _canonical(simulate(FAULTED_CUBE, [FAULT_WINDOW], checkpoint=policy))
 
 
 def _boom(engine) -> None:

@@ -34,6 +34,14 @@ def _canonical(result) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _sans_faults(result) -> str:
+    """:func:`_canonical` without ``telemetry.faults`` — the one key a
+    ``Faults`` instrument adds to the document of the run it degrades."""
+    doc = json.loads(_canonical(result))
+    doc["telemetry"].pop("faults", None)
+    return json.dumps(doc, sort_keys=True)
+
+
 def _assert_identical(make):
     assert _canonical(make()) == _canonical(make())
 

@@ -61,8 +61,10 @@ from repro.traffic.transport import Reliable, TransportConfig, simulate_reliable
 
 from .conftest import on_the_other_storage
 from .test_checkpoint import _BOOM, _boom  # the self-disarming crash hook
+from .test_checkpoint import FAULT_WINDOW as WINDOW
+from .test_checkpoint import FAULTED_CUBE as CUBE
 from .test_checkpoint import faulted_run_snapshotting
-from .test_determinism import _canonical
+from .test_determinism import _canonical, _sans_faults
 
 CONFIG = tree_config(
     k=4, n=2, vcs=2, pattern="transpose", load=0.7, seed=7,
@@ -289,20 +291,6 @@ class TestSpecs:
         assert engine.instruments[0][1] is engine.find_probe(ForensicsProbe)
         assert run == engine.resume_run
         assert _canonical(finish(engine, run())) == reference
-
-
-CUBE = cube_config(
-    k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=5,
-    warmup_cycles=100, total_cycles=600,
-)
-#: open at the kill of cycle 450 and at the snapshot of cycle 400 before it
-WINDOW = Faults(0.2, fail_at=300, repair_at=500)
-
-
-def _sans_faults(result) -> str:
-    doc = json.loads(_canonical(result))
-    doc["telemetry"].pop("faults", None)
-    return json.dumps(doc, sort_keys=True)
 
 
 class TestFaults:
