@@ -266,8 +266,8 @@ class LinkDirection(
     def build_rot(self) -> None:
         """``rot[rr]`` is the lanes in round-robin order starting at ``rr``:
         the reference arbiter walks it instead of doing index arithmetic per
-        lane.  Plain slices of the doubled list — this runs once per
-        direction of every engine built or restored."""
+        lane.  Plain slices of the doubled list, which the kernel's wiring
+        (``rot_of`` in ``_storage.c``) takes the same way."""
         lanes = self.lanes
         self.rot = rot = [lanes]
         n = len(lanes)

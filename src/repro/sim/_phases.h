@@ -37,7 +37,7 @@
 /* -- names ------------------------------------------------------------------ */
 
 /* attributes of the engine, its config and result, the handler object, the
- * traffic sources and the routing algorithms */
+ * traffic sources, the routing algorithms and the topology's links */
 #define NAMES(X) \
     X(_fabric_dirs) X(_eject_dirs) X(_age_arbiter) X(_rr_after) X(_route_awake) \
     X(pending) X(_in_route_queue) X(route_queue) X(route_rr) X(bindings) X(config) X(result) \
@@ -53,22 +53,28 @@
     X(advance) X(next_cycle) X(queue) X(popleft) \
     X(select) X(out) X(rng) X(getrandbits) X(k) X(_lo) X(_hi) X(_weight) X(_up_ports) \
     X(_coords) X(_hops) X(eject_port) X(half) X(n_adaptive) X(escape_base) \
-    X(adaptive_grants) X(escape_grants)
+    X(adaptive_grants) X(escape_grants) \
+    X(topology) X(switch_links) X(node_links) X(switch_a) X(port_a) X(switch_b) X(port_b) \
+    X(switch) X(port) X(node) X(in_lanes) X(out_lanes) X(dirs) X(eject_lanes) X(_injection_lanes)
 
 #define X(n) extern PyObject *s_##n;
 NAMES(X)
 #undef X
 
-/* the fields addressed by offset: class tag, attribute, member type (Py_T_...) */
+/* the fields addressed by offset: class tag, attribute, member type (Py_T_...);
+ * every field of the lanes and the direction, which the wiring twins
+ * (_storage.c) store in FIELDS order */
 #define SLOTS(X) \
-    X(IL, switch, LONGLONG) X(IL, packet, OBJECT_EX) X(IL, received, LONGLONG) \
-    X(IL, forwarded, LONGLONG) X(IL, bound, OBJECT_EX) X(IL, src_out, OBJECT_EX) \
-    X(IL, last_arrival, LONGLONG) \
-    X(OL, switch, LONGLONG) X(OL, vc, LONGLONG) X(OL, packet, OBJECT_EX) \
-    X(OL, buffered, LONGLONG) X(OL, credits, LONGLONG) X(OL, sink, OBJECT_EX) \
-    X(OL, direction, OBJECT_EX) \
+    X(IL, switch, LONGLONG) X(IL, port, LONGLONG) X(IL, vc, LONGLONG) X(IL, cap, LONGLONG) \
+    X(IL, packet, OBJECT_EX) X(IL, received, LONGLONG) X(IL, forwarded, LONGLONG) \
+    X(IL, bound, OBJECT_EX) X(IL, src_out, OBJECT_EX) X(IL, last_arrival, LONGLONG) \
+    X(OL, switch, LONGLONG) X(OL, port, LONGLONG) X(OL, vc, LONGLONG) X(OL, cap, LONGLONG) \
+    X(OL, packet, OBJECT_EX) X(OL, buffered, LONGLONG) X(OL, credits, LONGLONG) \
+    X(OL, sink, OBJECT_EX) X(OL, direction, OBJECT_EX) \
     X(EJ, node, LONGLONG) X(EJ, packet, OBJECT_EX) X(EJ, received, LONGLONG) \
-    X(LD, lanes, OBJECT_EX) X(LD, rr, LONGLONG) X(LD, nbusy, LONGLONG) X(LD, flits, LONGLONG) \
+    X(LD, lanes, OBJECT_EX) X(LD, rot, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
+    X(LD, nbusy, LONGLONG) X(LD, to_node, OBJECT_EX) X(LD, flits, LONGLONG) \
+    X(LD, flits_at_warmup, LONGLONG) \
     X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) X(PK, created, LONGLONG) \
     X(PK, injected, LONGLONG) X(PK, head_delivered, LONGLONG) X(PK, delivered, LONGLONG) \
     X(ND, nid, LONGLONG) X(ND, source, OBJECT_EX) X(ND, wake, LONGLONG) X(ND, lanes, OBJECT_EX) \
@@ -250,6 +256,9 @@ int route(Router *r, PyObject *switch_id, long long s, PyObject *lane, PyObject 
 
 PyObject *storage(PyObject *module, PyObject *const *args, Py_ssize_t nargs);         /* _storage.c */
 PyObject *setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *wire_node_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *derive_directions(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */
 PyObject *routing_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *select_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs);     /* _select.c */

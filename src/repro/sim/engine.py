@@ -84,11 +84,6 @@ from .native import INT, REF, load_phases, storage
 from .packet import FAULT_SENTINEL, Packet
 from .results import RunResult
 
-#: effectively infinite credit for ejection channels (the node consumes
-#: flits as fast as the link can deliver them)
-_EJECT_CREDITS = 1 << 60
-
-
 class _Node(
     storage(
         "_Node",
@@ -187,9 +182,14 @@ class Engine:
         #: every link direction, switch->switch ones first: the link
         #: phase walks the two kinds in two loops, in this order
         self.dirs: list[LinkDirection] = []
-        self._wire_switch_links(cap, vcs)
+        # wired by the kernel where ``step`` runs it (the same objects)
+        phases = NATIVE_PHASES or reference
+        phases.wire_switch_links(self, cap, vcs)
         self._fabric_dirs = list(self.dirs)
-        self._wire_node_links(cap, vcs, 1 if is_direct else vcs)
+        #: eject_lanes[node] -> its ejection sinks, one per VC
+        self.eject_lanes: list[list[EjectionLane]] = [[] for _ in range(topology.num_nodes)]
+        self._injection_lanes: list[list[InputLane]] = [[] for _ in range(topology.num_nodes)]
+        phases.wire_node_links(self, cap, vcs, 1 if is_direct else vcs)
         self._eject_dirs = self.dirs[len(self._fabric_dirs) :]
 
         # cycle hooks (fault schedules, instrumentation): cycle -> callbacks.
@@ -263,49 +263,6 @@ class Engine:
 
     # -- construction ----------------------------------------------------------
 
-    def _wire_switch_links(self, cap: int, vcs: int) -> None:
-        """Create the lanes of every switch->switch channel, both ways."""
-        in_lanes, out_lanes, dirs = self.in_lanes, self.out_lanes, self.dirs
-        channels = range(vcs)
-        for link in self.topology.switch_links():
-            for sa, pa, sb, pb in (
-                (link.switch_a, link.port_a, link.switch_b, link.port_b),
-                (link.switch_b, link.port_b, link.switch_a, link.port_a),
-            ):
-                if out_lanes[sa][pa] or in_lanes[sb][pb]:
-                    raise SimulationError(
-                        f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
-                    )
-                ins = [InputLane(sb, pb, v, cap) for v in channels]
-                outs = [OutputLane(sa, pa, v, cap, ins[v], cap) for v in channels]
-                for v in channels:
-                    ins[v].src_out = outs[v]
-                in_lanes[sb][pb] = ins
-                out_lanes[sa][pa] = outs
-                dirs.append(LinkDirection(outs, index=len(dirs)))
-
-    def _wire_node_links(self, cap: int, vcs: int, injection_lanes: int) -> None:
-        """Create each node's ejection channel and injection lanes.
-
-        A cube router has a single injection channel (P = 17 in §5); a
-        tree leaf port carries the full V lanes (P = 2kV).
-        """
-        self.eject_lanes: list[list[EjectionLane]] = [[] for _ in range(self.topology.num_nodes)]
-        self._injection_lanes: list[list[InputLane]] = [[] for _ in range(self.topology.num_nodes)]
-        channels = range(vcs)
-        for nl in self.topology.node_links():
-            s, p, node = nl.switch, nl.port, nl.node
-            # ejection: switch output lanes -> per-VC ejection sinks
-            sinks = [EjectionLane(node) for _ in channels]
-            outs = [OutputLane(s, p, v, cap, sinks[v], _EJECT_CREDITS) for v in channels]
-            self.eject_lanes[node] = sinks
-            self.out_lanes[s][p] = outs
-            self.dirs.append(LinkDirection(outs, to_node=True, index=len(self.dirs)))
-            # injection: the node feeds the switch input lanes directly
-            ins = [InputLane(s, p, v, cap) for v in range(injection_lanes)]
-            self.in_lanes[s][p] = ins
-            self._injection_lanes[node] = ins
-
     def __getstate__(self) -> dict:
         # the handlers are derived from the probe tree, and a fan-out is a
         # closure, which does not pickle
@@ -318,9 +275,7 @@ class Engine:
         # here and not in LinkDirection.__setstate__: lanes point back at
         # their direction, so while a pickle loads a direction can be
         # restored before its ``lanes`` list has been filled
-        for index, d in enumerate(self.dirs):
-            d.index = index
-            d.build_rot()
+        (NATIVE_PHASES or reference).derive_directions(self.dirs)
         # the engine is the root of its pickle, so the probe tree under it
         # is complete by now: events reach the restored probes
         self._bind_events()
@@ -682,12 +637,26 @@ class Engine:
             node.lane = None
             node.sent = 0
 
+        # a worm holds output lanes and their sinks — fabric input lanes or
+        # its destination's ejection lanes — and the injection lanes of its
+        # source: one pass over the directions and one over those
         victims: list[InputLane] = []
-        for switch_ports in self.in_lanes:
-            for port_lanes in switch_ports:
-                for lane in port_lanes:
-                    if lane.packet is pkt:
-                        victims.append(lane)
+        for d in self.dirs:
+            for lane in d.lanes:
+                if lane.packet is pkt:
+                    if lane.buffered > 0:
+                        d.nbusy -= 1
+                        flushed += lane.buffered
+                    lane.packet = None
+                    lane.buffered = 0
+                sink = lane.sink
+                if sink.packet is pkt:
+                    if d.to_node:
+                        sink.packet = None
+                        sink.received = 0
+                    else:
+                        victims.append(sink)
+        victims.extend(lane for lane in node.lanes if lane.packet is pkt)
         dead = {id(lane) for lane in victims if lane.bound is not None}
         if dead:
             self.bindings[:] = [b for b in self.bindings if id(b) not in dead]
@@ -707,21 +676,6 @@ class Engine:
                 # packet, so after the flush the downstream buffer is
                 # empty and the upstream credit counter returns to cap
                 lane.src_out.credits = lane.cap
-
-        for switch_ports in self.out_lanes:
-            for port_lanes in switch_ports:
-                for lane in port_lanes:
-                    if lane.packet is pkt:
-                        if lane.buffered > 0:
-                            lane.direction.nbusy -= 1
-                            flushed += lane.buffered
-                        lane.packet = None
-                        lane.buffered = 0
-
-        for ej in self.eject_lanes[pkt.dst]:
-            if ej.packet is pkt:
-                ej.packet = None
-                ej.received = 0
 
         self._wake_routing()
         pkt.dropped = t

@@ -10,14 +10,20 @@ starts a packet (:func:`start_packet`, :func:`inject_header`) or streams the
 next flit of one (:func:`stream_flit`); a crossbar binding forwards a flit
 (:func:`forward`); a switch routes one header (:func:`route_switch`,
 :func:`bind`).  A lane is a handful of counters, not a queue of flits (see
-:mod:`repro.router.lane`), and each function updates them in place.
+:mod:`repro.router.lane`), and each function updates them in place.  The
+lanes themselves are made here too: ``Engine.__init__`` wires them
+(:func:`wire_switch_links`, :func:`wire_node_links`) and
+``Engine.__setstate__`` re-derives what a pickle leaves out
+(:func:`derive_directions`), through ``NATIVE_PHASES or`` this module as
+``step`` does.
 
 **The twin rule.**  Every function here has a function of the *same name* in
-``_phases.c`` or ``_routing.c`` with the same statement order, the same probe
+``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the
+struct types it allocates — with the same statement order, the same probe
 calls and the same values stored; the classes ``Link``, ``Inject`` and
 ``Walk`` are those units' structs of the same names — what a phase keeps at
 hand for the length of its call.  Change one and change the other, in the
-same commit.  Two tests hold the pair together:
+same commit.  Three tests hold the pair together:
 
 * ``tests/test_property_engine.py::TestTheTwinContract::test_every_reference_function_has_a_c_twin_of_its_name``
   — the names, and by name what exists in C only (``C_ONLY`` there:
@@ -33,6 +39,9 @@ same commit.  Two tests hold the pair together:
   fails when ``SimulationConfig`` has a field in no table.  A model change
   that comes with a new config field therefore cannot land in one
   implementation only.
+* ``tests/test_wiring.py`` — the wiring: an engine wired (and restored) by
+  either pickles to the same bytes, has the same detailed fingerprint and
+  the same value in every field of every lane and direction.
 
 ``select``, ``pick_free_lane`` and ``randbelow`` of :mod:`repro.routing` and
 their twins in ``_select.c`` are held together the same way by
@@ -48,6 +57,8 @@ kernel-absent path is held to (``BENCH_perf.json``, PR 22's two records).
 
 from __future__ import annotations
 
+from ..errors import SimulationError
+from ..router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
 from .packet import Packet
 
 
@@ -523,3 +534,64 @@ def routing_phase(engine, t: int, handlers) -> bool:
     if w.drained:
         rebuild_queue(w, queue)
     return w.progress
+
+
+# -- construction ------------------------------------------------------------------
+
+#: effectively infinite credit for ejection channels (the node consumes
+#: flits as fast as the link can deliver them)
+EJECT_CREDITS = 1 << 60
+
+
+def wire_switch_links(engine, cap: int, vcs: int) -> None:
+    """Create the lanes of every switch->switch channel, both ways: per
+    direction the ``vcs`` input lanes downstream, the output lanes feeding
+    them, and the direction they are multiplexed onto."""
+    in_lanes, out_lanes, dirs = engine.in_lanes, engine.out_lanes, engine.dirs
+    channels = range(vcs)
+    for link in engine.topology.switch_links():
+        for sa, pa, sb, pb in (
+            (link.switch_a, link.port_a, link.switch_b, link.port_b),
+            (link.switch_b, link.port_b, link.switch_a, link.port_a),
+        ):
+            if out_lanes[sa][pa] or in_lanes[sb][pb]:
+                raise SimulationError(
+                    f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
+                )
+            ins = [InputLane(sb, pb, v, cap) for v in channels]
+            outs = [OutputLane(sa, pa, v, cap, ins[v], cap) for v in channels]
+            for v in channels:
+                ins[v].src_out = outs[v]
+            in_lanes[sb][pb] = ins
+            out_lanes[sa][pa] = outs
+            dirs.append(LinkDirection(outs, index=len(dirs)))
+
+
+def wire_node_links(engine, cap: int, vcs: int, injection_lanes: int) -> None:
+    """Create each node's ejection channel and injection lanes.
+
+    A cube router has a single injection channel (P = 17 in §5); a
+    tree leaf port carries the full V lanes (P = 2kV).
+    """
+    in_lanes, out_lanes, dirs = engine.in_lanes, engine.out_lanes, engine.dirs
+    channels = range(vcs)
+    for nl in engine.topology.node_links():
+        s, p, node = nl.switch, nl.port, nl.node
+        # ejection: switch output lanes -> per-VC ejection sinks
+        sinks = [EjectionLane(node) for _ in channels]
+        outs = [OutputLane(s, p, v, cap, sinks[v], EJECT_CREDITS) for v in channels]
+        engine.eject_lanes[node] = sinks
+        out_lanes[s][p] = outs
+        dirs.append(LinkDirection(outs, to_node=True, index=len(dirs)))
+        # injection: the node feeds the switch input lanes directly
+        ins = [InputLane(s, p, v, cap) for v in range(injection_lanes)]
+        in_lanes[s][p] = ins
+        engine._injection_lanes[node] = ins
+
+
+def derive_directions(dirs: list) -> None:
+    """What a pickle of ``dirs`` leaves out (``LinkDirection.__getstate__``):
+    each direction's ``index``, its position in the list, and its ``rot``."""
+    for index, d in enumerate(dirs):
+        d.index = index
+        d.build_rot()
