@@ -1,13 +1,14 @@
 """Batch permutation drains (extension of §6's global-permutation scenario).
 
 Injects one full permutation at once — operation far above saturation —
-and measures the makespan on both networks.  The steady-state results of
+and measures the makespan on both networks: a curve table of one drain
+per (pattern, network), each a one-load curve under its trace.  The steady-state results of
 Figures 5–6 predict the ordering: complement drains fastest on the tree
 (congestion-free) and slowest per-capacity on the cube (bisection-bound),
 while transpose/bitrev need the adaptive cube algorithm.
 """
 
-from repro.experiments.drain import drain_permutation
+from repro.experiments.drain import drain_table, permutation_trace
 from repro.experiments.report import render_table
 from repro.sim.run import cube_config, tree_config
 
@@ -17,14 +18,19 @@ PATTERNS = ("complement", "transpose", "bitrev")
 
 
 def run_all():
-    out = {}
-    for pattern in PATTERNS:
-        tree = drain_permutation(tree_config(vcs=4, pattern=pattern, seed=43))
-        cube = drain_permutation(
-            cube_config(algorithm="duato", pattern=pattern, seed=43)
+    configs = [
+        (pattern, config)
+        for pattern in PATTERNS
+        for config in (
+            tree_config(vcs=4, pattern=pattern, seed=43),
+            cube_config(algorithm="duato", pattern=pattern, seed=43),
         )
-        out[pattern] = (tree, cube)
-    return out
+    ]
+    results = drain_table(
+        [(f"{c.network} {p}", c, permutation_trace(c)) for p, c in configs],
+        max_cycles=1_000_000,
+    )
+    return {p: (results[2 * i], results[2 * i + 1]) for i, p in enumerate(PATTERNS)}
 
 
 def test_permutation_drains(benchmark, reporter):

@@ -1,8 +1,8 @@
 """Workload bench — collective communication phases (extension).
 
 Plays algorithm-shaped traces (all-to-all, butterfly barrier, binomial
-broadcast) through both network families at 64 nodes and checks the
-qualitative expectations:
+broadcast) through both network families at 64 nodes — a curve table of
+one drain per (phase, network) — and checks the qualitative expectations:
 
 * the shifted all-to-all schedule (rounds are permutations) beats the
   naive destination order (hot-destination convoys) on both networks;
@@ -12,14 +12,10 @@ qualitative expectations:
   (before clock scaling).
 """
 
+from repro.experiments.drain import drain_table
 from repro.experiments.report import render_table
 from repro.sim.run import cube_config, tree_config
-from repro.workloads import (
-    alltoall_trace,
-    broadcast_trace,
-    butterfly_barrier_trace,
-    run_trace,
-)
+from repro.workloads import alltoall_trace, broadcast_trace, butterfly_barrier_trace
 
 from .conftest import run_once
 
@@ -29,8 +25,7 @@ CUBE = dict(k=8, n=2, algorithm="duato")
 
 
 def run_all():
-    out = {}
-    for name, tree_trace, cube_trace in (
+    phases = (
         (
             "alltoall/shifted",
             alltoall_trace(N, flits=32, schedule="shifted"),
@@ -51,12 +46,16 @@ def run_all():
             broadcast_trace(N, flits=32),
             broadcast_trace(N, flits=16),
         ),
-    ):
-        out[name] = (
-            run_trace(tree_config(**TREE), tree_trace),
-            run_trace(cube_config(**CUBE), cube_trace),
-        )
-    return out
+    )
+    tree, cube = tree_config(**TREE), cube_config(**CUBE)
+    results = drain_table(
+        [
+            drain
+            for name, tree_trace, cube_trace in phases
+            for drain in ((f"tree {name}", tree, tree_trace), (f"cube {name}", cube, cube_trace))
+        ]
+    )
+    return {name: (results[2 * i], results[2 * i + 1]) for i, (name, *_) in enumerate(phases)}
 
 
 def test_collectives(benchmark, reporter):

@@ -63,7 +63,7 @@ from .timing.normalization import NetworkScaling, cube_scaling, tree_scaling
 from .topology.cube import KAryNCube
 from .topology.tree import KAryNTree
 from .traffic.patterns import PATTERNS, make_pattern
-from .workloads import Trace, run_trace
+from .workloads import Replay, Trace, run_trace
 
 __version__ = "1.0.0"
 
@@ -108,6 +108,7 @@ __all__ = [
     "random_cube_link_faults",
     "random_uplink_faults",
     "validate_escape_connectivity",
+    "Replay",
     "Trace",
     "run_trace",
     "Ledger",

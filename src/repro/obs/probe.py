@@ -45,7 +45,9 @@ callback               fires when
 ``on_packet_dropped``     a fail-stop fault destroyed an in-flight worm
                           (its lanes were flushed; it will never deliver)
 ``on_cycle``              the cycle's three phases all completed
-``on_run_start/end``      bracketing ``Engine.run`` / ``run_until_drained``
+``on_run_start/end``      bracketing ``Engine.run``, whether it runs to
+                          ``total_cycles`` or drains (a restored run's
+                          ``resume_run`` fires only ``on_run_end``)
 =====================  =========================================================
 """
 
@@ -80,7 +82,7 @@ class Probe:
     # -- run lifecycle -------------------------------------------------------
 
     def on_run_start(self, engine) -> None:
-        """A full run (``run`` or ``run_until_drained``) is starting."""
+        """A full run (``Engine.run``, a drain included) is starting."""
 
     def on_run_end(self, engine) -> None:
         """The run finished (also called when a deadlock aborts it)."""

@@ -1,7 +1,7 @@
 """Run telemetry: provenance and performance facts about one simulation.
 
-Every :class:`~repro.sim.results.RunResult` produced by ``Engine.run`` or
-``Engine.run_until_drained`` carries a :class:`RunTelemetry`: a compact
+Every :class:`~repro.sim.results.RunResult` produced by ``Engine.run`` (a
+drain included) carries a :class:`RunTelemetry`: a compact
 record of *how* the numbers were produced — which exact recipe (a stable
 config digest), which seed, how long the run took on the wall clock, the
 engine's cycles/sec, and the peak number of packets simultaneously in

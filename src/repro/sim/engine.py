@@ -486,17 +486,23 @@ class Engine:
     def run(self) -> RunResult:
         """Run to ``config.total_cycles`` and return the measurements.
 
+        A run whose traffic is finite — every node's source says so
+        (``source.finite``: a trace's does, a Bernoulli process's does not)
+        — stops earlier, at the first cycle the network is empty and every
+        source exhausted: a drain, whose makespan is ``telemetry.cycles``.
+
         Raises:
             DeadlockError: if the watchdog sees no flit movement for
                 ``config.watchdog_cycles`` cycles while packets are in
-                flight (indicates a routing bug, not an expected outcome).
+                flight (indicates a routing bug, not an expected outcome),
+                or finite traffic has not drained by ``config.total_cycles``.
         """
         start_cycle, wall_start = self._start_run()
         self._run_started_at = start_cycle
         return self._run_to_total(wall_start)
 
     def resume_run(self) -> RunResult:
-        """Continue a restored run to ``config.total_cycles``.
+        """Continue a restored run to where :meth:`run` stops.
 
         The checkpoint/restore counterpart of :meth:`run` (see
         :mod:`repro.sim.checkpoint`): probes keep the accumulated state
@@ -512,7 +518,8 @@ class Engine:
         watchdog = self.config.watchdog_cycles
         total = self.config.total_cycles
         start_cycle = self._run_started_at
-        while self.cycle < total:
+        finite = all(node.source.finite for node in self.nodes)
+        while self.cycle < total and not (finite and self._drained()):
             if self.step():
                 self._last_progress = self.cycle
             elif (
@@ -526,52 +533,21 @@ class Engine:
                     f"with {self.in_flight_packets()} packets in flight "
                     f"({self.config.label()})"
                 )
+        if finite and not self._drained():
+            self._finish_run(start_cycle, wall_start)
+            raise self._deadlock(
+                f"drain did not complete within {total} cycles "
+                f"({self.in_flight_packets()} packets in flight)"
+            )
         self.result.in_flight_at_end = self.in_flight_packets()
         self._finish_run(start_cycle, wall_start)
         return self.result
 
-    def run_until_drained(self, max_cycles: int = 1_000_000) -> int:
-        """Run until every queued and in-flight packet is delivered.
-
-        Used for batch experiments (e.g. draining one full permutation,
-        the "global permutation pattern" of §6) where the metric is the
-        makespan rather than a steady-state rate.  Ignores
-        ``config.total_cycles``; statistics windows still apply as
-        configured.
-
-        Returns:
-            The cycle at which the network became empty.
-
-        Raises:
-            DeadlockError: when the watchdog fires, or nothing is
-                delivered by ``max_cycles``.
-        """
-        watchdog = self.config.watchdog_cycles
-        start_cycle, wall_start = self._start_run()
-        while True:
-            if self.in_flight_packets() == 0 and all(
-                node.source.done() for node in self.active_nodes
-            ):
-                self._finish_run(start_cycle, wall_start)
-                return self.cycle
-            if self.cycle >= max_cycles:
-                self._finish_run(start_cycle, wall_start)
-                raise self._deadlock(
-                    f"drain did not complete within {max_cycles} cycles "
-                    f"({self.in_flight_packets()} packets in flight)"
-                )
-            if self.step():
-                self._last_progress = self.cycle
-            elif (
-                watchdog
-                and self.in_flight_packets() > 0
-                and self.cycle - self._last_progress >= watchdog
-            ):
-                self._finish_run(start_cycle, wall_start)
-                raise self._deadlock(
-                    f"no flit movement for {watchdog} cycles at cycle {self.cycle} "
-                    f"during drain ({self.config.label()})"
-                )
+    def _drained(self) -> bool:
+        """Nothing in flight and every source exhausted (``source.done()``)."""
+        return self.in_flight_packets() == 0 and all(
+            node.source.done() for node in self.active_nodes
+        )
 
     def _deadlock(self, message: str) -> DeadlockError:
         """Build a DeadlockError carrying a diagnostic network snapshot."""

@@ -39,6 +39,10 @@ class PacketSource:
 
     __slots__ = ("node", "pattern", "prob", "rng", "queue", "_next", "_log1mp", "active")
 
+    #: a Bernoulli process never runs dry, so a run it feeds lasts
+    #: ``config.total_cycles`` (a trace's source is finite: its run drains)
+    finite = False
+
     def __init__(self, node: int, pattern: TrafficPattern, prob: float, rng: random.Random):
         if not 0.0 <= prob <= 1.0:
             raise ConfigurationError(f"injection probability {prob} not in [0, 1]")
@@ -68,16 +72,6 @@ class PacketSource:
         gap = int(math.log(u) / self._log1mp) + 1 if u > 0.0 else 1
         return start + max(gap, 1)
 
-    def done(self) -> bool:
-        """True when this source will never offer another packet.
-
-        A stochastic source is done only when inactive with an empty
-        queue; trace-driven sources (``repro.workloads``) implement the
-        same protocol over a finite schedule.  Used by
-        :meth:`~repro.sim.engine.Engine.run_until_drained`.
-        """
-        return not self.active and not self.queue
-
     def advance(self, cycle: int) -> int:
         """Generate all packets created up to and including ``cycle``.
 
@@ -105,10 +99,6 @@ class PacketSource:
         packets are counted in the cycle of the call).
         """
         return self._next if self.active else NEVER
-
-    def pending(self) -> int:
-        """Number of packets waiting in the source queue."""
-        return len(self.queue)
 
 
 class BernoulliInjector:

@@ -16,7 +16,8 @@ parallel algorithms:
 
 Use :func:`~repro.workloads.runner.run_trace` to play any trace on a
 paper-normalized network and get the makespan plus per-message latency
-statistics.
+statistics, or hand :class:`~repro.workloads.trace.Replay` to
+:func:`~repro.sim.run.simulate` with any other instrument.
 """
 
 from .collectives import (
@@ -25,8 +26,8 @@ from .collectives import (
     butterfly_barrier_trace,
     stencil_trace,
 )
-from .runner import TraceResult, run_trace
-from .trace import Trace, TraceInjector, TraceMessage, TraceSource
+from .runner import TraceResult, drained, run_trace
+from .trace import Replay, Trace, TraceMessage, TraceSource
 
 __all__ = [
     "alltoall_trace",
@@ -34,9 +35,10 @@ __all__ = [
     "butterfly_barrier_trace",
     "stencil_trace",
     "TraceResult",
+    "drained",
     "run_trace",
+    "Replay",
     "Trace",
-    "TraceInjector",
     "TraceMessage",
     "TraceSource",
 ]

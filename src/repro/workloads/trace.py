@@ -1,10 +1,12 @@
-"""Message traces and the trace-driven injector.
+"""Message traces and the instrument that plays them.
 
 A :class:`Trace` is an explicit list of messages ``(cycle, src, dst,
-flits)``.  :class:`TraceSource` plays one node's share of a trace through
-the engine's normal single-injection-channel path, so trace-driven runs
-obey exactly the same flow control, routing and source throttling as the
-stochastic experiments.
+flits)``.  :class:`Replay` makes one the traffic of a run: it puts a
+:class:`TraceSource` — one node's share of the trace — behind every node,
+so trace-driven runs obey exactly the same flow control, routing and
+source throttling as the stochastic experiments, and go through the same
+pipeline (:func:`~repro.sim.run.simulate`).  A trace is finite, so its run
+ends once it has drained.
 
 Messages wider than one packet are *not* segmented automatically — real
 systems make that a protocol decision.  :meth:`Trace.segmented` performs
@@ -13,11 +15,13 @@ the standard fixed-size segmentation when wanted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..obs.probe import Instrument
 from ..traffic.generator import NEVER
 
 
@@ -70,10 +74,6 @@ class Trace:
     def total_flits(self) -> int:
         return sum(m.flits for m in self.messages)
 
-    def duration_hint(self) -> int:
-        """Last injection time — a lower bound on the makespan."""
-        return max((m.time for m in self.messages), default=0)
-
     def segmented(self, max_flits: int) -> Trace:
         """Split every message into packets of at most ``max_flits``.
 
@@ -105,13 +105,10 @@ class Trace:
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize as a compact JSON document."""
-        return json.dumps(
-            {
-                "num_nodes": self.num_nodes,
-                "messages": [[m.time, m.src, m.dst, m.flits] for m in self.sorted()],
-            }
-        )
+        """Serialize as a compact JSON document, messages in trace order
+        (same-time messages of a node are played in that order: it is part
+        of the schedule)."""
+        return json.dumps({"num_nodes": self.num_nodes, "messages": _rows(self.messages)})
 
     @classmethod
     def from_json(cls, text: str) -> Trace:
@@ -127,6 +124,10 @@ class Trace:
         return len(self.messages)
 
 
+def _rows(messages) -> list:
+    return [[m.time, m.src, m.dst, m.flits] for m in messages]
+
+
 class TraceSource:
     """Per-node message schedule, duck-compatible with ``PacketSource``.
 
@@ -135,6 +136,9 @@ class TraceSource:
     """
 
     __slots__ = ("node", "schedule", "_next_idx", "queue", "active")
+
+    #: the schedule runs dry: a run of these sources ends once it drained
+    finite = True
 
     def __init__(self, node: int, schedule: list[TraceMessage]):
         self.node = node
@@ -168,19 +172,44 @@ class TraceSource:
         """Exhausted: nothing queued and nothing scheduled later."""
         return self._next_idx >= len(self.schedule) and not self.queue
 
-    def pending(self) -> int:
-        return len(self.queue)
 
+@dataclass(frozen=True, init=False, repr=False)
+class Replay(Instrument):
+    """Play ``trace`` as the traffic of a run.
 
-class TraceInjector:
-    """Wires one :class:`TraceSource` per node (engine-compatible)."""
+    ``install`` puts each node's share of the trace behind it as a
+    :class:`TraceSource`, replacing whatever source the engine was built
+    with, so list it before a tier that wraps the sources (``Reliable``).  The spec holds the messages in trace order and
+    its ``repr`` — its identity in a sweep key, a ledger and a checkpoint
+    directory — is their digest, so two traces that differ only in the
+    order of same-time messages are two recipes.
+
+    Raises:
+        ConfigurationError: for an empty trace, or (at install) one built
+            for another number of nodes.
+    """
+
+    num_nodes: int
+    messages: tuple[TraceMessage, ...]
 
     def __init__(self, trace: Trace):
-        self.trace = trace
-        self.num_nodes = trace.num_nodes
-        per_node: list[list[TraceMessage]] = [[] for _ in range(trace.num_nodes)]
-        for msg in trace.messages:
-            per_node[msg.src].append(msg)
-        self.sources = [
-            TraceSource(node, schedule) for node, schedule in enumerate(per_node)
-        ]
+        if not trace.messages:
+            raise ConfigurationError("empty trace")
+        object.__setattr__(self, "num_nodes", trace.num_nodes)
+        object.__setattr__(self, "messages", tuple(trace.messages))
+
+    def __repr__(self) -> str:
+        digest = hashlib.sha256(json.dumps(_rows(self.messages)).encode()).hexdigest()
+        return f"Replay(num_nodes={self.num_nodes}, messages={len(self.messages)}, sha256={digest})"
+
+    def install(self, engine) -> None:
+        nodes = engine.topology.num_nodes
+        if self.num_nodes != nodes:
+            raise ConfigurationError(f"trace built for {self.num_nodes} nodes, network has {nodes}")
+        schedules: list[list[TraceMessage]] = [[] for _ in range(nodes)]
+        for msg in self.messages:
+            schedules[msg.src].append(msg)
+        for node, schedule in zip(engine.nodes, schedules):
+            node.source = TraceSource(node.nid, schedule)
+            node.wake = 0
+        engine.active_nodes = [node for node in engine.nodes if node.source.active]

@@ -15,13 +15,11 @@ which is stable across the 64-bit CPython versions CI runs.
 import pytest
 
 from repro.faults import CubeLinkFault, FaultPolicy, FaultSchedule
-from repro.routing.base import make_routing
 from repro.sim.engine import Engine
 from repro.sim.run import build_engine, cube_config, tree_config
-from repro.topology.tree import KAryNTree
 from repro.traffic.congestion import install_congestion
 from repro.workloads.collectives import alltoall_trace
-from repro.workloads.trace import TraceInjector
+from repro.workloads.trace import Replay
 
 #: cycles the fingerprint is taken at, after that many ``step()`` calls
 CYCLES = (60, 120, 180)
@@ -77,8 +75,9 @@ def trace_engine() -> Engine:
     config = tree_config(k=4, n=2, vcs=2, load=0.0, seed=1, warmup_cycles=0, total_cycles=CYCLES[-1])
     # naive order and a 9-cycle spacing: hot destinations, and a schedule
     # head that keeps moving through the run
-    trace = alltoall_trace(16, flits=6, spacing=9, schedule="naive")
-    return Engine(KAryNTree(4, 2), make_routing(config.algorithm), TraceInjector(trace), config)
+    engine = build_engine(config)
+    Replay(alltoall_trace(16, flits=6, spacing=9, schedule="naive")).install(engine)
+    return engine
 
 
 PAPER = ("tree-1vc", "tree-2vc", "tree-4vc", "cube-dor", "cube-duato")

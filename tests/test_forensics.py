@@ -81,7 +81,7 @@ class TestLatencyAttribution:
             small_tree_config(load=0.0, warmup_cycles=0), probe=probe
         )
         engine.preload_packet(0, 3)
-        engine.run_until_drained()
+        engine.run()
         (rec,) = probe.packets
         assert rec.check()
         assert rec.routing_stall == 0

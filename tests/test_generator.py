@@ -22,7 +22,7 @@ class TestPacketSource:
         src = make_source(0.0)
         assert not src.active
         assert src.advance(10_000) == 0
-        assert src.pending() == 0
+        assert len(src.queue) == 0
 
     def test_rate_matches_probability(self):
         src = make_source(0.05)
@@ -34,7 +34,7 @@ class TestPacketSource:
         src = make_source(1.0)
         for t in range(100):
             assert src.advance(t) <= 1
-        assert src.pending() == 100
+        assert len(src.queue) == 100
 
     def test_creation_times_recorded(self):
         src = make_source(0.2)

@@ -16,7 +16,8 @@ reliable, congested} (plus one fail-stop storm):
 ``Faults`` — a random fraction of the channels, failed at a cycle and
 optionally repaired — is held to the same contract, plus its own: striking
 at cycle 0 is the static injectors' pre-run seizure, and its document is the
-only thing it adds to a run's.
+only thing it adds to a run's.  So is ``Replay`` — a trace as the traffic,
+whose run stops once it drained.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ import pickle
 
 import pytest
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, DeadlockError
 from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
 from repro.experiments.congestion import Overload, OverloadSpec, run_overload_point
 from repro.experiments.sweep import run_sweep
@@ -58,9 +59,11 @@ from repro.obs.ledger import Ledger
 from repro.sim.run import Audit, build_engine, cube_config, finish, simulate, start, tree_config
 from repro.traffic.congestion import Congested, CongestionConfig, simulate_congested
 from repro.traffic.transport import Reliable, TransportConfig, simulate_reliable
+from repro.workloads import Replay, butterfly_barrier_trace
 
 from .conftest import on_the_other_storage
 from .test_checkpoint import _BOOM, _boom  # the self-disarming crash hook
+from .test_checkpoint import DRAINS, drained_run_snapshotting
 from .test_checkpoint import FAULT_WINDOW as WINDOW
 from .test_checkpoint import FAULTED_CUBE as CUBE
 from .test_checkpoint import faulted_run_snapshotting
@@ -74,6 +77,8 @@ FLIGHT = FlightConfig(interval_cycles=64)
 DIGESTS = StateDigestConfig(interval_cycles=100)
 TRANSPORT = TransportConfig(base_timeout=32, jitter=8, seed=3)
 CONTROL = CongestionConfig(window_cycles=32, hot_fraction=0.3)
+#: a trace that drains well inside the runs of :data:`CONFIG`
+BARRIER = Replay(butterfly_barrier_trace(16, flits=8))
 
 OBSERVERS = {
     "forensics": Forensics(sample_every=150),
@@ -226,6 +231,7 @@ ALL_SPECS = [
     Overload(OverloadSpec(closed_loop=True, saturation=0.5, transport=TRANSPORT)),
     Audit(),
     Faults(0.2, seed=9, fail_at=300, repair_at=500),
+    BARRIER,
 ]
 
 
@@ -245,6 +251,7 @@ class TestSpecs:
             (StateHash(DIGESTS), Audit(), Storm(StormSpec(fault_rate=0.1, storm_seed=9))),
             (Audit(), Overload(OverloadSpec(closed_loop=False, saturation=0.5))),
             (Flight(FLIGHT), Audit(), Faults(0.2, fail_at=300, repair_at=500)),
+            (BARRIER, Flight(FLIGHT), StateHash(DIGESTS), Audit()),
         ],
         ids=lambda tiers: "+".join(type(t).__name__ for t in tiers),
     )
@@ -390,6 +397,60 @@ class TestFaults:
         dor = dataclasses.replace(CUBE, algorithm="dor")
         with pytest.raises(ConfigurationError, match="adaptive algorithm"):
             simulate(dor, [Faults(0.1)])
+
+
+class TestReplay:
+    @pytest.mark.parametrize("network", DRAINS)
+    @pytest.mark.parametrize(
+        "subset", [(), ("flight", "statehash")], ids=lambda s: "+".join(s or ("plain",))
+    )
+    def test_a_drain_killed_mid_run_resumes_byte_identically(self, network, subset, tmp_path):
+        config, replay = DRAINS[network]
+        tiers = [replay, *(OBSERVERS[name] for name in subset)]
+        reference = simulate(config, tiers)
+        assert 450 < reference.telemetry.cycles < config.total_cycles  # killed mid-drain
+        assert _canonical(_kill_and_resume(config, tiers, tmp_path)) == _canonical(reference)
+
+    @pytest.mark.parametrize("network", DRAINS)
+    def test_a_drain_resumed_mid_run_crosses_storages(self, network, tmp_path):
+        reference = drained_run_snapshotting(None, network)
+        there, here = str(tmp_path / "there"), str(tmp_path / "here_")
+        child = "tests.test_checkpoint.drained_run_snapshotting(*sys.argv[1:])"
+        assert on_the_other_storage(tmp_path, child, there, network).strip() == reference
+        assert drained_run_snapshotting(here, network) == reference
+        # each completed run left its newest snapshots behind, the drain not
+        # yet over in them: resume them on the storage that did not write them
+        assert drained_run_snapshotting(there, network) == reference
+        assert on_the_other_storage(tmp_path, child, here, network).strip() == reference
+        for resumed in (there, here):
+            assert read_manifest(resumed)["discarded"] == []
+
+    def test_under_the_transport_a_drain_ends_when_the_protocol_is_quiescent(self):
+        config, replay = DRAINS["cube"]
+        plain = simulate(config, [replay])
+        transport = TransportConfig(ack_delay=100, base_timeout=4096)
+        reliable = simulate(config, [replay, Reliable(transport)])
+        doc = reliable.telemetry.reliability
+        assert doc["acked"] == doc["messages"] == len(replay.messages)
+        assert doc["pending"] == 0
+        # the network empties in the same cycle; the last ACK lands later
+        assert reliable.delivered_flits == plain.delivered_flits
+        assert reliable.telemetry.cycles == plain.telemetry.cycles + transport.ack_delay
+
+    def test_an_undrained_trace_at_total_cycles_is_a_deadlock(self):
+        config, replay = DRAINS["tree"]
+        short = dataclasses.replace(config, total_cycles=300)
+        with pytest.raises(
+            DeadlockError, match=r"drain did not complete within 300 cycles \(\d+ packets in flight\)"
+        ) as caught:
+            simulate(short, [replay])
+        snapshot = caught.value.snapshot
+        assert snapshot.cycle == 300 and snapshot.in_flight > 0
+
+    def test_a_trace_for_another_network_is_refused_at_install(self):
+        config, replay = DRAINS["tree"]
+        with pytest.raises(ConfigurationError, match="trace built for 16 nodes, network has 64"):
+            simulate(dataclasses.replace(config, n=3), [replay])
 
 
 class TestFlightStreamsAndCheckpoints:

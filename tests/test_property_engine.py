@@ -59,7 +59,7 @@ from repro.sim.native import INT
 from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.generator import PacketSource
 from repro.traffic.transport import Reliable, TransportConfig
-from repro.workloads.trace import Trace, TraceInjector
+from repro.workloads.trace import Replay, Trace, TraceMessage
 
 from .test_determinism import _canonical
 from .test_routing_contract import algorithm_state
@@ -321,7 +321,7 @@ LOCKSTEP_PINS = {
 #: what is installed on the engines beside the config: the transport tier,
 #: fault schedules under both policies, four kinds of source, and the
 #: ``EventLog`` probe (all nine events) on every run
-LOCKSTEP_INSTRUMENTS = (Reliable, FaultSchedule, TraceInjector, PacketSource)
+LOCKSTEP_INSTRUMENTS = (Reliable, FaultSchedule, Replay, PacketSource)
 
 
 def undeclared(names) -> set:
@@ -440,7 +440,11 @@ def lockstep_recipe(draw):
 def build_recipe(recipe: Recipe):
     """``(engine, log)`` of a recipe, ready for its first ``step``."""
     log = EventLog()
-    instruments = [Reliable(TransportConfig(base_timeout=48, seed=3))] if recipe.reliable else []
+    instruments = []
+    if recipe.trace:
+        instruments.append(Replay(Trace(recipe.config.num_nodes, [TraceMessage(*m) for m in recipe.trace])))
+    if recipe.reliable:
+        instruments.append(Reliable(TransportConfig(base_timeout=48, seed=3)))
     engine, _ = start(recipe.config, instruments, probe=log)
     if recipe.faults:
         topology = engine.topology
@@ -452,20 +456,15 @@ def build_recipe(recipe: Recipe):
         for position, fail_at, repair_at, policy in recipe.faults:
             schedule.add(drawn[position], fail_at, repair_at, policy=policy)
         schedule.install(engine)
-    if recipe.trace:
-        trace = Trace(recipe.config.num_nodes)
-        for message in recipe.trace:
-            trace.send(*message)
-        for node, source in zip(engine.nodes, TraceInjector(trace).sources):
-            node.source = source
     for nid in recipe.flood:
+        node = engine.nodes[nid]
         flooding = PacketSource(nid, engine.injector.pattern, 1.0, random.Random(nid))
-        wrapper = engine.nodes[nid].source
         if recipe.reliable:
-            wrapper.inner, wrapper.active = flooding, flooding.active
+            node.source.inner, node.source.active = flooding, flooding.active
         else:
-            engine.nodes[nid].source = flooding
-    engine.active_nodes = [node for node in engine.nodes if node.source.active]
+            node.source = flooding
+        if node not in engine.active_nodes:
+            engine.active_nodes.append(node)
     for src, dst in recipe.preload:
         engine.preload_packet(src, dst)
     for src, dst, flits in recipe.sized:

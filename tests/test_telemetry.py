@@ -17,9 +17,16 @@ from repro.metrics.io import (
     save_run,
 )
 from repro.obs import PHASE_NAMES, RunTelemetry, config_digest
-from repro.sim.run import build_engine, simulate
+from repro.sim.run import simulate, start
+from repro.workloads import Replay, Trace, TraceMessage, drained
 
 from .conftest import small_cube_config, small_tree_config
+
+
+def _one_message(src: int, dst: int) -> Replay:
+    """A one-packet trace on the 4 nodes of :func:`small_tree_config`."""
+    flits = small_tree_config().packet_flits
+    return Replay(Trace(4, [TraceMessage(0, src, dst, flits)]))
 
 
 class TestRunTelemetry:
@@ -41,11 +48,10 @@ class TestRunTelemetry:
         assert heavy.peak_in_flight > light.peak_in_flight >= 1
 
     def test_attached_by_drain(self):
-        engine = build_engine(small_tree_config(load=0.0, warmup_cycles=0))
-        engine.preload_packet(0, 3)
-        engine.run_until_drained()
-        assert engine.result.telemetry is not None
-        assert engine.result.telemetry.peak_in_flight >= 1
+        result = simulate(drained(small_tree_config()), [_one_message(0, 3)])
+        assert result.telemetry is not None
+        assert result.telemetry.peak_in_flight >= 1
+        assert result.telemetry.cycles < result.config.total_cycles  # it drained
 
     def test_dict_round_trip(self):
         t = simulate(small_tree_config()).telemetry
@@ -73,13 +79,10 @@ class TestPhaseTimers:
         assert total >= 0.5 * t.wall_clock_s
 
     def test_timers_reset_between_runs_on_one_engine(self):
-        engine = build_engine(small_tree_config(load=0.0, warmup_cycles=0))
-        engine.preload_packet(0, 3)
-        engine.run_until_drained()
-        first = engine.result.telemetry.phase_seconds
+        engine, run = start(drained(small_tree_config()), [_one_message(0, 3)])
+        first = run().telemetry.phase_seconds
         engine.preload_packet(1, 2)
-        engine.run_until_drained()
-        second = engine.result.telemetry.phase_seconds
+        second = engine.run().telemetry.phase_seconds
         # each record covers only its own run; together they account for
         # the engine's cumulative phase time exactly
         cumulative = sum(engine._phase_seconds)

@@ -8,33 +8,39 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import NullProbe
-from repro.sim.run import build_engine
+from repro.sim.run import build_engine, start
 from repro.traffic.transport import (
+    Reliable,
     ReliableTransport,
     TransportConfig,
     attach_reliability,
     simulate_reliable,
 )
+from repro.workloads import Replay, alltoall_trace, drained
 
 from .conftest import small_cube_config, small_tree_config
 
 
 def _drained(config, transport_config=None):
-    """Install the transport, run, then drain protocol and network.
+    """Play an all-to-all under the transport until protocol and network
+    have drained.
 
-    Bernoulli sources never stop on their own, so generation is switched
-    off after the measured run; the drain then waits for the *protocol*
-    to quiesce (every message ACKed or given up), which is the
-    ``ReliableSource.done`` contract under test.
+    One message per five packet times per node (load 0.2 of a flit per
+    cycle).  A trace is finite, so the run ends once every source is done,
+    which under the transport waits for the *protocol* to quiesce (every
+    message ACKed or given up): the ``ReliableSource.done`` contract under
+    test.
     """
-    engine = build_engine(config)
-    transport = ReliableTransport(transport_config).install(engine)
-    result = engine.run()
-    for node in engine.nodes:
-        node.source.inner.active = False
-    engine.run_until_drained()
+    trace = alltoall_trace(
+        config.num_nodes, flits=config.packet_flits, spacing=5 * config.packet_flits,
+        schedule="random", seed=config.seed,
+    )
+    engine, run = start(
+        drained(config, 100_000), [Replay(trace), Reliable(transport_config or TransportConfig())]
+    )
+    result = run()
     engine.audit()
-    return result, transport, engine
+    return result, engine.find_probe(ReliableTransport), engine
 
 
 class TestTransportConfigValidation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.metrics.analytic import path_channels, zero_load_latency
-from repro.sim.run import cube_config, tree_config
+from repro.sim.run import build_engine, cube_config, tree_config
 from repro.workloads.collectives import (
     alltoall_trace,
     broadcast_trace,
@@ -12,7 +12,7 @@ from repro.workloads.collectives import (
     stencil_trace,
 )
 from repro.workloads.runner import run_trace
-from repro.workloads.trace import Trace, TraceInjector, TraceMessage, TraceSource
+from repro.workloads.trace import Replay, Trace, TraceMessage, TraceSource
 
 
 class TestTrace:
@@ -22,7 +22,6 @@ class TestTrace:
         t.send(5, 2, 3, 8)
         assert len(t) == 2
         assert t.total_flits() == 24
-        assert t.duration_hint() == 5
 
     def test_validation(self):
         t = Trace(8)
@@ -42,12 +41,18 @@ class TestTrace:
         assert [m.time for m in t.sorted()] == [2, 9]
 
     def test_json_round_trip(self):
-        t = Trace(8)
-        t.send(3, 1, 2, 16)
-        t.send(0, 4, 5, 8)
-        again = Trace.from_json(t.to_json())
+        # a node plays its same-time messages in trace order: that order is
+        # the schedule, and all that tells the shifted all-to-all from the
+        # naive one
+        shifted = alltoall_trace(8, flits=32)
+        naive = alltoall_trace(8, flits=32, schedule="naive")
+        again = Trace.from_json(shifted.to_json())
         assert again.num_nodes == 8
-        assert again.sorted() == t.sorted()
+        assert again.messages == shifted.messages
+        assert shifted.to_json() != naive.to_json()
+        cfg = tree_config(k=2, n=3, vcs=2)
+        assert run_trace(cfg, again).makespan_cycles == 341
+        assert run_trace(cfg, naive).makespan_cycles == 517
 
     def test_json_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
@@ -82,9 +87,10 @@ class TestTraceSource:
         assert src.queue[0] == (2, 2, 4)  # sorted by time
         assert not src.done()
         src.advance(10)
-        assert src.pending() == 2
+        assert len(src.queue) == 2
         src.queue.clear()
         assert src.done()
+        assert src.finite
 
     def test_empty_schedule_inactive(self):
         src = TraceSource(0, [])
@@ -92,17 +98,28 @@ class TestTraceSource:
         assert src.done()
 
 
-class TestTraceInjector:
+class TestReplay:
     def test_per_node_split(self):
         t = Trace(4)
         t.send(0, 0, 1, 4)
         t.send(0, 0, 2, 4)
         t.send(1, 3, 0, 4)
-        inj = TraceInjector(t)
-        assert inj.num_nodes == 4
-        assert len(inj.sources[0].schedule) == 2
-        assert len(inj.sources[3].schedule) == 1
-        assert not inj.sources[1].active
+        engine = build_engine(tree_config(k=2, n=2, vcs=2, load=0.5))
+        for node in engine.nodes:
+            node.wake = 99
+        Replay(t).install(engine)
+        assert [len(node.source.schedule) for node in engine.nodes] == [2, 0, 0, 1]
+        assert [node.wake for node in engine.nodes] == [0] * 4
+        assert engine.active_nodes == [engine.nodes[0], engine.nodes[3]]
+
+    def test_the_identity_is_the_schedule(self):
+        shifted = alltoall_trace(8, flits=32)
+        assert repr(Replay(shifted)) == repr(Replay(alltoall_trace(8, flits=32)))
+        naive = Replay(alltoall_trace(8, flits=32, schedule="naive"))
+        # the same messages, in another order
+        assert sorted(naive.messages) == sorted(Replay(shifted).messages)
+        assert repr(naive) != repr(Replay(shifted))
+        assert len(repr(naive)) < 150
 
 
 class TestCollectives:
