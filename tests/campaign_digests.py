@@ -5,11 +5,13 @@
 chaos campaign serial and pooled, a congestion campaign in both modes,
 the fault-degradation tables, a transient fault window, the permutation
 drains and the collective phases) and hashes the canonical — timing-nulled —
-run documents, plus each campaign's ledger records.
+run documents, plus each campaign's ledger records, and every blocked-cycle
+count a document carries on two saturated networks.
 ``tests/data/campaign_digests.json`` is this function's output at the commit
 before ``run_curves`` existed; the ``drain.documents`` and ``collectives``
 keys were recorded while a drain still had its own engine and run loop,
-before it became a run of the pipeline:
+before it became a run of the pipeline, and the ``blocked`` key while four
+probes still counted blocked cycles each in a tally of its own:
 ``python -m tests.campaign_digests > tests/data/campaign_digests.json``
 re-records it after a deliberate change of a run document.
 """
@@ -23,16 +25,19 @@ import tempfile
 
 from repro.experiments import sweep
 from repro.experiments.chaos import chaos_campaign
-from repro.experiments.congestion import congestion_campaign
+from repro.experiments.congestion import OverloadSpec, congestion_campaign, run_overload_point
 from repro.experiments.degradation import degradation_experiment, transient_experiment
 from repro.experiments.dimension import dimension_study
 from repro.experiments.drain import drain_permutation, drain_table
 from repro.experiments.fig5 import fig5_experiment
 from repro.experiments.fig6 import fig6_experiment
+from repro.obs import MultiProbe, WindowedCounterProbe
 from repro.obs.flight import Flight, FlightConfig
+from repro.obs.forensics import Forensics
 from repro.obs.ledger import Ledger
 from repro.profiles import Profile
-from repro.sim.run import cube_config, tree_config
+from repro.sim.run import cube_config, simulate, tree_config
+from repro.traffic.congestion import CongestionConfig
 from repro.traffic.transport import TransportConfig
 from repro.workloads import alltoall_trace, broadcast_trace, butterfly_barrier_trace
 
@@ -153,6 +158,47 @@ def _collectives() -> dict:
     }
 
 
+#: saturated 16-node networks with a warm-up: where directions block
+_SATURATED = (
+    ("tree", tree_config(k=4, n=2, vcs=2, load=0.9, warmup_cycles=100, total_cycles=500)),
+    ("cube", cube_config(k=4, n=2, algorithm="duato", load=0.9, warmup_cycles=100,
+                         total_cycles=500)),
+)
+#: a stride short enough for the recorder to coalesce its rows
+_BLOCKED_FLIGHT = Flight(FlightConfig(interval_cycles=16, max_intervals=16))
+_MARKING = OverloadSpec(
+    closed_loop=True, transport=_TRANSPORT,
+    control=CongestionConfig(window_cycles=32, hot_fraction=0.3),
+)
+
+
+def _json_sha(doc) -> str:
+    return _sha([json.dumps(doc, sort_keys=True)])
+
+
+def _blocked() -> dict:
+    """Every blocked-cycle count a document carries, on both saturated
+    networks: the windowed counters (from the warm-up on, and from cycle 0),
+    the forensics ``hotspots`` section, the flight recorder's ``blocked``
+    column, and the ECN marker's summary of a closed-loop overload run."""
+    out = {}
+    for network, config in _SATURATED:
+        measured = WindowedCounterProbe(window_cycles=64)
+        whole = WindowedCounterProbe(window_cycles=64, include_warmup=True)
+        telemetry = simulate(
+            config, [Forensics(), _BLOCKED_FLIGHT], probe=MultiProbe([measured, whole])
+        ).telemetry
+        marking = run_overload_point(config, _MARKING).telemetry.reliability
+        out[network] = {
+            "counters": _json_sha(measured.to_dicts()),
+            "counters.warmup": _json_sha(whole.to_dicts()),
+            "hotspots": _json_sha(telemetry.forensics["hotspots"]),
+            "flight": _json_sha(telemetry.flight["series"]["blocked"]),
+            "marker": _json_sha(marking["congestion"]["marking"]),
+        }
+    return out
+
+
 def digests() -> dict:
     out = {
         "fig5.transpose": _memoised(
@@ -177,6 +223,7 @@ def digests() -> dict:
     out["transient.cube"] = _transient()
     _drains(out)
     out["collectives"] = _collectives()
+    out["blocked"] = _blocked()
     return out
 
 
