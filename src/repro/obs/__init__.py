@@ -20,7 +20,7 @@ uninstrumented runs:
   (``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.counters` — :class:`WindowedCounterProbe`: per-window,
   per-direction flit/blocked-cycle/occupancy counters that respect the
-  measurement window.
+  measurement window (windows of the engine's own link counters).
 * :mod:`repro.obs.telemetry` — :class:`RunTelemetry`: the provenance and
   performance record (config digest, seed, wall clock, cycles/sec, peak
   in-flight, per-phase wall-time split) attached to every
@@ -42,9 +42,9 @@ On top of the per-run signals sits the aggregation tier:
   tier, the operating points ``benchmarks/perf`` times.
 * :mod:`repro.obs.forensics` — the congestion-forensics tier:
   per-packet latency attribution (:class:`ForensicsProbe` et al.),
-  wait-for graph sampling with deadlock-precursor detection, and
-  per-link hotspot aggregation, feeding ``repro-net analyze`` and the
-  scorecard's breakdown/heatmap panels.
+  wait-for graph sampling with deadlock-precursor detection, and the
+  per-link hotspot section read off the engine's link counters, feeding
+  ``repro-net analyze`` and the scorecard's breakdown/heatmap panels.
 * :mod:`repro.obs.heatmap` — all markup, once: the drawing primitives
   (``svg_open``, ``panel_pair``, ``legend``, ``table``, ``page`` and
   the stylesheet) and the stdlib-SVG figures of one forensics document
@@ -106,7 +106,6 @@ _LAZY = {
     "FORENSICS_FORMAT_VERSION": "forensics",
     "Forensics": "forensics",
     "ForensicsProbe": "forensics",
-    "HotspotProbe": "forensics",
     "LatencyAttributionProbe": "forensics",
     "PacketAttribution": "forensics",
     "StreamingHistogram": "forensics",
@@ -187,7 +186,6 @@ __all__ = [
     "FORENSICS_FORMAT_VERSION",
     "Forensics",
     "ForensicsProbe",
-    "HotspotProbe",
     "LatencyAttributionProbe",
     "PacketAttribution",
     "StreamingHistogram",

@@ -13,9 +13,12 @@ direction, records per window:
 * **occupancy** — per-VC mean buffered flits in the direction's output
   lanes, sampled every cycle.
 
-Counters start at the config's warm-up cycle by default, so the reported
-rates describe the measurement window only — unlike the engine's raw
-cumulative :attr:`~repro.router.lane.LinkDirection.flits` counters they
+Flits and blocked cycles are the engine's own link counters
+(:attr:`~repro.router.lane.LinkDirection.flits` and ``blocked``, with their
+warm-up snapshots); a window is the delta of each over its cycles, so the
+probe observes no per-flit or per-blocked-cycle event.  Counters start at
+the config's warm-up cycle by default, so the reported rates describe the
+measurement window only — unlike the engine's raw cumulative counters they
 never mix warm-up transients into steady-state numbers.
 
 The per-cycle occupancy sweep walks every lane, which costs real time on
@@ -106,16 +109,11 @@ class WindowedCounterProbe(Probe):
         self._start_cycle = 0 if self.include_warmup else engine.config.warmup_cycles
         self._window_start: int | None = None
         n = len(self._dirs)
-        self._blocked = [0] * n
         self._occ = [[0] * len(d.lanes) for d in self._dirs]
         self._flit_base = [0] * n
+        self._blocked_base = [0] * n
 
     # -- callbacks -----------------------------------------------------------
-
-    def on_direction_blocked(self, cycle: int, direction) -> None:
-        if cycle < self._start_cycle:
-            return
-        self._blocked[direction.index] += 1
 
     def on_cycle(self, cycle: int) -> None:
         if cycle < self._start_cycle:
@@ -129,6 +127,7 @@ class WindowedCounterProbe(Probe):
             if not self.include_warmup:
                 for i, d in enumerate(self._dirs):
                     self._flit_base[i] = d.flits_at_warmup
+                    self._blocked_base[i] = d.blocked_at_warmup
         for i, d in enumerate(self._dirs):
             if d.nbusy:  # else every lane of it holds 0: one counter read, not V
                 occ = self._occ[i]
@@ -150,7 +149,7 @@ class WindowedCounterProbe(Probe):
                 port=d.port,
                 to_node=d.to_node,
                 flits=d.flits - self._flit_base[i],
-                blocked_cycles=self._blocked[i],
+                blocked_cycles=d.blocked - self._blocked_base[i],
                 occupancy=tuple(s / cycles for s in self._occ[i]),
             )
             for i, d in enumerate(self._dirs)
@@ -160,8 +159,8 @@ class WindowedCounterProbe(Probe):
         # live counters are exactly the next window's baseline
         self._window_start = end
         for i, d in enumerate(self._dirs):
-            self._blocked[i] = 0
             self._flit_base[i] = d.flits
+            self._blocked_base[i] = d.blocked
             self._occ[i] = [0] * len(d.lanes)
 
     # -- analysis ------------------------------------------------------------
@@ -191,10 +190,4 @@ class WindowedCounterProbe(Probe):
             self.totals().items(),
             key=lambda kv: kv[1]["blocked_cycles"],
             reverse=True,
-        )[:n]
-
-    def hottest(self, n: int = 5) -> list[tuple[tuple[int, int], dict]]:
-        """The ``n`` directions that carried the most flits overall."""
-        return sorted(
-            self.totals().items(), key=lambda kv: kv[1]["flits"], reverse=True
         )[:n]

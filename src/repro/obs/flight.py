@@ -172,7 +172,6 @@ class FlightRecorder(Probe):
         self._row_start = 0
         self._interval_end = 0
         self._generated = 0
-        self._blocked = 0
         self._last = {}
         self._dir_flits: list[int] = []
         self._dir_labels: list[str] = []
@@ -206,7 +205,6 @@ class FlightRecorder(Probe):
         self._first_mark_seen = False
         self._first_decrease_seen = False
         self._generated = 0
-        self._blocked = 0
         self._row_start = engine.cycle
         self._interval_end = engine.cycle + self.config.interval_cycles
         self._last = {
@@ -218,6 +216,7 @@ class FlightRecorder(Probe):
             "gave_up": self.transport.gave_up if self.transport else 0,
             "marks": (self._control.marker.packets_marked
                       if self._control is not None else 0),
+            "blocked": sum(d.blocked for d in engine.dirs),
         }
         self._dir_flits = [d.flits for d in engine.dirs]
         self._open_events()
@@ -236,9 +235,6 @@ class FlightRecorder(Probe):
 
     def on_packets_generated(self, cycle: int, node: int, count: int) -> None:
         self._generated += count
-
-    def on_direction_blocked(self, cycle: int, direction) -> None:
-        self._blocked += 1
 
     def on_cycle(self, cycle: int) -> None:
         if cycle + 1 < self._interval_end:
@@ -310,10 +306,12 @@ class FlightRecorder(Probe):
         backlog = self._backlog_flits()
         offered = max(0, injected + backlog - last["backlog"])
         occupancy = 0
+        blocked = 0
         hot = []
         dirs = eng.dirs
         flits_now = [d.flits for d in dirs]
-        for i, d in enumerate(dirs):
+        for d in dirs:
+            blocked += d.blocked
             for lane in d.lanes:
                 occupancy += lane.buffered
         if cfg.top_links:
@@ -337,7 +335,7 @@ class FlightRecorder(Probe):
             "backlog": backlog,
             "in_flight": eng.in_flight_packets(),
             "occupancy": occupancy,
-            "blocked": self._blocked,
+            "blocked": blocked - last["blocked"],
         }
 
         transport = self.transport
@@ -385,8 +383,8 @@ class FlightRecorder(Probe):
         last["delivered"] = eng.delivered_flits_total
         last["dropped"] = eng.dropped_flits_total
         last["backlog"] = backlog
+        last["blocked"] = blocked
         self._generated = 0
-        self._blocked = 0
         self._row_start = end_cycle + 1
 
         self._detect(row)

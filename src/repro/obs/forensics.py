@@ -51,16 +51,18 @@ congestion:
   blocked-chain depth and the root channel (the single output lane the
   most headers are waiting on).
 
-* :class:`HotspotProbe` — per-physical-link flit and blocked-cycle
-  aggregation over the measurement window, the data behind the
-  :mod:`repro.obs.heatmap` SVG heatmaps embedded in the scorecard.
+* :func:`hotspots` — per-physical-link flits and blocked cycles over the
+  measurement window, the data behind the :mod:`repro.obs.heatmap` SVG
+  heatmaps embedded in the scorecard.  Not a probe: both counts are the
+  engine's own link counters (``LinkDirection.flits`` and ``blocked``, less
+  their warm-up snapshots), read once when the document is written.
 
-:class:`ForensicsProbe` composes all three through the ordinary
+:class:`ForensicsProbe` composes the two probes through the ordinary
 :class:`~repro.obs.probe.MultiProbe` machinery and serializes one
-versioned ``forensics`` document that travels on
-:class:`~repro.obs.telemetry.RunTelemetry` — and therefore through the
-run JSON document, the ledger (``kind="forensics"``) and ``repro-net
-analyze``.
+versioned ``forensics`` document, the hotspot section included, that
+travels on :class:`~repro.obs.telemetry.RunTelemetry` — and therefore
+through the run JSON document, the ledger (``kind="forensics"``) and
+``repro-net analyze``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..metrics.utilization import measured_cycles
 from ..sim.diagnostics import DeadlockSnapshot, capture_snapshot
 from ..sim.packet import FAULT_SENTINEL
 from .probe import Instrument, MultiProbe, Probe, compose_probe
@@ -560,70 +563,44 @@ class WaitForGraphSampler(Probe):
         }
 
 
-class HotspotProbe(Probe):
-    """Per-physical-link flit and blocked-cycle totals (hotspot data).
-
-    One record per unidirectional channel: flits crossed during the
-    measurement window (from the direction's warm-up-corrected counter)
-    and cycles the direction was busy-but-blocked.  Feeds the scorecard
-    heatmaps (:mod:`repro.obs.heatmap`).
-    """
-
-    def __init__(self) -> None:
-        #: blocked cycles per direction, by ``LinkDirection.index``
-        self._blocked: list[int] = []
-        self.engine = None
-        self._warmup = 0
-
-    def bind(self, engine) -> None:
-        self.engine = engine
-        self._warmup = engine.config.warmup_cycles
-        self._blocked = [0] * len(engine.dirs)
-
-    def on_direction_blocked(self, cycle: int, direction) -> None:
-        if cycle >= self._warmup:
-            self._blocked[direction.index] += 1
-
-    def records(self) -> list[dict]:
-        """Per-direction hotspot records (all directions, even idle)."""
-        out = []
-        for d, blocked in zip(self.engine.dirs, self._blocked):
-            out.append(
-                {
-                    "switch": d.switch,
-                    "port": d.port,
-                    "to_node": d.to_node,
-                    "flits": d.measured_flits,
-                    "blocked_cycles": blocked,
-                }
-            )
-        return out
-
-    def summary(self, top: int = 8) -> dict:
-        """The hotspot section of the forensics document."""
-        records = self.records()
-        hot = sorted(records, key=lambda r: r["blocked_cycles"], reverse=True)
-        config = self.engine.config
-        return {
-            "network": config.network,
-            "k": config.k,
-            "n": config.n,
-            "num_switches": self.engine.topology.num_switches,
-            "measured_cycles": max(0, config.total_cycles - config.warmup_cycles),
-            "total_blocked_cycles": sum(r["blocked_cycles"] for r in records),
-            "total_flits": sum(r["flits"] for r in records),
-            "top": [r for r in hot[:top] if r["blocked_cycles"] > 0],
-            "links": records,
+def hotspots(engine, top: int = 8) -> dict:
+    """The hotspot section of the forensics document: per physical link,
+    the flits it carried and the cycles it was blocked over the measurement
+    window (the engine's link counters less their warm-up snapshots), the
+    ``top`` most blocked, and the window they cover — up to where the run
+    stopped.  Feeds the scorecard heatmaps (:mod:`repro.obs.heatmap`)."""
+    records = [
+        {
+            "switch": d.switch,
+            "port": d.port,
+            "to_node": d.to_node,
+            "flits": d.measured_flits,
+            "blocked_cycles": d.measured_blocked,
         }
+        for d in engine.dirs
+    ]
+    hot = sorted(records, key=lambda r: r["blocked_cycles"], reverse=True)
+    config = engine.config
+    return {
+        "network": config.network,
+        "k": config.k,
+        "n": config.n,
+        "num_switches": engine.topology.num_switches,
+        "measured_cycles": measured_cycles(engine),
+        "total_blocked_cycles": sum(r["blocked_cycles"] for r in records),
+        "total_flits": sum(r["flits"] for r in records),
+        "top": [r for r in hot[:top] if r["blocked_cycles"] > 0],
+        "links": records,
+    }
 
 
 class ForensicsProbe(MultiProbe):
     """The full forensics tier as one attachable probe.
 
-    Composes :class:`LatencyAttributionProbe` (:attr:`attribution`),
-    :class:`WaitForGraphSampler` (:attr:`waitfor`) and
-    :class:`HotspotProbe` (:attr:`hotspots`); :meth:`summary` serializes
-    all three into the versioned forensics document that rides on
+    Composes :class:`LatencyAttributionProbe` (:attr:`attribution`) and
+    :class:`WaitForGraphSampler` (:attr:`waitfor`); :meth:`summary`
+    serializes both, and the engine's :func:`hotspots`, into the versioned
+    forensics document that rides on
     :class:`~repro.obs.telemetry.RunTelemetry`.
     """
 
@@ -637,15 +614,14 @@ class ForensicsProbe(MultiProbe):
             include_warmup=include_warmup, keep_packets=keep_packets
         )
         self.waitfor = WaitForGraphSampler(sample_every=sample_every)
-        self.hotspots = HotspotProbe()
-        super().__init__([self.attribution, self.waitfor, self.hotspots])
+        super().__init__([self.attribution, self.waitfor])
 
     def summary(self) -> dict:
         return {
             "format": FORENSICS_FORMAT_VERSION,
             "attribution": self.attribution.summary(),
             "waitfor": self.waitfor.summary(),
-            "hotspots": self.hotspots.summary(),
+            "hotspots": hotspots(self.waitfor.engine),
         }
 
 

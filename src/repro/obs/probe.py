@@ -39,7 +39,13 @@ callback               fires when
                           with the ``on_header_routed`` that sent it; the
                           final hop fires ``on_head_delivered`` instead)
 ``on_direction_blocked``  a link direction had buffered flits but moved none
-                          this cycle (no lane held both a flit and a credit)
+                          this cycle (no lane held both a flit and a credit).
+                          The engine counts every such cycle in
+                          ``LinkDirection.blocked`` whether or not anyone
+                          listens, and counts are read off that; the event
+                          is for consumers that need *when*:
+                          :class:`~repro.obs.trace.TraceProbe`'s blocked
+                          intervals and the benchmark's event counter
 ``on_head_delivered``     the header flit reached the destination node
 ``on_tail_delivered``     the tail flit reached the destination (delivery)
 ``on_packet_dropped``     a fail-stop fault destroyed an in-flight worm
@@ -122,7 +128,8 @@ class Probe:
 
     def on_direction_blocked(self, cycle: int, direction) -> None:
         """``direction`` held buffered flits but none could cross this
-        cycle (every busy lane was out of credits)."""
+        cycle (every busy lane was out of credits); ``direction.blocked``
+        already counts it."""
 
     def on_cycle(self, cycle: int) -> None:
         """All three phases of ``cycle`` completed."""

@@ -358,7 +358,7 @@ def _congestion_tables(control) -> list:
         (here + ("hot",), None, {(): sorted(marker._hot)}),
         _SEP,
         (here + ("blocked",), _BLOCKED, {
-            index: (index, cycles) for index, cycles in enumerate(marker._blocked)
+            index: (index, cycles) for index, cycles in enumerate(marker.window_blocked())
         }),
     ]
 

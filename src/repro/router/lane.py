@@ -230,6 +230,8 @@ class LinkDirection(
             ("to_node", REF),
             ("flits", INT),
             ("flits_at_warmup", INT),
+            ("blocked", INT),
+            ("blocked_at_warmup", INT),
         ),
     )
 ):
@@ -262,6 +264,11 @@ class LinkDirection(
         #: boundary, so utilization analyses can report measurement-window
         #: rates (``measured_flits``) instead of whole-run counts
         self.flits_at_warmup = 0
+        #: cycles in which this direction held flits but moved none (no lane
+        #: had both a flit and a credit): one per ``on_direction_blocked``
+        self.blocked = 0
+        #: snapshot of ``blocked`` at the warm-up boundary
+        self.blocked_at_warmup = 0
 
     def build_rot(self) -> None:
         """``rot[rr]`` is the lanes in round-robin order starting at ``rr``:
@@ -282,19 +289,24 @@ class LinkDirection(
         # ``index`` from the position in ``Engine.dirs``
         return [
             self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
-            self.flits_at_warmup,
+            self.flits_at_warmup, self.blocked, self.blocked_at_warmup,
         ]
 
     def __setstate__(self, state: list) -> None:
         (
             self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
-            self.flits_at_warmup,
+            self.flits_at_warmup, self.blocked, self.blocked_at_warmup,
         ) = state
 
     @property
     def measured_flits(self) -> int:
         """Flits transferred during the measurement window only."""
         return self.flits - self.flits_at_warmup
+
+    @property
+    def measured_blocked(self) -> int:
+        """Blocked cycles during the measurement window only."""
+        return self.blocked - self.blocked_at_warmup
 
     @property
     def label(self) -> str:

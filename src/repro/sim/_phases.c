@@ -308,9 +308,10 @@ link_open(Link *k, PyObject *handlers)
 }
 
 /* The arbiter of the busy direction d: 1 and the chosen lane (borrowed) when
- * a flit can cross, 0 when d is blocked (after telling the probe), -1 on
- * error.  Oldest packet first, lowest lane on ties, under the age arbiter;
- * else the first lane with a flit and a credit from d.rr round. */
+ * a flit can cross, 0 when d is blocked (after counting the cycle in
+ * d.blocked and telling the probe), -1 on error.  Oldest packet first,
+ * lowest lane on ties, under the age arbiter; else the first lane with a
+ * flit and a credit from d.rr round. */
 static int
 pick_lane(Link *k, PyObject *d, PyObject **chosen)
 {
@@ -353,6 +354,7 @@ pick_lane(Link *k, PyObject *d, PyObject **chosen)
         }
     }
     if (best == NULL) {
+        INT(d, LD_blocked) += 1;
         if (k->on_blocked != NULL && call(k->on_blocked, k->t, d, NULL, NULL) < 0)
             return -1;
         return 0;

@@ -74,7 +74,7 @@ NAMES(X)
     X(EJ, node, LONGLONG) X(EJ, packet, OBJECT_EX) X(EJ, received, LONGLONG) \
     X(LD, lanes, OBJECT_EX) X(LD, rot, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
     X(LD, nbusy, LONGLONG) X(LD, to_node, OBJECT_EX) X(LD, flits, LONGLONG) \
-    X(LD, flits_at_warmup, LONGLONG) \
+    X(LD, flits_at_warmup, LONGLONG) X(LD, blocked, LONGLONG) X(LD, blocked_at_warmup, LONGLONG) \
     X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) X(PK, created, LONGLONG) \
     X(PK, injected, LONGLONG) X(PK, head_delivered, LONGLONG) X(PK, delivered, LONGLONG) \
     X(ND, nid, LONGLONG) X(ND, source, OBJECT_EX) X(ND, wake, LONGLONG) X(ND, lanes, OBJECT_EX) \

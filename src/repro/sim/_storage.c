@@ -308,6 +308,8 @@ append_direction(PyObject *dirs, PyObject *lanes, PyObject *to_node)
     REF(d, LD_to_node) = Py_NewRef(to_node);
     INT(d, LD_flits) = 0;
     INT(d, LD_flits_at_warmup) = 0;
+    INT(d, LD_blocked) = 0;
+    INT(d, LD_blocked_at_warmup) = 0;
     for (v = 0; v < PyList_GET_SIZE(lanes); v++)
         set_obj(PyList_GET_ITEM(lanes, v), OL_direction, d);
     rc = PyList_Append(dirs, d);

@@ -469,12 +469,12 @@ class Engine:
         return progress
 
     def _snapshot_warmup(self) -> None:
-        """Freeze the cumulative per-direction flit counters at the warm-up
-        boundary, so the utilization analyses can report measurement-window
-        rates."""
+        """Freeze the cumulative per-direction link counters at the warm-up
+        boundary, so the analyses can report measurement-window counts."""
         self._warmup_snapshot_taken = True
         for d in self.dirs:
             d.flits_at_warmup = d.flits
+            d.blocked_at_warmup = d.blocked
 
     def _wake_routing(self) -> None:
         """Re-try every stalled header at the next routing phase: lanes
@@ -692,6 +692,9 @@ class Engine:
         * crossbar bindings are mutually consistent;
         * flit conservation: every injected flit is either delivered or
           buffered in exactly one lane;
+        * a direction's link counters are at least their warm-up snapshots,
+          and in each cycle run it moved one flit, was blocked, or was idle
+          (``flits + blocked <= cycle``);
         * the derived state the phases maintain instead of recomputing: a
           direction's ``nbusy`` counts its lanes holding flits (a wrong
           count silently skips the direction), ``bindings`` holds exactly
@@ -743,6 +746,12 @@ class Engine:
             if d.nbusy != busy:
                 raise SimulationError(
                     f"busy-lane count drift: {d.label} nbusy={d.nbusy}, lanes holding flits={busy}"
+                )
+            if not (d.flits_at_warmup <= d.flits and d.blocked_at_warmup <= d.blocked
+                    and d.flits + d.blocked <= self.cycle):
+                raise SimulationError(
+                    f"link counters out of range at cycle {self.cycle}: {d.label} flits={d.flits} "
+                    f"blocked={d.blocked}, at warm-up {d.flits_at_warmup} / {d.blocked_at_warmup}"
                 )
         queued = [False] * len(self._in_route_queue)
         for s in self.route_queue:

@@ -110,9 +110,10 @@ class Link:
 
 def pick_lane(k: Link, d):
     """The arbiter of the busy direction ``d``: the lane whose flit crosses,
-    or ``None`` (after telling the probe) when no lane has both a flit and a
-    credit.  Oldest packet first, lowest lane on ties, under the age arbiter;
-    else the first such lane from ``d.rr`` round."""
+    or ``None`` (after counting the cycle ``d.blocked`` and telling the probe)
+    when no lane has both a flit and a credit.  Oldest packet first, lowest
+    lane on ties, under the age arbiter; else the first such lane from
+    ``d.rr`` round."""
     age = k.age
     best = None
     # rot[rr]: the lanes from ``d.rr`` round (IndexError for a pointer past them)
@@ -126,8 +127,10 @@ def pick_lane(k: Link, d):
         if best is None or created < best_age:
             best = cand
             best_age = created
-    if best is None and k.on_blocked is not None:
-        k.on_blocked(k.t, d)
+    if best is None:
+        d.blocked += 1
+        if k.on_blocked is not None:
+            k.on_blocked(k.t, d)
     return best
 
 

@@ -6,13 +6,13 @@ an already-congested fabric and goodput collapses.  This module closes
 the loop with the three textbook ingredients, scaled to the flit-level
 model:
 
-* **marking** — :class:`CongestionMarker` watches every link direction
-  with the same per-direction blocked accounting the forensics
-  :class:`~repro.obs.forensics.HotspotProbe` uses, declares a link *hot*
-  when it was blocked for more than a threshold fraction of the last
-  window, and stamps each packet whose header crosses a hot or fully
-  occupied link.  The stamp travels back to the source on the modeled
-  ACK path (the transport folds it into the ACK event);
+* **marking** — :class:`CongestionMarker` reads every link direction's
+  blocked-cycle counter (``LinkDirection.blocked``, the count the forensics
+  hotspot section reports too), declares a link *hot* when it was blocked
+  for more than a threshold fraction of the last window, and stamps each
+  packet whose header crosses a hot or fully occupied link.  The stamp
+  travels back to the source on the modeled ACK path (the transport folds
+  it into the ACK event);
 * **reaction** — :class:`CongestionControl` keeps one AIMD congestion
   window per (source, destination) pair.  New messages wait in a
   per-source hold queue until their destination's window has room, so
@@ -131,8 +131,8 @@ class CongestionMarker(Probe):
 
     A link direction is *hot* for a whole marking window when it spent
     at least ``hot_fraction`` of the previous window blocked (busy but
-    unable to move a flit — the same event the forensics hotspot probe
-    counts).  Independently, a header arriving over a direction with
+    unable to move a flit: the delta of its ``blocked`` counter over the
+    window).  Independently, a header arriving over a direction with
     more than ``occupancy_fraction`` of its lanes busy is marked
     immediately (strict, so the 1.0 default disables this trigger).
     Ejection links participate through a node → direction map, so the
@@ -145,8 +145,9 @@ class CongestionMarker(Probe):
     def __init__(self, config: CongestionConfig | None = None):
         self.config = config or CongestionConfig()
         self.engine = None
-        #: blocked cycles this window per direction, by ``LinkDirection.index``
-        self._blocked: list[int] = []
+        #: each direction's ``blocked`` counter at the start of this window,
+        #: by ``LinkDirection.index``
+        self._blocked_base: list[int] = []
         #: ``LinkDirection.index`` of the links hot for the current window
         self._hot: set[int] = set()
         #: node -> its ejection LinkDirection
@@ -162,7 +163,7 @@ class CongestionMarker(Probe):
 
     def bind(self, engine) -> None:
         self.engine = engine
-        self._blocked = [0] * len(engine.dirs)
+        self._blocked_base = [d.blocked for d in engine.dirs]
         self._eject = {
             d.lanes[0].sink.node: d for d in engine.dirs if d.to_node
         }
@@ -170,16 +171,17 @@ class CongestionMarker(Probe):
 
     # -- hot-link accounting --------------------------------------------------
 
-    def on_direction_blocked(self, cycle: int, direction) -> None:
-        self._blocked[direction.index] += 1
+    def window_blocked(self) -> list[int]:
+        """Blocked cycles of each direction so far this window, by
+        ``LinkDirection.index``."""
+        return [d.blocked - base for d, base in zip(self.engine.dirs, self._blocked_base)]
 
     def on_cycle(self, cycle: int) -> None:
         if cycle + 1 < self._window_end:
             return
         threshold = self.config.hot_fraction * self.config.window_cycles
-        blocked = self._blocked
-        hot = {i for i, cycles in enumerate(blocked) if cycles >= threshold}
-        blocked[:] = [0] * len(blocked)
+        hot = {i for i, cycles in enumerate(self.window_blocked()) if cycles >= threshold}
+        self._blocked_base = [d.blocked for d in self.engine.dirs]
         self._hot = hot
         self.windows += 1
         nhot = len(hot)

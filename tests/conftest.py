@@ -27,7 +27,7 @@ def on_the_other_storage(tmp_path, expression: str, *argv: str) -> str:
     if native.KERNEL is not None and not cache.exists():
         cache.write_text("")
     script = (
-        "import sys, tests.test_lane, tests.test_checkpoint\n"
+        "import sys, tests.test_lane, tests.test_checkpoint, tests.test_link_counters\n"
         "from repro.sim import native\n"
         f"assert (native.KERNEL is None) == {native.KERNEL is not None}\n"
         f"print({expression})"

@@ -97,6 +97,20 @@ class TestAuditDetectsCorruption:
         with pytest.raises(SimulationError, match="busy-lane count drift"):
             engine.audit()
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda d, cycle: setattr(d, "flits_at_warmup", d.flits + 1),
+        lambda d, cycle: setattr(d, "blocked_at_warmup", d.blocked + 1),
+        lambda d, cycle: setattr(d, "blocked", cycle + 1),
+        lambda d, cycle: setattr(d, "blocked", cycle - d.flits + 1),
+    ], ids=["flits-below-their-snapshot", "blocked-below-its-snapshot", "blocked-past-the-cycle",
+            "more-busy-cycles-than-cycles"])
+    def test_link_counters_out_of_range(self, engine, corrupt):
+        # in each cycle a direction moves one flit, is blocked, or idles, and
+        # no counter runs backwards past its warm-up snapshot
+        corrupt(some_wired_outlane(engine).direction, engine.cycle)
+        with pytest.raises(SimulationError, match="link counters out of range"):
+            engine.audit()
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda e: e.bindings.pop(), "missing from the bindings"),
         (lambda e: e.bindings.append(e.bindings[0]), "bindings twice"),

@@ -35,7 +35,10 @@ from repro.experiments.sweep import (
 from repro.faults import Faults
 from repro.obs.flight import FlightConfig, FlightRecorder, simulate_with_flight
 from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
+from repro.router.lane import LinkDirection
+from repro.sim import checkpoint as checkpoint_module
 from repro.sim.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointPolicy,
     CheckpointProbe,
     attach_checkpoints,
@@ -174,19 +177,26 @@ class TestCheckpointFile:
         assert [d["kind"] for d in discarded] == ["corrupt"]
         assert discarded[0]["file"] == bad.name
 
-    def test_previous_format_version_discarded_before_unpickling(self, tmp_path):
-        # a version-3 payload holds output lanes with a ``sent`` slot and an
-        # engine without the instruments the resumed run is finished by; it must be
-        # turned away at the header, as a structured finding, not fail with
-        # AttributeError mid-resume
+    def test_previous_format_version_discarded_before_unpickling(self, tmp_path, monkeypatch):
+        # a version-4 payload holds link directions without their blocked
+        # counters, which this build's LinkDirection.__setstate__ cannot
+        # unpack; it must be turned away at the header, as a structured
+        # finding with its reason, not fail with a ValueError mid-unpickle
         config = small_tree_config()
-        path = tmp_path / "ckpt-000000000000.rckpt"
-        save_checkpoint(build_engine(config), path)
+        engine = build_engine(config)
+        for _ in range(150):  # past the warm-up, with flits in flight
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 4)
+            old.setattr(LinkDirection, "__getstate__", lambda d: [
+                d.lanes, d.rr, d.nbusy, d.to_node, d.flits, d.flits_at_warmup,
+            ])
+            save_checkpoint(engine, path)
         header_line, payload = path.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        assert header["format"] == 4
-        header["format"] = 3
-        path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+        assert json.loads(header_line)["format"] == 4
+        with pytest.raises(ValueError):
+            pickle.loads(payload)  # what the header gate spares a resume
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert exc.value.kind == "stale"
@@ -194,6 +204,7 @@ class TestCheckpointFile:
         assert resume_point(_policy(tmp_path), config) is None
         discarded = read_manifest(tmp_path)["discarded"]
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert "checkpoint format 4, this build reads 5" in discarded[0]["error"]
 
     def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path):
         # pickle walks the lane graph depth-first and the worms of a
@@ -326,7 +337,7 @@ class TestResumeIdentity:
         assert on_the_other_storage(tmp_path, child, there).strip() == reference
         assert reliable_run_snapshotting(here) == reference
         for first in (there, here):
-            assert {header["format"] for header in _headers(first)} == {4}
+            assert {header["format"] for header in _headers(first)} == {CHECKPOINT_FORMAT_VERSION}
         # the same payload sizes and roots: what is pickled does not say which storage held it
         assert read_manifest(there)["checkpoints"] == read_manifest(here)["checkpoints"]
         restored, header = load_checkpoint(checkpoint_files(there)[-1])

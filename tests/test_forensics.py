@@ -15,7 +15,9 @@ from repro.obs.forensics import (
     ForensicsProbe,
     LatencyAttributionProbe,
     StreamingHistogram,
+    Forensics,
     describe_forensics,
+    hotspots,
     run_with_forensics,
     simulate_with_forensics,
 )
@@ -27,9 +29,11 @@ from repro.obs.heatmap import (
 from repro.obs.ledger import Ledger
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.results import RunResult
-from repro.sim.run import build_engine
+from repro.sim.run import build_engine, simulate, tree_config
+from repro.workloads import Replay, alltoall_trace, drained
 
 from .conftest import small_cube_config, small_tree_config
+from .test_sweep_resilient import ring_config
 
 
 class TestStreamingHistogram:
@@ -140,18 +144,42 @@ class TestWaitForSampler:
         assert {"switch", "port", "vc", "waiters"} <= set(wf["worst_root"])
 
 
-class TestHotspotProbe:
+class TestHotspots:
     def test_covers_every_direction(self):
-        _, probe, _ = run_with_forensics(small_cube_config(load=0.5))
-        engine_dirs = probe.hotspots.records()
-        doc = probe.hotspots.summary()
-        assert len(engine_dirs) == len(doc["links"])
+        result, probe, _ = run_with_forensics(small_cube_config(load=0.5))
+        doc = hotspots(probe.waitfor.engine)
+        assert doc == result.telemetry.forensics["hotspots"]
+        assert len(doc["links"]) == len(probe.waitfor.engine.dirs)
         assert doc["total_flits"] > 0
         assert all(r["blocked_cycles"] >= 0 for r in doc["links"])
         # top list is sorted and only holds actually-blocked links
         tops = [r["blocked_cycles"] for r in doc["top"]]
         assert tops == sorted(tops, reverse=True)
         assert all(t > 0 for t in tops)
+
+    def test_the_window_ends_where_a_drain_stopped(self):
+        result = simulate(
+            drained(tree_config(k=2, n=3, vcs=2), 100_000),
+            [Replay(alltoall_trace(8, flits=8)), Forensics()],
+        )
+        assert result.telemetry.cycles == 80
+        assert result.telemetry.forensics["hotspots"]["measured_cycles"] == 80
+
+    @pytest.mark.parametrize("warmup, window", [(100, 565), (1000, 665)])
+    def test_the_window_ends_where_a_deadlock_stopped_the_run(self, warmup, window):
+        # the unsafe ring wedges at cycle 665, past a warm-up of 100 and
+        # before one of 1000; stopped before its warm-up, a run's window is
+        # all of it, for its flits and its blocked cycles alike
+        config = dataclasses.replace(ring_config(0.6), warmup_cycles=warmup)
+        result, probe, deadlock = run_with_forensics(config)
+        engine = probe.waitfor.engine
+        assert deadlock is not None and engine.cycle == result.telemetry.cycles == 665
+        doc = result.telemetry.forensics["hotspots"]
+        assert doc["measured_cycles"] == window
+        assert doc["total_flits"] == sum(d.flits - d.flits_at_warmup for d in engine.dirs)
+        assert doc["total_blocked_cycles"] == sum(
+            d.blocked - d.blocked_at_warmup for d in engine.dirs
+        ) > 0
 
 
 class TestForensicsDocument:
@@ -183,8 +211,6 @@ class TestForensicsDocument:
             assert name in text
 
     def test_plain_run_has_no_forensics(self):
-        from repro.sim.run import simulate
-
         assert simulate(small_tree_config()).telemetry.forensics is None
 
 
@@ -334,8 +360,6 @@ class TestLatencyPercentiles:
 
     def test_persisted_in_run_document(self):
         cfg = dataclasses.replace(small_tree_config(), collect_latencies=True)
-        from repro.sim.run import simulate
-
         doc = run_result_to_dict(simulate(cfg))
         assert doc["latency_percentiles"]["samples"] > 0
         assert doc["latency_percentiles"]["p50"] <= doc["latency_percentiles"]["max"]

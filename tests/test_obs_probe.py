@@ -375,7 +375,8 @@ class TestEventBinding:
     def test_restored_engine_delivers_to_the_restored_probes(self, tmp_path):
         # transport + flight + checkpoint: on_cycle has three consumers, so
         # its handler is a closure — which must stay out of the pickle, and
-        # be rebuilt over the *restored* probes
+        # be rebuilt over the *restored* probes.  None of them consumes
+        # on_direction_blocked: the recorder reads the link counters
         config = small_tree_config(load=0.6)
         transport = TransportConfig(base_timeout=16, jitter=8, seed=3)
 
@@ -394,7 +395,7 @@ class TestEventBinding:
         flight, reliable, ckpt = engine.probe.probes[0].probes + engine.probe.probes[1:]
         assert isinstance(flight, FlightRecorder) and isinstance(ckpt, CheckpointProbe)
         handlers = engine._handlers
-        assert handlers.on_direction_blocked == flight.on_direction_blocked
+        assert handlers.on_direction_blocked is None
         assert handlers.on_packet_dropped == reliable.on_packet_dropped
         assert handlers.on_head_arrived is None
         # the second call restores that snapshot and replays the tail

@@ -53,7 +53,12 @@ from repro.obs.probe import EVENTS, Probe
 from repro.routing.base import RoutingAlgorithm, register
 from repro.routing.tree_adaptive import TreeAdaptiveRouting
 from repro.sim import phases as reference
-from repro.sim.checkpoint import CheckpointPolicy, checkpoint_files, read_checkpoint_header
+from repro.sim.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    CheckpointPolicy,
+    checkpoint_files,
+    read_checkpoint_header,
+)
 from repro.sim.config import ARBITER_POLICIES, CUBE_ALGORITHMS, TREE_ALGORITHMS, SimulationConfig
 from repro.sim.native import INT
 from repro.sim.run import build_engine, cube_config, simulate, start, tree_config
@@ -497,6 +502,9 @@ def run_in_lockstep(recipe: Recipe) -> list[tuple]:
             f"routing diverged in cycle {cycle}"
         )
     assert kernel_log.events == twin_log.events
+    # and what the fingerprint leaves out: the observation-only link
+    # counters (``blocked``, the warm-up snapshots) among every counter
+    assert counters(kernel) == counters(twin)
     kernel.audit()
     twin.audit()
     assert dataclasses.asdict(kernel.result) == dataclasses.asdict(twin.result)
@@ -569,7 +577,7 @@ class TestCompiledPhasesInLockstep:
         snapshots = checkpoint_files(tmp_path)
         assert sorted(read_checkpoint_header(path)["cycle"] for path in snapshots) == [250, 500]
         for path in snapshots:
-            assert read_checkpoint_header(path)["format"] == 4
+            assert read_checkpoint_header(path)["format"] == CHECKPOINT_FORMAT_VERSION
             assert b"_phases" not in path.read_bytes()  # nothing of the kernel is pickled
         assert run(second, checkpoint=policy) == reference
 

@@ -232,7 +232,8 @@ def _flip_cwnd(engine):
 
 
 def _flip_blocked(engine):
-    _transport(engine).congestion.marker._blocked[5] += 1
+    # one more blocked cycle in this window: a window start one lower
+    _transport(engine).congestion.marker._blocked_base[5] -= 1
     return "transport/congestion/marker/blocked/5/cycles"
 
 
