@@ -9,6 +9,8 @@ no deadlocks and no collapse even at 20% failed ascent channels.
 
 from repro.experiments.degradation import degradation_experiment
 from repro.experiments.report import render_table
+from repro.profiles import get_profile
+from repro.sim.run import tree_config
 
 from .conftest import run_once
 
@@ -16,12 +18,15 @@ from .conftest import run_once
 #: channels, so these fail 0, 38, 77 and 154 of them
 FRACTIONS = (0.0, 0.05, 0.10, 0.20)
 LOAD = 1.0
+SEED = 47
 
 
 def run_all():
     return [
         (row.faults, row.accepted, row.latency_cycles)
-        for row in degradation_experiment("tree", FRACTIONS, load=LOAD)
+        for row in degradation_experiment(
+            tree_config(load=LOAD, seed=SEED, **get_profile().windows), FRACTIONS
+        )
     ]
 
 

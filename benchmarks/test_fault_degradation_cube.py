@@ -11,6 +11,8 @@ decisions rising as faults squeeze the adaptive lanes.
 
 from repro.experiments.degradation import degradation_experiment
 from repro.experiments.report import render_table
+from repro.profiles import get_profile
+from repro.sim.run import cube_config
 
 from .conftest import run_once
 
@@ -18,12 +20,15 @@ from .conftest import run_once
 #: directions, so these fail 0, 51, 102 and 205 of them
 FRACTIONS = (0.0, 0.05, 0.10, 0.20)
 LOAD = 1.0
+SEED = 47
 
 
 def run_all():
     return [
         (row.faults, row.accepted, row.latency_cycles, row.escape_fraction)
-        for row in degradation_experiment("cube", FRACTIONS, load=LOAD)
+        for row in degradation_experiment(
+            cube_config(load=LOAD, seed=SEED, **get_profile().windows), FRACTIONS
+        )
     ]
 
 

@@ -91,6 +91,7 @@ import pathlib
 import signal
 import sys
 import threading
+from functools import partial
 
 from .errors import ConfigurationError, ReproError
 from .experiments.degradation import degradation_experiment, transient_experiment
@@ -225,14 +226,16 @@ def _campaign_progress(args):
     return progress, events.close
 
 
-def _checkpoint_dir(args) -> str | None:
-    """The checkpoint directory requested by --checkpoint/--resume."""
-    checkpoint = getattr(args, "checkpoint", None)
+def _checkpoints(args, campaign: bool = False):
+    """The checkpointing requested by --checkpoint/--resume, or None: a
+    run's CheckpointPolicy or, for a ``campaign``, its
+    CampaignCheckpoints supervision."""
+    directory = getattr(args, "checkpoint", None)
     resume = getattr(args, "resume", None)
     if resume is not None:
         if (
-            checkpoint is not None
-            and pathlib.Path(checkpoint).resolve() != pathlib.Path(resume).resolve()
+            directory is not None
+            and pathlib.Path(directory).resolve() != pathlib.Path(resume).resolve()
         ):
             raise ConfigurationError(
                 "--checkpoint and --resume name different directories"
@@ -241,32 +244,14 @@ def _checkpoint_dir(args) -> str | None:
             raise ConfigurationError(
                 f"--resume directory {resume!r} does not exist"
             )
-        return resume
-    return checkpoint
-
-
-def _checkpoint_policy(args):
-    """The per-run CheckpointPolicy requested on the command line, or None."""
-    directory = _checkpoint_dir(args)
+        directory = resume
     if directory is None:
         return None
-    from .sim.checkpoint import CheckpointPolicy
-
-    return CheckpointPolicy(
-        directory=directory, interval_cycles=args.checkpoint_every
-    )
-
-
-def _campaign_checkpoints(args):
-    """The CampaignCheckpoints supervision requested, or None."""
-    directory = _checkpoint_dir(args)
-    if directory is None:
-        return None
-    from .experiments.sweep import CampaignCheckpoints
-
-    return CampaignCheckpoints(
-        directory=directory, interval_cycles=args.checkpoint_every
-    )
+    if campaign:
+        from .experiments.sweep import CampaignCheckpoints as supervision
+    else:
+        from .sim.checkpoint import CheckpointPolicy as supervision
+    return supervision(directory=directory, interval_cycles=args.checkpoint_every)
 
 
 class _SigtermInterrupt(KeyboardInterrupt):
@@ -359,21 +344,26 @@ def _open_ledger(args):
     return Ledger(path)
 
 
-def _make_config(args, load: float):
-    profile = get_profile(args.profile)
-    common = dict(
-        vcs=args.vcs,
-        pattern=args.pattern,
-        load=load,
-        seed=args.seed,
-        warmup_cycles=profile.warmup_cycles,
-        total_cycles=profile.total_cycles,
-        arbiter=getattr(args, "arbiter", "round_robin"),
+#: the recipe options, named as the SimulationConfig fields they set
+_RECIPE = ("k", "n", "algorithm", "vcs", "pattern", "seed", "arbiter", "load")
+
+
+def _make_config(args, network: str | None = None, **fields):
+    """The SimulationConfig of a command line — every command's one recipe.
+
+    The paper network named by ``network`` (default ``--network``), built
+    by :func:`tree_config` / :func:`cube_config` (which own the §5
+    defaults) from every recipe option the command takes and was given,
+    over the ``--profile``'s windows; ``fields`` go on top, a ``None``
+    there leaving that field at its paper default.
+    """
+    recipe = {name: getattr(args, name, None) for name in _RECIPE}
+    recipe.update(fields)
+    build = tree_config if (network or args.network) == "tree" else cube_config
+    return build(
+        **get_profile(args.profile).windows,
+        **{name: value for name, value in recipe.items() if value is not None},
     )
-    if args.network == "tree":
-        return tree_config(k=args.k or 4, n=args.n or 4, **common)
-    algorithm = getattr(args, "algorithm", None) or "duato"
-    return cube_config(k=args.k or 16, n=args.n or 2, algorithm=algorithm, **common)
 
 
 def _with_cprofile(args, body):
@@ -432,13 +422,9 @@ def _print_tiers(result) -> None:
 
 def cmd_run(args) -> int:
     def body() -> int:
-        import dataclasses
-
-        config = _make_config(args, args.load)
-        if args.latencies or args.forensics:
-            config = dataclasses.replace(config, collect_latencies=True)
+        config = _make_config(args, collect_latencies=args.latencies or args.forensics)
         result, _engine, deadlock = simulate_post_mortem(
-            config, _instruments(args), checkpoint=_checkpoint_policy(args)
+            config, _instruments(args), checkpoint=_checkpoints(args)
         )
         if args.watch:
             print(file=sys.stderr)  # finish the in-place status line
@@ -509,7 +495,7 @@ def cmd_sweep(args) -> int:
         try:
             curve = (
                 args.pattern,
-                _make_config(args, load=0.0),
+                _make_config(args),
                 _instruments(args, streams=False),
             )
             rc, curves = _guarded(
@@ -519,7 +505,7 @@ def cmd_sweep(args) -> int:
                     progress=progress,
                     ledger=_open_ledger(args),
                     ledger_kind="forensics" if args.forensics else None,
-                    checkpoints=_campaign_checkpoints(args),
+                    checkpoints=_checkpoints(args, campaign=True),
                 ),
                 "cache/ledger",
             )
@@ -559,7 +545,7 @@ def cmd_trace(args) -> int:
     def body() -> int:
         from .obs import MultiProbe, TraceProbe, WindowedCounterProbe
 
-        config = _make_config(args, args.load)
+        config = _make_config(args)
         tracer = TraceProbe(max_events=args.max_events)
         counters = WindowedCounterProbe(window_cycles=args.window)
         # survives a deadlock: the trace up to the wedge is exactly what
@@ -649,21 +635,12 @@ def cmd_diff(args) -> int:
     return 0 if doc["identical"] else DIVERGENCE_EXIT_CODE
 
 
-def cmd_fig5(args) -> int:
-    cnf = fig5_experiment(args.pattern, get_profile(args.profile), seed=args.seed)
+def cmd_cnf(args) -> int:
+    """``fig5`` / ``fig6``: one panel of a paper figure's CNF curves."""
+    experiment = {"fig5": fig5_experiment, "fig6": fig6_experiment}[args.command]
+    cnf = experiment(args.pattern, get_profile(args.profile), seed=args.seed)
     print(render_cnf(cnf))
-    if getattr(args, "plot", False):
-        print()
-        print(render_ascii_plot(cnf, "accepted"))
-        print()
-        print(render_ascii_plot(cnf, "latency"))
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    cnf = fig6_experiment(args.pattern, get_profile(args.profile), seed=args.seed)
-    print(render_cnf(cnf))
-    if getattr(args, "plot", False):
+    if args.plot:
         print()
         print(render_ascii_plot(cnf, "accepted"))
         print()
@@ -677,7 +654,7 @@ def cmd_fig7(args) -> int:
 
 
 def cmd_drain(args) -> int:
-    result = drain_permutation(_make_config(args, load=0.0))
+    result = drain_permutation(_make_config(args))
     print(f"pattern:         {args.pattern}")
     print(f"packets drained: {result.messages}")
     print(f"makespan:        {result.makespan_cycles} cycles")
@@ -689,7 +666,7 @@ def cmd_drain(args) -> int:
 
 def cmd_find_sat(args) -> int:
     estimate = find_saturation(
-        lambda load: _make_config(args, load),
+        lambda load: _make_config(args, load=load),
         resolution=args.resolution,
     )
     print(
@@ -704,7 +681,7 @@ def cmd_dimensions(args) -> int:
     from .experiments.report import render_table
 
     rows = dimension_study(
-        algorithm=args.algorithm or "duato",
+        algorithm=args.algorithm,
         pattern=args.pattern,
         profile=get_profile(args.profile),
     )
@@ -731,24 +708,12 @@ def cmd_dimensions(args) -> int:
 def cmd_faults(args) -> int:
     from .experiments.report import render_table
 
-    recipe = dict(
-        network=args.network,
-        profile=get_profile(args.profile),
-        load=args.load,
-        vcs=args.vcs,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        k=args.k,
-        n=args.n,
-        algorithm=args.algorithm,
-        pattern=args.pattern,
-        arbiter=args.arbiter,
-        ledger=_open_ledger(args),
-    )
+    config = _make_config(args)
+    ledger = _open_ledger(args)
     if args.transient:
         result, row = transient_experiment(
-            fraction=args.fraction, fail_at=args.fail_at, repair_at=args.repair_at,
-            **recipe,
+            config, args.fraction, args.fail_at, args.repair_at, args.fault_seed,
+            ledger=ledger,
         )
         print(result.summary())
         print(f"faults: {row.faults} channel directions failed mid-run, then repaired")
@@ -763,7 +728,7 @@ def cmd_faults(args) -> int:
         fractions = tuple(float(f) for f in args.fractions.split(",") if f.strip())
     except ValueError:
         raise ConfigurationError(f"bad --fractions {args.fractions!r}") from None
-    rows = degradation_experiment(fractions=fractions, **recipe)
+    rows = degradation_experiment(config, fractions, args.fault_seed, ledger=ledger)
     print(
         render_table(
             ["fault frac", "failed chans", "accepted", "latency_cyc", "escape frac"],
@@ -794,17 +759,16 @@ def _chaos(args):
         raise ConfigurationError(
             f"bad --rates {args.rates!r} or --repairs {args.repairs!r}"
         ) from None
-    both = args.network == "both"
-    grid = dict(
-        fault_rates=rates, repair_grid=repairs, vcs=args.vcs, seed=args.seed,
-        storm_seed=args.storm_seed, k=args.k, n=args.n,
-        algorithm=None if both else args.algorithm,
-    )
+    if args.network == "both":  # --algorithm is ignored
+        configs = [_make_config(args, net, algorithm=None) for net in ("tree", "cube")]
+    else:
+        configs = [_make_config(args)]
     return (
-        chaos_campaign,
-        [(network, grid) for network in (("tree", "cube") if both else (args.network,))],
-        lambda network, campaign: [
-            {"network": network, **row} for row in degradation_rows(campaign)
+        partial(chaos_campaign, fault_rates=rates, repair_grid=repairs,
+                storm_seed=args.storm_seed),
+        configs,
+        lambda config, campaign: [
+            {"network": config.network, **row} for row in degradation_rows(campaign)
         ],
         (
             ("network", lambda r: r["network"]),
@@ -825,16 +789,14 @@ def _congestion(args):
     """The ``congestion`` row of the campaign table."""
     from .experiments.congestion import collapse_rows, congestion_campaign
 
-    grid = dict(
-        modes={"both": (False, True), "open": (False,), "closed": (True,)}[args.mode],
-        max_factor=args.max_factor, vcs=args.vcs, pattern=args.pattern,
-        seed=args.seed, k=args.k, n=args.n, algorithm=args.algorithm,
-        arbiter_closed=args.arbiter_closed,
-    )
     return (
-        congestion_campaign,
-        [(args.network, grid)],
-        lambda network, campaign: collapse_rows(campaign),
+        partial(
+            congestion_campaign,
+            modes={"both": (False, True), "open": (False,), "closed": (True,)}[args.mode],
+            max_factor=args.max_factor, arbiter_closed=args.arbiter_closed,
+        ),
+        [_make_config(args)],
+        lambda config, campaign: collapse_rows(campaign),
         (
             ("mode", lambda r: r["mode"]),
             ("arbiter", lambda r: r["arbiter"]),
@@ -851,14 +813,14 @@ def _congestion(args):
 
 
 def cmd_campaign(args) -> int:
-    """``chaos`` and ``congestion``: one campaign per network of the
-    command's table row — campaign function, ``(network, grid keywords)``
-    runs, row flattener, ``(heading, cell)`` columns, table title and the
-    scorecard panel its ledger records feed — under the shared harness
-    options, then the rows as a table or JSON."""
+    """``chaos`` and ``congestion``: one campaign per config of the
+    command's table row — campaign (its grid keywords bound), configs, row
+    flattener, ``(heading, cell)`` columns, table title and the scorecard
+    panel its ledger records feed — under the shared harness options,
+    then the rows as a table or JSON."""
     from .experiments.report import render_table
 
-    campaign_fn, runs, flatten, columns, title, panel = {
+    campaign_fn, configs, flatten, columns, title, panel = {
         "chaos": _chaos, "congestion": _congestion
     }[args.command](args)
     profile = get_profile(args.profile)
@@ -876,16 +838,14 @@ def cmd_campaign(args) -> int:
             timeout=args.timeout,
             progress=progress,
             ledger=ledger,
-            checkpoints=_campaign_checkpoints(args),
+            checkpoints=_checkpoints(args, campaign=True),
         )
-        for network, grid in runs:
-            print(f"{args.command} campaign: {network}", file=sys.stderr)
-            rc, campaign = _guarded(
-                lambda: campaign_fn(network=network, **grid, **harness), "ledger"
-            )
+        for config in configs:
+            print(f"{args.command} campaign: {config.network}", file=sys.stderr)
+            rc, campaign = _guarded(lambda: campaign_fn(config, **harness), "ledger")
             if rc:
                 return rc
-            rows += flatten(network, campaign)
+            rows += flatten(config, campaign)
     finally:
         close_events()
     if args.json:
@@ -911,18 +871,13 @@ def cmd_campaign(args) -> int:
 def cmd_analyze(args) -> int:
     from .obs.ledger import Ledger
 
-    matches = []
-    for rec in Ledger(args.ledger).records():
-        telemetry = (rec.get("run") or {}).get("telemetry") or {}
-        if not telemetry.get("forensics"):
-            continue
-        if args.network and rec.get("network") != args.network:
-            continue
-        if args.pattern and rec.get("pattern") != args.pattern:
-            continue
-        if args.algorithm and rec.get("algorithm") != args.algorithm:
-            continue
-        matches.append(rec)
+    matches = [
+        rec
+        for rec in Ledger(args.ledger).query(
+            network=args.network, pattern=args.pattern, algorithm=args.algorithm
+        )
+        if (rec["run"]["telemetry"] or {}).get("forensics")
+    ]
     if not matches:
         raise ConfigurationError(
             f"ledger {args.ledger} holds no forensics-instrumented runs "
@@ -1295,9 +1250,9 @@ def _commands() -> tuple:
             "format", "window", "counters", "max_events",
             *_FLIGHT, *_STATEHASH, *_OBSERVABILITY,
         )),
-        ("fig5", "fat-tree CNF curves (Figure 5)", cmd_fig5,
+        ("fig5", "fat-tree CNF curves (Figure 5)", cmd_cnf,
          (*_FIGURE, ("seed", dict(default=11)), "plot")),
-        ("fig6", "cube CNF curves (Figure 6)", cmd_fig6,
+        ("fig6", "cube CNF curves (Figure 6)", cmd_cnf,
          (*_FIGURE, ("seed", dict(default=13)), "plot")),
         ("fig7", "absolute comparison (Figure 7)", cmd_fig7, _FIGURE),
         ("drain", "batch-drain one full permutation", cmd_drain, _COMMON),

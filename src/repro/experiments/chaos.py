@@ -55,7 +55,6 @@ from ..traffic.transport import (
     TransportConfig,
     attach_reliability,
 )
-from .degradation import _make_config
 from .sweep import run_curves
 
 
@@ -205,17 +204,12 @@ def default_transport(profile: Profile) -> TransportConfig:
 
 
 def chaos_campaign(
-    network: str = "tree",
+    config: SimulationConfig,
     fault_rates: tuple[float, ...] = (0.0, 0.05, 0.10, 0.20),
     repair_grid: tuple[int, ...] = (0,),
     loads=None,
     profile: Profile | None = None,
-    vcs: int = 4,
-    seed: int = 47,
     storm_seed: int = 5,
-    k: int | None = None,
-    n: int | None = None,
-    algorithm: str | None = None,
     transport: TransportConfig | None = None,
     instruments=(),
     record_failures: bool = True,
@@ -224,14 +218,17 @@ def chaos_campaign(
     """Grid fail-stop storms over fault rate × repair time × offered load.
 
     One :class:`ChaosSeries` per (fault_rate, repair_cycles) pair: a
-    curve of :func:`~repro.experiments.sweep.run_curves` whose points run
-    under ``(*instruments, Audit(), Storm(storm))`` — what
+    curve of :func:`~repro.experiments.sweep.run_curves` over ``config``
+    (the recipe of every point but its load) whose points run under
+    ``(*instruments, Audit(), Storm(storm))`` — what
     :func:`run_chaos_point` runs one point under — through the resilient
     harness (``harness``: ``parallel``, ``max_workers``, ``retries``,
-    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  Adaptive
-    algorithms only — the storms are lane-level, so deterministic
-    baselines reject them at validation (by design: the unprotected
-    contrast belongs to the fault tests, not the campaign).
+    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  ``loads``
+    defaults to the ``profile``'s grid, ``transport`` to its
+    :func:`default_transport`.  Adaptive algorithms only — the storms are
+    lane-level, so deterministic baselines reject them at validation (by
+    design: the unprotected contrast belongs to the fault tests, not the
+    campaign).
 
     Every completed point is appended to ``ledger`` as a ``"chaos"``
     record with dedup off (grid points share config digest + seed; the
@@ -246,7 +243,6 @@ def chaos_campaign(
     profile = profile or get_profile()
     if transport is None:
         transport = default_transport(profile)
-    config = _make_config(network, 0.0, vcs, profile, seed, k, n, algorithm)
     storms = [
         StormSpec(
             fault_rate=rate,
@@ -259,7 +255,7 @@ def chaos_campaign(
     ]
     curves = [
         (
-            f"{network} chaos fr={storm.fault_rate:.2f}"
+            f"{config.network} chaos fr={storm.fault_rate:.2f}"
             + (f" repair={storm.repair_cycles}" if len(repair_grid) > 1 else ""),
             config,
             (*instruments, Audit(), Storm(storm)),

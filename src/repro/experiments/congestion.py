@@ -44,7 +44,6 @@ from ..sim.run import Audit, simulate
 from ..traffic.congestion import Congested, CongestionConfig
 from ..traffic.transport import Reliable, TransportConfig, attach_reliability
 from .chaos import default_transport
-from .degradation import _make_config
 from .sweep import run_curves
 
 #: overload axis when the paper gives no saturation reference for a shape
@@ -69,13 +68,13 @@ DEFAULT_CONTROL = CongestionConfig(
 )
 
 
-def saturation_reference(
-    network: str, k: int, n: int, algorithm: str, vcs: int, pattern: str
-) -> float:
+def saturation_reference(config: SimulationConfig) -> float:
     """The paper's saturation load for a configuration (fraction of
     capacity), falling back to :data:`FALLBACK_SATURATION` for shapes
     the paper does not report."""
-    ref = paper_reference(network, k, n, algorithm, vcs, pattern)
+    ref = paper_reference(
+        config.network, config.k, config.n, config.algorithm, config.vcs, config.pattern
+    )
     return ref.saturation if ref is not None else FALLBACK_SATURATION
 
 
@@ -204,51 +203,43 @@ class OverloadSeries:
 
 
 def congestion_campaign(
-    network: str = "tree",
+    config: SimulationConfig,
     modes: tuple[bool, ...] = (False, True),
     loads=None,
     max_factor: float = 2.0,
     profile: Profile | None = None,
-    vcs: int = 4,
-    pattern: str = "uniform",
-    seed: int = 29,
-    k: int | None = None,
-    n: int | None = None,
-    algorithm: str | None = None,
     transport: TransportConfig | None = None,
     control: CongestionConfig | None = None,
     instruments=(),
-    arbiter_open: str = "round_robin",
     arbiter_closed: str = "round_robin",
     record_failures: bool = True,
     **harness,
 ) -> list[OverloadSeries]:
-    """Grid open-loop vs closed-loop runs over an overload axis.
+    """Grid open-loop vs closed-loop runs of ``config`` over an overload
+    axis.
 
     One :class:`OverloadSeries` per entry of ``modes`` (False = open
     loop, True = closed loop): a curve of
     :func:`~repro.experiments.sweep.run_curves` built by
     :func:`overload_recipe`, from 0.5× to ``max_factor``× the paper's
-    saturation reference for the swept shape, through the resilient
-    harness (``harness``: ``parallel``, ``max_workers``, ``retries``,
-    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  Every
-    completed point is appended to ``ledger`` as a ``"congestion"``
-    record with dedup off (modes intentionally share config digest +
-    seed; the mode document on ``telemetry.reliability`` is what
-    distinguishes them).  ``instruments`` are observers installed ahead
-    of the mode on every point (a :class:`~repro.obs.flight.Flight`
-    records the window dynamics).  ``checkpoints`` (a
+    saturation reference for the swept shape (``profile.sweep_points``
+    loads unless ``loads`` is given), through the resilient harness
+    (``harness``: ``parallel``, ``max_workers``, ``retries``,
+    ``timeout``, ``progress``, ``ledger``, ``checkpoints``).  The open
+    loop runs under ``config.arbiter``, the closed loop under
+    ``arbiter_closed``.  Every completed point is appended to ``ledger``
+    as a ``"congestion"`` record with dedup off (modes intentionally
+    share config digest + seed; the mode document on
+    ``telemetry.reliability`` is what distinguishes them).
+    ``instruments`` are observers installed ahead of the mode on every
+    point (a :class:`~repro.obs.flight.Flight` records the window
+    dynamics).  ``checkpoints`` (a
     :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
     point checkpointed and resumable; a rerun with the same directory
     reloads finished points and resumes interrupted ones.
     """
     profile = profile or get_profile()
-    config = _make_config(
-        network, 0.0, vcs, profile, seed, k, n, algorithm, pattern=pattern
-    )
-    saturation = saturation_reference(
-        network, config.k, config.n, config.algorithm, vcs, pattern
-    )
+    saturation = saturation_reference(config)
     if loads is None:
         loads = overload_loads(
             saturation, profile.sweep_points, max_factor=max_factor
@@ -257,7 +248,7 @@ def congestion_campaign(
         OverloadSpec(
             closed_loop=closed_loop,
             saturation=saturation,
-            arbiter=arbiter_closed if closed_loop else arbiter_open,
+            arbiter=arbiter_closed if closed_loop else config.arbiter,
             transport=transport or default_transport(profile),
             control=control or DEFAULT_CONTROL,
         )
@@ -265,7 +256,7 @@ def congestion_campaign(
     ]
     curves = [
         (
-            f"{network} congestion {spec.mode}-loop",
+            f"{config.network} congestion {spec.mode}-loop",
             *overload_recipe(config, spec, instruments),
         )
         for spec in specs

@@ -24,13 +24,14 @@ fail at cycle T, repair at T' — to show the network riding it out.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError
 from ..faults import Faults
-from ..profiles import Profile, get_profile
+from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from ..sim.run import Audit, cube_config, tree_config
+from ..sim.run import Audit
 from .sweep import run_curves
 
 
@@ -54,22 +55,6 @@ class DegradationRow:
     accepted: float
     latency_cycles: float | None
     escape_fraction: float | None
-
-
-def _make_config(network, load, vcs, profile, seed, k, n, algorithm, **overrides):
-    common = dict(
-        vcs=vcs,
-        load=load,
-        seed=seed,
-        warmup_cycles=profile.warmup_cycles,
-        total_cycles=profile.total_cycles,
-        **overrides,
-    )
-    if network == "tree":
-        return tree_config(k=k or 4, n=n or 4, algorithm=algorithm or "tree_adaptive", **common)
-    if network == "cube":
-        return cube_config(k=k or 16, n=n or 2, algorithm=algorithm or "duato", **common)
-    raise ConfigurationError(f"unknown network family {network!r}")
 
 
 def _row(result: RunResult) -> DegradationRow:
@@ -103,21 +88,13 @@ def _fault_runs(config, faults, **harness) -> list[RunResult]:
 
 
 def degradation_experiment(
-    network: str = "tree",
+    config: SimulationConfig,
     fractions: tuple[float, ...] = (0.0, 0.05, 0.10, 0.20),
-    profile: Profile | None = None,
-    load: float = 1.0,
-    vcs: int = 4,
-    seed: int = 47,
     fault_seed: int = 5,
-    k: int | None = None,
-    n: int | None = None,
-    algorithm: str | None = None,
-    pattern: str = "uniform",
-    arbiter: str = "round_robin",
     **harness,
 ) -> list[DegradationRow]:
-    """Measure throughput under growing permanent fault fractions.
+    """Measure throughput of ``config`` under growing permanent fault
+    fractions.
 
     Each fraction is one run of the same recipe (identical traffic seed)
     under ``Faults(fraction, fault_seed)`` — ``round(fraction ·
@@ -127,49 +104,34 @@ def degradation_experiment(
     :func:`~repro.experiments.sweep.run_curves` (``ledger``, ``parallel``,
     ``checkpoints``, ...).
     """
-    config = _make_config(
-        network, load, vcs, profile or get_profile(), seed, k, n, algorithm,
-        pattern=pattern, arbiter=arbiter,
-    )
     faults = [Faults(fraction, fault_seed) for fraction in fractions]
     return [_row(result) for result in _fault_runs(config, faults, **harness)]
 
 
 def transient_experiment(
-    network: str = "cube",
+    config: SimulationConfig,
     fraction: float = 0.10,
     fail_at: int | None = None,
     repair_at: int | None = None,
-    profile: Profile | None = None,
-    load: float = 0.8,
-    vcs: int = 4,
-    seed: int = 47,
     fault_seed: int = 5,
-    k: int | None = None,
-    n: int | None = None,
-    algorithm: str | None = None,
-    interval_cycles: int | None = None,
-    pattern: str = "uniform",
-    arbiter: str = "round_robin",
     **harness,
 ) -> tuple[RunResult, DegradationRow]:
-    """One run with a mid-run fault window: fail at T, repair at T'.
+    """One run of ``config`` with a mid-run fault window: fail at T,
+    repair at T'.
 
-    Defaults place the window over the middle of the measurement window
-    and record a throughput timeline, so the dip and recovery are visible
-    in ``result.throughput_timeline``.
+    Defaults place the window over the middle of the config's measurement
+    window and record a throughput timeline (ten intervals, unless
+    ``config.interval_cycles`` sets one), so the dip and recovery are
+    visible in ``result.throughput_timeline``.
     """
-    profile = profile or get_profile()
+    warmup = config.warmup_cycles
+    measure = config.total_cycles - warmup
     if fail_at is None:
-        fail_at = profile.warmup_cycles + profile.measure_cycles // 4
+        fail_at = warmup + measure // 4
     if repair_at is None:
-        repair_at = profile.warmup_cycles + (3 * profile.measure_cycles) // 4
-    if interval_cycles is None:
-        interval_cycles = max(1, profile.measure_cycles // 10)
-    config = _make_config(
-        network, load, vcs, profile, seed, k, n, algorithm,
-        interval_cycles=interval_cycles, pattern=pattern, arbiter=arbiter,
-    )
+        repair_at = warmup + (3 * measure) // 4
+    if not config.interval_cycles:
+        config = dataclasses.replace(config, interval_cycles=max(1, measure // 10))
     window = Faults(fraction, fault_seed, fail_at, repair_at)
     (result,) = _fault_runs(config, [window], **harness)
     return result, _row(result)

@@ -75,24 +75,21 @@ def _ledger_digest(path) -> str:
     return _sha(records)
 
 
-def _campaign(name: str, campaign, out: dict, **kwargs) -> None:
+def _campaign(name: str, campaign, config, out: dict, **kwargs) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "ledger.jsonl"
         series = campaign(
-            profile=PROFILE, k=4, n=2, vcs=2, instruments=_FLIGHT,
-            ledger=Ledger(path), **kwargs,
+            config, profile=PROFILE, instruments=_FLIGHT, ledger=Ledger(path), **kwargs
         )
         out[f"{name}.runs"] = _sha(_canonical(r) for s in series for r in s.results)
         out[f"{name}.ledger"] = _ledger_digest(path)
 
 
-def _degradation(network: str) -> dict:
+def _degradation(config) -> dict:
     """Rows and ledger documents of one degradation table (three fractions)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "ledger.jsonl"
-        rows = degradation_experiment(
-            network, _FRACTIONS, profile=PROFILE, k=4, n=2, ledger=Ledger(path)
-        )
+        rows = degradation_experiment(config, _FRACTIONS, ledger=Ledger(path))
         return {
             "rows": [list(dataclasses.astuple(row)) for row in rows],
             "documents": _ledger_digest(path),
@@ -102,7 +99,8 @@ def _degradation(network: str) -> dict:
 def _transient() -> dict:
     """One fault window over the middle of the measurement: the row and the
     document (``throughput_timeline`` included)."""
-    result, row = transient_experiment("cube", 0.2, profile=PROFILE, k=4, n=2)
+    config = cube_config(k=4, n=2, load=0.8, seed=47, **PROFILE.windows)
+    result, row = transient_experiment(config, 0.2)
     return {
         "row": list(dataclasses.astuple(row)),
         "timeline": list(result.throughput_timeline),
@@ -211,15 +209,20 @@ def digests() -> dict:
             lambda: dimension_study(shapes=((4, 2), (2, 4)), profile=PROFILE)
         ),
     }
+    storms = tree_config(k=4, n=2, vcs=2, seed=47, **PROFILE.windows)
     chaos = dict(fault_rates=(0.05, 0.2), loads=[0.3, 0.6], transport=_TRANSPORT)
-    _campaign("chaos.serial", chaos_campaign, out, **chaos)
-    _campaign("chaos.parallel", chaos_campaign, out, parallel=True, max_workers=2, **chaos)
+    _campaign("chaos.serial", chaos_campaign, storms, out, **chaos)
     _campaign(
-        "congestion", congestion_campaign, out,
-        loads=[0.4, 0.9], pattern="transpose", transport=_TRANSPORT,
+        "chaos.parallel", chaos_campaign, storms, out, parallel=True, max_workers=2, **chaos
     )
-    out["degradation.tree"] = _degradation("tree")
-    out["degradation.cube"] = _degradation("cube")
+    _campaign(
+        "congestion", congestion_campaign,
+        tree_config(k=4, n=2, vcs=2, pattern="transpose", seed=29, **PROFILE.windows), out,
+        loads=[0.4, 0.9], transport=_TRANSPORT,
+    )
+    faulted = dict(k=4, n=2, load=1.0, seed=47, **PROFILE.windows)
+    out["degradation.tree"] = _degradation(tree_config(**faulted))
+    out["degradation.cube"] = _degradation(cube_config(**faulted))
     out["transient.cube"] = _transient()
     _drains(out)
     out["collectives"] = _collectives()

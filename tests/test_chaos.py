@@ -194,17 +194,13 @@ class TestStrikeRepairRoundTrip:
 class TestChaosCampaign:
     def _campaign(self, **overrides):
         kwargs = dict(
-            network="tree",
             fault_rates=(0.0, 0.2),
             loads=[0.3, 0.6],
             profile=FAST,
-            k=2,
-            n=2,
-            seed=11,
             storm_seed=9,
         )
         kwargs.update(overrides)
-        return chaos_campaign(**kwargs)
+        return chaos_campaign(tree_config(k=2, n=2, seed=11, **FAST.windows), **kwargs)
 
     def test_one_series_per_rate_with_storm_documents(self):
         campaign = self._campaign()
@@ -262,8 +258,8 @@ class TestChaosCampaign:
 class TestScorecardReliabilityPanel:
     def _chaos_results(self):
         campaign = chaos_campaign(
-            network="tree", fault_rates=(0.0, 0.2), loads=[0.4],
-            profile=FAST, k=2, n=2, seed=11, storm_seed=9,
+            tree_config(k=2, n=2, seed=11, **FAST.windows), fault_rates=(0.0, 0.2),
+            loads=[0.4], profile=FAST, storm_seed=9,
         )
         return [r for cs in campaign for r in cs.results]
 

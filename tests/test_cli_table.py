@@ -8,6 +8,8 @@ import pathlib
 import pytest
 
 import repro.cli as cli
+import repro.experiments.chaos as chaos
+import repro.experiments.congestion as congestion
 from repro.cli import OPTIONS, build_parser, main
 
 from .cli_snapshot import snapshot
@@ -121,3 +123,87 @@ class TestTiersCombine:
         assert "in-flight" in captured.err  # the in-place status line
         kinds = [json.loads(line)["type"] for line in events.read_text().splitlines()]
         assert kinds[0] == "start" and kinds[-1] == "end" and "sample" in kinds
+
+
+class _Captured(Exception):
+    """Raised by a stubbed experiment: what the command handed it."""
+
+    def __init__(self, config, kwargs):
+        super().__init__()
+        self.config, self.kwargs = config, kwargs
+
+
+def _first(config, *_, **__):
+    return config
+
+
+#: where each command hands its config to an experiment: ``(module, name,
+#: config of the call)``
+_ENTRY_POINTS = (
+    (cli, "simulate_post_mortem", _first),
+    (cli, "run_curves", lambda curves, *_, **__: curves[0][1]),
+    (cli, "drain_permutation", _first),
+    (cli, "find_saturation", lambda factory, *_, **__: factory(0.25)),
+    (cli, "degradation_experiment", _first),
+    (cli, "transient_experiment", _first),
+    (chaos, "chaos_campaign", _first),
+    (congestion, "congestion_campaign", _first),
+)
+
+#: a value no command defaults to, per recipe option: each names the config
+#: field it sets, but congestion's closed-loop arbiter, a campaign keyword
+_NON_DEFAULT = {
+    "network": "cube", "k": "3", "n": "3", "algorithm": "tree_deterministic",
+    "vcs": "3", "pattern": "transpose", "seed": "12345", "arbiter": "age",
+    "load": "0.37", "arbiter_closed": "age",
+}
+
+#: every command that builds a config, as the argv that selects it
+_BUILDERS = (
+    ["run"], ["sweep"], ["trace"], ["drain"], ["find-sat"], ["faults"],
+    ["faults", "--transient"], ["chaos"], ["congestion"],
+)
+
+
+def _declared(command: str) -> list[str]:
+    (options,) = [row[3] for row in cli._commands() if row[0] == command]
+    names = [entry[0] if isinstance(entry, tuple) else entry for entry in options]
+    return [name for name in names if name in _NON_DEFAULT]
+
+
+def _reach_cases():
+    for argv in _BUILDERS:
+        for option in _declared(argv[0]):
+            yield pytest.param(argv, option, id=f"{' '.join(argv)}-{option}")
+
+
+class TestEveryRecipeOptionReachesTheConfig:
+    """A non-default value of every recipe option a command declares ends
+    up in the config the command hands its experiment."""
+
+    @pytest.mark.parametrize("argv, option", list(_reach_cases()))
+    def test_option_reaches_the_config(self, argv, option, monkeypatch):
+        for module, name, config_of in _ENTRY_POINTS:
+
+            def stub(*args, _config_of=config_of, **kwargs):
+                raise _Captured(_config_of(*args, **kwargs), kwargs)
+
+            monkeypatch.setattr(module, name, stub)
+        value = _NON_DEFAULT[option]
+        argv = [*argv, "--profile", "fast", OPTIONS[option][0], value]
+        if argv[0] == "chaos" and option != "network":
+            argv += ["--network", "tree"]  # --network both ignores --algorithm
+        with pytest.raises(_Captured) as captured:
+            main(argv)
+        if option == "arbiter_closed":
+            reached = captured.value.kwargs[option]
+        else:
+            reached = getattr(captured.value.config, option)
+        assert reached == type(reached)(value)
+
+    def test_every_builder_is_covered(self):
+        builders = {argv[0] for argv in _BUILDERS}
+        for name, _help, _handler, _options in cli._commands():
+            if _declared(name) and name not in builders:
+                # takes a recipe option but hands no SimulationConfig on
+                assert name in {"fig5", "fig6", "fig7", "analyze", "dimensions", "info"}

@@ -331,24 +331,21 @@ class TestZeroDeliveryGuards:
 class TestOverloadCampaign:
     def _campaign(self, **overrides):
         kwargs = dict(
-            network="tree",
             loads=[0.4, 0.9],
             profile=FAST,
-            k=2,
-            n=2,
-            vcs=2,
-            seed=11,
             transport=TransportConfig(base_timeout=32, max_retries=2),
         )
         kwargs.update(overrides)
-        return congestion_campaign(**kwargs)
+        return congestion_campaign(
+            tree_config(k=2, n=2, vcs=2, seed=11, **FAST.windows), **kwargs
+        )
 
     def test_helpers(self):
         assert overload_loads(0.6, points=5) == [0.3, 0.525, 0.75, 0.975, 1.2]
         assert overload_loads(0.6, points=1, max_factor=2.0) == [1.2]
         # unknown shapes fall back instead of crashing the campaign
         assert (
-            saturation_reference("tree", 2, 2, "tree_adaptive", 2, "uniform")
+            saturation_reference(tree_config(k=2, n=2, vcs=2))
             == FALLBACK_SATURATION
         )
 
@@ -400,8 +397,8 @@ class TestOverloadCampaign:
 class TestScorecardCongestionPanel:
     def _overload_results(self):
         campaign = congestion_campaign(
-            network="tree", loads=[0.4, 0.9], profile=FAST, k=2, n=2,
-            vcs=2, seed=11,
+            tree_config(k=2, n=2, vcs=2, seed=11, **FAST.windows),
+            loads=[0.4, 0.9], profile=FAST,
             transport=TransportConfig(base_timeout=32, max_retries=2),
         )
         return [r for series in campaign for r in series.results]

@@ -20,7 +20,7 @@ from repro.experiments.sweep import (
 )
 from repro.profiles import FAST, Profile
 from repro.sim.config import SimulationConfig
-from repro.sim.run import Audit
+from repro.sim.run import Audit, tree_config
 from repro.traffic.transport import TransportConfig
 
 from .campaign_digests import digests
@@ -86,7 +86,8 @@ class TestPointIdentity:
     def test_chaos_series_with_one_display_label_stay_apart(self, tmp_path):
         statuses = []
         campaign = chaos_campaign(
-            fault_rates=(0.101, 0.104), loads=[0.3], k=4, n=3, vcs=2, profile=FAST,
+            tree_config(k=4, n=3, vcs=2, seed=47, **FAST.windows),
+            fault_rates=(0.101, 0.104), loads=[0.3], profile=FAST,
             checkpoints=CampaignCheckpoints(str(tmp_path), 100),
             progress=lambda p: statuses.append(p.status),
         )
@@ -102,7 +103,8 @@ class TestPointIdentity:
         def campaign(arbiter_closed):
             statuses = []
             series = congestion_campaign(
-                loads=[0.4, 0.9], profile=FAST, k=2, n=2, vcs=2, seed=11,
+                tree_config(k=2, n=2, vcs=2, seed=11, **FAST.windows),
+                loads=[0.4, 0.9], profile=FAST,
                 transport=TransportConfig(base_timeout=32, max_retries=2),
                 arbiter_closed=arbiter_closed,
                 checkpoints=CampaignCheckpoints(str(tmp_path), 100),
@@ -152,8 +154,9 @@ class TestRunCurves:
         assert len(fig5.fig5_experiment("uniform", **small).series) == 3
         assert len(fig6.fig6_experiment("uniform", **small).series) == 2
         assert len(dimension.dimension_study(shapes=((4, 2), (2, 4)), profile=profile)) == 2
-        storms = chaos_campaign(fault_rates=(0.0, 0.2), vcs=2, **small)
-        modes = congestion_campaign(vcs=2, **small)
+        shape = tree_config(k=4, n=2, vcs=2, **profile.windows)
+        storms = chaos_campaign(shape, (0.0, 0.2), profile=profile)
+        modes = congestion_campaign(shape, profile=profile)
         for series in (*storms, *modes):
             assert len(series.results) == 2 and not series.series.failures
         assert [len(table) for table in tables] == [3, 2, 2, 2, 2]

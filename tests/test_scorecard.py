@@ -45,7 +45,7 @@ from repro.obs.report import (
 )
 from repro.obs.statehash import simulate_with_statehash
 from repro.profiles import Profile
-from repro.sim.run import simulate
+from repro.sim.run import simulate, tree_config
 from repro.traffic.transport import TransportConfig
 
 from .conftest import small_cube_config, small_tree_config
@@ -174,7 +174,7 @@ def report_documents() -> dict[str, str]:
     up, an open/closed overload pair whose last run kept no latencies, all
     four flight-recorded, and two state-digested replicas."""
     profile = Profile(name="pin", warmup_cycles=100, total_cycles=500, sweep_points=2)
-    grid = dict(network="tree", profile=profile, k=2, n=2, seed=11)
+    shape = dict(k=2, n=2, seed=11, **profile.windows)
     plain = [simulate(small_tree_config(load=load, seed=3)) for load in (0.1, 0.3, 0.6)]
     plain += [
         simulate(small_cube_config(load=load, seed=3, algorithm=algorithm))
@@ -184,14 +184,15 @@ def report_documents() -> dict[str, str]:
     cube_forensics = simulate_with_forensics(small_cube_config(load=0.7, pattern="transpose"))
     tree_forensics = simulate_with_forensics(small_tree_config(load=0.7, pattern="transpose"))
     storms = chaos_campaign(
-        fault_rates=(0.0, 0.2), loads=[0.4], storm_seed=9,
+        tree_config(**shape), fault_rates=(0.0, 0.2), loads=[0.4], storm_seed=9,
         transport=TransportConfig(base_timeout=16, max_retries=1),
-        instruments=[Flight(FlightConfig(interval_cycles=64))], **grid,
+        instruments=[Flight(FlightConfig(interval_cycles=64))], profile=profile,
     )
     overload = congestion_campaign(
-        loads=[0.4, 0.9], vcs=2, pattern="transpose",
+        tree_config(vcs=2, pattern="transpose", **shape), loads=[0.4, 0.9],
         transport=TransportConfig(base_timeout=32, max_retries=2),
-        instruments=[Flight(FlightConfig(interval_cycles=32, collapse_intervals=2))], **grid,
+        instruments=[Flight(FlightConfig(interval_cycles=32, collapse_intervals=2))],
+        profile=profile,
     )
     chaos = [run for series in storms for run in series.results]
     congestion = [run for series in overload for run in series.results]
@@ -234,7 +235,7 @@ def report_documents() -> dict[str, str]:
 
     # the fallback axis limits (no fault struck, nothing retransmitted) and
     # a replica pair whose chain heads disagree, one with no sampled root
-    baseline = chaos_campaign(fault_rates=(0.0,), loads=[0.4], **grid)[0].results
+    baseline = chaos_campaign(tree_config(**shape), (0.0,), loads=[0.4], profile=profile)[0].results
     (label, chain), (twin, _) = statehash_entries(replicas)
     forked = [(label, chain), (twin, {**chain, "chain_head": "0" * 64, "roots": []})]
     docs["scorecard/fallbacks"] = render_scorecard(

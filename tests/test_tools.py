@@ -2,6 +2,7 @@
 codes.  (``tools/pcsample.py --smoke`` is a CI step.)"""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -54,3 +55,17 @@ def test_loc_refuses_a_root_that_does_not_exist(tmp_path):
         refused = subprocess.run([*command, missing], capture_output=True, text=True, timeout=60)
         assert refused.returncode == 2 and refused.stdout == ""
         assert refused.stderr.count("\n") == 1 and missing in refused.stderr
+
+
+def test_loc_exits_quietly_when_the_reader_stops_early():
+    # ``loc.py src | head -3``: the reader is gone before the first write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = subprocess.run(
+            [sys.executable, str(TOOLS / "loc.py"), str(TOOLS.parent / "src")],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert closed.returncode == 0 and closed.stderr == ""

@@ -9,6 +9,7 @@ the comments are gone.
 """
 
 import ast
+import os
 import pathlib
 import re
 import sys
@@ -68,4 +69,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``loc.py | head``) and has what it read;
+        # stdout goes to devnull so the exit-time flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
