@@ -544,13 +544,14 @@ def cmd_sweep(args) -> int:
 def cmd_trace(args) -> int:
     def body() -> int:
         from .obs import MultiProbe, TraceProbe, WindowedCounterProbe
+        from .obs.forensics import hotspots
 
         config = _make_config(args)
         tracer = TraceProbe(max_events=args.max_events)
         counters = WindowedCounterProbe(window_cycles=args.window)
         # survives a deadlock: the trace up to the wedge is exactly what
         # one wants to see
-        result, _engine, deadlocked = simulate_post_mortem(
+        result, engine, deadlocked = simulate_post_mortem(
             config, _instruments(args), probe=MultiProbe([tracer, counters])
         )
         if args.watch:
@@ -596,15 +597,14 @@ def cmd_trace(args) -> int:
             + f", {len(counters.windows)} counter windows -> {', '.join(written)}"
         )
         _print_tiers(result)
-        blocked = counters.most_blocked(3)
-        if blocked and blocked[0][1]["blocked_cycles"]:
+        hot = hotspots(engine, top=3)
+        if hot["top"]:
             print("most blocked channel directions (switch, port):")
-            for (switch, port), tot in blocked:
-                if not tot["blocked_cycles"]:
-                    continue
+            for rec in hot["top"]:
                 print(
-                    f"  sw{switch} port{port}: {tot['blocked_cycles']} blocked cycles, "
-                    f"{tot['flits']} flits over {tot['cycles']} measured cycles"
+                    f"  sw{rec['switch']} port{rec['port']}: {rec['blocked_cycles']} "
+                    f"blocked cycles, {rec['flits']} flits over "
+                    f"{hot['measured_cycles']} measured cycles"
                 )
         if deadlocked is not None:
             print(f"error: {deadlocked}", file=sys.stderr)

@@ -34,13 +34,13 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..metrics.series import LoadSweepSeries
-from ..obs.flight import Flight, FlightConfig
+from ..obs.flight import FlightConfig
 from ..obs.probe import Instrument
 from ..obs.report import paper_reference
 from ..profiles import Profile, get_profile
 from ..sim.config import SimulationConfig
-from ..sim.results import RunResult, mean_goodput_fraction, total_given_up, worst_p99
-from ..sim.run import Audit, simulate
+from ..sim.results import RunResult, worst_p99
+from ..sim.run import Audit
 from ..traffic.congestion import Congested, CongestionConfig
 from ..traffic.transport import Reliable, TransportConfig, attach_reliability
 from .chaos import default_transport
@@ -103,10 +103,10 @@ class OverloadSpec:
         arbiter: lane arbitration policy for the run.
         transport: reliable-transport tuning.
         control: congestion-loop tuning (ignored when open loop).
-        flight: attach a flight recorder with this tuning; the timeline
-            document (window dynamics, mark/decrease/collapse-onset
-            annotations) rides on ``telemetry.flight`` into the ledger,
-            where the scorecard's dynamics panel reads it.
+        flight: read by nothing — a flight recorder is an instrument,
+            ``overload_recipe(config, spec, [Flight(...)])``.  Kept because
+            the spec's ``repr`` is part of every congestion point's cache
+            key and checkpoint directory.
     """
 
     closed_loop: bool
@@ -159,21 +159,6 @@ def overload_recipe(
     return config, (*instruments, Audit(), Overload(spec))
 
 
-def run_overload_point(
-    config: SimulationConfig, spec: OverloadSpec, checkpoint=None
-) -> RunResult:
-    """Simulate one overload point in one mode (:func:`overload_recipe`,
-    under a flight recorder when ``spec.flight`` is set).  The engine is
-    audited after the run.
-
-    ``checkpoint`` (a :class:`~repro.sim.checkpoint.CheckpointPolicy`)
-    makes the point resumable; transport/AIMD state rides the snapshot.
-    """
-    observers = (Flight(spec.flight),) if spec.flight is not None else ()
-    config, tiers = overload_recipe(config, spec, observers)
-    return simulate(config, tiers, checkpoint=checkpoint)
-
-
 @dataclass(frozen=True)
 class OverloadSeries:
     """One mode of an overload campaign: a full offered-load sweep."""
@@ -181,25 +166,6 @@ class OverloadSeries:
     spec: OverloadSpec
     series: LoadSweepSeries
     results: tuple[RunResult, ...]
-
-    def _past_saturation(self) -> list[RunResult]:
-        return [
-            r for r in self.results if r.config.load > self.spec.saturation
-        ]
-
-    @property
-    def overload_goodput_fraction(self) -> float:
-        """Mean goodput fraction over the points past saturation."""
-        return mean_goodput_fraction(self._past_saturation())
-
-    @property
-    def overload_p99_latency(self) -> float | None:
-        """Worst p99 latency over the points past saturation."""
-        return worst_p99(self._past_saturation())
-
-    @property
-    def total_given_up(self) -> int:
-        return total_given_up(self.results)
 
 
 def congestion_campaign(

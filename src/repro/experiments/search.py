@@ -27,10 +27,6 @@ class SaturationEstimate:
     hi: float  # lowest load observed saturated (may equal upper bound)
     evaluations: int  # simulations spent
 
-    @property
-    def uncertainty(self) -> float:
-        return self.hi - self.lo
-
 
 def is_saturated(result, tol: float = 0.05) -> bool:
     """§6 criterion with relative tolerance against sampling noise."""

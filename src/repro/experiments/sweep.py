@@ -289,7 +289,7 @@ def _watchdog_child(
         conn.close()
 
 
-def _simulate_with_timeout(
+def _simulate_under_timeout(
     config: SimulationConfig,
     timeout: float,
     simulate_fn=simulate,
@@ -425,7 +425,7 @@ def _point_task(
         try:
             if timeout is None:
                 return ("ok", fn(cfg))
-            return ("ok", _simulate_with_timeout(cfg, timeout, fn, supervised))
+            return ("ok", _simulate_under_timeout(cfg, timeout, fn, supervised))
         except _RETRYABLE as exc:
             last = exc
     failure = FailedPoint(

@@ -38,11 +38,6 @@ class CNFResult:
         return {s.label: sustained_rate(s, tol) for s in self.series}
 
 
-def cnf_from_sweep(title: str, series: list[LoadSweepSeries]) -> CNFResult:
-    """Bundle sweep series into a CNF experiment result."""
-    return CNFResult(title=title, series=series)
-
-
 @dataclass(frozen=True)
 class AbsolutePoint:
     """One Figure-7 point: aggregate bits/ns and latency in ns."""

@@ -14,13 +14,16 @@ uninstrumented runs:
   ``simulate(config, instruments=[...])`` installs and lets finish the
   result (``Forensics``, ``Flight``, ``StateHash`` below; ``Reliable``,
   ``Congested``, ``Storm``, ``Overload`` in the traffic and experiment
-  packages).
+  packages).  A tier has no entry point of its own: an instrumented run
+  is ``simulate(config, [Forensics(), ...])``, or
+  ``simulate_post_mortem`` when a deadlock must leave its documents.
 * :mod:`repro.obs.trace` — :class:`TraceProbe`: a packet-lifecycle event
   trace exportable as JSONL and Chrome ``trace_event`` format
   (``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.counters` — :class:`WindowedCounterProbe`: per-window,
   per-direction flit/blocked-cycle/occupancy counters that respect the
-  measurement window (windows of the engine's own link counters).
+  measurement window (windows of the engine's own link counters), the
+  file ``repro-net trace --counters`` writes.
 * :mod:`repro.obs.telemetry` — :class:`RunTelemetry`: the provenance and
   performance record (config digest, seed, wall clock, cycles/sec, peak
   in-flight, per-phase wall-time split) attached to every
@@ -44,7 +47,8 @@ On top of the per-run signals sits the aggregation tier:
   per-packet latency attribution (:class:`ForensicsProbe` et al.),
   wait-for graph sampling with deadlock-precursor detection, and the
   per-link hotspot section read off the engine's link counters, feeding
-  ``repro-net analyze`` and the scorecard's breakdown/heatmap panels.
+  ``repro-net analyze``, the scorecard's breakdown/heatmap panels and the
+  most-blocked listing of ``repro-net trace``.
 * :mod:`repro.obs.heatmap` — all markup, once: the drawing primitives
   (``svg_open``, ``panel_pair``, ``legend``, ``table``, ``page`` and
   the stylesheet) and the stdlib-SVG figures of one forensics document
@@ -111,10 +115,7 @@ _LAZY = {
     "StreamingHistogram": "forensics",
     "WaitForGraphSampler": "forensics",
     "WaitForSample": "forensics",
-    "attach_forensics": "forensics",
     "describe_forensics": "forensics",
-    "run_with_forensics": "forensics",
-    "simulate_with_forensics": "forensics",
     "hotspot_heatmap_svg": "heatmap",
     "latency_breakdown_svg": "heatmap",
     "standalone_svg": "heatmap",
@@ -124,7 +125,6 @@ _LAZY = {
     "Flight": "flight",
     "FlightRecorder": "flight",
     "describe_flight": "flight",
-    "simulate_with_flight": "flight",
     "format_percentiles": "percentiles",
     "percentile_table": "percentiles",
     "STATEHASH_FORMAT_VERSION": "statehash",
@@ -134,7 +134,6 @@ _LAZY = {
     "StateHash": "statehash",
     "describe_statehash": "statehash",
     "engine_fingerprint": "statehash",
-    "simulate_with_statehash": "statehash",
     "state_snapshot": "statehash",
     "DIFF_FORMAT_VERSION": "diff",
     "DIVERGENCE_EXIT_CODE": "diff",
@@ -163,71 +162,16 @@ __all__ = [
     "CounterWindow",
     "DirectionWindow",
     "WindowedCounterProbe",
-    "LEDGER_FORMAT_VERSION",
-    "Ledger",
-    "ledger_record",
-    "MultiProbe",
-    "compose_probe",
     "Instrument",
+    "MultiProbe",
     "NullProbe",
     "Probe",
-    "CongestionCurve",
-    "PaperRef",
-    "ReliabilityCurve",
-    "ScorecardFigure",
-    "congestion_curves",
-    "figures_from_results",
-    "forensics_by_figure",
-    "paper_reference",
-    "partition_results",
-    "reliability_curves",
-    "render_scorecard",
-    "write_scorecard",
-    "FORENSICS_FORMAT_VERSION",
-    "Forensics",
-    "ForensicsProbe",
-    "LatencyAttributionProbe",
-    "PacketAttribution",
-    "StreamingHistogram",
-    "WaitForGraphSampler",
-    "WaitForSample",
-    "attach_forensics",
-    "describe_forensics",
-    "run_with_forensics",
-    "simulate_with_forensics",
-    "hotspot_heatmap_svg",
-    "latency_breakdown_svg",
-    "standalone_svg",
-    "flight_timeline_svg",
-    "FLIGHT_FORMAT_VERSION",
-    "FlightConfig",
-    "Flight",
-    "FlightRecorder",
-    "describe_flight",
-    "simulate_with_flight",
-    "format_percentiles",
-    "percentile_table",
-    "STATEHASH_FORMAT_VERSION",
-    "DIGEST_ALGO",
-    "StateDigestConfig",
-    "StateDigestProbe",
-    "StateHash",
-    "describe_statehash",
-    "engine_fingerprint",
-    "simulate_with_statehash",
-    "state_snapshot",
-    "DIFF_FORMAT_VERSION",
-    "DIVERGENCE_EXIT_CODE",
-    "compare_chains",
-    "describe_diff",
-    "diff_runs",
-    "snapshot_diff",
-    "statehash_entries",
-    "render_diff_html",
+    "compose_probe",
     "PHASE_NAMES",
     "RunTelemetry",
     "config_digest",
     "EVENT_KINDS",
     "TraceEvent",
     "TraceProbe",
+    *_LAZY,
 ]

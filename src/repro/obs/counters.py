@@ -168,26 +168,3 @@ class WindowedCounterProbe(Probe):
     def to_dicts(self) -> list[dict]:
         """Plain-data form of every window, for JSON export."""
         return [w.to_dict() for w in self.windows]
-
-    def totals(self) -> dict[tuple[int, int], dict]:
-        """Whole-measurement totals per direction ``(switch, port)``."""
-        out: dict[tuple[int, int], dict] = {}
-        for w in self.windows:
-            for d in w.directions:
-                entry = out.setdefault(
-                    (d.switch, d.port),
-                    {"flits": 0, "blocked_cycles": 0, "cycles": 0,
-                     "to_node": d.to_node},
-                )
-                entry["flits"] += d.flits
-                entry["blocked_cycles"] += d.blocked_cycles
-                entry["cycles"] += w.cycles
-        return out
-
-    def most_blocked(self, n: int = 5) -> list[tuple[tuple[int, int], dict]]:
-        """The ``n`` directions with the most blocked cycles overall."""
-        return sorted(
-            self.totals().items(),
-            key=lambda kv: kv[1]["blocked_cycles"],
-            reverse=True,
-        )[:n]

@@ -22,10 +22,10 @@ chains into an answer:
    field added to a row shows up here with no edit.
 
 Inputs are run documents (``repro run --statehash --json``), ledger
-records, or bare config dicts; sides without a recorded chain are
-re-run.  The outcome document is deterministic — byte-identical across
-reruns of the same pair — so diffs themselves can be archived and
-compared.
+records, or bare config dicts; a side without a recorded chain is re-run
+as ``simulate(config, [StateHash(StateDigestConfig(interval))])``.  The
+outcome document is deterministic — byte-identical across reruns of the
+same pair — so diffs themselves can be archived and compared.
 
 Example::
 
@@ -44,8 +44,8 @@ from ..errors import AnalysisError, ConfigurationError, SimulationError
 from .statehash import (
     SUBSYSTEMS,
     StateDigestConfig,
+    StateHash,
     engine_fingerprint,
-    simulate_with_statehash,
     state_snapshot,
 )
 from .telemetry import config_digest
@@ -93,10 +93,11 @@ def _resolve_side(source, label: str, interval: int | None) -> _Side:
     """A diff side from a run document, ledger record or config dict.
 
     A recorded chain is reused when present and compatible with the
-    requested interval; otherwise the config is re-run with a
-    :class:`StateDigestProbe` to produce one.
+    requested interval; otherwise the config is re-run under the
+    :class:`~repro.obs.statehash.StateHash` instrument to produce one.
     """
     from ..sim.config import SimulationConfig
+    from ..sim.run import simulate
 
     chain = None
     if isinstance(source, SimulationConfig):
@@ -121,8 +122,7 @@ def _resolve_side(source, label: str, interval: int | None) -> _Side:
     reran = chain is None
     if reran:
         digest_config = StateDigestConfig(interval_cycles=interval or 128)
-        result = simulate_with_statehash(config, digest_config)
-        chain = result.telemetry.statehash
+        chain = simulate(config, [StateHash(digest_config)]).telemetry.statehash
     return _Side(label=label, config=config, chain=chain, reran=reran)
 
 

@@ -554,28 +554,6 @@ class Flight(Instrument):
         return recorder
 
 
-def simulate_with_flight(
-    config,
-    flight: FlightConfig | None = None,
-    on_sample=None,
-    events=None,
-    checkpoint=None,
-):
-    """``simulate(config)`` with a flight recorder attached.
-
-    Module-level and driven by picklable arguments so the resilient
-    sweep harness can fan it out over process pools (``on_sample`` and
-    ``events`` are for in-process use, and are incompatible with
-    ``checkpoint`` — a live stream cannot ride inside a snapshot).  The
-    flight document lands on ``result.telemetry.flight``.
-    """
-    from ..sim.run import simulate
-
-    return simulate(
-        config, [Flight(flight, on_sample, events)], checkpoint=checkpoint
-    )
-
-
 def describe_flight(doc: dict) -> str:
     """A short human-readable digest of a flight document."""
     rows = doc["rows"]

@@ -694,19 +694,6 @@ def describe_forensics(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def attach_forensics(result, probe: ForensicsProbe):
-    """Fold ``probe``'s forensics document into ``result.telemetry``.
-
-    Returns the result (telemetry is frozen, so it is replaced rather
-    than mutated); a result with no telemetry is returned unchanged.
-    """
-    if result.telemetry is not None:
-        result.telemetry = dataclasses.replace(
-            result.telemetry, forensics=probe.summary()
-        )
-    return result
-
-
 @dataclasses.dataclass(frozen=True)
 class Forensics(Instrument):
     """The forensics tier as an instrument of
@@ -724,42 +711,7 @@ class Forensics(Instrument):
         return probe
 
     def finish(self, engine, live, result):
-        return attach_forensics(result, live)
-
-
-def simulate_with_forensics(config, sample_every: int = 200, checkpoint=None):
-    """``simulate(config)`` with the forensics tier attached.
-
-    The forensics document lands on the result's telemetry, so it
-    survives pickling (parallel sweep workers), the run JSON document
-    and the ledger.  Raises :class:`~repro.errors.DeadlockError` exactly
-    like :func:`~repro.sim.run.simulate` — campaign resilience handling
-    stays unchanged.  ``checkpoint`` makes the run resumable; the
-    forensics document is then rebuilt from the *restored* probe.
-    """
-    from ..sim.run import simulate
-
-    return simulate(config, [Forensics(sample_every)], checkpoint=checkpoint)
-
-
-def run_with_forensics(
-    config, sample_every: int = 200, keep_packets: int = 0, probe=None
-):
-    """One forensics-instrumented run that survives a deadlock.
-
-    Returns ``(result, probe, deadlock)`` where ``deadlock`` is the
-    caught :class:`~repro.errors.DeadlockError` or None.  On deadlock
-    the partial result still carries the forensics document — including
-    the sampler's precursor snapshot, which by then has usually seen the
-    wedge form — because the post-mortem is the whole point.
-
-    ``probe`` composes an extra observer (e.g. a flight recorder)
-    alongside the forensics tier; the returned probe is always the
-    :class:`ForensicsProbe`.
-    """
-    from ..sim.run import simulate_post_mortem
-
-    result, engine, deadlock = simulate_post_mortem(
-        config, [Forensics(sample_every, keep_packets)], probe=probe
-    )
-    return result, engine.find_probe(ForensicsProbe), deadlock
+        result.telemetry = dataclasses.replace(
+            result.telemetry, forensics=live.summary()
+        )
+        return result

@@ -41,8 +41,9 @@ backend can replay a chain entry-for-entry.
 
 Example::
 
-    from repro.obs.statehash import simulate_with_statehash
-    result = simulate_with_statehash(config)
+    from repro.obs.statehash import StateHash
+    from repro.sim.run import simulate
+    result = simulate(config, [StateHash()])
     print(result.telemetry.statehash["chain_head"])
 """
 
@@ -669,22 +670,6 @@ class StateHash(Instrument):
         probe = StateDigestProbe(self.config)
         compose_probe(engine, probe)
         return probe
-
-
-def simulate_with_statehash(
-    config, statehash: StateDigestConfig | None = None, probe=None, checkpoint=None
-):
-    """One run with the digest chain on ``result.telemetry.statehash``.
-
-    ``probe`` composes an additional observer alongside the digest
-    probe.  Module-level and picklable, so campaign pools can ship it to
-    workers.  With ``checkpoint`` the digest chain doubles as the restore
-    verifier: a resumed run's chain is byte-identical to an uninterrupted
-    one's.
-    """
-    from ..sim.run import simulate
-
-    return simulate(config, [StateHash(statehash)], probe=probe, checkpoint=checkpoint)
 
 
 def describe_statehash(doc: dict) -> str:

@@ -61,10 +61,8 @@ class RunTelemetry:
             for documents written before the timers existed.
         forensics: the congestion-forensics document (latency
             attribution, wait-for graph summary, link hotspots) attached
-            by :func:`repro.obs.forensics.attach_forensics` when the run
-            was instrumented with a
-            :class:`~repro.obs.forensics.ForensicsProbe`; ``None`` for
-            uninstrumented runs and older archives.
+            by the :class:`~repro.obs.forensics.Forensics` instrument at
+            run end; ``None`` for uninstrumented runs and older archives.
         reliability: the reliable-transport accounting document (message
             states, retransmissions, ack latencies — and, for chaos
             campaign points, the fault-storm recipe under ``"storm"``)

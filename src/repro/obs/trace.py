@@ -244,7 +244,3 @@ class TraceProbe(Probe):
         doc = self.chrome_trace_dict()
         pathlib.Path(path).write_text(json.dumps(doc))
         return len(doc["traceEvents"])
-
-    def packet_events(self, pid: int) -> list[TraceEvent]:
-        """All events of one packet, in emission order."""
-        return [ev for ev in self.events if ev.pid == pid]

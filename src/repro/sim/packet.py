@@ -80,17 +80,6 @@ class Packet(
         """
         return self.delivered - self.injected
 
-    @property
-    def head_latency(self) -> int:
-        """Header injection to header delivery — path-acquisition delay."""
-        return self.head_delivered - self.injected
-
-    @property
-    def tail_latency(self) -> int:
-        """Header delivery to tail delivery — the serialization /
-        link-multiplexing component the paper's §8 discussion isolates."""
-        return self.delivered - self.head_delivered
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(pid={self.pid}, {self.src}->{self.dst}, size={self.size}, "

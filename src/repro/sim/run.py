@@ -116,14 +116,14 @@ def simulate(
 ) -> RunResult:
     """Run one simulation to completion and return its measurements.
 
-    The one instrumented-run pipeline: every ``simulate_*`` / ``run_*_point``
-    entry point is this call with its tier's
-    :class:`~repro.obs.probe.Instrument` specs in ``instruments`` —
+    The one instrumented-run pipeline: a tier is an
+    :class:`~repro.obs.probe.Instrument` spec in ``instruments`` —
     ``Forensics``, ``Flight``, ``StateHash``, ``Reliable``, ``Congested``,
-    ``Storm``, ``Overload``, :class:`Audit` — and any of them combines
-    with any other.  Specs are installed in list order — list observers
-    before the transport tiers, so that they see a cycle before the
-    protocol acts on it — and each attaches its document to the result
+    ``Storm``, ``Overload``, ``Faults``, ``Replay``, :class:`Audit` — and
+    any of them combines with any other (:func:`simulate_post_mortem` when
+    a deadlock must survive).  Specs are installed in list order — list
+    observers before the transport tiers, so that they see a cycle before
+    the protocol acts on it — and each attaches its document to the result
     afterwards.  An optional ``probe`` (:mod:`repro.obs`) is attached
     first; the returned result always carries
     :class:`~repro.obs.telemetry.RunTelemetry`.
@@ -215,15 +215,3 @@ def cube_config(
         load=load,
         **overrides,
     )
-
-
-def quick_run(**kwargs) -> RunResult:
-    """Tiny-network smoke helper used by examples and docs.
-
-    Any keyword accepted by :func:`tree_config`; defaults to a 2-ary
-    2-tree at light load with short windows so it completes in
-    milliseconds.
-    """
-    defaults = dict(k=2, n=2, vcs=2, load=0.2, warmup_cycles=50, total_cycles=400)
-    defaults.update(kwargs)
-    return simulate(tree_config(**defaults))

@@ -493,10 +493,6 @@ class ReliableTransport(Probe):
 
     # -- reporting ------------------------------------------------------------
 
-    def pending_messages(self) -> int:
-        """Messages still unresolved (queued, in flight, or timed)."""
-        return self.total_unresolved()
-
     def summary(self) -> dict:
         """The reliability accounting document (``telemetry.reliability``).
 

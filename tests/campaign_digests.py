@@ -25,7 +25,7 @@ import tempfile
 
 from repro.experiments import sweep
 from repro.experiments.chaos import chaos_campaign
-from repro.experiments.congestion import OverloadSpec, congestion_campaign, run_overload_point
+from repro.experiments.congestion import OverloadSpec, congestion_campaign, overload_recipe
 from repro.experiments.degradation import degradation_experiment, transient_experiment
 from repro.experiments.dimension import dimension_study
 from repro.experiments.drain import drain_permutation, drain_table
@@ -186,7 +186,7 @@ def _blocked() -> dict:
         telemetry = simulate(
             config, [Forensics(), _BLOCKED_FLIGHT], probe=MultiProbe([measured, whole])
         ).telemetry
-        marking = run_overload_point(config, _MARKING).telemetry.reliability
+        marking = simulate(*overload_recipe(config, _MARKING)).telemetry.reliability
         out[network] = {
             "counters": _json_sha(measured.to_dicts()),
             "counters.warmup": _json_sha(whole.to_dicts()),

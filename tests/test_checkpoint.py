@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import CheckpointError, PointTimeoutError, WorkerDiedError
 from repro.experiments.chaos import StormSpec, run_chaos_point
-from repro.experiments.congestion import OverloadSpec, run_overload_point
+from repro.experiments.congestion import OverloadSpec, overload_recipe
 from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import (
     CampaignCheckpoints,
@@ -33,8 +33,8 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.faults import Faults
-from repro.obs.flight import FlightConfig, FlightRecorder, simulate_with_flight
-from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder
+from repro.obs.statehash import StateDigestConfig, StateHash
 from repro.router.lane import LinkDirection
 from repro.sim import checkpoint as checkpoint_module
 from repro.sim.checkpoint import (
@@ -264,11 +264,11 @@ class TestResumeIdentity:
 
     def test_statehash_chain_identical_across_resume(self, tmp_path):
         config = _build(dict(network="tree", vcs=2))
-        digests = StateDigestConfig(interval_cycles=100)
-        reference = simulate_with_statehash(config, digests)
+        tiers = [StateHash(StateDigestConfig(interval_cycles=100))]
+        reference = simulate(config, tiers)
         policy = _policy(tmp_path)
-        simulate_with_statehash(config, digests, checkpoint=policy)
-        resumed = simulate_with_statehash(config, digests, checkpoint=policy)
+        simulate(config, tiers, checkpoint=policy)
+        resumed = simulate(config, tiers, checkpoint=policy)
         assert (
             resumed.telemetry.statehash["chain"]
             == reference.telemetry.statehash["chain"]
@@ -277,11 +277,11 @@ class TestResumeIdentity:
 
     def test_flight_timeline_identical_across_resume(self, tmp_path):
         config = _build(dict(network="tree", vcs=2))
-        flight = FlightConfig(interval_cycles=64)
-        reference = _canonical(simulate_with_flight(config, flight))
+        tiers = [Flight(FlightConfig(interval_cycles=64))]
+        reference = _canonical(simulate(config, tiers))
         policy = _policy(tmp_path)
-        simulate_with_flight(config, flight, checkpoint=policy)
-        resumed = simulate_with_flight(config, flight, checkpoint=policy)
+        simulate(config, tiers, checkpoint=policy)
+        resumed = simulate(config, tiers, checkpoint=policy)
         assert _canonical(resumed) == reference
 
     def test_reliable_transport_resume(self, tmp_path):
@@ -321,10 +321,11 @@ class TestResumeIdentity:
             transport=TransportConfig(base_timeout=32, jitter=4),
             control=CongestionConfig(window_cycles=32),
         )
-        reference = _canonical(run_overload_point(config, spec))
+        config, tiers = overload_recipe(config, spec)
+        reference = _canonical(simulate(config, tiers))
         policy = _policy(tmp_path, interval=200)
-        run_overload_point(config, spec, checkpoint=policy)
-        resumed = run_overload_point(config, spec, checkpoint=policy)
+        simulate(config, tiers, checkpoint=policy)
+        resumed = simulate(config, tiers, checkpoint=policy)
         assert _canonical(resumed) == reference
 
     def test_a_snapshot_written_under_one_storage_resumes_under_the_other(self, tmp_path):

@@ -227,6 +227,24 @@ class TestObservability:
         assert cdoc["window_cycles"] == 100
         assert cdoc["windows"]
 
+    def test_trace_lists_the_hottest_directions(self, tmp_path, capsys):
+        # a saturating 16-node tree: the listing is pinned line for line
+        code = main(
+            [
+                "trace", "--network", "tree", "--k", "2", "--n", "4",
+                "--vcs", "2", "--pattern", "transpose", "--load", "0.9",
+                "--profile", "fast", "--out", str(tmp_path / "trace.json"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        at = out.index("most blocked channel directions (switch, port):")
+        assert out[at + 1:] == [
+            "  sw28 port1: 197 blocked cycles, 140 flits over 400 measured cycles",
+            "  sw24 port1: 196 blocked cycles, 132 flits over 400 measured cycles",
+            "  sw26 port1: 177 blocked cycles, 68 flits over 400 measured cycles",
+        ]
+
     def test_run_prints_phase_split(self, capsys):
         assert main(self.RUN_ARGS) == 0
         assert "phases: link" in capsys.readouterr().out

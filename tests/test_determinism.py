@@ -11,10 +11,11 @@ fields and demands byte equality on the serialized rest."""
 import json
 
 from repro.experiments.chaos import StormSpec, run_chaos_point
-from repro.experiments.congestion import OverloadSpec, run_overload_point
+from repro.experiments.congestion import OverloadSpec, overload_recipe
 from repro.metrics.io import run_result_to_dict
-from repro.obs.flight import FlightConfig, simulate_with_flight
-from repro.obs.forensics import simulate_with_forensics
+from repro.obs.flight import Flight, FlightConfig
+from repro.obs.forensics import Forensics
+from repro.obs.statehash import StateDigestConfig, StateHash
 from repro.sim.run import simulate
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import TransportConfig, simulate_reliable
@@ -57,7 +58,7 @@ class TestRunDocumentDeterminism:
         # the forensics document rides on telemetry, so the instrumented
         # run must be deterministic including its histograms and samples
         _assert_identical(
-            lambda: simulate_with_forensics(small_cube_config(load=0.5))
+            lambda: simulate(small_cube_config(load=0.5), [Forensics()])
         )
 
     def test_reliable_transport_run(self):
@@ -91,15 +92,15 @@ class TestRunDocumentDeterminism:
             control=CongestionConfig(window_cycles=32),
         )
         _assert_identical(
-            lambda: run_overload_point(small_tree_config(load=0.6), spec)
+            lambda: simulate(*overload_recipe(small_tree_config(load=0.6), spec))
         )
 
     def test_flight_instrumented_run(self):
         # the flight timeline rides on telemetry.flight; its columnar
         # series, hot-link rankings and annotations must be byte-stable
         _assert_identical(
-            lambda: simulate_with_flight(
-                small_tree_config(load=0.5), FlightConfig(interval_cycles=64)
+            lambda: simulate(
+                small_tree_config(load=0.5), [Flight(FlightConfig(interval_cycles=64))]
             )
         )
 
@@ -107,23 +108,19 @@ class TestRunDocumentDeterminism:
         # the digest chain rides on telemetry.statehash; every root,
         # chain link and subsystem digest must be byte-stable or the
         # divergence debugger would bisect noise
-        from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
-
         _assert_identical(
-            lambda: simulate_with_statehash(
-                small_cube_config(load=0.5), StateDigestConfig(interval_cycles=64)
+            lambda: simulate(
+                small_cube_config(load=0.5), [StateHash(StateDigestConfig(interval_cycles=64))]
             )
         )
 
     def test_statehash_instrumented_run_with_decimation(self):
         # pair-coalescing drops the same rows in the same order, and the
         # chain head still commits to every root ever sampled
-        from repro.obs.statehash import StateDigestConfig, simulate_with_statehash
-
         _assert_identical(
-            lambda: simulate_with_statehash(
+            lambda: simulate(
                 small_tree_config(load=0.5),
-                StateDigestConfig(interval_cycles=4, max_intervals=8),
+                [StateHash(StateDigestConfig(interval_cycles=4, max_intervals=8))],
             )
         )
 
@@ -131,9 +128,9 @@ class TestRunDocumentDeterminism:
         # pair-coalescing must be deterministic too: same rows merge in
         # the same order, hot-link ties break on the label
         _assert_identical(
-            lambda: simulate_with_flight(
+            lambda: simulate(
                 small_tree_config(load=0.5),
-                FlightConfig(interval_cycles=4, max_intervals=8),
+                [Flight(FlightConfig(interval_cycles=4, max_intervals=8))],
             )
         )
 
@@ -145,10 +142,10 @@ class TestRunDocumentDeterminism:
             saturation=0.4,
             transport=TransportConfig(base_timeout=32, jitter=4),
             control=CongestionConfig(window_cycles=32),
-            flight=FlightConfig(interval_cycles=64),
         )
+        recorder = [Flight(FlightConfig(interval_cycles=64))]
         _assert_identical(
-            lambda: run_overload_point(small_tree_config(load=0.6), spec)
+            lambda: simulate(*overload_recipe(small_tree_config(load=0.6), spec, recorder))
         )
 
     def test_chaos_point(self):

@@ -118,5 +118,6 @@ class TestTracingAForcedDeadlock:
         assert probe.windows
         # once wedged, whole windows are pure blocking: the most blocked
         # direction accumulated a large share of its cycles
-        (_, top) = probe.most_blocked(1)[0]
-        assert top["blocked_cycles"] > top["cycles"] // 4
+        columns = zip(*(w.directions for w in probe.windows))
+        most = max(sum(d.blocked_cycles for d in column) for column in columns)
+        assert most > sum(w.cycles for w in probe.windows) // 4

@@ -24,16 +24,15 @@ from repro.obs.diff import (
     snapshot_diff,
 )
 from repro.obs.report import render_diff_html, statehash_entries
-from repro.obs.statehash import StateDigestProbe, simulate_with_statehash
+from repro.obs.statehash import StateDigestConfig, StateDigestProbe, StateHash
+from repro.sim.run import simulate
 from repro.traffic.transport import TransportConfig, simulate_reliable
 
 from .conftest import small_cube_config, small_tree_config
 
 
 def _run_doc(config, **statehash_kwargs) -> dict:
-    from repro.obs.statehash import StateDigestConfig
-
-    result = simulate_with_statehash(config, StateDigestConfig(**statehash_kwargs))
+    result = simulate(config, [StateHash(StateDigestConfig(**statehash_kwargs))])
     return run_result_to_dict(result)
 
 
@@ -224,7 +223,7 @@ class TestReportPanels:
         from repro.obs.report import render_scorecard
 
         results = [
-            simulate_with_statehash(small_tree_config(seed=s)) for s in (7, 7)
+            simulate(small_tree_config(seed=s), [StateHash()]) for s in (7, 7)
         ]
         entries = statehash_entries(results)
         assert len(entries) == 2

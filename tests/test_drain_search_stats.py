@@ -85,13 +85,13 @@ class TestSaturationSearch:
         assert isinstance(est, SaturationEstimate)
         assert est.lo <= est.load <= est.hi
         assert 0.1 < est.load < 0.9  # the small cube saturates mid-range
-        assert est.uncertainty <= 0.25
+        assert est.hi - est.lo <= 0.25
         assert est.evaluations <= 12
 
     def test_unsaturated_network_returns_hi(self):
         est = find_saturation(self.factory, lo=0.02, hi=0.1)
         assert est.load == 0.1
-        assert est.uncertainty == 0
+        assert est.hi == est.lo
 
     def test_invalid_bracket(self):
         with pytest.raises(AnalysisError):

@@ -17,17 +17,8 @@ import json
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
-from repro.experiments.congestion import (
-    DEFAULT_CONTROL,
-    OverloadSpec,
-    run_overload_point,
-)
-from repro.obs.flight import (
-    FlightConfig,
-    FlightRecorder,
-    describe_flight,
-    simulate_with_flight,
-)
+from repro.experiments.congestion import DEFAULT_CONTROL, OverloadSpec, overload_recipe
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder, describe_flight
 from repro.obs.heatmap import flight_timeline_svg
 from repro.sim.run import simulate, tree_config
 from repro.traffic.transport import TransportConfig, simulate_reliable
@@ -67,7 +58,7 @@ class TestFlightConfig:
 class TestDocumentShape:
     def test_engine_only_document(self):
         config = small_tree_config()
-        result = simulate_with_flight(config, FlightConfig(interval_cycles=64))
+        result = simulate(config, [Flight(FlightConfig(interval_cycles=64))])
         doc = result.telemetry.flight
         assert doc["format"] == 1
         assert doc["interval"] == 64
@@ -103,9 +94,9 @@ class TestDocumentShape:
             closed_loop=True,
             saturation=0.5,
             control=DEFAULT_CONTROL,
-            flight=FlightConfig(interval_cycles=128),
         )
-        result = run_overload_point(small_tree_config(load=0.6), spec)
+        recorder = [Flight(FlightConfig(interval_cycles=128))]
+        result = simulate(*overload_recipe(small_tree_config(load=0.6), spec, recorder))
         doc = result.telemetry.flight
         assert doc["layers"] == {"transport": True, "control": True}
         for key in ("held", "marks", "cwnd_mean", "cwnd_p50", "cwnd_min"):
@@ -114,9 +105,7 @@ class TestDocumentShape:
         assert all(v > 0 for v in doc["series"]["cwnd_mean"])
 
     def test_describe_flight_digest(self):
-        result = simulate_with_flight(
-            small_tree_config(), FlightConfig(interval_cycles=128)
-        )
+        result = simulate(small_tree_config(), [Flight(FlightConfig(interval_cycles=128))])
         text = describe_flight(result.telemetry.flight)
         assert "flight timeline:" in text
         assert "delivered" in text and "offered" in text
@@ -128,7 +117,7 @@ class TestCardinalityBound:
         # 8-row buffer must absorb them via pair-coalescing decimation
         cfg = FlightConfig(interval_cycles=4, max_intervals=8)
         config = small_tree_config()
-        result = simulate_with_flight(config, cfg)
+        result = simulate(config, [Flight(cfg)])
         doc = result.telemetry.flight
         assert doc["rows"] <= cfg.max_intervals
         assert doc["decimations"] > 0
@@ -139,11 +128,11 @@ class TestCardinalityBound:
 
     def test_decimated_totals_match_undecimated(self):
         config = small_tree_config()
-        fine = simulate_with_flight(
-            config, FlightConfig(interval_cycles=4, max_intervals=8)
+        fine = simulate(
+            config, [Flight(FlightConfig(interval_cycles=4, max_intervals=8))]
         ).telemetry.flight
-        coarse = simulate_with_flight(
-            config, FlightConfig(interval_cycles=300)
+        coarse = simulate(
+            config, [Flight(FlightConfig(interval_cycles=300))]
         ).telemetry.flight
         for key in ("injected", "delivered", "dropped", "generated"):
             assert sum(fine["series"][key]) == sum(coarse["series"][key])
@@ -164,10 +153,8 @@ class TestLiveHooks:
 
     def test_events_jsonl_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        result = simulate_with_flight(
-            small_tree_config(),
-            FlightConfig(interval_cycles=128),
-            events=path,
+        result = simulate(
+            small_tree_config(), [Flight(FlightConfig(interval_cycles=128), events=path)]
         )
         records = [
             json.loads(line) for line in path.read_text().splitlines()
@@ -185,9 +172,8 @@ class TestLiveHooks:
             def write(self, _):
                 raise OSError("disk gone")
 
-        result = simulate_with_flight(
-            small_tree_config(), FlightConfig(interval_cycles=128),
-            events=Broken(),
+        result = simulate(
+            small_tree_config(), [Flight(FlightConfig(interval_cycles=128), events=Broken())]
         )
         assert result.telemetry.flight["rows"] > 0
 
@@ -247,9 +233,7 @@ class TestAnnotations:
 
 class TestTimelineSvg:
     def test_renders_engine_only_panels(self):
-        result = simulate_with_flight(
-            small_tree_config(), FlightConfig(interval_cycles=64)
-        )
+        result = simulate(small_tree_config(), [Flight(FlightConfig(interval_cycles=64))])
         svg = flight_timeline_svg(result.telemetry.flight, title="smoke")
         assert svg.startswith("<svg") or "<svg" in svg
         assert "offered" in svg and "delivered" in svg
@@ -282,9 +266,8 @@ def _acceptance_point(closed_loop: bool):
         saturation=ACCEPTANCE_SATURATION,
         transport=ACCEPTANCE_TRANSPORT,
         control=DEFAULT_CONTROL,
-        flight=ACCEPTANCE_FLIGHT,
     )
-    return run_overload_point(config, spec)
+    return simulate(*overload_recipe(config, spec, [Flight(ACCEPTANCE_FLIGHT)]))
 
 
 @pytest.mark.slow

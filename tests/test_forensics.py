@@ -18,8 +18,6 @@ from repro.obs.forensics import (
     Forensics,
     describe_forensics,
     hotspots,
-    run_with_forensics,
-    simulate_with_forensics,
 )
 from repro.obs.heatmap import (
     hotspot_heatmap_svg,
@@ -29,7 +27,7 @@ from repro.obs.heatmap import (
 from repro.obs.ledger import Ledger
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.results import RunResult
-from repro.sim.run import build_engine, simulate, tree_config
+from repro.sim.run import build_engine, simulate, simulate_post_mortem, tree_config
 from repro.workloads import Replay, alltoall_trace, drained
 
 from .conftest import small_cube_config, small_tree_config
@@ -124,20 +122,18 @@ class TestLatencyAttribution:
 
 class TestWaitForSampler:
     def test_idle_network_has_no_waiters(self):
-        result, probe, deadlock = run_with_forensics(
-            small_tree_config(load=0.0, total_cycles=500), sample_every=100
+        _, engine, deadlock = simulate_post_mortem(
+            small_tree_config(load=0.0, total_cycles=500), [Forensics(100)]
         )
         assert deadlock is None
-        wf = probe.waitfor
+        wf = engine.find_probe(ForensicsProbe).waitfor
         assert wf.samples_taken > 0
         assert all(s.waiting == 0 and s.edges == 0 for s in wf.samples)
         assert wf.cycles_detected == 0 and wf.precursor is None
 
     def test_contended_network_records_chains(self):
-        _, probe, _ = run_with_forensics(
-            small_cube_config(load=0.9), sample_every=50
-        )
-        wf = probe.waitfor.summary()
+        _, engine, _ = simulate_post_mortem(small_cube_config(load=0.9), [Forensics(50)])
+        wf = engine.find_probe(ForensicsProbe).waitfor.summary()
         assert wf["max_waiting"] > 0
         assert wf["max_depth"] >= 2
         assert wf["worst_root"] is not None
@@ -146,10 +142,10 @@ class TestWaitForSampler:
 
 class TestHotspots:
     def test_covers_every_direction(self):
-        result, probe, _ = run_with_forensics(small_cube_config(load=0.5))
-        doc = hotspots(probe.waitfor.engine)
+        result, engine, _ = simulate_post_mortem(small_cube_config(load=0.5), [Forensics()])
+        doc = hotspots(engine)
         assert doc == result.telemetry.forensics["hotspots"]
-        assert len(doc["links"]) == len(probe.waitfor.engine.dirs)
+        assert len(doc["links"]) == len(engine.dirs)
         assert doc["total_flits"] > 0
         assert all(r["blocked_cycles"] >= 0 for r in doc["links"])
         # top list is sorted and only holds actually-blocked links
@@ -171,8 +167,7 @@ class TestHotspots:
         # before one of 1000; stopped before its warm-up, a run's window is
         # all of it, for its flits and its blocked cycles alike
         config = dataclasses.replace(ring_config(0.6), warmup_cycles=warmup)
-        result, probe, deadlock = run_with_forensics(config)
-        engine = probe.waitfor.engine
+        result, engine, deadlock = simulate_post_mortem(config, [Forensics()])
         assert deadlock is not None and engine.cycle == result.telemetry.cycles == 665
         doc = result.telemetry.forensics["hotspots"]
         assert doc["measured_cycles"] == window
@@ -184,7 +179,7 @@ class TestHotspots:
 
 class TestForensicsDocument:
     def test_rides_telemetry_through_run_document(self):
-        result = simulate_with_forensics(small_tree_config(load=0.5))
+        result = simulate(small_tree_config(load=0.5), [Forensics()])
         doc = result.telemetry.forensics
         assert doc["format"] == 1
         assert {"attribution", "waitfor", "hotspots"} <= set(doc)
@@ -194,7 +189,7 @@ class TestForensicsDocument:
     def test_ledger_round_trip(self, tmp_path):
         ledger = Ledger(tmp_path / "runs.jsonl")
         ledger.append_run(
-            simulate_with_forensics(small_cube_config(load=0.5)),
+            simulate(small_cube_config(load=0.5), [Forensics()]),
             kind="forensics",
         )
         (rec,) = ledger.records()
@@ -202,7 +197,7 @@ class TestForensicsDocument:
         assert rec["run"]["telemetry"]["forensics"]["attribution"]["packets"] > 0
 
     def test_describe_forensics_text(self):
-        result = simulate_with_forensics(small_cube_config(load=0.5))
+        result = simulate(small_cube_config(load=0.5), [Forensics()])
         text = describe_forensics(result.telemetry.forensics)
         assert "latency attribution" in text
         assert "wait-for graph" in text
@@ -216,7 +211,7 @@ class TestForensicsDocument:
 
 class TestHeatmapSvg:
     def _forensics(self, config):
-        return simulate_with_forensics(config).telemetry.forensics
+        return simulate(config, [Forensics()]).telemetry.forensics
 
     def test_cube_grid(self):
         doc = self._forensics(small_cube_config(load=0.7))

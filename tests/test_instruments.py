@@ -5,8 +5,8 @@ pipeline.  On 16-node networks, for every subset of the observer tiers
 {forensics, flight, statehash} under every transport stack {none,
 reliable, congested} (plus one fail-stop storm):
 
-* each tier's document equals the one that tier produces alone, through
-  the single-tier entry point it had before the pipeline existed;
+* each tier's document equals the one its probe produces when attached
+  by hand as the only observer;
 * a run killed between two checkpoints and resumed yields the
   byte-identical canonical document — including the combinations the
   command line used to refuse;
@@ -29,7 +29,7 @@ import pytest
 
 from repro.errors import CheckpointError, ConfigurationError, DeadlockError
 from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
-from repro.experiments.congestion import Overload, OverloadSpec, run_overload_point
+from repro.experiments.congestion import Overload, OverloadSpec, overload_recipe
 from repro.experiments.sweep import run_sweep
 from repro.faults import (
     Faults,
@@ -40,14 +40,9 @@ from repro.faults import (
     random_uplink_faults,
 )
 from repro.metrics.io import run_result_from_dict, run_result_to_dict
-from repro.obs.flight import Flight, FlightConfig, FlightRecorder, simulate_with_flight
-from repro.obs.forensics import Forensics, ForensicsProbe, simulate_with_forensics
-from repro.obs.statehash import (
-    StateDigestConfig,
-    StateDigestProbe,
-    StateHash,
-    simulate_with_statehash,
-)
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder
+from repro.obs.forensics import Forensics, ForensicsProbe
+from repro.obs.statehash import StateDigestConfig, StateDigestProbe, StateHash
 from repro.sim.checkpoint import (
     CheckpointPolicy,
     CheckpointProbe,
@@ -90,7 +85,7 @@ STACKS = {
     "reliable": (Reliable(TRANSPORT),),
     "congested": (Congested(TRANSPORT, CONTROL),),
 }
-#: the single-tier probe each observer is, for the transport entry points
+#: the probe each observer is, attached by hand for the reference documents
 PROBES = {
     "forensics": lambda: ForensicsProbe(sample_every=150),
     "flight": lambda: FlightRecorder(FLIGHT),
@@ -123,14 +118,8 @@ def _alone(stack: str, probe=None):
 
 
 def _single_tier_document(name: str, stack: str):
-    """The document of observer ``name`` when it is the only observer."""
-    if stack == "none":
-        entry = {
-            "forensics": lambda: simulate_with_forensics(CONFIG, sample_every=150),
-            "flight": lambda: simulate_with_flight(CONFIG, FLIGHT),
-            "statehash": lambda: simulate_with_statehash(CONFIG, DIGESTS),
-        }[name]
-        return getattr(entry().telemetry, name)
+    """The document of observer ``name`` when it is the only observer,
+    its probe attached by hand rather than through its instrument."""
     probe = PROBES[name]()
     result = _alone(stack, probe=probe)
     return probe.summary() if name == "forensics" else getattr(result.telemetry, name)
@@ -279,12 +268,14 @@ class TestSpecs:
     def test_overload_point_is_the_pipeline(self):
         spec = OverloadSpec(
             closed_loop=True, saturation=0.4, arbiter="age",
-            transport=TRANSPORT, control=CONTROL, flight=FLIGHT,
+            transport=TRANSPORT, control=CONTROL,
         )
         derived = dataclasses.replace(CONFIG, arbiter="age", collect_latencies=True)
-        direct = simulate(derived, [Flight(FLIGHT), Audit(), Overload(spec)])
-        assert _canonical(run_overload_point(CONFIG, spec)) == _canonical(direct)
+        tiers = (Flight(FLIGHT), Audit(), Overload(spec))
+        assert overload_recipe(CONFIG, spec, [Flight(FLIGHT)]) == (derived, tiers)
+        direct = simulate(derived, tiers)
         assert direct.telemetry.reliability["overload"]["mode"] == "closed"
+        assert direct.telemetry.flight["rows"] > 0
 
     def test_restored_run_is_finished_by_its_own_instruments(self, tmp_path):
         # the (spec, live) pairs ride inside the snapshot: the resuming call
@@ -467,8 +458,6 @@ class TestFlightStreamsAndCheckpoints:
         policy = CheckpointPolicy(str(tmp_path / "ckpt"), interval_cycles=100)
         with pytest.raises(ConfigurationError, match="cannot be checkpointed"):
             simulate(CONFIG, [Flight(FLIGHT, **kwargs)], checkpoint=policy)
-        with pytest.raises(ConfigurationError, match="cannot be checkpointed"):
-            simulate_with_flight(CONFIG, FLIGHT, checkpoint=policy, **kwargs)
         assert not events.exists()  # not a row was written
         assert not checkpoint_files(policy.directory)
 

@@ -87,7 +87,7 @@ class TestTraceProbe:
         delivered_pids = {e.pid for e in probe.events if e.kind == "tail"}
         assert delivered_pids
         for pid in delivered_pids:
-            kinds = [e.kind for e in probe.packet_events(pid)]
+            kinds = [e.kind for e in probe.events if e.pid == pid]
             assert kinds[0] == "inject"
             assert kinds[-1] == "tail"
             assert "head" in kinds
@@ -102,7 +102,7 @@ class TestTraceProbe:
         # in a tree, every packet crosses at least one switch
         probe, _ = traced_run()
         for pid in {e.pid for e in probe.events if e.kind == "tail"}:
-            routes = [e for e in probe.packet_events(pid) if e.kind == "route"]
+            routes = [e for e in probe.events if e.pid == pid and e.kind == "route"]
             assert len(routes) >= 1
             assert all(e.switch is not None for e in routes)
 
@@ -202,8 +202,8 @@ class TestWindowedCounterProbe:
 
     def test_blocked_cycles_show_up_under_saturation(self):
         probe, _ = self.run_counted(small_tree_config(load=1.0, total_cycles=800))
-        (top_key, top) = probe.most_blocked(1)[0]
-        assert top["blocked_cycles"] > 0
+        columns = zip(*(w.directions for w in probe.windows))
+        assert max(sum(d.blocked_cycles for d in column) for column in columns) > 0
 
     def test_occupancy_bounded_by_buffer_depth(self):
         cfg = small_tree_config(load=1.0, total_cycles=800)

@@ -8,8 +8,8 @@ import pytest
 
 from repro.faults import CubeLinkFault, FaultSchedule
 from repro.obs import MultiProbe, TraceProbe
-from repro.obs.forensics import ForensicsProbe, LatencyAttributionProbe
-from repro.sim.run import build_engine, cube_config, tree_config
+from repro.obs.forensics import Forensics, ForensicsProbe, LatencyAttributionProbe
+from repro.sim.run import build_engine, cube_config, simulate_post_mortem, tree_config
 
 from .test_sweep_resilient import ring_config  # registers unsafe_ring
 
@@ -93,13 +93,9 @@ class TestCompositionUnderFaults:
 
 class TestDeadlockPrecursor:
     def test_sampler_flags_the_wedge_before_the_watchdog(self):
-        from repro.obs.forensics import run_with_forensics
-
-        result, probe, deadlock = run_with_forensics(
-            ring_config(0.8), sample_every=32
-        )
+        _, engine, deadlock = simulate_post_mortem(ring_config(0.8), [Forensics(32)])
         assert deadlock is not None, "the unsafe ring must wedge at this load"
-        wf = probe.waitfor
+        wf = engine.find_probe(ForensicsProbe).waitfor
         assert wf.cycles_detected > 0
         assert wf.precursor is not None
         wedged_at = int(re.search(r"cycle (\d+)", str(deadlock)).group(1))
@@ -112,9 +108,7 @@ class TestDeadlockPrecursor:
         assert len(set(sample.cycle_pids)) == len(sample.cycle_pids) >= 2
 
     def test_partial_result_still_carries_forensics(self):
-        from repro.obs.forensics import run_with_forensics
-
-        result, probe, deadlock = run_with_forensics(ring_config(0.8))
+        result, _, deadlock = simulate_post_mortem(ring_config(0.8), [Forensics()])
         assert deadlock is not None
         assert result.telemetry is not None
         doc = result.telemetry.forensics

@@ -1,9 +1,19 @@
 """Unit tests for the high-level entry points (repro.sim.run)."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
+
 from repro import KAryNCube, KAryNTree  # public API re-exports
-from repro.sim.run import build_engine, cube_config, quick_run, simulate, tree_config
+from repro.sim.run import build_engine, cube_config, simulate, tree_config
+
+#: ``repro`` and every subpackage: each one's ``__all__`` must resolve
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+]
 
 
 class TestBuildEngine:
@@ -35,15 +45,6 @@ class TestSimulate:
         assert res.delivered_packets > 0
         assert res.config.network == "cube"
 
-    def test_quick_run(self):
-        res = quick_run()
-        assert res.measured_cycles == 350
-
-    def test_quick_run_overrides(self):
-        res = quick_run(load=0.1, seed=5)
-        assert res.config.load == 0.1
-        assert res.config.seed == 5
-
 
 class TestPublicApi:
     def test_version(self):
@@ -53,7 +54,9 @@ class TestPublicApi:
         assert all(part.isdigit() for part in repro.__version__.split("."))
 
     def test_all_exports_resolve(self):
-        import repro
-
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        # a deleted definition must not leave a dangling (lazy) name behind
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert getattr(module, name, None) is not None, f"{package}.{name}"
+            assert len(set(module.__all__)) == len(module.__all__), package

@@ -25,7 +25,7 @@ from repro.experiments.chaos import chaos_campaign
 from repro.experiments.congestion import congestion_campaign
 from repro.obs.diff import diff_runs
 from repro.obs.flight import Flight, FlightConfig
-from repro.obs.forensics import simulate_with_forensics
+from repro.obs.forensics import Forensics
 from repro.obs.heatmap import (
     flight_timeline_svg,
     hotspot_heatmap_svg,
@@ -43,7 +43,7 @@ from repro.obs.report import (
     statehash_entries,
     write_scorecard,
 )
-from repro.obs.statehash import simulate_with_statehash
+from repro.obs.statehash import StateHash
 from repro.profiles import Profile
 from repro.sim.run import simulate, tree_config
 from repro.traffic.transport import TransportConfig
@@ -181,8 +181,8 @@ def report_documents() -> dict[str, str]:
         for algorithm in ("dor", "duato")
         for load in (0.2, 0.5)
     ]
-    cube_forensics = simulate_with_forensics(small_cube_config(load=0.7, pattern="transpose"))
-    tree_forensics = simulate_with_forensics(small_tree_config(load=0.7, pattern="transpose"))
+    cube_forensics = simulate(small_cube_config(load=0.7, pattern="transpose"), [Forensics()])
+    tree_forensics = simulate(small_tree_config(load=0.7, pattern="transpose"), [Forensics()])
     storms = chaos_campaign(
         tree_config(**shape), fault_rates=(0.0, 0.2), loads=[0.4], storm_seed=9,
         transport=TransportConfig(base_timeout=16, max_retries=1),
@@ -197,7 +197,7 @@ def report_documents() -> dict[str, str]:
     chaos = [run for series in storms for run in series.results]
     congestion = [run for series in overload for run in series.results]
     congestion[-1] = dataclasses.replace(congestion[-1], latencies=[])
-    replicas = [simulate_with_statehash(small_tree_config(seed=7)) for _ in range(2)]
+    replicas = [simulate(small_tree_config(seed=7), [StateHash()]) for _ in range(2)]
     results = plain + [cube_forensics, tree_forensics] + chaos + congestion + replicas
 
     docs = {}

@@ -25,11 +25,11 @@ from repro.obs.statehash import (
     StateDigestConfig,
     StateDigestProbe,
     describe_statehash,
+    StateHash,
     engine_fingerprint,
-    simulate_with_statehash,
     state_snapshot,
 )
-from repro.sim.run import build_engine, simulate
+from repro.sim.run import build_engine, simulate, simulate_post_mortem
 from repro.traffic.congestion import install_congestion
 from repro.traffic.transport import ReliableTransport, TransportConfig, simulate_reliable
 
@@ -37,7 +37,7 @@ from .conftest import small_cube_config, small_tree_config
 
 
 def _chain_of(config, statehash=None, probe=None) -> dict:
-    return simulate_with_statehash(config, statehash, probe=probe).telemetry.statehash
+    return simulate(config, [StateHash(statehash)], probe=probe).telemetry.statehash
 
 
 class TestConfig:
@@ -303,10 +303,10 @@ class TestProbeNonInterference:
         config = small_cube_config(load=0.4)
         bare = _chain_of(config)
         if extra == "forensics":
-            from repro.obs.forensics import run_with_forensics
+            from repro.obs.forensics import Forensics
 
-            result, _, deadlock = run_with_forensics(
-                config, probe=StateDigestProbe()
+            result, _, deadlock = simulate_post_mortem(
+                config, [Forensics()], probe=StateDigestProbe()
             )
             assert deadlock is None
             instrumented = result.telemetry.statehash

@@ -1,10 +1,20 @@
-"""Tests for throughput timelines and routing instrumentation."""
+"""Tests for the engine's throughput timeline and routing instrumentation."""
 
 import pytest
 
-from repro.errors import AnalysisError, ConfigurationError
-from repro.metrics.timeseries import interval_rates, timeline_stability, warmup_adequate
+from repro.errors import ConfigurationError
 from repro.sim.run import build_engine, cube_config, tree_config
+
+
+def interval_rates(result) -> list[float]:
+    """Per-interval accepted bandwidth in flits/cycle/node."""
+    scale = result.config.interval_cycles * result.config.num_nodes
+    return [count / scale for count in result.throughput_timeline]
+
+
+def spread(rates) -> float:
+    """Relative spread (max - min) / mean of the interval rates."""
+    return (max(rates) - min(rates)) / (sum(rates) / len(rates))
 
 
 class TestTimeline:
@@ -28,8 +38,6 @@ class TestTimeline:
     def test_disabled_by_default(self):
         res = self.run(interval_cycles=0)
         assert res.throughput_timeline == []
-        with pytest.raises(AnalysisError):
-            interval_rates(res)
 
     def test_rates_match_aggregate(self):
         res = self.run()
@@ -38,31 +46,23 @@ class TestTimeline:
         assert mean == pytest.approx(res.accepted_flits_per_cycle, rel=0.05)
 
     def test_stable_below_saturation(self):
-        res = self.run(load=0.15)
-        assert timeline_stability(res) < 0.5
-        assert warmup_adequate(res, tol=0.3)
+        rates = interval_rates(self.run(load=0.15))
+        assert spread(rates) < 0.5
+        # the warm-up was long enough: the first interval is steady state
+        rest = sum(rates[1:]) / (len(rates) - 1)
+        assert abs(rates[0] - rest) <= 0.3 * rest
 
     def test_stable_above_saturation(self):
         # §6: source throttling keeps post-saturation throughput flat
-        res = self.run(load=1.0)
-        assert timeline_stability(res) < 0.25
+        assert spread(interval_rates(self.run(load=1.0))) < 0.25
 
     def test_inadequate_warmup_detected(self):
         # no warm-up at all: the first interval sees the pipeline filling
         res = self.run(load=1.0, warmup_cycles=0, total_cycles=2000)
         rates = interval_rates(res)
         assert rates[0] < rates[-1]  # ramp-up visible
-        assert not warmup_adequate(res, tol=0.05)
-
-    def test_warmup_check_needs_intervals(self):
-        res = self.run(interval_cycles=1900)
-        with pytest.raises(AnalysisError, match="3 intervals"):
-            warmup_adequate(res)
-
-    def test_idle_run_rejected(self):
-        res = self.run(load=0.0)
-        with pytest.raises(AnalysisError):
-            timeline_stability(res)
+        rest = sum(rates[1:]) / (len(rates) - 1)
+        assert abs(rates[0] - rest) > 0.05 * rest
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError):
