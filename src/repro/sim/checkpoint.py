@@ -20,20 +20,22 @@ no second copy of the payload is ever held; the header line is written
 first at its final width and rewritten in place once digest and count
 are known.  Lanes and packets pickle as plain lists of their slot
 values (``__getstate__`` in :mod:`repro.router.lane` and
-:mod:`repro.sim.packet`).  Files are written atomically (temp file,
-fsync, ``os.replace``) so a crash mid-write leaves either the old
-checkpoint or none.  On load, three gates run in order — payload
-digest, config digest (staleness), restored fingerprint root — and a
-failed gate raises :class:`~repro.errors.CheckpointError` with a
-``kind`` tag that becomes a structured *discard finding* in the
-directory's manifest.
+:mod:`repro.sim.packet`), and every ``random.Random`` as its Mersenne
+state packed into one bytes string (:func:`_reduce_rng`).  Files are
+written atomically (temp file, fsync, ``os.replace``) so a crash
+mid-write leaves either the old checkpoint or none.  On load, three
+gates run in order — payload digest, config digest (staleness), restored
+fingerprint root — and a failed gate raises
+:class:`~repro.errors.CheckpointError` with a ``kind`` tag that becomes a
+structured *discard finding* in the directory's manifest.
 
 Portability: the payload is plain pickle (protocol 5 on every CPython
 since 3.8) and the fingerprint's RNG leaf folds Mersenne state with
 CPython's tuple hash, which is unsalted and unchanged across CPython
 3.10–3.13 — a checkpoint written by 3.10 passes
 all three gates on 3.12 and 3.13 and resumes to the document of an
-uninterrupted run (CI kills a run under 3.10 and resumes it under 3.12).
+uninterrupted run (CI kills a run under 3.10 and resumes it under 3.12,
+and a chaos campaign both ways).
 Only a non-CPython interpreter, whose tuple hash may differ, would fail
 the third gate on a file it did not write.
 
@@ -55,13 +57,16 @@ can never leave a sibling half-observed inside the snapshot.
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import pickle
+import random
 import signal
+import struct
 import sys
 import threading
 import weakref
@@ -78,7 +83,7 @@ from ..obs.telemetry import config_digest
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
 #: engine change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -136,6 +141,38 @@ def file_lock(path):
 # singleton (see repro.sim.packet._FaultSentinel) — a per-type C-level
 # dispatch, unlike a pickler-wide persistent_id hook, which costs one
 # Python call per pickled object (~15x slower on a whole-engine dump).
+#
+# One reduction differs from plain pickle, and only in the checkpoint's own
+# pickler (its dispatch_table, looked up by exact type, which replaces
+# copyreg's table for that pickler, so it starts from a copy; copyreg itself
+# is left alone): a Mersenne Twister.  ``Random.__reduce__`` hands over
+# ``getstate()``, 625 int objects in a tuple, and the pickler's memo keeps
+# every such tuple alive until the dump ends — ~161 k ints for the 258
+# streams of a 256-node chaos engine.  Packed, each state is one 2500-byte
+# string, and the restore skips the ``__init__`` re-seed that
+# ``Random()`` would pay before ``setstate`` overwrites it.
+
+#: a version-3 Mersenne state: 624 words and the position, little-endian
+_MT_STATE = struct.Struct("<625I")
+
+
+def _reduce_rng(rng):
+    """``random.Random``'s reduction in a checkpoint: the packed state."""
+    version, internal, gauss = rng.getstate()
+    if version != 3:
+        return rng.__reduce__()
+    return _restore_rng, (_MT_STATE.pack(*internal), gauss)
+
+
+def _restore_rng(words: bytes, gauss) -> random.Random:
+    """The stream :func:`_reduce_rng` packed, at the same position."""
+    if len(words) != _MT_STATE.size:
+        raise ValueError(
+            f"packed Mersenne state is {len(words)} bytes, not {_MT_STATE.size}"
+        )
+    rng = random.Random.__new__(random.Random)
+    rng.setstate((3, _MT_STATE.unpack(words), gauss))
+    return rng
 
 
 def _fail(kind: str, message: str):
@@ -198,7 +235,9 @@ def save_checkpoint(engine, path) -> dict:
                 max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
             )
             try:
-                pickle.Pickler(payload, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
+                pickler = pickle.Pickler(payload, protocol=pickle.HIGHEST_PROTOCOL)
+                pickler.dispatch_table = {**copyreg.dispatch_table, random.Random: _reduce_rng}
+                pickler.dump(engine)
             except CheckpointError:
                 raise
             except Exception as exc:

@@ -13,7 +13,10 @@ import json
 import os
 import pathlib
 import pickle
+import pickletools
+import random
 import signal
+import struct
 import sys
 import threading
 import time
@@ -23,7 +26,7 @@ from functools import partial
 import pytest
 
 from repro.errors import CheckpointError, PointTimeoutError, WorkerDiedError
-from repro.experiments.chaos import StormSpec, run_chaos_point
+from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
 from repro.experiments.congestion import OverloadSpec, overload_recipe
 from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import (
@@ -54,9 +57,9 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import Audit, build_engine, cube_config, simulate, tree_config
+from repro.sim.run import Audit, build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
-from repro.traffic.transport import TransportConfig, simulate_reliable
+from repro.traffic.transport import ReliableTransport, TransportConfig, simulate_reliable
 from repro.workloads import Replay, alltoall_trace, drained
 
 from .conftest import on_the_other_storage, small_cube_config, small_tree_config
@@ -204,7 +207,7 @@ class TestCheckpointFile:
         assert resume_point(_policy(tmp_path), config) is None
         discarded = read_manifest(tmp_path)["discarded"]
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
-        assert "checkpoint format 4, this build reads 5" in discarded[0]["error"]
+        assert f"checkpoint format 4, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
     def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path):
         # pickle walks the lane graph depth-first and the worms of a
@@ -227,6 +230,94 @@ class TestCheckpointFile:
         finally:
             sys.setrecursionlimit(limit)
         assert restored.state_fingerprint() == engine.state_fingerprint()
+
+
+# -- packed Mersenne states ----------------------------------------------------
+
+
+class TestPackedMersenneStates:
+    @pytest.mark.parametrize("network", ["tree", "cube"])
+    def test_a_mid_run_chaos_engine_restores_every_stream(self, network, tmp_path):
+        # each node's source, the transport's jitter and the adaptive
+        # routing draw on after the restore as they do live, under either
+        # storage, and both storages write the same root and payload size
+        here = packed_streams_roundtrip(tmp_path / "here", network)
+        child = "tests.test_checkpoint.packed_streams_roundtrip(sys.argv[1], sys.argv[2])"
+        there = on_the_other_storage(tmp_path, child, str(tmp_path / "there"), network)
+        assert there.strip() == here
+
+    def test_a_subclass_and_a_non_v3_state_keep_the_default_reduce(self, tmp_path):
+        engine = build_engine(small_tree_config())
+        older = random.Random(11)
+        _version, internal, gauss = older.getstate()
+        older.getstate = lambda: (2, internal, gauss)
+        engine.spare_streams = [_SubRandom(7), older]
+        assert checkpoint_module._reduce_rng(older)[0] is random.Random
+        path = tmp_path / "ckpt-000000000000.rckpt"
+        save_checkpoint(engine, path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        assert _tuple_lengths(payload).count(MT_WORDS) == 2
+        sub, back = load_checkpoint(path)[0].spare_streams
+        assert type(sub) is _SubRandom and type(back) is random.Random
+        assert _draws(sub) == _draws(_SubRandom(7))
+        assert _draws(back) == _draws(random.Random(11))
+
+    @pytest.mark.parametrize("delta", [-4, 4, -1], ids=["624-words", "626-words", "odd-length"])
+    def test_a_packed_state_of_the_wrong_size_is_discarded_as_corrupt(self, delta, tmp_path):
+        config = small_tree_config()
+        engine = build_engine(config)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        save_checkpoint(engine, path)
+        _resize_first_packed_state(path, delta)
+        assert read_checkpoint_header(path)["payload_bytes"] == len(path.read_bytes().split(b"\n", 1)[1])
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "corrupt")]
+        assert f"packed Mersenne state is {2500 + delta} bytes, not 2500" in discarded[0]["error"]
+
+    def test_a_format_5_file_is_discarded_at_the_header(self, tmp_path, monkeypatch):
+        config = small_tree_config()
+        engine = build_engine(config)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        with monkeypatch.context() as old:
+            _as_format_5(old)
+            save_checkpoint(engine, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header_line)["format"] == 5
+        assert MT_WORDS in _tuple_lengths(payload)
+
+        def never(data):
+            raise AssertionError("a stale payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", never)
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 5, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
+    def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
+        config = small_tree_config(load=0.3)
+        reference = _canonical(simulate(config))
+        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
+        sweep = partial(run_sweep, lambda load: small_tree_config(load=load), [0.3], "ckpt-format-5",
+                        use_cache=False, checkpoints=checkpoints)
+        with monkeypatch.context() as old:
+            _as_format_5(old)
+            with pytest.raises(KeyboardInterrupt):
+                sweep(simulate_fn=_interrupt_after_checkpointing)
+        pdir = checkpoints.point_dir("ckpt-format-5", _cache_key(config))
+        stale = checkpoint_files(pdir)
+        assert [json.loads(p.read_bytes().split(b"\n", 1)[0])["format"] for p in stale] == [5, 5]
+        resumed: list = []
+        sweep(on_result=resumed.append)
+        assert [_canonical(r) for r in resumed] == [reference]
+        manifest = read_manifest(pdir)
+        assert [(d["file"], d["kind"]) for d in manifest["discarded"]] == [(p.name, "stale") for p in stale]
+        assert manifest["completed"] is True and checkpoint_files(pdir) == []
 
 
 # -- resume identity -----------------------------------------------------------
@@ -708,6 +799,114 @@ def _interrupt_third_point(config, checkpoint=None):
     if _CALLS["n"] >= 3:
         raise KeyboardInterrupt
     return simulate(config, checkpoint=checkpoint)
+
+
+def _interrupt_after_checkpointing(config, checkpoint=None):
+    """Simulate, leaving the run's snapshots behind, then stop the campaign."""
+    simulate(config, checkpoint=checkpoint)
+    raise KeyboardInterrupt
+
+
+#: words of a version-3 Mersenne state: what the default reduction pickles
+MT_WORDS = 625
+
+#: per network, a chaos point whose sources, transport jitter and adaptive
+#: routing have all drawn by cycle 300
+PACKED_CHAOS = {
+    "tree": small_tree_config(load=0.6, total_cycles=800),
+    "cube": small_cube_config(algorithm="duato", load=0.6, total_cycles=800),
+}
+PACKED_STORM = Storm(StormSpec(
+    fault_rate=0.2, storm_seed=9, transport=TransportConfig(base_timeout=16, jitter=8, seed=3),
+))
+
+
+class _SubRandom(random.Random):
+    """A ``Random`` subclass: the packed reduction is for exactly ``Random``."""
+
+
+def _draws(rng) -> list:
+    return [rng.random() for _ in range(1000)]
+
+
+def _streams(engine) -> list:
+    """Every stream a chaos engine draws from: the nodes' sources, the
+    transport's jitter, the adaptive routing's."""
+    sources = [getattr(node.source, "inner", node.source).rng for node in engine.nodes]
+    return [*sources, engine.find_probe(ReliableTransport)._rng, engine.routing.rng]
+
+
+def _tuple_lengths(payload: bytes) -> list:
+    """The length of every tuple ``payload`` builds, read off its opcodes."""
+    stack, lengths = [], []
+    for op, _arg, _pos in pickletools.genops(payload):
+        below = op.stack_before
+        if pickletools.markobject in below:
+            mark = len(stack) - 1 - stack[::-1].index(pickletools.markobject)
+            if op.name == "TUPLE":
+                lengths.append(len(stack) - mark - 1)
+            del stack[mark:]
+            below = below[: below.index(pickletools.markobject)]
+        elif op.name in ("TUPLE1", "TUPLE2", "TUPLE3"):
+            lengths.append(len(below))
+        del stack[len(stack) - len(below):]
+        stack += op.stack_after
+    return lengths
+
+
+def packed_streams_roundtrip(directory, network) -> str:
+    """Save and restore the :data:`PACKED_CHAOS` point of ``network`` at
+    cycle 300, check the restore stream by stream, and return the header's
+    root and payload size."""
+    engine, run = start(PACKED_CHAOS[network], [Audit(), PACKED_STORM])
+    engine.add_cycle_hook(300, _boom)
+    _BOOM["armed"] = True
+    try:
+        run()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        _BOOM["armed"] = False
+    assert MT_WORDS in _tuple_lengths(pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL))
+    path = pathlib.Path(directory) / "ckpt-000000000300.rckpt"
+    header = save_checkpoint(engine, path)
+    restored, _ = load_checkpoint(path, config=engine.config)
+    assert restored.state_fingerprint(detail=True) == engine.state_fingerprint(detail=True)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    assert MT_WORDS not in _tuple_lengths(payload)
+    for ours, theirs in zip(_streams(engine), _streams(restored)):
+        assert type(theirs) is random.Random
+        assert _draws(theirs) == _draws(ours)
+    return f"{header['root']} {header['payload_bytes']}"
+
+
+def _resize_first_packed_state(path, delta: int) -> None:
+    """Grow or shrink the first packed Mersenne state in the checkpoint at
+    ``path`` by ``delta`` bytes, keep its pickle frame consistent, and
+    re-record the payload's digest and size: a file the digest gate passes."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    for op, arg, pos in pickletools.genops(payload):
+        if op.name == "FRAME":
+            frame, frame_bytes = pos, arg
+        elif op.name == "BINBYTES" and len(arg) == 2500:
+            break
+    words = arg[:delta] if delta < 0 else arg + bytes(delta)
+    payload = b"".join((
+        payload[:frame], pickle.FRAME, struct.pack("<Q", frame_bytes + delta),
+        payload[frame + 9:pos], pickle.BINBYTES, struct.pack("<I", len(words)), words,
+        payload[pos + 5 + len(arg):],
+    ))
+    header = json.loads(header_line)
+    header["payload_digest"] = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    header["payload_bytes"] = len(payload)
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+def _as_format_5(patch) -> None:
+    """Make ``save_checkpoint`` write what a format-5 build wrote: that
+    version in the header, every ``Random`` reduced the default way."""
+    patch.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 5)
+    patch.setattr(checkpoint_module, "_reduce_rng", random.Random.__reduce__)
 
 
 def _headers(directory):

@@ -10,8 +10,9 @@ import sys
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
-def run_document(speed: float, **phases: float) -> str:
+def run_document(speed: float, checkpoint=None, **phases: float) -> str:
     metrics = {f"sim.{phase}_s": {"value": seconds, "unit": "s"} for phase, seconds in phases.items()}
+    metrics.update({name: {"value": value, "unit": "ms"} for name, value in (checkpoint or {}).items()})
     if not phases:
         metrics = {"sim_cycles_per_s": {"value": speed, "unit": "cycles/s"}}
     return "a line of the table above the document\n" + json.dumps(
@@ -26,7 +27,10 @@ def test_bench_record_appends_one_record_per_invocation(tmp_path):
         where.mkdir(parents=True)
         for seed, speed in enumerate(speeds):
             (where / f"seed{seed}.json").write_text(run_document(speed))
-        (where / "traced.json").write_text(run_document(0.0, link=0.4, injection=0.1, crossbar=0.2, routing=0.1))
+        saves = {"checkpoint.save_ms": 51.0} if side == "change" else None
+        (where / "traced.json").write_text(
+            run_document(0.0, saves, link=0.4, injection=0.1, crossbar=0.2, routing=0.1)
+        )
     out = tmp_path / "BENCH_perf.json"
     command = [sys.executable, str(TOOLS / "bench_record.py"), str(runs), "--pr", "21", "--title", "a title",
                "--kernel", "yes", "--out", str(out)]
@@ -41,6 +45,7 @@ def test_bench_record_appends_one_record_per_invocation(tmp_path):
     assert speed["values"] == [5000.0, 5200.0, 5100.0]
     assert change["end_to_end"]["sim_cycles_per_s"]["median"] == 6000.0  # one run is its own quartiles
     assert parent["phase_s"] == [{"link": 0.4, "injection": 0.1, "crossbar": 0.2, "routing": 0.1}]
+    assert "checkpoint" not in parent and change["checkpoint"] == [{"checkpoint.save_ms": 51.0}]
     assert parent["failed"] == 0
 
 

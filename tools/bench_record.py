@@ -6,7 +6,8 @@
 ``python3 benchmarks/perf/run.py`` runs — ``<side>`` is ``parent`` or
 ``change``, the checkout the run was made in.  A ``--trace 0`` run adds its
 five end-to-end values to the side's samples (reported as median and
-quartiles, the values kept); each ``--trace 1`` run adds its per-phase seconds.
+quartiles, the values kept); each ``--trace 1`` run adds its per-phase seconds
+and, on a workload that checkpoints, its ``checkpoint.*`` readings.
 ``--kernel`` says whether the runs had the compiled phases.
 """
 
@@ -41,6 +42,10 @@ def main() -> None:
         if "sim.link_s" in doc["metrics"]:
             phases = {phase: doc["metrics"][f"sim.{phase}_s"]["value"] for phase in PHASES}
             entry.setdefault("phase_s", []).append(phases)
+            checkpoint = {name: metric["value"] for name, metric in doc["metrics"].items()
+                          if name.startswith("checkpoint.")}
+            if checkpoint:
+                entry.setdefault("checkpoint", []).append(checkpoint)
         else:
             for name, metric in doc["metrics"].items():
                 entry["end_to_end"].setdefault(name, {"values": []})["values"].append(metric["value"])
