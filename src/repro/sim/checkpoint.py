@@ -178,7 +178,13 @@ def _restore_rng(words: bytes, gauss) -> random.Random:
 def _fail(kind: str, message: str):
     exc = CheckpointError(message)
     exc.kind = kind
-    raise exc
+    try:
+        raise exc
+    finally:
+        # a frame holding the exception its traceback holds is a cycle, and
+        # it would keep the caller's locals (a discarded engine) for the
+        # collector
+        del exc
 
 
 # -- one checkpoint file -------------------------------------------------------
@@ -317,7 +323,10 @@ def load_checkpoint(path, config=None):
         raise
     except Exception as exc:
         _fail("corrupt", f"{path}: payload does not unpickle: {exc}")
+    # a gate that fails below releases the engine first (Engine.release):
+    # unreleased, a discard is cyclic garbage the collector walks later
     if engine.cycle != header.get("cycle"):
+        engine.release()
         _fail(
             "corrupt",
             f"{path}: restored engine at cycle {engine.cycle}, header "
@@ -325,6 +334,7 @@ def load_checkpoint(path, config=None):
         )
     root = engine.state_fingerprint()["root"]
     if root != header.get("root"):
+        engine.release()
         _fail(
             "fingerprint-mismatch",
             f"{path}: restored fingerprint {root} != recorded "

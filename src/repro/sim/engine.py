@@ -280,6 +280,50 @@ class Engine:
         # is complete by now: events reach the restored probes
         self._bind_events()
 
+    def release(self) -> None:
+        """Cut the edges that point back up the engine's object graph, so
+        reference counting frees it when the last outside reference drops
+        instead of a full collection walking ~16 k lanes later.
+
+        Below the engine the graph is a tree but for these edges, the
+        minimal set that closes a cycle:
+
+        * ``OutputLane.direction`` (the direction lists its lanes);
+        * ``InputLane.src_out`` (the upstream output lane's ``sink`` is
+          this lane);
+        * ``routing.engine``;
+        * the probe and its handlers, the ``(spec, live)`` instruments and
+          the cycle hooks — probes, live objects and hook closures hold the
+          engine;
+        * ``_Node.source`` (a ``ReliableSource`` holds its transport, which
+          holds the engine).
+
+        What a post-run reader takes stays readable and unchanged:
+        ``cycle``, the totals, ``result``, ``config``, ``topology`` and
+        ``dirs`` with every counter, ``to_node`` and ``label``.  What would
+        now answer differently because it reads a cut edge — ``step``,
+        ``run``, ``resume_run``, the fingerprint and so a checkpoint,
+        ``find_probe``, ``kill_packet``, ``preload_packet`` — raises
+        :class:`~repro.errors.SimulationError` instead
+        (:class:`ReleasedEngine`).  :func:`repro.sim.run.simulate` calls
+        this once every instrument has finished.
+        """
+        for d in self.dirs:
+            for lane in d.lanes:
+                lane.direction = None
+        for ports in self.in_lanes:
+            for lanes in ports:
+                for lane in lanes:
+                    lane.src_out = None
+        for node in self.nodes:
+            node.source = None
+        self.routing.engine = None
+        self.probe = None
+        self.instruments = []
+        self._cycle_hooks = {}
+        self._next_hook_cycle = -1
+        self.__class__ = ReleasedEngine
+
     def _build_nodes(self) -> None:
         self.nodes = [
             _Node(nid, self.injector.sources[nid], self._injection_lanes[nid])
@@ -797,3 +841,30 @@ class Engine:
                 f"flit conservation violated: buffered={buffered_flits}, "
                 f"injected-delivered={in_network}"
             )
+
+
+def _refused(name: str):
+    def refuse(self, *args, **kwargs):
+        raise SimulationError(
+            f"{name}() on a released engine: Engine.release (simulate() calls it on return) "
+            f"cut the edges it would read; keep a live engine with simulate_post_mortem() "
+            f"or build_engine(...).run()"
+        )
+
+    return refuse
+
+
+class ReleasedEngine(Engine):
+    """An engine after :meth:`Engine.release`: the counters, totals, result
+    and directions of its run, and a refusal from every entry point whose
+    answer or effect would depend on an edge the release cut.  A live
+    engine pays nothing for it: the refusals are methods of this class
+    alone."""
+
+    step = _refused("step")
+    run = _refused("run")
+    resume_run = _refused("resume_run")
+    state_fingerprint = _refused("state_fingerprint")
+    find_probe = _refused("find_probe")
+    kill_packet = _refused("kill_packet")
+    preload_packet = _refused("preload_packet")

@@ -134,9 +134,17 @@ def simulate(
     with (byte-identical document, wall-clock aside); otherwise the run
     starts fresh and checkpoints itself.  ``build`` replaces
     :func:`build_engine`.
+
+    The engine is released on return, also when the run raised
+    (:meth:`~repro.sim.engine.Engine.release`): reference counting frees it
+    at once, and an engine a ``build`` hook kept answers only for the
+    finished run.  :func:`simulate_post_mortem` keeps it live.
     """
     engine, run = start(config, instruments, probe, checkpoint, build)
-    return finish(engine, run())
+    try:
+        return finish(engine, run())
+    finally:
+        engine.release()
 
 
 def simulate_post_mortem(config, instruments=(), probe=None, checkpoint=None):
