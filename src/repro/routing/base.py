@@ -60,7 +60,6 @@ class RoutingAlgorithm(ABC):
     network: str | None = None
 
     def __init__(self) -> None:
-        self.engine = None
         self.rng = random.Random(0)
 
     def attach(self, engine) -> None:
@@ -68,9 +67,12 @@ class RoutingAlgorithm(ABC):
 
         Stores the engine's output-lane table and a dedicated RNG stream
         for fair tie-breaking.  Subclasses extend this with precomputed
-        per-switch tables.
+        per-switch tables.  An algorithm copies what it needs from the
+        engine here and does not keep the engine itself: the engine holds
+        its algorithm, so a kept engine is a reference cycle, and the whole
+        engine would wait for the collector instead of being freed when its
+        last reference drops.
         """
-        self.engine = engine
         self.out = engine.out_lanes
         self.rng = random.Random(engine.config.seed ^ 0x9E3779B9)
 

@@ -83,7 +83,7 @@ from ..obs.telemetry import config_digest
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
 #: engine change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 6
+CHECKPOINT_FORMAT_VERSION = 7
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"

@@ -280,23 +280,40 @@ class Engine:
         # is complete by now: events reach the restored probes
         self._bind_events()
 
+    def __del__(self) -> None:
+        # The two lane-level back-edges, cut here and nowhere else:
+        # ``OutputLane.direction`` (the direction lists its lanes) and
+        # ``InputLane.src_out`` (the upstream output lane's ``sink`` is the
+        # lane).  Below an engine without a probe the graph is then a tree,
+        # which reference counting frees right after this returns.  A
+        # half-built, half-unpickled or tampered engine must not make this
+        # raise, and at interpreter exit this module's globals may be gone:
+        # hence ``vars``, ``hasattr`` and no global.
+        state = vars(self)
+        for d in state.get("dirs", ()):
+            for lane in getattr(d, "lanes", ()):
+                if hasattr(lane, "direction"):
+                    lane.direction = None
+        for ports in state.get("in_lanes", ()):
+            for lanes in ports:
+                for lane in lanes:
+                    if hasattr(lane, "src_out"):
+                        lane.src_out = None
+
     def release(self) -> None:
-        """Cut the edges that point back up the engine's object graph, so
-        reference counting frees it when the last outside reference drops
-        instead of a full collection walking ~16 k lanes later.
+        """Cut the edges that close a cycle through the engine object
+        itself, so reference counting frees it when the last outside
+        reference drops:
 
-        Below the engine the graph is a tree but for these edges, the
-        minimal set that closes a cycle:
-
-        * ``OutputLane.direction`` (the direction lists its lanes);
-        * ``InputLane.src_out`` (the upstream output lane's ``sink`` is
-          this lane);
-        * ``routing.engine``;
         * the probe and its handlers, the ``(spec, live)`` instruments and
           the cycle hooks — probes, live objects and hook closures hold the
           engine;
         * ``_Node.source`` (a ``ReliableSource`` holds its transport, which
           holds the engine).
+
+        An engine built without a probe has none of these edges, so dropping
+        it frees it without this call; the lane-level back-edges are cut by
+        ``__del__``, on every engine.
 
         What a post-run reader takes stays readable and unchanged:
         ``cycle``, the totals, ``result``, ``config``, ``topology`` and
@@ -308,16 +325,8 @@ class Engine:
         (:class:`ReleasedEngine`).  :func:`repro.sim.run.simulate` calls
         this once every instrument has finished.
         """
-        for d in self.dirs:
-            for lane in d.lanes:
-                lane.direction = None
-        for ports in self.in_lanes:
-            for lanes in ports:
-                for lane in lanes:
-                    lane.src_out = None
         for node in self.nodes:
             node.source = None
-        self.routing.engine = None
         self.probe = None
         self.instruments = []
         self._cycle_hooks = {}

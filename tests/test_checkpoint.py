@@ -299,6 +299,31 @@ class TestPackedMersenneStates:
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 5, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
+    def test_a_format_6_file_is_discarded_at_the_header(self, tmp_path, monkeypatch):
+        # format 6 pickled the routing algorithm's reference to its engine
+        config = small_tree_config()
+        engine = build_engine(config)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 6)
+            old.setattr(engine.routing, "engine", engine, raising=False)
+            save_checkpoint(engine, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header_line)["format"] == 6
+        restored = pickle.loads(payload)
+        assert restored.routing.engine is restored
+
+        def never(data):
+            raise AssertionError("a stale payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", never)
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 6, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)
         reference = _canonical(simulate(config))

@@ -230,14 +230,14 @@ class FirstFitTreeRouting(RoutingAlgorithm):
 
     def attach(self, engine) -> None:
         super().attach(engine)
-        topo = engine.topology
+        self.topology = topo = engine.topology
         self.k = topo.k
         self.up_ports = list(topo.up_ports())
         self.calls = 0
 
     def select(self, switch, inlane, packet):
         self.calls += 1
-        topo = self.engine.topology
+        topo = self.topology
         if topo._range_lo[switch] <= packet.dst < topo._range_hi[switch]:
             ports = [(packet.dst // self.k ** topo.level_of(switch)) % self.k]
         else:

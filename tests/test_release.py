@@ -1,12 +1,17 @@
-"""``simulate()`` frees its engine: no reference cycle outlives the run.
+"""Every engine is freed when its last reference drops: no reference cycle
+outlives it.
 
-:meth:`Engine.release` cuts the edges that point back up an engine's object
-graph, so the rest is a tree that reference counting frees the moment the
-last outside reference drops.  With the collector off and saving what it
-finds (``gc.DEBUG_SAVEALL``), a collection after each ``simulate()`` must
-find nothing of an engine graph — under every instrument tier alone, the
-chaos stack with its checkpoints and its resume, and a drain stopped with
-hooks still armed, on the tree and the cube, on both storages.
+``Engine.__del__`` cuts the two lane-level back-edges of an engine's object
+graph and :meth:`Engine.release` the edges that close a cycle through the
+engine object itself (probe, instruments, cycle hooks, sources), so the rest
+is a tree that reference counting frees the moment the last outside
+reference drops.  With the collector off and saving what it finds
+(``gc.DEBUG_SAVEALL``), a collection after each case must find nothing of an
+engine graph — ``simulate()`` under every instrument tier alone, the chaos
+stack with its checkpoints and its resume, a drain stopped with hooks still
+armed, an engine a ``build`` hook kept, and bare engines: built and run,
+restored from a checkpoint and resumed — on the tree and the cube, on both
+storages.  The finalizer never raises, whatever state it meets.
 
 A released engine still answers what a post-run reader takes (cycle,
 totals, result, the directions and their counters), and refuses, with a
@@ -17,40 +22,47 @@ differently.
 import contextlib
 import gc
 import json
+import subprocess
+import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import CheckpointError, SimulationError
 from repro.experiments.chaos import StormSpec, run_chaos_point
 from repro.obs.flight import FlightConfig
 from repro.obs.forensics import Forensics, ForensicsProbe, hotspots
 from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
 from repro.sim.checkpoint import (
     CheckpointPolicy,
+    load_checkpoint,
     newest_valid_checkpoint,
     read_manifest,
     save_checkpoint,
 )
 from repro.sim.engine import Engine, ReleasedEngine, _Node
 from repro.sim.packet import Packet
-from repro.sim.run import build_engine, finish, simulate, start
+from repro.sim.run import build_engine, finish, simulate, start, tree_config
 from repro.traffic.generator import PacketSource
 from repro.traffic.transport import ReliableSource, TransportConfig
 from repro.workloads.trace import TraceSource
 
-from .conftest import on_the_other_storage, small_tree_config
+from .conftest import on_the_other_storage, small_cube_config, small_tree_config
+from .test_checkpoint import _resize_first_packed_state
 from .test_determinism import _canonical
 from .test_instruments import ALL_SPECS, BARRIER, CONFIG, CUBE
 from .test_property_engine import python_loops
+from .test_wiring import wired_twice
 
-#: what must never wait for the collector once ``simulate()`` returned
+#: what must never wait for the collector once an engine is dropped
 ENGINE_GRAPH = (
     Engine, InputLane, OutputLane, EjectionLane, LinkDirection, _Node, Packet,
     PacketSource, ReliableSource, TraceSource,
 )
 NETWORKS = {"tree": CONFIG, "cube": CUBE}
 STORM = StormSpec(fault_rate=0.1, storm_seed=9, transport=TransportConfig(base_timeout=32))
+LOOP_PATHS = {"kernel": contextlib.nullcontext, "reference": python_loops}
 
 
 def _chain(obj, hops: int = 12) -> str:
@@ -94,11 +106,36 @@ def leftovers(calls: dict) -> dict:
     return found
 
 
+def bare(config, path: str) -> None:
+    """``build_engine(config).run()`` and ``audit()`` on the loop ``path``,
+    the engine dropped on return."""
+    with LOOP_PATHS[path]():
+        engine = build_engine(config)
+        engine.run()
+        engine.audit()
+
+
+def restored_and_resumed(config, directory) -> None:
+    """A bare engine checkpointed mid-run and dropped, then restored by
+    ``load_checkpoint`` and resumed outside ``simulate()``, and dropped."""
+    engine = build_engine(config)
+    for _ in range(200):
+        engine.step()
+    path = f"{directory}/ckpt-000000000200.rckpt"
+    save_checkpoint(engine, path)
+    del engine
+    engine, _header = load_checkpoint(path, config)
+    engine.resume_run()
+    engine.audit()
+
+
 def cases(directory) -> dict:
     """Name -> call, in order: every tier of :data:`ALL_SPECS` alone, a drain
     that stops with its checkpoint hook armed, then the chaos stack with a
-    checkpoint policy and its resume (the second call restores), per
-    network; checkpoints go below ``directory``."""
+    checkpoint policy and its resume (the second call restores), an engine
+    a ``build`` hook kept past ``simulate()``, a bare engine on each loop
+    path and one restored and resumed outside ``simulate()``, per network;
+    checkpoints go below ``directory``."""
     calls = {}
     for net, config in NETWORKS.items():
         for spec in ALL_SPECS:
@@ -114,6 +151,14 @@ def cases(directory) -> dict:
             calls[f"{net}-{name}"] = lambda config=config, chaos=chaos: run_chaos_point(
                 config, STORM, flight=FlightConfig(interval_cycles=64), checkpoint=chaos
             )
+        calls[f"{net}-kept-by-build"] = lambda config=config: simulated(
+            config, [Forensics(sample_every=150)]
+        )
+        for path in LOOP_PATHS:
+            calls[f"{net}-bare-{path}"] = lambda config=config, path=path: bare(config, path)
+        calls[f"{net}-restored-resumed"] = (
+            lambda config=config, net=net: restored_and_resumed(config, f"{directory}/{net}-bare")
+        )
     return calls
 
 
@@ -173,7 +218,6 @@ def _totals(engine) -> tuple:
     )
 
 
-LOOP_PATHS = {"kernel": contextlib.nullcontext, "reference": python_loops}
 ENTRY_POINTS = {
     "step": lambda engine, path: engine.step(),
     "run": lambda engine, path: engine.run(),
@@ -242,3 +286,102 @@ class TestTheLoaderReleasesWhatItDiscards:
         (discard,) = read_manifest(tmp_path)["discarded"]
         assert (discard["file"], discard["kind"]) == (path.name, "fingerprint-mismatch")
         assert f"restored fingerprint {root} != recorded {wrong}" in discard["error"]
+
+
+# -- a bare engine -----------------------------------------------------------------
+
+ALGORITHMS = {
+    "tree_adaptive": small_tree_config(algorithm="tree_adaptive"),
+    "tree_deterministic": small_tree_config(algorithm="tree_deterministic"),
+    "dor": small_cube_config(algorithm="dor"),
+    "duato": small_cube_config(algorithm="duato"),
+}
+
+
+class TestABareEngine:
+    @pytest.mark.parametrize("config", ALGORITHMS.values(), ids=ALGORITHMS)
+    def test_is_held_by_its_caller_alone(self, config):
+        # the name below and getrefcount's argument: no routing algorithm,
+        # lane or node points back at the engine, built or after a run
+        engine = build_engine(config)
+        assert sys.getrefcount(engine) == 2
+        engine.run()
+        assert sys.getrefcount(engine) == 2
+
+
+# -- the finalizer never raises ------------------------------------------------------
+
+#: a run that leaves an engine in a module global and one in a cycle of its
+#: own, for the interpreter to drop at exit
+AT_EXIT = """
+from repro.sim.run import build_engine, tree_config
+config = tree_config(k=2, n=3, vcs=2, load=0.5, warmup_cycles=50, total_cycles=300)
+engine = build_engine(config)
+engine.run()
+cyclic = build_engine(config)
+cyclic.itself = cyclic
+"""
+
+
+def finalized(make) -> tuple[int, list]:
+    """How many engines were finalized while ``make()`` ran and a collection
+    after it, and what ``sys.unraisablehook`` recorded meanwhile."""
+    calls, recorded = [], []
+    real = Engine.__del__
+
+    def counted(engine):
+        calls.append(type(engine))
+        real(engine)
+
+    with mock.patch.object(Engine, "__del__", counted), \
+            mock.patch.object(sys, "unraisablehook", recorded.append):
+        make()
+        gc.collect()
+    return len(calls), [f"{r.exc_type.__name__}: {r.exc_value} in {r.object!r}" for r in recorded]
+
+
+def mid_unpickle_failure(directory) -> None:
+    """A checkpoint whose first packed Mersenne state has the wrong size:
+    ``load_checkpoint`` stops inside ``pickle.loads``, with the engine made
+    and its state not yet set."""
+    engine = build_engine(small_tree_config())
+    for _ in range(150):
+        engine.step()
+    path = directory / "ckpt-000000000150.rckpt"
+    save_checkpoint(engine, path)
+    del engine
+    _resize_first_packed_state(path, 4)
+    with pytest.raises(CheckpointError, match="packed Mersenne state"):
+        load_checkpoint(path)
+
+
+def with_intruders(make, path: str) -> None:
+    """An engine with ``make(obj)`` in place of a fabric direction in
+    ``_fabric_dirs`` and of a lane in a direction's ``lanes``, dropped."""
+    with LOOP_PATHS[path]():
+        engine = build_engine(small_cube_config(load=0.6))
+        for _ in range(60):
+            engine.step()
+    engine._fabric_dirs[3] = make(engine._fabric_dirs[3])
+    lanes = engine.dirs[5].lanes
+    lanes[1] = make(lanes[1])
+
+
+class TestTheFinalizer:
+    @pytest.mark.parametrize("path", LOOP_PATHS)
+    def test_records_nothing_for_an_engine_whose_wiring_raised(self, path):
+        with LOOP_PATHS[path]():
+            assert finalized(lambda: wired_twice(tree_config(k=2, n=2, vcs=2))) == (1, [])
+
+    def test_records_nothing_for_a_payload_that_fails_mid_unpickle(self, tmp_path):
+        # the engine being saved, then the half-restored one
+        assert finalized(lambda: mid_unpickle_failure(tmp_path)) == (2, [])
+
+    @pytest.mark.parametrize("path", LOOP_PATHS)
+    @pytest.mark.parametrize("make", [lambda obj: None, lambda obj: object()], ids=["none", "foreign"])
+    def test_records_nothing_for_an_engine_holding_what_is_not_a_lane(self, make, path):
+        assert finalized(lambda: with_intruders(make, path)) == (1, [])
+
+    def test_leaves_nothing_on_stderr_when_the_interpreter_exits(self):
+        done = subprocess.run([sys.executable, "-c", AT_EXIT], capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
