@@ -45,6 +45,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
+from ..fields import field_list
 from ..sim.engine import Engine
 from ..sim.packet import FAULT_SENTINEL
 from .cube import CubeLinkFault, validate_cube_link_faults
@@ -78,6 +79,7 @@ class ScheduledFault:
             )
 
 
+@field_list
 class _ActiveFault:
     """Runtime state of one scheduled fault on a live engine."""
 

@@ -184,7 +184,7 @@ class FlightRecorder(Probe):
         # silently stopped streaming
         if self._events_fh is not None or self.on_sample is not None:
             raise CheckpointError(_LIVE_STREAM)
-        return dict(self.__dict__)
+        return self.__dict__
 
     def bind(self, engine) -> None:
         self.engine = engine

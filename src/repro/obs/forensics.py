@@ -70,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..fields import field_list
 from ..metrics.utilization import measured_cycles
 from ..sim.diagnostics import DeadlockSnapshot, capture_snapshot
 from ..sim.packet import FAULT_SENTINEL
@@ -85,6 +86,7 @@ COMPONENTS = ("source_wait", "routing_stall", "blocked", "transfer")
 CYCLES_PER_HOP = 3
 
 
+@field_list
 class StreamingHistogram:
     """Streaming log2-bucketed histogram of non-negative integers.
 
@@ -185,6 +187,7 @@ class PacketAttribution:
         )
 
 
+@field_list
 class _Flight:
     """Per-packet live attribution state between probe events."""
 

@@ -202,15 +202,15 @@ def _rng_digest(rng) -> bytes:
 # -- the rows: each subsystem's state, read in exactly one place ---------------
 
 
-def _fabric_rows(engine) -> list[list[int]]:
-    """One record per direction: a ``_DIRECTION`` header, then for each
-    lane its ``_OUT_LANE`` fields and its sink's (``_EJECTION_LANE`` on a
-    link into a node, ``_IN_LANE`` otherwise).  Nine tenths of the ints a
-    sample hashes are read here, so this stays one flat ``append`` loop per
-    direction — no per-lane call or tuple; :func:`_lane_records` cuts a
-    record back into lanes for whoever wants them apart."""
+def _fabric_rows(engine):
+    """One record per direction, made as it is asked for: a ``_DIRECTION``
+    header, then for each lane its ``_OUT_LANE`` fields and its sink's
+    (``_EJECTION_LANE`` on a link into a node, ``_IN_LANE`` otherwise).  Nine
+    tenths of the ints a sample hashes are read here, so this stays one flat
+    ``append`` loop per direction — no per-lane call or tuple;
+    :func:`_lane_records` cuts a record back into lanes for whoever wants
+    them apart."""
     none = _NONE
-    rows = []
     for idx, d in enumerate(engine.dirs):
         to_node = d.to_node
         row = [idx, d.rr, d.nbusy, d.flits, 1 if to_node else 0]
@@ -236,8 +236,7 @@ def _fabric_rows(engine) -> list[list[int]]:
                     append(bound.switch)
                     append(bound.port)
                     append(bound.vc)
-        rows.append(row)
-    return rows
+        yield row
 
 
 def _lane_records(row: list[int]) -> list[list[int]]:
@@ -444,11 +443,20 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
     identical cycles for identical configs.
     """
     tp = engine.find_probe(ReliableTransport)
-    records = _fabric_rows(engine)
-    links = [_ints(row) for row in records]
+    # each record is hashed as it is made and then dropped, unless ``detail``
+    # wants it again: the fabric is never held twice over
+    fabric = hashlib.blake2b(digest_size=8)
+    records, links = [], []
+    for row in _fabric_rows(engine):
+        data = _ints(row)
+        fabric.update(data)
+        if detail:
+            records.append(row)
+            links.append(data)
+    fabric.update(_digest(_preimage(_routing_tables(engine))))
     nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
     subsystems = {
-        "fabric": _hex(b"".join(links) + _digest(_preimage(_routing_tables(engine)))),
+        "fabric": fabric.hexdigest(),
         "injection": _hex(b"".join(nodes)),
         "transport": _hex(b"" if tp is None else _preimage(_transport_tables(tp))),
         "rng": _hex(b"".join(_rng_digests(engine, tp))),

@@ -26,7 +26,8 @@ once, as ``(name, kind)`` pairs, and subclasses what that returns with
 ``__slots__ = ()``): a counter, id or cycle stamp is a 64-bit integer there —
 assigning anything else raises at the assignment — and a reference is any
 object.  Elsewhere the same names are ``__slots__``.  Reading and writing
-``lane.buffered`` is the same on both, and so is what is pickled.
+``lane.buffered`` is the same on both, and so is what is pickled: the field
+values, in table order (``storage`` defines it once for every class).
 
 One modeled simplification (see DESIGN.md): an output lane is allocatable
 to a new packet only once its *downstream input lane* has fully drained the
@@ -82,23 +83,6 @@ class InputLane(
         #: cycle stamp of the most recent flit arrival, used to prevent a
         #: flit from crossing link and crossbar in the same cycle
         self.last_arrival = -1
-
-    def __getstate__(self) -> list:
-        # field values in ``FIELDS`` order: a checkpoint holds thousands
-        # of lanes, and a (None, {field name: value}) state costs a dict
-        # and ten name strings to pickle for each
-        return [
-            self.switch, self.port, self.vc, self.cap, self.packet,
-            self.received, self.forwarded, self.bound, self.src_out,
-            self.last_arrival,
-        ]
-
-    def __setstate__(self, state: list) -> None:
-        (
-            self.switch, self.port, self.vc, self.cap, self.packet,
-            self.received, self.forwarded, self.bound, self.src_out,
-            self.last_arrival,
-        ) = state
 
     @property
     def buffered(self) -> int:
@@ -156,18 +140,6 @@ class OutputLane(
         #: link direction this lane is multiplexed onto
         self.direction: LinkDirection | None = None
 
-    def __getstate__(self) -> list:
-        return [
-            self.switch, self.port, self.vc, self.cap, self.packet,
-            self.buffered, self.credits, self.sink, self.direction,
-        ]
-
-    def __setstate__(self, state: list) -> None:
-        (
-            self.switch, self.port, self.vc, self.cap, self.packet,
-            self.buffered, self.credits, self.sink, self.direction,
-        ) = state
-
     @property
     def sent(self) -> int:
         """Flits of the current packet already sent on the link: what the
@@ -211,19 +183,12 @@ class EjectionLane(storage("EjectionLane", (("node", INT), ("packet", REF), ("re
         self.packet: Packet | None = None
         self.received = 0
 
-    def __getstate__(self) -> list:
-        return [self.node, self.packet, self.received]
-
-    def __setstate__(self, state: list) -> None:
-        self.node, self.packet, self.received = state
-
 
 class LinkDirection(
     storage(
         "LinkDirection",
         (
             ("lanes", REF),
-            ("rot", REF),
             ("index", INT),
             ("rr", INT),
             ("nbusy", INT),
@@ -251,7 +216,6 @@ class LinkDirection(
         self.index = index
         for lane in lanes:
             lane.direction = self
-        self.build_rot()
         #: round-robin pointer for the fair arbiter
         self.rr = 0
         #: number of lanes with buffered > 0
@@ -269,34 +233,6 @@ class LinkDirection(
         self.blocked = 0
         #: snapshot of ``blocked`` at the warm-up boundary
         self.blocked_at_warmup = 0
-
-    def build_rot(self) -> None:
-        """``rot[rr]`` is the lanes in round-robin order starting at ``rr``:
-        the reference arbiter walks it instead of doing index arithmetic per
-        lane.  Plain slices of the doubled list, which the kernel's wiring
-        (``rot_of`` in ``_storage.c``) takes the same way."""
-        lanes = self.lanes
-        self.rot = rot = [lanes]
-        n = len(lanes)
-        if n > 1:
-            doubled = lanes + lanes
-            for i in range(1, n):
-                rot.append(doubled[i : i + n])
-
-    def __getstate__(self) -> list:
-        # ``rot`` is derived from ``lanes``: V more lists per direction are
-        # left out of pickles; ``Engine.__setstate__`` rebuilds them, and
-        # ``index`` from the position in ``Engine.dirs``
-        return [
-            self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
-            self.flits_at_warmup, self.blocked, self.blocked_at_warmup,
-        ]
-
-    def __setstate__(self, state: list) -> None:
-        (
-            self.lanes, self.rr, self.nbusy, self.to_node, self.flits,
-            self.flits_at_warmup, self.blocked, self.blocked_at_warmup,
-        ) = state
 
     @property
     def measured_flits(self) -> int:

@@ -698,7 +698,6 @@ static PyMethodDef methods[] = {
     {"setup", (PyCFunction)(void (*)(void))setup, METH_FASTCALL, NULL},
     {"wire_switch_links", (PyCFunction)(void (*)(void))wire_switch_links, METH_FASTCALL, NULL},
     {"wire_node_links", (PyCFunction)(void (*)(void))wire_node_links, METH_FASTCALL, NULL},
-    {"derive_directions", (PyCFunction)(void (*)(void))derive_directions, METH_FASTCALL, NULL},
     {"link_phase", (PyCFunction)(void (*)(void))link_phase, METH_FASTCALL, NULL},
     {"injection_phase", (PyCFunction)(void (*)(void))injection_phase, METH_FASTCALL, NULL},
     {"crossbar_phase", (PyCFunction)(void (*)(void))crossbar_phase, METH_FASTCALL, NULL},

@@ -72,7 +72,7 @@ NAMES(X)
     X(OL, packet, OBJECT_EX) X(OL, buffered, LONGLONG) X(OL, credits, LONGLONG) \
     X(OL, sink, OBJECT_EX) X(OL, direction, OBJECT_EX) \
     X(EJ, node, LONGLONG) X(EJ, packet, OBJECT_EX) X(EJ, received, LONGLONG) \
-    X(LD, lanes, OBJECT_EX) X(LD, rot, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
+    X(LD, lanes, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
     X(LD, nbusy, LONGLONG) X(LD, to_node, OBJECT_EX) X(LD, flits, LONGLONG) \
     X(LD, flits_at_warmup, LONGLONG) X(LD, blocked, LONGLONG) X(LD, blocked_at_warmup, LONGLONG) \
     X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) X(PK, created, LONGLONG) \
@@ -258,7 +258,6 @@ PyObject *storage(PyObject *module, PyObject *const *args, Py_ssize_t nargs);   
 PyObject *setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_node_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
-PyObject *derive_directions(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */
 PyObject *routing_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *select_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs);     /* _select.c */

@@ -18,10 +18,14 @@ with spaces, followed by the pickle payload.  The pickler streams into
 the temp file through a writer that hashes and counts what passes, so
 no second copy of the payload is ever held; the header line is written
 first at its final width and rewritten in place once digest and count
-are known.  Lanes and packets pickle as plain lists of their slot
-values (``__getstate__`` in :mod:`repro.router.lane` and
-:mod:`repro.sim.packet`), and every ``random.Random`` as its Mersenne
-state packed into one bytes string (:func:`_reduce_rng`).  Files are
+are known.  Lanes, directions, packets and nodes — and the slotted
+sources, messages and faults beside them — pickle as the bare list of their
+field values, written as the list items of an empty instance
+(:func:`repro.fields.field_list`, defined once on the storage base), and
+every ``random.Random`` as its Mersenne state packed into one bytes string
+(:func:`_reduce_rng`): the pickler's memo, which keeps all it has written
+until the dump ends, holds the engine graph and no per-object state beside
+it.  Files are
 written atomically (temp file, fsync, ``os.replace``) so a crash
 mid-write leaves either the old checkpoint or none.  On load, three
 gates run in order — payload digest, config digest (staleness), restored
@@ -42,7 +46,7 @@ the third gate on a file it did not write.
 Why the pickle stays (ROADMAP item 4, sized and closed): a checkpoint
 written from the rows the fingerprint enumerates would need a
 ``state()``/``from_state()`` pair on every probe class, where a handful
-of ``__getstate__`` hooks and one ``pickle.dump`` do the job today — and
+of reductions and one ``pickle.dump`` do the job today — and
 a fingerprint that shared its enumeration with the writer could no
 longer vouch for the restore.
 
@@ -83,7 +87,7 @@ from ..obs.telemetry import config_digest
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
 #: engine change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 7
+CHECKPOINT_FORMAT_VERSION = 8
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -96,13 +100,15 @@ _COUNT_DIGITS = 20
 
 #: pickle walks the engine graph depth-first, and the lanes of a congested
 #: network chain into each other (output lane -> sink -> bound output lane
-#: -> ...): measured, each chained object costs 3 interpreter frames and a
-#: saturated 16-ary 2-cube under Duato routing needs ~4200 of them, far
-#: past CPython's default limit of 1000.
+#: -> ...): measured on CPython 3.11, each chained lane costs 1 frame of the
+#: recursion limit now that its fields are written as its own list items (3
+#: while a state list sat between the lane and its fields, format 7), and a
+#: saturated 16-ary 2-cube under Duato routing needs ~1620 of them (~4150
+#: at format 7), still past CPython's default limit of 1000.
 #: The dump therefore runs under a limit sized, with a margin, for a chain
 #: through every lane, capped where the C stack (8 MiB) is known to hold; a
 #: graph deeper than the cap still fails as a CheckpointError, not a crash.
-_FRAMES_PER_LANE = 4
+_FRAMES_PER_LANE = 2
 _MAX_DUMP_RECURSION = 40_000
 
 
@@ -149,11 +155,15 @@ def file_lock(path):
 # ``getstate()``, 625 int objects in a tuple, and the pickler's memo keeps
 # every such tuple alive until the dump ends — ~161 k ints for the 258
 # streams of a 256-node chaos engine.  Packed, each state is one 2500-byte
-# string, and the restore skips the ``__init__`` re-seed that
-# ``Random()`` would pay before ``setstate`` overwrites it.
+# string (8 more for a pending Gaussian), given to :func:`_restore_rng` as
+# the state of an empty ``Random``: the restore skips the ``__init__``
+# re-seed that ``Random()`` would pay before ``setstate`` overwrites it, and
+# no argument tuple is written for the memo to keep.
 
 #: a version-3 Mersenne state: 624 words and the position, little-endian
 _MT_STATE = struct.Struct("<625I")
+#: ``gauss_next`` when one is pending, after the words
+_GAUSS = struct.Struct("<d")
 
 
 def _reduce_rng(rng):
@@ -161,18 +171,29 @@ def _reduce_rng(rng):
     version, internal, gauss = rng.getstate()
     if version != 3:
         return rng.__reduce__()
-    return _restore_rng, (_MT_STATE.pack(*internal), gauss)
+    packed = _MT_STATE.pack(*internal)
+    if gauss is not None:
+        packed += _GAUSS.pack(gauss)
+    return copyreg.__newobj__, (random.Random,), packed, None, None, _restore_rng
 
 
-def _restore_rng(words: bytes, gauss) -> random.Random:
-    """The stream :func:`_reduce_rng` packed, at the same position."""
-    if len(words) != _MT_STATE.size:
+def _restore_rng(rng: random.Random, packed: bytes) -> None:
+    """Put ``rng`` where :func:`_reduce_rng` packed it."""
+    gauss = None
+    if len(packed) == _MT_STATE.size + _GAUSS.size:
+        (gauss,) = _GAUSS.unpack_from(packed, _MT_STATE.size)
+    elif len(packed) != _MT_STATE.size:
         raise ValueError(
-            f"packed Mersenne state is {len(words)} bytes, not {_MT_STATE.size}"
+            f"packed Mersenne state is {len(packed)} bytes, not {_MT_STATE.size}"
         )
-    rng = random.Random.__new__(random.Random)
-    rng.setstate((3, _MT_STATE.unpack(words), gauss))
-    return rng
+    rng.setstate((3, _MT_STATE.unpack_from(packed), gauss))
+
+
+def checkpoint_pickler(file) -> pickle.Pickler:
+    """The pickler :func:`save_checkpoint` writes its payload with."""
+    pickler = pickle.Pickler(file, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {**copyreg.dispatch_table, random.Random: _reduce_rng}
+    return pickler
 
 
 def _fail(kind: str, message: str):
@@ -241,9 +262,7 @@ def save_checkpoint(engine, path) -> dict:
                 max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
             )
             try:
-                pickler = pickle.Pickler(payload, protocol=pickle.HIGHEST_PROTOCOL)
-                pickler.dispatch_table = {**copyreg.dispatch_table, random.Random: _reduce_rng}
-                pickler.dump(engine)
+                checkpoint_pickler(payload).dump(engine)
             except CheckpointError:
                 raise
             except Exception as exc:
@@ -323,6 +342,7 @@ def load_checkpoint(path, config=None):
         raise
     except Exception as exc:
         _fail("corrupt", f"{path}: payload does not unpickle: {exc}")
+    del payload  # not held beside the engine while its fingerprint is taken
     # a gate that fails below releases the engine first (Engine.release):
     # unreleased, a discard is cyclic garbage the collector walks later
     if engine.cycle != header.get("cycle"):

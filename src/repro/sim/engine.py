@@ -118,12 +118,6 @@ class _Node(
         self.sent = 0
         self.lane: InputLane | None = None
 
-    def __getstate__(self) -> tuple:
-        # what the default protocol writes for a ``__slots__`` class (a base
-        # that is a C struct has no default), so checkpoints hold the same
-        # bytes under either storage
-        return None, {name: getattr(self, name) for name, _ in self.FIELDS}
-
 
 #: the four phases of ``step``, compiled (``_phases.c``, ``_routing.c`` and
 #: ``_select.c``, built on first import — see :mod:`repro.sim.native`) and
@@ -146,6 +140,12 @@ class Engine:
         injector: per-node traffic sources.
         config: run recipe (must be consistent with the other arguments).
     """
+
+    # ``_handlers`` lives in a slot, outside ``__dict__``: a bound handler is
+    # derived from the probe tree and a fan-out is a closure, which does not
+    # pickle, so the pickled state is the ``__dict__`` itself — no copy for
+    # the pickler's memo to keep — and ``__setstate__`` binds them anew
+    __slots__ = ("_handlers", "__dict__", "__weakref__")
 
     def __init__(
         self,
@@ -256,6 +256,11 @@ class Engine:
         #: round-robin pointer after serving lane ``vc``: the next lane
         #: (every direction has ``vcs`` lanes, lane ``i`` being VC ``i``)
         self._rr_after = tuple(range(1, vcs)) + (0,)
+        #: the lanes' indices in round-robin order from pointer ``rr``,
+        #: wrapping past the last: the reference arbiter reads its scan here
+        #: (the kernel counts the wrap itself; in Python that would double
+        #: the cost of a pick)
+        self._rr_order = tuple(tuple((rr + i) % vcs for i in range(vcs)) for rr in range(vcs))
 
         routing.attach(self)
         self.routing = routing
@@ -264,18 +269,10 @@ class Engine:
     # -- construction ----------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # the handlers are derived from the probe tree, and a fan-out is a
-        # closure, which does not pickle
-        state = self.__dict__.copy()
-        del state["_handlers"]
-        return state
+        return self.__dict__
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # here and not in LinkDirection.__setstate__: lanes point back at
-        # their direction, so while a pickle loads a direction can be
-        # restored before its ``lanes`` list has been filled
-        (NATIVE_PHASES or reference).derive_directions(self.dirs)
         # the engine is the root of its pickle, so the probe tree under it
         # is complete by now: events reach the restored probes
         self._bind_events()
@@ -745,6 +742,8 @@ class Engine:
         * crossbar bindings are mutually consistent;
         * flit conservation: every injected flit is either delivered or
           buffered in exactly one lane;
+        * each direction's ``index`` is its position in ``dirs`` (the tables
+          of probes are indexed by it, and a pickle carries it);
         * a direction's link counters are at least their warm-up snapshots,
           and in each cycle run it moved one flit, was blocked, or was idle
           (``flits + blocked <= cycle``);
@@ -794,7 +793,11 @@ class Engine:
             raise SimulationError(
                 f"the bindings hold {len(bindings) - bound_lanes} lane(s) that are not bound"
             )
-        for d in self.dirs:
+        for index, d in enumerate(self.dirs):
+            if d.index != index:
+                raise SimulationError(
+                    f"direction index out of place: {d.label} index={d.index}, at {index} in dirs"
+                )
             busy = sum(1 for lane in d.lanes if lane.buffered > 0)
             if d.nbusy != busy:
                 raise SimulationError(

@@ -28,6 +28,8 @@ import sys
 import time
 import warnings
 
+from ..fields import field_list
+
 _HERE = pathlib.Path(__file__).parent
 #: the translation units, compiled one after the other and linked into one
 #: extension: the compiler is a child process of whoever imports first, and
@@ -169,13 +171,15 @@ def storage(name: str, fields: tuple) -> type:
     the kernel a class with the same names in ``__slots__``, in the same
     order.  Either way the fields are attributes of the instances, the
     subclass adds ``__slots__ = ()`` and nothing else to the layout, and
-    ``FIELDS`` on the class is the table."""
+    ``FIELDS`` on the class is the table.  An instance pickles as its field
+    values (:func:`field_list`), to the same bytes on both storages."""
+    names = tuple(field for field, _ in fields)
     if KERNEL is not None:
         base = KERNEL.storage(name, fields)
     else:
-        base = type(name, (), {"__slots__": tuple(field for field, _ in fields)})
+        base = type(name, (), {"__slots__": names})
     base.FIELDS = fields
-    return base
+    return field_list(base, names)
 
 
 def load_phases(*classes):

@@ -16,7 +16,9 @@ paper's metrics:
 
 All nine fields are integers: on the kernel's storage
 (:func:`repro.sim.native.storage`) a packet is nine machine words and
-nothing the garbage collector needs to follow.
+nothing the garbage collector needs to follow — though it still tracks every
+packet, on both storages: the class statement makes a heap type, and CPython
+gives each one the collector's flag.
 """
 
 from __future__ import annotations
@@ -58,19 +60,6 @@ class Packet(
         #: cycle a fail-stop fault destroyed the worm in flight
         self.dropped = -1
 
-    def __getstate__(self) -> list:
-        # field values in ``FIELDS`` order (see InputLane.__getstate__)
-        return [
-            self.pid, self.src, self.dst, self.size, self.created,
-            self.injected, self.head_delivered, self.delivered, self.dropped,
-        ]
-
-    def __setstate__(self, state: list) -> None:
-        (
-            self.pid, self.src, self.dst, self.size, self.created,
-            self.injected, self.head_delivered, self.delivered, self.dropped,
-        ) = state
-
     @property
     def network_latency(self) -> int:
         """Header injection to tail delivery, in cycles (§6).
@@ -94,14 +83,16 @@ class _FaultSentinel(Packet):
     value would come back as a copy and silently break every
     ``is FAULT_SENTINEL`` check after a restore.  Reducing to the module
     attribute costs nothing for ordinary packets (pickle consults
-    ``__reduce__`` per *type*, via C dispatch) — unlike a pickler-level
-    ``persistent_id`` hook, which is a Python call per pickled object.
+    ``__reduce_ex__`` per *type*, via C dispatch) — unlike a pickler-level
+    ``persistent_id`` hook, which is a Python call per pickled object.  It
+    is ``__reduce_ex__`` that is overridden, as on the storage base: pickle
+    asks for it first, and a ``__reduce__`` here would never be called.
     """
 
     __slots__ = ()
 
-    def __reduce__(self):
-        return (_restore_fault_sentinel, ())
+    def __reduce_ex__(self, protocol):
+        return _restore_fault_sentinel, ()
 
 
 def _restore_fault_sentinel() -> "Packet":

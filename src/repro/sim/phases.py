@@ -12,10 +12,8 @@ next flit of one (:func:`stream_flit`); a crossbar binding forwards a flit
 :func:`bind`).  A lane is a handful of counters, not a queue of flits (see
 :mod:`repro.router.lane`), and each function updates them in place.  The
 lanes themselves are made here too: ``Engine.__init__`` wires them
-(:func:`wire_switch_links`, :func:`wire_node_links`) and
-``Engine.__setstate__`` re-derives what a pickle leaves out
-(:func:`derive_directions`), through ``NATIVE_PHASES or`` this module as
-``step`` does.
+(:func:`wire_switch_links`, :func:`wire_node_links`) through
+``NATIVE_PHASES or`` this module as ``step`` does.
 
 **The twin rule.**  Every function here has a function of the *same name* in
 ``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the
@@ -87,7 +85,7 @@ class Link:
     __slots__ = (
         "engine", "t", "warm", "age", "delivered", "awake",
         "on_blocked", "on_head_arrived", "on_head_delivered", "on_tail_delivered",
-        "rr_after", "per_node", "config", "result",
+        "rr_after", "rr_order", "per_node", "config", "result",
     )
 
     def __init__(self, engine, t: int, handlers, warm: bool):
@@ -102,6 +100,7 @@ class Link:
         self.on_head_delivered = handler(handlers, "on_head_delivered")
         self.on_tail_delivered = handler(handlers, "on_tail_delivered")
         self.rr_after = engine._rr_after
+        self.rr_order = engine._rr_order
         self.per_node = engine.delivered_flits_per_node
         self.config = engine.config
         self.result = engine.result
@@ -114,10 +113,16 @@ def pick_lane(k: Link, d):
     when no lane has both a flit and a credit.  Oldest packet first, lowest
     lane on ties, under the age arbiter; else the first such lane from
     ``d.rr`` round."""
+    lanes = d.lanes
     age = k.age
+    rr = 0 if age else d.rr
+    if rr < 0:
+        raise IndexError("list index out of range")
     best = None
-    # rot[rr]: the lanes from ``d.rr`` round (IndexError for a pointer past them)
-    for cand in d.lanes if age else d.rot[d.rr]:
+    # the lanes from ``rr`` round, by a wrapping index: ``k.rr_order[rr]``
+    # lists it (IndexError for a pointer past the lanes, at the first read)
+    for at in k.rr_order[rr]:
+        cand = lanes[at]
         if cand.buffered <= 0 or cand.credits <= 0:
             continue
         if not age:
@@ -590,11 +595,3 @@ def wire_node_links(engine, cap: int, vcs: int, injection_lanes: int) -> None:
         ins = [InputLane(s, p, v, cap) for v in range(injection_lanes)]
         in_lanes[s][p] = ins
         engine._injection_lanes[node] = ins
-
-
-def derive_directions(dirs: list) -> None:
-    """What a pickle of ``dirs`` leaves out (``LinkDirection.__getstate__``):
-    each direction's ``index``, its position in the list, and its ``rot``."""
-    for index, d in enumerate(dirs):
-        d.index = index
-        d.build_rot()

@@ -19,6 +19,7 @@ import random
 from collections import deque
 
 from ..errors import ConfigurationError
+from ..fields import field_list
 from .patterns import TrafficPattern
 
 #: "no further creation": what a source's ``next_cycle`` returns when it
@@ -26,6 +27,7 @@ from .patterns import TrafficPattern
 NEVER = 1 << 62
 
 
+@field_list
 class PacketSource:
     """Bernoulli packet source for a single node.
 

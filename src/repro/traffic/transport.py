@@ -52,6 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..fields import field_list
 from ..obs.probe import Instrument, Probe, compose_probe
 
 
@@ -98,6 +99,7 @@ class TransportConfig:
             )
 
 
+@field_list
 class _Message:
     """Transport state of one application message."""
 
@@ -136,6 +138,7 @@ class _Message:
         self.last_sent = created
 
 
+@field_list
 class ReliableSource:
     """A :class:`~repro.traffic.generator.PacketSource` wrapped for
     reliable delivery.

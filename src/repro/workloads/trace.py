@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..fields import field_list
 from ..obs.probe import Instrument
 from ..traffic.generator import NEVER
 
@@ -128,6 +129,7 @@ def _rows(messages) -> list:
     return [[m.time, m.src, m.dst, m.flits] for m in messages]
 
 
+@field_list
 class TraceSource:
     """Per-node message schedule, duck-compatible with ``PacketSource``.
 

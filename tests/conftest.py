@@ -7,13 +7,17 @@ checks and the benchmark harness.
 
 from __future__ import annotations
 
+import gc
+import io
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 from repro.sim import native
+from repro.sim.checkpoint import checkpoint_pickler
 from repro.sim.run import build_engine, cube_config, tree_config
 
 
@@ -39,6 +43,30 @@ def on_the_other_storage(tmp_path, expression: str, *argv: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def built_for_the_pickle(root) -> list:
+    """The lists, tuples and dicts the checkpoint pickler's memo holds once
+    it has dumped ``root`` that are not part of ``root``'s own object graph:
+    containers built only to be pickled, which the memo keeps alive until
+    the dump ends.  Classes, modules and functions are where the graph
+    stops."""
+    pickler = checkpoint_pickler(io.BytesIO())
+    pickler.dump(root)
+    leaves = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, todo = {id(root)}, [root]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, leaves):
+            continue
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+    return [
+        obj for _, obj in pickler.memo.copy().values()
+        if type(obj) in (list, tuple, dict) and id(obj) not in seen
+    ]
 
 
 def small_tree_config(**overrides):

@@ -97,6 +97,13 @@ class TestAuditDetectsCorruption:
         with pytest.raises(SimulationError, match="busy-lane count drift"):
             engine.audit()
 
+    @pytest.mark.parametrize("index", [-1, 3, 99])
+    def test_direction_index_out_of_place(self, engine, index):
+        # the per-direction tables of probes are indexed by it
+        engine.dirs[5].index = index
+        with pytest.raises(SimulationError, match="direction index out of place: s.*, at 5 in dirs"):
+            engine.audit()
+
     @pytest.mark.parametrize("corrupt", [
         lambda d, cycle: setattr(d, "flits_at_warmup", d.flits + 1),
         lambda d, cycle: setattr(d, "blocked_at_warmup", d.blocked + 1),

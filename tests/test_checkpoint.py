@@ -8,7 +8,9 @@ structured discard findings instead of being trusted, and campaign
 supervision resumes interrupted points from their newest valid
 checkpoint with the *original* seed."""
 
+import copyreg
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -46,6 +48,7 @@ from repro.sim.checkpoint import (
     CheckpointProbe,
     attach_checkpoints,
     checkpoint_files,
+    checkpoint_pickler,
     clear_checkpoints,
     has_resumable,
     install_escalation_handler,
@@ -56,13 +59,13 @@ from repro.sim.checkpoint import (
     resume_point,
     save_checkpoint,
 )
-from repro.sim.packet import FAULT_SENTINEL
+from repro.sim.packet import FAULT_SENTINEL, Packet
 from repro.sim.run import Audit, build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
-from repro.traffic.transport import ReliableTransport, TransportConfig, simulate_reliable
+from repro.traffic.transport import Reliable, ReliableTransport, TransportConfig, simulate_reliable
 from repro.workloads import Replay, alltoall_trace, drained
 
-from .conftest import on_the_other_storage, small_cube_config, small_tree_config
+from .conftest import built_for_the_pickle, on_the_other_storage, small_cube_config, small_tree_config
 from .test_determinism import _canonical
 from .test_property_forensics import FIVE_CONFIGS, _build
 
@@ -87,9 +90,40 @@ class TestCheckpointFile:
 
     def test_fault_sentinel_identity_survives_pickling(self):
         # every `pkt is FAULT_SENTINEL` check in routing/diagnostics
-        # must keep working after a restore
+        # must keep working after a restore: the sentinel's reduction
+        # overrides the one every packet has from the storage base
         clone = pickle.loads(pickle.dumps(FAULT_SENTINEL))
         assert clone is FAULT_SENTINEL
+        payload = io.BytesIO()
+        checkpoint_pickler(payload).dump([FAULT_SENTINEL, Packet(3, 0, 1, 4, 0)])
+        sentinel, packet = pickle.loads(payload.getvalue())
+        assert sentinel is FAULT_SENTINEL and type(packet) is Packet and packet.pid == 3
+
+    @pytest.mark.parametrize("network", ["tree", "cube"])
+    def test_the_pickler_memo_holds_the_engine_graph_and_nothing_beside_it(self, network):
+        # a state built only to be pickled — a lane's list of values, a
+        # slotted source's or message's (None, {name: value}) pair, a copy of
+        # the engine's dict — would stay in the memo until the dump ends: a
+        # second copy of the fabric, of the sources and of the messages
+        engine, run = start(MEMO_CONFIGS[network], [
+            Flight(FlightConfig(interval_cycles=64)),
+            Reliable(TransportConfig(base_timeout=16, jitter=8, seed=3)),
+        ])
+        engine.add_cycle_hook(300, _boom)
+        _BOOM["armed"] = True
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run()
+        finally:
+            _BOOM["armed"] = False
+        transport = engine.find_probe(ReliableTransport)
+        assert transport._by_pid and any(b.packet is not None for b in engine.bindings)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            assert built_for_the_pickle(engine) == []
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_corrupt_payload_rejected(self, tmp_path):
         engine = build_engine(small_tree_config())
@@ -182,9 +216,9 @@ class TestCheckpointFile:
 
     def test_previous_format_version_discarded_before_unpickling(self, tmp_path, monkeypatch):
         # a version-4 payload holds link directions without their blocked
-        # counters, which this build's LinkDirection.__setstate__ cannot
-        # unpack; it must be turned away at the header, as a structured
-        # finding with its reason, not fail with a ValueError mid-unpickle
+        # counters, a list of values this build's LinkDirection.extend refuses;
+        # it must be turned away at the header, as a structured finding with
+        # its reason, not fail with a ValueError mid-unpickle
         config = small_tree_config()
         engine = build_engine(config)
         for _ in range(150):  # past the warm-up, with flits in flight
@@ -192,9 +226,10 @@ class TestCheckpointFile:
         path = tmp_path / "ckpt-000000000150.rckpt"
         with monkeypatch.context() as old:
             old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 4)
-            old.setattr(LinkDirection, "__getstate__", lambda d: [
-                d.lanes, d.rr, d.nbusy, d.to_node, d.flits, d.flits_at_warmup,
-            ])
+            old.setattr(LinkDirection, "__reduce_ex__", lambda d, protocol: (
+                copyreg.__newobj__, (type(d),), None,
+                iter([d.lanes, d.index, d.rr, d.nbusy, d.to_node, d.flits, d.flits_at_warmup]),
+            ))
             save_checkpoint(engine, path)
         header_line, payload = path.read_bytes().split(b"\n", 1)
         assert json.loads(header_line)["format"] == 4
@@ -323,6 +358,37 @@ class TestPackedMersenneStates:
         discarded = read_manifest(tmp_path)["discarded"]
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 6, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
+    def test_a_format_7_file_is_discarded_at_the_header(self, tmp_path, monkeypatch):
+        # format 7 pickled a direction as a state list without its index
+        # (and its rotations rebuilt on restore): this build has no
+        # __setstate__ to take it
+        config = small_tree_config()
+        engine = build_engine(config)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 7)
+            old.setattr(LinkDirection, "__reduce_ex__", lambda d, protocol: (
+                copyreg.__newobj__, (type(d),),
+                [d.lanes, d.rr, d.nbusy, d.to_node, d.flits, d.flits_at_warmup,
+                 d.blocked, d.blocked_at_warmup],
+            ))
+            save_checkpoint(engine, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header_line)["format"] == 7
+        with pytest.raises(pickle.UnpicklingError):
+            pickle.loads(payload)
+
+        def never(data):
+            raise AssertionError("a stale payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", never)
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 7, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)
@@ -837,6 +903,12 @@ MT_WORDS = 625
 
 #: per network, a chaos point whose sources, transport jitter and adaptive
 #: routing have all drawn by cycle 300
+#: mid-run engines with flits, worms and transport messages in flight
+MEMO_CONFIGS = {
+    "tree": small_tree_config(load=0.6, total_cycles=800),
+    "cube": small_cube_config(algorithm="duato", load=0.6, total_cycles=800),
+}
+
 PACKED_CHAOS = {
     "tree": small_tree_config(load=0.6, total_cycles=800),
     "cube": small_cube_config(algorithm="duato", load=0.6, total_cycles=800),

@@ -1,5 +1,6 @@
 """Unit tests for virtual-channel lanes (repro.router.lane)."""
 
+import copyreg
 import json
 import pickle
 
@@ -11,7 +12,7 @@ from repro.sim import native
 from repro.sim.engine import _Node
 from repro.sim.packet import Packet
 
-from .conftest import on_the_other_storage
+from .conftest import built_for_the_pickle, on_the_other_storage
 from .test_arbiter import Channel
 
 
@@ -164,59 +165,64 @@ class TestLinkDirection:
 
 
 def stored() -> list:
-    """A fresh instance of each class on the storage, with the fields its
-    pickled state leaves out."""
+    """A fresh instance of each class on the storage."""
     return [
-        (InputLane(2, 1, 3, cap=4), ()),
-        (OutputLane(2, 1, 3, cap=4), ()),
-        (EjectionLane(7), ()),
-        (pkt(), ()),
-        (LinkDirection([]), ("rot", "index")),  # rebuilt by Engine.__setstate__
-        (_Node(5, None, []), ()),
+        InputLane(2, 1, 3, cap=4),
+        OutputLane(2, 1, 3, cap=4),
+        EjectionLane(7),
+        pkt(),
+        LinkDirection([]),
+        _Node(5, None, []),
     ]
 
 
-def numbered(obj, derived):
-    """``obj`` with field ``i`` of its pickled state set to ``100 + i``; the names."""
-    names = [name for name, _ in obj.FIELDS if name not in derived]
+def numbered(obj):
+    """``obj`` with field ``i`` set to ``100 + i``; the names."""
+    names = [name for name, _ in obj.FIELDS]
     for i, name in enumerate(names):
         setattr(obj, name, 100 + i)
     return names
 
 
-def state_values(obj) -> list:
-    state = obj.__getstate__()
-    # _Node keeps the default protocol's (None, {name: value})
-    return list(state[1].values()) if isinstance(state, tuple) else state
-
-
 def describe_storage() -> dict:
-    """Per class: the field table, whether the base is the C struct, and the
-    state a numbered instance pickles."""
+    """Per class: the field table, whether the base is the C struct, the
+    bytes a numbered instance pickles to and the containers built to pickle
+    it."""
     described = {}
-    for obj, derived in stored():
-        numbered(obj, derived)
+    for obj in stored():
+        numbered(obj)
         cls = type(obj)
         described[cls.__name__] = [
-            cls.FIELDS, cls.__slots__, hasattr(cls.__base__, "__slots__"), obj.__getstate__(),
+            cls.FIELDS, cls.__slots__, hasattr(cls.__base__, "__slots__"),
+            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL).hex(),
+            len(built_for_the_pickle(obj)),
         ]
     return described
 
 
 class TestPickledState:
-    """Checkpoints pickle lanes, packets and nodes as their field values; a
-    field left out of ``__getstate__`` would come back unset."""
+    """Checkpoints pickle lanes, directions, packets and nodes as the bare
+    list of their field values: a field the list left out would come back
+    unset, and a state container built for the pickle would stay in the
+    pickler's memo until the dump ends."""
 
-    @pytest.mark.parametrize(
-        "obj, derived", stored(),
-        ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else "",
-    )
-    def test_every_slot_round_trips(self, obj, derived):
-        names = numbered(obj, derived)
-        state = state_values(obj)
-        assert state == [100 + i for i in range(len(names))]
+    @pytest.mark.parametrize("obj", stored(), ids=lambda obj: f"{type(obj).__name__}-")
+    def test_every_slot_round_trips(self, obj):
+        names = numbered(obj)
+        values = [100 + i for i in range(len(names))]
+        reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        assert reduced[:3] == (copyreg.__newobj__, (type(obj),), None)
+        assert list(reduced[3]) == values
         clone = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-        assert [getattr(clone, name) for name in names] == state
+        assert [getattr(clone, name) for name in names] == values
+        assert built_for_the_pickle(obj) == []
+
+    def test_a_field_list_of_another_length_is_refused(self):
+        lane = EjectionLane(7)
+        with pytest.raises(ValueError):
+            lane.extend([1, None])
+        with pytest.raises(ValueError):
+            lane.extend([1, None, 0, 0])
 
     def test_the_two_storages_hold_the_same_fields_and_pickle_the_same_state(self, tmp_path):
         there = json.loads(on_the_other_storage(
@@ -224,9 +230,9 @@ class TestPickledState:
         ))
         here = json.loads(json.dumps(describe_storage()))
         assert len(here) == 6
-        for name, (fields, slots, slotted, state) in here.items():
-            assert slots == [] and slotted == (native.KERNEL is None)
-            assert there[name] == [fields, slots, not slotted, state]
+        for name, (fields, slots, slotted, pickled, built) in here.items():
+            assert slots == [] and slotted == (native.KERNEL is None) and built == 0
+            assert there[name] == [fields, slots, not slotted, pickled, built]
 
     @pytest.mark.parametrize("value", ["4", None, 2.5, 2**63])
     def test_what_a_counter_takes_is_the_storage_s_business(self, value):

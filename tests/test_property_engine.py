@@ -353,7 +353,7 @@ C_ONLY = {
         "members_of", "traverse", "clear", "dealloc", "storage", "setup",
     },
     "what the wiring's calls of the lane and direction classes do (no __init__ runs)": {
-        "ready", "input_lanes", "output_lanes", "ejection_lanes", "rot_of", "append_direction",
+        "ready", "input_lanes", "output_lanes", "ejection_lanes", "append_direction",
         "put_in", "list_attr", "links_of",
     },
 }
@@ -664,7 +664,6 @@ def replace_item(items: list, at: int, make) -> None:
 def replace_first_scanned_lane(engine, make) -> None:
     d = busy_direction(engine)
     replace_item(d.lanes, d.rr, make)
-    d.build_rot()
 
 
 #: where the compiled walks look ahead of their cursor, and how to put
@@ -788,11 +787,36 @@ class TestCompiledPhasesFailurePaths:
             engine = self.loaded()
             d = busy_direction(engine)
             d.lanes = d.lanes[:1]
-            d.build_rot()
             d.rr = 2
             outcomes.append((*stepped_under(engine, python), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
+
+    @pytest.mark.parametrize("rr", [4, 5, -1])
+    def test_a_round_robin_pointer_past_the_lanes_raises_the_same_on_both_paths(self, rr):
+        # both scan the lanes from ``rr`` with a wrapping index, after
+        # holding ``rr`` to them
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            d = busy_direction(engine)
+            assert len(d.lanes) == 4
+            d.rr = rr
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
+
+    def test_a_direction_out_of_its_place_fails_the_audit_on_both_paths(self):
+        # no phase reads ``index`` (the probes' tables do), so the steps run
+        # on and the audit names the direction
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            engine.dirs[7].index = 8
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is None and outcomes[0][-1] == 68
+        assert outcomes[0][1].startswith("SimulationError: direction index out of place: ")
 
     def test_lanes_in_a_tuple_are_refused_at_the_visit(self):
         # the kernel has always wanted a list here (the Python loops walk any
@@ -800,7 +824,6 @@ class TestCompiledPhasesFailurePaths:
         engine = self.loaded()
         d = busy_direction(engine)
         d.lanes = tuple(d.lanes)
-        d.build_rot()
         with pytest.raises(TypeError, match="LinkDirection.lanes must be a list"):
             engine.step()
         assert engine.cycle == 60

@@ -1,10 +1,10 @@
 """The wiring of an engine's lanes and directions, and its compiled twin.
 
 ``Engine.__init__`` wires the fabric through ``wire_switch_links`` and
-``wire_node_links``, and ``Engine.__setstate__`` re-derives what a pickle
-leaves out through ``derive_directions`` — each a function of
-:mod:`repro.sim.phases` with a twin of its name in ``_storage.c``, called as
-``NATIVE_PHASES or reference`` the way ``step`` calls the phases.
+``wire_node_links`` — each a function of :mod:`repro.sim.phases` with a twin
+of its name in ``_storage.c``, called as ``NATIVE_PHASES or reference`` the
+way ``step`` calls the phases.  A pickle carries every field, so a restore
+derives nothing.
 
 ``TestReferenceWiring`` holds the Python wiring to the model and runs with
 the kernel or without it; ``TestWiringTwins`` holds the twins to it: an
@@ -113,8 +113,6 @@ class TestReferenceWiring:
         for i, d in enumerate(engine.dirs):
             assert d.index == i and d.lanes is engine.out_lanes[d.switch][d.port]
             assert len(d.lanes) == vcs and d.to_node is (i >= len(engine._fabric_dirs))
-            assert d.rot[0] is d.lanes
-            assert d.rot == [d.lanes[r:] + d.lanes[:r] for r in range(vcs)]
             for v, lane in enumerate(d.lanes):
                 assert (lane.vc, lane.direction, lane.packet, lane.buffered) == (v, d, None, 0)
                 if d.to_node:
@@ -127,7 +125,7 @@ class TestReferenceWiring:
 
     @engine_settings
     @given(wiring_recipe())
-    def test_a_restore_re_derives_index_and_rot(self, config):
+    def test_a_restore_keeps_every_field(self, config):
         with python_loops():
             engine = build_engine(config)
             again = restored(engine)
@@ -166,31 +164,30 @@ class TestWiringTwins:
         with python_loops():
             assert wired_twice(config) == native
 
-    @pytest.mark.parametrize("twin", ["wire_switch_links", "derive_directions"])
-    def test_a_twin_that_skips_a_rot_slice_is_caught(self, twin, monkeypatch):
+    def test_a_twin_that_numbers_a_direction_out_of_place_is_caught(self, monkeypatch):
+        # ``index`` is carried in the pickle like every other field, and the
+        # audit holds it to the direction's place
         config = tree_config(k=2, n=3, vcs=4)
         kernel = engine_module.NATIVE_PHASES
 
-        class Skipping:
-            """The kernel, with one twin that leaves the last slice out of
-            one direction's ``rot``."""
+        class Misnumbering:
+            """The kernel, with a switch wiring that numbers one direction
+            as the next."""
 
             def __getattr__(self, name):
                 return getattr(kernel, name)
 
-        def skipping(first, *args):
-            getattr(kernel, twin)(first, *args)
-            dirs = first if twin == "derive_directions" else first.dirs
-            dirs[3].rot.pop()
+            @staticmethod
+            def wire_switch_links(engine, *args):
+                kernel.wire_switch_links(engine, *args)
+                engine.dirs[3].index += 1
 
-        setattr(Skipping, twin, staticmethod(skipping))
         with python_loops():
-            built = build_engine(config)
-            python = built if twin == "wire_switch_links" else restored(built)
-        monkeypatch.setattr(engine_module, "NATIVE_PHASES", Skipping())
-        mutant = build_engine(config) if twin == "wire_switch_links" else restored(built)
-        # nothing a pickle or a fingerprint holds tells: the field rows do
-        assert pickle.dumps(mutant) == pickle.dumps(python)
-        assert mutant.state_fingerprint(detail=True) == python.state_fingerprint(detail=True)
+            python = build_engine(config)
+        monkeypatch.setattr(engine_module, "NATIVE_PHASES", Misnumbering())
+        mutant = build_engine(config)
+        assert pickle.dumps(mutant) != pickle.dumps(python)
         differing = [i for i, (a, b) in enumerate(zip(rows(mutant)["dirs"], rows(python)["dirs"])) if a != b]
         assert differing == [3]
+        with pytest.raises(SimulationError, match="direction index out of place: .*, at 3 in dirs"):
+            mutant.audit()
