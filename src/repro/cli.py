@@ -10,11 +10,6 @@ Subcommands:
   (Chrome ``trace_event`` and/or JSONL) plus windowed per-lane counters
   (compose ``--flight`` / ``--statehash`` for the timeline and digest
   chain alongside the trace);
-* ``diff`` — the divergence bisection debugger: compare two runs' state
-  digest chains (run documents, ledger records or config JSON), locate
-  the first divergent interval, replay both sides to the exact first
-  divergent cycle and name the subsystem/link/lane/flit that differs
-  (exit 0 identical, 4 diverged);
 * ``fig5`` / ``fig6`` / ``fig7`` — regenerate a paper figure's series
   (``--plot`` adds terminal scatter plots for fig5/fig6);
 * ``tables`` — print Tables 1 and 2 next to the paper's values;
@@ -55,13 +50,13 @@ line on stderr and ``--events PATH`` streams samples/annotations (or
 per-point campaign records) as JSONL; both imply ``--flight``.
 ``--statehash`` (on ``run`` and ``trace``) attaches the state-digest
 audit trail (:mod:`repro.obs.statehash`): a bounded chain of layered
-Merkle-style state roots on ``telemetry.statehash``, the input of
-``diff`` and the scorecard's audit panel; ``--audit`` additionally runs
-the engine invariant audit at every digest boundary (and implies
-``--statehash``).  ``--checkpoint DIR`` (on ``run``, ``sweep``,
-``chaos`` and ``congestion``) writes digest-verified engine
-checkpoints (:mod:`repro.sim.checkpoint`) every ``--checkpoint-every``
-cycles; ``--resume DIR`` finishes an interrupted run or campaign from
+Merkle-style state roots on ``telemetry.statehash``, the input of the
+scorecard's audit panel; ``--audit`` additionally runs the engine
+invariant audit at every digest boundary (and implies ``--statehash``).
+``--checkpoint DIR`` (on ``run``, ``sweep``, ``chaos`` and
+``congestion``) writes digest-verified engine checkpoints
+(:mod:`repro.sim.checkpoint`) every ``--checkpoint-every`` cycles;
+``--resume DIR`` finishes an interrupted run or campaign from
 the newest valid checkpoint, reloading already-completed campaign
 points from their per-point caches.  Campaigns exit 130 on Ctrl-C and
 143 on SIGTERM, flushing completed points either way.
@@ -70,7 +65,6 @@ Examples::
 
     repro-net run --network cube --algorithm duato --load 0.5 --json
     repro-net run --network cube --load 0.5 --statehash --json > a.json
-    repro-net diff a.json b.json --out divergence.html
     repro-net run --network cube --pattern transpose --load 0.7 \\
         --forensics --ledger runs.jsonl
     repro-net analyze --ledger runs.jsonl --heatmap hotspots.svg
@@ -614,27 +608,6 @@ def cmd_trace(args) -> int:
     return _with_cprofile(args, body)
 
 
-def cmd_diff(args) -> int:
-    from .obs.diff import DIVERGENCE_EXIT_CODE, describe_diff, diff_runs
-
-    doc = diff_runs(
-        args.a,
-        args.b,
-        interval=args.interval,
-        max_findings=args.max_findings,
-    )
-    if args.out:
-        from .obs.report import render_diff_html
-
-        pathlib.Path(args.out).write_text(render_diff_html(doc))
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(describe_diff(doc))
-    return 0 if doc["identical"] else DIVERGENCE_EXIT_CODE
-
-
 def cmd_cnf(args) -> int:
     """``fig5`` / ``fig6``: one panel of a paper figure's CNF curves."""
     experiment = {"fig5": fig5_experiment, "fig6": fig6_experiment}[args.command]
@@ -1067,9 +1040,8 @@ OPTIONS = {
     "statehash": _opt(
         "--statehash", int, nargs="?", const=0, metavar="CYCLES",
         help="attach the state-digest audit trail (bounded Merkle-style "
-        "digest chain on telemetry.statehash, the input of `diff`); "
-        "optional value overrides the digest interval in cycles "
-        "(default 128)",
+        "digest chain on telemetry.statehash); optional value overrides "
+        "the digest interval in cycles (default 128)",
     ),
     "audit": _switch(
         "--audit",
@@ -1190,17 +1162,6 @@ OPTIONS = {
         "--metric", default="blocked_cycles", choices=("blocked_cycles", "flits"),
         help="heatmap cell metric (congestion vs utilization)",
     ),
-    # diff
-    "a": _opt("a", help="first side: run document / ledger JSONL / config JSON"),
-    "b": _opt("b", help="second side: run document / ledger JSONL / config JSON"),
-    "interval": _opt(
-        "--interval", int, metavar="CYCLES",
-        help="digest interval for re-runs (default 128); sides that already "
-        "carry a chain at a different stride are re-run to align",
-    ),
-    "max_findings": _opt(
-        "--max-findings", int, 64, "cap on per-field findings in the structured state diff"
-    ),
     # report
     "title": _opt("--title", default="Reproduction scorecard"),
     "tol": _opt("--tol", float, 0.05, "saturation-detection tolerance (fraction)"),
@@ -1301,12 +1262,6 @@ def _commands() -> tuple:
             ("out", dict(metavar="HTML", help="write an HTML page with both panels")),
             "metric",
             ("json", dict(help="print the raw forensics document instead of the text digest")),
-        )),
-        ("diff", "bisect the first divergent cycle between two digested runs", cmd_diff, (
-            "a", "b", "interval", "max_findings",
-            ("out", dict(
-                metavar="HTML", help="also write the divergence report as an HTML page")),
-            ("json", dict(help="print the raw diff document instead of the text digest")),
         )),
         ("report", "render the HTML reproduction scorecard from a metrics ledger", cmd_report, (
             ("ledger", dict(required=True, help="ledger to score")),

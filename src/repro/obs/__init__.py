@@ -35,12 +35,11 @@ On top of the per-run signals sits the aggregation tier:
   results store every ``--ledger`` CLI invocation feeds, queryable by
   config digest / network / pattern / time window, deduplicated by
   recipe digest + seed.
-* :mod:`repro.obs.report` — the HTML reproduction scorecard and the
-  ``repro-net diff`` page.  A data half (ledger runs grouped into
-  figures, campaign curves and per-tier entries, the paper's Figure 5/6
-  saturation points, per-figure fidelity) and the pages as section
-  specs — heading, blurb, panel pair, table columns — over the
-  primitives of :mod:`repro.obs.heatmap`.
+* :mod:`repro.obs.report` — the HTML reproduction scorecard.  A data
+  half (ledger runs grouped into figures, campaign curves and per-tier
+  entries, the paper's Figure 5/6 saturation points, per-figure
+  fidelity) and the page as section specs — heading, blurb, panel
+  pair, table columns — over the primitives of :mod:`repro.obs.heatmap`.
 * :mod:`repro.obs.bench` — ``PROBE_FACTORIES``: one factory per probe
   tier, the operating points ``benchmarks/perf`` times.
 * :mod:`repro.obs.forensics` — the congestion-forensics tier:
@@ -68,10 +67,8 @@ On top of the per-run signals sits the aggregation tier:
   chain), ``Engine.state_fingerprint()`` and the un-hashed
   :func:`state_snapshot` — the backend validation contract of
   DESIGN.md; the chain rides on ``telemetry.statehash``.
-* :mod:`repro.obs.diff` — the divergence bisection debugger behind
-  ``repro-net diff``: compares two digest chains, replays both configs
-  to the exact first divergent cycle and names the subsystem, link,
-  lane, flit or credit counter that differs.
+  :func:`snapshot_diff` names every lane, flit or credit counter where
+  two snapshots differ: the failure message of a lockstep comparison.
 
 CLI entry points: ``repro-net trace`` for instrumented single runs,
 ``repro-net run/sweep/trace --json`` for machine-readable results
@@ -135,14 +132,8 @@ _LAZY = {
     "describe_statehash": "statehash",
     "engine_fingerprint": "statehash",
     "state_snapshot": "statehash",
-    "DIFF_FORMAT_VERSION": "diff",
-    "DIVERGENCE_EXIT_CODE": "diff",
-    "compare_chains": "diff",
-    "describe_diff": "diff",
-    "diff_runs": "diff",
-    "snapshot_diff": "diff",
+    "snapshot_diff": "statehash",
     "statehash_entries": "report",
-    "render_diff_html": "report",
 }
 
 

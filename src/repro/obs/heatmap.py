@@ -12,8 +12,8 @@ writes as markup is assembled here, once:
 * :func:`table` — an HTML table from ``(header, format, class)`` columns;
 * :func:`page` — the self-contained HTML page (the CSS lives here too).
 
-:mod:`repro.obs.report` describes the scorecard and the divergence page
-as data over these; ``repro-net analyze --out`` is a :func:`page` as well.
+:mod:`repro.obs.report` describes the scorecard as data over these;
+``repro-net analyze --out`` is a :func:`page` as well.
 
 The figures of one forensics or flight document:
 

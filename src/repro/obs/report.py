@@ -591,15 +591,15 @@ _DYNAMICS = _Section(
 
 #: runs sharing a genesis (identical full config, seed included) are
 #: replica groups: matching chain heads render as a reproducibility check
-#: mark, a mismatch flags a divergence for ``repro diff``
+#: mark, a mismatch flags the group as diverged
 _AUDIT = _Section(
     heading="State-digest audit",
     blurb=(
         "Bounded Merkle-style chains of per-interval "
         "state roots (lanes, credits, routing, injection queues, "
         "transport windows, RNG positions).  Two runs of one recipe must "
-        "agree on every root; <code>repro diff</code> bisects any "
-        "mismatch to the exact first divergent cycle."
+        "agree on every root; replicas whose chain heads differ are "
+        "marked diverged."
     ),
     columns=(
         ("run", "{}", ""),
@@ -611,26 +611,6 @@ _AUDIT = _Section(
         ("replicas", "{}", {"consistent": "good", "diverged": "bad"}.get),
     ),
 )
-
-_DIFF_SIDES = (
-    ("side", "{}", ""),
-    ("label", "{}", ""),
-    ("config", "{}", "code"),
-    ("seed", "{}", "num"),
-    ("samples", "{}", "num"),
-    ("stride", "{}", "num"),
-    ("chain head", "{}", "code"),
-)
-
-_DIFF_FINDINGS = (
-    ("subsystem", "{}", ""),
-    ("location", "{}", ""),
-    ("lane", "{}", ""),
-    ("field", "{}", "code"),
-    ("a", "{}", "code"),
-    ("b", "{}", "code"),
-)
-
 
 def _cnf_section(fig: ScorecardFigure) -> list[str]:
     """One figure: a curve per series, the paper's saturation point (and
@@ -750,62 +730,6 @@ def _forensics_section(label: str, doc: dict) -> list[str]:
     if notes:
         parts.append(f'<p class="muted">{"; ".join(notes)}.</p>')
     return parts
-
-
-def render_diff_html(doc: dict, title: str = "Divergence report") -> str:
-    """Self-contained HTML for one ``repro diff`` outcome document."""
-    if doc["identical"]:
-        body = [
-            '<p class="good">IDENTICAL over '
-            f"{doc['compared_entries']} common sampled cycles</p>"
-        ]
-    else:
-        body = [
-            '<p class="bad">DIVERGED — first divergent interval ends cycle '
-            f"{doc['first_divergent_interval_cycle']}, subsystems: "
-            f"{html.escape(', '.join(doc['subsystems_divergent']) or '?')}</p>"
-        ]
-    body += table(
-        _DIFF_SIDES,
-        [
-            (
-                key, side["label"], side["config_hash"], side["seed"],
-                side["entries"], side["stride"], side["chain_head"],
-            )
-            for key, side in (("a", doc["a"]), ("b", doc["b"]))
-        ],
-    )
-    for note in doc["notes"]:
-        body.append(f'<p class="muted">{html.escape(note)}</p>')
-    bisection = doc.get("bisection")
-    if bisection is not None:
-        status = bisection["status"]
-        if status == "exact":
-            body.append(
-                f"<h2>Bisected to cycle {bisection['cycle']}</h2>"
-                f'<p>Divergent subsystems at that cycle: '
-                f"{html.escape(', '.join(bisection.get('subsystems', [])) or 'root only')}"
-                "</p>"
-            )
-        else:
-            body.append(f'<h2>Bisection: <span class="warn">{html.escape(status)}</span></h2>')
-    if doc["findings"]:
-        body += table(
-            _DIFF_FINDINGS,
-            [
-                (
-                    f["subsystem"], str(f["location"] or ""), str(f["lane"] or ""),
-                    f["path"], repr(f["a"]), repr(f["b"]),
-                )
-                for f in doc["findings"]
-            ],
-        )
-        if doc["findings_dropped"]:
-            body.append(
-                f'<p class="muted">… {doc["findings_dropped"]} more differing '
-                "fields (raise --max-findings to see them)</p>"
-            )
-    return page(title, body)
 
 
 def render_scorecard(

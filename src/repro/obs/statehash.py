@@ -30,9 +30,12 @@ digest (``chain[i] = H(chain[i-1] ‖ root[i])``), bounded like the
 flight recorder by pairwise decimation, and ride ``telemetry.statehash``
 into run documents and the ledger.  :func:`engine_fingerprint` (exposed
 as ``Engine.state_fingerprint``) hashes the rows; :func:`state_snapshot`
-is the same rows under their names, the view the divergence debugger
-(:mod:`repro.obs.diff`) walks to name the exact lane, flit or credit
-counter that differs — a field added to a row is in both by construction.
+is the same rows under their names, and :func:`snapshot_diff` walks two
+snapshots to name the exact lane, flit or credit counter that differs —
+a field added to a row is in all three by construction.  A chain pins
+*that* two runs agree (the lockstep suite, the checkpoint root gate and
+the cross-interpreter comparison hold them to it); the snapshot diff is
+the failure message that says *where* they do not.
 
 Determinism rules: digests cover only *simulation* state — never wall
 clock, ``id()`` values, measurement accumulators or phase timers — so
@@ -509,7 +512,7 @@ def state_snapshot(engine) -> dict:
     """The fingerprint's pre-image as a nested JSON-able dict.
 
     The very rows :func:`engine_fingerprint` hashes, under their schema
-    names — the divergence debugger flattens two snapshots into
+    names — :func:`snapshot_diff` flattens two snapshots into
     path -> value maps and reports exactly which lane, flit or counter
     differs.  Meant for diff-time, not per-interval sampling.
     """
@@ -525,6 +528,80 @@ def state_snapshot(engine) -> dict:
         "transport": None if tp is None else _named(_transport_tables(tp)),
         "rng": {"sources": sources, "jitter": jitter},
     }
+
+
+#: findings :func:`snapshot_diff` keeps before truncation
+DEFAULT_MAX_FINDINGS = 64
+
+#: stands in for a leaf present on one side only
+_ABSENT = "<absent>"
+
+
+def _flatten(prefix: str, obj, out: dict) -> None:
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            _flatten(f"{prefix}/{key}", obj[key], out)
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _flatten(f"{prefix}/{i}", value, out)
+    else:
+        out[prefix] = obj
+
+
+def _classify(path: str) -> dict:
+    """Map a flattened snapshot path to (subsystem, location, lane, field)."""
+    seg = path.split("/")
+    subsystem = "engine" if seg[0] == "counters" else seg[0]
+    location = None
+    lane = None
+    if seg[0] == "fabric" and len(seg) > 1:
+        if seg[1] == "links" and len(seg) > 2:
+            location = seg[2]
+            if len(seg) > 4 and seg[3] == "lanes":
+                lane = seg[4]
+        elif seg[1] == "routing":
+            location = "routing"
+    elif seg[0] == "injection" and len(seg) > 1:
+        location = f"node {seg[1]}"
+        if len(seg) > 3 and seg[2] == "lanes":
+            lane = seg[3]
+    elif seg[0] == "transport" and len(seg) > 1:
+        location = seg[1]
+    elif seg[0] == "rng" and len(seg) > 1:
+        location = f"node {seg[2]}" if seg[1] == "sources" and len(seg) > 2 else seg[1]
+    return {
+        "path": path,
+        "subsystem": subsystem,
+        "location": location,
+        "lane": lane,
+        "field": seg[-1],
+    }
+
+
+def snapshot_diff(snap_a: dict, snap_b: dict, max_findings: int = DEFAULT_MAX_FINDINGS):
+    """(findings, dropped): every leaf where two state snapshots disagree.
+
+    Each finding names its path and, read off the path alone, the
+    subsystem, link or node and lane holding it, with both values.
+    Findings are sorted by path and truncated deterministically, so the
+    same pair of snapshots always produces the same list.
+    """
+    flat_a: dict = {}
+    flat_b: dict = {}
+    _flatten("", snap_a, flat_a)
+    _flatten("", snap_b, flat_b)
+    findings = []
+    for path in sorted(flat_a.keys() | flat_b.keys()):
+        va = flat_a.get(path, _ABSENT)
+        vb = flat_b.get(path, _ABSENT)
+        if va == vb:
+            continue
+        finding = _classify(path.lstrip("/"))
+        finding["a"] = va
+        finding["b"] = vb
+        findings.append(finding)
+    dropped = max(0, len(findings) - max_findings)
+    return findings[:max_findings], dropped
 
 
 # -- the probe -----------------------------------------------------------------
@@ -569,9 +646,9 @@ class StateDigestProbe(Probe):
     chains are only comparable when the configs match — and a truncated
     or tampered chain cannot reproduce the recorded ``chain_head``.
     After decimation the chain values still commit to *all* sampled
-    roots (dropped rows included); the divergence debugger therefore
-    compares per-cycle **roots**, and uses ``chain_head`` as the
-    whole-run integrity summary.
+    roots (dropped rows included); two chains are therefore compared by
+    per-cycle **roots**, with ``chain_head`` as the whole-run integrity
+    summary.
     """
 
     def __init__(self, config: StateDigestConfig | None = None):

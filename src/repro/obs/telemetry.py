@@ -75,8 +75,8 @@ class RunTelemetry:
         statehash: the state-digest audit trail (the bounded chain of
             per-interval Merkle-style state roots) attached by
             :class:`repro.obs.statehash.StateDigestProbe` at run end —
-            the input of ``repro diff`` divergence bisection; ``None``
-            for undigested runs and older archives.
+            the input of the scorecard's audit panel; ``None`` for
+            undigested runs and older archives.
         faults: what a :class:`repro.faults.Faults` instrument did — its
             recipe (``fraction``, ``seed``, ``fail_at``, ``repair_at``), the
             realized ``faults`` count, the ``population`` it is a fraction

@@ -11,7 +11,6 @@ parallel algorithms:
   matrix transposition (the paper cites Helman/Bader/JáJá [35]);
 * **butterfly barrier / allreduce rounds** — log₂N rounds of pairwise
   exchange at hypercube distances (bit-complement sub-permutations);
-* **stencil halo exchange** — nearest-neighbor rounds per dimension;
 * **broadcast** — a binomial tree from one root.
 
 Use :func:`~repro.workloads.runner.run_trace` to play any trace on a
@@ -24,7 +23,6 @@ from .collectives import (
     alltoall_trace,
     broadcast_trace,
     butterfly_barrier_trace,
-    stencil_trace,
 )
 from .runner import TraceResult, drained, run_trace
 from .trace import Replay, Trace, TraceMessage, TraceSource
@@ -33,7 +31,6 @@ __all__ = [
     "alltoall_trace",
     "broadcast_trace",
     "butterfly_barrier_trace",
-    "stencil_trace",
     "TraceResult",
     "drained",
     "run_trace",

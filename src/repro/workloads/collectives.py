@@ -79,35 +79,6 @@ def butterfly_barrier_trace(
     return trace
 
 
-def stencil_trace(
-    k: int, n: int, flits: int = 16, rounds: int = 1, round_gap: int | None = None
-) -> Trace:
-    """Halo exchange on a k^n process grid: each round sends to both
-    neighbors in every dimension (torus wrap included).
-
-    Models the communication phase of iterative stencil solvers; one
-    round is ``2n`` messages per node.
-    """
-    if k < 2 or n < 1:
-        raise ConfigurationError(f"invalid grid k={k}, n={n}")
-    if rounds < 1:
-        raise ConfigurationError(f"need >= 1 round, got {rounds}")
-    gap = round_gap if round_gap is not None else 3 * flits * 2 * n
-    num_nodes = k**n
-    weights = [k ** (n - 1 - i) for i in range(n)]
-    trace = Trace(num_nodes)
-    for r in range(rounds):
-        for src in range(num_nodes):
-            for dim in range(n):
-                w = weights[dim]
-                digit = (src // w) % k
-                for direction in (1, -1):
-                    peer = src + ((digit + direction) % k - digit) * w
-                    if peer != src:
-                        trace.send(r * gap, src, peer, flits)
-    return trace
-
-
 def broadcast_trace(num_nodes: int, root: int = 0, flits: int = 16) -> Trace:
     """Binomial-tree broadcast from ``root``: log2(N) rounds.
 

@@ -103,30 +103,8 @@ class Trace:
                 remaining -= chunk
         return out
 
-    # -- persistence -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize as a compact JSON document, messages in trace order
-        (same-time messages of a node are played in that order: it is part
-        of the schedule)."""
-        return json.dumps({"num_nodes": self.num_nodes, "messages": _rows(self.messages)})
-
-    @classmethod
-    def from_json(cls, text: str) -> Trace:
-        """Inverse of :meth:`to_json` (validates every message)."""
-        try:
-            doc = json.loads(text)
-            messages = [TraceMessage(*row) for row in doc["messages"]]
-            return cls(doc["num_nodes"], messages)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed trace document: {exc}") from exc
-
     def __len__(self) -> int:
         return len(self.messages)
-
-
-def _rows(messages) -> list:
-    return [[m.time, m.src, m.dst, m.flits] for m in messages]
 
 
 @field_list
@@ -201,7 +179,8 @@ class Replay(Instrument):
         object.__setattr__(self, "messages", tuple(trace.messages))
 
     def __repr__(self) -> str:
-        digest = hashlib.sha256(json.dumps(_rows(self.messages)).encode()).hexdigest()
+        rows = [[m.time, m.src, m.dst, m.flits] for m in self.messages]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         return f"Replay(num_nodes={self.num_nodes}, messages={len(self.messages)}, sha256={digest})"
 
     def install(self, engine) -> None:

@@ -50,6 +50,7 @@ from repro.faults import (
 )
 from repro.metrics.analytic import zero_load_latency
 from repro.obs.probe import EVENTS, Probe
+from repro.obs.statehash import snapshot_diff, state_snapshot
 from repro.routing.base import RoutingAlgorithm, register
 from repro.routing.tree_adaptive import TreeAdaptiveRouting
 from repro.sim import phases as reference
@@ -484,6 +485,16 @@ def build_recipe(recipe: Recipe):
     return engine, log
 
 
+def divergence(cycle: int, kernel, twin) -> str:
+    """The failure message of a root mismatch: every leaf that differs."""
+    findings, dropped = snapshot_diff(state_snapshot(kernel), state_snapshot(twin))
+    lines = [f"diverged in cycle {cycle}"]
+    lines += [f"  {f['path']}: kernel {f['a']!r}, twin {f['b']!r}" for f in findings]
+    if dropped:
+        lines.append(f"  ... {dropped} more differing leaves")
+    return "\n".join(lines)
+
+
 def run_in_lockstep(recipe: Recipe) -> list[tuple]:
     """Step a kernel engine and its pure-Python twin through ``recipe``,
     comparing them after every cycle; the (common) event log."""
@@ -495,7 +506,7 @@ def run_in_lockstep(recipe: Recipe) -> list[tuple]:
             assert twin.step() == moved
         assert (
             kernel.state_fingerprint()["root"] == twin.state_fingerprint()["root"]
-        ), f"diverged in cycle {cycle}"
+        ), divergence(cycle, kernel, twin)
         # the fingerprint leaves the routing algorithm's own state out: its
         # tie-break stream, Duato's grants, the call counts of the test ones
         assert algorithm_state(kernel.routing) == algorithm_state(twin.routing), (

@@ -31,13 +31,6 @@ def traces(draw):
 
 
 class TestTraceProperties:
-    @given(traces())
-    def test_json_round_trip(self, trace):
-        again = Trace.from_json(trace.to_json())
-        assert again.num_nodes == trace.num_nodes
-        assert again.sorted() == trace.sorted()
-        assert again.total_flits() == trace.total_flits()
-
     @given(traces(), st.integers(min_value=2, max_value=64))
     def test_segmentation_conserves_flits(self, trace, max_flits):
         seg = trace.segmented(max_flits)

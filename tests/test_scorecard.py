@@ -23,7 +23,6 @@ from repro.cli import main
 from repro.errors import AnalysisError
 from repro.experiments.chaos import chaos_campaign
 from repro.experiments.congestion import congestion_campaign
-from repro.obs.diff import diff_runs
 from repro.obs.flight import Flight, FlightConfig
 from repro.obs.forensics import Forensics
 from repro.obs.heatmap import (
@@ -38,7 +37,6 @@ from repro.obs.report import (
     flight_entries,
     paper_reference,
     reliability_curves,
-    render_diff_html,
     render_scorecard,
     statehash_entries,
     write_scorecard,
@@ -242,13 +240,6 @@ def report_documents() -> dict[str, str]:
         [], reliability=reliability_curves(list(baseline)), statehash=forked
     )
 
-    same = small_cube_config(load=0.5)
-    docs["diff/identical"] = render_diff_html(diff_runs(same, same))
-    docs["diff/diverged"] = render_diff_html(
-        diff_runs(same, small_cube_config(load=0.5, arbiter="age"), max_findings=4),
-        title="pinned & diverged",
-    )
-
     hot = cube_forensics.telemetry.forensics
     docs["svg/heatmap"] = hotspot_heatmap_svg(hot["hotspots"])
     docs["svg/heatmap-tree-flits"] = hotspot_heatmap_svg(
@@ -295,8 +286,6 @@ class TestPinnedBytes:
         assert 'class="tick">0.25</text>' in fallbacks
         assert 'class="tick ylab">0.1</text>' in fallbacks
         assert '<td class="bad">diverged</td>' in fallbacks
-        assert "IDENTICAL" in docs["diff/identical"]
-        assert "Bisected to cycle" in docs["diff/diverged"] and "more differing" in docs["diff/diverged"]
         assert docs["analyze/hot.svg"].startswith("<svg") and "<h1>" in docs["analyze/page.html"]
 
 

@@ -1,10 +1,11 @@
 """State-digest audit trail (PR 9): layered digests on a bounded chain.
 
 Unit coverage for :mod:`repro.obs.statehash` — document shape, chain
-integrity, decimation bounds, replay alignment — plus the property the
-whole debugger rests on: the digest chain is a pure function of the
-config, identical whether or not passive observers (trace, counters,
-forensics, flight) ride alongside.
+integrity, decimation bounds, replay alignment, the snapshot diff that
+names a differing leaf, the scorecard's audit panel and the ``--statehash``
+/ ``--audit`` flags — plus the property every comparison rests on: the
+digest chain is a pure function of the config, identical whether or not
+passive observers (trace, counters, forensics, flight) ride alongside.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs import MultiProbe, TraceProbe, WindowedCounterProbe, config_digest
-from repro.obs.diff import snapshot_diff
 from repro.obs.flight import FlightRecorder
+from repro.obs.report import render_scorecard, statehash_entries
 from repro.obs.statehash import (
     DIGEST_ALGO,
     STATEHASH_FORMAT_VERSION,
@@ -27,6 +29,7 @@ from repro.obs.statehash import (
     describe_statehash,
     StateHash,
     engine_fingerprint,
+    snapshot_diff,
     state_snapshot,
 )
 from repro.sim.run import build_engine, simulate, simulate_post_mortem
@@ -334,3 +337,76 @@ class TestAudit:
         )
         assert doc["audited"] >= 1
         assert "invariant audits passed" in describe_statehash(doc)
+
+
+class TestSnapshotDiff:
+    def test_classifies_paths(self):
+        a = {"fabric": {"links": {"s0p1": {"lanes": {"vc0": {"credits": 3}}}}}}
+        b = {"fabric": {"links": {"s0p1": {"lanes": {"vc0": {"credits": 5}}}}}}
+        findings, dropped = snapshot_diff(a, b)
+        assert dropped == 0
+        (f,) = findings
+        assert f["subsystem"] == "fabric"
+        assert f["location"] == "s0p1"
+        assert f["lane"] == "vc0"
+        assert f["field"] == "credits"
+        assert (f["a"], f["b"]) == (3, 5)
+
+    def test_absent_leaf_reported(self):
+        findings, _ = snapshot_diff({"injection": {"3": {"sent": 1}}}, {})
+        (f,) = findings
+        assert f["location"] == "node 3"
+        assert f["b"] == "<absent>"
+
+
+class TestScorecardPanel:
+    def test_statehash_entries_and_scorecard_section(self):
+        results = [
+            simulate(small_tree_config(seed=s), [StateHash()]) for s in (7, 7)
+        ]
+        entries = statehash_entries(results)
+        assert len(entries) == 2
+        html = render_scorecard([], statehash=entries)
+        assert "State-digest audit" in html
+        # same recipe, same seed: replica chain heads must agree
+        assert "consistent" in html and ">diverged<" not in html
+
+
+class TestCli:
+    def test_run_statehash_flag_attaches_chain(self, capsys):
+        code = main(
+            [
+                "run", "--network", "cube", "--k", "4", "--n", "2",
+                "--algorithm", "dor", "--load", "0.2", "--profile", "fast",
+                "--statehash", "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["telemetry"]["statehash"]["entries"] >= 2
+
+    def test_audit_flag_implies_statehash(self, capsys):
+        code = main(
+            [
+                "run", "--network", "tree", "--k", "2", "--n", "2",
+                "--vcs", "2", "--load", "0.2", "--profile", "fast",
+                "--audit", "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["telemetry"]["statehash"]["audited"] >= 1
+
+    def test_trace_composes_flight_and_statehash(self, capsys, tmp_path):
+        code = main(
+            [
+                "trace", "--network", "tree", "--k", "2", "--n", "2",
+                "--vcs", "2", "--load", "0.2", "--profile", "fast",
+                "--flight", "--statehash",
+                "--out", str(tmp_path / "trace.json"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "flight timeline:" in out
+        assert "state digests:" in out

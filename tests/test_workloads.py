@@ -9,7 +9,6 @@ from repro.workloads.collectives import (
     alltoall_trace,
     broadcast_trace,
     butterfly_barrier_trace,
-    stencil_trace,
 )
 from repro.workloads.runner import run_trace
 from repro.workloads.trace import Replay, Trace, TraceMessage, TraceSource
@@ -40,25 +39,17 @@ class TestTrace:
         t.send(2, 1, 2, 4)
         assert [m.time for m in t.sorted()] == [2, 9]
 
-    def test_json_round_trip(self):
+    def test_same_time_order_is_the_schedule(self):
         # a node plays its same-time messages in trace order: that order is
         # the schedule, and all that tells the shifted all-to-all from the
         # naive one
         shifted = alltoall_trace(8, flits=32)
         naive = alltoall_trace(8, flits=32, schedule="naive")
-        again = Trace.from_json(shifted.to_json())
-        assert again.num_nodes == 8
-        assert again.messages == shifted.messages
-        assert shifted.to_json() != naive.to_json()
+        assert shifted.messages != naive.messages
+        assert shifted.sorted() == naive.sorted()
         cfg = tree_config(k=2, n=3, vcs=2)
-        assert run_trace(cfg, again).makespan_cycles == 341
+        assert run_trace(cfg, shifted).makespan_cycles == 341
         assert run_trace(cfg, naive).makespan_cycles == 517
-
-    def test_json_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            Trace.from_json("{}")
-        with pytest.raises(ConfigurationError):
-            Trace.from_json('{"num_nodes": 4, "messages": [[0, 0, 0, 4]]}')
 
     def test_segmented(self):
         t = Trace(4)
@@ -165,20 +156,6 @@ class TestCollectives:
             assert m.src in reached
             reached.add(m.dst)
         assert reached == set(range(16))
-
-    def test_stencil_counts(self):
-        t = stencil_trace(4, 2, flits=8, rounds=2)
-        assert len(t) == 2 * 16 * 4  # rounds * nodes * 2 dims * 2 dirs
-        # every message is a grid neighbor
-        from repro.topology.cube import KAryNCube
-
-        cube = KAryNCube(4, 2)
-        assert all(cube.min_distance(m.src, m.dst) == 1 for m in t.messages)
-
-    def test_stencil_k2_skips_duplicate_direction(self):
-        t = stencil_trace(2, 2, flits=8)
-        # on a 2-ring, +1 and -1 reach the same peer: one message per dim
-        assert len(t) == 4 * 2 * 2
 
 
 class TestRunTrace:
