@@ -104,6 +104,7 @@ from .experiments.search import find_saturation
 from .experiments.sweep import request_stop, run_curves
 from .experiments.tables import table1_rows, table2_rows
 from .profiles import get_profile
+from .sim.checkpoint import CheckpointPolicy
 from .sim.config import ARBITER_POLICIES
 from .sim.run import cube_config, simulate_post_mortem, tree_config
 from .timing.normalization import cube_scaling, equal_cost_pairs, tree_scaling
@@ -220,10 +221,9 @@ def _campaign_progress(args):
     return progress, events.close
 
 
-def _checkpoints(args, campaign: bool = False):
-    """The checkpointing requested by --checkpoint/--resume, or None: a
-    run's CheckpointPolicy or, for a ``campaign``, its
-    CampaignCheckpoints supervision."""
+def _checkpoints(args):
+    """The CheckpointPolicy requested by --checkpoint/--resume, or None
+    (a campaign checkpoints each point in a subdirectory of it)."""
     directory = getattr(args, "checkpoint", None)
     resume = getattr(args, "resume", None)
     if resume is not None:
@@ -241,11 +241,7 @@ def _checkpoints(args, campaign: bool = False):
         directory = resume
     if directory is None:
         return None
-    if campaign:
-        from .experiments.sweep import CampaignCheckpoints as supervision
-    else:
-        from .sim.checkpoint import CheckpointPolicy as supervision
-    return supervision(directory=directory, interval_cycles=args.checkpoint_every)
+    return CheckpointPolicy(directory=directory, interval_cycles=args.checkpoint_every)
 
 
 class _SigtermInterrupt(KeyboardInterrupt):
@@ -499,7 +495,7 @@ def cmd_sweep(args) -> int:
                     progress=progress,
                     ledger=_open_ledger(args),
                     ledger_kind="forensics" if args.forensics else None,
-                    checkpoints=_checkpoints(args, campaign=True),
+                    checkpoints=_checkpoints(args),
                 ),
                 "cache/ledger",
             )
@@ -811,7 +807,7 @@ def cmd_campaign(args) -> int:
             timeout=args.timeout,
             progress=progress,
             ledger=ledger,
-            checkpoints=_checkpoints(args, campaign=True),
+            checkpoints=_checkpoints(args),
         )
         for config in configs:
             print(f"{args.command} campaign: {config.network}", file=sys.stderr)

@@ -236,7 +236,7 @@ def chaos_campaign(
     them).  ``instruments`` are observers installed ahead of the storm
     on every point — a :class:`~repro.obs.flight.Flight` gets the
     strike/repair annotations stamped on each timeline.  ``checkpoints``
-    (a :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
+    (a :class:`~repro.sim.checkpoint.CheckpointPolicy`) makes every
     point checkpointed and resumable; a rerun with the same directory
     reloads finished points and resumes interrupted ones.
     """

@@ -81,14 +81,14 @@ def saturation_reference(config: SimulationConfig) -> float:
 def overload_loads(
     saturation: float,
     points: int,
-    lo_factor: float = 0.5,
     max_factor: float = 2.0,
 ) -> list[float]:
-    """Offered-load grid as saturation multiples, ``lo``..``max`` inclusive."""
+    """Offered-load grid as saturation multiples, half the saturation load
+    up to ``max_factor`` times it, inclusive."""
     if points < 2:
         return [round(saturation * max_factor, 9)]
-    step = (max_factor - lo_factor) / (points - 1)
-    return [round(saturation * (lo_factor + i * step), 9) for i in range(points)]
+    step = (max_factor - 0.5) / (points - 1)
+    return [round(saturation * (0.5 + i * step), 9) for i in range(points)]
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def congestion_campaign(
     ``instruments`` are observers installed ahead of the mode on every
     point (a :class:`~repro.obs.flight.Flight` records the window
     dynamics).  ``checkpoints`` (a
-    :class:`~repro.experiments.sweep.CampaignCheckpoints`) makes every
+    :class:`~repro.sim.checkpoint.CheckpointPolicy`) makes every
     point checkpointed and resumable; a rerun with the same directory
     reloads finished points and resumes interrupted ones.
     """

@@ -57,19 +57,18 @@ class Fig7Result:
 def fig7_experiment(
     pattern: str,
     profile: Profile | None = None,
-    seed_tree: int = 11,
-    seed_cube: int = 13,
     parallel: bool = False,
 ) -> Fig7Result:
     """Run (or reuse from cache) both networks and rescale to bits/ns.
 
-    The tree and cube sweeps use the same seeds as the Figure 5/6 drivers,
-    so when those experiments already ran in this process the raw
-    simulations are reused from the sweep cache.
+    The tree and cube sweeps are those of :func:`fig5_experiment` and
+    :func:`fig6_experiment` at their default seeds (11 and 13), so when
+    those experiments already ran in this process the raw simulations are
+    reused from the sweep cache.
     """
     profile = profile or get_profile()
-    tree_cnf = fig5_experiment(pattern, profile, seed=seed_tree, parallel=parallel)
-    cube_cnf = fig6_experiment(pattern, profile, seed=seed_cube, parallel=parallel)
+    tree_cnf = fig5_experiment(pattern, profile, parallel=parallel)
+    cube_cnf = fig6_experiment(pattern, profile, parallel=parallel)
     tree_clocks = table2_tree_delays()
     cube_clocks = table1_cube_delays()
     out: list[Fig7Series] = []

@@ -6,13 +6,15 @@ dies with them.  A :class:`RunCache` persists every completed point as
 one small JSON file so a restarted campaign resumes from the last
 finished point instead of resimulating hours of work.
 
-Crash safety comes from the classic atomic write-then-rename protocol:
+Crash safety comes from the classic atomic write-then-rename protocol
+(:func:`~repro.sim.checkpoint.atomic_write`, which checkpoints use too):
 each entry is fully written to a temporary file in the cache directory
 and then :func:`os.replace`-d into its final name, so a reader (or a
-restart) only ever sees complete entries — a crash mid-write leaves at
-worst an orphaned ``*.tmp`` file, never a truncated entry.  Rename
-atomicity also makes concurrent writers (parallel sweep workers sharing
-one directory) safe: last writer wins with an identical payload.
+restart) only ever sees complete entries — a failed write removes its
+temporary file, and only a crash mid-write can leave one behind, never a
+truncated entry.  Rename atomicity also makes concurrent writers
+(parallel sweep workers sharing one directory) safe: last writer wins
+with an identical payload.
 
 Entries are keyed by the full run recipe (the same tuple as the
 in-process memo) and verified on read, so a hash collision or a stale
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 
 from ..errors import AnalysisError
@@ -67,7 +68,11 @@ class RunCache:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if doc.get("format") != ENTRY_FORMAT or doc.get("key") != json.loads(_key_json(key)):
+        if (
+            not isinstance(doc, dict)
+            or doc.get("format") != ENTRY_FORMAT
+            or doc.get("key") != json.loads(_key_json(key))
+        ):
             return None
         try:
             return run_result_from_dict(doc["run"])
@@ -83,23 +88,16 @@ class RunCache:
         write+replace windows on a shared (e.g. network) filesystem
         where rename semantics are weaker.
         """
-        from ..sim.checkpoint import file_lock
+        from ..sim.checkpoint import atomic_write, file_lock
 
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         doc = {
             "format": ENTRY_FORMAT,
             "key": json.loads(_key_json(key)),
             "run": run_result_to_dict(result),
         }
-        # per-process temp name: concurrent workers never share a temp file
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        with file_lock(self.directory / ".lock"):
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+        with file_lock(self.directory / ".lock"), atomic_write(path) as fh:
+            fh.write(json.dumps(doc).encode())
         return path
 
     def __len__(self) -> int:

@@ -17,6 +17,9 @@ from ..errors import AnalysisError
 from ..sim.config import SimulationConfig
 from .sweep import run_point
 
+#: hard cap on the simulations one :func:`find_saturation` spends
+MAX_EVALUATIONS = 12
+
 
 @dataclass(frozen=True)
 class SaturationEstimate:
@@ -42,7 +45,6 @@ def find_saturation(
     hi: float = 1.0,
     tol: float = 0.05,
     resolution: float = 0.02,
-    max_evaluations: int = 12,
 ) -> SaturationEstimate:
     """Bisect the offered load for the saturation point.
 
@@ -50,8 +52,8 @@ def find_saturation(
         config_factory: load -> run recipe (as for sweeps).
         lo, hi: initial bracket in fractions of capacity.
         tol: §6 saturation tolerance.
-        resolution: stop when the bracket is narrower than this.
-        max_evaluations: hard cap on simulations.
+        resolution: stop when the bracket is narrower than this, or
+            after :data:`MAX_EVALUATIONS` simulations.
 
     Returns the bracket midpoint; when even ``hi`` is unsaturated the
     estimate is ``hi`` itself with a degenerate bracket (the network
@@ -74,7 +76,7 @@ def find_saturation(
         return SaturationEstimate(load=lo, lo=lo, hi=lo, evaluations=evaluations)
     if not saturated(hi):
         return SaturationEstimate(load=hi, lo=hi, hi=hi, evaluations=evaluations)
-    while hi - lo > resolution and evaluations < max_evaluations:
+    while hi - lo > resolution and evaluations < MAX_EVALUATIONS:
         mid = (lo + hi) / 2
         if saturated(mid):
             hi = mid

@@ -17,7 +17,12 @@ run recipe, so the Figure 7 comparison reuses the raw runs of Figures 5
 and 6 instead of simulating everything twice.  Passing a
 :class:`~repro.experiments.runcache.RunCache` additionally persists every
 completed point to disk (atomic write-then-rename), so a crashed or
-killed campaign resumes from its last finished point.
+killed campaign resumes from its last finished point.  A single point
+(:func:`run_point`) is a one-point sweep, so it meets the memo and the
+disk cache the same way.  Passing ``checkpoints`` (a
+:class:`~repro.sim.checkpoint.CheckpointPolicy`) checkpoints every point
+into its own subdirectory (:func:`point_dir`), so a killed campaign also
+resumes its interrupted points mid-run.
 
 Resilience knobs — a single bad point must not abort a campaign:
 
@@ -121,37 +126,23 @@ _BACKOFF_BASE = 0.25
 _BACKOFF_CAP = 2.0
 
 
-@dataclasses.dataclass(frozen=True)
-class CampaignCheckpoints:
-    """Campaign-level checkpoint supervision for :func:`run_sweep`.
+def point_dir(policy: CheckpointPolicy, label: str, key: tuple) -> str:
+    """The subdirectory of a campaign's ``policy.directory`` one point
+    checkpoints into.
 
-    Every point gets its own subdirectory of ``directory``, named by a
-    digest of the point's key (:func:`_cache_key`: config fields plus
-    instrument specs, so chaos and congestion grid cells that share a
-    plain config never collide) and the campaign label — the only
-    namespace an opaque ``simulate_fn`` campaign has.  Each point
-    directory holds the point's periodic checkpoints, its manifest, and
-    — once the point finishes — its result document as a one-entry
-    :class:`RunCache`, which is what a later ``--resume`` reloads
-    completed points from even where the global cache is bypassed.
+    Named by a digest of the point's key (:func:`_cache_key`: config
+    fields plus instrument specs, so chaos and congestion grid cells that
+    share a plain config never collide) and the campaign label — the only
+    namespace an opaque ``simulate_fn`` campaign has.  It holds the
+    point's periodic checkpoints, its manifest and — once the point
+    finishes — its result document as a one-entry :class:`RunCache`,
+    which is what a later ``--resume`` reloads completed points from even
+    where the global cache is bypassed.
     """
-
-    directory: str
-    interval_cycles: int = 1000
-    keep: int = 2
-
-    def point_dir(self, label: str, key: tuple) -> str:
-        digest = hashlib.sha256(
-            json.dumps([label, list(key)], sort_keys=False).encode()
-        ).hexdigest()[:32]
-        return str(pathlib.Path(self.directory) / digest)
-
-    def policy(self, point_dir: str) -> CheckpointPolicy:
-        return CheckpointPolicy(
-            directory=point_dir,
-            interval_cycles=self.interval_cycles,
-            keep=self.keep,
-        )
+    digest = hashlib.sha256(
+        json.dumps([label, list(key)], sort_keys=False).encode()
+    ).hexdigest()[:32]
+    return str(pathlib.Path(policy.directory) / digest)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,23 +196,14 @@ def clear_cache() -> int:
 def run_point(
     config: SimulationConfig, use_cache: bool = True, cache: RunCache | None = None
 ) -> RunResult:
-    """Simulate one point, memoizing the result (and persisting it when a
-    disk ``cache`` is supplied)."""
-    key = _cache_key(config)
-    if use_cache:
-        if key in _CACHE:
-            return _CACHE[key]
-        if cache is not None:
-            result = cache.get(key)
-            if result is not None:
-                _CACHE[key] = result
-                return result
-    result = simulate(config)
-    if use_cache:
-        _CACHE[key] = result
-        if cache is not None:
-            cache.put(key, result)
-    return result
+    """Simulate one point: a one-point :func:`run_sweep`, so the memo and
+    the disk ``cache`` are consulted and filled exactly as in a campaign."""
+    results: list[RunResult] = []
+    run_sweep(
+        lambda load: config, [config.load], config.label(),
+        use_cache=use_cache, cache=cache, on_result=results.append,
+    )
+    return results[0]
 
 
 def default_loads(points: int, lo: float = 0.1, hi: float = 1.0) -> list[float]:
@@ -378,8 +360,7 @@ def _point_task(
     retries: int = 0,
     timeout: float | None = None,
     simulate_fn=simulate,
-    checkpoints: CampaignCheckpoints | None = None,
-    point_dir: str | None = None,
+    checkpoints: CheckpointPolicy | None = None,
 ):
     """Run one point with bounded retry-with-reseed.
 
@@ -387,7 +368,8 @@ def _point_task(
     non-retryable errors propagate.  Top-level so process pools can pickle
     it.
 
-    With ``checkpoints`` supervision, two deviations from plain
+    ``checkpoints`` is the point's own policy (its directory already the
+    point's, :func:`point_dir`).  With it, two deviations from plain
     retry-with-reseed: a retry after a timeout or a dead worker keeps
     the *original* seed when the point directory holds a resumable
     checkpoint (resuming a reseeded recipe would reject the checkpoint
@@ -410,22 +392,22 @@ def _point_task(
                 raise KeyboardInterrupt
         resume = (
             checkpoints is not None
-            and point_dir is not None
             and isinstance(last, (PointTimeoutError, WorkerDiedError))
-            and has_resumable(point_dir, config)
+            and has_resumable(checkpoints.directory, config)
         )
         cfg = config if resume else _reseeded(config, attempt)
         seeds.append(cfg.seed)
         # the checkpoint policy is threaded through only when supervision
         # asked for one (an arbitrary ``simulate_fn`` need not accept it)
-        supervised = checkpoints is not None and point_dir is not None
         fn = simulate_fn
-        if supervised:
-            fn = partial(fn, checkpoint=checkpoints.policy(point_dir))
+        if checkpoints is not None:
+            fn = partial(fn, checkpoint=checkpoints)
         try:
             if timeout is None:
                 return ("ok", fn(cfg))
-            return ("ok", _simulate_under_timeout(cfg, timeout, fn, supervised))
+            return (
+                "ok", _simulate_under_timeout(cfg, timeout, fn, checkpoints is not None)
+            )
         except _RETRYABLE as exc:
             last = exc
     failure = FailedPoint(
@@ -454,9 +436,7 @@ def _terminate_workers(pool) -> None:
                 pass
 
 
-def _run_parallel(
-    pending, point_dirs, retries, timeout, max_workers, simulate_fn, consume, checkpoints
-):
+def _run_parallel(pending, policies, retries, timeout, max_workers, simulate_fn, consume):
     """Fan points out over a pool, consuming outcomes in ``pending`` order.
 
     Points are *started* heaviest first — descending offered load, the
@@ -470,20 +450,14 @@ def _run_parallel(
     an interrupted campaign keeps its completed work.
     """
     workers = min(max_workers or os.cpu_count() or 1, len(pending))
-    task = partial(
-        _point_task,
-        retries=retries,
-        timeout=timeout,
-        simulate_fn=simulate_fn,
-        checkpoints=checkpoints,
-    )
+    task = partial(_point_task, retries=retries, timeout=timeout, simulate_fn=simulate_fn)
     # with a timeout every task already manages its own watchdog
     # subprocess, so the fan-out layer only needs threads to block on pipes
     pool_cls = ProcessPoolExecutor if timeout is None else ThreadPoolExecutor
     pool = pool_cls(max_workers=workers)
     futures = [None] * len(pending)
     for i in sorted(range(len(pending)), key=lambda i: -pending[i].load):
-        futures[i] = pool.submit(task, pending[i], point_dir=point_dirs[i])
+        futures[i] = pool.submit(task, pending[i], checkpoints=policies[i])
     consumed = 0
     try:
         for config, fut in zip(pending, futures):
@@ -529,7 +503,7 @@ def run_sweep(
     ledger_kind: str | None = None,
     ledger_dedup: bool = True,
     on_result: Callable[[RunResult], None] | None = None,
-    checkpoints: CampaignCheckpoints | None = None,
+    checkpoints: CheckpointPolicy | None = None,
 ) -> LoadSweepSeries:
     """Run one configuration over a load grid.
 
@@ -578,9 +552,11 @@ def run_sweep(
             :class:`RunResult` added to the series (cached hits
             included), for campaigns that need the raw results beyond
             the series' load points.
-        checkpoints: optional :class:`CampaignCheckpoints` supervision.
-            Every pending point runs with a per-point checkpoint
-            directory (periodic snapshots + manifest); finished points
+        checkpoints: optional campaign checkpoint supervision, a
+            :class:`~repro.sim.checkpoint.CheckpointPolicy` for the whole
+            campaign.  Every pending point runs under a copy of it whose
+            directory is the point's own subdirectory (:func:`point_dir`:
+            periodic snapshots + manifest); finished points
             persist their result there as a one-entry :class:`RunCache`
             and drop their snapshots.  A later campaign passing the same
             directory reloads completed points from those per-point
@@ -660,10 +636,12 @@ def run_sweep(
     def key_of(config: SimulationConfig) -> tuple:
         return _cache_key(config, instruments)
 
-    def point_dir(config: SimulationConfig) -> str | None:
+    def policy_of(config: SimulationConfig) -> CheckpointPolicy | None:
         if checkpoints is None:
             return None
-        return checkpoints.point_dir(label, key_of(config))
+        return dataclasses.replace(
+            checkpoints, directory=point_dir(checkpoints, label, key_of(config))
+        )
 
     # Classify by cache key — never by config equality: two configs that
     # compare equal are the same *recipe* regardless of which factory call
@@ -679,7 +657,7 @@ def run_sweep(
         if result is None and checkpoints is not None:
             # the point's own one-entry cache — how --resume reloads
             # completed points even where the global cache is bypassed
-            result = RunCache(point_dir(config)).get(key)
+            result = RunCache(policy_of(config).directory).get(key)
         if result is not None:
             accept(config, result, "cached")
         else:
@@ -705,19 +683,16 @@ def run_sweep(
             # ... but under the ORIGINAL recipe's key here (it must still
             # satisfy the same grid point on resume); then drop the
             # now-redundant snapshots
-            pdir = point_dir(config)
+            pdir = policy_of(config).directory
             RunCache(pdir).put(key_of(config), result)
             clear_checkpoints(pdir)
         accept(config, result, "ok")
 
-    point_dirs = [point_dir(config) for config in pending]
+    policies = [policy_of(config) for config in pending]
     if parallel and len(pending) > 1:
-        _run_parallel(
-            pending, point_dirs, retries, timeout, max_workers, simulate_fn, consume,
-            checkpoints,
-        )
+        _run_parallel(pending, policies, retries, timeout, max_workers, simulate_fn, consume)
         return series
-    for config, pdir in zip(pending, point_dirs):
+    for config, policy in zip(pending, policies):
         duplicate = _CACHE.get(key_of(config)) if use_cache else None
         if duplicate is not None:  # the same recipe earlier in this grid
             accept(config, duplicate, "cached")
@@ -729,8 +704,7 @@ def run_sweep(
                 retries=retries,
                 timeout=timeout,
                 simulate_fn=simulate_fn,
-                checkpoints=checkpoints,
-                point_dir=pdir,
+                checkpoints=policy,
             ),
         )
     return series

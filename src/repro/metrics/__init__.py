@@ -10,7 +10,6 @@
 
 from .analytic import expected_zero_load_latency, path_channels, zero_load_latency
 from .cnf import CNFResult, absolute_series
-from .io import load_cnf, save_cnf
 from .saturation import saturation_point, sustained_rate
 from .series import LoadPoint, LoadSweepSeries
 from .utilization import (
@@ -26,8 +25,6 @@ __all__ = [
     "zero_load_latency",
     "CNFResult",
     "absolute_series",
-    "load_cnf",
-    "save_cnf",
     "saturation_point",
     "sustained_rate",
     "LoadPoint",

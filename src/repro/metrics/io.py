@@ -1,41 +1,39 @@
-"""Persistence of simulation and sweep results.
+"""The run and sweep documents: results as stable, versioned JSON.
 
-Sweeps are expensive (minutes to hours at the full profile); these
-helpers serialize :class:`~repro.sim.results.RunResult` (with its
-telemetry), :class:`~repro.metrics.series.LoadSweepSeries` and
-:class:`~repro.metrics.cnf.CNFResult` to stable JSON documents so runs
-can be archived, diffed across code versions, consumed by external
-tooling (``repro-net run --json``) and re-rendered without
-resimulation::
+:func:`run_result_to_dict` is the one document of a finished run
+(:class:`~repro.sim.results.RunResult` with its telemetry): ``repro-net
+run --json`` prints it, a :class:`~repro.experiments.runcache.RunCache`
+entry and a :class:`~repro.obs.ledger.Ledger` record wrap it, and
+:func:`run_result_from_dict` reads it back for both::
 
-    from repro.metrics.io import save_cnf, load_cnf, save_run, load_run
-    save_cnf(cnf, "fig6_uniform.json")
-    render_cnf(load_cnf("fig6_uniform.json"))
-    save_run(result, "point.json")
+    from repro.metrics.io import run_result_from_dict, run_result_to_dict
+    doc = run_result_to_dict(simulate(config))
+    again = run_result_from_dict(json.loads(json.dumps(doc)))
 
-Every format is versioned; loading rejects documents from incompatible
-versions instead of misreading them.  Observability documents ride the
-telemetry section rather than defining their own formats here: the
-forensics summary lands on ``telemetry.forensics``, transport
-accounting on ``telemetry.reliability`` and the flight recorder's
-timeline on ``telemetry.flight``, so instrumented runs round-trip
-through ``save_run``/``load_run`` and the ledger unchanged.
+:func:`sweep_document` is ``repro-net sweep --json``'s document of one
+:class:`~repro.metrics.series.LoadSweepSeries`; nothing reads it back.
+
+Every document is versioned; loading rejects documents from incompatible
+versions, or of the wrong shape, instead of misreading them.
+Observability documents ride the telemetry section rather than defining
+their own formats here: the forensics summary lands on
+``telemetry.forensics``, transport accounting on ``telemetry.reliability``
+and the flight recorder's timeline on ``telemetry.flight``, so
+instrumented runs round-trip through the cache and the ledger unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 
 from ..errors import AnalysisError
 from ..obs.telemetry import RunTelemetry
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
-from .cnf import CNFResult
-from .series import FailedPoint, LoadPoint, LoadSweepSeries
+from .series import LoadSweepSeries
 
-#: bump on breaking format changes
+#: version of the sweep document (``repro-net sweep --json``); bump on
+#: breaking changes
 FORMAT_VERSION = 1
 
 #: version of the single-run JSON document (``repro-net run --json``,
@@ -104,8 +102,11 @@ def run_result_from_dict(doc: dict) -> RunResult:
     """Inverse of :func:`run_result_to_dict`.
 
     Raises:
-        AnalysisError: on a version mismatch or missing fields.
+        AnalysisError: on a version mismatch, missing fields or a
+            document (or section) that is not a JSON object.
     """
+    if not isinstance(doc, dict):
+        raise AnalysisError(f"a run document is a JSON object, not {type(doc).__name__}")
     version = doc.get("format")
     if version != RUN_FORMAT_VERSION:
         raise AnalysisError(
@@ -125,23 +126,9 @@ def run_result_from_dict(doc: dict) -> RunResult:
         telemetry = (
             RunTelemetry.from_dict(telemetry_doc) if telemetry_doc is not None else None
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise AnalysisError(f"malformed run document: {exc}") from exc
     return RunResult(config=config, telemetry=telemetry, **fields)
-
-
-def save_run(result: RunResult, path: str | pathlib.Path) -> None:
-    """Write one run (counters + telemetry) to a JSON file."""
-    pathlib.Path(path).write_text(json.dumps(run_result_to_dict(result), indent=1))
-
-
-def load_run(path: str | pathlib.Path) -> RunResult:
-    """Read a run document back; raises AnalysisError on malformed input."""
-    try:
-        doc = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot load run result from {path}: {exc}") from exc
-    return run_result_from_dict(doc)
 
 
 def series_to_dict(series: LoadSweepSeries) -> dict:
@@ -175,42 +162,6 @@ def series_to_dict(series: LoadSweepSeries) -> dict:
     }
 
 
-def series_from_dict(doc: dict) -> LoadSweepSeries:
-    """Inverse of :func:`series_to_dict` (validates field presence)."""
-    try:
-        series = LoadSweepSeries(
-            label=doc["label"],
-            network=doc["network"],
-            algorithm=doc["algorithm"],
-            vcs=doc["vcs"],
-            pattern=doc["pattern"],
-        )
-        series.points = [
-            LoadPoint(
-                offered=p["offered"],
-                offered_measured=p["offered_measured"],
-                accepted=p["accepted"],
-                latency_cycles=p["latency_cycles"],
-                delivered_packets=p["delivered_packets"],
-            )
-            for p in doc["points"]
-        ]
-        # "failures" is absent from pre-resilience archives; default empty
-        series.failures = [
-            FailedPoint(
-                offered=f["offered"],
-                error=f["error"],
-                message=f["message"],
-                attempts=f["attempts"],
-                seeds=tuple(f["seeds"]),
-            )
-            for f in doc.get("failures", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise AnalysisError(f"malformed series document: {exc}") from exc
-    return series
-
-
 def sweep_document(series: LoadSweepSeries, point_rates: list[float] | None = None) -> dict:
     """Versioned machine document for one sweep (``repro-net sweep --json``).
 
@@ -227,40 +178,3 @@ def sweep_document(series: LoadSweepSeries, point_rates: list[float] | None = No
             "mean_cycles_per_sec": sum(rates) / len(rates) if rates else None,
         },
     }
-
-
-def cnf_to_dict(result: CNFResult) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "title": result.title,
-        "series": [series_to_dict(s) for s in result.series],
-    }
-
-
-def cnf_from_dict(doc: dict) -> CNFResult:
-    version = doc.get("format")
-    if version != FORMAT_VERSION:
-        raise AnalysisError(
-            f"unsupported result format {version!r} (expected {FORMAT_VERSION})"
-        )
-    try:
-        return CNFResult(
-            title=doc["title"],
-            series=[series_from_dict(s) for s in doc["series"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise AnalysisError(f"malformed CNF document: {exc}") from exc
-
-
-def save_cnf(result: CNFResult, path: str | pathlib.Path) -> None:
-    """Write one experiment's series to a JSON file."""
-    pathlib.Path(path).write_text(json.dumps(cnf_to_dict(result), indent=1))
-
-
-def load_cnf(path: str | pathlib.Path) -> CNFResult:
-    """Read an experiment back; raises AnalysisError on malformed input."""
-    try:
-        doc = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot load CNF result from {path}: {exc}") from exc
-    return cnf_from_dict(doc)

@@ -8,35 +8,10 @@ in cycles).  Conversions to the absolute units of §10 are in
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..errors import AnalysisError
 from ..sim.results import RunResult
-
-
-def latency_percentiles(
-    result: RunResult, qs: Sequence[float] = (50.0, 95.0, 99.0)
-) -> dict[float, float]:
-    """Latency percentiles of a run (requires ``collect_latencies``).
-
-    Averages hide the latency tail that matters for synchronization-bound
-    applications; run the point with ``collect_latencies=True`` and read
-    p50/p95/p99 here.
-
-    Raises:
-        AnalysisError: when the run kept no per-packet samples.
-    """
-    if not result.latencies:
-        raise AnalysisError(
-            "no latency samples; run with config.collect_latencies=True"
-        )
-    # imported here, not at module level: this is numpy's only use, and
-    # the import costs every process ~0.1 s and ~11 MiB it rarely needs
-    import numpy as np
-
-    values = np.asarray(result.latencies, dtype=float)
-    return {q: float(np.percentile(values, q)) for q in qs}
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,12 @@ COMPONENTS = ("source_wait", "routing_stall", "blocked", "transfer")
 #: engine pipeline cost of one header hop: T_routing + T_crossbar + T_link
 CYCLES_PER_HOP = 3
 
+#: wait-for samples a :class:`WaitForGraphSampler` retains (the newest)
+KEEP_SAMPLES = 64
+
+#: pids a recorded wait cycle is cut to
+MAX_CYCLE_PIDS = 16
+
 
 @field_list
 class StreamingHistogram:
@@ -355,22 +361,16 @@ class WaitForSample:
 class WaitForGraphSampler(Probe):
     """Periodic lane-level wait-for graph snapshots with cycle detection.
 
+    The newest :data:`KEEP_SAMPLES` samples are retained, and a wait
+    cycle is recorded as at most :data:`MAX_CYCLE_PIDS` pids.
+
     Args:
         sample_every: cycles between samples (the per-cycle cost when not
             sampling is one modulo).
-        keep_samples: ring-buffer length of retained samples.
-        max_cycle_pids: cap on the recorded wait-cycle path length.
     """
 
-    def __init__(
-        self,
-        sample_every: int = 200,
-        keep_samples: int = 64,
-        max_cycle_pids: int = 16,
-    ):
+    def __init__(self, sample_every: int = 200):
         self.sample_every = max(1, sample_every)
-        self.keep_samples = keep_samples
-        self.max_cycle_pids = max_cycle_pids
         self.samples: list[WaitForSample] = []
         self.samples_taken = 0
         self.cycles_detected = 0
@@ -461,7 +461,7 @@ class WaitForGraphSampler(Probe):
                 self.precursor = capture_snapshot(engine)
                 self.precursor_cycle = cycle
         self.samples.append(sample)
-        if len(self.samples) > self.keep_samples:
+        if len(self.samples) > KEEP_SAMPLES:
             del self.samples[0]
         return sample
 
@@ -484,7 +484,7 @@ class WaitForGraphSampler(Probe):
                     # themselves waiting have no out-edges: terminal
                     if c == GRAY:
                         i = path.index(succ)
-                        return tuple(path[i:][: self.max_cycle_pids])
+                        return tuple(path[i:][:MAX_CYCLE_PIDS])
                     if c == WHITE:
                         color[succ] = GRAY
                         path.append(succ)

@@ -154,6 +154,11 @@ class Ledger:
                     raise AnalysisError(
                         f"{self.path}:{lineno}: unparseable ledger line: {exc}"
                     ) from exc
+                if not isinstance(rec, dict):
+                    raise AnalysisError(
+                        f"{self.path}:{lineno}: a ledger record is a JSON object, "
+                        f"not {type(rec).__name__}"
+                    )
                 version = rec.get("format")
                 if version != LEDGER_FORMAT_VERSION:
                     raise AnalysisError(

@@ -531,7 +531,7 @@ def state_snapshot(engine) -> dict:
 
 
 #: findings :func:`snapshot_diff` keeps before truncation
-DEFAULT_MAX_FINDINGS = 64
+MAX_FINDINGS = 64
 
 #: stands in for a leaf present on one side only
 _ABSENT = "<absent>"
@@ -578,13 +578,14 @@ def _classify(path: str) -> dict:
     }
 
 
-def snapshot_diff(snap_a: dict, snap_b: dict, max_findings: int = DEFAULT_MAX_FINDINGS):
+def snapshot_diff(snap_a: dict, snap_b: dict):
     """(findings, dropped): every leaf where two state snapshots disagree.
 
     Each finding names its path and, read off the path alone, the
     subsystem, link or node and lane holding it, with both values.
-    Findings are sorted by path and truncated deterministically, so the
-    same pair of snapshots always produces the same list.
+    Findings are sorted by path and truncated deterministically to the
+    first :data:`MAX_FINDINGS`, so the same pair of snapshots always
+    produces the same list.
     """
     flat_a: dict = {}
     flat_b: dict = {}
@@ -600,8 +601,8 @@ def snapshot_diff(snap_a: dict, snap_b: dict, max_findings: int = DEFAULT_MAX_FI
         finding["a"] = va
         finding["b"] = vb
         findings.append(finding)
-    dropped = max(0, len(findings) - max_findings)
-    return findings[:max_findings], dropped
+    dropped = max(0, len(findings) - MAX_FINDINGS)
+    return findings[:MAX_FINDINGS], dropped
 
 
 # -- the probe -----------------------------------------------------------------

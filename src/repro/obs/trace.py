@@ -58,18 +58,16 @@ class TraceEvent:
 class TraceProbe(Probe):
     """Record flit-level lifecycle events for export.
 
+    Besides the packet events it records per-direction blocked intervals,
+    coalesced from the per-cycle blocked callbacks.
+
     Args:
         max_events: cap on stored events; exceeding it sets
             :attr:`truncated` instead of exhausting memory.
-        record_blocked: also record per-direction blocked intervals
-            (coalesced from per-cycle blocked callbacks).  Under deep
-            saturation these dominate the trace; disable for
-            packet-only traces.
     """
 
-    def __init__(self, max_events: int = 1_000_000, record_blocked: bool = True):
+    def __init__(self, max_events: int = 1_000_000):
         self.max_events = max_events
-        self.record_blocked = record_blocked
         self.events: list[TraceEvent] = []
         self.truncated = False
         #: direction -> (interval start cycle, last blocked cycle)
@@ -132,8 +130,6 @@ class TraceProbe(Probe):
         )
 
     def on_direction_blocked(self, cycle: int, direction) -> None:
-        if not self.record_blocked:
-            return
         open_ = self._open_blocks.get(direction)
         if open_ is not None and open_[1] == cycle - 1:
             open_[1] = cycle  # extend the current interval

@@ -140,6 +140,33 @@ def file_lock(path):
         fh.close()
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file that becomes ``path`` only once complete and on disk.
+
+    The one durable-write path of checkpoints, manifests and
+    :class:`~repro.experiments.runcache.RunCache` entries: the bytes go
+    to a temp file beside ``path`` (a per-process name, so concurrent
+    writers never share one), which is flushed, fsynced and
+    ``os.replace``-d onto ``path``.  On any failure the temp file is
+    removed and ``path`` is left as it was, so a reader sees the old file
+    or the new one, never a torn one.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 # -- pickle envelope -----------------------------------------------------------
 #
 # Plain pickle suffices: the one identity-sensitive object in the graph,
@@ -251,37 +278,24 @@ def save_checkpoint(engine, path) -> dict:
     width = len(_header_line(header)) + _COUNT_DIGITS
     lanes = 2 * sum(len(d.lanes) for d in engine.dirs)
     limit = sys.getrecursionlimit()
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_header_line(header, width))
-            payload = _HashingWriter(fh)
-            sys.setrecursionlimit(
-                max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
-            )
-            try:
-                checkpoint_pickler(payload).dump(engine)
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"engine state is not serializable: {exc}"
-                ) from exc
-            finally:
-                sys.setrecursionlimit(limit)
-            header["payload_digest"] = payload.digest.hexdigest()
-            header["payload_bytes"] = payload.bytes
-            fh.seek(0)
-            fh.write(_header_line(header, width))
-            fh.flush()
-            os.fsync(fh.fileno())
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write(_header_line(header, width))
+        payload = _HashingWriter(fh)
+        sys.setrecursionlimit(
+            max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
+        )
+        try:
+            checkpoint_pickler(payload).dump(engine)
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(f"engine state is not serializable: {exc}") from exc
+        finally:
+            sys.setrecursionlimit(limit)
+        header["payload_digest"] = payload.digest.hexdigest()
+        header["payload_bytes"] = payload.bytes
+        fh.seek(0)
+        fh.write(_header_line(header, width))
     return header
 
 
@@ -446,15 +460,8 @@ def read_manifest(directory) -> dict:
 
 
 def _atomic_json(path, doc) -> None:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _update_manifest(directory, mutate) -> dict:
@@ -478,7 +485,7 @@ def record_discards(directory, findings) -> None:
     _update_manifest(directory, mutate)
 
 
-def clear_checkpoints(directory, completed: bool = True) -> None:
+def clear_checkpoints(directory) -> None:
     """Remove a point's checkpoint files once its result is safe.
 
     Called by campaign supervision after a point's result document
@@ -495,7 +502,7 @@ def clear_checkpoints(directory, completed: bool = True) -> None:
 
     def mutate(doc):
         doc["checkpoints"] = []
-        doc["completed"] = bool(completed)
+        doc["completed"] = True
 
     _update_manifest(directory, mutate)
 
@@ -526,17 +533,20 @@ class CheckpointPolicy:
     """A picklable checkpoint request threaded through entry points.
 
     ``simulate(config, checkpoint=CheckpointPolicy("ckpts/"))`` first
-    tries to resume from the newest valid checkpoint in ``directory``
-    (unless ``resume`` is off), then runs with a
-    :class:`CheckpointProbe` composed onto whatever probe and
-    instruments the caller supplied.  Picklable so campaign pools ship
-    it to worker processes.
+    tries to resume from the newest valid checkpoint in ``directory``,
+    then runs with a :class:`CheckpointProbe` composed onto whatever
+    probe and instruments the caller supplied.  Picklable so campaign
+    pools ship it to worker processes.
+
+    A campaign (:func:`~repro.experiments.sweep.run_sweep`'s
+    ``checkpoints``) hands each of its points this policy with
+    ``directory`` replaced by the point's own subdirectory
+    (:func:`~repro.experiments.sweep.point_dir`).
     """
 
     directory: str
     interval_cycles: int = 1000
     keep: int = 2
-    resume: bool = True
 
     @property
     def config(self) -> CheckpointConfig:
@@ -689,7 +699,7 @@ def resume_point(policy, config):
     proves it; the instruments the run was started with came back in
     ``engine.instruments`` and finish it (:func:`repro.sim.run.finish`).
     """
-    if policy is None or not policy.resume:
+    if policy is None:
         return None
     loaded = newest_valid_checkpoint(policy.directory, config=config)
     if loaded is None:

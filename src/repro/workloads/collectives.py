@@ -1,8 +1,7 @@
 """Trace generators for the communication phases of parallel algorithms.
 
 Every generator returns a :class:`~repro.workloads.trace.Trace` whose
-messages are one packet long by default (``flits`` parameter); pass
-larger sizes and :meth:`Trace.segmented` when modeling long messages.
+messages are one packet each, of ``flits`` flits.
 Times are *earliest injection* times — the engine's single injection
 channel serializes whatever a schedule packs together.
 """

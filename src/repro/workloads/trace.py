@@ -8,9 +8,8 @@ source throttling as the stochastic experiments, and go through the same
 pipeline (:func:`~repro.sim.run.simulate`).  A trace is finite, so its run
 ends once it has drained.
 
-Messages wider than one packet are *not* segmented automatically — real
-systems make that a protocol decision.  :meth:`Trace.segmented` performs
-the standard fixed-size segmentation when wanted.
+A message is one packet (a worm of its ``flits``): a trace that models
+long messages as several packets lists each packet as its own message.
 """
 
 from __future__ import annotations
@@ -74,34 +73,6 @@ class Trace:
 
     def total_flits(self) -> int:
         return sum(m.flits for m in self.messages)
-
-    def segmented(self, max_flits: int) -> Trace:
-        """Split every message into packets of at most ``max_flits``.
-
-        Segments inherit the original injection time; the engine's
-        single injection channel serializes them naturally.  A wormhole
-        segment needs at least 2 flits (header + tail), so a split that
-        would strand a single flit is rebalanced: the preceding segment
-        shrinks by one when it can (``max_flits > 2``), otherwise the
-        stray flit is folded in and that one segment carries
-        ``max_flits + 1`` flits (only possible for ``max_flits == 2``
-        and odd message sizes).
-        """
-        if max_flits < 2:
-            raise ConfigurationError(f"segments need >= 2 flits, got {max_flits}")
-        out = Trace(self.num_nodes)
-        for m in self.messages:
-            remaining = m.flits
-            while remaining:
-                chunk = min(remaining, max_flits)
-                if remaining - chunk == 1:
-                    if chunk > 2:
-                        chunk -= 1  # leave a 2-flit tail segment
-                    else:
-                        chunk += 1  # fold the stray flit (chunk becomes 3)
-                out.send(m.time, m.src, m.dst, chunk)
-                remaining -= chunk
-        return out
 
     def __len__(self) -> int:
         return len(self.messages)

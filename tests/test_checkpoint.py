@@ -31,12 +31,7 @@ from repro.errors import CheckpointError, PointTimeoutError, WorkerDiedError
 from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
 from repro.experiments.congestion import OverloadSpec, overload_recipe
 from repro.experiments.runcache import RunCache
-from repro.experiments.sweep import (
-    CampaignCheckpoints,
-    _cache_key,
-    _point_task,
-    run_sweep,
-)
+from repro.experiments.sweep import _cache_key, _point_task, point_dir, run_sweep
 from repro.faults import Faults
 from repro.obs.flight import Flight, FlightConfig, FlightRecorder
 from repro.obs.statehash import StateDigestConfig, StateHash
@@ -53,13 +48,16 @@ from repro.sim.checkpoint import (
     has_resumable,
     install_escalation_handler,
     load_checkpoint,
+    manifest_path,
     newest_valid_checkpoint,
     read_checkpoint_header,
     read_manifest,
+    record_discards,
     resume_point,
     save_checkpoint,
 )
 from repro.sim.packet import FAULT_SENTINEL, Packet
+from repro.sim.results import RunResult
 from repro.sim.run import Audit, build_engine, cube_config, simulate, start, tree_config
 from repro.traffic.congestion import CongestionConfig, simulate_congested
 from repro.traffic.transport import Reliable, ReliableTransport, TransportConfig, simulate_reliable
@@ -393,14 +391,14 @@ class TestPackedMersenneStates:
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)
         reference = _canonical(simulate(config))
-        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
+        checkpoints = CheckpointPolicy(str(tmp_path / "camp"), interval_cycles=200)
         sweep = partial(run_sweep, lambda load: small_tree_config(load=load), [0.3], "ckpt-format-5",
                         use_cache=False, checkpoints=checkpoints)
         with monkeypatch.context() as old:
             _as_format_5(old)
             with pytest.raises(KeyboardInterrupt):
                 sweep(simulate_fn=_interrupt_after_checkpointing)
-        pdir = checkpoints.point_dir("ckpt-format-5", _cache_key(config))
+        pdir = point_dir(checkpoints, "ckpt-format-5", _cache_key(config))
         stale = checkpoint_files(pdir)
         assert [json.loads(p.read_bytes().split(b"\n", 1)[0])["format"] for p in stale] == [5, 5]
         resumed: list = []
@@ -608,6 +606,44 @@ class TestProbeHousekeeping:
             signal.signal(signal.SIGUSR1, previous)
 
 
+# -- durable writes ------------------------------------------------------------
+
+
+class TestDurableWrites:
+    """Cache entries, manifests and checkpoints share one write path
+    (``atomic_write``): a write that fails leaves the old file as it was
+    and no temp file behind."""
+
+    @pytest.mark.parametrize("writer", ["cache entry", "manifest", "checkpoint"])
+    def test_a_failed_write_leaves_the_old_file_and_no_temp_file(
+        self, tmp_path, monkeypatch, writer
+    ):
+        engine = build_engine(small_tree_config())
+
+        def write(version):
+            if writer == "cache entry":
+                result = RunResult(config=small_tree_config(seed=version), measured_cycles=1)
+                return RunCache(tmp_path).put(("key",), result)
+            if writer == "manifest":
+                record_discards(tmp_path, [{"file": f"v{version}"}])
+                return manifest_path(tmp_path)
+            engine.step()
+            save_checkpoint(engine, tmp_path / "ckpt-000000000001.rckpt")
+            return tmp_path / "ckpt-000000000001.rckpt"
+
+        path = write(1)
+        before = path.read_bytes()
+
+        def fsync(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="no space left"):
+            write(2)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 # -- campaign supervision ------------------------------------------------------
 
 
@@ -625,7 +661,7 @@ class TestCampaignSupervision:
         )
         reference_docs = sorted(_canonical(r) for r in collected)
 
-        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
+        checkpoints = CheckpointPolicy(str(tmp_path / "camp"), interval_cycles=200)
         _CALLS["n"] = 0
         with pytest.raises(KeyboardInterrupt):
             run_sweep(
@@ -638,7 +674,7 @@ class TestCampaignSupervision:
             )
         # the two completed points were flushed to their per-point caches
         cached = [
-            RunCache(checkpoints.point_dir("ckpt-test", _cache_key(factory(load=l)))).get(
+            RunCache(point_dir(checkpoints, "ckpt-test", _cache_key(factory(load=l)))).get(
                 _cache_key(factory(load=l))
             )
             for l in loads
@@ -659,7 +695,7 @@ class TestCampaignSupervision:
 
     def test_completed_point_clears_its_checkpoints(self, tmp_path):
         config = small_tree_config(load=0.3)
-        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
+        checkpoints = CheckpointPolicy(str(tmp_path / "camp"), interval_cycles=200)
         run_sweep(
             lambda load: small_tree_config(load=load),
             [0.3],
@@ -667,24 +703,57 @@ class TestCampaignSupervision:
             use_cache=False,
             checkpoints=checkpoints,
         )
-        pdir = checkpoints.point_dir("ckpt-clear", _cache_key(config))
+        pdir = point_dir(checkpoints, "ckpt-clear", _cache_key(config))
         assert checkpoint_files(pdir) == []
         assert read_manifest(pdir)["completed"] is True
         assert RunCache(pdir).get(_cache_key(config)) is not None
 
+    def test_a_campaign_directory_named_by_the_earlier_rule_resumes(self, tmp_path, monkeypatch):
+        # the point directory name existing campaign directories carry,
+        # computed here by hand: sha256 of [label, key], 32 hex digits
+        label, camp = "ckpt-named", tmp_path / "camp"
+        done, interrupted = small_tree_config(load=0.2), small_tree_config(load=0.4)
+
+        def earlier_dir(config):
+            text = json.dumps([label, list(_cache_key(config))], sort_keys=False)
+            return camp / hashlib.sha256(text.encode()).hexdigest()[:32]
+
+        RunCache(earlier_dir(done)).put(_cache_key(done), simulate(done))
+        reference = _canonical(simulate(interrupted))
+        with pytest.raises(KeyboardInterrupt):
+            _interrupt_after_checkpointing(
+                interrupted, checkpoint=CheckpointPolicy(str(earlier_dir(interrupted)), 200)
+            )
+        newest = checkpoint_files(earlier_dir(interrupted))[0]
+        loaded = []
+        real_load = checkpoint_module.load_checkpoint
+        monkeypatch.setattr(
+            checkpoint_module, "load_checkpoint",
+            lambda path, config=None: loaded.append(pathlib.Path(path)) or real_load(path, config),
+        )
+        statuses, results = [], []
+        run_sweep(
+            lambda load: small_tree_config(load=load), [0.2, 0.4], label, use_cache=False,
+            checkpoints=CheckpointPolicy(str(camp), interval_cycles=200),
+            progress=lambda p: statuses.append(p.status), on_result=results.append,
+        )
+        assert statuses == ["cached", "ok"]
+        assert loaded == [newest]
+        assert _canonical(results[1]) == reference
+        assert read_manifest(earlier_dir(interrupted))["completed"] is True
+
     def test_dead_worker_resumes_with_original_seed(self, tmp_path):
         config = small_tree_config(load=0.3)
         reference = _canonical(simulate(config))
-        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
-        pdir = checkpoints.point_dir("ckpt-died", _cache_key(config))
+        checkpoints = CheckpointPolicy(str(tmp_path / "camp"), interval_cycles=200)
+        pdir = point_dir(checkpoints, "ckpt-died", _cache_key(config))
         flag = tmp_path / "died-once"
         outcome = _point_task(
             config,
             retries=1,
             timeout=60,
             simulate_fn=partial(_die_after_checkpointing, flag=str(flag)),
-            checkpoints=checkpoints,
-            point_dir=pdir,
+            checkpoints=CheckpointPolicy(pdir, interval_cycles=200),
         )
         assert outcome[0] == "ok"
         # the retry resumed the original recipe instead of reseeding
@@ -722,16 +791,15 @@ class TestCampaignSupervision:
     def test_timeout_resumes_with_original_seed(self, tmp_path):
         config = small_tree_config(load=0.3)
         reference = _canonical(simulate(config))
-        checkpoints = CampaignCheckpoints(str(tmp_path / "camp"), interval_cycles=200)
-        pdir = checkpoints.point_dir("ckpt-hang", _cache_key(config))
+        checkpoints = CheckpointPolicy(str(tmp_path / "camp"), interval_cycles=200)
+        pdir = point_dir(checkpoints, "ckpt-hang", _cache_key(config))
         flag = tmp_path / "hung-once"
         outcome = _point_task(
             config,
             retries=1,
             timeout=4.0,
             simulate_fn=partial(_hang_after_checkpointing, flag=str(flag)),
-            checkpoints=checkpoints,
-            point_dir=pdir,
+            checkpoints=CheckpointPolicy(pdir, interval_cycles=200),
         )
         assert outcome[0] == "ok"
         assert outcome[1].config.seed == config.seed

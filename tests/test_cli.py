@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -8,15 +10,37 @@ import pytest
 
 from repro.cli import build_parser, main
 
+SRC = pathlib.Path(__file__).parents[1] / "src" / "repro"
+
 
 def test_importing_the_cli_does_not_import_numpy():
-    # numpy serves one function (metrics.series.latency_percentiles); its
-    # import is a third of start-up time and ~11 MiB in every worker
+    # its import would be a third of start-up time and ~11 MiB in every worker
     code = "import sys, repro.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_has_no_runtime_dependency():
+    # no module imports numpy, not even lazily, and pyproject.toml declares
+    # nothing: a run, a campaign and a report need the standard library only
+    importers = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert importers == []
+    # tomllib is 3.11+: read the one line (a TOML list of strings is a Python literal)
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text().splitlines()
+    (declared,) = [line for line in pyproject if line.startswith("dependencies =")]
+    assert ast.literal_eval(declared.split("=", 1)[1].strip()) == []
 
 
 class TestParser:

@@ -11,14 +11,9 @@ import pytest
 from repro.experiments import chaos, congestion, dimension, fig5, fig6, sweep
 from repro.experiments.chaos import Storm, StormSpec, chaos_campaign
 from repro.experiments.congestion import congestion_campaign
-from repro.experiments.sweep import (
-    CampaignCheckpoints,
-    _cache_key,
-    default_loads,
-    run_curves,
-    run_point,
-)
+from repro.experiments.sweep import _cache_key, default_loads, run_curves, run_point
 from repro.profiles import FAST, Profile
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.run import Audit, tree_config
 from repro.traffic.transport import TransportConfig
@@ -88,7 +83,7 @@ class TestPointIdentity:
         campaign = chaos_campaign(
             tree_config(k=4, n=3, vcs=2, seed=47, **FAST.windows),
             fault_rates=(0.101, 0.104), loads=[0.3], profile=FAST,
-            checkpoints=CampaignCheckpoints(str(tmp_path), 100),
+            checkpoints=CheckpointPolicy(str(tmp_path), 100),
             progress=lambda p: statuses.append(p.status),
         )
         assert [cs.series.label for cs in campaign] == ["tree chaos fr=0.10"] * 2
@@ -107,7 +102,7 @@ class TestPointIdentity:
                 loads=[0.4, 0.9], profile=FAST,
                 transport=TransportConfig(base_timeout=32, max_retries=2),
                 arbiter_closed=arbiter_closed,
-                checkpoints=CampaignCheckpoints(str(tmp_path), 100),
+                checkpoints=CheckpointPolicy(str(tmp_path), 100),
                 progress=lambda p: statuses.append(p.status),
             )
             return series, statuses

@@ -345,7 +345,7 @@ class TestZeroCycleGuards:
 class TestLatencyPercentiles:
     def test_known_samples(self):
         result = RunResult(config=small_tree_config(), measured_cycles=100)
-        result.latencies = list(range(1, 101))
+        result.latencies = list(range(100, 0, -1))  # in delivery order, not sorted
         pct = result.latency_percentiles()
         assert pct == {"samples": 100, "p50": 50, "p95": 95, "p99": 99, "max": 100}
 

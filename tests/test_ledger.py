@@ -172,6 +172,20 @@ class TestCorruption:
         with pytest.raises(AnalysisError, match="unsupported ledger format"):
             list(ledger.records())
 
+    @pytest.mark.parametrize("line", ["[]", '"x"', "3"], ids=["list", "string", "number"])
+    def test_a_line_of_the_wrong_shape_is_rejected(self, ledger, tmp_path, capsys, line):
+        from repro.cli import main
+
+        ledger.append_run(simulate(small_tree_config()))
+        with ledger.path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(AnalysisError, match=r"runs\.jsonl:2: a ledger record is a JSON object"):
+            list(ledger.records())
+        out = str(tmp_path / "s.html")
+        assert main(["report", "--ledger", str(ledger.path), "--out", out]) == 2
+        assert main(["analyze", "--ledger", str(ledger.path)]) == 2
+        assert capsys.readouterr().err.count("a ledger record is a JSON object") == 2
+
     def test_blank_lines_tolerated(self, ledger):
         ledger.append_run(simulate(small_tree_config()))
         with ledger.path.open("a") as fh:

@@ -174,33 +174,7 @@ class TestAnalytic:
 
 
 class TestLatencyPercentiles:
-    def make_result(self, latencies):
-        from repro.sim.results import RunResult
-        from .test_packet_results import cfg
-
-        return RunResult(
-            config=cfg(collect_latencies=True),
-            measured_cycles=1000,
-            delivered_packets=len(latencies),
-            latencies=list(latencies),
-        )
-
-    def test_known_percentiles(self):
-        from repro.metrics.series import latency_percentiles
-
-        result = self.make_result(range(1, 101))
-        pcts = latency_percentiles(result, (50, 99))
-        assert pcts[50] == pytest.approx(50.5)
-        assert pcts[99] > 99
-
-    def test_requires_samples(self):
-        from repro.metrics.series import latency_percentiles
-
-        with pytest.raises(AnalysisError, match="collect_latencies"):
-            latency_percentiles(self.make_result([]))
-
     def test_from_live_run(self):
-        from repro.metrics.series import latency_percentiles
         from repro.sim.run import cube_config, simulate
 
         res = simulate(
@@ -209,6 +183,7 @@ class TestLatencyPercentiles:
                 warmup_cycles=100, total_cycles=1100, collect_latencies=True,
             )
         )
-        pcts = latency_percentiles(res)
-        assert pcts[50] <= pcts[95] <= pcts[99]
-        assert pcts[50] >= res.config.packet_flits
+        pcts = res.latency_percentiles()
+        assert pcts["p50"] <= pcts["p95"] <= pcts["p99"] <= pcts["max"]
+        assert pcts["p50"] >= res.config.packet_flits
+        assert pcts["samples"] == len(res.latencies)

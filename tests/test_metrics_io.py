@@ -1,20 +1,8 @@
-"""Unit tests for result persistence (repro.metrics.io)."""
+"""Unit tests for the sweep document (repro.metrics.io.series_to_dict)."""
 
 import json
 
-import pytest
-
-from repro.errors import AnalysisError
-from repro.metrics.cnf import CNFResult
-from repro.metrics.io import (
-    FORMAT_VERSION,
-    cnf_from_dict,
-    cnf_to_dict,
-    load_cnf,
-    save_cnf,
-    series_from_dict,
-    series_to_dict,
-)
+from repro.metrics.io import FORMAT_VERSION, series_to_dict, sweep_document
 from repro.metrics.series import LoadPoint, LoadSweepSeries
 
 
@@ -33,50 +21,15 @@ def sample_series(label="s"):
 
 class TestSeriesRoundTrip:
     def test_round_trip(self):
+        # the document survives JSON text and names every LoadPoint field
         series = sample_series()
-        again = series_from_dict(series_to_dict(series))
-        assert again.label == series.label
-        assert again.vcs == 4
-        assert again.points == series.points  # LoadPoint is frozen/eq
+        doc = json.loads(json.dumps(sweep_document(series)))
+        assert doc["format"] == FORMAT_VERSION
+        assert doc["series"] == series_to_dict(series)
+        assert doc["series"]["label"] == "s" and doc["series"]["vcs"] == 4
+        assert [LoadPoint(**p) for p in doc["series"]["points"]] == series.points
 
     def test_none_latency_survives(self):
-        again = series_from_dict(series_to_dict(sample_series()))
-        assert again.points[1].latency_cycles is None
-
-    def test_malformed_rejected(self):
-        with pytest.raises(AnalysisError):
-            series_from_dict({"label": "x"})
-
-
-class TestCnfRoundTrip:
-    def test_round_trip_via_file(self, tmp_path):
-        cnf = CNFResult(title="demo", series=[sample_series("a"), sample_series("b")])
-        path = tmp_path / "demo.json"
-        save_cnf(cnf, path)
-        again = load_cnf(path)
-        assert again.title == "demo"
-        assert [s.label for s in again.series] == ["a", "b"]
-        # analyses behave identically on the loaded copy
-        assert again.saturation_summary() == cnf.saturation_summary()
-
-    def test_format_version_checked(self):
-        doc = cnf_to_dict(CNFResult(title="t", series=[sample_series()]))
-        doc["format"] = FORMAT_VERSION + 1
-        with pytest.raises(AnalysisError, match="unsupported"):
-            cnf_from_dict(doc)
-
-    def test_file_is_valid_json(self, tmp_path):
-        path = tmp_path / "x.json"
-        save_cnf(CNFResult(title="t", series=[sample_series()]), path)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == FORMAT_VERSION
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(AnalysisError, match="cannot load"):
-            load_cnf(tmp_path / "nope.json")
-
-    def test_load_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(AnalysisError):
-            load_cnf(path)
+        text = json.dumps(series_to_dict(sample_series()))
+        assert '"latency_cycles": null' in text
+        assert json.loads(text)["points"][1]["latency_cycles"] is None

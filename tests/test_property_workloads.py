@@ -6,44 +6,9 @@ from hypothesis import strategies as st
 from repro.metrics.saturation import saturation_point, sustained_rate
 from repro.metrics.series import LoadPoint, LoadSweepSeries
 from repro.workloads.collectives import alltoall_trace, butterfly_barrier_trace
-from repro.workloads.trace import Trace, TraceMessage
-
-
-@st.composite
-def traces(draw):
-    num_nodes = draw(st.integers(min_value=2, max_value=32))
-    count = draw(st.integers(min_value=0, max_value=30))
-    messages = []
-    for _ in range(count):
-        src = draw(st.integers(0, num_nodes - 1))
-        dst = draw(st.integers(0, num_nodes - 1))
-        if dst == src:
-            dst = (dst + 1) % num_nodes
-        messages.append(
-            TraceMessage(
-                time=draw(st.integers(0, 1000)),
-                src=src,
-                dst=dst,
-                flits=draw(st.integers(2, 100)),
-            )
-        )
-    return Trace(num_nodes, messages)
 
 
 class TestTraceProperties:
-    @given(traces(), st.integers(min_value=2, max_value=64))
-    def test_segmentation_conserves_flits(self, trace, max_flits):
-        seg = trace.segmented(max_flits)
-        assert seg.total_flits() == trace.total_flits()
-        # every segment is a valid worm; only the max_flits == 2 odd-size
-        # corner may exceed the cap, by exactly one flit
-        limit = max_flits if max_flits > 2 else 3
-        assert all(2 <= m.flits <= limit for m in seg.messages)
-        # endpoints and times preserved per segment
-        assert {(m.src, m.dst, m.time) for m in seg.messages} == {
-            (m.src, m.dst, m.time) for m in trace.messages
-        }
-
     @given(st.integers(min_value=2, max_value=32), st.integers(min_value=2, max_value=64))
     @settings(max_examples=20)
     def test_alltoall_is_complete_exchange(self, num_nodes, flits):

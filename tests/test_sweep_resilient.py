@@ -7,6 +7,8 @@ completes anyway, files that point as a structured failure and returns
 results for every other point.
 """
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -16,9 +18,9 @@ from repro.errors import (
     SimulationError,
 )
 from repro.experiments import sweep
-from repro.experiments.runcache import RunCache
+from repro.experiments.runcache import ENTRY_FORMAT, RunCache
 from repro.experiments.sweep import _RESEED_STRIDE, clear_cache, run_point, run_sweep
-from repro.metrics.io import series_from_dict, series_to_dict
+from repro.metrics.io import series_to_dict
 from repro.routing.base import ROUTING_ALGORITHMS, RoutingAlgorithm, register
 from repro.sim.run import cube_config, simulate
 
@@ -175,10 +177,17 @@ class TestForcedDeadlockSweep:
             ring_config, [0.1, 0.9], label="unsafe ring",
             record_failures=True,
         )
-        clone = series_from_dict(series_to_dict(series))
-        assert clone.failures == series.failures
-        assert clone.points == series.points
-        assert not clone.complete
+        doc = json.loads(json.dumps(series_to_dict(series)))
+        assert [p["offered"] for p in doc["points"]] == [0.1]
+        assert doc["failures"] == [
+            {
+                "offered": 0.9,
+                "error": "DeadlockError",
+                "message": series.failures[0].message,
+                "attempts": 1,
+                "seeds": [3],
+            }
+        ]
 
 
 class TestRetryWithReseed:
@@ -287,6 +296,15 @@ class TestRunCache:
         key = sweep._cache_key(cfg)
         cache.put(key, simulate(cfg))
         cache.path_for(key).write_text("{ truncated garbage")
+        assert cache.get(key) is None
+
+    @pytest.mark.parametrize("entry", [[], "x", "run-is-a-list"], ids=["list", "string", "run-is-a-list"])
+    def test_an_entry_of_the_wrong_shape_is_a_miss(self, tmp_path, entry):
+        cache = RunCache(tmp_path)
+        key = sweep._cache_key(small_cube_config(load=0.2, total_cycles=300))
+        if entry == "run-is-a-list":
+            entry = {"format": ENTRY_FORMAT, "key": json.loads(json.dumps(key)), "run": []}
+        cache.path_for(key).write_text(json.dumps(entry))
         assert cache.get(key) is None
 
     def test_key_collision_is_a_miss(self, tmp_path):

@@ -1,5 +1,5 @@
 """Run telemetry and the versioned run document (repro.obs.telemetry,
-repro.metrics.io run persistence, RunCache telemetry round-trip)."""
+the repro.metrics.io run document, RunCache telemetry round-trip)."""
 
 import dataclasses
 import json
@@ -9,13 +9,7 @@ import pytest
 from repro.errors import AnalysisError
 from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import PointProgress, _cache_key, clear_cache, run_sweep
-from repro.metrics.io import (
-    RUN_FORMAT_VERSION,
-    load_run,
-    run_result_from_dict,
-    run_result_to_dict,
-    save_run,
-)
+from repro.metrics.io import RUN_FORMAT_VERSION, run_result_from_dict, run_result_to_dict
 from repro.obs import PHASE_NAMES, RunTelemetry, config_digest
 from repro.sim.run import simulate, start
 from repro.workloads import Replay, Trace, TraceMessage, drained
@@ -141,19 +135,29 @@ class TestRunDocument:
         assert doc["telemetry"] is None
         assert run_result_from_dict(doc).telemetry is None
 
-    def test_save_and_load(self, tmp_path):
+    def test_save_and_load(self):
+        # through JSON text, as --json, the cache and the ledger store it
         result = simulate(small_tree_config())
-        path = tmp_path / "point.json"
-        save_run(result, path)
-        clone = load_run(path)
+        clone = run_result_from_dict(json.loads(json.dumps(run_result_to_dict(result))))
         assert clone.telemetry == result.telemetry
         assert clone.accepted_fraction == result.accepted_fraction
+        assert run_result_to_dict(clone) == run_result_to_dict(result)
 
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json {")
+    def test_load_rejects_garbage(self):
+        # valid JSON, but a string: the document is an object or nothing
+        with pytest.raises(AnalysisError, match="JSON object"):
+            run_result_from_dict(json.loads('"not json {"'))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {"format": RUN_FORMAT_VERSION, "config": {}, "result": []}],
+        ids=["list", "result-is-a-list"],
+    )
+    def test_a_document_of_the_wrong_shape_is_rejected(self, doc):
+        if "config" in doc:
+            doc["config"] = dataclasses.asdict(small_tree_config())
         with pytest.raises(AnalysisError):
-            load_run(path)
+            run_result_from_dict(doc)
 
 
 class TestRunCacheTelemetry:

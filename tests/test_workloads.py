@@ -51,23 +51,6 @@ class TestTrace:
         assert run_trace(cfg, shifted).makespan_cycles == 341
         assert run_trace(cfg, naive).makespan_cycles == 517
 
-    def test_segmented(self):
-        t = Trace(4)
-        t.send(0, 0, 1, 40)
-        seg = t.segmented(16)
-        assert seg.total_flits() == 40
-        assert [m.flits for m in seg.messages] == [16, 16, 8]
-
-    def test_segmented_never_leaves_one_flit_tail(self):
-        t = Trace(4)
-        t.send(0, 0, 1, 17)
-        seg = t.segmented(16)
-        assert sorted(m.flits for m in seg.messages) == [2, 15]
-
-    def test_segmented_validation(self):
-        with pytest.raises(ConfigurationError):
-            Trace(4).segmented(1)
-
 
 class TestTraceSource:
     def test_release_schedule(self):
