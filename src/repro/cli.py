@@ -924,7 +924,7 @@ def cmd_report(args) -> int:
             f"ledger {args.ledger} holds no scorable runs "
             "(fault records are excluded unless --include-faults)"
         )
-    figures = write_scorecard(results, args.out, title=args.title, tol=args.tol)
+    figures = write_scorecard(results, args.out, title=args.title)
     _, chaos, congestion = partition_results(results)
     extras = f" + {len(chaos)} chaos run(s)" if chaos else ""
     if congestion:
@@ -1160,7 +1160,6 @@ OPTIONS = {
     ),
     # report
     "title": _opt("--title", default="Reproduction scorecard"),
-    "tol": _opt("--tol", float, 0.05, "saturation-detection tolerance (fraction)"),
     "include_faults": _switch(
         "--include-faults", "also plot runs recorded by fault experiments (degraded points)"
     ),
@@ -1262,7 +1261,7 @@ def _commands() -> tuple:
         ("report", "render the HTML reproduction scorecard from a metrics ledger", cmd_report, (
             ("ledger", dict(required=True, help="ledger to score")),
             ("out", dict(default="scorecard.html", help="output HTML path")),
-            "title", "tol", "include_faults",
+            "title", "include_faults",
         )),
         ("find-sat", "bisect the saturation point", cmd_find_sat, (*_COMMON, "resolution")),
         ("dimensions", "cube dimensionality study (§11)", cmd_dimensions, (

@@ -38,8 +38,8 @@ class Fig7Series:
     scaling: NetworkScaling
     points: list[AbsolutePoint]
 
-    def saturation_bits_per_ns(self, tol: float = 0.05) -> float:
-        return saturation_bits_per_ns(self.sweep, self.scaling, tol)
+    def saturation_bits_per_ns(self) -> float:
+        return saturation_bits_per_ns(self.sweep, self.scaling)
 
 
 @dataclass
@@ -49,9 +49,9 @@ class Fig7Result:
     title: str
     series: list[Fig7Series]
 
-    def saturation_summary(self, tol: float = 0.05) -> dict[str, float]:
+    def saturation_summary(self) -> dict[str, float]:
         """Label -> saturation throughput in bits/ns (the §10 headlines)."""
-        return {s.label: s.saturation_bits_per_ns(tol) for s in self.series}
+        return {s.label: s.saturation_bits_per_ns() for s in self.series}
 
 
 def fig7_experiment(

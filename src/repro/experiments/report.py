@@ -41,7 +41,7 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
     return "\n".join(lines)
 
 
-def render_cnf(result: CNFResult, tol: float = 0.05) -> str:
+def render_cnf(result: CNFResult) -> str:
     """Both CNF graphs of one experiment as tables, plus saturation points.
 
     Layout mirrors the paper's panels: one column of accepted bandwidth
@@ -62,11 +62,11 @@ def render_cnf(result: CNFResult, tol: float = 0.05) -> str:
     out = [render_table(headers, rows, title=result.title)]
     out.append("saturation points (fraction of capacity):")
     for s in series:
-        out.append(f"  {s.label}: {saturation_point(s, tol):.3f}")
+        out.append(f"  {s.label}: {saturation_point(s):.3f}")
     return "\n".join(out)
 
 
-def render_comparison(result: Fig7Result, tol: float = 0.05) -> str:
+def render_comparison(result: Fig7Result) -> str:
     """The Figure-7 panels: absolute accepted traffic and latency.
 
     x-axis is the offered traffic in bits/ns of each configuration (they
@@ -88,7 +88,7 @@ def render_comparison(result: Fig7Result, tol: float = 0.05) -> str:
         rows.append(row)
     out = [render_table(headers, rows, title=result.title)]
     out.append("saturation throughput (bits/ns):")
-    for label, bits in result.saturation_summary(tol).items():
+    for label, bits in result.saturation_summary().items():
         out.append(f"  {label}: {bits:.0f}")
     return "\n".join(out)
 

@@ -65,8 +65,8 @@ class RunCache:
         """
         path = self.path_for(key)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # unreadable, not UTF-8, not JSON
             return None
         if (
             not isinstance(doc, dict)

@@ -3,9 +3,8 @@
 The figure sweeps estimate saturation by interpolating a fixed load grid;
 when a precise estimate of a single configuration's saturation point is
 wanted, bisection over the offered load is far cheaper than refining the
-whole grid.  The §6 criterion drives the search: a load is *saturated*
-when accepted bandwidth falls more than ``tol`` below the measured
-offered bandwidth.
+whole grid.  The §6 criterion drives the search: a load is saturated
+when its run is (:attr:`~repro.sim.results.RunResult.saturated`).
 """
 
 from __future__ import annotations
@@ -31,19 +30,10 @@ class SaturationEstimate:
     evaluations: int  # simulations spent
 
 
-def is_saturated(result, tol: float = 0.05) -> bool:
-    """§6 criterion with relative tolerance against sampling noise."""
-    offered = result.offered_flits_per_cycle
-    if offered <= 0:
-        return False
-    return result.accepted_flits_per_cycle < (1.0 - tol) * offered
-
-
 def find_saturation(
     config_factory: Callable[[float], SimulationConfig],
     lo: float = 0.05,
     hi: float = 1.0,
-    tol: float = 0.05,
     resolution: float = 0.02,
 ) -> SaturationEstimate:
     """Bisect the offered load for the saturation point.
@@ -51,7 +41,6 @@ def find_saturation(
     Args:
         config_factory: load -> run recipe (as for sweeps).
         lo, hi: initial bracket in fractions of capacity.
-        tol: §6 saturation tolerance.
         resolution: stop when the bracket is narrower than this, or
             after :data:`MAX_EVALUATIONS` simulations.
 
@@ -70,7 +59,7 @@ def find_saturation(
     def saturated(load: float) -> bool:
         nonlocal evaluations
         evaluations += 1
-        return is_saturated(run_point(config_factory(load)), tol)
+        return run_point(config_factory(load)).saturated
 
     if saturated(lo):
         return SaturationEstimate(load=lo, lo=lo, hi=lo, evaluations=evaluations)

@@ -29,13 +29,13 @@ class CNFResult:
     title: str
     series: list[LoadSweepSeries]
 
-    def saturation_summary(self, tol: float = 0.05) -> dict[str, float]:
+    def saturation_summary(self) -> dict[str, float]:
         """Label -> estimated saturation load, for report tables."""
-        return {s.label: saturation_point(s, tol) for s in self.series}
+        return {s.label: saturation_point(s) for s in self.series}
 
-    def sustained_summary(self, tol: float = 0.05) -> dict[str, float]:
+    def sustained_summary(self) -> dict[str, float]:
         """Label -> mean accepted bandwidth beyond saturation."""
-        return {s.label: sustained_rate(s, tol) for s in self.series}
+        return {s.label: sustained_rate(s) for s in self.series}
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,11 @@ def absolute_series(series: LoadSweepSeries, scaling: NetworkScaling) -> list[Ab
     return out
 
 
-def saturation_bits_per_ns(
-    series: LoadSweepSeries, scaling: NetworkScaling, tol: float = 0.05
-) -> float:
+def saturation_bits_per_ns(series: LoadSweepSeries, scaling: NetworkScaling) -> float:
     """Saturation throughput in bits/ns — the §10 headline numbers.
 
     This is the sustained accepted bandwidth beyond saturation, rescaled
     to absolute units (e.g. the paper's "440 bits/nsec" for Duato under
     uniform traffic).
     """
-    return scaling.aggregate_bits_per_ns(sustained_rate(series, tol))
+    return scaling.aggregate_bits_per_ns(sustained_rate(series))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ConfigurationError
 from ..obs.telemetry import RunTelemetry
 from ..sim.config import SimulationConfig
 from ..sim.results import RunResult
@@ -102,8 +102,9 @@ def run_result_from_dict(doc: dict) -> RunResult:
     """Inverse of :func:`run_result_to_dict`.
 
     Raises:
-        AnalysisError: on a version mismatch, missing fields or a
-            document (or section) that is not a JSON object.
+        AnalysisError: on a version mismatch, missing fields, a config
+            section :class:`SimulationConfig` refuses, or a document (or
+            section) that is not a JSON object.
     """
     if not isinstance(doc, dict):
         raise AnalysisError(f"a run document is a JSON object, not {type(doc).__name__}")
@@ -126,7 +127,7 @@ def run_result_from_dict(doc: dict) -> RunResult:
         telemetry = (
             RunTelemetry.from_dict(telemetry_doc) if telemetry_doc is not None else None
         )
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, ConfigurationError, KeyError, TypeError) as exc:
         raise AnalysisError(f"malformed run document: {exc}") from exc
     return RunResult(config=config, telemetry=telemetry, **fields)
 

@@ -5,49 +5,47 @@ bandwidth is lower than the global packet creation rate at the source
 nodes.  It is worth noting that, before saturation, offered and accepted
 bandwidth are the same."
 
-On finite windows the two rates are equal only up to sampling noise, so
-the estimator takes a relative tolerance: a point is saturated when
-``accepted < (1 - tol) * offered``.  The saturation point is interpolated
-between the last unsaturated and the first saturated sweep point, which
-keeps the estimate stable under coarse load grids.
+On finite windows the two rates are equal only up to sampling noise, so a
+sweep point is saturated by :func:`repro.sim.results.saturated`, which
+allows a relative margin of
+:data:`~repro.sim.results.SATURATION_TOLERANCE`.  The saturation point is
+interpolated between the last unsaturated and the first saturated sweep
+point, which keeps the estimate stable under coarse load grids.
 """
 
 from __future__ import annotations
 
 from ..errors import AnalysisError
+from ..sim.results import SATURATION_TOLERANCE, saturated
 from .series import LoadSweepSeries
 
-#: default relative tolerance absorbing Bernoulli noise on short windows
-DEFAULT_TOLERANCE = 0.05
 
-
-def saturation_point(series: LoadSweepSeries, tol: float = DEFAULT_TOLERANCE) -> float:
+def saturation_point(series: LoadSweepSeries) -> float:
     """Estimated saturation load (fraction of capacity) of a sweep.
 
     Returns the interpolated offered load where accepted bandwidth first
-    falls ``tol`` below offered.  When no sweep point is saturated the
-    last offered load is returned (the curve saturates beyond the sweep;
-    callers sweeping to 1.0 read this as "at or above capacity").
+    falls :data:`~repro.sim.results.SATURATION_TOLERANCE` below offered.
+    When no sweep point is saturated the last offered load is returned
+    (the curve saturates beyond the sweep; callers sweeping to 1.0 read
+    this as "at or above capacity").
 
     Raises:
-        AnalysisError: on an empty series or nonsensical tolerance.
+        AnalysisError: on an empty series.
     """
     if not series.points:
         raise AnalysisError(f"empty sweep series {series.label!r}")
-    if not 0.0 <= tol < 1.0:
-        raise AnalysisError(f"tolerance {tol} not in [0, 1)")
     prev = None
     for p in series.points:
         measured = p.offered_measured if p.offered_measured > 0 else p.offered
-        if p.accepted < (1.0 - tol) * measured:
+        if saturated(measured, p.accepted):
             if prev is None:
                 return p.offered  # saturated from the first point
             # Linear interpolation on the deficit (offered - accepted).
             d0 = max(prev.offered_measured - prev.accepted, 0.0)
             d1 = measured - p.accepted
-            thresh0 = tol * max(prev.offered_measured, 1e-12)
-            thresh1 = tol * measured
-            # deficit crosses tol*offered somewhere in (prev, p)
+            thresh0 = SATURATION_TOLERANCE * max(prev.offered_measured, 1e-12)
+            thresh1 = SATURATION_TOLERANCE * measured
+            # the deficit crosses the margin somewhere in (prev, p)
             f0 = d0 - thresh0
             f1 = d1 - thresh1
             if f1 == f0:
@@ -59,7 +57,13 @@ def saturation_point(series: LoadSweepSeries, tol: float = DEFAULT_TOLERANCE) ->
     return series.points[-1].offered
 
 
-def sustained_rate(series: LoadSweepSeries, tol: float = DEFAULT_TOLERANCE) -> float:
+def _beyond_saturation(series: LoadSweepSeries) -> list[float]:
+    """Accepted fractions of the points at or beyond the saturation load."""
+    sat = saturation_point(series)
+    return [p.accepted for p in series.points if p.offered >= sat]
+
+
+def sustained_rate(series: LoadSweepSeries) -> float:
     """Average accepted bandwidth over the saturated sweep region (§6).
 
     The paper highlights post-saturation stability ("we usually expect the
@@ -67,22 +71,20 @@ def sustained_rate(series: LoadSweepSeries, tol: float = DEFAULT_TOLERANCE) -> f
     mean accepted fraction over points at or beyond the saturation load,
     falling back to the peak accepted value when nothing saturated.
     """
-    sat = saturation_point(series, tol)
-    post = [p.accepted for p in series.points if p.offered >= sat]
+    post = _beyond_saturation(series)
     if not post:
         return series.peak_accepted()
     return sum(post) / len(post)
 
 
-def post_saturation_stability(series: LoadSweepSeries, tol: float = DEFAULT_TOLERANCE) -> float:
+def post_saturation_stability(series: LoadSweepSeries) -> float:
     """Relative spread of accepted bandwidth beyond saturation.
 
     0 means perfectly flat (stable); the paper's algorithms — all source
     throttled — are expected to stay within a few percent.  Returns 0 when
     fewer than two post-saturation points exist.
     """
-    sat = saturation_point(series, tol)
-    post = [p.accepted for p in series.points if p.offered >= sat]
+    post = _beyond_saturation(series)
     if len(post) < 2:
         return 0.0
     mean = sum(post) / len(post)

@@ -139,18 +139,19 @@ class Ledger:
         """Yield every record on file, oldest first.
 
         Raises:
-            AnalysisError: on an unparseable line or an incompatible
-                record format (a ledger is data, not a log to skim past).
+            AnalysisError: on an unparseable line (not UTF-8, or not
+                JSON) or an incompatible record format (a ledger is data,
+                not a log to skim past).
         """
         if not self.path.exists():
             return
-        with self.path.open(encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    rec = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
                     raise AnalysisError(
                         f"{self.path}:{lineno}: unparseable ledger line: {exc}"
                     ) from exc

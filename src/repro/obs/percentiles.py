@@ -1,13 +1,12 @@
 """Shared latency-percentile formatting.
 
-One vocabulary (``samples``/``mean``/``p50``/``p95``/``p99``/``max`` —
-the keys produced by both
-:meth:`~repro.sim.results.RunResult.latency_percentiles` and
-:meth:`~repro.obs.forensics.StreamingHistogram.percentiles`) and two
-render styles:
+One vocabulary (``p50``/``p95``/``p99``/``max``, the keys of both
+:meth:`~repro.sim.results.RunResult.latency_percentiles`, which adds
+``samples``, and :meth:`~repro.obs.forensics.StreamingHistogram.to_dict`,
+which adds ``count`` and ``mean``) and two render styles:
 
 * :func:`format_percentiles` — the compact one-liner printed by
-  ``repro-net run --latencies`` and the flight digests;
+  ``repro-net run --latencies``;
 * :func:`percentile_table` — the aligned-column row used by the
   forensics digest (``repro-net run --forensics`` / ``analyze``).
 

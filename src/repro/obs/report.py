@@ -42,7 +42,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..errors import AnalysisError
-from ..metrics.saturation import DEFAULT_TOLERANCE, saturation_point
+from ..metrics.saturation import saturation_point
 from ..metrics.series import LoadSweepSeries
 from ..sim.results import (
     RunResult,
@@ -326,9 +326,7 @@ def congestion_curves(results: list[RunResult]) -> list[CongestionCurve]:
     return curves
 
 
-def figures_from_results(
-    results: list[RunResult], tol: float = DEFAULT_TOLERANCE
-) -> list[ScorecardFigure]:
+def figures_from_results(results: list[RunResult]) -> list[ScorecardFigure]:
     """Group raw runs into scorecard figures with fidelity scores.
 
     Runs sharing (network, k, n, pattern) land in one figure; within it,
@@ -364,7 +362,7 @@ def figures_from_results(
         fig = ScorecardFigure(title=_figure_title(network, k, n, pattern))
         for (algorithm, vcs), series in sorted(curves.items()):
             fig.series.append(series)
-            sat = saturation_point(series, tol)
+            sat = saturation_point(series)
             fig.saturation[series.label] = sat
             ref = paper_reference(network, k, n, algorithm, vcs, pattern)
             if ref is not None:
@@ -808,7 +806,6 @@ def write_scorecard(
     results: list[RunResult],
     path: str | pathlib.Path,
     title: str = "Reproduction scorecard",
-    tol: float = DEFAULT_TOLERANCE,
 ) -> list[ScorecardFigure]:
     """Score a result set and write the HTML scorecard to ``path``.
 
@@ -824,7 +821,7 @@ def write_scorecard(
     programmatic use.
     """
     plain, chaos, congestion = partition_results(results)
-    figures = figures_from_results(plain, tol) if plain else []
+    figures = figures_from_results(plain) if plain else []
     pathlib.Path(path).write_text(
         render_scorecard(
             figures,

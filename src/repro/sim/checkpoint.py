@@ -509,6 +509,9 @@ def clear_checkpoints(directory) -> None:
 
 # -- configuration -------------------------------------------------------------
 
+#: newest checkpoints retained on disk per directory
+KEEP_CHECKPOINTS = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class CheckpointConfig:
@@ -516,16 +519,12 @@ class CheckpointConfig:
 
     #: cycles between periodic checkpoints
     interval_cycles: int = 1000
-    #: newest checkpoints retained on disk per directory
-    keep: int = 2
 
     def __post_init__(self):
         if self.interval_cycles <= 0:
             raise ConfigurationError(
                 f"interval_cycles must be positive, got {self.interval_cycles}"
             )
-        if self.keep < 1:
-            raise ConfigurationError(f"keep must be at least 1, got {self.keep}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -546,13 +545,10 @@ class CheckpointPolicy:
 
     directory: str
     interval_cycles: int = 1000
-    keep: int = 2
 
     @property
     def config(self) -> CheckpointConfig:
-        return CheckpointConfig(
-            interval_cycles=self.interval_cycles, keep=self.keep
-        )
+        return CheckpointConfig(interval_cycles=self.interval_cycles)
 
 
 # -- the probe -----------------------------------------------------------------
@@ -650,7 +646,7 @@ class CheckpointProbe(Probe):
         self._last_cycle = engine.cycle
         self.taken += 1
         files = sorted(directory.glob(f"ckpt-*{CHECKPOINT_SUFFIX}"))
-        stale = files[: -self.config.keep] if len(files) > self.config.keep else []
+        stale = files[:-KEEP_CHECKPOINTS]
         pruned = {p.name for p in stale}
         for path in stale:
             with contextlib.suppress(OSError):

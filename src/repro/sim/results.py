@@ -7,6 +7,10 @@ The two quantitative parameters of §6 are computed here:
   as a fraction of the network capacity (the CNF y-axis);
 * **network latency** — average header-injection-to-tail-delivery delay of
   packets measured in the window (source queueing excluded, as in §6).
+
+§6's saturation rule is also stated here, once: :func:`saturated` and
+:data:`SATURATION_TOLERANCE` decide every per-run flag, Figure 5/6/7 cell,
+``find-sat`` bracket and scorecard fidelity score.
 """
 
 from __future__ import annotations
@@ -16,6 +20,17 @@ from dataclasses import dataclass, field
 from ..errors import AnalysisError
 from ..obs.telemetry import RunTelemetry
 from .config import SimulationConfig
+
+#: §6's relative saturation margin: accepted bandwidth this fraction below
+#: the offered rate is saturation, anything closer is the sampling noise of
+#: a finite window (paper-length windows may retune it)
+SATURATION_TOLERANCE = 0.05
+
+
+def saturated(offered: float, accepted: float) -> bool:
+    """§6: "the accepted bandwidth is lower than the packet creation rate",
+    by more than :data:`SATURATION_TOLERANCE` of that rate."""
+    return accepted < (1.0 - SATURATION_TOLERANCE) * offered
 
 
 @dataclass
@@ -191,13 +206,9 @@ class RunResult:
 
     @property
     def saturated(self) -> bool:
-        """Heuristic per-run saturation flag: accepted visibly below offered.
-
-        §6 defines saturation as the minimum offered bandwidth where the
-        accepted bandwidth is lower than the packet creation rate; a 5%
-        relative margin absorbs Bernoulli noise on short windows.
-        """
-        return self.accepted_flits_per_cycle < 0.95 * self.offered_flits_per_cycle
+        """Per-run saturation flag: :func:`saturated` on this run's
+        offered and accepted flits per cycle."""
+        return saturated(self.offered_flits_per_cycle, self.accepted_flits_per_cycle)
 
     def latency_percentiles(self) -> dict | None:
         """Exact percentiles over the per-packet latency samples.

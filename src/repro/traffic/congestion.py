@@ -352,25 +352,6 @@ class CongestionControl:
         }
 
 
-def install_congestion(
-    engine,
-    transport_config: TransportConfig | None = None,
-    congestion_config: CongestionConfig | None = None,
-) -> ReliableTransport:
-    """Install the full closed loop on ``engine``.
-
-    Attaches a :class:`CongestionMarker` (before the transport, so marks
-    exist by the time the transport sees a delivery) and a
-    :class:`ReliableTransport` wired to a :class:`CongestionControl`.
-    Returns the transport, whose summary carries the loop statistics.
-    """
-    config = congestion_config or CongestionConfig()
-    marker = CongestionMarker(config)
-    compose_probe(engine, marker)
-    control = CongestionControl(config, marker)
-    return ReliableTransport(transport_config, congestion=control).install(engine)
-
-
 @dataclasses.dataclass(frozen=True)
 class Congested(Reliable):
     """The closed congestion loop (marker + AIMD windows over the reliable
@@ -379,7 +360,16 @@ class Congested(Reliable):
     control: CongestionConfig | None = None
 
     def install(self, engine) -> ReliableTransport:
-        return install_congestion(engine, self.transport, self.control)
+        """Attach a :class:`CongestionMarker` (before the transport, so
+        marks exist by the time the transport sees a delivery) and a
+        :class:`ReliableTransport` wired to a :class:`CongestionControl`.
+        Returns the transport, whose summary carries the loop statistics.
+        """
+        config = self.control or CongestionConfig()
+        marker = CongestionMarker(config)
+        compose_probe(engine, marker)
+        control = CongestionControl(config, marker)
+        return ReliableTransport(self.transport, congestion=control).install(engine)
 
 
 def simulate_congested(

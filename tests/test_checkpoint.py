@@ -551,7 +551,7 @@ class TestResumeIdentity:
 class TestProbeHousekeeping:
     def test_keep_prunes_and_manifest_tracks(self, tmp_path):
         config = small_tree_config()  # 600 cycles
-        policy = _policy(tmp_path, interval=100, keep=2)
+        policy = _policy(tmp_path, interval=100)
         simulate(config, checkpoint=policy)
         headers = _headers(tmp_path)
         assert [h["cycle"] for h in headers] == [400, 500]
@@ -559,6 +559,26 @@ class TestProbeHousekeeping:
         assert [e["cycle"] for e in manifest["checkpoints"]] == [400, 500]
         assert manifest["config"] == headers[0]["config"]
         assert manifest["completed"] is False
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "older-format"])
+    def test_a_damaged_manifest_reads_as_an_empty_one(self, tmp_path, damage):
+        config = small_tree_config()
+        simulate(config, checkpoint=_policy(tmp_path, interval=200))
+        path = manifest_path(tmp_path)
+        data = path.read_bytes()
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        elif damage == "flipped-byte":
+            data = data[:20] + b"\xff" + data[21:]
+        else:
+            data = json.dumps({**json.loads(data), "format": CHECKPOINT_FORMAT_VERSION - 1}).encode()
+        path.write_bytes(data)
+        manifest = read_manifest(tmp_path)
+        assert (manifest["config"], manifest["checkpoints"], manifest["discarded"]) == (None, [], [])
+        # and the directory still resumes to the uninterrupted document
+        assert _canonical(simulate(config, checkpoint=_policy(tmp_path, interval=200))) == (
+            _canonical(simulate(config))
+        )
 
     def test_clear_checkpoints_marks_completed(self, tmp_path):
         simulate(small_tree_config(), checkpoint=_policy(tmp_path, interval=200))

@@ -43,6 +43,36 @@ def test_the_package_has_no_runtime_dependency():
     assert ast.literal_eval(declared.split("=", 1)[1].strip()) == []
 
 
+def test_the_saturation_rule_is_stated_once():
+    # §6's rule is sim.results.saturated over its one SATURATION_TOLERANCE:
+    # no function takes a tolerance of its own, no module names a second
+    # tolerance or inlines the margin, and no second predicate exists
+    tol_params, tolerances, inlined, predicates = [], [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "tol" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                    tol_params.append(f"{where}:{node.lineno}")
+                if getattr(node, "name", None) == "is_saturated":
+                    predicates.append(f"{where}:{node.lineno}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                tolerances += [
+                    f"{where}:{t.id}" for t in targets
+                    if isinstance(t, ast.Name) and "TOLERANCE" in t.id
+                ]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                if any(isinstance(side, ast.Constant) and side.value == 0.95
+                       for side in (node.left, node.right)):
+                    inlined.append(f"{where}:{node.lineno}")
+    assert tol_params == []
+    assert tolerances == ["sim/results.py:SATURATION_TOLERANCE"]
+    assert inlined == []
+    assert predicates == []
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

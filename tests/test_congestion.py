@@ -34,8 +34,8 @@ from repro.sim.run import build_engine, simulate, tree_config
 from repro.traffic.congestion import (
     CongestionConfig,
     CongestionControl,
+    Congested,
     CongestionMarker,
-    install_congestion,
     simulate_congested,
 )
 from repro.traffic.transport import (
@@ -215,13 +215,10 @@ class TestClosedLoopRuns:
         # which must re-claim their slot through the same gate
         config = small_tree_config(load=0.9, total_cycles=800)
         engine = build_engine(config)
-        transport = install_congestion(
-            engine,
+        transport = Congested(
             TransportConfig(base_timeout=64, max_retries=3),
-            CongestionConfig(
-                window_cycles=32, initial_window=1.0, max_window=1.0
-            ),
-        )
+            CongestionConfig(window_cycles=32, initial_window=1.0, max_window=1.0),
+        ).install(engine)
         violations = []
 
         def check(eng):
@@ -238,9 +235,9 @@ class TestClosedLoopRuns:
 
     def test_double_install_rejected(self):
         engine = build_engine(small_tree_config())
-        install_congestion(engine)
+        Congested().install(engine)
         with pytest.raises(ConfigurationError):
-            install_congestion(engine)
+            Congested().install(engine)
 
 
 class _LiveTracker(Probe):
@@ -284,9 +281,7 @@ class TestZeroDeliveryGuards:
         engine = build_engine(config, probe=tracker)
         tcfg = TransportConfig(base_timeout=16, jitter=0, max_retries=0)
         if closed_loop:
-            transport = install_congestion(
-                engine, tcfg, CongestionConfig(window_cycles=16)
-            )
+            transport = Congested(tcfg, CongestionConfig(window_cycles=16)).install(engine)
         else:
             transport = ReliableTransport(tcfg).install(engine)
         _kill_everything(engine, tracker)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.drain import drain_permutation
-from repro.experiments.search import SaturationEstimate, find_saturation, is_saturated
+from repro.experiments.search import SaturationEstimate, find_saturation
 from repro.experiments.stats import replicate_point, t_confidence
 from repro.experiments.sweep import clear_cache
 from repro.metrics.analytic import expected_zero_load_latency
@@ -102,8 +102,8 @@ class TestSaturationSearch:
 
         low = run_point(self.factory(0.1))
         high = run_point(self.factory(1.0))
-        assert not is_saturated(low)
-        assert is_saturated(high)
+        assert not low.saturated
+        assert high.saturated
 
 
 class TestStatistics:

@@ -17,7 +17,7 @@ import pytest
 from repro.faults import CubeLinkFault, FaultPolicy, FaultSchedule
 from repro.sim.engine import Engine
 from repro.sim.run import build_engine, cube_config, tree_config
-from repro.traffic.congestion import install_congestion
+from repro.traffic.congestion import Congested
 from repro.workloads.collectives import alltoall_trace
 from repro.workloads.trace import Replay
 
@@ -59,7 +59,7 @@ def congested_engine() -> Engine:
         tree_config(k=4, n=3, vcs=2, pattern="transpose", load=0.9, seed=3,
                     warmup_cycles=40, total_cycles=CYCLES[-1])
     )
-    install_congestion(engine)
+    Congested().install(engine)
     engine.probe.on_run_start(engine)
     return engine
 

@@ -186,6 +186,26 @@ class TestCorruption:
         assert main(["analyze", "--ledger", str(ledger.path)]) == 2
         assert capsys.readouterr().err.count("a ledger record is a JSON object") == 2
 
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte"])
+    def test_a_damaged_line_is_refused_with_its_place(self, ledger, tmp_path, capsys, damage):
+        from repro.cli import main
+
+        ledger.append_run(simulate(small_tree_config()))
+        ledger.append_run(simulate(small_cube_config()))
+        data = ledger.path.read_bytes()
+        second = data.index(b"\n") + 1
+        if damage == "truncated":
+            data = data[: (second + len(data)) // 2]
+        else:
+            data = data[: second + 40] + b"\xff" + data[second + 41 :]
+        ledger.path.write_bytes(data)
+        with pytest.raises(AnalysisError, match=r"runs\.jsonl:2: unparseable ledger line"):
+            list(ledger.records())
+        out = str(tmp_path / "s.html")
+        assert main(["report", "--ledger", str(ledger.path), "--out", out]) == 2
+        assert main(["analyze", "--ledger", str(ledger.path)]) == 2
+        assert capsys.readouterr().err.count("runs.jsonl:2: unparseable ledger line") == 2
+
     def test_blank_lines_tolerated(self, ledger):
         ledger.append_run(simulate(small_tree_config()))
         with ledger.path.open("a") as fh:

@@ -15,6 +15,7 @@ from repro.metrics.saturation import (
     sustained_rate,
 )
 from repro.metrics.series import LoadPoint, LoadSweepSeries
+from repro.sim.results import saturated
 from repro.timing.normalization import cube_scaling
 from repro.topology.cube import KAryNCube
 from repro.topology.tree import KAryNTree
@@ -83,17 +84,16 @@ class TestSaturation:
         s = series([(0.5, 0.2, 99.0), (1.0, 0.2, 200.0)])
         assert saturation_point(s) == 0.5
 
-    def test_tolerance_effect(self):
-        s = series(SATURATING)
-        loose = saturation_point(s, tol=0.2)
-        tight = saturation_point(s, tol=0.01)
-        assert loose >= tight
+    def test_the_margin_is_relative_and_exclusive(self):
+        # accepted exactly SATURATION_TOLERANCE below offered is still noise
+        assert not saturated(1.0, 0.95)
+        assert saturated(1.0, 0.9499)
+        assert saturated(0.5, 0.47) and not saturated(0.5, 0.48)
+        assert not saturated(0.0, 0.0)  # an empty window never saturates
 
     def test_empty_series_rejected(self):
         with pytest.raises(AnalysisError):
             saturation_point(series([]))
-        with pytest.raises(AnalysisError):
-            saturation_point(series(SATURATING), tol=1.5)
 
     def test_sustained_rate(self):
         rate = sustained_rate(series(SATURATING))

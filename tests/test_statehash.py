@@ -33,7 +33,7 @@ from repro.obs.statehash import (
     state_snapshot,
 )
 from repro.sim.run import build_engine, simulate, simulate_post_mortem
-from repro.traffic.congestion import install_congestion
+from repro.traffic.congestion import Congested
 from repro.traffic.transport import ReliableTransport, TransportConfig, simulate_reliable
 
 from .conftest import small_cube_config, small_tree_config
@@ -155,7 +155,7 @@ def _stepped(closed_loop: bool):
     under the reliable transport with AIMD windows and the ECN marker."""
     if closed_loop:
         engine = build_engine(small_tree_config(load=0.9))
-        install_congestion(engine)
+        Congested().install(engine)
     else:
         engine = build_engine(small_cube_config(load=0.6))
     for _ in range(200):

@@ -307,6 +307,33 @@ class TestRunCache:
         cache.path_for(key).write_text(json.dumps(entry))
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "invalid-config"])
+    def test_a_damaged_entry_is_a_miss_and_the_point_reruns(self, tmp_path, monkeypatch, damage):
+        cache = RunCache(tmp_path)
+        cfg = small_cube_config(load=0.2, total_cycles=300)
+        first = run_point(cfg, cache=cache)
+        path = cache.path_for(sweep._cache_key(cfg))
+        data = path.read_bytes()
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        elif damage == "flipped-byte":
+            data = data[:40] + b"\xff" + data[41:]
+        else:
+            doc = json.loads(data)
+            doc["run"]["config"]["vcs"] = -3
+            data = json.dumps(doc).encode()
+        path.write_bytes(data)
+        assert cache.get(sweep._cache_key(cfg)) is None
+
+        clear_cache()
+        simulated = []
+        real = sweep.simulate
+        monkeypatch.setattr(sweep, "simulate", lambda config: simulated.append(config) or real(config))
+        again = run_point(cfg, cache=cache)
+        assert simulated == [cfg]
+        assert again.delivered_flits == first.delivered_flits
+        assert cache.get(sweep._cache_key(cfg)) is not None  # the entry was rewritten
+
     def test_key_collision_is_a_miss(self, tmp_path):
         # an entry renamed onto another key's path must not be misread
         cache = RunCache(tmp_path)

@@ -11,6 +11,7 @@ from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import PointProgress, _cache_key, clear_cache, run_sweep
 from repro.metrics.io import RUN_FORMAT_VERSION, run_result_from_dict, run_result_to_dict
 from repro.obs import PHASE_NAMES, RunTelemetry, config_digest
+from repro.sim.results import RunResult
 from repro.sim.run import simulate, start
 from repro.workloads import Replay, Trace, TraceMessage, drained
 
@@ -157,6 +158,13 @@ class TestRunDocument:
         if "config" in doc:
             doc["config"] = dataclasses.asdict(small_tree_config())
         with pytest.raises(AnalysisError):
+            run_result_from_dict(doc)
+
+
+    def test_a_config_section_the_config_refuses_is_rejected(self):
+        doc = run_result_to_dict(RunResult(config=small_tree_config(), measured_cycles=100))
+        doc["config"]["vcs"] = -3
+        with pytest.raises(AnalysisError, match="malformed run document"):
             run_result_from_dict(doc)
 
 
