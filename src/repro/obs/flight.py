@@ -43,8 +43,11 @@ feed the CLI's ``--watch`` mode and external consumers.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import io
+import itertools
 import json
+import operator
 import pathlib
 from dataclasses import dataclass
 
@@ -315,13 +318,14 @@ class FlightRecorder(Probe):
             for lane in d.lanes:
                 occupancy += lane.buffered
         if cfg.top_links:
-            deltas = [
-                (flits_now[i] - self._dir_flits[i], i)
-                for i in range(len(dirs))
-                if flits_now[i] > self._dir_flits[i]
+            # the directions that moved most, ties to the lower index: the
+            # smallest (-delta, index) pairs, kept without sorting them all
+            pairs = zip(map(operator.sub, self._dir_flits, flits_now), itertools.count())
+            hot = [
+                [self._dir_labels[i], -less]
+                for less, i in heapq.nsmallest(cfg.top_links, pairs)
+                if less < 0
             ]
-            deltas.sort(key=lambda t: (-t[0], t[1]))
-            hot = [[self._dir_labels[i], delta] for delta, i in deltas[:cfg.top_links]]
         self._dir_flits = flits_now
 
         row = {

@@ -59,6 +59,7 @@ import struct
 from array import array
 
 from ..errors import ConfigurationError
+from ..sim import engine as _engine
 from ..traffic.transport import ReliableTransport
 from .probe import Instrument, Probe, compose_probe
 from .telemetry import config_digest
@@ -212,7 +213,14 @@ def _fabric_rows(engine):
     tenths of the ints a sample hashes are read here, so this stays one flat
     ``append`` loop per direction — no per-lane call or tuple;
     :func:`_lane_records` cuts a record back into lanes for whoever wants
-    them apart."""
+    them apart.
+
+    The reference of the kernel's ``fabric_image(dirs, update)``, which
+    writes the same int64 words from the C structs and is what a plain
+    fingerprint hashes where the kernel is loaded; the detailed fingerprint
+    and :func:`state_snapshot` read these rows.  ``tests/test_walkers.py``
+    and the lockstep suite (whose Python twin fingerprints through here)
+    hold the two to the same bytes."""
     none = _NONE
     for idx, d in enumerate(engine.dirs):
         to_node = d.to_node
@@ -446,16 +454,20 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
     identical cycles for identical configs.
     """
     tp = engine.find_probe(ReliableTransport)
-    # each record is hashed as it is made and then dropped, unless ``detail``
-    # wants it again: the fabric is never held twice over
+    # the fabric is hashed as it is read and never held whole: by the kernel
+    # in chunks, or a record at a time, kept only where ``detail`` wants it
     fabric = hashlib.blake2b(digest_size=8)
     records, links = [], []
-    for row in _fabric_rows(engine):
-        data = _ints(row)
-        fabric.update(data)
-        if detail:
-            records.append(row)
-            links.append(data)
+    kernel = _engine.NATIVE_PHASES
+    if kernel is not None and not detail:
+        kernel.fabric_image(engine.dirs, fabric.update)
+    else:
+        for row in _fabric_rows(engine):
+            data = _ints(row)
+            fabric.update(data)
+            if detail:
+                records.append(row)
+                links.append(data)
     fabric.update(_digest(_preimage(_routing_tables(engine))))
     nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
     subsystems = {

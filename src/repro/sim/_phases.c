@@ -698,6 +698,8 @@ static PyMethodDef methods[] = {
     {"setup", (PyCFunction)(void (*)(void))setup, METH_FASTCALL, NULL},
     {"wire_switch_links", (PyCFunction)(void (*)(void))wire_switch_links, METH_FASTCALL, NULL},
     {"wire_node_links", (PyCFunction)(void (*)(void))wire_node_links, METH_FASTCALL, NULL},
+    {"fabric_image", (PyCFunction)(void (*)(void))fabric_image, METH_FASTCALL, NULL},
+    {"find_worm", (PyCFunction)(void (*)(void))find_worm, METH_FASTCALL, NULL},
     {"link_phase", (PyCFunction)(void (*)(void))link_phase, METH_FASTCALL, NULL},
     {"injection_phase", (PyCFunction)(void (*)(void))injection_phase, METH_FASTCALL, NULL},
     {"crossbar_phase", (PyCFunction)(void (*)(void))crossbar_phase, METH_FASTCALL, NULL},

@@ -75,8 +75,9 @@ NAMES(X)
     X(LD, lanes, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
     X(LD, nbusy, LONGLONG) X(LD, to_node, OBJECT_EX) X(LD, flits, LONGLONG) \
     X(LD, flits_at_warmup, LONGLONG) X(LD, blocked, LONGLONG) X(LD, blocked_at_warmup, LONGLONG) \
-    X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) X(PK, created, LONGLONG) \
-    X(PK, injected, LONGLONG) X(PK, head_delivered, LONGLONG) X(PK, delivered, LONGLONG) \
+    X(PK, pid, LONGLONG) X(PK, src, LONGLONG) X(PK, dst, LONGLONG) X(PK, size, LONGLONG) \
+    X(PK, created, LONGLONG) X(PK, injected, LONGLONG) X(PK, head_delivered, LONGLONG) \
+    X(PK, delivered, LONGLONG) \
     X(ND, nid, LONGLONG) X(ND, source, OBJECT_EX) X(ND, wake, LONGLONG) X(ND, lanes, OBJECT_EX) \
     X(ND, rr, LONGLONG) X(ND, packet, OBJECT_EX) X(ND, sent, LONGLONG) X(ND, lane, OBJECT_EX)
 
@@ -258,6 +259,8 @@ PyObject *storage(PyObject *module, PyObject *const *args, Py_ssize_t nargs);   
 PyObject *setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_node_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *fabric_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *find_worm(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */
 PyObject *routing_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *select_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs);     /* _select.c */

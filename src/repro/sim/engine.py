@@ -63,6 +63,7 @@ the model.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from ..errors import ConfigurationError, DeadlockError, SimulationError
@@ -123,8 +124,10 @@ class _Node(
 #: ``_select.c``, built on first import — see :mod:`repro.sim.native`) and
 #: bound to the classes whose fields they address, or ``None`` where they
 #: cannot be had and ``step`` calls the reference (:mod:`repro.sim.phases`).
-#: Read once per cycle; the lockstep tests set it to ``None`` to step the
-#: reference beside the kernel.
+#: Read at every call — once per cycle by ``step``, once per call by
+#: ``kill_packet`` and the state fingerprint, whose whole-fabric walks the
+#: kernel has too; the lockstep tests set it to ``None`` to step (and
+#: fingerprint) the reference beside the kernel.
 NATIVE_PHASES = load_phases(
     InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
     TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,
@@ -640,6 +643,11 @@ class Engine:
         the packet, counted in the engine totals and the measurement
         window, and reported through ``on_packet_dropped``.
 
+        The lanes are found by one search over ``dirs`` — ``find_worm``,
+        which the kernel has beside the reference in :mod:`repro.sim.phases`
+        and which is chosen as ``step`` chooses its phases — and flushed by
+        the one body below, whichever walk found them.
+
         Safe to call from a cycle hook: hooks fire before the link phase
         so no phase iteration is in progress.
 
@@ -665,27 +673,26 @@ class Engine:
 
         # a worm holds output lanes and their sinks — fabric input lanes or
         # its destination's ejection lanes — and the injection lanes of its
-        # source: one pass over the directions and one over those
+        # source: one search over the directions and one over those
+        owned, holding = (NATIVE_PHASES or reference).find_worm(self.dirs, pkt)
+        for lane in owned:
+            if lane.buffered > 0:
+                lane.direction.nbusy -= 1
+                flushed += lane.buffered
+            lane.packet = None
+            lane.buffered = 0
         victims: list[InputLane] = []
-        for d in self.dirs:
-            for lane in d.lanes:
-                if lane.packet is pkt:
-                    if lane.buffered > 0:
-                        d.nbusy -= 1
-                        flushed += lane.buffered
-                    lane.packet = None
-                    lane.buffered = 0
-                sink = lane.sink
-                if sink.packet is pkt:
-                    if d.to_node:
-                        sink.packet = None
-                        sink.received = 0
-                    else:
-                        victims.append(sink)
+        for sink in holding:
+            if isinstance(sink, EjectionLane):
+                sink.packet = None
+                sink.received = 0
+            else:
+                victims.append(sink)
         victims.extend(lane for lane in node.lanes if lane.packet is pkt)
-        dead = {id(lane) for lane in victims if lane.bound is not None}
+        dead = {lane for lane in victims if lane.bound is not None}
         if dead:
-            self.bindings[:] = [b for b in self.bindings if id(b) not in dead]
+            # lanes hash and compare by identity; the filter runs in C
+            self.bindings[:] = itertools.filterfalse(dead.__contains__, self.bindings)
         for lane in victims:
             if lane.bound is None:
                 # an unbound header is still waiting in the routing queue

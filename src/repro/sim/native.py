@@ -172,14 +172,14 @@ def storage(name: str, fields: tuple) -> type:
     order.  Either way the fields are attributes of the instances, the
     subclass adds ``__slots__ = ()`` and nothing else to the layout, and
     ``FIELDS`` on the class is the table.  An instance pickles as its field
-    values (:func:`field_list`), to the same bytes on both storages."""
-    names = tuple(field for field, _ in fields)
+    values, to the same bytes on both storages: through the struct type's own
+    ``__reduce_ex__`` and ``extend``, or :func:`field_list`'s."""
     if KERNEL is not None:
         base = KERNEL.storage(name, fields)
     else:
-        base = type(name, (), {"__slots__": names})
+        base = field_list(type(name, (), {"__slots__": tuple(field for field, _ in fields)}))
     base.FIELDS = fields
-    return field_list(base, names)
+    return base
 
 
 def load_phases(*classes):

@@ -13,15 +13,16 @@ next flit of one (:func:`stream_flit`); a crossbar binding forwards a flit
 :mod:`repro.router.lane`), and each function updates them in place.  The
 lanes themselves are made here too: ``Engine.__init__`` wires them
 (:func:`wire_switch_links`, :func:`wire_node_links`) through
-``NATIVE_PHASES or`` this module as ``step`` does.
+``NATIVE_PHASES or`` this module as ``step`` does, and ``Engine.kill_packet``
+finds a worm's lanes the same way (:func:`find_worm`).
 
 **The twin rule.**  Every function here has a function of the *same name* in
-``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the
-struct types it allocates — with the same statement order, the same probe
-calls and the same values stored; the classes ``Link``, ``Inject`` and
-``Walk`` are those units' structs of the same names — what a phase keeps at
-hand for the length of its call.  Change one and change the other, in the
-same commit.  Three tests hold the pair together:
+``_phases.c`` or ``_routing.c`` — the wiring and ``find_worm`` in
+``_storage.c``, beside the struct types they walk — with the same statement
+order, the same probe calls and the same values stored; the classes
+``Link``, ``Inject`` and ``Walk`` are those units' structs of the same names
+— what a phase keeps at hand for the length of its call.  Change one and
+change the other, in the same commit.  Three tests hold the pair together:
 
 * ``tests/test_property_engine.py::TestTheTwinContract::test_every_reference_function_has_a_c_twin_of_its_name``
   — the names, and by name what exists in C only (``C_ONLY`` there:
@@ -74,6 +75,24 @@ def enqueue_header(engine, lane) -> None:
     if not engine._in_route_queue[s]:
         engine._in_route_queue[s] = True
         engine.route_queue.append(s)
+
+
+# -- the fail-stop search --------------------------------------------------------
+
+
+def find_worm(dirs: list, pkt) -> tuple[list, list]:
+    """The output lanes ``pkt`` owns and the sinks that hold it — fabric
+    input lanes, or its destination's ejection lanes — each list in ``dirs``
+    order: what ``Engine.kill_packet`` flushes.  Reads and changes nothing."""
+    owned, holding = [], []
+    for d in dirs:
+        for lane in d.lanes:
+            if lane.packet is pkt:
+                owned.append(lane)
+            sink = lane.sink
+            if sink.packet is pkt:
+                holding.append(sink)
+    return owned, holding
 
 
 # -- the link phase --------------------------------------------------------------

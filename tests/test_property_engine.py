@@ -353,6 +353,13 @@ C_ONLY = {
     "the struct types under the stored classes, and setup()": {
         "members_of", "traverse", "clear", "dealloc", "storage", "setup",
     },
+    "assignment and pickling of the struct types (fields.field_list is the __slots__ form)": {
+        "member_named", "setattro", "reduce_ex", "extend",
+    },
+    "the fingerprint's fabric image, whose reference is obs/statehash.py's _fabric_rows": {
+        "fabric_image", "image_room", "image_lane", "pid_word",
+    },
+    "what the whole-fabric walks (fabric_image, find_worm) read of a direction": {"lanes_of"},
     "what the wiring's calls of the lane and direction classes do (no __init__ runs)": {
         "ready", "input_lanes", "output_lanes", "ejection_lanes", "append_direction",
         "put_in", "list_attr", "links_of",
@@ -502,11 +509,12 @@ def run_in_lockstep(recipe: Recipe) -> list[tuple]:
     twin, twin_log = build_recipe(recipe)
     for cycle in range(recipe.config.total_cycles):
         moved = kernel.step()
+        # the twin also kills (``find_worm``) and fingerprints (``_fabric_rows``)
+        # through the reference walks, the kernel through its own
         with python_loops():
             assert twin.step() == moved
-        assert (
-            kernel.state_fingerprint()["root"] == twin.state_fingerprint()["root"]
-        ), divergence(cycle, kernel, twin)
+            twin_root = twin.state_fingerprint()["root"]
+        assert kernel.state_fingerprint()["root"] == twin_root, divergence(cycle, kernel, twin)
         # the fingerprint leaves the routing algorithm's own state out: its
         # tie-break stream, Duato's grants, the call counts of the test ones
         assert algorithm_state(kernel.routing) == algorithm_state(twin.routing), (
