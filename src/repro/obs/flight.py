@@ -52,6 +52,8 @@ import pathlib
 from dataclasses import dataclass
 
 from ..errors import CheckpointError, ConfigurationError
+from ..sim import engine as _engine
+from ..sim import phases
 from ..traffic.transport import ReliableTransport
 from .probe import Instrument, Probe, compose_probe
 
@@ -308,15 +310,8 @@ class FlightRecorder(Probe):
         dropped = eng.dropped_flits_total - last["dropped"]
         backlog = self._backlog_flits()
         offered = max(0, injected + backlog - last["backlog"])
-        occupancy = 0
-        blocked = 0
         hot = []
-        dirs = eng.dirs
-        flits_now = [d.flits for d in dirs]
-        for d in dirs:
-            blocked += d.blocked
-            for lane in d.lanes:
-                occupancy += lane.buffered
+        flits_now, blocked, occupancy = (_engine.NATIVE_PHASES or phases).link_totals(eng.dirs)
         if cfg.top_links:
             # the directions that moved most, ties to the lower index: the
             # smallest (-delta, index) pairs, kept without sorting them all

@@ -60,6 +60,7 @@ from array import array
 
 from ..errors import ConfigurationError
 from ..sim import engine as _engine
+from ..sim.native import plain_stream
 from ..traffic.transport import ReliableTransport
 from .probe import Instrument, Probe, compose_probe
 from .telemetry import config_digest
@@ -181,7 +182,7 @@ def _by_key(table: dict) -> list:
     return [(key, table[key]) for key in sorted(table)]
 
 
-def _rng_digest(rng) -> bytes:
+def _rng_digest(rng, mt_hash=None) -> bytes:
     """Digest of a ``random.Random`` stream position.
 
     ``getstate()`` for the Mersenne Twister is ``(version, 625 uints,
@@ -193,10 +194,15 @@ def _rng_digest(rng) -> bytes:
     may hash tuples differently: it validates the fabric, injection and
     transport digests instead.  This runs for every node every sample;
     pickling or packing 625 words per call was the probe's single largest
-    cost.  Exotic states fall back to a pinned pickle.
+    cost, and the 625 int objects of ``getstate()`` the next one: the
+    kernel's ``mt_hash`` (passed in where it is bound) hashes the words
+    where they lie, for a plain stream (:func:`~repro.sim.native.plain_stream`).
+    Exotic states fall back to a pinned pickle.
     """
     if rng is None:
         return b"no-rng"
+    if mt_hash is not None and plain_stream(rng):
+        return _ints((3, mt_hash(rng), _f2i(rng.gauss_next)))
     version, internal, gauss = rng.getstate()
     if version == 3 and type(internal) is tuple:
         return _ints((version, hash(internal), _f2i(gauss)))
@@ -279,7 +285,9 @@ def _routing_tables(engine) -> list:
     """Routing state: rr pointers, pending headers (order is semantic),
     the route queue (order is semantic) and crossbar bindings (sorted —
     the order of the engine's list is an implementation detail no
-    alternative backend should have to reproduce)."""
+    alternative backend should have to reproduce).  The reference of the
+    kernel's ``routing_image(engine)``, which a plain fingerprint hashes
+    where the kernel is loaded."""
     tables = [(("route_rr",), None, {(): engine.route_rr}), _SEP]
     for s, lanes in enumerate(engine.pending):
         if lanes:
@@ -308,7 +316,9 @@ def _node_tables(node) -> list:
     """One node's injection-side state: the injection channel, its input
     lanes at the switch boundary, and the source queue and arrival cursor
     — of the transport's wrapper and of the raw source underneath it when
-    one is installed."""
+    one is installed.  The reference of the kernel's ``node_images(nodes)``
+    (one pre-image per node), which reads the sources by attribute with the
+    defaults :func:`_source_tables` gives."""
     current = node.lane
     lanes = {}
     for lane in node.lanes:
@@ -377,7 +387,9 @@ def _congestion_tables(control) -> list:
 def _transport_tables(tp) -> list:
     """The reliable transport: counters, sequence numbers and unresolved
     counts sorted by key, the per-node registries in queue order, the
-    timer wheel in (due, counter) order, then the congestion loop."""
+    timer wheel in (due, counter) order, then the congestion loop.  The
+    reference of the kernel's ``transport_image(tp)``: the pre-image of every
+    table before :func:`_congestion_tables`, whose rows stay Python."""
     tables = [
         ((), _TRANSPORT, {(): (
             tp.messages, tp.acked, tp.gave_up, tp.retransmissions, tp.duplicates,
@@ -423,13 +435,13 @@ def _engine_ints(engine, cycle: int) -> tuple:
     )
 
 
-def _rng_digests(engine, tp) -> list[bytes]:
+def _rng_digests(engine, tp, mt_hash=None) -> list[bytes]:
     """Every node's source stream position, then the transport's jitter."""
     parts = []
     for node in engine.nodes:
         src = node.source
-        parts.append(_rng_digest(getattr(getattr(src, "inner", src), "rng", None)))
-    parts.append(b"no-transport" if tp is None else _rng_digest(tp._rng))
+        parts.append(_rng_digest(getattr(getattr(src, "inner", src), "rng", None), mt_hash))
+    parts.append(b"no-transport" if tp is None else _rng_digest(tp._rng, mt_hash))
     return parts
 
 
@@ -458,9 +470,15 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
     # in chunks, or a record at a time, kept only where ``detail`` wants it
     fabric = hashlib.blake2b(digest_size=8)
     records, links = [], []
-    kernel = _engine.NATIVE_PHASES
-    if kernel is not None and not detail:
+    kernel = None if detail else _engine.NATIVE_PHASES
+    if kernel is not None:
+        # the same words as the rows below, written from the structs
         kernel.fabric_image(engine.dirs, fabric.update)
+        routing = kernel.routing_image(engine)
+        nodes = list(map(_digest, kernel.node_images(engine.nodes)))
+        transport = b"" if tp is None else (
+            kernel.transport_image(tp) + _preimage(_congestion_tables(tp.congestion))
+        )
     else:
         for row in _fabric_rows(engine):
             data = _ints(row)
@@ -468,13 +486,15 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
             if detail:
                 records.append(row)
                 links.append(data)
-    fabric.update(_digest(_preimage(_routing_tables(engine))))
-    nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
+        routing = _preimage(_routing_tables(engine))
+        nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
+        transport = b"" if tp is None else _preimage(_transport_tables(tp))
+    fabric.update(_digest(routing))
     subsystems = {
         "fabric": fabric.hexdigest(),
         "injection": _hex(b"".join(nodes)),
-        "transport": _hex(b"" if tp is None else _preimage(_transport_tables(tp))),
-        "rng": _hex(b"".join(_rng_digests(engine, tp))),
+        "transport": _hex(transport),
+        "rng": _hex(b"".join(_rng_digests(engine, tp, getattr(kernel, "mt_hash", None)))),
     }
     cycle = engine.cycle if at_cycle is None else at_cycle
     root = _hex(

@@ -8,7 +8,8 @@
  * the pair is held together (the twin rule).  Injection and routing are in
  * _routing.c, the four select()s in _select.c, the struct types under the
  * classes and the setup() that checks the classes against the field table in
- * _storage.c.
+ * _storage.c, the fingerprint's images in _images.c, the other reads beside
+ * step in _walkers.c.
  *
  * Built by native.py with the interpreter's own C compiler at -O1, one unit
  * at a time.
@@ -699,7 +700,12 @@ static PyMethodDef methods[] = {
     {"wire_switch_links", (PyCFunction)(void (*)(void))wire_switch_links, METH_FASTCALL, NULL},
     {"wire_node_links", (PyCFunction)(void (*)(void))wire_node_links, METH_FASTCALL, NULL},
     {"fabric_image", (PyCFunction)(void (*)(void))fabric_image, METH_FASTCALL, NULL},
+    {"node_images", (PyCFunction)(void (*)(void))node_images, METH_FASTCALL, NULL},
+    {"routing_image", (PyCFunction)(void (*)(void))routing_image, METH_FASTCALL, NULL},
+    {"transport_image", (PyCFunction)(void (*)(void))transport_image, METH_FASTCALL, NULL},
     {"find_worm", (PyCFunction)(void (*)(void))find_worm, METH_FASTCALL, NULL},
+    {"link_totals", (PyCFunction)(void (*)(void))link_totals, METH_FASTCALL, NULL},
+    {"mt_setup", (PyCFunction)(void (*)(void))mt_setup, METH_FASTCALL, NULL},
     {"link_phase", (PyCFunction)(void (*)(void))link_phase, METH_FASTCALL, NULL},
     {"injection_phase", (PyCFunction)(void (*)(void))injection_phase, METH_FASTCALL, NULL},
     {"crossbar_phase", (PyCFunction)(void (*)(void))crossbar_phase, METH_FASTCALL, NULL},

@@ -236,6 +236,56 @@ int headers_open(Headers *h, PyObject *engine);
 void headers_close(Headers *h);
 int enqueue_header(Headers *h, PyObject *lane);
 
+/* a direction's lanes, owned, and whether it links into a node (_walkers.c) */
+PyObject *lanes_of(PyObject *d, int *to_node);
+/* engine.<name> as a list, owned (_storage.c) */
+PyObject *list_attr(PyObject *engine, PyObject *name);
+
+/* -- the fingerprint's images: _images.c ---------------------------------------- */
+
+/* what the images read of the sources and the transport, interned on the
+ * first image that needs them (image_names()) */
+#define IMAGE_NAMES(X) \
+    X(inner) X(active) X(_next) X(messages) X(acked) X(gave_up) X(retransmissions) X(duplicates) \
+    X(late_acks) X(drops_seen) X(max_attempts) X(_counter) X(rtt_estimate) X(_next_seq) \
+    X(_unresolved) X(_fifo) X(_waiting) X(_by_pid) X(_events) X(src) X(dst) X(seq) X(size) \
+    X(created) X(attempts) X(delivered_first) X(deadline) X(claimed) X(last_sent)
+
+#define X(n) extern PyObject *s_##n;
+IMAGE_NAMES(X)
+#undef X
+
+int image_names(void);
+
+#define NONE_WORD (-(1LL << 62) - 11) /* statehash._NONE: an absent value */
+#define IMAGE_WORDS 8192              /* 64 KiB handed off at a time */
+
+typedef struct {
+    PyObject *update; /* borrowed: what the filled words go to; NULL: they are kept */
+    PyObject *parts;  /* owned: the words handed off so far while update is NULL */
+    Py_ssize_t n;     /* words filled */
+    long long words[IMAGE_WORDS];
+} Image;
+
+Image *image_open(PyObject *update);
+void image_close(Image *im);
+int image_word(Image *im, long long w);
+PyObject *image_take(Image *im);
+int image_int(Image *im, PyObject *v);
+int image_attr(Image *im, PyObject *o, PyObject *name);
+int image_float(Image *im, PyObject *v);
+
+/* a row to sort: up to three int keys, its place before the sort (the
+ * reference's sorts are stable) and the object it stands for, held */
+typedef struct {
+    long long key[3];
+    Py_ssize_t at;
+    PyObject *value;
+} Entry;
+
+int entry_order(const void *a, const void *b);
+void entries_free(Entry *rows, Py_ssize_t n);
+
 /* -- select(): _select.c -------------------------------------------------------- */
 
 /* a routing algorithm for the length of a phase */
@@ -259,8 +309,13 @@ PyObject *storage(PyObject *module, PyObject *const *args, Py_ssize_t nargs);   
 PyObject *setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *wire_node_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
-PyObject *fabric_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
-PyObject *find_worm(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *fabric_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);    /* _images.c */
+PyObject *node_images(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *routing_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *find_worm(PyObject *module, PyObject *const *args, Py_ssize_t nargs);       /* _walkers.c */
+PyObject *transport_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *link_totals(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
+PyObject *mt_setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */
 PyObject *routing_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *select_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs);     /* _select.c */

@@ -14,9 +14,8 @@
  * classes subclass their type with `__slots__ = ()`, which adds nothing to
  * the instance.
  *
- * Beside the types, the walks outside Engine.step that read the whole fabric:
- * the fingerprint's image of it (fabric_image) and the search of a fail-stop
- * kill (find_worm).
+ * Beside the types, the wiring: the twins of phases.py's wire_switch_links and
+ * wire_node_links.
  *
  * A translation unit of its own, and setup() in it rather than beside the
  * phases, for the compiler's memory alone (see native.py): _phases.c is the
@@ -438,7 +437,7 @@ put_in(PyObject *table, long long row, long long column, PyObject *value)
 }
 
 /* engine.<name> as a list, owned */
-static PyObject *
+PyObject *
 list_attr(PyObject *engine, PyObject *name)
 {
     PyObject *v = PyObject_GetAttr(engine, name);
@@ -587,192 +586,5 @@ done:
     Py_XDECREF(dirs);
     Py_XDECREF(out_lanes);
     Py_XDECREF(in_lanes);
-    return result;
-}
-
-/* -- the walkers: whole-fabric reads outside Engine.step ------------------------ */
-
-#define NONE_WORD (-(1LL << 62) - 11) /* statehash._NONE: an absent value */
-#define IMAGE_WORDS 8192              /* 64 KiB handed to update() at a time */
-
-typedef struct {
-    PyObject *update; /* borrowed from the caller */
-    Py_ssize_t n;     /* words filled */
-    long long words[IMAGE_WORDS];
-} Image;
-
-/* make room for `more` words: what is filled goes to update() as bytes first
- * when they would not fit */
-static int
-image_room(Image *im, Py_ssize_t more)
-{
-    PyObject *chunk, *r;
-    if (im->n + more <= IMAGE_WORDS)
-        return 0;
-    if ((chunk = PyBytes_FromStringAndSize((const char *)im->words, im->n * 8)) == NULL)
-        return -1;
-    im->n = 0;
-    r = PyObject_CallOneArg(im->update, chunk);
-    Py_DECREF(chunk);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
-}
-
-/* packet.pid, or NONE_WORD for None */
-static int
-pid_word(PyObject *packet, long long *out)
-{
-    if (packet == Py_None) {
-        *out = NONE_WORD;
-        return 0;
-    }
-    if (need(packet, PK_pid) < 0)
-        return -1;
-    *out = INT(packet, PK_pid);
-    return 0;
-}
-
-/* a lane's _OUT_LANE words, then its sink's: _EJECTION_LANE behind a link into
- * a node, _IN_LANE behind any other -- 7 or 12 words, room for which is made */
-static int
-image_lane(Image *im, PyObject *lane, int to_node)
-{
-    long long *w = im->words + im->n;
-    PyObject *packet, *sink, *held, *bound;
-    if (need(lane, OL_packet) < 0 || (packet = get_obj(lane, OL_packet)) == NULL
-        || (sink = get_obj(lane, OL_sink)) == NULL || need(sink, to_node ? EJ_packet : IL_packet) < 0
-        || (held = get_obj(sink, to_node ? EJ_packet : IL_packet)) == NULL
-        || pid_word(packet, &w[1]) < 0 || pid_word(held, &w[5]) < 0)
-        return -1;
-    w[0] = INT(lane, OL_vc);
-    w[2] = INT(lane, OL_buffered);
-    w[6] = to_node ? INT(sink, EJ_received) : INT(sink, IL_received);
-    /* OutputLane.sent: what the sink has received of the lane's packet */
-    w[3] = packet != Py_None && held == packet ? w[6] : 0;
-    w[4] = INT(lane, OL_credits);
-    im->n += 7;
-    if (to_node)
-        return 0;
-    w[7] = INT(sink, IL_forwarded);
-    w[8] = INT(sink, IL_last_arrival);
-    if ((bound = get_obj(sink, IL_bound)) == NULL)
-        return -1;
-    if (bound == Py_None)
-        w[9] = w[10] = w[11] = NONE_WORD;
-    else {
-        if (need(bound, OL_switch) < 0)
-            return -1;
-        w[9] = INT(bound, OL_switch);
-        w[10] = INT(bound, OL_port);
-        w[11] = INT(bound, OL_vc);
-    }
-    im->n += 5;
-    return 0;
-}
-
-/* a direction's lanes, owned, and whether it links into a node (its sinks
- * are then ejection lanes) */
-static PyObject *
-lanes_of(PyObject *d, int *to_node)
-{
-    PyObject *flag, *lanes;
-    if (need(d, LD_lanes) < 0 || (flag = get_obj(d, LD_to_node)) == NULL
-        || (*to_node = truth(flag)) < 0 || (lanes = get_obj(d, LD_lanes)) == NULL)
-        return NULL;
-    if (!PyList_Check(lanes)) {
-        PyErr_SetString(PyExc_TypeError, "LinkDirection.lanes must be a list");
-        return NULL;
-    }
-    return Py_NewRef(lanes);
-}
-
-/* fabric_image(dirs, update): the int64 words statehash._fabric_rows makes of
- * dirs -- per direction its _DIRECTION header, then every lane with its sink
- * -- handed to update() as bytes, at most IMAGE_WORDS words at a time, so the
- * image of the fabric is never held whole.  The direction and its lanes are
- * held across a call of update(), which may run anything. */
-PyObject *
-fabric_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *dirs, *d = NULL, *lanes = NULL, *lane, *result = NULL;
-    Image *im;
-    Py_ssize_t i, v;
-    int node;
-    if (nargs != 2 || !PyList_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "fabric_image(dirs, update): dirs is a list");
-        return NULL;
-    }
-    if ((im = PyMem_Malloc(sizeof(Image))) == NULL)
-        return PyErr_NoMemory();
-    dirs = args[0];
-    im->update = args[1];
-    im->n = 0;
-    for (i = 0; i < PyList_GET_SIZE(dirs); i++) {
-        d = Py_NewRef(PyList_GET_ITEM(dirs, i));
-        if ((lanes = lanes_of(d, &node)) == NULL || image_room(im, 5) < 0)
-            goto done;
-        im->words[im->n++] = i;
-        im->words[im->n++] = INT(d, LD_rr);
-        im->words[im->n++] = INT(d, LD_nbusy);
-        im->words[im->n++] = INT(d, LD_flits);
-        im->words[im->n++] = node;
-        for (v = 0; v < PyList_GET_SIZE(lanes); v++)
-            if (image_room(im, node ? 7 : 12) < 0 || (lane = item(lanes, v)) == NULL
-                || image_lane(im, lane, node) < 0)
-                goto done;
-        Py_CLEAR(lanes);
-        Py_CLEAR(d);
-    }
-    if (image_room(im, IMAGE_WORDS) == 0)
-        result = Py_NewRef(Py_None);
-done:
-    Py_XDECREF(lanes);
-    Py_XDECREF(d);
-    PyMem_Free(im);
-    return result;
-}
-
-/* find_worm(dirs, packet) -> (owned, holding): the output lanes whose packet
- * it is and the sinks -- fabric input lanes, or its destination's ejection
- * lanes -- that hold it, each list in dirs order.  What Engine.kill_packet
- * flushes; it reads and changes nothing. */
-PyObject *
-find_worm(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *dirs, *packet, *owned = NULL, *holding = NULL, *d = NULL, *lanes = NULL;
-    PyObject *lane, *sink, *at, *result = NULL;
-    Py_ssize_t i, v;
-    int node, field;
-    if (nargs != 2 || !PyList_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "find_worm(dirs, packet): dirs is a list");
-        return NULL;
-    }
-    dirs = args[0];
-    packet = args[1];
-    if ((owned = PyList_New(0)) == NULL || (holding = PyList_New(0)) == NULL)
-        goto done;
-    for (i = 0; i < PyList_GET_SIZE(dirs); i++) {
-        d = Py_NewRef(PyList_GET_ITEM(dirs, i));
-        if ((lanes = lanes_of(d, &node)) == NULL)
-            goto done;
-        field = node ? EJ_packet : IL_packet;
-        for (v = 0; v < PyList_GET_SIZE(lanes); v++) {
-            if ((lane = item(lanes, v)) == NULL || need(lane, OL_packet) < 0
-                || (at = get_obj(lane, OL_packet)) == NULL
-                || (at == packet && PyList_Append(owned, lane) < 0)
-                || (sink = get_obj(lane, OL_sink)) == NULL || need(sink, field) < 0
-                || (at = get_obj(sink, field)) == NULL
-                || (at == packet && PyList_Append(holding, sink) < 0))
-                goto done;
-        }
-        Py_CLEAR(lanes);
-        Py_CLEAR(d);
-    }
-    result = PyTuple_Pack(2, owned, holding);
-done:
-    Py_XDECREF(lanes);
-    Py_XDECREF(d);
-    Py_XDECREF(owned);
-    Py_XDECREF(holding);
     return result;
 }

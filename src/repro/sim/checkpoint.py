@@ -83,6 +83,8 @@ except ImportError:  # pragma: no cover
 from ..errors import CheckpointError, ConfigurationError
 from ..obs.probe import Probe, compose_probe
 from ..obs.telemetry import config_digest
+from . import engine as _engine
+from .native import plain_stream
 
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
@@ -194,26 +196,39 @@ _GAUSS = struct.Struct("<d")
 
 
 def _reduce_rng(rng):
-    """``random.Random``'s reduction in a checkpoint: the packed state."""
-    version, internal, gauss = rng.getstate()
-    if version != 3:
-        return rng.__reduce__()
-    packed = _MT_STATE.pack(*internal)
+    """``random.Random``'s reduction in a checkpoint: the packed state —
+    packed where it lies by the kernel's ``mt_words`` where that is bound and
+    the stream is plain (:func:`~repro.sim.native.plain_stream`)."""
+    mt_words = getattr(_engine.NATIVE_PHASES, "mt_words", None)
+    if mt_words is not None and plain_stream(rng):
+        packed, gauss = mt_words(rng), rng.gauss_next
+    else:
+        version, internal, gauss = rng.getstate()
+        if version != 3:
+            return rng.__reduce__()
+        packed = _MT_STATE.pack(*internal)
     if gauss is not None:
         packed += _GAUSS.pack(gauss)
     return copyreg.__newobj__, (random.Random,), packed, None, None, _restore_rng
 
 
 def _restore_rng(rng: random.Random, packed: bytes) -> None:
-    """Put ``rng`` where :func:`_reduce_rng` packed it."""
+    """Put ``rng`` where :func:`_reduce_rng` packed it: through the kernel's
+    ``mt_load`` where that is bound, ``setstate`` otherwise."""
     gauss = None
     if len(packed) == _MT_STATE.size + _GAUSS.size:
         (gauss,) = _GAUSS.unpack_from(packed, _MT_STATE.size)
+        packed = packed[: _MT_STATE.size]
     elif len(packed) != _MT_STATE.size:
         raise ValueError(
             f"packed Mersenne state is {len(packed)} bytes, not {_MT_STATE.size}"
         )
-    rng.setstate((3, _MT_STATE.unpack_from(packed), gauss))
+    mt_load = getattr(_engine.NATIVE_PHASES, "mt_load", None)
+    if mt_load is not None and type(rng) is random.Random:
+        mt_load(rng, packed)
+        rng.gauss_next = gauss
+    else:
+        rng.setstate((3, _MT_STATE.unpack_from(packed), gauss))
 
 
 def checkpoint_pickler(file) -> pickle.Pickler:

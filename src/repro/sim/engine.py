@@ -768,24 +768,30 @@ class Engine:
         if len(bindings) != len(self.bindings):
             raise SimulationError("an input lane is in the crossbar bindings twice")
         bound_lanes = 0
+        # lanes holding flits, by id of their direction: counted on the one
+        # walk over the output lanes, held to each ``nbusy`` below
+        busy = {}
         for s in range(self.topology.num_switches):
             for port_lanes in self.in_lanes[s]:
                 for lane in port_lanes:
-                    buf = lane.received - lane.forwarded
+                    received, forwarded, bound = lane.received, lane.forwarded, lane.bound
+                    buf = received - forwarded
                     if not 0 <= buf <= lane.cap:
                         raise SimulationError(f"input buffer out of range: {lane!r}")
-                    if lane.packet is None and (lane.received or lane.forwarded or lane.bound):
+                    packet = lane.packet
+                    if packet is None and (received or forwarded or bound):
                         raise SimulationError(f"free input lane with residue: {lane!r}")
-                    if lane.bound is not None:
-                        if lane.bound.packet is not lane.packet:
-                            raise SimulationError(f"binding mismatch: {lane!r} -> {lane.bound!r}")
+                    if bound is not None:
+                        if bound.packet is not packet:
+                            raise SimulationError(f"binding mismatch: {lane!r} -> {bound!r}")
                         if id(lane) not in bindings:
                             raise SimulationError(f"bound lane missing from the bindings: {lane!r}")
                         bound_lanes += 1
                     buffered_flits += buf
             for port_lanes in self.out_lanes[s]:
                 for lane in port_lanes:
-                    if not 0 <= lane.buffered <= lane.cap:
+                    buffered = lane.buffered
+                    if not 0 <= buffered <= lane.cap:
                         raise SimulationError(f"output buffer out of range: {lane!r}")
                     sink = lane.sink
                     if isinstance(sink, InputLane):
@@ -795,7 +801,10 @@ class Engine:
                                 f"credit drift: {lane!r} credits={lane.credits}, "
                                 f"downstream free space={expect}"
                             )
-                    buffered_flits += lane.buffered
+                    if buffered:
+                        key = id(lane.direction)
+                        busy[key] = busy.get(key, 0) + 1
+                        buffered_flits += buffered
         if bound_lanes != len(bindings):
             raise SimulationError(
                 f"the bindings hold {len(bindings) - bound_lanes} lane(s) that are not bound"
@@ -805,10 +814,10 @@ class Engine:
                 raise SimulationError(
                     f"direction index out of place: {d.label} index={d.index}, at {index} in dirs"
                 )
-            busy = sum(1 for lane in d.lanes if lane.buffered > 0)
-            if d.nbusy != busy:
+            holding = busy.get(id(d), 0)
+            if d.nbusy != holding:
                 raise SimulationError(
-                    f"busy-lane count drift: {d.label} nbusy={d.nbusy}, lanes holding flits={busy}"
+                    f"busy-lane count drift: {d.label} nbusy={d.nbusy}, lanes holding flits={holding}"
                 )
             if not (d.flits_at_warmup <= d.flits and d.blocked_at_warmup <= d.blocked
                     and d.flits + d.blocked <= self.cycle):

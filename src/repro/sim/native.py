@@ -1,5 +1,7 @@
 """Builds and loads the kernel: the compiled phases (``_phases.c``,
-``_routing.c``, ``_select.c``) and the storage they walk (``_storage.c``).
+``_routing.c``, ``_select.c``), the storage they walk (``_storage.c``) and the
+reads beside them: the fingerprint's images (``_images.c``), the kill finder,
+the link totals and the Mersenne streams (``_walkers.c``).
 
 The extension is compiled on first import with the C compiler the
 interpreter itself was built with, into a per-user cache directory, and
@@ -24,6 +26,7 @@ import importlib.machinery
 import importlib.util
 import os
 import pathlib
+import random
 import sys
 import time
 import warnings
@@ -34,7 +37,10 @@ _HERE = pathlib.Path(__file__).parent
 #: the translation units, compiled one after the other and linked into one
 #: extension: the compiler is a child process of whoever imports first, and
 #: its resident memory — which grows with the unit — counts against them
-SOURCES = (_HERE / "_phases.c", _HERE / "_routing.c", _HERE / "_select.c", _HERE / "_storage.c")
+SOURCES = tuple(
+    _HERE / unit
+    for unit in ("_phases.c", "_routing.c", "_select.c", "_storage.c", "_images.c", "_walkers.c")
+)
 #: what the units share; part of the cache key
 HEADER = _HERE / "_phases.h"
 
@@ -48,6 +54,25 @@ GCC_FLAGS = (
     "--param", "ggc-min-expand=10", "--param", "ggc-min-heapsize=4096",
     "-fno-inline-functions-called-once",
 )
+
+#: where the kernel reads a ``random.Random``'s Mersenne state: the struct of
+#: CPython's ``_random.Random`` holds the position, an ``int``, right after the
+#: object header, then the 624 ``uint32_t`` words.  ``mt_setup`` holds that
+#: reading to ``getstate()``, ``setstate()`` and ``hash()`` before it binds
+#: ``mt_words``, ``mt_load`` and ``mt_hash``; elsewhere they stay unbound.
+MT_LAYOUT = (16, 20)
+
+#: what a ``random.Random`` holds in its ``__dict__`` beside the C state
+_STREAM_ATTRS = frozenset(("gauss_next",))
+
+
+def plain_stream(rng) -> bool:
+    """Whether ``rng``'s state is its Mersenne words and ``gauss_next`` alone —
+    an exact ``random.Random`` with nothing set on it (no ``getstate`` or
+    ``VERSION`` of its own) — so that ``mt_words`` and ``mt_hash`` read what
+    ``getstate()`` would give.  Any other stream keeps ``getstate()``."""
+    return type(rng) is random.Random and vars(rng).keys() == _STREAM_ATTRS
+
 
 #: the kinds of field a storage has: a counter, id or cycle stamp — a 64-bit
 #: integer — or a reference to any object
@@ -186,11 +211,13 @@ def load_phases(*classes):
     """The compiled phases bound to ``classes`` — ``InputLane, OutputLane,
     EjectionLane, LinkDirection, Packet, _Node``, then the four routing
     algorithms whose ``select`` exists compiled — or ``None``: without a
-    kernel, or for classes that are not built on its storage."""
+    kernel, or for classes that are not built on its storage.  The Mersenne
+    functions are bound beside them where :data:`MT_LAYOUT` holds."""
     if KERNEL is None:
         return None
     try:
         KERNEL.setup(*classes)
     except TypeError:
         return None
+    KERNEL.mt_setup(random.Random, *MT_LAYOUT)
     return KERNEL

@@ -13,16 +13,18 @@ next flit of one (:func:`stream_flit`); a crossbar binding forwards a flit
 :mod:`repro.router.lane`), and each function updates them in place.  The
 lanes themselves are made here too: ``Engine.__init__`` wires them
 (:func:`wire_switch_links`, :func:`wire_node_links`) through
-``NATIVE_PHASES or`` this module as ``step`` does, and ``Engine.kill_packet``
-finds a worm's lanes the same way (:func:`find_worm`).
+``NATIVE_PHASES or`` this module as ``step`` does, ``Engine.kill_packet``
+finds a worm's lanes the same way (:func:`find_worm`), and a flight sample
+reads the links' totals (:func:`link_totals`).
 
 **The twin rule.**  Every function here has a function of the *same name* in
-``_phases.c`` or ``_routing.c`` — the wiring and ``find_worm`` in
-``_storage.c``, beside the struct types they walk — with the same statement
-order, the same probe calls and the same values stored; the classes
-``Link``, ``Inject`` and ``Walk`` are those units' structs of the same names
-— what a phase keeps at hand for the length of its call.  Change one and
-change the other, in the same commit.  Three tests hold the pair together:
+``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the
+struct types it makes, ``find_worm`` and ``link_totals`` in ``_walkers.c`` —
+with the same statement order, the same probe calls and the same values
+stored; the classes ``Link``, ``Inject`` and ``Walk`` are those units'
+structs of the same names — what a phase keeps at hand for the length of its
+call.  Change one and change the other, in the same commit.  Three tests
+hold the pair together:
 
 * ``tests/test_property_engine.py::TestTheTwinContract::test_every_reference_function_has_a_c_twin_of_its_name``
   — the names, and by name what exists in C only (``C_ONLY`` there:
@@ -93,6 +95,19 @@ def find_worm(dirs: list, pkt) -> tuple[list, list]:
             if sink.packet is pkt:
                 holding.append(sink)
     return owned, holding
+
+
+def link_totals(dirs: list) -> tuple[list, int, int]:
+    """Every direction's flit count, the blocked cycles of them all and the
+    flits buffered in all their lanes: what a flight sample reads of the
+    links.  Reads and changes nothing."""
+    flits = [d.flits for d in dirs]
+    blocked = occupancy = 0
+    for d in dirs:
+        blocked += d.blocked
+        for lane in d.lanes:
+            occupancy += lane.buffered
+    return flits, blocked, occupancy
 
 
 # -- the link phase --------------------------------------------------------------

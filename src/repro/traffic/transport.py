@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError
 from ..fields import field_list
 from ..obs.probe import Instrument, Probe, compose_probe
+from ..routing.base import randbelow
 
 
 @dataclass(frozen=True)
@@ -420,9 +421,9 @@ class ReliableTransport(Probe):
         timeout = self.config.base_timeout * self.config.backoff ** (
             msg.attempts - 1
         )
-        due = cycle + int(timeout) + (
-            self._rng.randint(0, self.config.jitter) if self.config.jitter else 0
-        )
+        # randint(0, jitter)'s value and draws, without its argument checks
+        jitter = self.config.jitter
+        due = cycle + int(timeout) + (randbelow(self._rng, jitter + 1) if jitter else 0)
         msg.deadline = due
         self._push(due, self._TIMEOUT, msg, due)
 

@@ -356,10 +356,24 @@ C_ONLY = {
     "assignment and pickling of the struct types (fields.field_list is the __slots__ form)": {
         "member_named", "setattro", "reduce_ex", "extend",
     },
-    "the fingerprint's fabric image, whose reference is obs/statehash.py's _fabric_rows": {
-        "fabric_image", "image_room", "image_lane", "pid_word",
+    "the fingerprint's images, whose references are obs/statehash.py's _fabric_rows, "
+    "_node_tables, _routing_tables and _transport_tables": {
+        "fabric_image", "node_images", "routing_image", "transport_image",
+        "image_lane", "image_source", "image_node", "image_message", "image_queues", "image_events",
     },
-    "what the whole-fabric walks (fabric_image, find_worm) read of a direction": {"lanes_of"},
+    "the images' writer, the names they read, and the sorts the reference asks sorted() for": {
+        "image_names", "image_open", "image_close", "image_flush", "image_room", "image_word",
+        "image_take", "image_int", "image_ints", "image_attr", "image_float", "image_pid",
+        "image_bound", "pid_word", "optional_attr", "entry_order", "entries_free", "by_key",
+    },
+    "what the whole-fabric walks (fabric_image, find_worm, link_totals) read of a direction": {
+        "lanes_of",
+    },
+    "random.Random's Mersenne state in place, whose references are getstate(), setstate() and "
+    "hash()": {
+        "mt_setup", "mt_agrees", "mt_sample", "mt_internal", "mt_reads", "mt_check",
+        "mt_words", "mt_load", "mt_hash", "mt_hash_of", "put_u32", "get_u32",
+    },
     "what the wiring's calls of the lane and direction classes do (no __init__ runs)": {
         "ready", "input_lanes", "output_lanes", "ejection_lanes", "append_direction",
         "put_in", "list_attr", "links_of",
@@ -392,7 +406,10 @@ class TestTheTwinContract:
 
     def test_every_reference_function_has_a_c_twin_of_its_name(self):
         sim = pathlib.Path(reference.__file__).parent
-        units = [(sim / unit).read_text() for unit in ("_phases.c", "_routing.c", "_storage.c")]
+        units = [
+            (sim / unit).read_text()
+            for unit in ("_phases.c", "_routing.c", "_storage.c", "_images.c", "_walkers.c")
+        ]
         assert twinless(reference, *units) == (set(), set())
         # the check bites: a reference function under another name has no twin
         renamed = types.ModuleType("renamed")

@@ -3,6 +3,7 @@ flit-level network): exactly-once accounting on lossless runs, duplicate
 suppression, timeout/backoff retransmission and the give-up budget."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.traffic.transport import (
     simulate_reliable,
 )
 from repro.workloads import Replay, alltoall_trace, drained
+
+from repro.traffic.transport import _Message
 
 from .conftest import small_cube_config, small_tree_config
 
@@ -198,3 +201,23 @@ class TestReporting:
             per_cycle / result.config.capacity_flits_per_cycle
         )
         assert result.goodput_flits_per_cycle <= result.accepted_flits_per_cycle
+
+
+class TestTimerJitter:
+    @pytest.mark.parametrize("jitter", [0, 1, 4, 7])
+    def test_the_draw_is_randints_value_and_stream_position(self, jitter):
+        # _arm_timeout draws through routing.base.randbelow, not
+        # randint(0, jitter): the same getrandbits draws, so the same due
+        # cycles and the same stream after them (none at all for jitter 0)
+        config = TransportConfig(base_timeout=10, backoff=1.5, jitter=jitter)
+        transport = ReliableTransport(config)
+        transport._rng = random.Random(17)
+        twin = random.Random(17)
+        msg = _Message(0, 1, 0, 4, 0)
+        for cycle in range(10_000):
+            msg.attempts = 1 + cycle % 3
+            transport._arm_timeout(cycle, msg)
+            timeout = config.base_timeout * config.backoff ** (msg.attempts - 1)
+            expected = cycle + int(timeout) + (twin.randint(0, jitter) if jitter else 0)
+            assert msg.deadline == expected
+        assert transport._rng.getstate() == twin.getstate()

@@ -1,45 +1,72 @@
-"""The kernel's whole-fabric walks outside ``Engine.step``, held to their
-Python references.
+"""The kernel's reads of the whole engine outside ``Engine.step``, held to
+their Python references.
 
-Three reads of the C structs replace a Python iteration per lane where the
-kernel is loaded, chosen like the phases through
-``repro.sim.engine.NATIVE_PHASES`` at call time:
+Where the kernel is loaded they replace a Python iteration, chosen like the
+phases through ``repro.sim.engine.NATIVE_PHASES`` at call time:
 
-* ``fabric_image(dirs, update)`` — the fabric words a plain fingerprint
-  hashes; its reference is ``obs/statehash.py``'s ``_fabric_rows``, which the
-  detailed fingerprint and ``state_snapshot`` still read;
+* ``fabric_image(dirs, update)``, ``node_images(nodes)``,
+  ``routing_image(engine)`` and ``transport_image(tp)`` — the words a plain
+  fingerprint hashes; their references are ``obs/statehash.py``'s
+  ``_fabric_rows``, ``_node_tables``, ``_routing_tables`` and
+  ``_transport_tables`` (up to the congestion rows, which stay Python), which
+  the detailed fingerprint and ``state_snapshot`` still read;
 * ``find_worm(dirs, packet)`` — the search of ``Engine.kill_packet``; its
   twin is ``sim/phases.py``'s ``find_worm``;
+* ``link_totals(dirs)`` — what a flight sample reads of the links; its twin
+  is ``sim/phases.py``'s ``link_totals``;
+* ``mt_words``, ``mt_load`` and ``mt_hash`` — a ``random.Random``'s Mersenne
+  state packed, restored and hashed where it lies, for the checkpoint and
+  the fingerprint's rng digest; their references are ``getstate()``,
+  ``setstate()`` and ``hash()``, and ``mt_setup`` binds them only once its
+  reading of the struct agrees with those;
 * ``__reduce_ex__`` / ``extend`` of the struct types — a stored object's
   pickled form; ``fields.field_list`` gives the ``__slots__`` storage the
   same one (``tests/test_lane.py::TestPickledState`` holds the bytes).
 
-The lockstep suite (``tests/test_property_engine.py``) compares the first two
-with their references every cycle of every recipe, and on every fail-stop
-kill the recipes draw; here they meet on engines chosen to hold all that a
-fingerprint reads.  Without the kernel both sides are the reference, and the
-tests still hold.
+The lockstep suite (``tests/test_property_engine.py``) compares the walks and
+images with their references every cycle of every recipe, and on every
+fail-stop kill the recipes draw; here they meet on engines chosen to hold all
+that a fingerprint reads.  Without the kernel both sides are the reference,
+and the tests still hold.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pickle
+import random
 
 import pytest
 
 import repro.sim.engine as engine_module
 from repro.faults import FaultPolicy
-from repro.obs.statehash import _fabric_rows, _ints
+from repro.obs.flight import Flight
+from repro.obs.statehash import (
+    _NONE,
+    _congestion_tables,
+    _fabric_rows,
+    _ints,
+    _node_tables,
+    _preimage,
+    _rng_digest,
+    _routing_tables,
+    _transport_tables,
+)
 from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
-from repro.sim import native
+from repro.sim import checkpoint, native
 from repro.sim import phases as reference
 from repro.sim.packet import FAULT_SENTINEL
-from repro.sim.run import cube_config, tree_config
+from repro.sim.run import build_engine, cube_config, simulate, tree_config
+from repro.traffic.congestion import Congested, CongestionConfig
+from repro.traffic.transport import ReliableTransport
 
 from .test_property_engine import Recipe, build_recipe, python_loops
 
 #: the most bytes ``fabric_image`` hands to ``update`` at once
 CHUNK = 64 * 1024
+
+_nothing = contextlib.nullcontext
 
 
 def mid_run(network: str):
@@ -67,6 +94,10 @@ def mid_run(network: str):
     assert any(type(sink) is EjectionLane and sink.packet is not None for sink in sinks)
     assert any(type(sink) is InputLane and sink.bound is not None for sink in sinks)
     assert engine.dropped_packets_total >= 2
+    # a node streaming a packet, and a retransmission queued at its source
+    assert any(node.packet is not None for node in engine.nodes)
+    transport = engine.find_probe(ReliableTransport)
+    assert any(msg.attempts > 0 for queue in transport._fifo.values() for msg in queue)
     return engine
 
 
@@ -86,13 +117,43 @@ def engine(request):
     return mid_run(request.param)
 
 
+def congested() -> object:
+    """A 16-node tree 150 cycles into a transpose overload under the closed
+    congestion loop: AIMD windows open, marked packets and hot links in the
+    marker — the rows the transport image leaves to Python."""
+    engine = build_engine(tree_config(k=4, n=2, vcs=2, pattern="transpose", load=0.9, seed=3,
+                                      warmup_cycles=20, total_cycles=400))
+    Congested(control=CongestionConfig(window_cycles=16, hot_fraction=0.2)).install(engine)
+    engine.probe.on_run_start(engine)
+    with python_loops():
+        while engine.cycle < 150:
+            engine.step()
+    control = engine.find_probe(ReliableTransport).congestion
+    assert control._windows and control.marker._marked and control.marker.peak_hot_links
+    assert any(engine.find_probe(ReliableTransport)._waiting.values())
+    return engine
+
+
+def images(engine) -> dict:
+    """Each image of the kernel beside the bytes of its reference rows."""
+    kernel = engine_module.NATIVE_PHASES
+    tp = engine.find_probe(ReliableTransport)
+    return {
+        "nodes": (kernel.node_images(engine.nodes), [_preimage(_node_tables(n)) for n in engine.nodes]),
+        "routing": (kernel.routing_image(engine), _preimage(_routing_tables(engine))),
+        "transport": (
+            kernel.transport_image(tp) + _preimage(_congestion_tables(tp.congestion)),
+            _preimage(_transport_tables(tp)),
+        ),
+    }
+
+
 class TestTheFabricImage:
     def test_a_plain_fingerprint_hashes_what_the_detailed_one_does(self, engine):
         plain, detailed = engine.state_fingerprint(), engine.state_fingerprint(detail=True)
-        assert plain["fabric"] == detailed["fabric"]
-        assert plain["root"] == detailed["root"]
+        assert {key: detailed[key] for key in plain} == plain
         with python_loops():
-            assert engine.state_fingerprint()["root"] == plain["root"]
+            assert engine.state_fingerprint() == plain
 
     def test_the_image_is_the_rows_in_bounded_chunks(self, engine):
         kernel = engine_module.NATIVE_PHASES
@@ -116,6 +177,72 @@ class TestTheFabricImage:
             kernel.fabric_image(engine.dirs, refuse)
         with pytest.raises(TypeError):
             kernel.fabric_image(tuple(engine.dirs), len)
+
+
+class TestTheEngineImages:
+    """``node_images``, ``routing_image`` and ``transport_image``: the bytes of
+    the rows, on engines whose sources, headers, bindings, registries, timer
+    wheel and congestion loop all hold something."""
+
+    def test_each_image_is_the_bytes_of_its_rows(self, engine):
+        if engine_module.NATIVE_PHASES is None:
+            return
+        for name, (image, rows) in images(engine).items():
+            assert image == rows, name
+        assert engine.pending and any(engine.pending) and engine.bindings and engine.route_queue
+
+    def test_under_congestion_control_the_python_rows_follow_the_image(self):
+        engine = congested()
+        plain = engine.state_fingerprint()
+        assert {key: value for key, value in engine.state_fingerprint(detail=True).items()
+                if key in plain} == plain
+        with python_loops():
+            assert engine.state_fingerprint() == plain
+        if engine_module.NATIVE_PHASES is not None:
+            for name, (image, rows) in images(engine).items():
+                assert image == rows, name
+
+    def test_a_source_is_read_by_attribute_with_the_references_defaults(self, engine):
+        # a source with no queue, no cursor and no activity flag, and one
+        # whose cursor is None: the defaults of _source_tables
+        kernel = engine_module.NATIVE_PHASES
+        if kernel is None:
+            return
+        nodes = engine.nodes[:2]
+        kept = [node.source for node in nodes]
+
+        class Bare:
+            pass
+
+        class Idle:
+            queue = ((3, 1), (4, 2, 9))
+            _next = None
+            active = 1
+
+        try:
+            nodes[0].source, nodes[1].source = Bare(), Idle()
+            assert kernel.node_images(nodes) == [_preimage(_node_tables(node)) for node in nodes]
+        finally:
+            for node, source in zip(nodes, kept):
+                node.source = source
+
+    def test_what_a_row_cannot_hold_is_refused(self, engine):
+        kernel = engine_module.NATIVE_PHASES
+        if kernel is None:
+            return
+        tp = engine.find_probe(ReliableTransport)
+        with pytest.raises(TypeError):
+            kernel.node_images(tuple(engine.nodes))
+        events = tp._events
+        try:
+            tp._events = [*events, (1, 2, 0)]
+            with pytest.raises(ValueError):
+                kernel.transport_image(tp)
+            tp._events = [*events, (1.5, 2, 0, None, 0)]
+            with pytest.raises(TypeError):
+                kernel.transport_image(tp)
+        finally:
+            tp._events = events
 
 
 class TestTheKillFinder:
@@ -144,6 +271,157 @@ class TestTheKillFinder:
             assert kernel.state_fingerprint(detail=True)["root"] == twin_root
             kernel.audit()
             twin.audit()
+
+
+class TestTheLinkTotals:
+    def test_the_kernel_sums_what_the_reference_sums(self, engine):
+        kernel = engine_module.NATIVE_PHASES or reference
+        flits, blocked, occupancy = kernel.link_totals(engine.dirs)
+        assert (flits, blocked, occupancy) == reference.link_totals(engine.dirs)
+        assert occupancy > 0 and blocked > 0 and sum(flits) > 0
+        if kernel is not reference:
+            with pytest.raises(TypeError):
+                kernel.link_totals(tuple(engine.dirs))
+
+    def test_a_flight_document_is_the_same_on_both_paths(self):
+        config = tree_config(k=4, n=2, vcs=2, load=0.8, seed=4, warmup_cycles=30, total_cycles=300)
+        kernel = simulate(config, [Flight()]).telemetry.flight
+        with python_loops():
+            assert simulate(config, [Flight()]).telemetry.flight == kernel
+        assert all(kernel["series"]["occupancy"]) and all(kernel["series"]["blocked"])
+
+
+# -- Mersenne streams in place ---------------------------------------------------
+
+
+def streams() -> list:
+    """Seeded streams at position 624 (just seeded), 0 and mid-block, each
+    without and with a pending ``gauss_next``."""
+    fresh = random.Random(7)
+    at_zero = random.Random(8)
+    at_zero.setstate((3, at_zero.getstate()[1][:-1] + (0,), None))
+    mid = random.Random(9)
+    mid.getrandbits(3000)
+    out = []
+    for rng in (fresh, at_zero, mid):
+        pending = random.Random()
+        version, words, _ = rng.getstate()
+        pending.setstate((version, words, 0.375))
+        out += (rng, pending)
+    assert [rng.getstate()[1][-1] for rng in out[::2]] == [624, 0, 94]
+    return out
+
+
+def mersenne():
+    """The kernel where ``mt_setup`` bound its Mersenne functions, else None."""
+    kernel = engine_module.NATIVE_PHASES
+    return kernel if hasattr(kernel, "mt_hash") else None
+
+
+class OwnState(random.Random):
+    """A stream whose state is not its words: the Python path's to read."""
+
+    def getstate(self):
+        return 3, tuple(range(625)), None
+
+
+class TestMersenneStreamsInPlace:
+    def test_the_guard_binds_the_three_where_the_kernel_is_built(self):
+        # on the interpreters this runs on (CPython 3.10-3.13) the struct is
+        # read right, so the checkpoint and the rng digest take the kernel
+        kernel = engine_module.NATIVE_PHASES
+        if kernel is None:
+            return
+        assert mersenne() is kernel, "mt_setup did not bind mt_words, mt_load and mt_hash"
+
+    def test_words_load_and_hash_are_getstate_setstate_and_hash(self):
+        kernel = mersenne()
+        if kernel is None:
+            return
+        for rng in streams():
+            version, words, gauss = rng.getstate()
+            packed = kernel.mt_words(rng)
+            assert packed == checkpoint._MT_STATE.pack(*words)
+            assert kernel.mt_hash(rng) == hash(words)
+            assert _rng_digest(rng, kernel.mt_hash) == _rng_digest(rng)
+            target = random.Random(1)
+            target.gauss_next = 0.25
+            assert kernel.mt_load(target, packed) is None
+            assert target.getstate() == (version, words, 0.25)  # gauss_next is the caller's
+            assert rng.getstate() == (version, words, gauss)  # read, not changed
+
+    def test_a_checkpoint_packs_and_restores_the_same_bytes_on_both_paths(self):
+        data = pickle.dumps(streams(), protocol=pickle.HIGHEST_PROTOCOL)
+        dumps = []
+        for twin in (False, True):
+            with python_loops() if twin else _nothing():
+                out = io.BytesIO()
+                checkpoint.checkpoint_pickler(out).dump(pickle.loads(data))
+                dumps.append(out.getvalue())
+                back = pickle.loads(dumps[-1])
+            assert [rng.getstate() for rng in back] == [rng.getstate() for rng in pickle.loads(data)]
+        assert dumps[0] == dumps[1]
+
+    def test_a_position_past_the_words_is_refused_as_setstate_refuses_it(self):
+        kernel = mersenne()
+        if kernel is None:
+            return
+        rng = random.Random(5)
+        words = rng.getstate()[1][:-1]
+        with pytest.raises(ValueError) as refused:
+            rng.setstate((3, words + (625,), None))
+        before = rng.getstate()
+        with pytest.raises(ValueError) as loaded:
+            kernel.mt_load(rng, checkpoint._MT_STATE.pack(*words, 625))
+        assert str(loaded.value) == str(refused.value) == "invalid state"
+        assert rng.getstate() == before
+        with pytest.raises(ValueError, match="2496 bytes, not 2500"):
+            kernel.mt_load(rng, checkpoint._MT_STATE.pack(*words, 3)[:-4])
+        # the checkpoint's gate: a packed position past the words is corrupt
+        packed = checkpoint._MT_STATE.pack(*words, 625)
+        with pytest.raises(ValueError, match="invalid state"):
+            checkpoint._restore_rng(random.Random.__new__(random.Random), packed)
+
+    def test_a_subclass_a_foreign_object_and_a_patched_stream_take_the_python_path(self):
+        kernel = mersenne()
+        if kernel is None:
+            return
+        own = _ints((3, hash(tuple(range(625))), _NONE))
+
+        class Foreign:
+            def getstate(self):
+                return 3, tuple(range(625)), None
+
+        patched = random.Random(2)
+        patched.getstate = Foreign().getstate
+        for rng in (OwnState(4), Foreign(), patched):
+            assert _rng_digest(rng, kernel.mt_hash) == own
+        for rng in (OwnState(4), Foreign()):
+            for call in (kernel.mt_words, kernel.mt_hash):
+                with pytest.raises(TypeError):
+                    call(rng)
+            with pytest.raises(TypeError):
+                kernel.mt_load(rng, bytes(2500))
+
+    def test_a_layout_that_misreads_the_struct_leaves_the_three_unbound(self, engine):
+        kernel = engine_module.NATIVE_PHASES
+        if kernel is None:
+            return
+        names = ("mt_words", "mt_load", "mt_hash")
+        root = engine.state_fingerprint()["root"]
+        try:
+            for layout in ((16, 24), (20, 16), (16, 4000), (12, 20)):
+                assert kernel.mt_setup(random.Random, *layout) is False
+                assert not any(hasattr(kernel, name) for name in names)
+            assert kernel.mt_setup(int, *native.MT_LAYOUT) is False
+            assert not any(hasattr(kernel, name) for name in names)
+            # the Python path: the same root, the same packed stream
+            assert engine.state_fingerprint()["root"] == root
+            rng = random.Random(6)
+            assert checkpoint._reduce_rng(rng)[2] == checkpoint._MT_STATE.pack(*rng.getstate()[1])
+        finally:
+            assert kernel.mt_setup(random.Random, *native.MT_LAYOUT) is True
+        assert all(hasattr(kernel, name) for name in names)
 
 
 def counters():
