@@ -268,9 +268,10 @@ def _sigterm_as_interrupt():
 
     def raise_interrupt(signum, frame):
         # record before raising: CPython swallows an exception raised while
-        # a weakref/GC callback or a finalizer (``Engine.__del__``) runs
-        # ("Exception ignored in ..."), and the campaign must still stop — where the sweep next polls its flag,
-        # no later than the end of the point in flight
+        # a weakref/GC callback or a finalizer runs ("Exception ignored in
+        # ..."; the run cache's weakref callbacks, say), and the campaign
+        # must still stop — where the sweep next polls its flag, no later
+        # than the end of the point in flight
         terminated.set()
         request_stop()
         raise _SigtermInterrupt

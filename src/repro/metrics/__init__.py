@@ -12,12 +12,6 @@ from .analytic import expected_zero_load_latency, path_channels, zero_load_laten
 from .cnf import CNFResult, absolute_series
 from .saturation import saturation_point, sustained_rate
 from .series import LoadPoint, LoadSweepSeries
-from .utilization import (
-    channel_loads,
-    cube_bisection_load,
-    tree_level_loads,
-    utilization_summary,
-)
 
 __all__ = [
     "expected_zero_load_latency",
@@ -29,8 +23,4 @@ __all__ = [
     "sustained_rate",
     "LoadPoint",
     "LoadSweepSeries",
-    "channel_loads",
-    "cube_bisection_load",
-    "tree_level_loads",
-    "utilization_summary",
 ]

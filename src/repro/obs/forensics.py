@@ -71,7 +71,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..fields import field_list
-from ..metrics.utilization import measured_cycles
 from ..sim.diagnostics import DeadlockSnapshot, capture_snapshot
 from ..sim.packet import FAULT_SENTINEL
 from .probe import Instrument, MultiProbe, Probe, compose_probe
@@ -564,6 +563,18 @@ class WaitForGraphSampler(Probe):
             "worst_root": worst,
             "last_samples": [s.to_dict() for s in self.samples[-8:]],
         }
+
+
+def measured_cycles(engine) -> int:
+    """Cycles covered by the measurement-window link counters: from the
+    warm-up boundary, where the engine snapshots every direction's
+    counters, to where the run stopped; an engine stopped before that
+    boundary never took the snapshot, so its window is the whole (short)
+    run."""
+    warmup = engine.config.warmup_cycles
+    if engine.cycle > warmup:
+        return engine.cycle - warmup
+    return max(engine.cycle, 1)
 
 
 def hotspots(engine, top: int = 8) -> dict:

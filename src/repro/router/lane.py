@@ -54,7 +54,7 @@ class InputLane(
             ("received", INT),
             ("forwarded", INT),
             ("bound", REF),
-            ("src_out", REF),
+            ("src_dir", INT),
             ("last_arrival", INT),
         ),
     )
@@ -63,7 +63,7 @@ class InputLane(
 
     __slots__ = ()
 
-    def __init__(self, switch: int, port: int, vc: int, cap: int):
+    def __init__(self, switch: int, port: int, vc: int, cap: int, src_dir: int = -1):
         self.switch = switch
         self.port = port
         self.vc = vc
@@ -77,9 +77,10 @@ class InputLane(
         #: output lane this lane is bound to in the crossbar (None before
         #: the header is routed)
         self.bound: OutputLane | None = None
-        #: upstream output lane feeding this lane (None for injection
-        #: lanes, which are fed directly by the node)
-        self.src_out: OutputLane | None = None
+        #: position in ``Engine.dirs`` of the upstream direction whose lane
+        #: ``vc`` feeds this lane (-1 for injection lanes, which are fed
+        #: directly by the node)
+        self.src_dir = src_dir
         #: cycle stamp of the most recent flit arrival, used to prevent a
         #: flit from crossing link and crossbar in the same cycle
         self.last_arrival = -1
@@ -108,7 +109,7 @@ class OutputLane(
             ("buffered", INT),
             ("credits", INT),
             ("sink", REF),
-            ("direction", REF),
+            ("dir", INT),
         ),
     )
 ):
@@ -137,8 +138,9 @@ class OutputLane(
         self.credits = credits
         #: downstream input lane (or EjectionLane) across the link
         self.sink = sink
-        #: link direction this lane is multiplexed onto
-        self.direction: LinkDirection | None = None
+        #: position in ``Engine.dirs`` of the link direction this lane is
+        #: multiplexed onto (-1: not wired into an engine)
+        self.dir = -1
 
     @property
     def sent(self) -> int:
@@ -215,7 +217,7 @@ class LinkDirection(
         #: probes are indexed by (-1: not wired into an engine)
         self.index = index
         for lane in lanes:
-            lane.direction = self
+            lane.dir = index
         #: round-robin pointer for the fair arbiter
         self.rr = 0
         #: number of lanes with buffered > 0

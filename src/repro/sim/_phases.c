@@ -584,38 +584,46 @@ link_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* -- the crossbar phase -------------------------------------------------------- */
 
+/* what the crossbar phase keeps at hand for the length of its call */
+typedef struct {
+    long long t, cap, vcs;
+    PyObject *awake, *dirs, *feeds; /* owned */
+} Cross;
+
 /* One binding forwards a flit if it holds one that did not arrive this
  * cycle and its output lane has space: 1 when the binding stays, 0 when its
- * tail went through, -1 on error; *moved is set when a flit crossed. */
+ * tail went through, -1 on error; *moved is set when a flit crossed.  The
+ * credit goes back to the output lane feeding the lane: feeds[src_dir * vcs
+ * + vc]. */
 static int
-forward(PyObject *lane, long long now, long long cap, PyObject *awake, int *moved)
+forward(Cross *c, PyObject *lane, int *moved)
 {
-    PyObject *out, *src_out, *direction, *pkt;
-    long long forwarded, buffered, filled;
+    PyObject *out, *direction, *feed = NULL, *pkt;
+    long long forwarded, buffered, filled, src_dir;
     if (need(lane, IL_forwarded) < 0)
         return -1;
     forwarded = INT(lane, IL_forwarded);
     buffered = INT(lane, IL_received) - forwarded;
     /* a flit that arrived in this cycle's link phase waits a cycle */
-    if (buffered < 1 || (buffered == 1 && INT(lane, IL_last_arrival) == now))
+    if (buffered < 1 || (buffered == 1 && INT(lane, IL_last_arrival) == c->t))
         return 1;
     if ((out = get_obj(lane, IL_bound)) == NULL || need(out, OL_buffered) < 0)
         return -1;
     filled = INT(out, OL_buffered);
-    if (filled >= cap)
+    if (filled >= c->cap)
         return 1;
     if (filled == 0) {
-        if ((direction = get_obj(out, OL_direction)) == NULL || need(direction, LD_nbusy) < 0)
+        if ((direction = item(c->dirs, INT(out, OL_dir))) == NULL || need(direction, LD_nbusy) < 0)
             return -1;
         INT(direction, LD_nbusy) += 1;
     }
     INT(out, OL_buffered) = filled + 1;
-    if ((src_out = get_obj(lane, IL_src_out)) == NULL)
-        return -1;
-    if (src_out != Py_None) {
-        if (need(src_out, OL_credits) < 0)
+    src_dir = INT(lane, IL_src_dir);
+    if (src_dir >= 0) {
+        if ((feed = item(c->feeds, src_dir * c->vcs + INT(lane, IL_vc))) == NULL
+            || need(feed, OL_credits) < 0)
             return -1;
-        INT(src_out, OL_credits) += 1;
+        INT(feed, OL_credits) += 1;
     }
     *moved = 1;
     forwarded += 1;
@@ -631,7 +639,7 @@ forward(PyObject *lane, long long now, long long cap, PyObject *awake, int *move
     INT(lane, IL_received) = 0;
     INT(lane, IL_forwarded) = 0;
     set_obj(lane, IL_bound, Py_None);
-    if (src_out != Py_None && put(awake, INT(src_out, OL_switch), Py_True) < 0)
+    if (src_dir >= 0 && put(c->awake, INT(feed, OL_switch), Py_True) < 0)
         return -1;
     return 0;
 }
@@ -641,8 +649,8 @@ forward(PyObject *lane, long long now, long long cap, PyObject *awake, int *move
 static PyObject *
 crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *engine, *config, *old = NULL, *kept = NULL, *awake = NULL, *lane, *ahead;
-    long long now, cap;
+    Cross c = {0};
+    PyObject *engine, *config, *old = NULL, *kept = NULL, *lane, *ahead;
     Py_ssize_t i, n, live, staying = 0;
     int moved = 0, rc = -1;
     if (nargs != 2) {
@@ -650,15 +658,17 @@ crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     engine = args[0];
-    if (as_int(args[1], &now) < 0 || (config = PyObject_GetAttr(engine, s_config)) == NULL)
+    if (as_int(args[1], &c.t) < 0 || (config = PyObject_GetAttr(engine, s_config)) == NULL)
         return NULL;
-    rc = attr_int(config, s_buffer_flits, &cap);
+    rc = attr_int(config, s_buffer_flits, &c.cap) < 0 || attr_int(config, s_vcs, &c.vcs) < 0 ? -1 : 0;
     Py_DECREF(config);
     if (rc < 0)
         return NULL;
     rc = -1;
     if ((old = PyObject_GetAttr(engine, s_bindings)) == NULL
-        || (awake = PyObject_GetAttr(engine, s__route_awake)) == NULL)
+        || (c.awake = PyObject_GetAttr(engine, s__route_awake)) == NULL
+        || (c.dirs = PyObject_GetAttr(engine, s_dirs)) == NULL
+        || (c.feeds = PyObject_GetAttr(engine, s__fabric_out)) == NULL)
         goto done;
     if (!PyList_Check(old)) {
         PyErr_SetString(PyExc_TypeError, "Engine.bindings must be a list");
@@ -677,7 +687,7 @@ crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (i + BOUND_AHEAD < live && (ahead = bound_ahead(PyList_GET_ITEM(old, i + BOUND_AHEAD))) != NULL)
             FETCH(ahead);
         lane = PyList_GET_ITEM(old, i);
-        if ((rc = forward(lane, now, cap, awake, &moved)) < 0)
+        if ((rc = forward(&c, lane, &moved)) < 0)
             goto done;
         if (rc > 0)
             PyList_SET_ITEM(kept, staying++, Py_NewRef(lane));
@@ -687,7 +697,9 @@ crossbar_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     rc = PyObject_SetAttr(engine, s_bindings, kept);
 done:
     Py_XDECREF(old);
-    Py_XDECREF(awake);
+    Py_XDECREF(c.awake);
+    Py_XDECREF(c.dirs);
+    Py_XDECREF(c.feeds);
     Py_XDECREF(kept);
     return rc < 0 ? NULL : PyBool_FromLong(moved);
 }

@@ -39,12 +39,12 @@
 /* attributes of the engine, its config and result, the handler object, the
  * traffic sources, the routing algorithms and the topology's links */
 #define NAMES(X) \
-    X(_fabric_dirs) X(_eject_dirs) X(_age_arbiter) X(_rr_after) X(_route_awake) \
+    X(_fabric_dirs) X(_fabric_out) X(_eject_dirs) X(_age_arbiter) X(_rr_after) X(_route_awake) \
     X(pending) X(_in_route_queue) X(route_queue) X(route_rr) X(bindings) X(config) X(result) \
     X(routing) X(active_nodes) X(_next_pid) X(_peak_in_flight) \
     X(injected_packets_total) X(injected_flits_total) X(dropped_packets_total) \
     X(delivered_flits_per_node) X(delivered_packets_total) X(delivered_flits_total) \
-    X(_interval_delivered) X(warmup_cycles) X(collect_latencies) X(buffer_flits) X(packet_flits) \
+    X(_interval_delivered) X(warmup_cycles) X(collect_latencies) X(buffer_flits) X(packet_flits) X(vcs) \
     X(generated_packets) X(injected_packets) \
     X(delivered_packets) X(delivered_flits) X(latency_sum) X(head_latency_sum) \
     X(latency_max) X(latencies) \
@@ -67,10 +67,10 @@ NAMES(X)
 #define SLOTS(X) \
     X(IL, switch, LONGLONG) X(IL, port, LONGLONG) X(IL, vc, LONGLONG) X(IL, cap, LONGLONG) \
     X(IL, packet, OBJECT_EX) X(IL, received, LONGLONG) X(IL, forwarded, LONGLONG) \
-    X(IL, bound, OBJECT_EX) X(IL, src_out, OBJECT_EX) X(IL, last_arrival, LONGLONG) \
+    X(IL, bound, OBJECT_EX) X(IL, src_dir, LONGLONG) X(IL, last_arrival, LONGLONG) \
     X(OL, switch, LONGLONG) X(OL, port, LONGLONG) X(OL, vc, LONGLONG) X(OL, cap, LONGLONG) \
     X(OL, packet, OBJECT_EX) X(OL, buffered, LONGLONG) X(OL, credits, LONGLONG) \
-    X(OL, sink, OBJECT_EX) X(OL, direction, OBJECT_EX) \
+    X(OL, sink, OBJECT_EX) X(OL, dir, LONGLONG) \
     X(EJ, node, LONGLONG) X(EJ, packet, OBJECT_EX) X(EJ, received, LONGLONG) \
     X(LD, lanes, OBJECT_EX) X(LD, index, LONGLONG) X(LD, rr, LONGLONG) \
     X(LD, nbusy, LONGLONG) X(LD, to_node, OBJECT_EX) X(LD, flits, LONGLONG) \

@@ -332,9 +332,9 @@ ready(void)
     return -1;
 }
 
-/* [InputLane(switch, port, v, cap) for v in range(n)] */
+/* [InputLane(switch, port, v, cap, src_dir) for v in range(n)] */
 static PyObject *
-input_lanes(long long s, long long p, long long n, long long cap)
+input_lanes(long long s, long long p, long long n, long long cap, long long src_dir)
 {
     PyObject *lanes = PyList_New(n), *lane;
     long long v;
@@ -351,7 +351,7 @@ input_lanes(long long s, long long p, long long n, long long cap)
         INT(lane, IL_received) = 0;
         INT(lane, IL_forwarded) = 0;
         REF(lane, IL_bound) = Py_NewRef(Py_None);
-        REF(lane, IL_src_out) = Py_NewRef(Py_None);
+        INT(lane, IL_src_dir) = src_dir;
         INT(lane, IL_last_arrival) = -1;
         PyList_SET_ITEM(lanes, v, lane);
     }
@@ -377,7 +377,7 @@ output_lanes(long long s, long long p, long long cap, PyObject *sinks, long long
         INT(lane, OL_buffered) = 0;
         INT(lane, OL_credits) = credits;
         REF(lane, OL_sink) = Py_NewRef(PyList_GET_ITEM(sinks, v));
-        REF(lane, OL_direction) = Py_NewRef(Py_None);
+        INT(lane, OL_dir) = -1;
         PyList_SET_ITEM(lanes, v, lane);
     }
     return lanes;
@@ -422,7 +422,7 @@ append_direction(PyObject *dirs, PyObject *lanes, PyObject *to_node)
     INT(d, LD_blocked) = 0;
     INT(d, LD_blocked_at_warmup) = 0;
     for (v = 0; v < PyList_GET_SIZE(lanes); v++)
-        set_obj(PyList_GET_ITEM(lanes, v), OL_direction, d);
+        INT(PyList_GET_ITEM(lanes, v), OL_dir) = INT(d, LD_index);
     rc = PyList_Append(dirs, d);
     Py_DECREF(d);
     return rc;
@@ -470,7 +470,7 @@ wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *in_lanes = NULL, *out_lanes = NULL, *dirs = NULL, *links = NULL, *link;
     PyObject *ins = NULL, *outs = NULL, *result = NULL;
-    long long cap, vcs, end[4], v;
+    long long cap, vcs, end[4];
     int side;
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError, "wire_switch_links(engine, cap, vcs)");
@@ -509,11 +509,10 @@ wire_switch_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 Py_XDECREF(errors);
                 goto done;
             }
-            if ((ins = input_lanes(sb, pb, vcs, cap)) == NULL
+            /* fed by lane v of the direction appended below */
+            if ((ins = input_lanes(sb, pb, vcs, cap, PyList_GET_SIZE(dirs))) == NULL
                 || (outs = output_lanes(sa, pa, cap, ins, cap)) == NULL)
                 goto done;
-            for (v = 0; v < vcs; v++)
-                set_obj(PyList_GET_ITEM(ins, v), IL_src_out, PyList_GET_ITEM(outs, v));
             if (put_in(in_lanes, sb, pb, ins) < 0 || put_in(out_lanes, sa, pa, outs) < 0
                 || append_direction(dirs, outs, Py_False) < 0)
                 goto done;
@@ -567,7 +566,7 @@ wire_node_links(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             || append_direction(dirs, outs, Py_True) < 0)
             goto done;
         /* injection: the node feeds the switch input lanes directly */
-        if ((ins = input_lanes(s, p, lanes, cap)) == NULL || put_in(in_lanes, s, p, ins) < 0
+        if ((ins = input_lanes(s, p, lanes, cap, -1)) == NULL || put_in(in_lanes, s, p, ins) < 0
             || put(inject, node, ins) < 0)
             goto done;
         Py_CLEAR(sinks);

@@ -25,7 +25,10 @@ field values, written as the list items of an empty instance
 every ``random.Random`` as its Mersenne state packed into one bytes string
 (:func:`_reduce_rng`): the pickler's memo, which keeps all it has written
 until the dump ends, holds the engine graph and no per-object state beside
-it.  Files are
+it.  Every edge between lanes points downstream (a lane names its direction
+and its feeding lane by index), so the depth-first dump recurses no deeper
+than one worm's chain of lanes, well inside the interpreter's default
+recursion limit.  Files are
 written atomically (temp file, fsync, ``os.replace``) so a crash
 mid-write leaves either the old checkpoint or none.  On load, three
 gates run in order — payload digest, config digest (staleness), restored
@@ -71,7 +74,6 @@ import pickle
 import random
 import signal
 import struct
-import sys
 import threading
 import weakref
 
@@ -89,7 +91,7 @@ from .native import plain_stream
 #: bump on breaking changes to the header schema or pickle envelope, and
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
 #: engine change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 8
+CHECKPOINT_FORMAT_VERSION = 9
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"
@@ -99,19 +101,6 @@ _MAX_HEADER_BYTES = 65536
 
 #: room left in the header line for the payload byte count's digits
 _COUNT_DIGITS = 20
-
-#: pickle walks the engine graph depth-first, and the lanes of a congested
-#: network chain into each other (output lane -> sink -> bound output lane
-#: -> ...): measured on CPython 3.11, each chained lane costs 1 frame of the
-#: recursion limit now that its fields are written as its own list items (3
-#: while a state list sat between the lane and its fields, format 7), and a
-#: saturated 16-ary 2-cube under Duato routing needs ~1620 of them (~4150
-#: at format 7), still past CPython's default limit of 1000.
-#: The dump therefore runs under a limit sized, with a margin, for a chain
-#: through every lane, capped where the C stack (8 MiB) is known to hold; a
-#: graph deeper than the cap still fails as a CheckpointError, not a crash.
-_FRAMES_PER_LANE = 2
-_MAX_DUMP_RECURSION = 40_000
 
 
 # -- cross-process file locking ------------------------------------------------
@@ -291,22 +280,15 @@ def save_checkpoint(engine, path) -> dict:
         "payload_bytes": 0,
     }
     width = len(_header_line(header)) + _COUNT_DIGITS
-    lanes = 2 * sum(len(d.lanes) for d in engine.dirs)
-    limit = sys.getrecursionlimit()
     with atomic_write(path) as fh:
         fh.write(_header_line(header, width))
         payload = _HashingWriter(fh)
-        sys.setrecursionlimit(
-            max(limit, min(limit + _FRAMES_PER_LANE * lanes, _MAX_DUMP_RECURSION))
-        )
         try:
             checkpoint_pickler(payload).dump(engine)
         except CheckpointError:
             raise
         except Exception as exc:
             raise CheckpointError(f"engine state is not serializable: {exc}") from exc
-        finally:
-            sys.setrecursionlimit(limit)
         header["payload_digest"] = payload.digest.hexdigest()
         header["payload_bytes"] = payload.bytes
         fh.seek(0)

@@ -189,6 +189,10 @@ class Engine:
         phases = NATIVE_PHASES or reference
         phases.wire_switch_links(self, cap, vcs)
         self._fabric_dirs = list(self.dirs)
+        #: the output lanes of ``_fabric_dirs``, flat and in order: the lane
+        #: feeding a fabric input lane is ``_fabric_out[src_dir * vcs + vc]``
+        #: (the crossbar returns its credits there)
+        self._fabric_out = [lane for d in self._fabric_dirs for lane in d.lanes]
         #: eject_lanes[node] -> its ejection sinks, one per VC
         self.eject_lanes: list[list[EjectionLane]] = [[] for _ in range(topology.num_nodes)]
         self._injection_lanes: list[list[InputLane]] = [[] for _ in range(topology.num_nodes)]
@@ -280,26 +284,6 @@ class Engine:
         # is complete by now: events reach the restored probes
         self._bind_events()
 
-    def __del__(self) -> None:
-        # The two lane-level back-edges, cut here and nowhere else:
-        # ``OutputLane.direction`` (the direction lists its lanes) and
-        # ``InputLane.src_out`` (the upstream output lane's ``sink`` is the
-        # lane).  Below an engine without a probe the graph is then a tree,
-        # which reference counting frees right after this returns.  A
-        # half-built, half-unpickled or tampered engine must not make this
-        # raise, and at interpreter exit this module's globals may be gone:
-        # hence ``vars``, ``hasattr`` and no global.
-        state = vars(self)
-        for d in state.get("dirs", ()):
-            for lane in getattr(d, "lanes", ()):
-                if hasattr(lane, "direction"):
-                    lane.direction = None
-        for ports in state.get("in_lanes", ()):
-            for lanes in ports:
-                for lane in lanes:
-                    if hasattr(lane, "src_out"):
-                        lane.src_out = None
-
     def release(self) -> None:
         """Cut the edges that close a cycle through the engine object
         itself, so reference counting frees it when the last outside
@@ -312,8 +296,9 @@ class Engine:
           holds the engine).
 
         An engine built without a probe has none of these edges, so dropping
-        it frees it without this call; the lane-level back-edges are cut by
-        ``__del__``, on every engine.
+        it frees it without this call: below the engine every edge points
+        downstream (a lane names its direction and its feeding lane by
+        index), so the rest of the graph is a tree.
 
         What a post-run reader takes stays readable and unchanged:
         ``cycle``, the totals, ``result``, ``config``, ``topology`` and
@@ -677,7 +662,7 @@ class Engine:
         owned, holding = (NATIVE_PHASES or reference).find_worm(self.dirs, pkt)
         for lane in owned:
             if lane.buffered > 0:
-                lane.direction.nbusy -= 1
+                self.dirs[lane.dir].nbusy -= 1
                 flushed += lane.buffered
             lane.packet = None
             lane.buffered = 0
@@ -704,11 +689,11 @@ class Engine:
             lane.received = 0
             lane.forwarded = 0
             lane.bound = None
-            if lane.src_out is not None:
+            if lane.src_dir >= 0:
                 # the (output lane -> input lane) pair carries a single
                 # packet, so after the flush the downstream buffer is
                 # empty and the upstream credit counter returns to cap
-                lane.src_out.credits = lane.cap
+                self._fabric_out[lane.src_dir * self.config.vcs + lane.vc].credits = lane.cap
 
         self._wake_routing()
         pkt.dropped = t
@@ -750,7 +735,12 @@ class Engine:
         * flit conservation: every injected flit is either delivered or
           buffered in exactly one lane;
         * each direction's ``index`` is its position in ``dirs`` (the tables
-          of probes are indexed by it, and a pickle carries it);
+          of probes are indexed by it, and a pickle carries it), and so is
+          each of its lanes' ``dir``;
+        * the wiring the crossbar reads by index: ``_fabric_out`` lists the
+          fabric directions' lanes in order, a fabric input lane names the
+          output lane it is the ``sink`` of (``src_dir`` and ``vc``), and an
+          injection lane names none (``src_dir == -1``);
         * a direction's link counters are at least their warm-up snapshots,
           and in each cycle run it moved one flit, was blocked, or was idle
           (``flits + blocked <= cycle``);
@@ -768,11 +758,8 @@ class Engine:
         if len(bindings) != len(self.bindings):
             raise SimulationError("an input lane is in the crossbar bindings twice")
         bound_lanes = 0
-        # lanes holding flits, by id of their direction: counted on the one
-        # walk over the output lanes, held to each ``nbusy`` below
-        busy = {}
-        for s in range(self.topology.num_switches):
-            for port_lanes in self.in_lanes[s]:
+        for ports in self.in_lanes:
+            for port_lanes in ports:
                 for lane in port_lanes:
                     received, forwarded, bound = lane.received, lane.forwarded, lane.bound
                     buf = received - forwarded
@@ -788,23 +775,6 @@ class Engine:
                             raise SimulationError(f"bound lane missing from the bindings: {lane!r}")
                         bound_lanes += 1
                     buffered_flits += buf
-            for port_lanes in self.out_lanes[s]:
-                for lane in port_lanes:
-                    buffered = lane.buffered
-                    if not 0 <= buffered <= lane.cap:
-                        raise SimulationError(f"output buffer out of range: {lane!r}")
-                    sink = lane.sink
-                    if isinstance(sink, InputLane):
-                        expect = sink.cap - (sink.received - sink.forwarded)
-                        if lane.credits != expect:
-                            raise SimulationError(
-                                f"credit drift: {lane!r} credits={lane.credits}, "
-                                f"downstream free space={expect}"
-                            )
-                    if buffered:
-                        key = id(lane.direction)
-                        busy[key] = busy.get(key, 0) + 1
-                        buffered_flits += buffered
         if bound_lanes != len(bindings):
             raise SimulationError(
                 f"the bindings hold {len(bindings) - bound_lanes} lane(s) that are not bound"
@@ -814,7 +784,33 @@ class Engine:
                 raise SimulationError(
                     f"direction index out of place: {d.label} index={d.index}, at {index} in dirs"
                 )
-            holding = busy.get(id(d), 0)
+            # every output lane is in one direction: checked on this walk
+            holding = 0
+            for v, lane in enumerate(d.lanes):
+                if lane.dir != index:
+                    raise SimulationError(
+                        f"output lane out of place: {lane!r} dir={lane.dir}, "
+                        f"listed by {d.label} at {index} in dirs"
+                    )
+                buffered = lane.buffered
+                if not 0 <= buffered <= lane.cap:
+                    raise SimulationError(f"output buffer out of range: {lane!r}")
+                sink = lane.sink
+                if isinstance(sink, InputLane):
+                    if sink.src_dir != index or sink.vc != v:
+                        raise SimulationError(
+                            f"input lane names the wrong feeding lane: {sink!r} src_dir={sink.src_dir}, "
+                            f"the sink of {lane!r} of {d.label} at {index} in dirs"
+                        )
+                    expect = sink.cap - (sink.received - sink.forwarded)
+                    if lane.credits != expect:
+                        raise SimulationError(
+                            f"credit drift: {lane!r} credits={lane.credits}, "
+                            f"downstream free space={expect}"
+                        )
+                if buffered:
+                    holding += 1
+                    buffered_flits += buffered
             if d.nbusy != holding:
                 raise SimulationError(
                     f"busy-lane count drift: {d.label} nbusy={d.nbusy}, lanes holding flits={holding}"
@@ -825,6 +821,12 @@ class Engine:
                     f"link counters out of range at cycle {self.cycle}: {d.label} flits={d.flits} "
                     f"blocked={d.blocked}, at warm-up {d.flits_at_warmup} / {d.blocked_at_warmup}"
                 )
+        if self._fabric_out != [lane for d in self._fabric_dirs for lane in d.lanes]:
+            raise SimulationError("_fabric_out does not list the fabric directions' lanes in order")
+        for lanes in self._injection_lanes:
+            for lane in lanes:
+                if lane.src_dir != -1:
+                    raise SimulationError(f"injection lane names a feeding lane: {lane!r} src_dir={lane.src_dir}")
         queued = [False] * len(self._in_route_queue)
         for s in self.route_queue:
             if queued[s]:

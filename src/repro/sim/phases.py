@@ -21,7 +21,7 @@ reads the links' totals (:func:`link_totals`).
 ``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the
 struct types it makes, ``find_worm`` and ``link_totals`` in ``_walkers.c`` —
 with the same statement order, the same probe calls and the same values
-stored; the classes ``Link``, ``Inject`` and ``Walk`` are those units'
+stored; the classes ``Link``, ``Inject``, ``Cross`` and ``Walk`` are those units'
 structs of the same names — what a phase keeps at hand for the length of its
 call.  Change one and change the other, in the same commit.  Three tests
 hold the pair together:
@@ -403,26 +403,42 @@ def injection_phase(engine, t: int, handlers, warm: bool) -> bool:
 # -- the crossbar phase ------------------------------------------------------------
 
 
-def forward(lane, now: int, cap: int, awake: list) -> tuple[bool, bool]:
+class Cross:
+    """What the crossbar phase keeps at hand for the length of its call."""
+
+    __slots__ = ("t", "cap", "vcs", "awake", "dirs", "feeds")
+
+    def __init__(self, engine, t: int):
+        self.t = t
+        self.cap = engine.config.buffer_flits
+        self.vcs = engine.config.vcs
+        self.awake = engine._route_awake
+        self.dirs = engine.dirs
+        self.feeds = engine._fabric_out
+
+
+def forward(c: Cross, lane) -> tuple[bool, bool]:
     """One binding forwards a flit if it holds one that did not arrive this
     cycle and its output lane has space.  Returns ``(stays, moved)``: whether
     the binding stays (its tail has not gone through) and whether a flit
-    crossed."""
+    crossed.  The credit goes back to the output lane feeding ``lane``:
+    ``feeds[src_dir * vcs + vc]``."""
     forwarded = lane.forwarded
     buffered = lane.received - forwarded
     # a flit that arrived in this cycle's link phase waits a cycle
-    if buffered < 1 or (buffered == 1 and lane.last_arrival == now):
+    if buffered < 1 or (buffered == 1 and lane.last_arrival == c.t):
         return True, False
     out = lane.bound
     filled = out.buffered
-    if filled >= cap:
+    if filled >= c.cap:
         return True, False
     if filled == 0:
-        out.direction.nbusy += 1
+        c.dirs[out.dir].nbusy += 1
     out.buffered = filled + 1
-    src_out = lane.src_out
-    if src_out is not None:
-        src_out.credits += 1
+    src_dir = lane.src_dir
+    if src_dir >= 0:
+        feed = c.feeds[src_dir * c.vcs + lane.vc]
+        feed.credits += 1
     forwarded += 1
     if forwarded != lane.packet.size:
         lane.forwarded = forwarded
@@ -433,8 +449,8 @@ def forward(lane, now: int, cap: int, awake: list) -> tuple[bool, bool]:
     lane.received = 0
     lane.forwarded = 0
     lane.bound = None
-    if src_out is not None:
-        awake[src_out.switch] = True
+    if src_dir >= 0:
+        c.awake[feed.switch] = True
     return False, True
 
 
@@ -443,12 +459,11 @@ def crossbar_phase(engine, t: int) -> bool:
     ``engine.bindings`` is replaced by a new list without the bindings whose
     tail went through (each binding touches only its own two lanes, so their
     order is immaterial)."""
-    cap = engine.config.buffer_flits
-    awake = engine._route_awake
+    c = Cross(engine, t)
     kept = []
     progress = False
     for lane in engine.bindings:
-        stays, moved = forward(lane, t, cap, awake)
+        stays, moved = forward(c, lane)
         if moved:
             progress = True
         if stays:
@@ -600,10 +615,9 @@ def wire_switch_links(engine, cap: int, vcs: int) -> None:
                 raise SimulationError(
                     f"port wired twice: switch {sa} port {pa} -> switch {sb} port {pb}"
                 )
-            ins = [InputLane(sb, pb, v, cap) for v in channels]
+            # fed by lane v of the direction appended below
+            ins = [InputLane(sb, pb, v, cap, len(dirs)) for v in channels]
             outs = [OutputLane(sa, pa, v, cap, ins[v], cap) for v in channels]
-            for v in channels:
-                ins[v].src_out = outs[v]
             in_lanes[sb][pb] = ins
             out_lanes[sa][pa] = outs
             dirs.append(LinkDirection(outs, index=len(dirs)))

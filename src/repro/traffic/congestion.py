@@ -199,7 +199,7 @@ class CongestionMarker(Probe):
         return direction.nbusy > self.config.occupancy_fraction * len(lanes)
 
     def on_head_arrived(self, cycle: int, lane, packet) -> None:
-        if self._crossed_congested(lane.src_out.direction):
+        if self._crossed_congested(self.engine.dirs[lane.src_dir]):
             if packet.pid not in self._marked:
                 self._marked.add(packet.pid)
                 self.packets_marked += 1

@@ -25,6 +25,7 @@ import random
 from abc import ABC, abstractmethod
 
 from ..errors import ConfigurationError, TopologyError
+from ..routing.base import randbelow
 from .address import bit_complement, bit_reverse, bit_transpose
 
 
@@ -81,7 +82,7 @@ class UniformPattern(TrafficPattern):
     name = "uniform"
 
     def destination(self, source: int, rng: random.Random) -> int:
-        dst = rng.randrange(self.num_nodes - 1)
+        dst = randbelow(rng, self.num_nodes - 1)
         if dst >= source:
             dst += 1
         return dst
@@ -220,7 +221,7 @@ class HotspotPattern(TrafficPattern):
 
     def destination(self, source: int, rng: random.Random) -> int:
         if rng.random() < self.fraction:
-            dst = self.hotspots[rng.randrange(len(self.hotspots))]
+            dst = self.hotspots[randbelow(rng, len(self.hotspots))]
             if dst != source:
                 return dst
         return self._uniform.destination(source, rng)

@@ -27,7 +27,7 @@ def some_wired_outlane(engine):
     for s in range(engine.topology.num_switches):
         for port_lanes in engine.out_lanes[s]:
             for lane in port_lanes:
-                if lane.direction is not None and not lane.direction.to_node:
+                if not engine.dirs[lane.dir].to_node:
                     return lane
     raise AssertionError("no internal output lane found")
 
@@ -93,7 +93,7 @@ class TestAuditDetectsCorruption:
 
     def test_busy_lane_count_drift(self, engine):
         # a direction whose nbusy reads 0 is skipped by the link phase
-        some_wired_outlane(engine).direction.nbusy += 1
+        engine.dirs[some_wired_outlane(engine).dir].nbusy += 1
         with pytest.raises(SimulationError, match="busy-lane count drift"):
             engine.audit()
 
@@ -102,6 +102,47 @@ class TestAuditDetectsCorruption:
         # the per-direction tables of probes are indexed by it
         engine.dirs[5].index = index
         with pytest.raises(SimulationError, match="direction index out of place: s.*, at 5 in dirs"):
+            engine.audit()
+
+    # -- the wiring the lanes name by index ----------------------------------------
+
+    @pytest.mark.parametrize("index", [-1, 4, 99])
+    def test_output_lane_out_of_place(self, engine, index):
+        # the crossbar and kill_packet count a lane's flits in dirs[lane.dir]
+        lane = engine.dirs[5].lanes[2]
+        lane.dir = index
+        with pytest.raises(SimulationError, match="output lane out of place: .* dir=.*, listed by s.* at 5"):
+            engine.audit()
+
+    @pytest.mark.parametrize("src_dir", [-1, 4, 99])
+    def test_fabric_input_lane_names_the_wrong_feeding_lane(self, engine, src_dir):
+        # the crossbar returns its credits to _fabric_out[src_dir * vcs + vc]
+        sink = engine.dirs[5].lanes[2].sink
+        sink.src_dir = src_dir
+        with pytest.raises(SimulationError, match="names the wrong feeding lane: .* src_dir=.*, the sink of"):
+            engine.audit()
+
+    def test_fabric_input_lane_on_the_wrong_virtual_channel(self, engine):
+        sink = engine.dirs[5].lanes[2].sink
+        sink.vc = 1
+        with pytest.raises(SimulationError, match="names the wrong feeding lane"):
+            engine.audit()
+
+    @pytest.mark.parametrize("src_dir", [0, 5])
+    def test_injection_lane_names_a_feeding_lane(self, engine, src_dir):
+        # the node feeds it directly: a credit returned upstream would go astray
+        engine._injection_lanes[3][0].src_dir = src_dir
+        with pytest.raises(SimulationError, match="injection lane names a feeding lane: .* src_dir="):
+            engine.audit()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda feeds: feeds.reverse(),
+        lambda feeds: feeds.pop(),
+        lambda feeds: feeds.__setitem__(7, feeds[8]),
+    ], ids=["reordered", "short", "a-lane-twice"])
+    def test_the_flat_feeding_lanes_list_the_fabric_in_order(self, engine, corrupt):
+        corrupt(engine._fabric_out)
+        with pytest.raises(SimulationError, match="_fabric_out does not list"):
             engine.audit()
 
     @pytest.mark.parametrize("corrupt", [
@@ -114,7 +155,7 @@ class TestAuditDetectsCorruption:
     def test_link_counters_out_of_range(self, engine, corrupt):
         # in each cycle a direction moves one flit, is blocked, or idles, and
         # no counter runs backwards past its warm-up snapshot
-        corrupt(some_wired_outlane(engine).direction, engine.cycle)
+        corrupt(engine.dirs[some_wired_outlane(engine).dir], engine.cycle)
         with pytest.raises(SimulationError, match="link counters out of range"):
             engine.audit()
 

@@ -35,7 +35,7 @@ from repro.experiments.sweep import _cache_key, _point_task, point_dir, run_swee
 from repro.faults import Faults
 from repro.obs.flight import Flight, FlightConfig, FlightRecorder
 from repro.obs.statehash import StateDigestConfig, StateHash
-from repro.router.lane import LinkDirection
+from repro.router.lane import InputLane, LinkDirection, OutputLane
 from repro.sim import checkpoint as checkpoint_module
 from repro.sim.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -116,12 +116,7 @@ class TestCheckpointFile:
             _BOOM["armed"] = False
         transport = engine.find_probe(ReliableTransport)
         assert transport._by_pid and any(b.packet is not None for b in engine.bindings)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(20_000)
-        try:
-            assert built_for_the_pickle(engine) == []
-        finally:
-            sys.setrecursionlimit(limit)
+        assert built_for_the_pickle(engine) == []
 
     def test_corrupt_payload_rejected(self, tmp_path):
         engine = build_engine(small_tree_config())
@@ -242,27 +237,59 @@ class TestCheckpointFile:
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 4, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
-    def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path):
-        # pickle walks the lane graph depth-first and the worms of a
-        # congested adaptive cube chain its lanes thousands of objects
-        # deep: this state needs ~4200 frames, CPython allows 1000
-        config = cube_config(
-            k=16, n=2, algorithm="duato", vcs=4, load=0.9, seed=3,
-            warmup_cycles=100, total_cycles=900,
-        )
-        engine = build_engine(config)
-        while engine.cycle < 400:
-            engine.step()
+    def test_saturated_cube_checkpoints_under_default_recursion_limit(self, tmp_path, monkeypatch):
+        # pickle walks the lane graph depth-first; every edge between lanes
+        # points downstream, so the dump goes as deep as one worm: a hundred
+        # frames above the caller's are room enough, and the limit is never
+        # raised
+        config, engine = saturated_duato_cube()
         path = tmp_path / "ckpt-000000000400.rckpt"
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
+        sys.setrecursionlimit(stack_depth() + 100)
         try:
-            save_checkpoint(engine, path)
-            assert sys.getrecursionlimit() == 1000  # raised for the dump only
-            restored, _ = load_checkpoint(path, config=config)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "setrecursionlimit", _no_recursion_limit)
+                save_checkpoint(engine, path)
+                restored, _ = load_checkpoint(path, config=config)
         finally:
             sys.setrecursionlimit(limit)
         assert restored.state_fingerprint() == engine.state_fingerprint()
+
+    def test_a_plain_pickle_of_the_saturated_cube_round_trips_under_the_default_limit(self):
+        config, engine = saturated_duato_cube()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            restored = pickle.loads(pickle.dumps(engine))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert restored.state_fingerprint() == engine.state_fingerprint()
+
+
+def saturated_duato_cube():
+    """A 16-ary 2-cube under Duato routing at load 0.9, at cycle 400: worms
+    in every corner of the fabric.  The config and the engine."""
+    config = cube_config(
+        k=16, n=2, algorithm="duato", vcs=4, load=0.9, seed=3,
+        warmup_cycles=100, total_cycles=900,
+    )
+    engine = build_engine(config)
+    while engine.cycle < 400:
+        engine.step()
+    assert len(engine.bindings) > 1000
+    return config, engine
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _no_recursion_limit(limit):
+    raise AssertionError(f"sys.setrecursionlimit({limit}) called")
 
 
 # -- packed Mersenne states ----------------------------------------------------
@@ -387,6 +414,48 @@ class TestPackedMersenneStates:
         discarded = read_manifest(tmp_path)["discarded"]
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 7, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
+    def test_a_format_8_file_is_discarded_at_the_header(self, tmp_path, monkeypatch):
+        # format 8 pickled a lane's direction and its feeding output lane as
+        # references (OutputLane.direction, InputLane.src_out) where this
+        # build reads indices (dir, src_dir)
+        config = small_tree_config()
+        engine = build_engine(config)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        vcs = config.vcs
+
+        def as_format_8(cls, name, edge):
+            def reduce_ex(lane, protocol):
+                values = [getattr(lane, field) for field, _ in cls.FIELDS]
+                values[[field for field, _ in cls.FIELDS].index(name)] = edge(lane)
+                return copyreg.__newobj__, (type(lane),), None, iter(values)
+            return reduce_ex
+
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 8)
+            old.setattr(OutputLane, "__reduce_ex__", as_format_8(OutputLane, "dir", lambda lane: engine.dirs[lane.dir]))
+            old.setattr(InputLane, "__reduce_ex__", as_format_8(InputLane, "src_dir", lambda lane: (
+                None if lane.src_dir < 0 else engine._fabric_out[lane.src_dir * vcs + lane.vc])))
+            save_checkpoint(engine, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header_line)["format"] == 8
+        try:
+            restored = pickle.loads(payload)
+        except TypeError:
+            pass  # the kernel's storage refuses a reference where an index belongs
+        else:  # the other stores it, and the crossbar would fail mid-run
+            assert type(restored.dirs[0].lanes[0].dir) is type(restored.dirs[0])
+
+        def never(data):
+            raise AssertionError("a stale payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", never)
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 8, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)

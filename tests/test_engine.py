@@ -38,7 +38,7 @@ class TestConstruction:
         for s in range(eng.topology.num_switches):
             for port_lanes in eng.out_lanes[s]:
                 for lane in port_lanes:
-                    if lane.direction is not None and not lane.direction.to_node:
+                    if not eng.dirs[lane.dir].to_node:
                         assert lane.credits == eng.config.buffer_flits
 
     def test_injector_size_mismatch_rejected(self):

@@ -88,7 +88,9 @@ class TestInputLane:
             assert lane.packet is None
             assert lane.buffered == 0
             assert lane.bound is None
-            assert engine.bindings == [] and out.buffered == 1 and lane.src_out.credits == lane.cap + 1
+            feed = engine._fabric_out[lane.src_dir * engine.config.vcs + lane.vc]
+            assert feed.sink is lane  # the lane feeding it, named by index
+            assert engine.bindings == [] and out.buffered == 1 and feed.credits == lane.cap + 1
 
     def test_release_before_tail_rejected(self):
         for phases, engine, lane in self.bound_pair(Channel(1), size=3, received=2, forwarded=1):
@@ -145,7 +147,7 @@ class TestEjectionLane:
             ch.step(twin, 1)
             b = lane.packet = pkt(1, size=2)
             lane.buffered = 2
-            lane.direction.nbusy = 1
+            twin[2].nbusy = 1
             ch.step(twin, 2)
             ch.step(twin, 3)
             assert (a.delivered, b.head_delivered, b.delivered) == (1, 2, 3)
@@ -153,9 +155,11 @@ class TestEjectionLane:
 
 class TestLinkDirection:
     def test_wires_back_reference(self):
+        # by index, the direction's place in Engine.dirs: no edge points back
         lanes = [OutputLane(0, 0, v, cap=4) for v in range(3)]
-        d = LinkDirection(lanes)
-        assert all(lane.direction is d for lane in lanes)
+        assert all(lane.dir == -1 for lane in lanes)  # not wired yet
+        d = LinkDirection(lanes, index=4)
+        assert all(lane.dir == 4 for lane in lanes)
         assert d.nbusy == 0
         assert not d.to_node
 

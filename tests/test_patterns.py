@@ -76,6 +76,19 @@ class TestUniform:
         with pytest.raises(ConfigurationError):
             UniformPattern(1)
 
+    @pytest.mark.parametrize("nodes", [2, 3, 8, 17, 256])
+    def test_the_draw_is_randranges_value_and_stream_position(self, nodes):
+        # destination() draws through routing.base.randbelow, not
+        # randrange(nodes - 1): the same getrandbits draws, so the same
+        # destinations and the same stream after them (nodes=2 draws below 1)
+        p = UniformPattern(nodes)
+        rng, twin = random.Random(17), random.Random(17)
+        for i in range(10_000):
+            src = i % nodes
+            dst = twin.randrange(nodes - 1)
+            assert p.destination(src, rng) == (dst + 1 if dst >= src else dst)
+        assert rng.getstate() == twin.getstate()
+
 
 class TestComplement:
     def test_all_cross_bisection(self):
@@ -184,6 +197,24 @@ class TestHotspot:
             HotspotPattern(N, fraction=1.5)
         with pytest.raises(ConfigurationError):
             HotspotPattern(N, hotspots=(N,))
+
+    @pytest.mark.parametrize("hotspots", [(7,), (3, 9), (1, 5, 200), tuple(range(0, 256, 16))])
+    def test_the_draw_is_randranges_value_and_stream_position(self, hotspots):
+        # the hot-spot pick draws through routing.base.randbelow too
+        p = HotspotPattern(N, hotspots=hotspots, fraction=0.5)
+        rng, twin = random.Random(23), random.Random(23)
+        for i in range(10_000):
+            src = i % N
+            expected = None
+            if twin.random() < 0.5:
+                hot = hotspots[twin.randrange(len(hotspots))]
+                if hot != src:
+                    expected = hot
+            if expected is None:
+                dst = twin.randrange(N - 1)
+                expected = dst + 1 if dst >= src else dst
+            assert p.destination(src, rng) == expected
+        assert rng.getstate() == twin.getstate()
 
     def test_never_self_via_hotspot(self, rng):
         p = HotspotPattern(N, hotspots=(0,), fraction=1.0)

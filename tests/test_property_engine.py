@@ -346,7 +346,7 @@ C_ONLY = {
         "as_int_slow", "need_slow", "attr_int", "attr_add", "attr_true", "item_slow", "put_slow",
         "put_int", "count_one", "call", "advance_rr",
     },
-    "references held for a phase (the reference's Link / Inject / Walk take none)": {
+    "references held for a phase (the reference's Link / Inject / Cross / Walk take none)": {
         "headers_open", "headers_close", "link_open", "link_close",
     },
     "the stable sort the reference asks sorted() for": {"age_order"},
@@ -773,7 +773,7 @@ class TestCompiledPhasesFailurePaths:
         lane = self.crossing_lane(engine)
         node = next(n for n in engine.nodes if n.packet is not None)
         for obj, name in ((lane, "credits"), (lane, "buffered"), (lane.sink, "received"),
-                          (lane.direction, "nbusy"), (lane.packet, "size"), (node, "sent")):
+                          (engine.dirs[lane.dir], "nbusy"), (lane.packet, "size"), (node, "sent")):
             with pytest.raises(error):
                 setattr(obj, name, value)
             with pytest.raises(TypeError):
@@ -853,6 +853,21 @@ class TestCompiledPhasesFailurePaths:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is None and outcomes[0][-1] == 68
         assert outcomes[0][1].startswith("SimulationError: direction index out of place: ")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda engine: [setattr(lane, "dir", len(engine.dirs)) for d in engine.dirs for lane in d.lanes],
+        lambda engine: [setattr(lane.sink, "src_dir", len(engine._fabric_dirs)) for lane in engine._fabric_out],
+    ], ids=["dir", "src_dir"])
+    def test_an_index_outside_its_list_raises_the_same_index_error_on_both_paths(self, corrupt):
+        # the crossbar reaches a lane's direction and its feeding lane by
+        # index: dirs[out.dir], _fabric_out[src_dir * vcs + vc]
+        outcomes = []
+        for python in (False, True):
+            engine = self.loaded()
+            corrupt(engine)
+            outcomes.append((*stepped_under(engine, python), engine.cycle))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
 
     def test_lanes_in_a_tuple_are_refused_at_the_visit(self):
         # the kernel has always wanted a list here (the Python loops walk any

@@ -1,17 +1,19 @@
 """Every engine is freed when its last reference drops: no reference cycle
 outlives it.
 
-``Engine.__del__`` cuts the two lane-level back-edges of an engine's object
-graph and :meth:`Engine.release` the edges that close a cycle through the
-engine object itself (probe, instruments, cycle hooks, sources), so the rest
-is a tree that reference counting frees the moment the last outside
-reference drops.  With the collector off and saving what it finds
-(``gc.DEBUG_SAVEALL``), a collection after each case must find nothing of an
-engine graph — ``simulate()`` under every instrument tier alone, the chaos
-stack with its checkpoints and its resume, a drain stopped with hooks still
-armed, an engine a ``build`` hook kept, and bare engines: built and run,
-restored from a checkpoint and resumed — on the tree and the cube, on both
-storages.  The finalizer never raises, whatever state it meets.
+Below the engine every edge points downstream — a lane names its direction
+(``OutputLane.dir``) and its feeding lane (``InputLane.src_dir``) by index,
+not by reference — and :meth:`Engine.release` cuts the edges that close a
+cycle through the engine object itself (probe, instruments, cycle hooks,
+sources), so the rest is a tree that reference counting frees the moment the
+last outside reference drops, with no finalizer.  With the collector off and
+saving what it finds (``gc.DEBUG_SAVEALL``), a collection after each case
+must find nothing of an engine graph — ``simulate()`` under every instrument
+tier alone, the chaos stack with its checkpoints and its resume, a drain
+stopped with hooks still armed, an engine a ``build`` hook kept, and bare
+engines: built and run, restored from a checkpoint and resumed — on the tree
+and the cube, on both storages.  Engines the interpreter drops at exit leave
+nothing on stderr.
 
 A released engine still answers what a post-run reader takes (cycle,
 totals, result, the directions and their counters), and refuses, with a
@@ -25,11 +27,10 @@ import json
 import subprocess
 import sys
 import tempfile
-from unittest import mock
 
 import pytest
 
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.chaos import StormSpec, run_chaos_point
 from repro.obs.flight import FlightConfig
 from repro.obs.forensics import Forensics, ForensicsProbe, hotspots
@@ -43,17 +44,15 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.engine import Engine, ReleasedEngine, _Node
 from repro.sim.packet import Packet
-from repro.sim.run import build_engine, finish, simulate, start, tree_config
+from repro.sim.run import build_engine, finish, simulate, start
 from repro.traffic.generator import PacketSource
 from repro.traffic.transport import ReliableSource, TransportConfig
 from repro.workloads.trace import TraceSource
 
 from .conftest import on_the_other_storage, small_cube_config, small_tree_config
-from .test_checkpoint import _resize_first_packed_state
 from .test_determinism import _canonical
 from .test_instruments import ALL_SPECS, BARRIER, CONFIG, CUBE
 from .test_property_engine import python_loops
-from .test_wiring import wired_twice
 
 #: what must never wait for the collector once an engine is dropped
 ENGINE_GRAPH = (
@@ -298,19 +297,6 @@ ALGORITHMS = {
 }
 
 
-class TestABareEngine:
-    @pytest.mark.parametrize("config", ALGORITHMS.values(), ids=ALGORITHMS)
-    def test_is_held_by_its_caller_alone(self, config):
-        # the name below and getrefcount's argument: no routing algorithm,
-        # lane or node points back at the engine, built or after a run
-        engine = build_engine(config)
-        assert sys.getrefcount(engine) == 2
-        engine.run()
-        assert sys.getrefcount(engine) == 2
-
-
-# -- the finalizer never raises ------------------------------------------------------
-
 #: a run that leaves an engine in a module global and one in a cycle of its
 #: own, for the interpreter to drop at exit
 AT_EXIT = """
@@ -323,64 +309,15 @@ cyclic.itself = cyclic
 """
 
 
-def finalized(make) -> tuple[int, list]:
-    """How many engines were finalized while ``make()`` ran and a collection
-    after it, and what ``sys.unraisablehook`` recorded meanwhile."""
-    calls, recorded = [], []
-    real = Engine.__del__
-
-    def counted(engine):
-        calls.append(type(engine))
-        real(engine)
-
-    with mock.patch.object(Engine, "__del__", counted), \
-            mock.patch.object(sys, "unraisablehook", recorded.append):
-        make()
-        gc.collect()
-    return len(calls), [f"{r.exc_type.__name__}: {r.exc_value} in {r.object!r}" for r in recorded]
-
-
-def mid_unpickle_failure(directory) -> None:
-    """A checkpoint whose first packed Mersenne state has the wrong size:
-    ``load_checkpoint`` stops inside ``pickle.loads``, with the engine made
-    and its state not yet set."""
-    engine = build_engine(small_tree_config())
-    for _ in range(150):
-        engine.step()
-    path = directory / "ckpt-000000000150.rckpt"
-    save_checkpoint(engine, path)
-    del engine
-    _resize_first_packed_state(path, 4)
-    with pytest.raises(CheckpointError, match="packed Mersenne state"):
-        load_checkpoint(path)
-
-
-def with_intruders(make, path: str) -> None:
-    """An engine with ``make(obj)`` in place of a fabric direction in
-    ``_fabric_dirs`` and of a lane in a direction's ``lanes``, dropped."""
-    with LOOP_PATHS[path]():
-        engine = build_engine(small_cube_config(load=0.6))
-        for _ in range(60):
-            engine.step()
-    engine._fabric_dirs[3] = make(engine._fabric_dirs[3])
-    lanes = engine.dirs[5].lanes
-    lanes[1] = make(lanes[1])
-
-
-class TestTheFinalizer:
-    @pytest.mark.parametrize("path", LOOP_PATHS)
-    def test_records_nothing_for_an_engine_whose_wiring_raised(self, path):
-        with LOOP_PATHS[path]():
-            assert finalized(lambda: wired_twice(tree_config(k=2, n=2, vcs=2))) == (1, [])
-
-    def test_records_nothing_for_a_payload_that_fails_mid_unpickle(self, tmp_path):
-        # the engine being saved, then the half-restored one
-        assert finalized(lambda: mid_unpickle_failure(tmp_path)) == (2, [])
-
-    @pytest.mark.parametrize("path", LOOP_PATHS)
-    @pytest.mark.parametrize("make", [lambda obj: None, lambda obj: object()], ids=["none", "foreign"])
-    def test_records_nothing_for_an_engine_holding_what_is_not_a_lane(self, make, path):
-        assert finalized(lambda: with_intruders(make, path)) == (1, [])
+class TestABareEngine:
+    @pytest.mark.parametrize("config", ALGORITHMS.values(), ids=ALGORITHMS)
+    def test_is_held_by_its_caller_alone(self, config):
+        # the name below and getrefcount's argument: no routing algorithm,
+        # lane or node points back at the engine, built or after a run
+        engine = build_engine(config)
+        assert sys.getrefcount(engine) == 2
+        engine.run()
+        assert sys.getrefcount(engine) == 2
 
     def test_leaves_nothing_on_stderr_when_the_interpreter_exits(self):
         done = subprocess.run([sys.executable, "-c", AT_EXIT], capture_output=True, text=True)

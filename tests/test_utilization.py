@@ -1,15 +1,8 @@
-"""Unit tests for channel utilization analysis (repro.metrics.utilization)."""
+"""The link directions' flit counters over the measurement window
+(``LinkDirection.flits`` / ``measured_flits``): what the forensics
+``hotspots`` section and the scorecard heatmaps report per link."""
 
-import pytest
-
-from repro.errors import AnalysisError
-from repro.metrics.utilization import (
-    channel_loads,
-    cube_bisection_load,
-    tree_level_loads,
-    utilization_summary,
-)
-from repro.sim.run import build_engine, cube_config, tree_config
+from repro.sim.run import build_engine, cube_config
 
 
 def run_cube(**overrides):
@@ -23,105 +16,21 @@ def run_cube(**overrides):
     return eng
 
 
-def run_tree(**overrides):
-    defaults = dict(
-        k=2, n=3, vcs=2, load=0.3, seed=7, warmup_cycles=100, total_cycles=1100
-    )
-    defaults.update(overrides)
-    eng = build_engine(tree_config(**defaults))
-    eng.run()
-    return eng
-
-
 class TestChannelLoads:
-    def test_sorted_and_bounded(self):
-        eng = run_cube()
-        loads = channel_loads(eng)
-        assert loads == sorted(loads, key=lambda c: c.flits, reverse=True)
-        assert all(0.0 <= c.utilization <= 1.0 for c in loads)
-
     def test_measured_flit_totals_match_window_deliveries(self):
-        # the default window excludes warm-up traffic: ejected flits must
-        # equal the result's measurement-window delivery counter
+        # the measurement window excludes warm-up traffic: ejected flits
+        # must equal the result's measurement-window delivery counter
         eng = run_cube()
-        ejected = sum(c.flits for c in channel_loads(eng) if c.to_node)
+        ejected = sum(d.measured_flits for d in eng.dirs if d.to_node)
         assert ejected == eng.result.delivered_flits
         assert ejected < eng.delivered_flits_total  # warm-up was excluded
 
     def test_total_window_matches_engine_movement(self):
         eng = run_cube()
-        ejected = sum(
-            c.flits for c in channel_loads(eng, window="total") if c.to_node
-        )
+        ejected = sum(d.flits for d in eng.dirs if d.to_node)
         assert ejected == eng.delivered_flits_total
-
-    def test_unknown_window_rejected(self):
-        eng = run_cube()
-        with pytest.raises(AnalysisError, match="window"):
-            channel_loads(eng, window="bogus")
 
     def test_idle_network_is_silent(self):
         eng = build_engine(cube_config(k=4, n=2, load=0.0, total_cycles=50, warmup_cycles=0))
         eng.run()
-        assert all(c.flits == 0 for c in channel_loads(eng))
-
-
-class TestSummary:
-    def test_summary_fields(self):
-        eng = run_cube()
-        s = utilization_summary(eng)
-        assert 0 < s["mean"] <= s["max"] <= 1.0
-        assert s["imbalance"] >= 1.0
-
-    def test_adaptive_routing_balances_better_than_dor_on_transpose(self):
-        dor = utilization_summary(run_cube(algorithm="dor", pattern="transpose", load=0.5))
-        duato = utilization_summary(run_cube(algorithm="duato", pattern="transpose", load=0.5))
-        assert duato["imbalance"] < dor["imbalance"]
-
-
-class TestBisectionLoad:
-    def test_complement_saturates_bisection(self):
-        eng = run_cube(pattern="complement", load=1.0, total_cycles=2100)
-        cut = cube_bisection_load(eng, dim=0)
-        overall = utilization_summary(eng)
-        # crossing channels are much hotter than the fabric average
-        assert cut["mean_utilization"] > 1.5 * overall["mean"]
-
-    def test_channel_count_matches_formula(self):
-        from repro.topology.properties import cube_bisection_channels
-
-        eng = run_cube()
-        cut = cube_bisection_load(eng, dim=0)
-        # both directions of the cut are counted
-        assert cut["channels"] == 2 * cube_bisection_channels(4, 2)
-
-    def test_rejects_tree(self):
-        eng = run_tree()
-        with pytest.raises(AnalysisError):
-            cube_bisection_load(eng)
-
-
-class TestTreeLevelLoads:
-    def test_levels_present(self):
-        eng = run_tree()
-        loads = tree_level_loads(eng)
-        assert set(loads) == {-1, 0, 1}  # node links + two inter-level gaps
-        assert all(0.0 <= v <= 1.0 for v in loads.values())
-
-    def test_complement_uses_top_level_heavily(self):
-        # complement sends everything through the roots: the top gap is
-        # the hottest internal layer
-        eng = run_tree(pattern="complement", load=0.8, total_cycles=2100)
-        loads = tree_level_loads(eng)
-        assert loads[1] >= loads[0]
-
-    def test_neighbor_stays_low(self):
-        # neighbor traffic is mostly intra-leaf: top levels nearly idle
-        eng = run_tree(pattern="neighbor", load=0.8, total_cycles=2100)
-        loads = tree_level_loads(eng)
-        assert loads[1] < 0.3
-
-    def test_rejects_cube(self):
-        eng = run_cube()
-        with pytest.raises(AnalysisError):
-            tree_level_loads(eng)
+        assert all(d.flits == 0 for d in eng.dirs)

@@ -114,14 +114,17 @@ class TestReferenceWiring:
             assert d.index == i and d.lanes is engine.out_lanes[d.switch][d.port]
             assert len(d.lanes) == vcs and d.to_node is (i >= len(engine._fabric_dirs))
             for v, lane in enumerate(d.lanes):
-                assert (lane.vc, lane.direction, lane.packet, lane.buffered) == (v, d, None, 0)
+                assert (lane.vc, lane.dir, lane.packet, lane.buffered) == (v, i, None, 0)
                 if d.to_node:
                     assert lane.sink is engine.eject_lanes[lane.sink.node][v]
                 else:
-                    assert lane.sink.src_out is lane and lane.credits == lane.sink.cap == config.buffer_flits
+                    assert (lane.sink.src_dir, lane.sink.vc) == (i, v)
+                    assert engine._fabric_out[i * vcs + v] is lane
+                    assert lane.credits == lane.sink.cap == config.buffer_flits
+        assert len(engine._fabric_out) == vcs * len(engine._fabric_dirs)
         injection = 1 if config.network == "cube" else vcs
         assert {len(lanes) for lanes in engine._injection_lanes} == {injection}
-        assert all(lane.src_out is None for lanes in engine._injection_lanes for lane in lanes)
+        assert all(lane.src_dir == -1 for lanes in engine._injection_lanes for lane in lanes)
 
     @engine_settings
     @given(wiring_recipe())
