@@ -7,12 +7,33 @@ dump ends, so a checkpoint of a 256-node engine would hold one such container
 per lane, direction, packet, node, source and message beside the object
 itself.  :func:`field_list` gives a class a form with no state container on
 either side.
+
+``copy`` rebuilds an object from the same reduction but hands the list items
+back one ``append`` at a time; :func:`copied` is ``__copy__`` and
+``__deepcopy__`` for such a class, rebuilding it as the unpickler does.
 """
 
 from __future__ import annotations
 
+import copy
 import copyreg
 import operator
+
+
+def copied(self, memo=None):
+    """A copy of ``self`` rebuilt from its ``__reduce_ex__`` — deep (each
+    field value through ``copy.deepcopy``) when ``copy.deepcopy`` passes a
+    ``memo``, shallow from ``copy.copy``."""
+    reduced = self.__reduce_ex__(4)
+    twin = reduced[0](*reduced[1])
+    if len(reduced) == 2:  # reduced to an object a module holds (the fault sentinel)
+        return twin
+    values = list(reduced[3])
+    if memo is not None:
+        memo[id(self)] = twin
+        values = [copy.deepcopy(value, memo) for value in values]
+    twin.extend(values)
+    return twin
 
 
 def field_list(cls: type, names: tuple | None = None) -> type:
@@ -37,4 +58,5 @@ def field_list(cls: type, names: tuple | None = None) -> type:
 
     cls.__reduce_ex__ = __reduce_ex__
     cls.extend = namespace["extend"]
+    cls.__copy__ = cls.__deepcopy__ = copied
     return cls

@@ -66,7 +66,7 @@ from .probe import Instrument, Probe, compose_probe
 from .telemetry import config_digest
 
 #: bump on breaking changes to the digest document layout
-STATEHASH_FORMAT_VERSION = 1
+STATEHASH_FORMAT_VERSION = 2
 
 #: digest algorithm tag recorded in every document; digests are the
 #: first 64 bits of BLAKE2b, rendered as 16 hex chars
@@ -105,7 +105,6 @@ _TRANSPORT = (
     "messages", "acked", "gave_up", "retransmissions", "duplicates", "late_acks",
     "drops_seen", "max_attempts", "event_counter", "rtt_estimate",
 )
-_NEXT_SEQ = ("src", "dst", "seq")
 _UNRESOLVED = ("node", "count")
 _MESSAGE = (
     "src", "dst", "seq", "size", "created", "attempts", "acked", "gave_up",
@@ -385,21 +384,18 @@ def _congestion_tables(control) -> list:
 
 
 def _transport_tables(tp) -> list:
-    """The reliable transport: counters, sequence numbers and unresolved
-    counts sorted by key, the per-node registries in queue order, the
-    timer wheel in (due, counter) order, then the congestion loop.  The
-    reference of the kernel's ``transport_image(tp)``: the pre-image of every
-    table before :func:`_congestion_tables`, whose rows stay Python."""
+    """The reliable transport: counters, unresolved counts sorted by node,
+    the per-node registries in queue order, the copies in the network by
+    pid, the timer wheel in (due, counter) order, then the congestion loop.
+    Nothing here counts flows: a message's ``seq`` is its transport-wide
+    creation index, so the rows grow with what is in flight, not with the
+    run."""
     tables = [
         ((), _TRANSPORT, {(): (
             tp.messages, tp.acked, tp.gave_up, tp.retransmissions, tp.duplicates,
             tp.late_acks, tp.drops_seen, tp.max_attempts, tp._counter,
             _f2i(tp.rtt_estimate),
         )}),
-        (("next_seq",), _NEXT_SEQ, {
-            flow: (*flow, seq) for flow, seq in _by_key(tp._next_seq)
-        }),
-        _SEP,
         (("unresolved",), _UNRESOLVED, {
             node: (node, count) for node, count in _by_key(tp._unresolved)
         }),
@@ -409,7 +405,7 @@ def _transport_tables(tp) -> list:
         for node, queue in _by_key(queues):
             messages = dict(enumerate(map(_message_ints, queue)))
             tables += (_unnamed(node), ((name, node), _MESSAGE, messages))
-    events = sorted(tp._events, key=lambda e: (e[0], e[1]))
+    events = sorted(tp._events)  # (due, counter) is unique: no message is compared
     return tables + [
         _SEP,
         (("by_pid",), ("pid",) + _MESSAGE, {
@@ -476,9 +472,6 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
         kernel.fabric_image(engine.dirs, fabric.update)
         routing = kernel.routing_image(engine)
         nodes = list(map(_digest, kernel.node_images(engine.nodes)))
-        transport = b"" if tp is None else (
-            kernel.transport_image(tp) + _preimage(_congestion_tables(tp.congestion))
-        )
     else:
         for row in _fabric_rows(engine):
             data = _ints(row)
@@ -488,7 +481,7 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
                 links.append(data)
         routing = _preimage(_routing_tables(engine))
         nodes = [_digest(_preimage(_node_tables(node))) for node in engine.nodes]
-        transport = b"" if tp is None else _preimage(_transport_tables(tp))
+    transport = b"" if tp is None else _preimage(_transport_tables(tp))
     fabric.update(_digest(routing))
     subsystems = {
         "fabric": fabric.hexdigest(),

@@ -1,37 +1,26 @@
 /* What the state fingerprint hashes, read from the C structs: the int64 words
  * obs/statehash.py makes of the fabric (fabric_image, reference
- * _fabric_rows), of each node's injection side (node_images, _node_tables),
- * of the routing tables (routing_image, _routing_tables) and of the reliable
- * transport (transport_image, _transport_tables up to the congestion rows).
- * One writer (Image) writes them all; what the reference sorts is sorted
- * here, over ints.  Nothing is changed.  A unit of its own for the
+ * _fabric_rows), of each node's injection side (node_images, _node_tables)
+ * and of the routing tables (routing_image, _routing_tables).  One writer
+ * (Image) writes them all; the crossbar bindings the reference sorts are
+ * sorted here, over ints.  Nothing is changed.  A unit of its own for the
  * compiler's memory (see native.py).
  */
 #include "_phases.h"
 
-#define X(n) PyObject *s_##n;
-IMAGE_NAMES(X)
-#undef X
+#define NONE_WORD (-(1LL << 62) - 11) /* statehash._NONE: an absent value */
+#define IMAGE_WORDS 8192              /* 64 KiB handed off at a time */
 
-/* IMAGE_NAMES interned, on the first image of a node or a transport */
-int
-image_names(void)
-{
-    static int ready;
-    if (ready)
-        return 0;
-#define X(n) \
-    if ((s_##n = PyUnicode_InternFromString(#n)) == NULL) \
-        return -1;
-    IMAGE_NAMES(X)
-#undef X
-    ready = 1;
-    return 0;
-}
+typedef struct {
+    PyObject *update; /* borrowed: what the filled words go to; NULL: they are kept */
+    PyObject *parts;  /* owned: the words handed off so far while update is NULL */
+    Py_ssize_t n;     /* words filled */
+    long long words[IMAGE_WORDS];
+} Image;
 
 /* -- the writer: int64 words, handed off as bytes --------------------------------- */
 
-Image *
+static Image *
 image_open(PyObject *update)
 {
     Image *im = PyMem_Malloc(sizeof(Image));
@@ -43,7 +32,7 @@ image_open(PyObject *update)
     return im;
 }
 
-void
+static void
 image_close(Image *im)
 {
     Py_XDECREF(im->parts);
@@ -81,7 +70,7 @@ image_room(Image *im, Py_ssize_t more)
     return im->n + more <= IMAGE_WORDS ? 0 : image_flush(im);
 }
 
-int
+static int
 image_word(Image *im, long long w)
 {
     if (im->n == IMAGE_WORDS && image_flush(im) < 0)
@@ -92,7 +81,7 @@ image_word(Image *im, long long w)
 
 /* the words written since the last take, as one bytes object; the image is
  * empty after it */
-PyObject *
+static PyObject *
 image_take(Image *im)
 {
     PyObject *whole;
@@ -118,7 +107,7 @@ image_take(Image *im)
 }
 
 /* int(v) */
-int
+static int
 image_int(Image *im, PyObject *v)
 {
     long long w;
@@ -139,28 +128,6 @@ image_ints(Image *im, PyObject *iterable)
     }
     Py_DECREF(it);
     return rc < 0 || PyErr_Occurred() ? -1 : 0;
-}
-
-/* int(o.<name>) */
-int
-image_attr(Image *im, PyObject *o, PyObject *name)
-{
-    long long w;
-    return attr_int(o, name, &w) < 0 ? -1 : image_word(im, w);
-}
-
-/* statehash._f2i(v): a float's IEEE-754 bit pattern, NONE_WORD for None */
-int
-image_float(Image *im, PyObject *v)
-{
-    double x;
-    long long w;
-    if (v == Py_None)
-        return image_word(im, NONE_WORD);
-    if ((x = PyFloat_AsDouble(v)) == -1.0 && PyErr_Occurred())
-        return -1;
-    memcpy(&w, &x, 8);
-    return image_word(im, w);
 }
 
 /* packet.pid, or NONE_WORD for None */
@@ -211,7 +178,15 @@ optional_attr(PyObject *o, PyObject *name)
 
 /* -- sorted rows: what the reference sorts, sorted over ints ---------------------- */
 
-int
+/* a row to sort: up to three int keys, its place before the sort (the
+ * reference's sorts are stable) and the object it stands for, held */
+typedef struct {
+    long long key[3];
+    Py_ssize_t at;
+    PyObject *value;
+} Entry;
+
+static int
 entry_order(const void *a, const void *b)
 {
     const Entry *x = a, *y = b;
@@ -222,7 +197,7 @@ entry_order(const void *a, const void *b)
     return x->at < y->at ? -1 : x->at > y->at;
 }
 
-void
+static void
 entries_free(Entry *rows, Py_ssize_t n)
 {
     Py_ssize_t i;
@@ -419,7 +394,7 @@ node_images(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     nodes = args[0];
-    if (image_names() < 0 || (images = PyList_New(PyList_GET_SIZE(nodes))) == NULL)
+    if ((images = PyList_New(PyList_GET_SIZE(nodes))) == NULL)
         return NULL;
     if ((im = image_open(NULL)) == NULL) {
         Py_DECREF(images);

@@ -714,7 +714,6 @@ static PyMethodDef methods[] = {
     {"fabric_image", (PyCFunction)(void (*)(void))fabric_image, METH_FASTCALL, NULL},
     {"node_images", (PyCFunction)(void (*)(void))node_images, METH_FASTCALL, NULL},
     {"routing_image", (PyCFunction)(void (*)(void))routing_image, METH_FASTCALL, NULL},
-    {"transport_image", (PyCFunction)(void (*)(void))transport_image, METH_FASTCALL, NULL},
     {"find_worm", (PyCFunction)(void (*)(void))find_worm, METH_FASTCALL, NULL},
     {"link_totals", (PyCFunction)(void (*)(void))link_totals, METH_FASTCALL, NULL},
     {"mt_setup", (PyCFunction)(void (*)(void))mt_setup, METH_FASTCALL, NULL},

@@ -50,7 +50,7 @@
     X(latency_max) X(latencies) \
     X(on_direction_blocked) X(on_head_arrived) X(on_head_delivered) X(on_tail_delivered) \
     X(on_packets_generated) X(on_packet_injected) X(on_header_routed) \
-    X(advance) X(next_cycle) X(queue) X(popleft) \
+    X(advance) X(next_cycle) X(queue) X(popleft) X(inner) X(active) X(_next) \
     X(select) X(out) X(rng) X(getrandbits) X(k) X(_lo) X(_hi) X(_weight) X(_up_ports) \
     X(_coords) X(_hops) X(eject_port) X(half) X(n_adaptive) X(escape_base) \
     X(adaptive_grants) X(escape_grants) \
@@ -241,51 +241,6 @@ PyObject *lanes_of(PyObject *d, int *to_node);
 /* engine.<name> as a list, owned (_storage.c) */
 PyObject *list_attr(PyObject *engine, PyObject *name);
 
-/* -- the fingerprint's images: _images.c ---------------------------------------- */
-
-/* what the images read of the sources and the transport, interned on the
- * first image that needs them (image_names()) */
-#define IMAGE_NAMES(X) \
-    X(inner) X(active) X(_next) X(messages) X(acked) X(gave_up) X(retransmissions) X(duplicates) \
-    X(late_acks) X(drops_seen) X(max_attempts) X(_counter) X(rtt_estimate) X(_next_seq) \
-    X(_unresolved) X(_fifo) X(_waiting) X(_by_pid) X(_events) X(src) X(dst) X(seq) X(size) \
-    X(created) X(attempts) X(delivered_first) X(deadline) X(claimed) X(last_sent)
-
-#define X(n) extern PyObject *s_##n;
-IMAGE_NAMES(X)
-#undef X
-
-int image_names(void);
-
-#define NONE_WORD (-(1LL << 62) - 11) /* statehash._NONE: an absent value */
-#define IMAGE_WORDS 8192              /* 64 KiB handed off at a time */
-
-typedef struct {
-    PyObject *update; /* borrowed: what the filled words go to; NULL: they are kept */
-    PyObject *parts;  /* owned: the words handed off so far while update is NULL */
-    Py_ssize_t n;     /* words filled */
-    long long words[IMAGE_WORDS];
-} Image;
-
-Image *image_open(PyObject *update);
-void image_close(Image *im);
-int image_word(Image *im, long long w);
-PyObject *image_take(Image *im);
-int image_int(Image *im, PyObject *v);
-int image_attr(Image *im, PyObject *o, PyObject *name);
-int image_float(Image *im, PyObject *v);
-
-/* a row to sort: up to three int keys, its place before the sort (the
- * reference's sorts are stable) and the object it stands for, held */
-typedef struct {
-    long long key[3];
-    Py_ssize_t at;
-    PyObject *value;
-} Entry;
-
-int entry_order(const void *a, const void *b);
-void entries_free(Entry *rows, Py_ssize_t n);
-
 /* -- select(): _select.c -------------------------------------------------------- */
 
 /* a routing algorithm for the length of a phase */
@@ -313,7 +268,6 @@ PyObject *fabric_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs
 PyObject *node_images(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *routing_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *find_worm(PyObject *module, PyObject *const *args, Py_ssize_t nargs);       /* _walkers.c */
-PyObject *transport_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *link_totals(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *mt_setup(PyObject *module, PyObject *const *args, Py_ssize_t nargs);
 PyObject *injection_phase(PyObject *module, PyObject *const *args, Py_ssize_t nargs); /* _routing.c */

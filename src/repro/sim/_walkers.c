@@ -114,234 +114,6 @@ failed:
     return NULL;
 }
 
-/* statehash._by_key(table): the items of a dict sorted by key -- an int, or
- * a tuple of `width` ints -- each value held in an entry; -1 on an error */
-static Py_ssize_t
-by_key(PyObject *table, int width, Entry **out)
-{
-    PyObject *key, *value, **keys;
-    Py_ssize_t pos = 0, n, i = 0;
-    int j, rc = 0;
-    Entry *rows;
-    if (!PyDict_Check(table)) {
-        PyErr_SetString(PyExc_TypeError, "the transport's tables must be dicts");
-        return -1;
-    }
-    n = PyDict_GET_SIZE(table);
-    rows = PyMem_Calloc(n ? n : 1, sizeof(Entry));
-    keys = PyMem_Calloc(n ? n : 1, sizeof(PyObject *));
-    if (rows == NULL || keys == NULL) {
-        PyMem_Free(rows);
-        PyMem_Free(keys);
-        PyErr_NoMemory();
-        return -1;
-    }
-    /* held first: reading a key that is not a plain int may run code */
-    while (i < n && PyDict_Next(table, &pos, &key, &value)) {
-        keys[i] = Py_NewRef(key);
-        rows[i].value = Py_NewRef(value);
-        rows[i].at = i;
-        i++;
-    }
-    n = i;
-    for (i = 0; rc == 0 && i < n; i++) {
-        if (width == 1)
-            rc = as_int(keys[i], &rows[i].key[0]);
-        else if (!PyTuple_Check(keys[i]) || PyTuple_GET_SIZE(keys[i]) != width) {
-            PyErr_Format(PyExc_TypeError, "a key of the transport's flows is a tuple of %d ints", width);
-            rc = -1;
-        } else
-            for (j = 0; rc == 0 && j < width; j++)
-                rc = as_int(PyTuple_GET_ITEM(keys[i], j), &rows[i].key[j]);
-    }
-    for (i = 0; i < n; i++)
-        Py_DECREF(keys[i]);
-    PyMem_Free(keys);
-    if (rc < 0) {
-        entries_free(rows, n);
-        return -1;
-    }
-    qsort(rows, n, sizeof(Entry), entry_order);
-    *out = rows;
-    return n;
-}
-
-/* -- the reliable transport: statehash._transport_tables ------------------------- */
-
-/* statehash._message_ints: the fields of a message, in _MESSAGE order */
-static PyObject **const MESSAGE[] = {
-    &s_src, &s_dst, &s_seq, &s_size, &s_created, &s_attempts, &s_acked, &s_gave_up,
-    &s_delivered_first, &s_deadline, &s_claimed, &s_last_sent,
-};
-
-static int
-image_message(Image *im, PyObject *msg)
-{
-    size_t i;
-    for (i = 0; i < sizeof(MESSAGE) / sizeof(MESSAGE[0]); i++)
-        if (image_attr(im, msg, *MESSAGE[i]) < 0)
-            return -1;
-    return 0;
-}
-
-/* the messages of every node's queue in `name` (a dict node -> deque),
- * nodes in order, each after the separator and its node */
-static int
-image_queues(Image *im, PyObject *tp, PyObject *name)
-{
-    PyObject *table = PyObject_GetAttr(tp, name), *it, *msg;
-    Entry *rows;
-    Py_ssize_t i, n;
-    int rc = 0;
-    if (table == NULL || image_word(im, NONE_WORD) < 0) {
-        Py_XDECREF(table);
-        return -1;
-    }
-    n = by_key(table, 1, &rows);
-    Py_DECREF(table);
-    if (n < 0)
-        return -1;
-    for (i = 0; rc == 0 && i < n; i++) {
-        if (image_word(im, rows[i].key[0]) < 0 || (it = PyObject_GetIter(rows[i].value)) == NULL) {
-            rc = -1;
-            break;
-        }
-        while (rc == 0 && (msg = PyIter_Next(it)) != NULL) {
-            rc = image_message(im, msg);
-            Py_DECREF(msg);
-        }
-        Py_DECREF(it);
-        if (PyErr_Occurred())
-            rc = -1;
-    }
-    entries_free(rows, n);
-    return rc;
-}
-
-/* the timer wheel in (due, counter) order: due, counter, kind, the message's
- * src, dst and seq, tag */
-static int
-image_events(Image *im, PyObject *tp)
-{
-    PyObject *events, *ev, *msg;
-    Entry *rows = NULL;
-    Py_ssize_t i, n = 0;
-    int rc = -1;
-    if ((ev = PyObject_GetAttr(tp, s__events)) == NULL)
-        return -1;
-    events = PySequence_Tuple(ev); /* held whole: reading a message may run code */
-    Py_DECREF(ev);
-    if (events == NULL)
-        return -1;
-    if ((rows = PyMem_Calloc(PyTuple_GET_SIZE(events) + 1, sizeof(Entry))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (; n < PyTuple_GET_SIZE(events); n++) {
-        ev = PyTuple_GET_ITEM(events, n);
-        if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 5) {
-            PyErr_SetString(PyExc_ValueError, "a timer event is (due, counter, kind, message, tag)");
-            goto done;
-        }
-        if (as_int(PyTuple_GET_ITEM(ev, 0), &rows[n].key[0]) < 0
-            || as_int(PyTuple_GET_ITEM(ev, 1), &rows[n].key[1]) < 0)
-            goto done;
-        rows[n].at = n;
-    }
-    qsort(rows, n, sizeof(Entry), entry_order);
-    for (i = 0; i < n; i++) {
-        ev = PyTuple_GET_ITEM(events, rows[i].at);
-        msg = PyTuple_GET_ITEM(ev, 3);
-        if (image_word(im, rows[i].key[0]) < 0 || image_word(im, rows[i].key[1]) < 0
-            || image_int(im, PyTuple_GET_ITEM(ev, 2)) < 0 || image_attr(im, msg, s_src) < 0
-            || image_attr(im, msg, s_dst) < 0 || image_attr(im, msg, s_seq) < 0
-            || image_int(im, PyTuple_GET_ITEM(ev, 4)) < 0)
-            goto done;
-    }
-    rc = 0;
-done:
-    PyMem_Free(rows);
-    Py_DECREF(events);
-    return rc;
-}
-
-/* the transport's _TRANSPORT counters, in order */
-static PyObject **const TRANSPORT[] = {
-    &s_messages, &s_acked, &s_gave_up, &s_retransmissions, &s_duplicates, &s_late_acks,
-    &s_drops_seen, &s_max_attempts, &s__counter,
-};
-
-/* transport_image(tp) -> bytes: the pre-image of every table
- * statehash._transport_tables lists before the congestion loop's, the
- * separator in front of those included */
-PyObject *
-transport_image(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *tp, *v, *result = NULL;
-    Entry *rows = NULL;
-    Py_ssize_t i, n = 0;
-    Image *im;
-    size_t f;
-    int rc;
-    if (nargs != 1) {
-        PyErr_SetString(PyExc_TypeError, "transport_image(tp)");
-        return NULL;
-    }
-    tp = args[0];
-    if (image_names() < 0 || (im = image_open(NULL)) == NULL)
-        return NULL;
-    for (f = 0; f < sizeof(TRANSPORT) / sizeof(TRANSPORT[0]); f++)
-        if (image_attr(im, tp, *TRANSPORT[f]) < 0)
-            goto done;
-    if ((v = PyObject_GetAttr(tp, s_rtt_estimate)) == NULL)
-        goto done;
-    rc = image_float(im, v);
-    Py_DECREF(v);
-    if (rc < 0 || (v = PyObject_GetAttr(tp, s__next_seq)) == NULL)
-        goto done;
-    n = by_key(v, 2, &rows);
-    Py_DECREF(v);
-    if (n < 0)
-        goto done;
-    for (i = 0; i < n; i++)
-        if (image_word(im, rows[i].key[0]) < 0 || image_word(im, rows[i].key[1]) < 0
-            || image_int(im, rows[i].value) < 0)
-            goto done;
-    entries_free(rows, n);
-    rows = NULL;
-    if (image_word(im, NONE_WORD) < 0 || (v = PyObject_GetAttr(tp, s__unresolved)) == NULL)
-        goto done;
-    n = by_key(v, 1, &rows);
-    Py_DECREF(v);
-    if (n < 0)
-        goto done;
-    for (i = 0; i < n; i++)
-        if (image_word(im, rows[i].key[0]) < 0 || image_int(im, rows[i].value) < 0)
-            goto done;
-    entries_free(rows, n);
-    rows = NULL;
-    if (image_queues(im, tp, s__fifo) < 0 || image_queues(im, tp, s__waiting) < 0
-        || image_word(im, NONE_WORD) < 0 || (v = PyObject_GetAttr(tp, s__by_pid)) == NULL)
-        goto done;
-    n = by_key(v, 1, &rows);
-    Py_DECREF(v);
-    if (n < 0)
-        goto done;
-    for (i = 0; i < n; i++)
-        if (image_word(im, rows[i].key[0]) < 0 || image_message(im, rows[i].value) < 0)
-            goto done;
-    entries_free(rows, n);
-    rows = NULL;
-    if (image_word(im, NONE_WORD) < 0 || image_events(im, tp) < 0 || image_word(im, NONE_WORD) < 0)
-        goto done;
-    result = image_take(im);
-done:
-    if (rows != NULL)
-        entries_free(rows, n);
-    image_close(im);
-    return result;
-}
-
 /* -- Mersenne streams in place ---------------------------------------------------- */
 
 #define MT_N 624                   /* words of state; then the position */

@@ -88,10 +88,12 @@ from ..obs.telemetry import config_digest
 from . import engine as _engine
 from .native import plain_stream
 
-#: bump on breaking changes to the header schema or pickle envelope, and
+#: bump on breaking changes to the header schema or pickle envelope,
 #: whenever the attributes the phases of ``Engine.step`` read off a restored
-#: engine change: an older payload would unpickle fine and fail mid-run
-CHECKPOINT_FORMAT_VERSION = 9
+#: engine change (an older payload would unpickle fine and fail mid-run), and
+#: with ``STATEHASH_FORMAT_VERSION``: a header's root is a fingerprint, and
+#: one of an older layout would fail the root gate like a bad restore
+CHECKPOINT_FORMAT_VERSION = 10
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"

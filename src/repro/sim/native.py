@@ -31,7 +31,7 @@ import sys
 import time
 import warnings
 
-from ..fields import field_list
+from ..fields import copied, field_list
 
 _HERE = pathlib.Path(__file__).parent
 #: the translation units, compiled one after the other and linked into one
@@ -201,6 +201,7 @@ def storage(name: str, fields: tuple) -> type:
     ``__reduce_ex__`` and ``extend``, or :func:`field_list`'s."""
     if KERNEL is not None:
         base = KERNEL.storage(name, fields)
+        base.__copy__ = base.__deepcopy__ = copied
     else:
         base = field_list(type(name, (), {"__slots__": tuple(field for field, _ in fields)}))
     base.FIELDS = fields

@@ -9,9 +9,10 @@ Public surface:
   (shuffle, butterfly, tornado, neighbor, hotspot).
 * :mod:`repro.traffic.generator` — Bernoulli packet injection processes at
   a given fraction of network capacity.
-* :mod:`repro.traffic.transport` — source-side reliable transport
-  (sequence numbers, modeled ACKs, timeout retransmission, duplicate
-  suppression) for exactly-once delivery under fail-stop faults.
+* :mod:`repro.traffic.transport` — source-side reliable transport (a
+  transport-wide sequence number per message, modeled ACKs, timeout
+  retransmission, duplicate suppression) for exactly-once delivery under
+  fail-stop faults.
 """
 
 from .address import (

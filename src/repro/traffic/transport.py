@@ -7,9 +7,11 @@ metric in the paper rests on.  This module restores end-to-end delivery
 above the network, with the textbook ARQ machinery scaled down to the
 flit-level model:
 
-* **sequence numbers** — each source stamps a per-destination sequence
-  number on every message, so the sink can identify retransmitted
-  copies of the same message regardless of packet ids;
+* **sequence numbers** — every copy is injected for one message, and the
+  sink recognises a copy through the message it was injected for (its
+  packet id maps to it), so a retransmission counts against the message
+  it repeats; ``seq`` names that message: a transport-wide sequence number
+  per message, its creation index;
 * **ACK return path** — a delivered first copy triggers an acknowledgment
   that arrives back at the source after a configurable modeled delay
   (the reverse path is not simulated flit-by-flit: ACKs are tiny and
@@ -232,8 +234,6 @@ class ReliableTransport(Probe):
         self._fifo: dict[int, deque[_Message]] = {}
         #: pid of the copy currently in the network -> its message
         self._by_pid: dict[int, _Message] = {}
-        #: per-(src, dst) next sequence number
-        self._next_seq: dict[tuple[int, int], int] = {}
         #: per-node messages registered but not yet ACKed or given up
         self._unresolved: dict[int, int] = {}
         #: (due_cycle, tiebreak, kind, message, deadline_tag)
@@ -296,10 +296,7 @@ class ReliableTransport(Probe):
     def _track(self, node: int, entry: tuple) -> _Message:
         created, dst = entry[0], entry[1]
         size = entry[2] if len(entry) > 2 else self._default_size
-        key = (node, dst)
-        seq = self._next_seq.get(key, 0)
-        self._next_seq[key] = seq + 1
-        msg = _Message(node, dst, seq, size, created)
+        msg = _Message(node, dst, self.messages, size, created)
         self._unresolved[node] += 1
         self.messages += 1
         return msg

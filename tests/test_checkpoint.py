@@ -8,6 +8,7 @@ structured discard findings instead of being trusted, and campaign
 supervision resumes interrupted points from their newest valid
 checkpoint with the *original* seed."""
 
+import copy
 import copyreg
 import hashlib
 import io
@@ -34,6 +35,7 @@ from repro.experiments.runcache import RunCache
 from repro.experiments.sweep import _cache_key, _point_task, point_dir, run_sweep
 from repro.faults import Faults
 from repro.obs.flight import Flight, FlightConfig, FlightRecorder
+from repro.obs import statehash
 from repro.obs.statehash import StateDigestConfig, StateHash
 from repro.router.lane import InputLane, LinkDirection, OutputLane
 from repro.sim import checkpoint as checkpoint_module
@@ -295,6 +297,27 @@ def _no_recursion_limit(limit):
 # -- packed Mersenne states ----------------------------------------------------
 
 
+class TestDeepCopies:
+    def test_a_deep_copy_of_a_chaos_engine_steps_beside_the_original(self):
+        # what pickles as a field list copies too (a copy rebuilt it through
+        # append, which no such class has): the copy shares nothing it steps
+        engine, _ = start(PACKED_CHAOS["tree"], [Flight(FlightConfig(interval_cycles=64)), PACKED_STORM])
+        engine.probe.on_run_start(engine)
+        while engine.cycle < 500:
+            engine.step()
+        assert engine.find_probe(ReliableTransport)._by_pid and engine.dropped_packets_total
+        root = engine.state_fingerprint()["root"]
+        twin = copy.deepcopy(engine)
+        assert twin.state_fingerprint()["root"] == root
+        for _ in range(200):
+            twin.step()
+        assert engine.state_fingerprint()["root"] == root
+        for _ in range(200):
+            engine.step()
+        assert twin.state_fingerprint()["root"] == engine.state_fingerprint()["root"] != root
+        twin.audit()
+
+
 class TestPackedMersenneStates:
     @pytest.mark.parametrize("network", ["tree", "cube"])
     def test_a_mid_run_chaos_engine_restores_every_stream(self, network, tmp_path):
@@ -456,6 +479,37 @@ class TestPackedMersenneStates:
         discarded = read_manifest(tmp_path)["discarded"]
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 8, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
+    def test_a_format_9_transport_file_is_discarded_as_stale(self, tmp_path, monkeypatch):
+        # a format-9 header's root is a statehash format 1 fingerprint, which
+        # hashed the transport's per-flow sequence table: its payload would
+        # unpickle and restore fine, and only the root gate would refuse it
+        config = small_tree_config()
+        engine = build_engine(config)
+        ReliableTransport(TransportConfig(base_timeout=16, jitter=8, seed=3)).install(engine)
+        engine.probe.on_run_start(engine)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        rows = statehash._transport_tables
+
+        def as_format_1(tp):
+            counters, *rest = rows(tp)
+            flows = {(0, 1): (0, 1, 1)}
+            return [counters, (("next_seq",), ("src", "dst", "seq"), flows), statehash._SEP, *rest]
+
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 9)
+            with monkeypatch.context() as format_1:
+                format_1.setattr(statehash, "_transport_tables", as_format_1)
+                save_checkpoint(engine, path)
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(path, config)
+            assert exc.value.kind == "fingerprint-mismatch"
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 9, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)

@@ -1,5 +1,6 @@
 """Unit tests for virtual-channel lanes (repro.router.lane)."""
 
+import copy
 import copyreg
 import json
 import pickle
@@ -10,7 +11,8 @@ from repro.errors import SimulationError
 from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
 from repro.sim import native
 from repro.sim.engine import _Node
-from repro.sim.packet import Packet
+from repro.sim.packet import FAULT_SENTINEL, Packet
+from repro.traffic.transport import _Message
 
 from .conftest import built_for_the_pickle, on_the_other_storage
 from .test_arbiter import Channel
@@ -220,6 +222,17 @@ class TestPickledState:
         clone = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
         assert [getattr(clone, name) for name in names] == values
         assert built_for_the_pickle(obj) == []
+
+    @pytest.mark.parametrize("obj", [*stored(), _Message(0, 1, 2, 4, 5)],
+                             ids=lambda obj: f"{type(obj).__name__}-")
+    def test_copy_and_deepcopy_rebuild_the_field_list(self, obj):
+        # copy's own rebuild hands the list items to append one at a time;
+        # the classes have only extend, so they copy as the unpickler rebuilds
+        names = [name for name, _ in obj.FIELDS] if hasattr(obj, "FIELDS") else obj.__slots__
+        for twin in (copy.copy(obj), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin is not obj
+            assert [getattr(twin, name) for name in names] == [getattr(obj, name) for name in names]
+        assert copy.copy(FAULT_SENTINEL) is FAULT_SENTINEL is copy.deepcopy(FAULT_SENTINEL)
 
     def test_a_field_list_of_another_length_is_refused(self):
         lane = EjectionLane(7)

@@ -357,14 +357,13 @@ C_ONLY = {
         "member_named", "setattro", "reduce_ex", "extend",
     },
     "the fingerprint's images, whose references are obs/statehash.py's _fabric_rows, "
-    "_node_tables, _routing_tables and _transport_tables": {
-        "fabric_image", "node_images", "routing_image", "transport_image",
-        "image_lane", "image_source", "image_node", "image_message", "image_queues", "image_events",
+    "_node_tables and _routing_tables": {
+        "fabric_image", "node_images", "routing_image", "image_lane", "image_source", "image_node",
     },
-    "the images' writer, the names they read, and the sorts the reference asks sorted() for": {
-        "image_names", "image_open", "image_close", "image_flush", "image_room", "image_word",
-        "image_take", "image_int", "image_ints", "image_attr", "image_float", "image_pid",
-        "image_bound", "pid_word", "optional_attr", "entry_order", "entries_free", "by_key",
+    "the images' writer, and the sort the reference asks sorted() for": {
+        "image_open", "image_close", "image_flush", "image_room", "image_word", "image_take",
+        "image_int", "image_ints", "image_pid", "image_bound", "pid_word", "optional_attr",
+        "entry_order", "entries_free",
     },
     "what the whole-fabric walks (fabric_image, find_worm, link_totals) read of a direction": {
         "lanes_of",

@@ -21,6 +21,10 @@ from repro.obs import MultiProbe, TraceProbe, WindowedCounterProbe, config_diges
 from repro.obs.flight import FlightRecorder
 from repro.obs.report import render_scorecard, statehash_entries
 from repro.obs.statehash import (
+    _EVENT,
+    _MESSAGE,
+    _TRANSPORT,
+    _UNRESOLVED,
     DIGEST_ALGO,
     STATEHASH_FORMAT_VERSION,
     SUBSYSTEMS,
@@ -28,6 +32,8 @@ from repro.obs.statehash import (
     StateDigestProbe,
     describe_statehash,
     StateHash,
+    _preimage,
+    _transport_tables,
     engine_fingerprint,
     snapshot_diff,
     state_snapshot,
@@ -271,6 +277,29 @@ class TestOneDescriptionOfState:
         assert [f["path"] for f in findings] == [path]
 
 
+class TestTheTransportRows:
+    def test_the_pre_image_counts_nodes_messages_and_timers_never_flows(self):
+        # a message's seq is its creation index: no row per (src, dst) flow
+        # ever seen, so the words follow what is queued or in flight
+        engine = build_engine(small_tree_config(load=0.6))
+        tp = ReliableTransport(TransportConfig(base_timeout=16, jitter=8, seed=3)).install(engine)
+        engine.probe.on_run_start(engine)
+        for _ in range(300):
+            engine.step()
+        nodes = len(engine.nodes)
+        queued = sum(map(len, tp._fifo.values())) + sum(map(len, tp._waiting.values()))
+        flows = {(msg.src, msg.dst) for msg in tp._by_pid.values()}
+        assert queued and tp._events and len(flows) > 1
+        words = (
+            len(_TRANSPORT) + len(_UNRESOLVED) * nodes
+            + 2 * (1 + nodes) + len(_MESSAGE) * queued  # fifo, waiting: separator, node, messages
+            + 1 + (1 + len(_MESSAGE)) * len(tp._by_pid)  # separator, pid and message
+            + 1 + len(_EVENT) * len(tp._events)
+            + 1 + 1  # separator, no congestion loop
+        )
+        assert len(_preimage(_transport_tables(tp))) == 8 * words
+
+
 class TestDeterminism:
     def test_chain_byte_identical_across_reruns(self):
         config = small_tree_config(load=0.5)
@@ -384,6 +413,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["telemetry"]["statehash"]["entries"] >= 2
+        assert doc["telemetry"]["statehash"]["format"] == 2
 
     def test_audit_flag_implies_statehash(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.chaos import StormSpec, run_chaos_point
 from repro.obs import NullProbe
 from repro.sim.run import build_engine, start
 from repro.traffic.transport import (
@@ -221,3 +222,23 @@ class TestTimerJitter:
             expected = cycle + int(timeout) + (twin.randint(0, jitter) if jitter else 0)
             assert msg.deadline == expected
         assert transport._rng.getstate() == twin.getstate()
+
+
+class TestSequenceNumbers:
+    def test_a_chaos_run_numbers_its_messages_in_creation_order(self, monkeypatch):
+        # seq is transport-wide: the n-th message registered, held or not,
+        # carries n, and no table of flows is kept to number them
+        made = []
+        track = ReliableTransport._track
+
+        def tracked(self, node, entry):
+            made.append(track(self, node, entry))
+            return made[-1]
+
+        monkeypatch.setattr(ReliableTransport, "_track", tracked)
+        storm = StormSpec(fault_rate=0.2, storm_seed=9,
+                          transport=TransportConfig(base_timeout=16, jitter=8, seed=3))
+        reliability = run_chaos_point(small_tree_config(load=0.6, total_cycles=800), storm).telemetry.reliability
+        assert reliability["retransmissions"] > 0 and reliability["messages"] == len(made)
+        assert [msg.seq for msg in made] == list(range(len(made)))
+        assert not hasattr(ReliableTransport(), "_next_seq")

@@ -4,12 +4,12 @@ their Python references.
 Where the kernel is loaded they replace a Python iteration, chosen like the
 phases through ``repro.sim.engine.NATIVE_PHASES`` at call time:
 
-* ``fabric_image(dirs, update)``, ``node_images(nodes)``,
-  ``routing_image(engine)`` and ``transport_image(tp)`` — the words a plain
-  fingerprint hashes; their references are ``obs/statehash.py``'s
-  ``_fabric_rows``, ``_node_tables``, ``_routing_tables`` and
-  ``_transport_tables`` (up to the congestion rows, which stay Python), which
-  the detailed fingerprint and ``state_snapshot`` still read;
+* ``fabric_image(dirs, update)``, ``node_images(nodes)`` and
+  ``routing_image(engine)`` — the words a plain fingerprint hashes; their
+  references are ``obs/statehash.py``'s ``_fabric_rows``, ``_node_tables``
+  and ``_routing_tables``, which the detailed fingerprint and
+  ``state_snapshot`` still read (the transport's rows, ``_transport_tables``,
+  are hashed on both paths);
 * ``find_worm(dirs, packet)`` — the search of ``Engine.kill_packet``; its
   twin is ``sim/phases.py``'s ``find_worm``;
 * ``link_totals(dirs)`` — what a flight sample reads of the links; its twin
@@ -36,6 +36,7 @@ import contextlib
 import io
 import pickle
 import random
+import types
 
 import pytest
 
@@ -44,14 +45,12 @@ from repro.faults import FaultPolicy
 from repro.obs.flight import Flight
 from repro.obs.statehash import (
     _NONE,
-    _congestion_tables,
     _fabric_rows,
     _ints,
     _node_tables,
     _preimage,
     _rng_digest,
     _routing_tables,
-    _transport_tables,
 )
 from repro.router.lane import EjectionLane, InputLane, LinkDirection, OutputLane
 from repro.sim import checkpoint, native
@@ -120,7 +119,7 @@ def engine(request):
 def congested() -> object:
     """A 16-node tree 150 cycles into a transpose overload under the closed
     congestion loop: AIMD windows open, marked packets and hot links in the
-    marker — the rows the transport image leaves to Python."""
+    marker."""
     engine = build_engine(tree_config(k=4, n=2, vcs=2, pattern="transpose", load=0.9, seed=3,
                                       warmup_cycles=20, total_cycles=400))
     Congested(control=CongestionConfig(window_cycles=16, hot_fraction=0.2)).install(engine)
@@ -137,14 +136,9 @@ def congested() -> object:
 def images(engine) -> dict:
     """Each image of the kernel beside the bytes of its reference rows."""
     kernel = engine_module.NATIVE_PHASES
-    tp = engine.find_probe(ReliableTransport)
     return {
         "nodes": (kernel.node_images(engine.nodes), [_preimage(_node_tables(n)) for n in engine.nodes]),
         "routing": (kernel.routing_image(engine), _preimage(_routing_tables(engine))),
-        "transport": (
-            kernel.transport_image(tp) + _preimage(_congestion_tables(tp.congestion)),
-            _preimage(_transport_tables(tp)),
-        ),
     }
 
 
@@ -180,9 +174,9 @@ class TestTheFabricImage:
 
 
 class TestTheEngineImages:
-    """``node_images``, ``routing_image`` and ``transport_image``: the bytes of
-    the rows, on engines whose sources, headers, bindings, registries, timer
-    wheel and congestion loop all hold something."""
+    """``node_images`` and ``routing_image``: the bytes of the rows, on
+    engines whose sources, headers and bindings all hold something, under a
+    transport whose registries, timer wheel and congestion loop do too."""
 
     def test_each_image_is_the_bytes_of_its_rows(self, engine):
         if engine_module.NATIVE_PHASES is None:
@@ -230,19 +224,10 @@ class TestTheEngineImages:
         kernel = engine_module.NATIVE_PHASES
         if kernel is None:
             return
-        tp = engine.find_probe(ReliableTransport)
         with pytest.raises(TypeError):
             kernel.node_images(tuple(engine.nodes))
-        events = tp._events
-        try:
-            tp._events = [*events, (1, 2, 0)]
-            with pytest.raises(ValueError):
-                kernel.transport_image(tp)
-            tp._events = [*events, (1.5, 2, 0, None, 0)]
-            with pytest.raises(TypeError):
-                kernel.transport_image(tp)
-        finally:
-            tp._events = events
+        with pytest.raises(TypeError, match="pending holds lists"):
+            kernel.routing_image(types.SimpleNamespace(route_rr=engine.route_rr, pending=[()]))
 
 
 class TestTheKillFinder:
