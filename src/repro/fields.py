@@ -24,15 +24,12 @@ def copied(self, memo=None):
     """A copy of ``self`` rebuilt from its ``__reduce_ex__`` — deep (each
     field value through ``copy.deepcopy``) when ``copy.deepcopy`` passes a
     ``memo``, shallow from ``copy.copy``."""
-    reduced = self.__reduce_ex__(4)
-    twin = reduced[0](*reduced[1])
-    if len(reduced) == 2:  # reduced to an object a module holds (the fault sentinel)
-        return twin
-    values = list(reduced[3])
-    if memo is not None:
-        memo[id(self)] = twin
-        values = [copy.deepcopy(value, memo) for value in values]
-    twin.extend(values)
+    rebuild, args, *rest = self.__reduce_ex__(4)
+    twin = rebuild(*args)
+    if rest:  # not reduced to an object a module holds (the fault sentinel)
+        if memo is not None:
+            memo[id(self)] = twin
+        twin.extend([v if memo is None else copy.deepcopy(v, memo) for v in rest[-1]])
     return twin
 
 

@@ -294,13 +294,10 @@ def _no_recursion_limit(limit):
     raise AssertionError(f"sys.setrecursionlimit({limit}) called")
 
 
-# -- packed Mersenne states ----------------------------------------------------
-
-
 class TestDeepCopies:
     def test_a_deep_copy_of_a_chaos_engine_steps_beside_the_original(self):
-        # what pickles as a field list copies too (a copy rebuilt it through
-        # append, which no such class has): the copy shares nothing it steps
+        # copy's own rebuild feeds a reduction's list items to append, which
+        # no field-list class has; the copy must share nothing it steps
         engine, _ = start(PACKED_CHAOS["tree"], [Flight(FlightConfig(interval_cycles=64)), PACKED_STORM])
         engine.probe.on_run_start(engine)
         while engine.cycle < 500:
@@ -316,6 +313,9 @@ class TestDeepCopies:
             engine.step()
         assert twin.state_fingerprint()["root"] == engine.state_fingerprint()["root"] != root
         twin.audit()
+
+
+# -- packed Mersenne states ----------------------------------------------------
 
 
 class TestPackedMersenneStates:
