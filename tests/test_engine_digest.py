@@ -9,7 +9,9 @@ at the commit before the single-``step`` hot-path rewrite (PR 13) and
 must only ever change together with a deliberate model change, or with
 ``STATEHASH_FORMAT_VERSION``: a new layout of the rows moves the roots of
 the state it covers (format 2 took the per-flow sequence table out of the
-transport rows, so ``congested``, the one case under a transport, moved).
+transport rows, format 3 the timer counter, the per-node unresolved counts,
+the empty queues and the dead timers, so ``congested``, the one case under
+a transport, moved both times).
 
 The roots fold each RNG stream through CPython's unsalted tuple hash,
 which is stable across the 64-bit CPython versions CI runs.
@@ -96,10 +98,10 @@ CASES = {
 
 #: recorded at the parent of PR 13 (commit 4600ea8) by running
 #: ``python tests/test_engine_digest.py``; ``congested`` re-recorded the
-#: same way for statehash format 2
+#: same way for statehash formats 2 and 3
 GOLDEN: dict[str, list[str]] = {
     'age': ['764d5e236fd373bb', '15c67ec13472d780', 'b51a4e88cf473028'],
-    'congested': ['13ba1c03bdee40d3', '99b93d178ca3bdcc', '0832df0313aca998'],
+    'congested': ['a5e1295872a63ec2', '698b9d175a947c1e', 'f5a5ef64699c047e'],
     'cube-dor@0.3': ['c79fd7c8387f20ed', '2998461457b2e869', 'f830145f009dd2ff'],
     'cube-dor@0.9': ['374dea6ab68c55aa', '9359446b63f5fd40', 'a89803a4716a362b'],
     'cube-duato@0.3': ['73e06f988e1da6d4', 'c52b5f8d7de4d001', '685509e33e083a46'],
