@@ -66,7 +66,7 @@ from .probe import Instrument, Probe, compose_probe
 from .telemetry import config_digest
 
 #: bump on breaking changes to the digest document layout
-STATEHASH_FORMAT_VERSION = 2
+STATEHASH_FORMAT_VERSION = 3
 
 #: digest algorithm tag recorded in every document; digests are the
 #: first 64 bits of BLAKE2b, rendered as 16 hex chars
@@ -103,14 +103,13 @@ _NODE = ("nid", "rr", "sent", "packet", "lane")
 _NODE_LANE = ("vc",) + _IN_LANE
 _TRANSPORT = (
     "messages", "acked", "gave_up", "retransmissions", "duplicates", "late_acks",
-    "drops_seen", "max_attempts", "event_counter", "rtt_estimate",
+    "drops_seen", "max_attempts", "rtt_estimate",
 )
-_UNRESOLVED = ("node", "count")
 _MESSAGE = (
     "src", "dst", "seq", "size", "created", "attempts", "acked", "gave_up",
     "delivered_first", "deadline", "claimed", "last_sent",
 )
-_EVENT = ("due", "counter", "kind", "src", "dst", "seq", "tag")
+_EVENT = ("due", "kind", "src", "dst", "seq", "tag")
 _CONGESTION = (
     "released", "held", "clean_acks", "marked_acks", "timeouts", "decreases",
     "min_cwnd_seen", "max_cwnd_seen",
@@ -384,28 +383,25 @@ def _congestion_tables(control) -> list:
 
 
 def _transport_tables(tp) -> list:
-    """The reliable transport: counters, unresolved counts sorted by node,
-    the per-node registries in queue order, the copies in the network by
-    pid, the timer wheel in (due, counter) order, then the congestion loop.
-    Nothing here counts flows: a message's ``seq`` is its transport-wide
-    creation index, so the rows grow with what is in flight, not with the
-    run."""
+    """The reliable transport: counters, the non-empty per-node registries
+    in queue order, the copies in the network by pid, the timer wheel by
+    due cycle and, within one, in the order scheduled, then the congestion
+    loop.  Every row steers the run: nothing counts flows, no queue is
+    listed while empty and the wheel holds only live timers, so the rows
+    grow with what is queued, in flight or timed, not with the run."""
     tables = [
         ((), _TRANSPORT, {(): (
             tp.messages, tp.acked, tp.gave_up, tp.retransmissions, tp.duplicates,
-            tp.late_acks, tp.drops_seen, tp.max_attempts, tp._counter,
-            _f2i(tp.rtt_estimate),
+            tp.late_acks, tp.drops_seen, tp.max_attempts, _f2i(tp.rtt_estimate),
         )}),
-        (("unresolved",), _UNRESOLVED, {
-            node: (node, count) for node, count in _by_key(tp._unresolved)
-        }),
     ]
     for name, queues in (("fifo", tp._fifo), ("waiting", tp._waiting)):
         tables.append(_SEP)
         for node, queue in _by_key(queues):
-            messages = dict(enumerate(map(_message_ints, queue)))
-            tables += (_unnamed(node), ((name, node), _MESSAGE, messages))
-    events = sorted(tp._events)  # (due, counter) is unique: no message is compared
+            if queue:
+                messages = dict(enumerate(map(_message_ints, queue)))
+                tables += (_unnamed(node, len(queue)), ((name, node), _MESSAGE, messages))
+    events = [(due, *event) for due, bucket in _by_key(tp._wheel) for event in bucket]
     return tables + [
         _SEP,
         (("by_pid",), ("pid",) + _MESSAGE, {
@@ -413,8 +409,8 @@ def _transport_tables(tp) -> list:
         }),
         _SEP,
         (("events",), _EVENT, {
-            i: (due, counter, kind, msg.src, msg.dst, msg.seq, tag)
-            for i, (due, counter, kind, msg, tag) in enumerate(events)
+            i: (due, kind, msg.src, msg.dst, msg.seq, tag)
+            for i, (due, kind, msg, tag) in enumerate(events)
         }),
         _SEP,
         *_congestion_tables(tp.congestion),

@@ -93,7 +93,7 @@ from .native import plain_stream
 #: engine change (an older payload would unpickle fine and fail mid-run), and
 #: with ``STATEHASH_FORMAT_VERSION``: a header's root is a fingerprint, and
 #: one of an older layout would fail the root gate like a bad restore
-CHECKPOINT_FORMAT_VERSION = 10
+CHECKPOINT_FORMAT_VERSION = 11
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_SUFFIX = ".rckpt"
 MANIFEST_NAME = "manifest.json"

@@ -17,9 +17,10 @@ flit-level model:
   (the reverse path is not simulated flit-by-flit: ACKs are tiny and
   the paper's networks are symmetric, so a fixed delay is the honest
   abstraction);
-* **timeout + retransmission** — every transmitted copy arms a timer;
-  on expiry without an ACK the source re-enqueues the message, backing
-  off exponentially with deterministic jitter to avoid retry storms;
+* **timeout + retransmission** — every transmitted copy of an unACKed
+  message arms a timer; on expiry the source re-enqueues the message,
+  backing off exponentially with deterministic jitter to avoid retry
+  storms;
 * **retry budget** — after ``1 + max_retries`` transmissions the source
   gives the message up and records it (the bounded-loss escape hatch
   that keeps a dead destination from pinning the source forever);
@@ -29,7 +30,10 @@ flit-level model:
 
 :class:`ReliableTransport` is an ordinary
 :class:`~repro.obs.probe.Probe`: it observes injections, deliveries and
-drops, and drives its timer wheel from ``on_cycle``.  It wraps every
+drops, and drives its timer wheel from ``on_cycle``: one bucket per due
+cycle, holding that cycle's events in the order they were scheduled, and
+only live ones — an ACK takes its message's timeout out of its bucket.
+It wraps every
 node's :class:`~repro.traffic.generator.PacketSource` in a
 :class:`ReliableSource` so retransmissions travel the normal
 single-injection-channel path and a drain (a run of finite traffic) waits
@@ -49,7 +53,6 @@ their slot (see :mod:`repro.traffic.congestion`).
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -133,7 +136,7 @@ class _Message:
         self.gave_up = False
         #: cycle the first copy's tail reached the sink (-1 = never)
         self.delivered_first = -1
-        #: armed retransmission deadline (lazy heap invalidation tag)
+        #: due cycle of the message's live timeout in the wheel (-1: none)
         self.deadline = -1
         #: holds a congestion-window slot right now (closed loop only)
         self.claimed = False
@@ -152,8 +155,9 @@ class ReliableSource:
     :class:`_Message` per entry with the transport, in queue order.
     Retransmissions are appended by the transport and travel the same
     path.  It is as finite as the source it wraps, and ``done()``
-    additionally waits for every registered message to resolve (ACK or
-    give-up), so a drain covers protocol quiescence.
+    additionally waits for every message the transport registered, at any
+    node, to resolve (ACK or give-up), so a drain covers protocol
+    quiescence.
     """
 
     __slots__ = ("inner", "node", "queue", "active", "transport")
@@ -196,12 +200,14 @@ class ReliableSource:
         return self.inner.finite
 
     def done(self) -> bool:
-        # held messages count as unresolved, so the drain contract
-        # covers the congestion hold queue too
+        """The inner source is exhausted, this queue is empty and no message
+        of the transport is unresolved.  The count is transport-wide, held
+        messages included: a drain asks every source, so it ends exactly
+        when the protocol has quiesced everywhere."""
         return (
             self.inner.done()
             and not self.queue
-            and self.transport.unresolved(self.node) == 0
+            and self.transport.total_unresolved() == 0
         )
 
 
@@ -234,11 +240,9 @@ class ReliableTransport(Probe):
         self._fifo: dict[int, deque[_Message]] = {}
         #: pid of the copy currently in the network -> its message
         self._by_pid: dict[int, _Message] = {}
-        #: per-node messages registered but not yet ACKed or given up
-        self._unresolved: dict[int, int] = {}
-        #: (due_cycle, tiebreak, kind, message, deadline_tag)
-        self._events: list[tuple] = []
-        self._counter = 0
+        #: due cycle -> that cycle's (kind, message, tag) events in the
+        #: order they were scheduled; every one is live
+        self._wheel: dict[int, list[tuple]] = {}
         self._rng = None  # seeded in install (import cycle-free)
         # whole-run totals (the summary document; RunResult carries the
         # measurement-window view)
@@ -282,7 +286,6 @@ class ReliableTransport(Probe):
         self._warmup = engine.config.warmup_cycles
         self._default_size = engine.config.packet_flits
         self._fifo = {node.nid: deque() for node in engine.nodes}
-        self._unresolved = {node.nid: 0 for node in engine.nodes}
         self._waiting = {node.nid: deque() for node in engine.nodes}
 
     # -- source-side registry -------------------------------------------------
@@ -297,7 +300,6 @@ class ReliableTransport(Probe):
         created, dst = entry[0], entry[1]
         size = entry[2] if len(entry) > 2 else self._default_size
         msg = _Message(node, dst, self.messages, size, created)
-        self._unresolved[node] += 1
         self.messages += 1
         return msg
 
@@ -343,12 +345,9 @@ class ReliableTransport(Probe):
         """Messages waiting for a window slot across all nodes."""
         return sum(len(waiting) for waiting in self._waiting.values())
 
-    def unresolved(self, node: int) -> int:
-        """Messages of ``node`` not yet ACKed or given up."""
-        return self._unresolved[node]
-
     def total_unresolved(self) -> int:
-        return sum(self._unresolved.values())
+        """Messages registered but not yet ACKed or given up."""
+        return self.messages - self.acked - self.gave_up
 
     # -- probe events ---------------------------------------------------------
 
@@ -385,7 +384,7 @@ class ReliableTransport(Probe):
             # the ACK event's tag carries the congestion mark back to
             # the source (the ECN echo on the modeled return path)
             marked = 1 if control is not None and control.marker.consume(packet.pid) else 0
-            self._push(cycle + self.config.ack_delay, self._ACK, msg, marked)
+            self._schedule(cycle + self.config.ack_delay, self._ACK, msg, marked)
         else:
             self.duplicates += 1
             if cycle >= self._warmup:
@@ -400,19 +399,22 @@ class ReliableTransport(Probe):
             self.drops_seen += 1
 
     def on_cycle(self, cycle: int) -> None:
-        events = self._events
-        while events and events[0][0] <= cycle:
-            _, _, kind, msg, tag = heapq.heappop(events)
+        bucket = self._wheel.get(cycle)
+        if bucket is None:
+            return
+        # an ACK may cancel a timeout further down this very list, so the
+        # bucket stays in the wheel, where the ACK finds it, until it has run
+        for kind, msg, tag in bucket:
             if kind == self._ACK:
                 self._handle_ack(cycle, msg, tag)
             else:
-                self._handle_timeout(cycle, msg, tag)
+                self._handle_timeout(cycle, msg)
+        del self._wheel[cycle]
 
     # -- timer wheel ----------------------------------------------------------
 
-    def _push(self, due: int, kind: int, msg: _Message, tag: int) -> None:
-        self._counter += 1
-        heapq.heappush(self._events, (due, self._counter, kind, msg, tag))
+    def _schedule(self, due: int, kind: int, msg: _Message, tag: int) -> None:
+        self._wheel.setdefault(due, []).append((kind, msg, tag))
 
     def _arm_timeout(self, cycle: int, msg: _Message) -> None:
         timeout = self.config.base_timeout * self.config.backoff ** (
@@ -421,12 +423,12 @@ class ReliableTransport(Probe):
         # randint(0, jitter)'s value and draws, without its argument checks
         jitter = self.config.jitter
         due = cycle + int(timeout) + (randbelow(self._rng, jitter + 1) if jitter else 0)
+        if msg.acked:
+            return  # a retransmission queued before its ACK: drawn, never timed
         msg.deadline = due
-        self._push(due, self._TIMEOUT, msg, due)
+        self._schedule(due, self._TIMEOUT, msg, due)
 
     def _handle_ack(self, cycle: int, msg: _Message, marked: int = 0) -> None:
-        if msg.acked:
-            return
         if msg.gave_up:
             # the source had already written the message off; the sink
             # did get it, so the loss is accounting-only — record it.
@@ -435,8 +437,13 @@ class ReliableTransport(Probe):
             self.late_acks += 1
             return
         msg.acked = True
-        msg.deadline = -1  # disarms any outstanding timer (lazy)
-        self._unresolved[msg.src] -= 1
+        due = msg.deadline
+        if due >= 0:
+            bucket = self._wheel[due]
+            bucket.remove((self._TIMEOUT, msg, due))
+            if not bucket:
+                del self._wheel[due]
+            msg.deadline = -1
         self.acked += 1
         rtt = cycle - msg.last_sent
         if rtt >= 0:
@@ -451,14 +458,11 @@ class ReliableTransport(Probe):
             msg.claimed = False
             self.pump(msg.src)
 
-    def _handle_timeout(self, cycle: int, msg: _Message, tag: int) -> None:
-        if msg.acked or msg.gave_up or msg.deadline != tag:
-            return  # stale timer: ACKed, resolved, or superseded
+    def _handle_timeout(self, cycle: int, msg: _Message) -> None:
         control = self.congestion
         if msg.attempts > self.config.max_retries:
             msg.gave_up = True
             msg.deadline = -1
-            self._unresolved[msg.src] -= 1
             self.gave_up += 1
             if cycle >= self._warmup:
                 self.engine.result.given_up_packets += 1

@@ -511,6 +511,38 @@ class TestPackedMersenneStates:
         assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
         assert f"checkpoint format 9, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
 
+    def test_a_format_10_transport_file_is_discarded_as_stale(self, tmp_path, monkeypatch):
+        # a format-10 header's root is a statehash format 2 fingerprint, which
+        # hashed a per-node unresolved table, every empty queue and the dead
+        # timers: its payload would unpickle, and only the root gate would
+        # refuse it
+        config = small_tree_config()
+        engine = build_engine(config)
+        ReliableTransport(TransportConfig(base_timeout=16, jitter=8, seed=3)).install(engine)
+        engine.probe.on_run_start(engine)
+        for _ in range(150):
+            engine.step()
+        path = tmp_path / "ckpt-000000000150.rckpt"
+        rows = statehash._transport_tables
+
+        def as_format_2(tp):
+            counters, *rest = rows(tp)
+            unresolved = {node.nid: (node.nid, 0) for node in engine.nodes}
+            return [counters, (("unresolved",), ("node", "count"), unresolved), *rest]
+
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint_module, "CHECKPOINT_FORMAT_VERSION", 10)
+            with monkeypatch.context() as format_2:
+                format_2.setattr(statehash, "_transport_tables", as_format_2)
+                save_checkpoint(engine, path)
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(path, config)
+            assert exc.value.kind == "fingerprint-mismatch"
+        assert resume_point(_policy(tmp_path), config) is None
+        discarded = read_manifest(tmp_path)["discarded"]
+        assert [(d["file"], d["kind"]) for d in discarded] == [(path.name, "stale")]
+        assert f"checkpoint format 10, this build reads {CHECKPOINT_FORMAT_VERSION}" in discarded[0]["error"]
+
     def test_a_format_5_campaign_reruns_its_interrupted_point(self, tmp_path, monkeypatch):
         config = small_tree_config(load=0.3)
         reference = _canonical(simulate(config))

@@ -24,7 +24,6 @@ from repro.obs.statehash import (
     _EVENT,
     _MESSAGE,
     _TRANSPORT,
-    _UNRESOLVED,
     DIGEST_ALGO,
     STATEHASH_FORMAT_VERSION,
     SUBSYSTEMS,
@@ -229,11 +228,6 @@ def _flip_attempts(engine):
     return f"transport/by_pid/{pid}/attempts"
 
 
-def _flip_unresolved(engine):
-    _transport(engine)._unresolved[2] += 1
-    return "transport/unresolved/2/count"
-
-
 def _flip_cwnd(engine):
     (src, dst), state = min(_transport(engine).congestion._windows.items())
     state[0] += 0.5
@@ -262,7 +256,6 @@ class TestOneDescriptionOfState:
             (True, _flip_credits),
             (True, _flip_inner_active),
             (True, _flip_attempts),
-            (True, _flip_unresolved),
             (True, _flip_cwnd),
             (True, _flip_blocked),
         ],
@@ -278,23 +271,24 @@ class TestOneDescriptionOfState:
 
 
 class TestTheTransportRows:
-    def test_the_pre_image_counts_nodes_messages_and_timers_never_flows(self):
-        # a message's seq is its creation index: no row per (src, dst) flow
-        # ever seen, so the words follow what is queued or in flight
+    def test_the_pre_image_counts_live_state_only(self):
+        # format 3: no timer counter, no per-node table, no row for an empty
+        # queue or a dead timer; a message's seq is its creation index, so
+        # nothing counts flows either: the words follow what is queued, in
+        # flight or timed
         engine = build_engine(small_tree_config(load=0.6))
         tp = ReliableTransport(TransportConfig(base_timeout=16, jitter=8, seed=3)).install(engine)
         engine.probe.on_run_start(engine)
         for _ in range(300):
             engine.step()
-        nodes = len(engine.nodes)
-        queued = sum(map(len, tp._fifo.values())) + sum(map(len, tp._waiting.values()))
-        flows = {(msg.src, msg.dst) for msg in tp._by_pid.values()}
-        assert queued and tp._events and len(flows) > 1
+        queues = [q for q in (*tp._fifo.values(), *tp._waiting.values()) if q]
+        timers = sum(map(len, tp._wheel.values()))  # every one live (tests/test_transport.py)
+        assert queues and timers and len(queues) < len(engine.nodes)
         words = (
-            len(_TRANSPORT) + len(_UNRESOLVED) * nodes
-            + 2 * (1 + nodes) + len(_MESSAGE) * queued  # fifo, waiting: separator, node, messages
+            len(_TRANSPORT)
+            + 2 + sum(2 + len(_MESSAGE) * len(q) for q in queues)  # fifo, waiting: separators, (node, count), messages
             + 1 + (1 + len(_MESSAGE)) * len(tp._by_pid)  # separator, pid and message
-            + 1 + len(_EVENT) * len(tp._events)
+            + 1 + len(_EVENT) * timers
             + 1 + 1  # separator, no congestion loop
         )
         assert len(_preimage(_transport_tables(tp))) == 8 * words
@@ -413,7 +407,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["telemetry"]["statehash"]["entries"] >= 2
-        assert doc["telemetry"]["statehash"]["format"] == 2
+        assert doc["telemetry"]["statehash"]["format"] == 3
 
     def test_audit_flag_implies_statehash(self, capsys):
         code = main(

@@ -4,13 +4,16 @@ suppression, timeout/backoff retransmission and the give-up budget."""
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.chaos import StormSpec, run_chaos_point
+from repro.experiments.chaos import Storm, StormSpec, run_chaos_point
 from repro.obs import NullProbe
+from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.run import build_engine, start
+from repro.traffic.congestion import Congested
 from repro.traffic.transport import (
     Reliable,
     ReliableTransport,
@@ -242,3 +245,72 @@ class TestSequenceNumbers:
         assert reliability["retransmissions"] > 0 and reliability["messages"] == len(made)
         assert [msg.seq for msg in made] == list(range(len(made)))
         assert not hasattr(ReliableTransport(), "_next_seq")
+
+
+def _check_the_wheel(tp, ran: int) -> None:
+    """Every timer in ``tp``'s wheel is live once cycle ``ran`` has run, and
+    every unresolved message sits where the transport can reach it."""
+    for due, bucket in tp._wheel.items():
+        assert due > ran and bucket
+        for kind, msg, tag in bucket:
+            if kind == tp._ACK:
+                assert not msg.acked  # one ACK per message, pending
+            else:
+                assert not (msg.acked or msg.gave_up) and msg.deadline == due == tag
+    held = [msg for queues in (tp._fifo, tp._waiting) for queue in queues.values() for msg in queue]
+    timed = [msg for bucket in tp._wheel.values() for _, msg, _ in bucket]
+    unresolved = {
+        id(msg) for msg in (*held, *tp._by_pid.values(), *timed) if not (msg.acked or msg.gave_up)
+    }
+    assert len(unresolved) == tp.total_unresolved()
+
+
+#: a fail-stop storm whose timer (6 cycles, no backoff) is shorter than the
+#: round trip, so retransmissions queue behind ACKs, and a closed-loop
+#: overload; both step fast enough to check after every cycle
+WHEEL_RECIPES = {
+    "storm": (
+        small_cube_config(algorithm="duato", load=0.2, total_cycles=800),
+        Storm(StormSpec(fault_rate=0.2, storm_seed=9, transport=TransportConfig(
+            base_timeout=6, ack_delay=16, jitter=2, backoff=1.0, max_retries=8, seed=3,
+        ))),
+    ),
+    "overload": (small_tree_config(k=4, n=2, load=1.0, total_cycles=800), Congested()),
+}
+
+
+class TestTheWheelHoldsOnlyLiveTimers:
+    @pytest.mark.parametrize("recipe", sorted(WHEEL_RECIPES))
+    def test_every_timer_left_after_a_step_is_live(self, recipe, tmp_path, monkeypatch):
+        # an ACK takes its message's timeout out of the wheel (also one due
+        # in the cycle being run), and a retransmission that injects after
+        # its ACK draws its jitter but arms nothing; across a restore too
+        fired = Counter()
+        handle_ack, arm_timeout = ReliableTransport._handle_ack, ReliableTransport._arm_timeout
+
+        def ack(self, cycle, msg, marked=0):
+            if msg.deadline >= 0:
+                fired["cancelled"] += 1
+                fired["cancelled in its own cycle"] += msg.deadline == cycle
+            handle_ack(self, cycle, msg, marked)
+
+        def arm(self, cycle, msg):
+            fired["acked and re-injected"] += msg.acked
+            arm_timeout(self, cycle, msg)
+
+        monkeypatch.setattr(ReliableTransport, "_handle_ack", ack)
+        monkeypatch.setattr(ReliableTransport, "_arm_timeout", arm)
+        config, instrument = WHEEL_RECIPES[recipe]
+        engine, _ = start(config, [instrument])
+        engine.probe.on_run_start(engine)
+        path = tmp_path / "ckpt-000000000400.rckpt"
+        while engine.cycle < config.total_cycles:
+            engine.step()
+            _check_the_wheel(engine.find_probe(ReliableTransport), engine.cycle - 1)
+            if engine.cycle == 400:
+                save_checkpoint(engine, path)
+                engine, _ = load_checkpoint(path, config)
+                _check_the_wheel(engine.find_probe(ReliableTransport), engine.cycle - 1)
+        assert fired["cancelled"] and fired["acked and re-injected"]
+        if recipe == "storm":
+            assert fired["cancelled in its own cycle"]
