@@ -401,17 +401,17 @@ def _transport_tables(tp) -> list:
             if queue:
                 messages = dict(enumerate(map(_message_ints, queue)))
                 tables += (_unnamed(node, len(queue)), ((name, node), _MESSAGE, messages))
-    events = [(due, *event) for due, bucket in _by_key(tp._wheel) for event in bucket]
+    events = [
+        (due, kind, msg.src, msg.dst, msg.seq, tag)
+        for due, bucket in _by_key(tp._wheel) for kind, msg, tag in bucket
+    ]
     return tables + [
         _SEP,
         (("by_pid",), ("pid",) + _MESSAGE, {
             pid: (pid, *_message_ints(msg)) for pid, msg in _by_key(tp._by_pid)
         }),
         _SEP,
-        (("events",), _EVENT, {
-            i: (due, kind, msg.src, msg.dst, msg.seq, tag)
-            for i, (due, kind, msg, tag) in enumerate(events)
-        }),
+        (("events",), _EVENT, dict(enumerate(events))),
         _SEP,
         *_congestion_tables(tp.congestion),
     ]

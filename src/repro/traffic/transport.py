@@ -501,10 +501,11 @@ class ReliableTransport(Probe):
     def summary(self) -> dict:
         """The reliability accounting document (``telemetry.reliability``).
 
-        The source-side invariant ``messages == acked + gave_up +
-        pending`` holds at any instant; ``exactly_once`` restates it for
-        a quiesced run (no pending) together with sink-side uniqueness,
-        which duplicate suppression guarantees by construction.
+        ``pending`` counts the messages neither ACKed nor given up, so
+        ``messages == acked + gave_up + pending`` at any instant; a
+        quiesced run has none pending, and duplicate suppression counts
+        every delivery after a message's first as a duplicate, never as
+        goodput.
         """
         cfg = dataclasses.asdict(self.config)
         messages = self.messages

@@ -115,12 +115,14 @@ class TestLosslessExactlyOnce:
 
     def test_invariant_holds_at_halt_without_drain(self):
         # engine.run() stops at total_cycles with messages still in
-        # flight; the source-side ledger must balance at that instant
+        # flight; the source-side ledger must balance at that instant:
+        # pending is exactly the unresolved messages the transport holds
         engine = build_engine(small_tree_config(load=0.6))
         transport = ReliableTransport().install(engine)
         engine.run()
         s = transport.summary()
-        assert s["messages"] == s["acked"] + s["gave_up"] + s["pending"]
+        assert s["messages"] == s["acked"] + s["gave_up"] + s["pending"] and s["pending"] > 0
+        _check_the_wheel(transport, engine.cycle - 1)
 
 
 class TestDuplicateSuppression:
