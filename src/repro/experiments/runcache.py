@@ -16,8 +16,10 @@ truncated entry.  Rename atomicity also makes concurrent writers
 (parallel sweep workers sharing one directory) safe: last writer wins
 with an identical payload.
 
-Entries are keyed by the full run recipe (the same tuple as the
-in-process memo) and verified on read, so a hash collision or a stale
+Entries are keyed by the point's identity — the values of
+:meth:`~repro.sim.config.SimulationConfig.recipe`, which leaves out a model
+choice at its default, plus the instrument specs: the same tuple as the
+in-process memo — and verified on read, so a hash collision or a stale
 file from an incompatible format version misses instead of misleading.
 """
 

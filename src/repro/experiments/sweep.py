@@ -177,10 +177,11 @@ class PointProgress:
 
 def _cache_key(config: SimulationConfig, instruments=()) -> tuple:
     """A point's identity — in the memo, in a :class:`RunCache` and as a
-    checkpoint directory: its whole recipe, i.e. every config field plus
-    the instrument specs it runs under (frozen dataclasses, so their
-    ``repr`` is their recipe)."""
-    recipe = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    checkpoint directory: the values of the config's
+    :meth:`~repro.sim.config.SimulationConfig.recipe` (every field but a
+    model choice at its default) plus the instrument specs it runs under
+    (frozen dataclasses, so their ``repr`` is their recipe)."""
+    recipe = config.recipe()
     recipe["pattern_kwargs"] = tuple(sorted(config.pattern_kwargs.items()))
     recipe["load"] = round(config.load, 9)
     return (*recipe.values(), *map(repr, instruments))

@@ -24,8 +24,6 @@ instrumented runs round-trip through the cache and the ledger unchanged.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..errors import AnalysisError, ConfigurationError
 from ..obs.telemetry import RunTelemetry
 from ..sim.config import SimulationConfig
@@ -80,7 +78,9 @@ _OPTIONAL_RESULT_FIELDS = frozenset(
 def run_result_to_dict(result: RunResult) -> dict:
     """Versioned plain-data document for one run (the ``--json`` schema).
 
-    Layout: ``format`` (int), ``config`` (every SimulationConfig field),
+    Layout: ``format`` (int), ``config`` (the config's
+    :meth:`~repro.sim.config.SimulationConfig.recipe`: every field but a
+    model choice at its default, which a loader fills back in),
     ``result`` (the :data:`RUN_RESULT_FIELDS` counters), ``telemetry``
     (the :class:`~repro.obs.telemetry.RunTelemetry` record, or ``None``
     for results that never ran through the engine), and
@@ -91,7 +91,7 @@ def run_result_to_dict(result: RunResult) -> dict:
     """
     return {
         "format": RUN_FORMAT_VERSION,
-        "config": dataclasses.asdict(result.config),
+        "config": result.config.recipe(),
         "result": {name: getattr(result, name) for name in RUN_RESULT_FIELDS},
         "telemetry": result.telemetry.to_dict() if result.telemetry else None,
         "latency_percentiles": result.latency_percentiles(),

@@ -30,12 +30,14 @@ PHASE_NAMES = ("link", "injection", "crossbar", "routing")
 def config_digest(config) -> str:
     """Stable short digest of a full run recipe.
 
-    Hashes the canonical JSON of the config dataclass (all fields, sorted
-    keys), so two configs collide exactly when every knob — including the
-    seed and the statistics windows — agrees.  16 hex chars keep it
-    greppable in logs while leaving collisions out of practical reach.
+    Hashes the canonical JSON (sorted keys) of the config's
+    :meth:`~repro.sim.config.SimulationConfig.recipe` — every field but a
+    model choice at its default — so two configs collide exactly when every
+    knob, including the seed and the statistics windows, agrees.  16 hex
+    chars keep it greppable in logs while leaving collisions out of
+    practical reach.
     """
-    doc = json.dumps(dataclasses.asdict(config), sort_keys=True, default=str)
+    doc = json.dumps(config.recipe(), sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 

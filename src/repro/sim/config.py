@@ -9,7 +9,8 @@ a 20000-cycle horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 from ..errors import ConfigurationError
 
@@ -97,6 +98,11 @@ class SimulationConfig:
     interval_cycles: int = 0
     watchdog_cycles: int = 3000
 
+    #: the model-microdecision fields: rules beneath the paper's routing and
+    #: flow control that it leaves open (DESIGN §2, *Modeling
+    #: simplifications*); each is left out of :meth:`recipe` at its default
+    MODEL_CHOICES: ClassVar[tuple[str, ...]] = ()
+
     def __post_init__(self) -> None:
         if self.network not in ("tree", "cube"):
             raise ConfigurationError(f"unknown network family {self.network!r}")
@@ -151,6 +157,16 @@ class SimulationConfig:
     def injection_flits_per_cycle(self) -> float:
         """Per-node offered load in flits/cycle."""
         return self.load * self.capacity_flits_per_cycle
+
+    def recipe(self) -> dict:
+        """The run's identity: every field, in declaration order, except a
+        :data:`MODEL_CHOICES` field that holds its default — so adding a
+        model choice moves no config digest, run document or cache key."""
+        defaults = {f.name: f.default for f in fields(self)}
+        return {
+            name: value for name, value in asdict(self).items()
+            if name not in self.MODEL_CHOICES or value != defaults[name]
+        }
 
     def label(self) -> str:
         """Compact identifier used in reports and logs."""

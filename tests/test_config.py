@@ -1,10 +1,18 @@
 """Unit tests for run configuration (repro.sim.config) and builders."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.sweep import _cache_key, point_dir
+from repro.metrics.io import run_result_from_dict, run_result_to_dict
+from repro.obs.telemetry import config_digest
+from repro.sim.checkpoint import CheckpointPolicy, save_checkpoint
 from repro.sim.config import SimulationConfig
-from repro.sim.run import cube_config, tree_config
+from repro.sim.results import RunResult
+from repro.sim.run import build_engine, cube_config, tree_config
 
 
 def valid(**overrides):
@@ -108,3 +116,43 @@ class TestBuilders:
         cfg = tree_config(seed=99, warmup_cycles=5, total_cycles=10)
         assert cfg.seed == 99
         assert (cfg.warmup_cycles, cfg.total_cycles) == (5, 10)
+
+
+@dataclasses.dataclass
+class WithInjection(SimulationConfig):
+    """A config with one model choice, added the way the next one will be."""
+
+    MODEL_CHOICES = ("injection",)
+    injection: str = "serial"
+
+
+def identities(config, tmp_path) -> tuple:
+    """Every place a run's identity is written: its config digest, its run
+    document, its cache key, its campaign checkpoint directory and the
+    header of a checkpoint of it."""
+    key = _cache_key(config)
+    header = save_checkpoint(build_engine(config), tmp_path / "point.ckpt")
+    return (
+        config_digest(config),
+        json.dumps(run_result_to_dict(RunResult(config=config, measured_cycles=100))),
+        key,
+        point_dir(CheckpointPolicy(str(tmp_path)), "door", key),
+        header["config"],
+    )
+
+
+class TestModelChoices:
+    def test_a_model_choice_at_its_default_moves_no_identity(self, tmp_path):
+        base = valid(load=0.3, seed=5)
+        door = WithInjection(**dataclasses.asdict(base))
+        assert door.recipe() == base.recipe() == dataclasses.asdict(base)
+        same = identities(door, tmp_path)
+        assert same == identities(base, tmp_path)
+        assert run_result_from_dict(json.loads(same[1])).config == base
+
+    def test_a_model_choice_off_its_default_moves_every_identity(self, tmp_path):
+        base = valid(load=0.3, seed=5)
+        off = WithInjection(**dataclasses.asdict(base), injection="interleaved")
+        assert off.recipe() == {**dataclasses.asdict(base), "injection": "interleaved"}
+        for default, moved in zip(identities(base, tmp_path), identities(off, tmp_path)):
+            assert default != moved

@@ -20,6 +20,7 @@ from repro.traffic.transport import TransportConfig
 
 from .campaign_digests import digests
 from .conftest import small_cube_config, small_tree_config
+from .test_config import WithInjection
 
 RECORDED = pathlib.Path(__file__).parent / "data" / "campaign_digests.json"
 
@@ -38,10 +39,25 @@ def test_campaign_output_is_what_the_hand_written_drivers_produced():
 
 
 class TestPointIdentity:
-    def test_key_enumerates_every_config_field(self):
-        config = small_cube_config()
-        assert len(_cache_key(config)) == len(dataclasses.fields(SimulationConfig))
+    @pytest.mark.parametrize("cls", [SimulationConfig, WithInjection])
+    def test_key_holds_every_field_but_a_model_choice_at_its_default(self, cls):
+        config = cls(**dataclasses.asdict(small_cube_config(load=0.1 + 0.2)))
+        held = {
+            f.name: getattr(config, f.name)
+            for f in dataclasses.fields(config)
+            if f.name not in cls.MODEL_CHOICES or getattr(config, f.name) != f.default
+        }
+        held["pattern_kwargs"] = tuple(sorted(config.pattern_kwargs.items()))
+        held["load"] = round(config.load, 9)
+        assert _cache_key(config) == tuple(held.values())
         assert round(config.load, 9) in _cache_key(config)
+        # a model choice at its default: the key of the config without it
+        assert _cache_key(config) == _cache_key(small_cube_config(load=0.1 + 0.2))
+
+    def test_a_model_choice_off_its_default_moves_the_key(self):
+        config = WithInjection(**dataclasses.asdict(small_cube_config()))
+        moved = _cache_key(dataclasses.replace(config, injection="interleaved"))
+        assert moved == (*_cache_key(config), "interleaved")
 
     def test_key_carries_the_instrument_specs(self):
         config = small_tree_config()

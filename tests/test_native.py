@@ -49,6 +49,16 @@ def cache(tmp_path, monkeypatch):
     native.build_log.update(saved)
 
 
+@pytest.fixture
+def warm(cache):
+    """``cache`` holding a copy of the kernel this session loaded — the
+    file a build of these sources writes — so a case that does not test
+    the cold build itself starts from a warm load instead of a build."""
+    cache.mkdir(mode=0o700)
+    shutil.copy2(native.KERNEL.__file__, cache)
+    return cache
+
+
 def load_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -96,13 +106,14 @@ def test_the_look_ahead_of_the_walks_is_in_the_built_kernel():
     assert len(re.findall(r"\bprefetch|\bprfm\b", listing)) >= 6
 
 
-def test_source_change_builds_a_new_file(cache, tmp_path, monkeypatch):
-    load_silently()
+def test_source_change_builds_a_new_file(warm, tmp_path, monkeypatch):
+    assert load_silently() is not None
+    assert "steps" not in native.build_log  # the session's build, not a new one
     edited = tmp_path / "_phases.c"
     edited.write_bytes(native.SOURCES[0].read_bytes() + b"\n/* edited */\n")
     monkeypatch.setattr(native, "SOURCES", (edited, *native.SOURCES[1:]))
     assert load_silently() is not None
-    assert len(list(cache.iterdir())) == 2
+    assert len(list(warm.iterdir())) == 2
 
 
 def test_no_compiler_is_silent(cache, monkeypatch):
@@ -126,7 +137,7 @@ def test_refused_source_warns_once_with_the_compilers_words(cache, tmp_path, mon
 
 
 @pytest.fixture
-def stale(cache, tmp_path, monkeypatch):
+def stale(warm, tmp_path, monkeypatch):
     """A second cache whose extension exists but does not import; its path.
     (Not the first one cut short: this process has that file mapped.)"""
     assert load_silently() is not None
@@ -152,10 +163,19 @@ def test_a_rebuilt_file_that_still_does_not_import_warns_once(stale, monkeypatch
     def refuse(target):
         raise ImportError(f"{target}: wrong ELF class")
 
+    rebuilt = []
+
+    def rebuild(target):  # the file a build writes, without compiling it again
+        shutil.copy2(native.KERNEL.__file__, target)
+        rebuilt.append(target)
+        return True
+
     monkeypatch.setattr(native, "_import", refuse)
+    monkeypatch.setattr(native, "_build", rebuild)
     with pytest.warns(RuntimeWarning, match="wrong ELF class") as caught:
         assert native.load() is None
     assert len(caught) == 1
+    assert rebuilt == [stale]  # rebuilt once, then given up
 
 
 def test_unwritable_cache_is_silent(tmp_path, monkeypatch):
@@ -165,7 +185,7 @@ def test_unwritable_cache_is_silent(tmp_path, monkeypatch):
     assert load_silently() is None
 
 
-def test_a_file_somebody_else_owns_is_not_loaded(cache, monkeypatch):
+def test_a_file_somebody_else_owns_is_not_loaded(warm, monkeypatch):
     assert load_silently() is not None
     uid = os.getuid()
     monkeypatch.setattr(os, "getuid", lambda: uid + 1)

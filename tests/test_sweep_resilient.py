@@ -7,7 +7,9 @@ completes anyway, files that point as a structured failure and returns
 results for every other point.
 """
 
+import functools
 import json
+import time
 
 import pytest
 
@@ -78,8 +80,16 @@ def ring_config(load: float):
 #
 # Module-level so the process pool can pickle them: a simulate_fn that
 # raises KeyboardInterrupt on the high-load point, plain (the interrupt
-# arrives before the cheap points are consumed) or slow (the cheap
-# points finish first, exercising the finished-but-unconsumed flush).
+# arrives before the cheap points are consumed) or once the cheap points
+# have finished (exercising the finished-but-unconsumed flush).
+
+#: how long the interrupting point waits for the cheap points' markers;
+#: running out fails the test (a RuntimeError instead of the interrupt)
+_MARKER_DEADLINE = 120.0
+
+#: after the markers, the time the cheap workers get to send the results
+#: they have already computed: a pickle and a pipe write, not a simulation
+_SEND_GRACE = 0.5
 
 
 def _interrupt_above(config):
@@ -88,13 +98,20 @@ def _interrupt_above(config):
     return simulate(config)
 
 
-def _interrupt_slowly(config):
+def _interrupt_after_the_others(markers, config):
+    """The cheap points leave a marker in ``markers`` once simulated; the
+    interrupting point raises only after both are there."""
     if config.load > 0.25:
-        import time
-
-        time.sleep(3.0)
+        deadline = time.monotonic() + _MARKER_DEADLINE
+        while len(list(markers.glob("*.done"))) < 2:
+            if time.monotonic() > deadline:
+                raise RuntimeError("the cheap points never finished")
+            time.sleep(0.05)
+        time.sleep(_SEND_GRACE)
         raise KeyboardInterrupt
-    return simulate(config)
+    result = simulate(config)
+    (markers / f"{config.load}.done").touch()
+    return result
 
 
 class TestInterruptedParallelSweep:
@@ -120,7 +137,8 @@ class TestInterruptedParallelSweep:
             run_sweep(
                 small_factory, [0.9, 0.1, 0.2], label="interrupted",
                 parallel=True, max_workers=3,
-                simulate_fn=_interrupt_slowly, ledger=ledger,
+                simulate_fn=functools.partial(_interrupt_after_the_others, tmp_path),
+                ledger=ledger,
             )
         # the interrupting point came *first* in submission order, so
         # the cheap points were never consumed in the normal loop; the
