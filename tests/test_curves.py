@@ -39,6 +39,14 @@ def test_campaign_output_is_what_the_hand_written_drivers_produced():
 
 
 class TestPointIdentity:
+    def test_key_enumerates_every_config_field(self):
+        # every field but a model choice, which small_cube_config leaves at its default
+        config = small_cube_config()
+        fields = dataclasses.fields(SimulationConfig)
+        held = [f for f in fields if f.name not in SimulationConfig.MODEL_CHOICES]
+        assert len(_cache_key(config)) == len(held)
+        assert round(config.load, 9) in _cache_key(config)
+
     @pytest.mark.parametrize("cls", [SimulationConfig, WithInjection])
     def test_key_holds_every_field_but_a_model_choice_at_its_default(self, cls):
         config = cls(**dataclasses.asdict(small_cube_config(load=0.1 + 0.2)))
