@@ -350,7 +350,8 @@ def load_checkpoint(path, config=None):
     if digest != header.get("payload_digest"):
         _fail("corrupt", f"{path}: payload digest mismatch")
     try:
-        engine = pickle.loads(payload)
+        with _engine.collector_paused():
+            engine = pickle.loads(payload)
     except CheckpointError:
         raise
     except Exception as exc:

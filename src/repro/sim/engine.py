@@ -63,6 +63,7 @@ the model.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 
@@ -132,6 +133,26 @@ NATIVE_PHASES = load_phases(
     InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
     TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,
 )
+
+
+class collector_paused:
+    """The cyclic collector off for the body, then as it was found, also
+    when the body raises.  Wiring or unpickling an engine allocates tens of
+    thousands of containers, and the collections they set off, full ones
+    among them, walk the heap the imports left; the engine graph holds no
+    cycle (``tests/test_release.py``), so reference counting frees all it
+    drops and the pause leaves nothing for a later collection.  A class,
+    not a generator: leaving allocates nothing (a generator's exit raises
+    ``StopIteration``), so a caller that drops the engine at once frees it
+    before any collection walks it."""
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, kind, value, traceback):
+        if self.enabled:
+            gc.enable()
 
 
 class Engine:

@@ -28,7 +28,7 @@ from ..topology.tree import KAryNTree
 from ..traffic.generator import BernoulliInjector
 from ..traffic.patterns import make_pattern
 from .config import SimulationConfig
-from .engine import Engine
+from .engine import Engine, collector_paused
 from .results import RunResult
 
 
@@ -46,16 +46,17 @@ def build_engine(config: SimulationConfig, probe=None) -> Engine:
         probe: optional observability probe (:mod:`repro.obs`) attached
             before the first cycle, so it sees the whole run.
     """
-    topo, routing = network_of(config)
-    pattern = make_pattern(config.pattern, topo.num_nodes, **config.pattern_kwargs)
-    injector = BernoulliInjector(
-        pattern,
-        flits_per_cycle=config.injection_flits_per_cycle,
-        packet_flits=config.packet_flits,
-        seed=config.seed,
-    )
-    engine = Engine(topo, routing, injector, config)
-    if probe is not None:
+    with collector_paused():
+        topo, routing = network_of(config)
+        pattern = make_pattern(config.pattern, topo.num_nodes, **config.pattern_kwargs)
+        injector = BernoulliInjector(
+            pattern,
+            flits_per_cycle=config.injection_flits_per_cycle,
+            packet_flits=config.packet_flits,
+            seed=config.seed,
+        )
+        engine = Engine(topo, routing, injector, config)
+    if probe is not None:  # outside the pause: a probe closes a cycle through the engine
         engine.attach_probe(probe)
     return engine
 

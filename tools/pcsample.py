@@ -12,7 +12,10 @@ counter.  (The timer runs on the monotonic clock: ``ITIMER_PROF`` ticks at the
 kernel's HZ, 4 ms here, and the stepping process is one busy thread.)
 Samples are resolved against ``nm`` and ``objdump`` of the kernel
 (``native.build_log["path"]``) and printed as shares: per mapped file, per
-function of the kernel, and for the leading functions per instruction.  A
+function of the most sampled file besides the kernel (the interpreter's
+shared library; ``nm -D``'s exported symbols if it is stripped), per
+function of the kernel, and for the
+kernel's leading functions per instruction.  A
 sample names the instruction the processor was *about to retire*, so a load
 that misses shows up on the first instruction that needs its result.
 
@@ -24,6 +27,7 @@ samples must land in the kernel).  Linux on x86-64 or aarch64.
 from __future__ import annotations
 
 import argparse
+import bisect
 import collections
 import ctypes
 import os
@@ -127,14 +131,19 @@ def load_bias(path: str, start: int, offset: int) -> int:
 
 
 def functions(path: str) -> list[tuple[int, int, str]]:
-    """``(address, size, name)`` of the text symbols of ``path``, by address."""
-    listing = subprocess.run(["nm", "-S", "--defined-only", path], capture_output=True, text=True, check=True)
-    found = []
-    for line in listing.stdout.splitlines():
-        fields = line.split()
-        if len(fields) == 4 and fields[2] in "tT":
-            found.append((int(fields[0], 16), int(fields[1], 16), fields[3]))
-    return sorted(found)
+    """``(address, size, name)`` of the text symbols of ``path``, by address:
+    from its symbol table, or from its exported symbols (``nm -D``) alone
+    when it was stripped of one."""
+    for only_exported in ([], ["-D"]):
+        listing = subprocess.run(["nm", "-S", "--defined-only", *only_exported, path], capture_output=True, text=True)
+        found = []
+        for line in listing.stdout.splitlines():
+            fields = line.split()
+            if len(fields) == 4 and fields[2] in "tT":
+                found.append((int(fields[0], 16), int(fields[1], 16), fields[3]))
+        if found:
+            return sorted(found)
+    return []
 
 
 def disassembly(path: str, start: int, size: int) -> dict[int, str]:
@@ -171,38 +180,61 @@ def profile(config, settle: int, cycles: int, interval_us: int) -> tuple[list[in
     return list(buffer[:taken]), engine
 
 
+def by_function(addresses: list[int], symbols: list[tuple[int, int, str]]) -> list[tuple[str, collections.Counter]]:
+    """Each function of ``symbols`` with the sampled addresses inside it,
+    the most sampled first."""
+    starts = [start for start, _, _ in symbols]
+    per_function: dict[str, collections.Counter] = collections.defaultdict(collections.Counter)
+    for address in addresses:
+        i = bisect.bisect_right(starts, address) - 1
+        inside = i >= 0 and address < symbols[i][0] + max(symbols[i][1], 1)
+        per_function[symbols[i][2] if inside else "(no symbol)"][address] += 1
+    return sorted(per_function.items(), key=lambda kv: -sum(kv[1].values()))
+
+
+def print_functions(ranked, total: int, title: str) -> None:
+    print(f"\n{total} samples {title}, by function")
+    for name, hits in ranked[:FUNCTIONS]:
+        count = sum(hits.values())
+        print(f"  {count:7d}  {count / total:6.1%}  {name}")
+
+
 def report(pcs: list[int], kernel: str) -> int:
     """Print the tables; the number of samples inside the kernel."""
     maps = mappings()
     per_file = collections.Counter()
-    inside = []
-    bias = None
+    per_path: dict[str, list[int]] = collections.defaultdict(list)
+    mapped_at: dict[str, tuple[int, int]] = {}
     for pc in pcs:
         for start, end, offset, path in maps:
             if start <= pc < end:
                 per_file[os.path.basename(path)] += 1
-                if path == kernel:
-                    if bias is None:
-                        bias = load_bias(path, start, offset)
-                    inside.append(pc - bias)
+                per_path[path].append(pc)
+                mapped_at.setdefault(path, (start, offset))
                 break
         else:
             per_file["(elsewhere)"] += 1
     print(f"{len(pcs)} samples")
     for name, count in per_file.most_common(6):
         print(f"  {count:7d}  {count / len(pcs):6.1%}  {name}")
-    if not inside:
+
+    def addresses(path: str) -> list[int]:
+        """The samples in ``path`` as the addresses ``nm`` prints."""
+        bias = load_bias(path, *mapped_at[path])
+        return [pc - bias for pc in per_path[path]]
+
+    # the interpreter's share (libpython, mostly): attribute lookups, the eval loop
+    others = [path for path in per_path if path != kernel]
+    if others:
+        largest = max(others, key=lambda path: len(per_path[path]))
+        ranked = by_function(addresses(largest), functions(largest))
+        print_functions(ranked, len(per_path[largest]), f"in {os.path.basename(largest)}")
+    if kernel not in per_path:
         return 0
+    inside = addresses(kernel)
     symbols = functions(kernel)
-    per_function: dict[str, collections.Counter] = collections.defaultdict(collections.Counter)
-    for address in inside:
-        owner = next((s for s in symbols if s[0] <= address < s[0] + max(s[1], 1)), (0, 0, "(no symbol)"))
-        per_function[owner[2]][address] += 1
-    ranked = sorted(per_function.items(), key=lambda kv: -sum(kv[1].values()))
-    print(f"\n{len(inside)} samples in the kernel, by function")
-    for name, hits in ranked[:FUNCTIONS]:
-        total = sum(hits.values())
-        print(f"  {total:7d}  {total / len(inside):6.1%}  {name}")
+    ranked = by_function(inside, symbols)
+    print_functions(ranked, len(inside), "in the kernel")
     by_name = {name: (start, size) for start, size, name in symbols}
     for name, hits in ranked[:DETAILED]:
         if name not in by_name:
