@@ -52,8 +52,6 @@ import pathlib
 from dataclasses import dataclass
 
 from ..errors import CheckpointError, ConfigurationError
-from ..sim import engine as _engine
-from ..sim import phases
 from ..traffic.transport import ReliableTransport
 from .probe import Instrument, Probe, compose_probe
 
@@ -311,7 +309,7 @@ class FlightRecorder(Probe):
         backlog = self._backlog_flits()
         offered = max(0, injected + backlog - last["backlog"])
         hot = []
-        flits_now, blocked, occupancy = (_engine.NATIVE_PHASES or phases).link_totals(eng.dirs)
+        flits_now, blocked, occupancy = eng.phases.link_totals(eng.dirs)
         if cfg.top_links:
             # the directions that moved most, ties to the lower index: the
             # smallest (-delta, index) pairs, kept without sorting them all

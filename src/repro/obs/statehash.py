@@ -59,7 +59,6 @@ import struct
 from array import array
 
 from ..errors import ConfigurationError
-from ..sim import engine as _engine
 from ..sim.native import plain_stream
 from ..traffic.transport import ReliableTransport
 from .probe import Instrument, Probe, compose_probe
@@ -221,10 +220,10 @@ def _fabric_rows(engine):
 
     The reference of the kernel's ``fabric_image(dirs, update)``, which
     writes the same int64 words from the C structs and is what a plain
-    fingerprint hashes where the kernel is loaded; the detailed fingerprint
-    and :func:`state_snapshot` read these rows.  ``tests/test_walkers.py``
-    and the lockstep suite (whose Python twin fingerprints through here)
-    hold the two to the same bytes."""
+    fingerprint hashes of an engine that walks the kernel; the detailed
+    fingerprint and :func:`state_snapshot` read these rows.
+    ``tests/test_walkers.py`` and the lockstep suite (whose Python twin
+    fingerprints through here) hold the two to the same bytes."""
     none = _NONE
     for idx, d in enumerate(engine.dirs):
         to_node = d.to_node
@@ -285,7 +284,7 @@ def _routing_tables(engine) -> list:
     the order of the engine's list is an implementation detail no
     alternative backend should have to reproduce).  The reference of the
     kernel's ``routing_image(engine)``, which a plain fingerprint hashes
-    where the kernel is loaded."""
+    of an engine that walks the kernel."""
     tables = [(("route_rr",), None, {(): engine.route_rr}), _SEP]
     for s, lanes in enumerate(engine.pending):
         if lanes:
@@ -462,8 +461,9 @@ def engine_fingerprint(engine, detail: bool = False, at_cycle: int | None = None
     # in chunks, or a record at a time, kept only where ``detail`` wants it
     fabric = hashlib.blake2b(digest_size=8)
     records, links = [], []
-    kernel = None if detail else _engine.NATIVE_PHASES
-    if kernel is not None:
+    # the engine's own phases, where they have the images (the kernel's do)
+    kernel = None if detail else engine.phases
+    if hasattr(kernel, "fabric_image"):
         # the same words as the rows below, written from the structs
         kernel.fabric_image(engine.dirs, fabric.update)
         routing = kernel.routing_image(engine)

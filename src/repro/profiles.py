@@ -55,13 +55,18 @@ class Profile:
 FAST = Profile(name="fast", warmup_cycles=100, total_cycles=500, sweep_points=4)
 
 #: Default profile used by the benchmark harness: full-size networks,
-#: shortened time axis.  Saturation estimates move by a few percent
-#: relative to the paper's windows; curve shapes are unchanged.
+#: shortened time axis.  Saturation estimates sit below those of the paper's
+#: windows, in some cells by a tenth of the capacity or more: interpolated by
+#: §6 at seed 11 (the table in ROADMAP.md's open items), 4-VC tree uniform
+#: reads 0.59 here against 0.68 on ``full``, cube DOR bit reversal 0.13
+#: against 0.22.
 DEFAULT = Profile(name="default", warmup_cycles=250, total_cycles=1450, sweep_points=7)
 
 #: The paper's exact measurement windows (2000-cycle warm-up, halt at
-#: 20000) and a dense load grid.  Expect hours of CPU time for the full
-#: figure set.
+#: 20000) and a dense load grid.  The full figure set
+#: (``pytest benchmarks/ --benchmark-only``) ran serially on it in 16 min
+#: 32 s on a 2-CPU Xeon with CPython 3.11.7 and the compiled phases
+#: (ROADMAP.md's open items).
 FULL = Profile(name="full", warmup_cycles=2000, total_cycles=20000, sweep_points=10)
 
 _PROFILES = {p.name: p for p in (FAST, DEFAULT, FULL)}

@@ -46,9 +46,13 @@ the same interface over the very same node, lane and packet objects:
   keep them in ``__slots__``.
 
 Nothing but whether the kernel could be built decides which of the two runs
-and which storage is used.  How the pair is kept one model — the twin rule
-and the two tests that enforce it — is stated once, in the docstring of
-:mod:`repro.sim.phases`.
+and which storage is used.  An engine makes that choice once, when it is
+built and when it is unpickled or deep-copied (:func:`chosen_phases`), and
+keeps it in :attr:`Engine.phases`: ``step``, the wiring, ``kill_packet``,
+the flight recorder's link totals and the state fingerprint all read the
+engine's table, never decide again.  How the pair is kept one model — the
+twin rule and the two tests that enforce it — is stated once, in the
+docstring of :mod:`repro.sim.phases`.
 
 Either way a cycle touches only what can move: idle link directions cost one
 comparison, idle sources one comparison and one queue test, sleeping switches
@@ -124,15 +128,22 @@ class _Node(
 #: the four phases of ``step``, compiled (``_phases.c``, ``_routing.c`` and
 #: ``_select.c``, built on first import — see :mod:`repro.sim.native`) and
 #: bound to the classes whose fields they address, or ``None`` where they
-#: cannot be had and ``step`` calls the reference (:mod:`repro.sim.phases`).
-#: Read at every call — once per cycle by ``step``, once per call by
-#: ``kill_packet`` and the state fingerprint, whose whole-fabric walks the
-#: kernel has too; the lockstep tests set it to ``None`` to step (and
-#: fingerprint) the reference beside the kernel.
+#: cannot be had and engines walk the reference (:mod:`repro.sim.phases`).
+#: Read by :func:`chosen_phases` only, when an engine is built or restored,
+#: and by the checkpoint's Mersenne packing; the lockstep tests set it to
+#: ``None`` to build (or restore) a twin that walks the reference.
 NATIVE_PHASES = load_phases(
     InputLane, OutputLane, EjectionLane, LinkDirection, Packet, _Node,
     TreeAdaptiveRouting, TreeDeterministicRouting, DimensionOrderRouting, DuatoAdaptiveRouting,
 )
+
+
+def chosen_phases():
+    """The phase table an engine built or restored now keeps: the kernel
+    where it could be built, else the reference.  Either has the four
+    phases, the wiring, ``find_worm`` and ``link_totals``; the kernel also
+    the fingerprint's images."""
+    return NATIVE_PHASES or reference
 
 
 class collector_paused:
@@ -165,11 +176,12 @@ class Engine:
         config: run recipe (must be consistent with the other arguments).
     """
 
-    # ``_handlers`` lives in a slot, outside ``__dict__``: a bound handler is
-    # derived from the probe tree and a fan-out is a closure, which does not
-    # pickle, so the pickled state is the ``__dict__`` itself — no copy for
-    # the pickler's memo to keep — and ``__setstate__`` binds them anew
-    __slots__ = ("_handlers", "__dict__", "__weakref__")
+    # ``_handlers`` and ``phases`` live in slots, outside ``__dict__``: a
+    # bound handler is derived from the probe tree and a fan-out is a
+    # closure, which does not pickle, and the phase table is this process's
+    # choice, so the pickled state is the ``__dict__`` itself — no copy for
+    # the pickler's memo to keep — and ``__setstate__`` binds and chooses anew
+    __slots__ = ("_handlers", "phases", "__dict__", "__weakref__")
 
     def __init__(
         self,
@@ -183,6 +195,9 @@ class Engine:
                 f"injector built for {injector.num_nodes} nodes, "
                 f"topology has {topology.num_nodes}"
             )
+        #: the module whose phases, wiring and walks this engine runs
+        #: (:func:`chosen_phases`)
+        self.phases = phases = chosen_phases()
         self.topology = topology
         self.config = config
         self.injector = injector
@@ -206,8 +221,7 @@ class Engine:
         #: every link direction, switch->switch ones first: the link
         #: phase walks the two kinds in two loops, in this order
         self.dirs: list[LinkDirection] = []
-        # wired by the kernel where ``step`` runs it (the same objects)
-        phases = NATIVE_PHASES or reference
+        # wired by the phases ``step`` runs (the same objects either way)
         phases.wire_switch_links(self, cap, vcs)
         self._fabric_dirs = list(self.dirs)
         #: the output lanes of ``_fabric_dirs``, flat and in order: the lane
@@ -301,6 +315,7 @@ class Engine:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.phases = chosen_phases()
         # the engine is the root of its pickle, so the probe tree under it
         # is complete by now: events reach the restored probes
         self._bind_events()
@@ -491,7 +506,7 @@ class Engine:
             self._snapshot_warmup()
         # None unless a probe consumes some event
         handlers = self._handlers
-        phases = NATIVE_PHASES or reference
+        phases = self.phases
         seconds = self._phase_seconds
         clock = time.perf_counter
         phase_start = clock()
@@ -650,9 +665,9 @@ class Engine:
         window, and reported through ``on_packet_dropped``.
 
         The lanes are found by one search over ``dirs`` — ``find_worm``,
-        which the kernel has beside the reference in :mod:`repro.sim.phases`
-        and which is chosen as ``step`` chooses its phases — and flushed by
-        the one body below, whichever walk found them.
+        which the kernel has beside the reference in :mod:`repro.sim.phases`,
+        taken from the engine's :attr:`phases` like those of ``step`` — and
+        flushed by the one body below, whichever walk found them.
 
         Safe to call from a cycle hook: hooks fire before the link phase
         so no phase iteration is in progress.
@@ -680,7 +695,7 @@ class Engine:
         # a worm holds output lanes and their sinks — fabric input lanes or
         # its destination's ejection lanes — and the injection lanes of its
         # source: one search over the directions and one over those
-        owned, holding = (NATIVE_PHASES or reference).find_worm(self.dirs, pkt)
+        owned, holding = self.phases.find_worm(self.dirs, pkt)
         for lane in owned:
             if lane.buffered > 0:
                 self.dirs[lane.dir].nbusy -= 1

@@ -12,10 +12,12 @@ next flit of one (:func:`stream_flit`); a crossbar binding forwards a flit
 :func:`bind`).  A lane is a handful of counters, not a queue of flits (see
 :mod:`repro.router.lane`), and each function updates them in place.  The
 lanes themselves are made here too: ``Engine.__init__`` wires them
-(:func:`wire_switch_links`, :func:`wire_node_links`) through
-``NATIVE_PHASES or`` this module as ``step`` does, ``Engine.kill_packet``
-finds a worm's lanes the same way (:func:`find_worm`), and a flight sample
-reads the links' totals (:func:`link_totals`).
+(:func:`wire_switch_links`, :func:`wire_node_links`), ``Engine.kill_packet``
+finds a worm's lanes (:func:`find_worm`) and a flight sample reads the links'
+totals (:func:`link_totals`), each through the engine's phase table as
+``step`` does.  An engine chooses that table, the kernel or this module,
+once: when it is built and when it is unpickled or deep-copied
+(``Engine.phases``).
 
 **The twin rule.**  Every function here has a function of the *same name* in
 ``_phases.c`` or ``_routing.c`` — the wiring in ``_storage.c``, beside the

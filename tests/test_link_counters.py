@@ -50,9 +50,9 @@ class TestTheCounterIsTheEvent:
     def test_one_count_per_event_on_both_twins(self, spec):
         def counts(python: bool):
             events = BlockedEvents()
-            engine = build_engine(_build(spec, load=0.9), probe=events)
             with python_loops() if python else contextlib.nullcontext():
-                engine.run()
+                engine = build_engine(_build(spec, load=0.9), probe=events)
+            engine.run()
             engine.audit()
             assert [d.blocked for d in engine.dirs] == events.seen
             assert [d.blocked_at_warmup for d in engine.dirs] == events.before_warmup

@@ -13,8 +13,10 @@ the Python ``select`` of the routing algorithms: a kernel engine and its
 pure-Python twin, stepped side by side over random recipes, agree on
 ``state_fingerprint()``, the routing algorithm's RNG state and its counters
 after every cycle and on the ordered log of all nine probe events.  The twin
-is the same engine class stepped with the module-level kernel handle patched
-to ``None`` — over the same storage: where these tests run the lanes, packets
+is the same engine class built with the module-level kernel handle patched
+to ``None``, so that it keeps the reference as its phase table
+(``Engine.phases``) and is stepped beside the kernel engine with nothing
+patched — over the same storage: where these tests run the lanes, packets
 and nodes of both twins are C structs, so what can be corrupted is a
 reference, not a counter.
 
@@ -26,9 +28,11 @@ tables do not name, or the reference a function the C units have no twin for.
 
 import collections
 import contextlib
+import copy
 import dataclasses
 import inspect
 import pathlib
+import pickle
 import random
 import re
 import sys
@@ -49,6 +53,7 @@ from repro.faults import (
     random_uplink_faults,
 )
 from repro.metrics.analytic import zero_load_latency
+from repro.obs.flight import Flight, FlightConfig, FlightRecorder
 from repro.obs.probe import EVENTS, Probe
 from repro.obs.statehash import snapshot_diff, state_snapshot
 from repro.routing.base import RoutingAlgorithm, register
@@ -168,8 +173,10 @@ needs_kernel = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def python_loops():
-    """``Engine.step`` as it runs where the kernel cannot be built: over the
-    reference phases."""
+    """An engine built, unpickled or deep-copied inside keeps the reference
+    phases as its table (``Engine.phases``), as where the kernel cannot be
+    built, and walks them after the block too: the engine chooses then, and
+    only then."""
     with mock.patch.object(engine_module, "NATIVE_PHASES", None):
         yield
 
@@ -522,15 +529,17 @@ def run_in_lockstep(recipe: Recipe) -> list[tuple]:
     """Step a kernel engine and its pure-Python twin through ``recipe``,
     comparing them after every cycle; the (common) event log."""
     kernel, kernel_log = build_recipe(recipe)
-    twin, twin_log = build_recipe(recipe)
+    with python_loops():
+        twin, twin_log = build_recipe(recipe)
+    assert twin.phases is reference
     for cycle in range(recipe.config.total_cycles):
         moved = kernel.step()
         # the twin also kills (``find_worm``) and fingerprints (``_fabric_rows``)
         # through the reference walks, the kernel through its own
-        with python_loops():
-            assert twin.step() == moved
-            twin_root = twin.state_fingerprint()["root"]
-        assert kernel.state_fingerprint()["root"] == twin_root, divergence(cycle, kernel, twin)
+        assert twin.step() == moved
+        assert kernel.state_fingerprint()["root"] == twin.state_fingerprint()["root"], (
+            divergence(cycle, kernel, twin)
+        )
         # the fingerprint leaves the routing algorithm's own state out: its
         # tie-break stream, Duato's grants, the call counts of the test ones
         assert algorithm_state(kernel.routing) == algorithm_state(twin.routing), (
@@ -617,6 +626,42 @@ class TestCompiledPhasesInLockstep:
         assert run(second, checkpoint=policy) == reference
 
 
+class TestTheEngineChoosesItsPhases:
+    """An engine takes its phase table when it is built or restored and
+    pickles nothing of it: a copy loaded under ``python_loops()`` walks the
+    reference, one loaded outside it the kernel where that was built.
+    Without the kernel both sides are the reference, and this still holds."""
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_a_copy_takes_the_phases_of_where_it_is_loaded(self, how):
+        config = cube_config(k=8, n=2, algorithm="duato", vcs=4, load=0.8, seed=3,
+                             warmup_cycles=40, total_cycles=2000)
+        instruments = [Reliable(TransportConfig(base_timeout=48, seed=3)), Flight(FlightConfig(interval_cycles=10))]
+        engine, _ = start(config, instruments)
+        engine._start_run()
+        while engine.cycle < 150:
+            engine.step()
+        data = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"phases" not in data  # neither module is named: nothing of the choice
+        load = (lambda: pickle.loads(data)) if how == "pickle" else (lambda: copy.deepcopy(engine))
+        native = load()
+        with python_loops():
+            twin = load()
+        assert twin.phases is reference
+        assert native.phases is engine.phases is (engine_module.NATIVE_PHASES or reference)
+        recorders = native.find_probe(FlightRecorder), twin.find_probe(FlightRecorder)
+        # each side steps through the table it took, with nothing patched that it reads
+        with mock.patch.object(reference, "link_phase", wraps=reference.link_phase) as walked:
+            while native.cycle < 350:
+                assert native.step() == twin.step()
+                assert native.state_fingerprint()["root"] == twin.state_fingerprint()["root"], (
+                    divergence(native.cycle, native, twin)
+                )
+                assert recorders[0].document() == recorders[1].document()
+        assert walked.call_count == (200 if native.phases is not reference else 400)
+        assert len(recorders[0].document()["series"]["cycle"]) > 30
+
+
 class PacketLog(Probe):
     """Every injected packet, by reference."""
 
@@ -646,17 +691,16 @@ def counters(engine, row=int_fields) -> tuple:
     )
 
 
-def stepped_under(engine, python: bool, cycles: int = 8, row=int_fields):
-    """What stepping ``engine`` raised (its type, ``None`` for nothing), what
-    ``audit()`` then says of it, and the fingerprint and counters it was
-    left with."""
+def stepped(engine, cycles: int = 8, row=int_fields):
+    """What stepping ``engine`` on its phases raised (its type, ``None`` for
+    nothing), what ``audit()`` then says of it, and the fingerprint and
+    counters it was left with."""
     raised = None
-    with python_loops() if python else contextlib.nullcontext():
-        try:
-            for _ in range(cycles):
-                engine.step()
-        except Exception as err:
-            raised = type(err)
+    try:
+        for _ in range(cycles):
+            engine.step()
+    except Exception as err:
+        raised = type(err)
     try:
         engine.audit()
         verdict = "clean"
@@ -713,9 +757,12 @@ AHEAD_OF_THE_CURSOR = {
 
 @needs_kernel
 class TestCompiledPhasesFailurePaths:
-    def loaded(self, probe=None):
-        engine = build_engine(cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=2,
-                                          warmup_cycles=20, total_cycles=5000), probe=probe)
+    def loaded(self, probe=None, python=False):
+        """A cube 60 cycles into a run, built on the reference phases
+        (``python``) or on the kernel."""
+        with python_loops() if python else contextlib.nullcontext():
+            engine = build_engine(cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.6, seed=2,
+                                              warmup_cycles=20, total_cycles=5000), probe=probe)
         while engine.cycle < 60:
             engine.step()
         return engine
@@ -744,10 +791,9 @@ class TestCompiledPhasesFailurePaths:
     def test_packets_created_in_c_are_released_like_the_python_ones(self):
         def holders(python: bool) -> set:
             log = PacketLog()
-            with python_loops() if python else contextlib.nullcontext():
-                engine = self.loaded(probe=log)
-                for _ in range(400):
-                    engine.step()
+            engine = self.loaded(probe=log, python=python)
+            for _ in range(400):
+                engine.step()
             done = [packet for packet in log.packets if packet.delivered >= 0]
             assert len(done) > 100
             return {sys.getrefcount(packet) for packet in done}
@@ -788,9 +834,9 @@ class TestCompiledPhasesFailurePaths:
     def test_corrupt_state_raises_what_the_python_loops_raise(self, corrupt, error):
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             corrupt(self.crossing_lane(engine))
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]  # in the same cycle, leaving the same engine
         assert outcomes[0][0] is error
 
@@ -800,10 +846,10 @@ class TestCompiledPhasesFailurePaths:
         # the look-ahead skips it: the walk gets as far as the Python loop does
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             assert len(engine.bindings) > 24 and len(engine._fabric_dirs) > 48
             AHEAD_OF_THE_CURSOR[where](engine, make)
-            outcomes.append((*stepped_under(engine, python, row=fields_or_type), engine.cycle))
+            outcomes.append((*stepped(engine, row=fields_or_type), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is AttributeError and outcomes[0][-1] == 60
 
@@ -819,11 +865,11 @@ class TestCompiledPhasesFailurePaths:
     def test_lanes_shorter_than_the_round_robin_pointer_raise_the_same_on_both_paths(self):
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             d = busy_direction(engine)
             d.lanes = d.lanes[:1]
             d.rr = 2
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
 
@@ -833,11 +879,11 @@ class TestCompiledPhasesFailurePaths:
         # holding ``rr`` to them
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             d = busy_direction(engine)
             assert len(d.lanes) == 4
             d.rr = rr
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
 
@@ -846,9 +892,9 @@ class TestCompiledPhasesFailurePaths:
         # on and the audit names the direction
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             engine.dirs[7].index = 8
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is None and outcomes[0][-1] == 68
         assert outcomes[0][1].startswith("SimulationError: direction index out of place: ")
@@ -862,9 +908,9 @@ class TestCompiledPhasesFailurePaths:
         # index: dirs[out.dir], _fabric_out[src_dir * vcs + vc]
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             corrupt(engine)
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is IndexError and outcomes[0][-1] == 60
 
@@ -894,12 +940,13 @@ class TestCompiledPhasesFailurePaths:
 
         def outcome(python: bool):
             probe = Cutter()
-            probe.engine = engine = build_engine(
-                cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
-                            warmup_cycles=20, total_cycles=5000),
-                probe=probe,
-            )
-            result = stepped_under(engine, python, cycles=60)
+            with python_loops() if python else contextlib.nullcontext():
+                probe.engine = engine = build_engine(
+                    cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
+                                warmup_cycles=20, total_cycles=5000),
+                    probe=probe,
+                )
+            result = stepped(engine, cycles=60)
             assert 1 < probe.cuts and len(engine._fabric_dirs) < 30
             return (*result, probe.cuts, len(engine._fabric_dirs), len(engine._eject_dirs))
 
@@ -910,10 +957,9 @@ class TestCompiledPhasesFailurePaths:
         # output lanes, the bindings and what they are bound to -- is held by
         # exactly as many as after the same cycles of the Python loops
         def holders(python: bool) -> list:
-            engine = self.loaded()
-            with python_loops() if python else contextlib.nullcontext():
-                for _ in range(200):
-                    engine.step()
+            engine = self.loaded(python=python)
+            for _ in range(200):
+                engine.step()
             touched = [*engine.dirs, *engine.bindings]
             touched += [d.lanes for d in engine.dirs]
             touched += [lane for d in engine.dirs for lane in d.lanes]
@@ -941,12 +987,12 @@ class TestCompiledPhasesFailurePaths:
     def test_corrupt_injection_and_routing_state_raises_the_same_on_both_paths(self, corrupt, error):
         outcomes = []
         for python in (False, True):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             s = self.stalled_switch(engine)
             engine._wake_routing()
             engine.route_rr[s] = 0
             corrupt(engine, s)
-            outcomes.append((*stepped_under(engine, python), engine.cycle))
+            outcomes.append((*stepped(engine), engine.cycle))
         assert outcomes[0] == outcomes[1]  # in the same cycle, leaving the same engine
         assert outcomes[0][0] is error
 
@@ -958,12 +1004,13 @@ class TestCompiledPhasesFailurePaths:
                 return super().select(switch, inlane, packet)
 
         def outcome(python: bool):
-            engine = build_engine(tree_config(k=2, n=3, vcs=2, load=0.8, seed=5,
-                                              warmup_cycles=20, total_cycles=5000))
+            with python_loops() if python else contextlib.nullcontext():
+                engine = build_engine(tree_config(k=2, n=3, vcs=2, load=0.8, seed=5,
+                                                  warmup_cycles=20, total_cycles=5000))
             routing = Fused()
             routing.attach(engine)
             engine.routing = routing
-            return stepped_under(engine, python, cycles=400)
+            return stepped(engine, cycles=400)
 
         assert outcome(python=False) == outcome(python=True)
         assert outcome(python=False)[0] is ZeroDivisionError
@@ -980,10 +1027,10 @@ class TestCompiledPhasesFailurePaths:
                 return 0
 
         def outcome(python: bool):
-            engine = self.loaded()
+            engine = self.loaded(python=python)
             node = engine.nodes[9]
             node.source, node.wake = Broken(), engine.cycle + 3
-            return stepped_under(engine, python)
+            return stepped(engine)
 
         raised, verdict, *_ = kernel = outcome(python=False)
         assert kernel == outcome(python=True)
@@ -1003,18 +1050,18 @@ class TestCompiledPhasesFailurePaths:
             raise ZeroDivisionError(event)
 
         setattr(Boom, event, boom)
-        engine = build_engine(
-            cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
-                        warmup_cycles=20, total_cycles=5000),
-            probe=Boom(),
-        )
+        with python_loops() if python else contextlib.nullcontext():
+            engine = build_engine(
+                cube_config(k=4, n=2, algorithm="duato", vcs=4, load=0.9, seed=2, buffer_flits=2,
+                            warmup_cycles=20, total_cycles=5000),
+                probe=Boom(),
+            )
         watched = (engine.dirs[0], engine.dirs[0].lanes[0], engine.dirs[0].lanes[0].sink,
                    engine.nodes[0], engine.nodes[0].source, engine.routing)
         before = [sys.getrefcount(obj) for obj in watched]
         with pytest.raises(ZeroDivisionError, match=event):
-            with python_loops() if python else contextlib.nullcontext():
-                for _ in range(2000):
-                    engine.step()
+            for _ in range(2000):
+                engine.step()
         assert [sys.getrefcount(obj) for obj in watched] == before
 
     @pytest.mark.parametrize("event", ["on_packets_generated", "on_packet_injected", "on_header_routed"])
@@ -1027,6 +1074,6 @@ class TestCompiledPhasesFailurePaths:
                 raise ZeroDivisionError(event)
 
         setattr(Boom, event, boom)
-        kernel = stepped_under(self.loaded(probe=Boom()), python=False, cycles=40)
-        assert kernel == stepped_under(self.loaded(probe=Boom()), python=True, cycles=40)
+        kernel = stepped(self.loaded(probe=Boom()), cycles=40)
+        assert kernel == stepped(self.loaded(probe=Boom(), python=True), cycles=40)
         assert kernel[0] is ZeroDivisionError

@@ -250,11 +250,9 @@ class TestAReleasedEngine:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_refuses_what_would_answer_differently(self, entry, released, tmp_path):
-        path, engine = released
+        _, engine = released
         cycle = engine.cycle
-        with LOOP_PATHS[path](), pytest.raises(
-            SimulationError, match=r"\(\) on a released engine: Engine\.release"
-        ):
+        with pytest.raises(SimulationError, match=r"\(\) on a released engine: Engine\.release"):
             ENTRY_POINTS[entry](engine, tmp_path)
         assert engine.cycle == cycle
         assert not list(tmp_path.iterdir())

@@ -56,10 +56,18 @@ def test_loc_refuses_a_root_that_does_not_exist(tmp_path):
     command = [sys.executable, str(TOOLS / "loc.py")]
     counted = subprocess.run([*command, str(tmp_path / "pkg")], capture_output=True, text=True, timeout=60)
     assert counted.returncode == 0 and counted.stdout.split()[0] == "1"
-    for missing in ("--help", str(tmp_path / "pkgg")):
+    for missing in ("--helpp", str(tmp_path / "pkgg")):
         refused = subprocess.run([*command, missing], capture_output=True, text=True, timeout=60)
         assert refused.returncode == 2 and refused.stdout == ""
         assert refused.stderr.count("\n") == 1 and missing in refused.stderr
+
+
+def test_loc_prints_its_usage_on_help():
+    for flag in ("-h", "--help"):
+        helped = subprocess.run([sys.executable, str(TOOLS / "loc.py"), flag],
+                                capture_output=True, text=True, timeout=60)
+        assert helped.returncode == 0 and helped.stderr == ""
+        assert helped.stdout.startswith("Count code lines") and "python tools/loc.py [ROOT]" in helped.stdout
 
 
 def test_loc_exits_quietly_when_the_reader_stops_early():

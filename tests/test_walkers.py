@@ -1,8 +1,10 @@
 """The kernel's reads of the whole engine outside ``Engine.step``, held to
 their Python references.
 
-Where the kernel is loaded they replace a Python iteration, chosen like the
-phases through ``repro.sim.engine.NATIVE_PHASES`` at call time:
+Where the kernel is loaded they replace a Python iteration.  Each is read
+from the engine's own phase table (``Engine.phases``, chosen when the engine
+is built or restored), or from the kernel itself where no engine is in reach
+(the Mersenne functions of the checkpoint's pickler):
 
 * ``fabric_image(dirs, update)``, ``node_images(nodes)`` and
   ``routing_image(engine)`` — the words a plain fingerprint hashes; their
@@ -26,8 +28,8 @@ phases through ``repro.sim.engine.NATIVE_PHASES`` at call time:
 The lockstep suite (``tests/test_property_engine.py``) compares the walks and
 images with their references every cycle of every recipe, and on every
 fail-stop kill the recipes draw; here they meet on engines chosen to hold all
-that a fingerprint reads.  Without the kernel both sides are the reference,
-and the tests still hold.
+that a fingerprint reads, each beside a twin loaded under ``python_loops()``.
+Without the kernel both sides are the reference, and the tests still hold.
 """
 
 from __future__ import annotations
@@ -74,19 +76,21 @@ def mid_run(network: str):
     their lanes, the worms they met killed) and a third worm killed by hand:
     every kind of lane, sink and binding a fingerprint reads.  Stepped and
     killed through the reference, so the state the kernel's walks are held
-    to here owes nothing to them."""
+    to here owes nothing to them; then restored on the phases this process
+    has (:func:`loaded_on`)."""
     make = tree_config if network == "tree" else cube_config
     extra = {} if network == "tree" else {"algorithm": "duato"}
     config = make(k=4 if network == "tree" else 8, n=3 if network == "tree" else 2, vcs=4,
                   load=0.9, seed=5, warmup_cycles=20, total_cycles=400, **extra)
     faults = ((0, 30, None, FaultPolicy.FAIL_STOP), (1, 60, None, FaultPolicy.FAIL_STOP))
-    engine, _ = build_recipe(Recipe(config, faults=faults, reliable=True))
     with python_loops():
-        while engine.cycle < 100:
-            engine.step()
-        engine.kill_packet(worms(engine)[0])
-        while engine.cycle < 120:
-            engine.step()
+        engine, _ = build_recipe(Recipe(config, faults=faults, reliable=True))
+    while engine.cycle < 100:
+        engine.step()
+    engine.kill_packet(worms(engine)[0])
+    while engine.cycle < 120:
+        engine.step()
+    engine = loaded_on(engine, python=False)
     lanes = [lane for d in engine.dirs for lane in d.lanes]
     sinks = [lane.sink for lane in lanes]
     assert any(lane.packet is FAULT_SENTINEL for lane in lanes)
@@ -98,6 +102,14 @@ def mid_run(network: str):
     transport = engine.find_probe(ReliableTransport)
     assert any(msg.attempts > 0 for queue in transport._fifo.values() for msg in queue)
     return engine
+
+
+def loaded_on(engine, python: bool):
+    """``engine`` through pickle, loaded on the reference phases
+    (``python``) or on the kernel where it is built."""
+    data = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+    with python_loops() if python else _nothing():
+        return pickle.loads(data)
 
 
 def worms(engine) -> list:
@@ -119,14 +131,15 @@ def engine(request):
 def congested() -> object:
     """A 16-node tree 150 cycles into a transpose overload under the closed
     congestion loop: AIMD windows open, marked packets and hot links in the
-    marker."""
-    engine = build_engine(tree_config(k=4, n=2, vcs=2, pattern="transpose", load=0.9, seed=3,
-                                      warmup_cycles=20, total_cycles=400))
+    marker.  Stepped through the reference, restored on the kernel."""
+    with python_loops():
+        engine = build_engine(tree_config(k=4, n=2, vcs=2, pattern="transpose", load=0.9, seed=3,
+                                          warmup_cycles=20, total_cycles=400))
     Congested(control=CongestionConfig(window_cycles=16, hot_fraction=0.2)).install(engine)
     engine.probe.on_run_start(engine)
-    with python_loops():
-        while engine.cycle < 150:
-            engine.step()
+    while engine.cycle < 150:
+        engine.step()
+    engine = loaded_on(engine, python=False)
     control = engine.find_probe(ReliableTransport).congestion
     assert control._windows and control.marker._marked and control.marker.peak_hot_links
     assert any(engine.find_probe(ReliableTransport)._waiting.values())
@@ -146,8 +159,7 @@ class TestTheFabricImage:
     def test_a_plain_fingerprint_hashes_what_the_detailed_one_does(self, engine):
         plain, detailed = engine.state_fingerprint(), engine.state_fingerprint(detail=True)
         assert {key: detailed[key] for key in plain} == plain
-        with python_loops():
-            assert engine.state_fingerprint() == plain
+        assert loaded_on(engine, python=True).state_fingerprint() == plain
 
     def test_the_image_is_the_rows_in_bounded_chunks(self, engine):
         kernel = engine_module.NATIVE_PHASES
@@ -190,8 +202,7 @@ class TestTheEngineImages:
         plain = engine.state_fingerprint()
         assert {key: value for key, value in engine.state_fingerprint(detail=True).items()
                 if key in plain} == plain
-        with python_loops():
-            assert engine.state_fingerprint() == plain
+        assert loaded_on(engine, python=True).state_fingerprint() == plain
         if engine_module.NATIVE_PHASES is not None:
             for name, (image, rows) in images(engine).items():
                 assert image == rows, name
@@ -232,7 +243,7 @@ class TestTheEngineImages:
 
 class TestTheKillFinder:
     def test_the_kernel_finds_what_the_reference_finds(self, engine):
-        kernel = engine_module.NATIVE_PHASES or reference
+        kernel = engine.phases
         found = 0
         for packet in [*worms(engine), FAULT_SENTINEL]:
             owned, holding = kernel.find_worm(engine.dirs, packet)
@@ -247,20 +258,21 @@ class TestTheKillFinder:
     def test_a_kill_leaves_the_same_state_on_both_walks(self, engine):
         data = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
         for packet in worms(engine)[::25]:
-            kernel, twin = pickle.loads(data), pickle.loads(data)
+            kernel = pickle.loads(data)
+            with python_loops():
+                twin = pickle.loads(data)
+            assert twin.phases is reference
             pid = packet.pid
             flushed = kernel.kill_packet(next(p for p in worms(kernel) if p.pid == pid))
-            with python_loops():
-                assert twin.kill_packet(next(p for p in worms(twin) if p.pid == pid)) == flushed
-                twin_root = twin.state_fingerprint(detail=True)["root"]
-            assert kernel.state_fingerprint(detail=True)["root"] == twin_root
+            assert twin.kill_packet(next(p for p in worms(twin) if p.pid == pid)) == flushed
+            assert kernel.state_fingerprint(detail=True)["root"] == twin.state_fingerprint(detail=True)["root"]
             kernel.audit()
             twin.audit()
 
 
 class TestTheLinkTotals:
     def test_the_kernel_sums_what_the_reference_sums(self, engine):
-        kernel = engine_module.NATIVE_PHASES or reference
+        kernel = engine.phases
         flits, blocked, occupancy = kernel.link_totals(engine.dirs)
         assert (flits, blocked, occupancy) == reference.link_totals(engine.dirs)
         assert occupancy > 0 and blocked > 0 and sum(flits) > 0

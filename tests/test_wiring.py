@@ -2,9 +2,9 @@
 
 ``Engine.__init__`` wires the fabric through ``wire_switch_links`` and
 ``wire_node_links`` — each a function of :mod:`repro.sim.phases` with a twin
-of its name in ``_storage.c``, called as ``NATIVE_PHASES or reference`` the
-way ``step`` calls the phases.  A pickle carries every field, so a restore
-derives nothing.
+of its name in ``_storage.c``, taken from the phase table the engine has just
+chosen (``Engine.phases``), which ``step`` walks too.  A pickle carries every
+field, so a restore derives nothing but that choice.
 
 ``TestReferenceWiring`` holds the Python wiring to the model and runs with
 the kernel or without it; ``TestWiringTwins`` holds the twins to it: an
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine_module
 from repro.errors import SimulationError
+from repro.sim import phases as reference
 from repro.sim.run import build_engine, cube_config, network_of, tree_config
 
 from .test_property_engine import (
@@ -156,6 +157,8 @@ class TestWiringTwins:
         native_again = restored(native)
         with python_loops():
             python_again = restored(python)
+        assert python.phases is python_again.phases is reference
+        assert native.phases is native_again.phases is engine_module.NATIVE_PHASES
         assert pickle.dumps(native_again) == pickle.dumps(python_again)
         assert native_again.state_fingerprint(detail=True) == python.state_fingerprint(detail=True)
         assert rows(native_again) == rows(python_again) == rows(python)

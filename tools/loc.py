@@ -52,6 +52,9 @@ def c_code_lines(path: pathlib.Path) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if argv[1:2] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
     root = pathlib.Path(argv[1] if len(argv) > 1 else "src")
     if not root.is_dir():
         print(f"loc.py: {root}: not a directory (usage: loc.py [ROOT])", file=sys.stderr)
